@@ -20,15 +20,18 @@ from typing import Tuple
 from . import linalg
 from .calculus import poly_laplacian
 from .errors import (
+    DimensionMismatch,
+    EmptyInterior,
     InfeasibleSystem,
     NonPolynomialInput,
     SingularLinearSystem,
     SolvabilityViolation,
     UnsupportedDimension,
+    UnsupportedInputError,
     UnsupportedRadialClass,
 )
 from .expr import Expr, Polynomial, _grlex_key, poly_sum
-from .harmonic import harmonic_decompose, harmonic_parts_by_degree
+from .harmonic import _decompose_homogeneous, harmonic_decompose, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
     integrate_ellipsoid_area,
@@ -63,7 +66,7 @@ class Annulus:
         object.__setattr__(self, "inner", Fraction(self.inner))
         object.__setattr__(self, "outer", Fraction(self.outer))
         if not 0 < self.inner < self.outer:
-            raise ValueError("annulus needs 0 < inner radius < outer radius")
+            raise EmptyInterior("annulus needs 0 < inner radius < outer radius")
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ class Quadratic:
         b = tuple(Fraction(v) for v in self.b)
         c = tuple(Fraction(v) for v in self.c) if self.c else (Fraction(0),) * len(b)
         if len(b) != ctx.dim or len(c) != ctx.dim:
-            raise ValueError("quadratic coefficient lists must match the dimension")
+            raise DimensionMismatch("quadratic coefficient lists must match the dimension")
         parts = [Polynomial.const(Fraction(self.d))]
         for v, bi, ci in zip(ctx.coords, b, c):
             if bi:
@@ -93,7 +96,7 @@ class Quadratic:
 
 @dataclass(frozen=True)
 class Plain:
-    singularity_at_zero: bool = False
+    pass
 
 
 @dataclass(frozen=True)
@@ -309,16 +312,10 @@ def _anti_laplacian_norm_multiple(f, ctx):
     norm = ctx.norm_sq_poly()
     total = Polynomial()
     for k, part in f.homogeneous_parts(ctx.coords).items():
-        for j, g in _decompose_map(part, k, ctx).items():
+        for j, g in _decompose_homogeneous(part, k, ctx).items():
             lam = (2 * j + 2) * (2 * k - 2 * j + n)
             total = total + norm ** (j + 1) * g.scale(Fraction(1, lam))
     return total
-
-
-def _decompose_map(part, k, ctx):
-    from .harmonic import _decompose_homogeneous
-
-    return _decompose_homogeneous(part, k, ctx)
 
 
 def _anti_laplacian_quadratic_multiple(f, quad, ctx):
@@ -492,7 +489,7 @@ def neumann(f, g=None, region=Sphere(), ctx=None):
         return _neumann_sphere(f, g, ctx)
     if isinstance(region, Quadratic):
         return _neumann_quadratic(f, g, region, ctx)
-    raise TypeError("Neumann problems support Sphere and Quadratic regions")
+    raise UnsupportedInputError("Neumann problems support Sphere and Quadratic regions")
 
 
 def _neumann_sphere(f, g, ctx):

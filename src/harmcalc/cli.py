@@ -1,11 +1,15 @@
 """Command-line front end.
 
-One verb per operation, an explicit --dim flag on every dimension-dependent
-verb (there is no ambient dimension state), and deterministic text, JSON,
-or LaTeX output.  A batch mode reads one command line per file line and
-emits a JSON array of results.
+One verb per operation.  Each verb declares the flags and the number of
+expressions it reads, so `harmcalc <verb> --help` lists only those, and
+anything else is a usage error (exit 2).  `--dim` is required wherever it
+is read (`reflect` reads it only without `--point`); there is no ambient
+dimension state.  Vectors and regions are checked against `--dim`.
+Output is deterministic text, JSON or LaTeX.  A batch mode reads one
+command line per file line and emits a JSON array of results; a bad line
+records its error and the rest still run.
 
-Exit codes: 0 success, 2 parse error, 3 unsupported input class,
+Exit codes: 0 success, 2 parse or usage error, 3 unsupported input class,
 4 solvability violation, 5 degree cap or infeasible system, 6 internal
 invariant failure.
 """
@@ -20,96 +24,11 @@ import time
 from fractions import Fraction
 
 from . import bvp, calculus, harmonic, integrate, kernels, transforms
-from .errors import HarmcalcError, ParseError, UnsupportedInputError
-from .expr import Context
+from .errors import DimensionMismatch, HarmcalcError, ParseError, UnsupportedInputError
+from .expr import Context, eval_expr, make_context
 from .parser import _tokenize, parse_expression, parse_polynomial
 from .render import render_value
 from .scalar import Scalar, approx_scalar
-
-VERBS = {}
-
-
-def verb(name, needs_dim=True):
-    def wrap(fn):
-        VERBS[name] = (fn, needs_dim)
-        return fn
-
-    return wrap
-
-
-def _fraction(text):
-    if "/" in text:
-        a, b = text.split("/", 1)
-        return Fraction(int(a), int(b))
-    return Fraction(int(text))
-
-
-def _fraction_list(text):
-    return tuple(_fraction(t) for t in text.split(",") if t)
-
-
-def _context(args, extra_vecs=(), extra=()):
-    if args.dim is None:
-        raise UnsupportedInputError("this verb needs --dim")
-    coords = tuple(args.vars.split(",")) if args.vars else None
-    names = list(extra)
-    for label in extra_vecs:
-        names.extend("%s%d" % (label, i + 1) for i in range(args.dim))
-    return Context(args.dim, coords=coords, extra=tuple(names))
-
-
-def _half_space_context(args):
-    """Coordinates x1..x_(n-1), y; second point t1..t_(n-1), u."""
-    n = args.dim
-    if n is None or n < 2:
-        raise UnsupportedInputError("half-space verbs need --dim >= 2")
-    coords = tuple("x%d" % (i + 1) for i in range(n - 1)) + ("y",)
-    extra = tuple("t%d" % (i + 1) for i in range(n - 1)) + ("u",)
-    return Context(n, coords=coords, extra=extra)
-
-
-def _vectors(ctx, args):
-    table = {}
-    label = getattr(args, "second_vec", None)
-    if label:
-        names = tuple(
-            v for v in ctx.extra if v.startswith(label) and v[len(label) :].isdigit()
-        )
-        if names:
-            table[label] = names
-    return table
-
-
-def _parse_region(text, ctx):
-    if text in (None, "sphere"):
-        return bvp.Sphere()
-    if text == "exterior-sphere":
-        return bvp.ExteriorSphere()
-    if text.startswith("annulus:"):
-        r, s = text[len("annulus:") :].split(",")
-        return bvp.Annulus(_fraction(r), _fraction(s))
-    if text.startswith("quadratic:"):
-        blocks = text[len("quadratic:") :].split(";")
-        b = _fraction_list(blocks[0])
-        c = _fraction_list(blocks[1]) if len(blocks) > 1 and blocks[1] else ()
-        d = _fraction(blocks[2]) if len(blocks) > 2 and blocks[2] else Fraction(-1)
-        return bvp.Quadratic(b, c, d)
-    raise UnsupportedInputError("unknown region %r" % text)
-
-
-def _parse_multiple(text):
-    if text in (None, ""):
-        return None
-    if text == "norm2":
-        return bvp.NormSquaredMultiple()
-    if text.startswith("quadratic:"):
-        blocks = text[len("quadratic:") :].split(";")
-        b = _fraction_list(blocks[0])
-        c = _fraction_list(blocks[1]) if len(blocks) > 1 and blocks[1] else ()
-        d = _fraction(blocks[2]) if len(blocks) > 2 and blocks[2] else Fraction(-1)
-        return bvp.QuadraticMultiple(b, c, d)
-    raise UnsupportedInputError("unknown multiple option %r" % text)
-
 
 # ---------------------------------------------------------------------------
 # radial weight mini-parser: sums of c * r^a * log(r)^k, optionally divided
@@ -228,159 +147,312 @@ def parse_radial(src):
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# flag values: argparse turns a ValueError or TypeError raised here into a
+# usage error that names the function, so these names read as value kinds
 
 
-@verb("volume")
+def rational(text):
+    """N or N/D."""
+    num, sep, den = text.partition("/")
+    den = int(den) if sep else 1
+    if not den:
+        raise ValueError("zero denominator")
+    return Fraction(int(num), den)
+
+
+def rationals(text):
+    return tuple(rational(t) for t in text.split(",") if t)
+
+
+def int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return integer
+
+
+def var_times(text):
+    """VAR or VAR:TIMES as (VAR, TIMES)."""
+    var, sep, times = text.partition(":")
+    return var, int(times) if sep else 1
+
+
+def about_point(text):
+    """Rationals, or symbols that join the context."""
+    tokens = (t.strip() for t in text.split(","))
+    return [t if t[:1].isalpha() or t[:1] == "_" else rational(t) for t in tokens]
+
+
+def _quadric(text):
+    """b;c;d of b.x^2 + c.x + d after `kind:`; c defaults to 0 and d to -1."""
+    blocks = text.partition(":")[2].split(";")
+    b, c, d = blocks + [""] * (3 - len(blocks))
+    return rationals(b), rationals(c), rational(d) if d else Fraction(-1)
+
+
+def region(text):
+    if text == "sphere":
+        return bvp.Sphere()
+    if text == "exterior-sphere":
+        return bvp.ExteriorSphere()
+    if text.startswith("annulus:"):
+        r, s = text[len("annulus:") :].split(",")
+        return bvp.Annulus(rational(r), rational(s))
+    if text.startswith("quadratic:"):
+        return bvp.Quadratic(*_quadric(text))
+    raise UnsupportedInputError("unknown region %r" % text)
+
+
+def multiple(text):
+    if not text:
+        return bvp.Plain()
+    if text == "norm2":
+        return bvp.NormSquaredMultiple()
+    if text.startswith("quadratic:"):
+        return bvp.QuadraticMultiple(*_quadric(text))
+    raise UnsupportedInputError("unknown multiple option %r" % text)
+
+
+def mirror(text):
+    if text in ("unit", "unit-sphere"):
+        return transforms.UnitSphere()
+    if text.startswith("sphere:"):
+        c, r = text[len("sphere:") :].split(";")
+        return transforms.SphereMirror(rationals(c), rational(r))
+    if text.startswith("hyperplane:"):
+        b, t = text[len("hyperplane:") :].split(";")
+        return transforms.HyperplaneMirror(rationals(b), rational(t))
+    raise UnsupportedInputError("unknown mirror %r" % text)
+
+
+# ---------------------------------------------------------------------------
+# flags and verbs
+
+# every flag a verb can declare, as add_argument keywords
+FLAGS = {
+    "dim": dict(type=int_at_least(1), help="dimension n"),
+    "vars": dict(help="comma-separated coordinate names (default x1..xn)"),
+    "second-vec": dict(help="label y of a second point y1..yn"),
+    "power": dict(type=int, default=1, help="how many times to apply the Laplacian"),
+    "by": dict(type=var_times, action="append", help="differentiate by VAR[:TIMES]"),
+    "surface": dict(help="level surface q(x) = 0 (default: the unit sphere)"),
+    "degree": dict(type=int_at_least(0), default=0, help="degree"),
+    "about": dict(type=about_point, help="expansion point: rationals or symbols"),
+    "weight": dict(type=parse_radial, help="radial weight in r (default 1)"),
+    "b": dict(type=rationals, help="ellipsoid b.x^2 + c.x + d < 0: comma-separated b"),
+    "c": dict(type=rationals, default="", help="comma-separated c (default 0)"),
+    "d": dict(type=rational, default="-1", help="rational d (default -1)"),
+    "m": dict(type=int_at_least(0), help="degree m"),
+    "n": dict(type=int_at_least(1), help="dimension n"),
+    "ip": dict(help="inner product: sphere, ball or none"),
+    "region": dict(
+        type=region, default="sphere", help="sphere, exterior-sphere, annulus:R,S or quadratic:B;C;D"
+    ),
+    "rhs": dict(help="prescribed Laplacian"),
+    "multiple": dict(type=multiple, help="norm2 or quadratic:B;C;D (default: none)"),
+    "boundary": dict(action="store_true", help="confine the second point to the unit sphere"),
+    "mirror": dict(type=mirror, default="unit", help="unit, sphere:C;R or hyperplane:B;T"),
+    "point": dict(type=rationals, help="comma-separated rational point"),
+    "at": dict(type=rationals, help="comma-separated rational values of every variable"),
+    "digits": dict(type=int_at_least(1), default=6, help="significant digits"),
+}
+
+VERBS = {}
+
+
+def verb(name, nargs=0, flags=""):
+    """Register a verb that reads `nargs` expressions and the named FLAGS.
+
+    nargs is 0, 1, 2 (one or two) or "+" (one or more); a flag name ending
+    in "!" is required.
+    """
+
+    def wrap(fn):
+        VERBS[name] = (fn, nargs, flags.split())
+        return fn
+
+    return wrap
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError instead of exiting the process."""
+
+    def error(self, message):
+        raise ParseError("%s: %s" % (self.prog, message))
+
+
+class _OneOrTwo(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(values) > 2:
+            parser.error("takes one or two expressions, got %d" % len(values))
+        setattr(namespace, self.dest, values)
+
+
+def build_parser():
+    ap = _Parser(
+        prog="harmcalc",
+        description="Exact computer algebra for harmonic function theory.",
+    )
+    sub = ap.add_subparsers(dest="verb", required=True)
+    for name in sorted(VERBS):
+        _, nargs, flags = VERBS[name]
+        p = sub.add_parser(name)
+        if nargs == 2:
+            p.add_argument("expr", nargs="+", action=_OneOrTwo, help="one or two expressions")
+        elif nargs:
+            p.add_argument("expr", nargs=nargs, help="expression")
+        for flag in flags:
+            key = flag.rstrip("!")
+            p.add_argument("--" + key, required=flag.endswith("!"), **FLAGS[key])
+        p.add_argument("--format", default="text", choices=("text", "json", "latex"))
+        p.add_argument("--out", default=None, help="write the result to this file")
+        p.add_argument("--timing", action="store_true", help="elapsed time on stderr")
+    bp = sub.add_parser("batch")
+    bp.add_argument("file")
+    bp.add_argument("--out", default=None)
+    return ap
+
+
+def _ctx(args, label=None, extra=()):
+    """Context from --dim and --vars, plus a block label1..labeln if given."""
+    coords = tuple(args.vars.split(",")) if args.vars else None
+    vecs = (label,) if label else ()
+    return make_context(args.dim, extra_vecs=vecs, extra=extra, coords=coords)
+
+
+def _half_space_context(args):
+    """Coordinates x1..x_(n-1), y; second point t1..t_(n-1), u."""
+    n = args.dim
+    if n < 2:
+        raise UnsupportedInputError("half-space verbs need --dim >= 2")
+    coords = tuple("x%d" % (i + 1) for i in range(n - 1)) + ("y",)
+    extra = tuple("t%d" % (i + 1) for i in range(n - 1)) + ("u",)
+    return Context(n, coords=coords, extra=extra)
+
+
+def _parsed(args, parse=parse_expression):
+    """The one expression and its context; with --second-vec Y (where the
+    verb declares it) the expression may use the vector Y = (Y1..Yn)."""
+    label = getattr(args, "second_vec", None)
+    ctx = _ctx(args, label)
+    return parse(args.expr[0], ctx, {label: ctx.extra} if label else None), ctx
+
+
+def _point(args, ctx):
+    """--at as values of every coordinate and symbol of ctx, in order."""
+    names = ctx.coords + ctx.extra
+    if len(args.at) != len(names):
+        raise DimensionMismatch("--at needs %d values, got %d" % (len(names), len(args.at)))
+    return dict(zip(names, args.at))
+
+
+@verb("volume", 0, "dim!")
 def _v_volume(args):
     return integrate.unit_ball_volume(args.dim), None
 
 
-@verb("surface-area")
+@verb("surface-area", 0, "dim!")
 def _v_area(args):
     return integrate.unit_sphere_area(args.dim), None
 
 
-@verb("dim-harmonic", needs_dim=False)
+@verb("dim-harmonic", 0, "m! n!")
 def _v_dim_h(args):
     return harmonic.dim_harmonic(args.m, args.n), None
 
 
-@verb("laplacian")
+@verb("laplacian", 1, "dim! vars second-vec power")
 def _v_lap(args):
-    ctx = _context(args, extra_vecs=_second(args))
-    e = parse_expression(args.expr[0], ctx, _vectors(ctx, args))
+    e, ctx = _parsed(args)
     return calculus.laplacian_of(e, args.power, ctx), ctx
 
 
-@verb("gradient")
+@verb("gradient", 1, "dim! vars second-vec")
 def _v_grad(args):
-    ctx = _context(args, extra_vecs=_second(args))
-    e = parse_expression(args.expr[0], ctx, _vectors(ctx, args))
+    e, ctx = _parsed(args)
     return calculus.gradient_of(e, ctx), ctx
 
 
-@verb("partial")
+@verb("partial", 1, "dim! vars second-vec by")
 def _v_partial(args):
-    ctx = _context(args, extra_vecs=_second(args))
-    e = parse_expression(args.expr[0], ctx, _vectors(ctx, args))
-    schedule = []
-    for item in args.by or []:
-        if ":" in item:
-            v, m = item.split(":", 1)
-            schedule.append((v, int(m)))
-        else:
-            schedule.append((item, 1))
-    return calculus.partial_d(e, schedule, ctx), ctx
+    e, ctx = _parsed(args)
+    return calculus.partial_d(e, args.by or [], ctx), ctx
 
 
-@verb("normal-d")
+@verb("normal-d", 1, "dim! vars surface")
 def _v_normal(args):
-    ctx = _context(args)
-    e = parse_expression(args.expr[0], ctx)
+    e, ctx = _parsed(args)
     if args.surface:
         q = parse_polynomial(args.surface, ctx)
         return calculus.normal_d_surface(e, q, ctx), ctx
     return calculus.normal_d_sphere(e, ctx), ctx
 
 
-@verb("divergence")
-def _v_div(args):
-    ctx = _context(args)
+@verb("divergence", "+", "dim! vars")
+@verb("jacobian", "+", "dim! vars")
+def _v_field(args):
+    ctx = _ctx(args)
     comps = tuple(parse_expression(s, ctx) for s in args.expr)
-    return calculus.divergence_of(comps, ctx), ctx
-
-
-@verb("jacobian")
-def _v_jac(args):
-    ctx = _context(args)
-    comps = tuple(parse_expression(s, ctx) for s in args.expr)
+    if args.verb == "divergence":
+        return calculus.divergence_of(comps, ctx), ctx
     return calculus.jacobian_of(comps, ctx), ctx
 
 
-def _about(args, ctx):
-    if not args.about:
-        return None
-    out = []
-    for tok in args.about.split(","):
-        tok = tok.strip()
-        if tok and (tok[0].isalpha() or tok[0] == "_"):
-            out.append(tok)
-        else:
-            out.append(_fraction(tok))
-    return out
-
-
-@verb("homogeneous")
-def _v_homog(args):
-    extra = tuple(t for t in (args.about or "").split(",") if t and t[0].isalpha())
-    ctx = _context(args, extra=extra)
+@verb("homogeneous", 1, "dim! vars degree about")
+@verb("taylor", 1, "dim! vars degree about")
+def _v_expand(args):
+    about = args.about
+    if about and len(about) != args.dim:
+        raise DimensionMismatch("--about needs %d values, got %d" % (args.dim, len(about)))
+    ctx = _ctx(args, extra=tuple(t for t in about or () if isinstance(t, str)))
     p = parse_polynomial(args.expr[0], ctx)
-    return calculus.homogeneous_part(p, args.degree, ctx, _about(args, ctx)), ctx
+    if args.verb == "homogeneous":
+        return calculus.homogeneous_part(p, args.degree, ctx, about), ctx
+    return calculus.taylor_poly(p, args.degree, ctx, about), ctx
 
 
-@verb("taylor")
-def _v_taylor(args):
-    extra = tuple(t for t in (args.about or "").split(",") if t and t[0].isalpha())
-    ctx = _context(args, extra=extra)
-    p = parse_polynomial(args.expr[0], ctx)
-    return calculus.taylor_poly(p, args.degree, ctx, _about(args, ctx)), ctx
-
-
-@verb("harmonic-conjugate")
+@verb("harmonic-conjugate", 1, "dim! vars")
 def _v_conj(args):
-    ctx = _context(args)
-    p = parse_polynomial(args.expr[0], ctx)
+    p, ctx = _parsed(args, parse_polynomial)
     return calculus.harmonic_conjugate(p, ctx), ctx
 
 
-@verb("integrate-sphere")
+@verb("integrate-sphere", 1, "dim! vars second-vec")
 def _v_isphere(args):
-    ctx = _context(args, extra_vecs=_second(args))
-    p = parse_polynomial(args.expr[0], ctx, _vectors(ctx, args))
+    p, ctx = _parsed(args, parse_polynomial)
     return integrate.integrate_sphere(p, ctx), ctx
 
 
-@verb("integrate-ball")
+@verb("integrate-ball", 1, "dim! vars second-vec weight")
 def _v_iball(args):
-    ctx = _context(args, extra_vecs=_second(args))
-    p = parse_polynomial(args.expr[0], ctx, _vectors(ctx, args))
-    radial = parse_radial(args.weight) if args.weight else integrate.RadialFunction.one()
+    p, ctx = _parsed(args, parse_polynomial)
+    radial = args.weight or integrate.RadialFunction.one()
     return integrate.integrate_ball(p, radial, ctx), ctx
 
 
-def _ellipsoid(args):
-    b = _fraction_list(args.b)
-    c = _fraction_list(args.c) if args.c else ()
-    d = _fraction(args.d) if args.d else Fraction(-1)
-    return integrate.Ellipsoid(b, c, d)
+@verb("integrate-ellipsoid-volume", 1, "dim! vars second-vec b! c d")
+@verb("integrate-ellipsoid-area", 1, "dim! vars second-vec b! c d")
+def _v_ellipsoid(args):
+    p, ctx = _parsed(args, parse_polynomial)
+    e = integrate.Ellipsoid(args.b, args.c, args.d)
+    if args.verb == "integrate-ellipsoid-volume":
+        return integrate.integrate_ellipsoid_volume(p, e, ctx), ctx
+    return integrate.integrate_ellipsoid_area(p, e, ctx), ctx
 
 
-@verb("integrate-ellipsoid-volume")
-def _v_ev(args):
-    ctx = _context(args, extra_vecs=_second(args))
-    p = parse_polynomial(args.expr[0], ctx, _vectors(ctx, args))
-    return integrate.integrate_ellipsoid_volume(p, _ellipsoid(args), ctx), ctx
-
-
-@verb("integrate-ellipsoid-area")
-def _v_ea(args):
-    ctx = _context(args, extra_vecs=_second(args))
-    p = parse_polynomial(args.expr[0], ctx, _vectors(ctx, args))
-    return integrate.integrate_ellipsoid_area(p, _ellipsoid(args), ctx), ctx
-
-
-@verb("decompose")
+@verb("decompose", 1, "dim! vars")
 def _v_decomp(args):
-    ctx = _context(args)
-    p = parse_polynomial(args.expr[0], ctx)
+    p, ctx = _parsed(args, parse_polynomial)
     pairs = harmonic.harmonic_decompose(p, ctx)
     return tuple((h, Fraction(e)) for h, e in pairs), ctx
 
 
-@verb("basis-h")
+@verb("basis-h", 0, "dim! vars degree ip")
 def _v_basis(args):
-    ctx = _context(args)
+    ctx = _ctx(args)
     ip = None
     if args.ip == "sphere":
         ip = harmonic.sphere_inner_product()
@@ -391,217 +463,146 @@ def _v_basis(args):
     return tuple(harmonic.basis_harmonic(args.degree, ctx, ip)), ctx
 
 
-@verb("zonal")
+@verb("zonal", 0, "dim! vars degree second-vec")
 def _v_zonal(args):
-    ctx = _context(args, extra_vecs=_second(args) or ("y",))
-    label = args.second_vec or "y"
-    y = tuple("%s%d" % (label, i + 1) for i in range(ctx.dim))
-    return harmonic.zonal_harmonic(args.degree, ctx, y), ctx
+    ctx = _ctx(args, args.second_vec or "y")
+    return harmonic.zonal_harmonic(args.degree, ctx, ctx.extra), ctx
 
 
-@verb("dirichlet")
+@verb("dirichlet", 2, "dim! vars region rhs")
 def _v_dirichlet(args):
-    ctx = _context(args)
-    region = _parse_region(args.region, ctx)
+    ctx = _ctx(args)
     polys = [parse_polynomial(s, ctx) for s in args.expr]
-    data = polys[0] if len(polys) == 1 else (polys[0], polys[1])
+    data = polys[0] if len(polys) == 1 else tuple(polys)
     rhs = parse_polynomial(args.rhs, ctx) if args.rhs else None
-    return bvp.dirichlet(data, region, ctx, rhs=rhs), ctx
+    return bvp.dirichlet(data, args.region, ctx, rhs=rhs), ctx
 
 
-@verb("anti-laplacian")
+@verb("anti-laplacian", 1, "dim! vars multiple")
 def _v_antilap(args):
-    ctx = _context(args)
-    e = parse_expression(args.expr[0], ctx)
-    mult = _parse_multiple(args.multiple)
-    if mult is None:
-        mode = bvp.Plain(singularity_at_zero=(args.singularity == "0"))
-    else:
-        mode = mult
+    e, ctx = _parsed(args)
+    mode = args.multiple or bvp.Plain()
+    if not isinstance(mode, bvp.Plain):
         e = e.as_polynomial()
     return bvp.anti_laplacian(e, mode, ctx), ctx
 
 
-@verb("neumann")
+@verb("neumann", 2, "dim! vars region")
 def _v_neumann(args):
-    ctx = _context(args)
-    region = _parse_region(args.region, ctx)
-    f = parse_polynomial(args.expr[0], ctx)
-    g = parse_polynomial(args.expr[1], ctx) if len(args.expr) > 1 else None
-    return bvp.neumann(f, g, region, ctx), ctx
+    ctx = _ctx(args)
+    f, g = [parse_polynomial(s, ctx) for s in args.expr] + [None] * (2 - len(args.expr))
+    return bvp.neumann(f, g, args.region, ctx), ctx
 
 
-@verb("exterior-neumann")
+@verb("exterior-neumann", 1, "dim! vars")
 def _v_ext_neumann(args):
-    ctx = _context(args)
-    p = parse_polynomial(args.expr[0], ctx)
+    p, ctx = _parsed(args, parse_polynomial)
     return bvp.exterior_neumann(p, ctx), ctx
 
 
-@verb("bi-dirichlet")
+@verb("bi-dirichlet", 1, "dim! vars")
 def _v_bidir(args):
-    ctx = _context(args)
-    p = parse_polynomial(args.expr[0], ctx)
+    p, ctx = _parsed(args, parse_polynomial)
     return bvp.bi_dirichlet(p, ctx), ctx
 
 
-@verb("poisson-kernel")
+@verb("poisson-kernel", 0, "dim! vars second-vec boundary")
 def _v_poisson(args):
-    label = args.second_vec or "y"
-    ctx = _context(args, extra_vecs=(label,))
-    y = tuple("%s%d" % (label, i + 1) for i in range(ctx.dim))
-    return kernels.poisson_kernel(ctx, y, on_boundary=args.boundary), ctx
+    ctx = _ctx(args, args.second_vec or "y")
+    return kernels.poisson_kernel(ctx, ctx.extra, on_boundary=args.boundary), ctx
 
 
-@verb("poisson-kernel-h")
-def _v_poisson_h(args):
-    ctx = _half_space_context(args)
-    t = ctx.extra[:-1]
-    return kernels.poisson_kernel_h(ctx, t, ctx.extra[-1]), ctx
-
-
-@verb("bergman-kernel")
+@verb("bergman-kernel", 0, "dim! vars second-vec")
 def _v_bergman(args):
-    label = args.second_vec or "y"
-    ctx = _context(args, extra_vecs=(label,))
-    y = tuple("%s%d" % (label, i + 1) for i in range(ctx.dim))
-    return kernels.bergman_kernel(ctx, y), ctx
+    ctx = _ctx(args, args.second_vec or "y")
+    return kernels.bergman_kernel(ctx, ctx.extra), ctx
 
 
-@verb("bergman-kernel-h")
-def _v_bergman_h(args):
+@verb("poisson-kernel-h", 0, "dim!")
+@verb("bergman-kernel-h", 0, "dim!")
+def _v_half_space_kernel(args):
     ctx = _half_space_context(args)
-    t = ctx.extra[:-1]
-    return kernels.bergman_kernel_h(ctx, t, ctx.extra[-1]), ctx
+    t, u = ctx.extra[:-1], ctx.extra[-1]
+    if args.verb == "poisson-kernel-h":
+        return kernels.poisson_kernel_h(ctx, t, u), ctx
+    return kernels.bergman_kernel_h(ctx, t, u), ctx
 
 
-@verb("bergman-projection")
+@verb("bergman-projection", 1, "dim! vars")
 def _v_projection(args):
-    ctx = _context(args)
-    p = parse_polynomial(args.expr[0], ctx)
+    p, ctx = _parsed(args, parse_polynomial)
     return kernels.bergman_projection(p, ctx), ctx
 
 
-@verb("kelvin")
+@verb("kelvin", 1, "dim! vars second-vec")
 def _v_kelvin(args):
-    ctx = _context(args, extra_vecs=_second(args))
-    e = parse_expression(args.expr[0], ctx, _vectors(ctx, args))
+    e, ctx = _parsed(args)
     return transforms.kelvin(e, ctx), ctx
 
 
-@verb("kelvin-h")
+@verb("kelvin-h", 1, "dim! vars")
 def _v_kelvin_h(args):
-    ctx = _context(args)
-    e = parse_expression(args.expr[0], ctx)
+    e, ctx = _parsed(args)
     return transforms.kelvin_h(e, ctx), ctx
 
 
-def _parse_mirror(text):
-    if text in (None, "unit", "unit-sphere"):
-        return transforms.UnitSphere()
-    if text.startswith("sphere:"):
-        c, r = text[len("sphere:") :].split(";")
-        return transforms.SphereMirror(_fraction_list(c), _fraction(r))
-    if text.startswith("hyperplane:"):
-        b, t = text[len("hyperplane:") :].split(";")
-        return transforms.HyperplaneMirror(_fraction_list(b), _fraction(t))
-    raise UnsupportedInputError("unknown mirror %r" % text)
-
-
-@verb("reflect")
+@verb("reflect", 0, "dim vars mirror point")
 def _v_reflect(args):
-    mirror = _parse_mirror(args.mirror)
+    """--dim is needed only without --point; with both, they must agree."""
     if args.point:
-        return transforms.reflect_point(_fraction_list(args.point), mirror), None
-    ctx = _context(args)
-    return transforms.reflect_map(mirror, ctx), ctx
+        if args.dim not in (None, len(args.point)):
+            raise DimensionMismatch("--point needs %d values, got %d" % (args.dim, len(args.point)))
+        return transforms.reflect_point(args.point, args.mirror), None
+    if args.dim is None:
+        raise ParseError("harmcalc reflect: --dim is required without --point")
+    ctx = _ctx(args)
+    return transforms.reflect_map(args.mirror, ctx), ctx
 
 
-@verb("phi")
+@verb("phi", 0, "dim! vars")
 def _v_phi(args):
-    ctx = _context(args)
+    ctx = _ctx(args)
     return transforms.phi_map(ctx), ctx
 
 
-@verb("eval")
+@verb("eval", 1, "dim! vars second-vec at!")
 def _v_eval(args):
-    from .expr import eval_expr
-
-    ctx = _context(args, extra_vecs=_second(args))
-    e = parse_expression(args.expr[0], ctx, _vectors(ctx, args))
-    point = dict(zip(ctx.coords + ctx.extra, _fraction_list(args.at)))
-    return eval_expr(e, point, ctx), ctx
+    e, ctx = _parsed(args)
+    return eval_expr(e, _point(args, ctx), ctx), ctx
 
 
-@verb("approx")
+@verb("approx", 1, "dim! vars second-vec at digits")
 def _v_approx(args):
-    from .expr import eval_expr
-
-    ctx = _context(args, extra_vecs=_second(args))
-    e = parse_expression(args.expr[0], ctx, _vectors(ctx, args))
+    e, ctx = _parsed(args)
     if args.at:
-        point = dict(zip(ctx.coords + ctx.extra, _fraction_list(args.at)))
-        value = eval_expr(e, point, ctx)
+        value = eval_expr(e, _point(args, ctx), ctx)
     else:
-        value = e.as_polynomial().constant_term()
+        p = e.as_polynomial()
+        if not p.is_constant():
+            raise UnsupportedInputError("approx needs --at unless the expression is constant")
+        value = p.constant_term()
     return approx_scalar(value, args.digits), ctx
 
 
-def _second(args):
-    label = getattr(args, "second_vec", None)
-    return (label,) if label else ()
-
-
 # ---------------------------------------------------------------------------
-# argument plumbing
+# running
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="harmcalc",
-        description="Exact computer algebra for harmonic function theory.",
-    )
-    sub = ap.add_subparsers(dest="verb", required=True)
-    for name in sorted(VERBS):
-        p = sub.add_parser(name)
-        p.add_argument("expr", nargs="*", help="expression payload")
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--vars", default=None, help="comma-separated coordinates")
-        p.add_argument("--format", default="text", choices=("text", "json", "latex"))
-        p.add_argument("--out", default=None)
-        p.add_argument("--digits", type=int, default=6)
-        p.add_argument("--power", type=int, default=1)
-        p.add_argument("--by", action="append", default=None, help="var or var:mult")
-        p.add_argument("--surface", default=None)
-        p.add_argument("--degree", type=int, default=0)
-        p.add_argument("--about", default=None)
-        p.add_argument("--weight", default=None, help="radial weight in r")
-        p.add_argument("--b", default=None)
-        p.add_argument("--c", default=None)
-        p.add_argument("--d", default=None)
-        p.add_argument("--m", type=int, default=0)
-        p.add_argument("--n", type=int, default=0)
-        p.add_argument("--ip", default=None)
-        p.add_argument("--region", default=None)
-        p.add_argument("--rhs", default=None)
-        p.add_argument("--multiple", default=None)
-        p.add_argument("--singularity", default=None)
-        p.add_argument("--second-vec", dest="second_vec", default=None)
-        p.add_argument("--boundary", action="store_true")
-        p.add_argument("--mirror", default=None)
-        p.add_argument("--point", default=None)
-        p.add_argument("--at", default=None)
-        p.add_argument("--timing", action="store_true")
-    bp = sub.add_parser("batch")
-    bp.add_argument("file")
-    bp.add_argument("--out", default=None)
-    return ap
+def _error(exc):
+    return {"error": str(exc), "type": type(exc).__name__}, exc.exit_code
 
 
 def run_command(argv):
     """Execute one command line; returns (payload, exit_code)."""
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except HarmcalcError as exc:
+        return _error(exc)
+    return execute(args)
+
+
+def execute(args):
+    """Run a parsed command line; returns (payload, exit_code)."""
     if args.verb == "batch":
         results = []
         with open(args.file) as fh:
@@ -612,18 +613,15 @@ def run_command(argv):
                 payload, code = run_command(shlex.split(line))
                 results.append({"command": line, "exit": code, "result": payload})
         return results, 0
-    fn, _ = VERBS[args.verb]
+    fn = VERBS[args.verb][0]
     started = time.monotonic()
     try:
         value, ctx = fn(args)
     except HarmcalcError as exc:
-        return {"error": str(exc), "type": type(exc).__name__}, exc.exit_code
+        return _error(exc)
     if args.timing:
         # timing goes to stderr so stdout stays byte-identical across runs
-        print(
-            "elapsed-ms: %.1f" % (1000.0 * (time.monotonic() - started)),
-            file=sys.stderr,
-        )
+        print("elapsed-ms: %.1f" % (1000.0 * (time.monotonic() - started)), file=sys.stderr)
     fmt = args.format
     if isinstance(value, tuple):
         rendered = [render_value(v, fmt, ctx) for v in value]
@@ -634,31 +632,24 @@ def run_command(argv):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        payload, code = run_command(argv)
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return exc.exit_code
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+        payload, code = execute(args)
     except HarmcalcError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.exit_code
-    out_path = None
-    if "--out" in argv:
-        out_path = argv[argv.index("--out") + 1]
+        payload, code = _error(exc)
+    if code:
+        print("%s: %s" % (payload["type"], payload["error"]), file=sys.stderr)
+        return code
     if isinstance(payload, (dict, list)):
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         text = str(payload)
-    if code != 0 and isinstance(payload, dict) and "error" in payload:
-        print("%s: %s" % (payload["type"], payload["error"]), file=sys.stderr)
-        return code
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

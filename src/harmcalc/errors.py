@@ -44,10 +44,6 @@ class UnsupportedBase(UnsupportedInputError):
     pass
 
 
-class OddPowerIrrationalRadius(UnsupportedInputError):
-    pass
-
-
 class NegativeBaseValue(UnsupportedInputError):
     pass
 
@@ -116,10 +112,6 @@ class InfeasibleSystem(HarmcalcError):
     exit_code = 5
 
 
-class InfeasibleQuadratic(InfeasibleSystem):
-    pass
-
-
 class SingularLinearSystem(HarmcalcError):
     """A linear system that should be uniquely solvable is not."""
 
@@ -127,17 +119,20 @@ class SingularLinearSystem(HarmcalcError):
 
 
 class ParseError(HarmcalcError):
+    """Malformed expression or command line; the location is optional."""
+
     exit_code = 2
 
-    def __init__(self, message, line, column, expected=()):
+    def __init__(self, message, line=None, column=None, expected=()):
         super().__init__(message)
         self.line = line
         self.column = column
         self.expected = tuple(expected)
 
     def __str__(self):
-        base = super().__str__()
-        loc = "line %d, column %d" % (self.line, self.column)
+        text = super().__str__()
+        if self.line is not None:
+            text += " at line %d, column %d" % (self.line, self.column)
         if self.expected:
-            return "%s at %s (expected %s)" % (base, loc, ", ".join(self.expected))
-        return "%s at %s" % (base, loc)
+            text += " (expected %s)" % ", ".join(self.expected)
+        return text

@@ -18,7 +18,14 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .errors import NegativeBaseValue, UnsupportedBase, ZeroBaseValue
+from .errors import (
+    DimensionMismatch,
+    NegativeBaseValue,
+    UnsupportedBase,
+    UnsupportedDimension,
+    UnsupportedInputError,
+    ZeroBaseValue,
+)
 from .scalar import ONE, ZERO, Scalar
 
 # ---------------------------------------------------------------------------
@@ -422,6 +429,11 @@ def poly_sum(ps):
     return out
 
 
+def dot_poly(a_names, b_names):
+    """The dot product sum a_i*b_i of two blocks of variables."""
+    return poly_sum([Polynomial.var(a) * Polynomial.var(b) for a, b in zip(a_names, b_names)])
+
+
 # ---------------------------------------------------------------------------
 # context
 
@@ -438,15 +450,15 @@ class Context:
 
     def __init__(self, dim, coords=None, extra=(), vec_label="x"):
         if dim < 1:
-            raise ValueError("dimension must be positive")
+            raise UnsupportedDimension("dimension must be positive")
         if coords is None:
             coords = tuple("%s%d" % (vec_label, i + 1) for i in range(dim))
         coords = tuple(coords)
         if len(coords) != dim:
-            raise ValueError("need %d coordinate names, got %d" % (dim, len(coords)))
+            raise DimensionMismatch("need %d coordinate names, got %d" % (dim, len(coords)))
         extra = tuple(extra)
-        if set(coords) & set(extra):
-            raise ValueError("coordinates and auxiliary names overlap")
+        if len(set(coords)) != dim or set(coords) & set(extra):
+            raise UnsupportedInputError("coordinate and auxiliary names must all differ")
         self.dim = dim
         self.coords = coords
         self.extra = extra

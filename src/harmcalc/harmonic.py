@@ -14,8 +14,8 @@ from math import comb, factorial
 from typing import Callable
 
 from .calculus import poly_laplacian
-from .errors import NonPolynomialInput, UnsupportedScalarNorm
-from .expr import Context, Polynomial, poly_sum
+from .errors import NonPolynomialInput, UnsupportedDimension, UnsupportedScalarNorm
+from .expr import Context, Polynomial, dot_poly
 from .integrate import RadialFunction, integrate_ball, integrate_sphere
 from .scalar import Scalar, scalar_sqrt
 
@@ -160,7 +160,7 @@ def basis_harmonic(m, ctx, ip=None):
     divided by the square root of its self inner product.
     """
     if ctx.dim < 2:
-        raise ValueError("harmonic bases need dimension >= 2")
+        raise UnsupportedDimension("harmonic bases need dimension >= 2")
     if m == 0:
         basis = [Polynomial.const(1)]
     else:
@@ -230,9 +230,7 @@ def zonal_harmonic(m, ctx, y_names):
     y_names = tuple(y_names)
     if len(y_names) != ctx.dim:
         raise ValueError("second vector needs %d coordinates" % ctx.dim)
-    dot = poly_sum(
-        [Polynomial.var(a) * Polynomial.var(b) for a, b in zip(ctx.coords, y_names)]
-    )
+    dot = dot_poly(ctx.coords, y_names)
     nx = ctx.norm_sq_poly()
     ny = ctx.norm_sq_poly(y_names)
     total = Polynomial()

@@ -15,9 +15,11 @@ from math import factorial
 from typing import Optional, Tuple
 
 from .errors import (
+    DimensionMismatch,
     DivergentRadialIntegral,
     EmptyInterior,
     NonPositiveAxis,
+    UnsupportedDimension,
     UnsupportedRadialClass,
 )
 from .expr import Polynomial, poly_sum
@@ -43,7 +45,7 @@ def unit_ball_volume(n):
 def unit_sphere_area(n):
     """Surface area of the unit sphere: n times the ball volume."""
     if n < 2:
-        raise ValueError("surface area needs dimension >= 2")
+        raise UnsupportedDimension("surface area needs dimension >= 2")
     return Scalar.from_fraction(n) * unit_ball_volume(n)
 
 
@@ -229,7 +231,7 @@ class Ellipsoid:
             Fraction(0) for _ in b
         )
         if len(c) != len(b):
-            raise ValueError("b and c must have equal length")
+            raise DimensionMismatch("b and c must have equal length")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", Fraction(self.d))
@@ -262,6 +264,8 @@ def _even_moment_table(p, e, ctx):
     sphere weight, coefficient polynomial in auxiliary variables) for each
     all-even coordinate monomial of the shifted polynomial.
     """
+    if len(e.b) != ctx.dim:
+        raise DimensionMismatch("the ellipsoid needs %d axes, got %d" % (ctx.dim, len(e.b)))
     shifted = p
     for v, z in zip(ctx.coords, e.center()):
         if z:

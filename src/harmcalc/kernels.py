@@ -13,27 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonPolynomialInput
-from .expr import Expr, Polynomial, poly_sum
+from .expr import Expr, Polynomial, dot_poly, poly_sum
 from .harmonic import harmonic_decompose
 from .integrate import unit_ball_volume
 from .scalar import Scalar
 
 
-def _dot_poly(a_names, b_names):
-    return poly_sum(
-        [Polynomial.var(a) * Polynomial.var(b) for a, b in zip(a_names, b_names)]
-    )
-
-
-def _norm_poly(names):
-    return poly_sum([Polynomial.var(v, 2) for v in names])
-
-
 def poisson_base(ctx, y_names, on_boundary=False):
     """1 - 2 x.y + ||x||^2 ||y||^2, or with ||y|| set to 1 on the boundary."""
-    dot = _dot_poly(ctx.coords, y_names)
-    nx = _norm_poly(ctx.coords)
-    tail = nx * _norm_poly(y_names) if not on_boundary else nx
+    dot = dot_poly(ctx.coords, y_names)
+    nx = ctx.norm_sq_poly()
+    tail = nx * ctx.norm_sq_poly(y_names) if not on_boundary else nx
     return Polynomial.const(1) - dot.scale(2) + tail
 
 
@@ -45,8 +35,8 @@ def poisson_kernel(ctx, y_names, on_boundary=False):
     (||y|| replaced by 1).
     """
     y_names = tuple(y_names)
-    nx = _norm_poly(ctx.coords)
-    ny2 = _norm_poly(y_names) if not on_boundary else Polynomial.const(1)
+    nx = ctx.norm_sq_poly()
+    ny2 = ctx.norm_sq_poly(y_names) if not on_boundary else Polynomial.const(1)
     numer = Polynomial.const(1) - nx * ny2
     base = poisson_base(ctx, y_names, on_boundary)
     return Expr.from_poly(ctx, numer) * Expr.base_power(ctx, base, -ctx.dim)
@@ -94,8 +84,8 @@ def bergman_kernel(ctx, y_names):
     """
     n = ctx.dim
     y_names = tuple(y_names)
-    dot = _dot_poly(ctx.coords, y_names)
-    w = _norm_poly(ctx.coords) * _norm_poly(y_names)
+    dot = dot_poly(ctx.coords, y_names)
+    w = ctx.norm_sq_poly() * ctx.norm_sq_poly(y_names)
     numer = (
         (w * w).scale(n - 4)
         + w * (dot.scale(8) - Polynomial.const(2 * n + 4))
@@ -148,9 +138,3 @@ def bergman_projection(u, ctx):
             k = m + e
             total = total + g.scale(Fraction(n + 2 * m, n + m + k))
     return total
-
-
-def zonal_series_coefficient(m, n):
-    """(n + 2m)/(n volume(n)) as an exact Scalar."""
-    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    return Scalar.from_fraction(n + 2 * m) * nv.inverse()

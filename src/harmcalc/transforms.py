@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import CenterSingularity, UnsupportedBase, UnsupportedDimension
+from .errors import (
+    CenterSingularity,
+    DimensionMismatch,
+    UnsupportedBase,
+    UnsupportedDimension,
+    ZeroGradientField,
+)
 from .expr import Expr, Polynomial, poly_sum
 from .scalar import Scalar
 
@@ -34,13 +40,20 @@ class HyperplaneMirror:
     offset: Fraction
 
 
+def _mirror_vector(vec, n):
+    """A mirror's center or normal as Fractions, checked to have n entries."""
+    if len(vec) != n:
+        raise DimensionMismatch("the mirror needs %d coordinates, got %d" % (n, len(vec)))
+    return tuple(Fraction(v) for v in vec)
+
+
 def reflect_point(point, mirror, ctx=None):
     """Reflection of a rational point in the given mirror."""
     point = tuple(Fraction(v) for v in point)
     if isinstance(mirror, UnitSphere):
         mirror = SphereMirror((Fraction(0),) * len(point), Fraction(1))
     if isinstance(mirror, SphereMirror):
-        center = tuple(Fraction(v) for v in mirror.center)
+        center = _mirror_vector(mirror.center, len(point))
         diff = [p - c for p, c in zip(point, center)]
         norm2 = sum(d * d for d in diff)
         if norm2 == 0:
@@ -48,10 +61,10 @@ def reflect_point(point, mirror, ctx=None):
         scale = Fraction(mirror.radius) ** 2 / norm2
         return tuple(c + scale * d for c, d in zip(center, diff))
     if isinstance(mirror, HyperplaneMirror):
-        b = tuple(Fraction(v) for v in mirror.normal)
+        b = _mirror_vector(mirror.normal, len(point))
         bb = sum(v * v for v in b)
         if bb == 0:
-            raise ValueError("hyperplane normal must be nonzero")
+            raise ZeroGradientField("hyperplane normal must be nonzero")
         t = Fraction(mirror.offset)
         scale = 2 * (sum(p * v for p, v in zip(point, b)) - t) / bb
         return tuple(p - scale * v for p, v in zip(point, b))
@@ -65,7 +78,7 @@ def reflect_map(mirror, ctx):
         inv = Expr.norm_power(ctx, -2)
         return tuple(Expr.from_poly(ctx, x) * inv for x in xs)
     if isinstance(mirror, SphereMirror):
-        center = tuple(Fraction(v) for v in mirror.center)
+        center = _mirror_vector(mirror.center, ctx.dim)
         diff = [x - Polynomial.const(c) for x, c in zip(xs, center)]
         norm2 = poly_sum([d * d for d in diff])
         inv = Expr.base_power(ctx, norm2, -2)
@@ -75,8 +88,10 @@ def reflect_map(mirror, ctx):
             for c, d in zip(center, diff)
         )
     if isinstance(mirror, HyperplaneMirror):
-        b = tuple(Fraction(v) for v in mirror.normal)
+        b = _mirror_vector(mirror.normal, ctx.dim)
         bb = sum(v * v for v in b)
+        if bb == 0:
+            raise ZeroGradientField("hyperplane normal must be nonzero")
         t = Fraction(mirror.offset)
         inner = poly_sum([x.scale(v) for x, v in zip(xs, b)]) - Polynomial.const(t)
         return tuple(

@@ -21,7 +21,12 @@ from harmcalc.bvp import (
     radial_solve_count,
 )
 from harmcalc.calculus import laplacian_of, normal_d_sphere
-from harmcalc.errors import SolvabilityViolation, UnsupportedDimension
+from harmcalc.errors import (
+    DimensionMismatch,
+    SolvabilityViolation,
+    UnsupportedDimension,
+    UnsupportedInputError,
+)
 from harmcalc.expr import (
     Context,
     Expr,
@@ -212,7 +217,7 @@ def test_anti_laplacian_radial_log10(ctx5):
     f = E("x1^2*x2", ctx5) * Expr.norm_power(ctx5, 0, log_pow=10).scale(
         Scalar.from_fraction(F(1, 1024))
     )
-    u = anti_laplacian(f, Plain(singularity_at_zero=True), ctx5)
+    u = anti_laplacian(f, Plain(), ctx5)
     assert (laplacian_of(u, 1, ctx5) - f).is_zero()
 
 
@@ -517,3 +522,14 @@ def test_solver_contracts_random(ctx3):
         assert laplacian_of(bsol, 2, ctx3).is_zero()
         assert normal_d_sphere(bsol, ctx3).is_zero()
         assert restrict_to_sphere(bsol - Expr.from_poly(ctx3, p), ctx3).is_zero()
+
+
+def test_region_inputs_are_typed_errors(ctx3):
+    with pytest.raises(DimensionMismatch):
+        Quadratic((1, 2)).poly(ctx3)
+    with pytest.raises(DimensionMismatch):
+        Quadratic((1, 2, 3), (1, 0)).poly(ctx3)
+    with pytest.raises(UnsupportedInputError):
+        Annulus(4, 1)
+    with pytest.raises(UnsupportedInputError):
+        Annulus(0, 1)

@@ -6,6 +6,7 @@ import pytest
 from conftest import P, random_polynomial
 
 from harmcalc.errors import (
+    DimensionMismatch,
     DivergentRadialIntegral,
     EmptyInterior,
     NonPositiveAxis,
@@ -220,3 +221,15 @@ def test_unit_ellipsoid_matches_ball(ctx3):
         a = integrate_ellipsoid_volume(p, Ellipsoid((1, 1, 1)), ctx3)
         b = integrate_ball(p, RadialFunction.one(), ctx3)
         assert (a - b).is_zero()
+
+
+def test_ellipsoid_axes_must_match_dimension(ctx3):
+    # four axes against three coordinates must not integrate over another region
+    e = Ellipsoid((4, 1, 1, 9))
+    one = Polynomial.const(1)
+    with pytest.raises(DimensionMismatch):
+        integrate_ellipsoid_volume(one, e, ctx3)
+    with pytest.raises(DimensionMismatch):
+        integrate_ellipsoid_area(one, e, ctx3)
+    with pytest.raises(DimensionMismatch):
+        Ellipsoid((1, 1, 1), (1, 1))

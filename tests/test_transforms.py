@@ -6,7 +6,7 @@ import pytest
 from conftest import E
 
 from harmcalc.calculus import laplacian_of
-from harmcalc.errors import CenterSingularity, UnsupportedBase
+from harmcalc.errors import CenterSingularity, DimensionMismatch, UnsupportedBase
 from harmcalc.expr import Context, Expr, Polynomial, make_context, poly_sum
 from harmcalc.harmonic import basis_harmonic
 from harmcalc.scalar import Scalar
@@ -214,3 +214,15 @@ def test_kelvin_h_constant():
     ) ** 2
     want = Expr.base_power(ctx, Q, -2).scale(Scalar.from_fraction(2))
     assert (got - want).is_zero()
+
+
+def test_reflect_mirror_must_match_dimension():
+    # a normal longer than the point must not be truncated
+    with pytest.raises(DimensionMismatch):
+        reflect_point((1, 2), HyperplaneMirror((1, 0, 0), 0))
+    with pytest.raises(DimensionMismatch):
+        reflect_point((1, 2), SphereMirror((0, 0, 0), 1))
+    with pytest.raises(DimensionMismatch):
+        reflect_map(HyperplaneMirror((1, 0, 0), 0), Context(2))
+    with pytest.raises(DimensionMismatch):
+        reflect_map(SphereMirror((0,), 1), Context(2))
