@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Expr, Polynomial, _grlex_key, poly_sum
+from .expr import Expr, Polynomial, monomials, poly_sum
 from .harmonic import _decompose_homogeneous, harmonic_decompose, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -118,48 +118,23 @@ class QuadraticMultiple:
 # linear-system scaffolding for polynomial ansatz solves
 
 
-def _monomials_up_to(ctx, deg):
-    names = ctx.coords
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(names):
-            out.append(tuple(sorted(acc)))
-            return
-        for e in range(left + 1):
-            rec(i + 1, left - e, acc + ([(names[i], e)] if e else []))
-
-    rec(0, deg, [])
-    return sorted(set(out), key=lambda m: _grlex_key(m, ctx.var_rank))
-
-
 def _solve_poly_constraints(columns, constraints, ctx):
     """Solve sum_i x_i columns[i] + constant = 0 over given constraints.
 
     `columns` is a list of lists: columns[i][k] is the polynomial multiplying
     unknown i in constraint k; `constraints` holds the constant polynomials.
-    Returns the canonical solution vector or None if inconsistent.
+    Each (constraint, monomial) pair is one sparse row.  Returns the
+    canonical solution vector or None if inconsistent; trailing columns
+    with no entries are left off the vector.
     """
-    row_index = {}
-    rows = []
-    rhs = []
-
-    def row_for(cid, mono):
-        key = (cid, mono)
-        if key not in row_index:
-            row_index[key] = len(rows)
-            rows.append([Fraction(0)] * len(columns))
-            rhs.append(Fraction(0))
-        return row_index[key]
-
-    for i, col in enumerate(columns):
+    rows = {}
+    # the constants ride along as one extra column, then move to the right side
+    for i, col in enumerate(columns + [constraints]):
         for cid, poly in enumerate(col):
             for mono, coeff in poly.terms.items():
-                rows[row_for(cid, mono)][i] += coeff.as_fraction()
-    for cid, poly in enumerate(constraints):
-        for mono, coeff in poly.terms.items():
-            rhs[row_for(cid, mono)] -= coeff.as_fraction()
-    return linalg.solve(rows, rhs)
+                rows.setdefault((cid, mono), {})[i] = coeff.as_fraction()
+    rhs = [-row.pop(len(columns), 0) for row in rows.values()]
+    return linalg.solve(list(rows.values()), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +297,7 @@ def _anti_laplacian_quadratic_multiple(f, quad, ctx):
     """The unique anti-Laplacian that is a multiple of b.x^2 + c.x + d."""
     q = quad.poly(ctx)
     deg = f.total_degree()
-    monos = _monomials_up_to(ctx, deg)
+    monos = monomials(ctx.coords, range(deg + 1))
     lap_q = poly_laplacian(q, ctx)
     grads_q = [q.partial(v) for v in ctx.coords]
     columns = []
@@ -356,6 +331,8 @@ def dirichlet(p, region=Sphere(), ctx=None, rhs=None):
     """
     if ctx is None:
         raise ValueError("a context is required")
+    if isinstance(p, tuple) and not isinstance(region, Annulus):
+        raise UnsupportedInputError("only the annulus takes an (inner, outer) data pair")
     if rhs is not None:
         if not isinstance(rhs, Polynomial):
             raise NonPolynomialInput("prescribed Laplacian must be a polynomial")
@@ -442,7 +419,7 @@ def _dirichlet_quadratic(p, region, ctx):
     q = region.poly(ctx)
     base_deg = max(p.total_degree() - 2, 0)
     for deg in range(base_deg, p.total_degree() + 3):
-        monos = _monomials_up_to(ctx, deg)
+        monos = monomials(ctx.coords, range(deg + 1))
         columns = []
         for mono in monos:
             v = Polynomial({mono: ONE})
@@ -553,8 +530,8 @@ def _neumann_quadratic_standard(f, region, ctx):
     q = region.poly(ctx)
     grads_q = [q.partial(v) for v in ctx.coords]
     for deg in range(f.total_degree(), f.total_degree() + 3):
-        h_monos = [m for m in _monomials_up_to(ctx, deg) if m]
-        r_monos = _monomials_up_to(ctx, max(deg - 1, 0))
+        h_monos = monomials(ctx.coords, range(1, deg + 1))
+        r_monos = monomials(ctx.coords, range(max(deg, 1)))
         columns = []
         for mono in h_monos:
             v = Polynomial({mono: ONE})

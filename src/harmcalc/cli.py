@@ -277,8 +277,26 @@ def verb(name, nargs=0, flags=""):
     return wrap
 
 
+class HelpRequested(ParseError):
+    """`--help`: `main` prints the help; inside a batch it is a usage error."""
+
+    def __init__(self, parser):
+        super().__init__("%s: --help works only as a whole command line" % parser.prog)
+        self.parser = parser
+
+
+class _Help(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise HelpRequested(parser)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ParseError instead of exiting the process."""
+    """Usage errors and --help raise ParseError instead of exiting the process."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self.add_argument("-h", "--help", action=_Help, nargs=0, default=argparse.SUPPRESS,
+                          help="show this help message and exit")
 
     def error(self, message):
         raise ParseError("%s: %s" % (self.prog, message))
@@ -604,14 +622,18 @@ def run_command(argv):
 def execute(args):
     """Run a parsed command line; returns (payload, exit_code)."""
     if args.verb == "batch":
+        try:
+            with open(args.file) as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            return _error(ParseError("batch: cannot read %s: %s" % (args.file, exc.strerror)))
         results = []
-        with open(args.file) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                payload, code = run_command(shlex.split(line))
-                results.append({"command": line, "exit": code, "result": payload})
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            payload, code = run_command(shlex.split(line))
+            results.append({"command": line, "exit": code, "result": payload})
         return results, 0
     fn = VERBS[args.verb][0]
     started = time.monotonic()
@@ -635,6 +657,9 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
         payload, code = execute(args)
+    except HelpRequested as exc:
+        exc.parser.print_help()
+        exc.parser.exit()
     except HarmcalcError as exc:
         payload, code = _error(exc)
     if code:

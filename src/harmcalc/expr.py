@@ -70,6 +70,29 @@ def _grlex_key(mono, rank):
     return (mono_degree(mono), extra, tuple(vec), mono)
 
 
+def monomials(names, degrees):
+    """Monomials in names of each total degree in degrees, ascending graded-lex.
+
+    Within a degree the exponent vectors, in names order, ascend
+    lexicographically, as under `_grlex_key` for coordinates `names`;
+    ansatz solves rely on this column order.
+    """
+    names = tuple(names)
+    out = []
+
+    def rec(i, left, acc):
+        if i == len(names):
+            if left == 0:
+                out.append(mono_from_dict(acc))
+        else:
+            for e in range(left + 1):
+                rec(i + 1, left - e, {**acc, names[i]: e})
+
+    for deg in degrees:
+        rec(0, deg, {})
+    return out
+
+
 class Polynomial:
     """Sparse polynomial with Scalar coefficients.  Treated as immutable."""
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .calculus import poly_laplacian
 from .errors import NonPolynomialInput, UnsupportedDimension, UnsupportedScalarNorm
-from .expr import Context, Polynomial, dot_poly
+from .expr import Context, Polynomial, dot_poly, monomials
 from .integrate import RadialFunction, integrate_ball, integrate_sphere
 from .scalar import Scalar, scalar_sqrt
 
@@ -170,7 +170,7 @@ def basis_harmonic(m, ctx, ip=None):
             deg = m - eps
             if deg < 0:
                 continue
-            for mono in _monomials_of_degree(rest, deg):
+            for mono in monomials(rest, [deg]):
                 q = Polynomial({mono: Scalar.from_fraction(1)})
                 basis.append(_primitive(_harmonic_extension(q, eps, ctx), ctx))
     if ip is None:
@@ -187,25 +187,6 @@ def basis_harmonic(m, ctx, ip=None):
     return [g.scale(scalar_sqrt(gg).inverse()) for g, gg in ortho]
 
 
-def _monomials_of_degree(names, deg):
-    """All monomials of exact total degree deg, ascending graded-lex."""
-    names = tuple(names)
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(names) - 1:
-            mono = acc + ([(names[i], left)] if left else [])
-            out.append(tuple(sorted(mono)))
-            return
-        for e in range(left + 1):
-            rec(i + 1, left - e, acc + ([(names[i], e)] if e else []))
-
-    if not names:
-        return [()] if deg == 0 else []
-    rec(0, deg, [])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # zonal harmonics
 
@@ -216,6 +197,8 @@ def zonal_coefficients(m, n):
     Harmonicity in x forces the ratio recurrence; the overall scale is
     pinned by sum c_k = dim of the degree-m harmonic space.
     """
+    if n < 2 and m >= 2:
+        raise UnsupportedDimension("zonal harmonics of degree >= 2 need dimension >= 2")
     cs = [Fraction(1)]
     for k in range(m // 2):
         p = m - 2 * k

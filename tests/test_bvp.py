@@ -176,6 +176,18 @@ def test_generalized_dirichlet_quadratic_named():
     assert diff.divide_exact(q, ctx.var_rank) is not None
 
 
+def test_dirichlet_offcenter_quadric_dim4():
+    # the heaviest quadric solve in the README corpus: an off-center
+    # ellipsoid in dimension 4 with a degree-10 ansatz
+    ctx = Context(4)
+    p = P("x1^5*x2^3*x3^2", ctx)
+    sol = dirichlet(p, Quadratic((1, 2, 3, 4), (1, 0, 0, 0), -1), ctx)
+    assert laplacian_of(sol, 1, ctx).is_zero()
+    q = P("x1^2 + 2*x2^2 + 3*x3^2 + 4*x4^2 + x1 - 1", ctx)
+    diff = (sol - Expr.from_poly(ctx, p)).as_polynomial()
+    assert diff.divide_exact(q, ctx.var_rank) is not None
+
+
 def test_generalized_dirichlet_quadratic_dim3(ctx3):
     sol = dirichlet(
         P("x1^4*x3^2", ctx3), Quadratic((2, 3, 4)), ctx3, rhs=P("x2^2", ctx3)
@@ -321,13 +333,13 @@ def test_anti_laplacian_quadratic_multiple_centered(ctx3):
 def test_anti_laplacian_uniqueness_multiple_modes(ctx3):
     # the multiple-mode systems are uniquely solvable: the norm-multiple
     # route is a diagonal rescale and the quadratic route's kernel is empty
-    from harmcalc import linalg
-    from harmcalc.bvp import _monomials_up_to
+    from dense_linalg import nullspace
     from harmcalc.calculus import poly_laplacian
+    from harmcalc.expr import monomials
 
     quad = Quadratic((5, 3, 2))
     q = quad.poly(ctx3)
-    monos = _monomials_up_to(ctx3, 3)
+    monos = monomials(ctx3.coords, range(4))
     rows = {}
     cols = []
     for mono in monos:
@@ -336,7 +348,7 @@ def test_anti_laplacian_uniqueness_multiple_modes(ctx3):
         cols.append(img)
     keys = sorted({m for img in cols for m in img.terms})
     matrix = [[img.terms.get(k, Scalar.from_fraction(0)).as_fraction() for img in cols] for k in keys]
-    assert linalg.nullspace(matrix) == []
+    assert nullspace(matrix) == []
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,24 @@ def test_batch_survives_usage_error(tmp_path):
     assert results[1]["result"] == "pi^2/2"
 
 
+def test_batch_help_line_is_a_usage_error(tmp_path, capsys):
+    script = tmp_path / "commands.txt"
+    script.write_text("volume --help\nvolume --dim 3\n")
+    results, code = run(["batch", str(script)])
+    assert code == 0
+    assert [r["exit"] for r in results] == [2, 0]
+    assert results[0]["result"]["type"] == "HelpRequested"
+    assert results[1]["result"] == "4*pi/3"
+    assert capsys.readouterr().out == ""
+
+
+def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
+    payload, code = run(["batch", str(tmp_path / "missing.txt")])
+    assert code == 2 and payload["type"] == "ParseError"
+    assert main(["batch", str(tmp_path / "missing.txt")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "line, error",
     [
@@ -554,6 +572,10 @@ def test_batch_survives_usage_error(tmp_path):
         ("reflect --point 1,2 --mirror hyperplane:0,0;1", "ZeroGradientField"),
         ("reflect --dim 2 --mirror hyperplane:0,0;1", "ZeroGradientField"),
         ("neumann x1 --dim 3 --region exterior-sphere", "UnsupportedInputError"),
+        ("dirichlet x1 x2 --dim 3", "UnsupportedInputError"),
+        ("dirichlet x1 x2 --dim 3 --region quadratic:1,2,3", "UnsupportedInputError"),
+        ("zonal --dim 1 --degree 2", "UnsupportedDimension"),
+        ("zonal --dim 1 --degree 3", "UnsupportedDimension"),
         # unknown kinds keep their plain type
         ("dirichlet x1 --dim 3 --region torus:1", "UnsupportedInputError"),
         ("reflect --dim 2 --mirror cube", "UnsupportedInputError"),
