@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Tuple
 
 from . import linalg
@@ -30,7 +31,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Expr, Polynomial, monomials, poly_sum
+from .expr import Expr, Polynomial, mono_mul, monomials, poly_sum
 from .harmonic import _decompose_homogeneous, harmonic_decompose, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -135,6 +136,40 @@ def _solve_poly_constraints(columns, constraints, ctx):
                 rows.setdefault((cid, mono), {})[i] = coeff.as_fraction()
     rhs = [-row.pop(len(columns), 0) for row in rows.values()]
     return linalg.solve(list(rows.values()), rhs)
+
+
+def _paired_image(q, mono, weight):
+    """Sum over terms c x^b of q and variables i of w c x^(a + b - 2 e_i).
+
+    a = mono and w = weight(a_i, b_i).  With w = s(s - 1), s = a_i + b_i,
+    this is the Laplacian of q x^a; with w = a_i b_i it is grad q . grad x^a.
+    Ansatz columns come from one pass over q's few terms this way, without
+    forming the product q x^a.
+    """
+    rat = q.rational_terms()
+    den = lcm(*(c.denominator for c in rat.values()))
+    a = dict(mono)
+    acc = {}
+    for beta, c in rat.items():
+        n = c.numerator * (den // c.denominator)
+        b = dict(beta)
+        g = mono_mul(beta, mono)
+        for i, (v, e) in enumerate(g):
+            w = weight(a.get(v, 0), b.get(v, 0))
+            if w:
+                m = g[:i] + g[i + 1 :] if e == 2 else g[:i] + ((v, e - 2),) + g[i + 1 :]
+                acc[m] = acc.get(m, 0) + n * w
+    return Polynomial({m: Scalar.from_fraction(Fraction(n, den)) for m, n in acc.items() if n})
+
+
+def _laplacian_times(q, mono):
+    """Laplacian of q * x^mono."""
+    return _paired_image(q, mono, lambda ai, bi: (ai + bi) * (ai + bi - 1))
+
+
+def _gradient_dot(q, mono):
+    """grad q . grad x^mono."""
+    return _paired_image(q, mono, lambda ai, bi: ai * bi)
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +333,7 @@ def _anti_laplacian_quadratic_multiple(f, quad, ctx):
     q = quad.poly(ctx)
     deg = f.total_degree()
     monos = monomials(ctx.coords, range(deg + 1))
-    lap_q = poly_laplacian(q, ctx)
-    grads_q = [q.partial(v) for v in ctx.coords]
-    columns = []
-    for mono in monos:
-        v = Polynomial({mono: ONE})
-        img = lap_q * v + q * poly_laplacian(v, ctx)
-        for gq, var in zip(grads_q, ctx.coords):
-            img = img + gq * v.partial(var) * 2
-        columns.append([img])
+    columns = [[_laplacian_times(q, mono)] for mono in monos]
     sol = _solve_poly_constraints(columns, [-f], ctx)
     if sol is None:
         raise SingularLinearSystem(
@@ -420,10 +447,7 @@ def _dirichlet_quadratic(p, region, ctx):
     base_deg = max(p.total_degree() - 2, 0)
     for deg in range(base_deg, p.total_degree() + 3):
         monos = monomials(ctx.coords, range(deg + 1))
-        columns = []
-        for mono in monos:
-            v = Polynomial({mono: ONE})
-            columns.append([poly_laplacian(q * v, ctx)])
+        columns = [[_laplacian_times(q, mono)] for mono in monos]
         sol = _solve_poly_constraints(columns, [poly_laplacian(p, ctx)], ctx)
         if sol is not None:
             f = Polynomial.from_raw(
@@ -528,20 +552,15 @@ def _neumann_quadratic(f, g, region, ctx):
 def _neumann_quadratic_standard(f, region, ctx):
     """Harmonic h with grad h . grad q = f + q*(cofactor), h(0) = 0."""
     q = region.poly(ctx)
-    grads_q = [q.partial(v) for v in ctx.coords]
+    one = Polynomial.const(1)
     for deg in range(f.total_degree(), f.total_degree() + 3):
         h_monos = monomials(ctx.coords, range(1, deg + 1))
         r_monos = monomials(ctx.coords, range(max(deg, 1)))
-        columns = []
-        for mono in h_monos:
-            v = Polynomial({mono: ONE})
-            surf = poly_sum(
-                [gq * v.partial(var) for gq, var in zip(grads_q, ctx.coords)]
-            )
-            columns.append([poly_laplacian(v, ctx), surf])
+        columns = [[_laplacian_times(one, mono), _gradient_dot(q, mono)] for mono in h_monos]
         for mono in r_monos:
-            rpoly = Polynomial({mono: ONE})
-            columns.append([Polynomial(), -(q * rpoly)])
+            columns.append(
+                [Polynomial(), Polynomial({mono_mul(m, mono): -c for m, c in q.terms.items()})]
+            )
         sol = _solve_poly_constraints(columns, [Polynomial(), -f], ctx)
         if sol is not None:
             h = Polynomial.from_raw(

@@ -11,22 +11,41 @@ grouped by per-base (parity, log power) signature, brought to a common
 denominator in integer base powers, and the resulting polynomial is tested
 for zero.  Even nonnegative base powers with no log factor are expanded
 into the polynomial part.
+
+Polynomials are stored as {monomial tuple: Scalar}.  A product does not
+multiply Scalars term by term.  Each call packs every monomial into one
+int, a bit field per variable in name order, wide enough for the sum of
+the two operands' largest exponents, so the product of two monomials is
+the sum of their keys.  Each operand splits by Scalar signature (radicand,
+pi half-exponent, logs) into blocks of integer numerators over one common
+denominator; every pair of blocks multiplies with ints only, and the keys
+are unpacked into monomial tuples once, at the end.
+
+`Polynomial.divide_exact` divides by a rational-coefficient polynomial and
+returns the quotient only if the division is exact, else None.  Each
+signature block of the dividend is divided on its own by heap long
+division on packed keys under a graded order, with a guard bit above each
+field to test monomial divisibility (Monagan and Pearce, "Sparse
+polynomial division using a heap", J. Symb. Comp. 2011).  An exact
+quotient is unique, so it does not depend on the monomial order.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DimensionMismatch,
     NegativeBaseValue,
+    NonRationalValue,
     UnsupportedBase,
     UnsupportedDimension,
     UnsupportedInputError,
     ZeroBaseValue,
 )
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, _as_fraction, _merge_logs, power
 
 # ---------------------------------------------------------------------------
 # monomials: tuples of (variable name, positive exponent), sorted by name
@@ -206,16 +225,30 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                if m in acc:
-                    acc[m] = acc[m] + c
-                else:
-                    acc[m] = c
-        return Polynomial({m: c for m, c in acc.items() if not c.is_zero()})
+        # a field holds the largest exponent sum, so adding keys never carries
+        ma, mb = _max_exponents(self), _max_exponents(other)
+        units = {}
+        fields = []
+        shift = 0
+        for v in sorted(ma.keys() | mb.keys()):
+            width = (ma.get(v, 0) + mb.get(v, 0)).bit_length()
+            units[v] = 1 << shift
+            fields.append((v, shift, (1 << width) - 1))
+            shift += width
+        parts = []
+        blocks = _split(other, units)
+        for (ra, pa, la), da, ta in _split(self, units):
+            for (rb, pb, lb), db, tb in blocks:
+                acc = {}
+                get = acc.get
+                for ka, na in ta:
+                    for kb, nb in tb:
+                        k = ka + kb
+                        acc[k] = get(k, 0) + na * nb
+                g = gcd(ra, rb)
+                basis = ((ra // g) * (rb // g), pa + pb, _merge_logs(la, lb))
+                parts.append((acc.items(), g, da * db, basis))
+        return _assemble(parts, fields)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -231,14 +264,7 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        out = Polynomial.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return power(self, k, Polynomial.const(1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -248,6 +274,9 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value, so it must hash like it
+        if self.is_constant():
+            return hash(self.constant_term())
         return hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
 
     def __repr__(self):
@@ -342,8 +371,6 @@ class Polynomial:
         Requires rational coefficients.  The primitive part has coprime
         integer coefficients and a positive leading coefficient.
         """
-        from math import gcd
-
         rat = self.rational_terms()
         if not rat:
             return Fraction(0), Polynomial()
@@ -364,69 +391,147 @@ class Polynomial:
     def divide_exact(self, divisor, rank):
         """Quotient self/divisor if the division is exact, else None.
 
-        Heap-driven long division under graded lex; monomial keys are
-        computed once per monomial.
+        The divisor must have rational coefficients.  The quotient of an
+        exact division is unique, so it does not depend on a monomial
+        order, and `rank` is not read.  Each signature block of self is
+        divided separately by heap long division on packed keys.
         """
-        import heapq
+        from heapq import heapify, heappop, heappush
 
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return Polynomial()
-        if self.total_degree() < divisor.total_degree():
+        top = self.total_degree()
+        if top < divisor.total_degree():
             return None
-        full_rank = dict(rank)
-        for poly in (self, divisor):
-            for v in sorted(poly.variables()):
-                if v not in full_rank:
-                    full_rank[v] = len(full_rank)
-        nvars = len(full_rank)
-
-        def neg_key(m):
-            vec = [0] * nvars
-            deg = 0
-            for v, e in m:
-                vec[full_rank[v]] = -e
-                deg += e
-            return (-deg, tuple(vec))
-
-        dmono, dcoeff = divisor.leading(full_rank)
-        dinv = dcoeff.inverse()
-        dset = dict(dmono)
-        dterms = list(divisor.terms.items())
-        rem = dict(self.terms)
-        heap = [(neg_key(m), m) for m in rem]
-        heapq.heapify(heap)
-        quot = {}
-        while heap:
-            _, m = heapq.heappop(heap)
-            c = rem.get(m)
-            if c is None or c.is_zero():
-                continue
-            md = dict(m)
-            for v, e in dset.items():
-                if md.get(v, 0) < e:
+        # Every monomial the division meets has total degree <= top, so
+        # `width` bits hold any exponent.  One guard bit above each field
+        # catches a borrow, and the total degree sits in the highest field,
+        # so packed keys compare in graded order.
+        width = top.bit_length()
+        names = sorted(self.variables() | divisor.variables())
+        deg_unit = 1 << (len(names) * (width + 1))
+        units = {}
+        fields = []
+        for i, v in enumerate(names):
+            units[v] = (1 << i * (width + 1)) + deg_unit
+            fields.append((v, i * (width + 1), (1 << width) - 1))
+        guards = sum(1 << (i * (width + 1) + width) for i in range(len(names) + 1))
+        blocks = _split(divisor, units)
+        if [basis for basis, _, _ in blocks] != [(1, 0, ())]:
+            raise NonRationalValue("divide_exact needs a rational divisor")
+        (_, dden, dterms), = blocks
+        content = 0
+        for _, n in dterms:
+            content = gcd(content, n)
+        dterms = sorted(((k, n // content) for k, n in dterms), reverse=True)
+        (lead_k, lead_n), tail = dterms[0], dterms[1:]
+        parts = []
+        for basis, den, items in _split(self, units):
+            rem = dict(items)
+            heap = [-k for k in rem]
+            heapify(heap)
+            quot = []
+            while heap:
+                k = -heappop(heap)
+                c = rem.pop(k)
+                if not c:
+                    continue
+                qk = k - lead_k
+                if qk & guards:
                     return None
-            qd = {v: e - dset.get(v, 0) for v, e in md.items() if e - dset.get(v, 0)}
-            qm = tuple(sorted(qd.items()))
-            qc = c * dinv
-            quot[qm] = qc
-            for bm, bc in dterms:
-                tm = mono_mul(qm, bm)
-                tc = bc * qc
-                prev = rem.get(tm)
-                if prev is None:
-                    rem[tm] = -tc
-                    heapq.heappush(heap, (neg_key(tm), tm))
-                else:
-                    s = prev - tc
-                    if s.is_zero():
-                        del rem[tm]
+                qn, r = divmod(c, lead_n)
+                if r:
+                    # the divisor is primitive, so an exact quotient of an
+                    # integer block has integer coefficients (Gauss)
+                    return None
+                quot.append((qk, qn))
+                for tk, tn in tail:
+                    t = qk + tk
+                    prev = rem.get(t)
+                    if prev is None:
+                        rem[t] = -qn * tn
+                        heappush(heap, -t)
                     else:
-                        rem[tm] = s
-        if any(not c.is_zero() for c in rem.values()):
-            return None
-        return Polynomial(quot)
+                        rem[t] = prev - qn * tn
+            parts.append((quot, dden, den * content, basis))
+        return _assemble(parts, fields)
+
+
+def _max_exponents(poly):
+    out = {}
+    for m in poly.terms:
+        for v, e in m:
+            if e > out.get(v, 0):
+                out[v] = e
+    return out
+
+
+def _split(poly, units):
+    """Signature blocks [(basis, denominator, [(key, numerator)])] of poly.
+
+    A monomial packs to the sum of exponent * units[variable].  A basis is
+    a Scalar signature (radicand, pi half-exponent, logs); its block holds
+    the rational polynomial multiplying it, as integer numerators over one
+    common denominator.
+    """
+    blocks = {}
+    for m, s in poly.terms.items():
+        k = 0
+        for v, e in m:
+            k += e * units[v]
+        for c, rad, pih, logs in s.terms:
+            sig = (rad, pih, logs)
+            block = blocks.get(sig)
+            if block is None:
+                blocks[sig] = [(k, c)]
+            else:
+                block.append((k, c))
+    out = []
+    for sig, block in blocks.items():
+        den = 1
+        for _, c in block:
+            d = c.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        out.append((sig, den, [(k, c.numerator * (den // c.denominator)) for k, c in block]))
+    return out
+
+
+def _assemble(parts, fields):
+    """The Polynomial sum over parts of factor/den * basis * sum(n * key).
+
+    Each part is (pairs of (key, int n), int factor, int den, basis).  Keys
+    unpack through fields of (name, shift, mask), in name order; within
+    one call each (name, exponent) pair is one shared tuple.
+    """
+    decoders = [(v, shift, mask, {}) for v, shift, mask in fields]
+    out = {}
+    for pairs, factor, den, (rad, pih, logs) in parts:
+        for k, n in pairs:
+            if not n:
+                continue
+            mono = []
+            for v, shift, mask, shared in decoders:
+                e = (k >> shift) & mask
+                if e:
+                    pair = shared.get(e)
+                    if pair is None:
+                        pair = shared[e] = (v, e)
+                    mono.append(pair)
+            mono = tuple(mono)
+            c = Fraction(n * factor) if den == 1 else Fraction(n * factor, den)
+            coeff = Scalar(((c, rad, pih, logs),))
+            prev = out.get(mono)
+            if prev is not None:
+                # another signature pair hit this monomial
+                coeff = prev + coeff
+                if coeff.is_zero():
+                    del out[mono]
+                    continue
+            out[mono] = coeff
+    return Polynomial(out)
 
 
 def _as_poly(x):
@@ -435,14 +540,6 @@ def _as_poly(x):
     if isinstance(x, (int, Fraction, Scalar)):
         return Polynomial.const(x)
     raise TypeError("cannot treat %r as a Polynomial" % (x,))
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected a rational, got %r" % (x,))
 
 
 def poly_sum(ps):
@@ -771,14 +868,7 @@ class Expr:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("expression exponent must be a nonnegative integer")
-        out = Expr.from_poly(self.ctx, Polynomial.const(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return power(self, k, Expr.from_poly(self.ctx, Polynomial.const(1)))
 
     def _coerce(self, x):
         if isinstance(x, Expr):
@@ -797,6 +887,9 @@ class Expr:
         return (self - other).is_zero()
 
     def __hash__(self):
+        # with no base factors an Expr equals its polynomial, so hash as it
+        if self.is_polynomial():
+            return hash(self.as_polynomial())
         return hash(self.terms)
 
     def __repr__(self):

@@ -310,15 +310,8 @@ class Scalar:
         if not isinstance(k, int):
             raise TypeError("scalar exponent must be an integer")
         if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return power(self.inverse(), -k, ONE)
+        return power(self, k, ONE)
 
     # -- equality -----------------------------------------------------------
 
@@ -330,12 +323,31 @@ class Scalar:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a rational Scalar equals its Fraction, so it must hash like one
+        if self.is_rational():
+            return hash(self.as_fraction())
         return hash(self.terms)
 
     def __repr__(self):
         from .render import scalar_text
 
         return "Scalar(%s)" % scalar_text(self)
+
+
+def power(x, k, one):
+    """x**k for an integer k >= 0 by square-and-multiply; `one` is x**0.
+
+    The base is squared only while a higher bit of k remains, so no
+    square is computed and then thrown away.
+    """
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return one if out is None else out
+        x = x * x
 
 
 def _coerce(x):

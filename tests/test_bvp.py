@@ -5,6 +5,7 @@ import pytest
 
 from conftest import E, P, random_polynomial
 
+from harmcalc import bvp
 from harmcalc.bvp import (
     Annulus,
     ExteriorSphere,
@@ -20,7 +21,7 @@ from harmcalc.bvp import (
     neumann,
     radial_solve_count,
 )
-from harmcalc.calculus import laplacian_of, normal_d_sphere
+from harmcalc.calculus import laplacian_of, normal_d_sphere, poly_laplacian
 from harmcalc.errors import (
     DimensionMismatch,
     SolvabilityViolation,
@@ -31,6 +32,7 @@ from harmcalc.expr import (
     Context,
     Expr,
     Polynomial,
+    monomials,
     poly_sum,
     reduce_poly_on_sphere,
     restrict_to_sphere,
@@ -545,3 +547,19 @@ def test_region_inputs_are_typed_errors(ctx3):
         Annulus(4, 1)
     with pytest.raises(UnsupportedInputError):
         Annulus(0, 1)
+
+
+def test_ansatz_columns_equal_the_products_they_replace():
+    # the quadric solvers build these columns in one pass over q's terms
+    rng = random.Random(2004)
+    for dim in (1, 3, 4):
+        ctx = Context(dim)
+        for trial in range(6):
+            b = [F(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(dim)]
+            c = [F(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(dim)] if trial % 2 else []
+            q = Quadratic(tuple(b), tuple(c), F(rng.randrange(-3, 3), rng.randrange(1, 4))).poly(ctx)
+            for mono in monomials(ctx.coords, range(5)):
+                v = Polynomial({mono: Scalar.from_fraction(1)})
+                assert bvp._laplacian_times(q, mono) == poly_laplacian(q * v, ctx)
+                grad_dot = poly_sum([q.partial(x) * v.partial(x) for x in ctx.coords])
+                assert bvp._gradient_dot(q, mono) == grad_dot

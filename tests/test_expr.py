@@ -143,3 +143,25 @@ def test_reduce_poly_on_sphere_radius():
     ctx = Context(5)
     p = ctx.norm_sq_poly()
     assert reduce_poly_on_sphere(p, ctx.coords, 16) == Polynomial.const(F(16))
+
+
+def test_equal_values_hash_equal(ctx3):
+    values = [
+        (1, F(1), Scalar.from_fraction(1), Polynomial.const(1), Expr.from_scalar(ctx3, 1)),
+        (0, F(0), Scalar.from_fraction(0), Polynomial(), Expr.zero(ctx3)),
+        (F(-3, 4), Scalar.from_fraction(F(-3, 4)), Polynomial.const(F(-3, 4)),
+         Expr.from_scalar(ctx3, F(-3, 4))),
+        (Scalar.pi_power(1), Polynomial.const(Scalar.pi_power(1)),
+         Expr.from_scalar(ctx3, Scalar.pi_power(1))),
+        (P("x1^2 - 2*x3", ctx3), Expr.from_poly(ctx3, P("x1^2 - 2*x3", ctx3))),
+    ]
+    for group in values:
+        for a in group:
+            for b in group:
+                assert a == b
+                assert hash(a) == hash(b)
+        assert len(set(group)) == 1
+    assert len({v for group in values for v in group}) == len(values)
+    # an Expr with base factors is not a polynomial and hashes as itself
+    n1 = Expr.norm_power(ctx3, 1)
+    assert hash(n1) == hash(Expr.norm_power(ctx3, 1))

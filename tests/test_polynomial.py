@@ -1,0 +1,150 @@
+"""The packed polynomial product and exact division against the term-pair oracle.
+
+`Polynomial.__mul__` and `Polynomial.divide_exact` must return exactly the
+polynomial that `poly_oracle` computes one pair of terms at a time, or,
+for division, both must report that the division is not exact.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import poly_oracle
+
+from harmcalc.errors import NonRationalValue
+from harmcalc.expr import Context, Expr, Polynomial
+from harmcalc.scalar import Scalar
+
+CTX = Context(3, extra=("y1", "t"))
+# "aux" is in no context; "y1" and "t" are auxiliary symbols of CTX
+NAMES = ("aux", "t", "x1", "x2", "x3", "y1")
+COEFFS = (
+    Scalar.from_fraction(1),
+    Scalar.from_fraction(F(-7, 4)),
+    Scalar.pi_power(1),
+    Scalar.pi_power(-2),
+    Scalar.sqrt_int(2),
+    Scalar.sqrt_int(3),
+    Scalar.sqrt_int(6) * F(2, 3),
+    Scalar.log_fraction(6),
+    Scalar.log_fraction(F(5, 2)) * Scalar.sqrt_int(5),
+    Scalar.pi_power(1) + Scalar.sqrt_int(3),
+    Scalar.log_fraction(2) * Scalar.pi_power(2) - F(1, 3),
+)
+
+
+def _mono(rng, max_exp):
+    names = rng.sample(NAMES, rng.randrange(0, 4))
+    return tuple(sorted((v, rng.randrange(1, max_exp + 1)) for v in names))
+
+
+def _coeff(rng, rational):
+    c = Scalar.from_fraction(F(rng.randrange(1, 9), rng.randrange(1, 5)))
+    c = c if rng.random() < 0.5 else -c
+    return c if rational else c * rng.choice(COEFFS)
+
+
+def _poly(rng, terms, max_exp=3, rational=False):
+    return Polynomial.from_raw(
+        [(_mono(rng, max_exp), _coeff(rng, rational)) for _ in range(terms)]
+    )
+
+
+def _wide(rng, rational=False):
+    """A polynomial with exponents of 40 or 1000 in some variables."""
+    p = _poly(rng, rng.randrange(1, 4), rational=rational)
+    v = rng.choice(NAMES)
+    return p * Polynomial.var(v, rng.choice((40, 1000))) + _poly(rng, 2, rational=rational)
+
+
+def _cases(rng):
+    zero = Polynomial()
+    const = Polynomial.const(rng.choice(COEFFS) * F(3, 2))
+    yield zero, _poly(rng, 4)
+    yield _poly(rng, 3), zero
+    yield const, _poly(rng, 5)
+    yield _poly(rng, 5), const
+    yield const, const
+    x, y = Polynomial.var("x1"), Polynomial.var("aux")
+    r2, r3, r6 = Scalar.sqrt_int(2), Scalar.sqrt_int(3), Scalar.sqrt_int(6)
+    # terms cancel inside one signature pair and across signature pairs
+    yield x - y, x + y
+    yield Polynomial.const(r2) + 1, Polynomial.const(r2) - 1
+    yield x.scale(r6) + Polynomial.const(r2), x.scale(r3) - 1
+    for _ in range(300):
+        a, b = _poly(rng, rng.randrange(1, 7)), _poly(rng, rng.randrange(1, 7))
+        yield a, b
+        yield a, -a
+    for _ in range(40):
+        yield _wide(rng), _poly(rng, rng.randrange(1, 5))
+        yield _wide(rng), _wide(rng)
+
+
+def test_product_matches_oracle():
+    rng = random.Random(2011)
+    for a, b in _cases(rng):
+        assert a * b == poly_oracle.mul(a, b)
+        assert b * a == poly_oracle.mul(b, a)
+
+
+def _divisors(rng):
+    x1, x2, x3 = (Polynomial.var(v) for v in CTX.coords)
+    yield CTX.norm_sq_poly()
+    yield (x1 * x1).scale(F(1, 2)) + (x2 * x2).scale(3) + (x3 * x3).scale(F(5, 7)) - 1
+    yield x1.scale(2) - x2.scale(3) + F(1, 4)
+    yield Polynomial.const(F(-2, 3))
+    for _ in range(25):
+        d = _poly(rng, rng.randrange(1, 4), max_exp=2, rational=True)
+        if not d.is_zero():
+            yield d
+
+
+def test_divide_exact_matches_oracle():
+    rng = random.Random(2009)
+    hits = misses = 0
+    reverse = {v: i for i, v in enumerate(reversed(NAMES))}
+    for d in _divisors(rng):
+        for trial in range(12):
+            q = _wide(rng) if trial == 0 else _poly(rng, rng.randrange(0, 6))
+            a = q * d
+            if trial % 3 == 2:
+                a = a + _poly(rng, 1)
+            expected = poly_oracle.divide_exact(a, d, CTX.var_rank)
+            got = a.divide_exact(d, CTX.var_rank)
+            assert got == expected
+            # an exact quotient is unique, so the variable order cannot matter
+            assert a.divide_exact(d, reverse) == expected
+            if trial % 3 != 2:
+                assert got == q
+            hits += got is not None
+            misses += got is None
+    assert hits > 100 and misses > 30
+
+
+def test_divide_exact_contract():
+    x = Polynomial.var("x1")
+    with pytest.raises(ZeroDivisionError):
+        x.divide_exact(Polynomial(), CTX.var_rank)
+    with pytest.raises(NonRationalValue):
+        (x * x).divide_exact(x.scale(Scalar.sqrt_int(2)), CTX.var_rank)
+    assert Polynomial().divide_exact(x, CTX.var_rank) == Polynomial()
+    assert x.divide_exact(x * x, CTX.var_rank) is None
+
+
+def test_one_power_routine():
+    rng = random.Random(5)
+    s = COEFFS[-1]
+    p = _poly(rng, 3)
+    e = Expr.from_poly(CTX, Polynomial.var("x1") + 1) * Expr.norm_power(CTX, 1)
+    for x, one in ((s, Scalar.from_fraction(1)), (p, Polynomial.const(1)), (e, 1)):
+        acc = one
+        for k in range(7):
+            assert x**k == acc
+            acc = acc * x
+    r = Scalar.sqrt_int(3) * F(2, 5)
+    assert r**-3 == r.inverse() * r.inverse() * r.inverse()
+    with pytest.raises(ValueError):
+        p**-1
+    with pytest.raises(ValueError):
+        e**-1
