@@ -52,7 +52,6 @@ from .harmonic import (
     zonal_harmonic,
 )
 from .integrate import (
-    Ellipsoid,
     RadialFunction,
     integrate_ball,
     integrate_ellipsoid_area,

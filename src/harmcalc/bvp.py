@@ -6,6 +6,10 @@ Neumann problems (sphere and quadratic surfaces, standard and
 generalized), the exterior Neumann problem, and the clamped-plate style
 biharmonic Dirichlet problem.
 
+One quadric type, `integrate.Quadratic(b, c, d)` for b.x^2 + c.x + d,
+serves as the Dirichlet region (any signs), the Neumann region (an
+ellipsoid) and the quadric-multiple mode of `anti_laplacian`.
+
 Every solver's defining contracts (vanishing Laplacian or prescribed one,
 boundary match, origin normalization, normal-derivative match) hold as
 exact canonical identities; the test suite asserts them directly.
@@ -16,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Tuple
 
 from . import linalg
 from .calculus import poly_laplacian
 from .errors import (
-    DimensionMismatch,
     EmptyInterior,
     InfeasibleSystem,
     NonPolynomialInput,
@@ -39,7 +41,7 @@ from .integrate import (
     integrate_ellipsoid_volume,
     integrate_sphere,
     unit_sphere_area,
-    Ellipsoid,
+    Quadratic,
     RadialFunction,
 )
 from .scalar import ONE, Scalar
@@ -71,31 +73,6 @@ class Annulus:
 
 
 @dataclass(frozen=True)
-class Quadratic:
-    """Coefficients of b.x^2 + c.x + d; signs unrestricted for Dirichlet."""
-
-    b: Tuple[Fraction, ...]
-    c: Tuple[Fraction, ...] = ()
-    d: Fraction = Fraction(-1)
-
-    def poly(self, ctx):
-        b = tuple(Fraction(v) for v in self.b)
-        c = tuple(Fraction(v) for v in self.c) if self.c else (Fraction(0),) * len(b)
-        if len(b) != ctx.dim or len(c) != ctx.dim:
-            raise DimensionMismatch("quadratic coefficient lists must match the dimension")
-        parts = [Polynomial.const(Fraction(self.d))]
-        for v, bi, ci in zip(ctx.coords, b, c):
-            if bi:
-                parts.append(Polynomial.var(v, 2).scale(bi))
-            if ci:
-                parts.append(Polynomial.var(v).scale(ci))
-        return poly_sum(parts)
-
-    def ellipsoid(self):
-        return Ellipsoid(tuple(self.b), tuple(self.c), Fraction(self.d))
-
-
-@dataclass(frozen=True)
 class Plain:
     pass
 
@@ -105,14 +82,9 @@ class NormSquaredMultiple:
     pass
 
 
-@dataclass(frozen=True)
-class QuadraticMultiple:
-    b: Tuple[Fraction, ...]
-    c: Tuple[Fraction, ...] = ()
-    d: Fraction = Fraction(-1)
-
-    def quadratic(self):
-        return Quadratic(self.b, self.c, self.d)
+# `anti_laplacian` reads a Quadratic mode as "a multiple of the quadric";
+# the second name stays for callers that build the mode by that name
+QuadraticMultiple = Quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +259,8 @@ def anti_laplacian(f, mode, ctx):
     poly = f.as_polynomial()
     if isinstance(mode, NormSquaredMultiple):
         return Expr.from_poly(ctx, _anti_laplacian_norm_multiple(poly, ctx))
-    if isinstance(mode, QuadraticMultiple):
-        return Expr.from_poly(
-            ctx, _anti_laplacian_quadratic_multiple(poly, mode.quadratic(), ctx)
-        )
+    if isinstance(mode, Quadratic):
+        return Expr.from_poly(ctx, _anti_laplacian_quadratic_multiple(poly, mode, ctx))
     raise TypeError("unknown anti-Laplacian mode %r" % (mode,))
 
 
@@ -523,15 +493,14 @@ def _neumann_sphere(f, g, ctx):
 
 
 def _neumann_quadratic(f, g, region, ctx):
-    e = region.ellipsoid()
-    area = integrate_ellipsoid_area(f, e, ctx)
+    area = integrate_ellipsoid_area(f, region, ctx)
     if g is None:
         if not (isinstance(area, Scalar) and area.is_zero()):
             raise SolvabilityViolation(
                 "the surface integral of the data must vanish"
             )
         return _neumann_quadratic_standard(f, region, ctx)
-    vol = integrate_ellipsoid_volume(g, e, ctx)
+    vol = integrate_ellipsoid_volume(g, region, ctx)
     if not isinstance(area, Scalar) or not isinstance(vol, Scalar) or not (
         area - vol
     ).is_zero():

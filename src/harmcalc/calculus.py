@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     NonPolynomialInput,
     NotHarmonic,
+    UnknownVariable,
     UnsupportedDimension,
     ZeroGradientField,
 )
@@ -54,6 +55,8 @@ def partial_d(e, schedule, ctx=None):
     out = e
     for item in schedule:
         var, mult = item if isinstance(item, tuple) else (item, 1)
+        if var not in ctx.var_rank:
+            raise UnknownVariable("cannot differentiate by unknown variable %r" % (var,))
         for _ in range(mult):
             out = expr_partial(out, var, ctx)
     return out
@@ -98,13 +101,6 @@ def jacobian_of(vec, ctx):
     return tuple(
         tuple(expr_partial(comp, v, ctx) for v in ctx.coords) for comp in vec
     )
-
-
-def dot_expr(u, v):
-    acc = None
-    for a, b in zip(u, v):
-        acc = a * b if acc is None else acc + a * b
-    return acc
 
 
 def normal_d_sphere(e, ctx=None):

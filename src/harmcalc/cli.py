@@ -177,7 +177,7 @@ def int_at_least(low):
 def var_times(text):
     """VAR or VAR:TIMES as (VAR, TIMES)."""
     var, sep, times = text.partition(":")
-    return var, int(times) if sep else 1
+    return var, int_at_least(0)(times) if sep else 1
 
 
 def about_point(text):
@@ -212,7 +212,7 @@ def multiple(text):
     if text == "norm2":
         return bvp.NormSquaredMultiple()
     if text.startswith("quadratic:"):
-        return bvp.QuadraticMultiple(*_quadric(text))
+        return bvp.Quadratic(*_quadric(text))
     raise UnsupportedInputError("unknown multiple option %r" % text)
 
 
@@ -236,13 +236,13 @@ FLAGS = {
     "dim": dict(type=int_at_least(1), help="dimension n"),
     "vars": dict(help="comma-separated coordinate names (default x1..xn)"),
     "second-vec": dict(help="label y of a second point y1..yn"),
-    "power": dict(type=int, default=1, help="how many times to apply the Laplacian"),
+    "power": dict(type=int_at_least(0), default=1, help="how many times to apply the Laplacian"),
     "by": dict(type=var_times, action="append", help="differentiate by VAR[:TIMES]"),
     "surface": dict(help="level surface q(x) = 0 (default: the unit sphere)"),
     "degree": dict(type=int_at_least(0), default=0, help="degree"),
     "about": dict(type=about_point, help="expansion point: rationals or symbols"),
     "weight": dict(type=parse_radial, help="radial weight in r (default 1)"),
-    "b": dict(type=rationals, help="ellipsoid b.x^2 + c.x + d < 0: comma-separated b"),
+    "b": dict(type=rationals, help="quadric b.x^2 + c.x + d (the ellipsoid q < 0): comma-separated b"),
     "c": dict(type=rationals, default="", help="comma-separated c (default 0)"),
     "d": dict(type=rational, default="-1", help="rational d (default -1)"),
     "m": dict(type=int_at_least(0), help="degree m"),
@@ -455,10 +455,10 @@ def _v_iball(args):
 @verb("integrate-ellipsoid-area", 1, "dim! vars second-vec b! c d")
 def _v_ellipsoid(args):
     p, ctx = _parsed(args, parse_polynomial)
-    e = integrate.Ellipsoid(args.b, args.c, args.d)
+    q = integrate.Quadratic(args.b, args.c, args.d)
     if args.verb == "integrate-ellipsoid-volume":
-        return integrate.integrate_ellipsoid_volume(p, e, ctx), ctx
-    return integrate.integrate_ellipsoid_area(p, e, ctx), ctx
+        return integrate.integrate_ellipsoid_volume(p, q, ctx), ctx
+    return integrate.integrate_ellipsoid_area(p, q, ctx), ctx
 
 
 @verb("decompose", 1, "dim! vars")

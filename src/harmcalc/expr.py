@@ -174,14 +174,6 @@ class Polynomial:
     def total_degree(self):
         return max((mono_degree(m) for m in self.terms), default=0)
 
-    def degree_in(self, names):
-        names = set(names)
-        best = 0
-        for m in self.terms:
-            d = sum(e for v, e in m if v in names)
-            best = max(best, d)
-        return best
-
     def rational_terms(self):
         return {m: c.as_fraction() for m, c in self.terms.items()}
 
@@ -590,9 +582,6 @@ class Context:
         self._registry_lock = threading.Lock()
         norm = poly_sum([Polynomial.var(v, 2) for v in coords])
         self.norm_base = self.register_base(norm, name="normSq(%s)" % vec_label)[0]
-
-    def all_vars(self):
-        return self.coords + self.extra
 
     def _base_key(self, prim):
         return tuple(sorted(prim.rational_terms().items()))

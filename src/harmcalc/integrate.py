@@ -5,6 +5,10 @@ measure; ball integrals convert to polar coordinates; ellipsoid integrals
 are affine pushforwards of ball integrals, with the area integral obtained
 from the coarea identity (differentiate the volume integral in the level
 parameter).
+
+`Quadratic(b, c, d)` is the one quadric type of the package: the ellipsoid
+b.x^2 + c.x + d < 0 here, and the Dirichlet or Neumann region and the
+anti-Laplacian multiple in `bvp`.
 """
 
 from __future__ import annotations
@@ -146,12 +150,6 @@ class RadialFunction:
         """1/(c0 + c1 r) with positive rational coefficients."""
         return RadialFunction(((ONE, 0, 0),), (Fraction(c0), Fraction(c1)))
 
-    def scaled(self, c):
-        c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
-        return RadialFunction(
-            tuple((co * c, a, k) for co, a, k in self.terms), self.lin_den
-        )
-
 
 def power_log_integral_01(q, k):
     """Integral of r^q log^k r over (0,1): (-1)^k k! / (q+1)^(k+1)."""
@@ -218,8 +216,13 @@ def integrate_ball(p, radial, ctx):
 
 
 @dataclass(frozen=True)
-class Ellipsoid:
-    """The region b.x^2 + c.x + d < 0 with componentwise positive b."""
+class Quadratic:
+    """The quadric q = b.x^2 + c.x + d; c defaults to zeros.
+
+    Dirichlet solves and quadric-multiple anti-Laplacians take any signs.
+    Ellipsoid integrals and Neumann solves need the ellipsoid q < 0: every
+    b_i > 0 and rho^2 > 0, checked where they integrate.
+    """
 
     b: Tuple[Fraction, ...]
     c: Tuple[Fraction, ...] = ()
@@ -227,18 +230,26 @@ class Ellipsoid:
 
     def __post_init__(self):
         b = tuple(Fraction(v) for v in self.b)
-        c = tuple(Fraction(v) for v in self.c) if self.c else tuple(
-            Fraction(0) for _ in b
-        )
+        c = tuple(Fraction(v) for v in self.c) if self.c else (Fraction(0),) * len(b)
         if len(c) != len(b):
             raise DimensionMismatch("b and c must have equal length")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", Fraction(self.d))
-        if any(v <= 0 for v in b):
-            raise NonPositiveAxis("every quadratic coefficient must be positive")
-        if self.rho_sq() <= 0:
-            raise EmptyInterior("the region b.x^2 + c.x + d < 0 is empty")
+
+    def poly(self, ctx):
+        """b.x^2 + c.x + d in the coordinates of ctx."""
+        if len(self.b) != ctx.dim:
+            raise DimensionMismatch(
+                "the quadric needs %d coefficients, got %d" % (ctx.dim, len(self.b))
+            )
+        parts = [Polynomial.const(self.d)]
+        for v, bi, ci in zip(ctx.coords, self.b, self.c):
+            if bi:
+                parts.append(Polynomial.var(v, 2).scale(bi))
+            if ci:
+                parts.append(Polynomial.var(v).scale(ci))
+        return poly_sum(parts)
 
     def rho_sq(self):
         return (
@@ -248,24 +259,21 @@ class Ellipsoid:
     def center(self):
         return tuple(-ci / (2 * bi) for bi, ci in zip(self.b, self.c))
 
-    def quadratic_poly(self, ctx):
-        parts = [Polynomial.const(self.d)]
-        for v, bi, ci in zip(ctx.coords, self.b, self.c):
-            parts.append(Polynomial.var(v, 2).scale(bi))
-            if ci:
-                parts.append(Polynomial.var(v).scale(ci))
-        return poly_sum(parts)
-
 
 def _even_moment_table(p, e, ctx):
     """Shift p to the ellipsoid center and collect even ball moments.
 
     Yields (total degree m, rational axis factor prod b_i^(-beta_i/2),
     sphere weight, coefficient polynomial in auxiliary variables) for each
-    all-even coordinate monomial of the shifted polynomial.
+    all-even coordinate monomial of the shifted polynomial.  Both ellipsoid
+    integrals come through here, so this is where the quadric must be an
+    ellipsoid: every b_i > 0, then rho^2 > 0, then one axis per coordinate.
     """
-    if len(e.b) != ctx.dim:
-        raise DimensionMismatch("the ellipsoid needs %d axes, got %d" % (ctx.dim, len(e.b)))
+    if any(v <= 0 for v in e.b):
+        raise NonPositiveAxis("every quadratic coefficient must be positive")
+    if e.rho_sq() <= 0:
+        raise EmptyInterior("the region b.x^2 + c.x + d < 0 is empty")
+    e.poly(ctx)  # the dimension check
     shifted = p
     for v, z in zip(ctx.coords, e.center()):
         if z:

@@ -10,7 +10,9 @@ Grammar (informally):
     vec    := ident
 
 `||x||` is also accepted wherever norm(x) is.  Rationals are written
-int or int/int.  Errors carry the line, column, and expected-token set.
+int or int/int.  Errors carry the line, column, and expected-token set;
+nesting deeper than the interpreter's stack allows is a location-free
+ParseError.
 """
 
 from __future__ import annotations
@@ -292,7 +294,11 @@ def parse_expression(src, ctx, vectors=None):
     table = {ctx.vec_label: ctx.coords}
     if vectors:
         table.update(vectors)
-    return _Parser(src, ctx, table).parse()
+    try:
+        return _Parser(src, ctx, table).parse()
+    except RecursionError:
+        # where the stack runs out depends on the caller, so no location
+        raise ParseError("expression nested too deeply") from None
 
 
 def parse_polynomial(src, ctx, vectors=None):

@@ -56,7 +56,6 @@ from harmcalc.harmonic import (
     zonal_harmonic,
 )
 from harmcalc.integrate import (
-    Ellipsoid,
     RadialFunction,
     integrate_ball,
     integrate_ellipsoid_area,
@@ -127,7 +126,7 @@ def test_criterion_02_ball_integrals():
 def test_criterion_03_ellipsoid_area_centered():
     with criterion(3, "ellipsoid area integrals on the centered ellipsoid"):
         ctx = Context(3)
-        ell = Ellipsoid((1, 4, 3))
+        ell = Quadratic((1, 4, 3))
         inv_sqrt3 = Scalar.sqrt_int(3).inverse()
         a = integrate_ellipsoid_area(P("x1^2*x2^6*x3^4", ctx), ell, ctx)
         assert (a - Scalar.pi_power(2) * Scalar.from_fraction(F(1, 1729728)) * inv_sqrt3).is_zero()
@@ -137,7 +136,7 @@ def test_criterion_03_ellipsoid_area_centered():
         assert c.is_zero()
 
 
-_OFFCENTER = Ellipsoid((1, 4, 3), (5, 1, -2), F(-6))
+_OFFCENTER = Quadratic((1, 4, 3), (5, 1, -2), F(-6))
 _PRINTED_AREA = (
     Scalar.from_fraction(F(29949695715392943781937, 54835301675238948864))
     * Scalar.sqrt_int(607)
@@ -176,8 +175,8 @@ def test_criterion_03_offcenter_area_consistency():
         p = P("x1^2*x2^6*x3^5", ctx)
         area = integrate_ellipsoid_area(p, _OFFCENTER, ctx)
         h = F(1, 10**8)
-        vp = integrate_ellipsoid_volume(p, Ellipsoid(_OFFCENTER.b, _OFFCENTER.c, _OFFCENTER.d - h), ctx)
-        vm = integrate_ellipsoid_volume(p, Ellipsoid(_OFFCENTER.b, _OFFCENTER.c, _OFFCENTER.d + h), ctx)
+        vp = integrate_ellipsoid_volume(p, Quadratic(_OFFCENTER.b, _OFFCENTER.c, _OFFCENTER.d - h), ctx)
+        vm = integrate_ellipsoid_volume(p, Quadratic(_OFFCENTER.b, _OFFCENTER.c, _OFFCENTER.d + h), ctx)
         fd = (vp - vm) * Scalar.from_fraction(F(1) / (2 * h))
         rel = abs(float(approx_scalar(area - fd, 12)) / float(approx_scalar(area, 12)))
         assert rel < 1e-12
@@ -414,7 +413,7 @@ def test_criterion_08_neumann():
 def test_criterion_09_compatibility_constant():
     with criterion(9, "compatibility-constant solve gives k = 97/250"):
         ctx3 = Context(3)
-        ell = Ellipsoid((5, 3, 2), (1, 4, 6), F(-7))
+        ell = Quadratic((5, 3, 2), (1, 4, 6), F(-7))
         num = integrate_ellipsoid_area(P("x1^3*x3", ctx3), ell, ctx3)
         den = integrate_ellipsoid_area(Polynomial.const(1), ell, ctx3)
         assert num / den == Scalar.from_fraction(F(97, 250))

@@ -424,9 +424,9 @@ def test_neumann_quadratic_offcenter_fixture(ctx3):
 
 
 def test_compatibility_constant(ctx3):
-    from harmcalc.integrate import Ellipsoid, integrate_ellipsoid_area
+    from harmcalc.integrate import integrate_ellipsoid_area
 
-    ell = Ellipsoid((5, 3, 2), (1, 4, 6), F(-7))
+    ell = Quadratic((5, 3, 2), (1, 4, 6), F(-7))
     num = integrate_ellipsoid_area(P("x1^3*x3", ctx3), ell, ctx3)
     den = integrate_ellipsoid_area(Polynomial.const(1), ell, ctx3)
     assert num / den == Scalar.from_fraction(F(97, 250))

@@ -1,9 +1,11 @@
+import os
 import shlex
 import subprocess
 import sys
 
 import pytest
 
+import harmcalc
 from harmcalc.cli import VERBS, main, parse_radial, run_command
 from harmcalc.scalar import Scalar
 
@@ -154,10 +156,15 @@ def test_main_out_file(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the child imports the same harmcalc as this process, also when the
+    # source tree is on sys.path only through pytest's `pythonpath`
+    src = os.path.dirname(os.path.dirname(harmcalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "harmcalc.cli", "dim-harmonic", "--m", "2", "--n", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"
@@ -494,6 +501,8 @@ def test_verb_rejects_foreign_flag(verb):
         "eval x1 --dim 2 --at 1,x",
         "eval x1 --dim 2 --at 1/0,1",
         "partial x1 --dim 2 --by x1:a",
+        "partial x1 --dim 2 --by x1:-1",
+        "laplacian x1^2 --dim 2 --power -1",
     ],
 )
 def test_usage_errors_exit_2(line):
@@ -528,6 +537,20 @@ def test_batch_survives_usage_error(tmp_path):
     assert results[1]["result"] == "pi^2/2"
 
 
+def test_batch_survives_deep_nesting(tmp_path):
+    deep = "(" * 3000 + "x1" + ")" * 3000
+    script = tmp_path / "commands.txt"
+    script.write_text('eval "%s" --dim 1 --at 1\nvolume --dim 3\n' % deep)
+    results, code = run(["batch", str(script)])
+    assert code == 0
+    assert [r["exit"] for r in results] == [2, 0]
+    assert results[0]["result"] == {
+        "error": "expression nested too deeply",
+        "type": "ParseError",
+    }
+    assert results[1]["result"] == "4*pi/3"
+
+
 def test_batch_help_line_is_a_usage_error(tmp_path, capsys):
     script = tmp_path / "commands.txt"
     script.write_text("volume --help\nvolume --dim 3\n")
@@ -552,6 +575,13 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ("integrate-ellipsoid-volume 1 --dim 3 --b 4,1,1,9", "DimensionMismatch"),
         ("integrate-ellipsoid-area 1 --dim 3 --b 4,1,1,9", "DimensionMismatch"),
         ("integrate-ellipsoid-volume 1 --dim 3 --b 1,1,1 --c 1,1", "DimensionMismatch"),
+        ("integrate-ellipsoid-volume 1 --dim 3 --b 1,0,3", "NonPositiveAxis"),
+        ("integrate-ellipsoid-area 1 --dim 2 --b 1,1 --d 1", "EmptyInterior"),
+        ("neumann x1 --dim 3 --region quadratic:1,-1,1", "NonPositiveAxis"),
+        ('neumann x1 --dim 3 --region "quadratic:1,1,1;;1"', "EmptyInterior"),
+        # the axis check comes before the dimension check
+        ("neumann x1 --dim 3 --region quadratic:1,-1", "NonPositiveAxis"),
+        ('neumann x1 --dim 3 --region "quadratic:1,2,3;1,0"', "DimensionMismatch"),
         ("dirichlet x1 --dim 3 --region quadratic:1,2", "DimensionMismatch"),
         ("anti-laplacian x1 --dim 3 --multiple quadratic:1,2,3,4", "DimensionMismatch"),
         ("dirichlet x1 --dim 3 --region annulus:4,1", "EmptyInterior"),
@@ -576,6 +606,7 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ("dirichlet x1 x2 --dim 3 --region quadratic:1,2,3", "UnsupportedInputError"),
         ("zonal --dim 1 --degree 2", "UnsupportedDimension"),
         ("zonal --dim 1 --degree 3", "UnsupportedDimension"),
+        ("partial x1 --dim 2 --by zz", "UnknownVariable"),
         # unknown kinds keep their plain type
         ("dirichlet x1 --dim 3 --region torus:1", "UnsupportedInputError"),
         ("reflect --dim 2 --mirror cube", "UnsupportedInputError"),

@@ -14,7 +14,7 @@ from harmcalc.errors import (
 )
 from harmcalc.expr import Context, Polynomial, make_context, poly_sum
 from harmcalc.integrate import (
-    Ellipsoid,
+    Quadratic,
     RadialFunction,
     integrate_ball,
     integrate_ellipsoid_area,
@@ -106,16 +106,20 @@ def test_radial_class_validation():
         RadialFunction.linear_reciprocal(-1, 2)
 
 
-def test_ellipsoid_validation():
-    with pytest.raises(NonPositiveAxis):
-        Ellipsoid((1, 0, 3))
-    with pytest.raises(EmptyInterior):
-        Ellipsoid((1, 1), (0, 0), F(1))
+def test_ellipsoid_validation(ctx3):
+    # Dirichlet takes any quadric, so the ellipsoid conditions are checked
+    # by the integrals, not by the constructor
+    one = Polynomial.const(1)
+    for integral in (integrate_ellipsoid_volume, integrate_ellipsoid_area):
+        with pytest.raises(NonPositiveAxis):
+            integral(one, Quadratic((1, 0, 3)), ctx3)
+        with pytest.raises(EmptyInterior):
+            integral(one, Quadratic((1, 1), (0, 0), F(1)), Context(2))
 
 
 def test_ellipsoid_volume_offcenter(ctx3):
     v = integrate_ellipsoid_volume(
-        P("x1^2*x2^6*x3^5", ctx3), Ellipsoid((1, 4, 3), (5, 1, -2), F(-6)), ctx3
+        P("x1^2*x2^6*x3^5", ctx3), Quadratic((1, 4, 3), (5, 1, -2), F(-6)), ctx3
     )
     want = (
         Scalar.from_fraction(F(894963845974894457, 129818422526607360))
@@ -133,7 +137,7 @@ def test_ellipsoid_volume_passthrough():
             for a, b in zip(ctx.coords, ("w1", "w2", "w3"))
         ]
     ) ** 4
-    got = integrate_ellipsoid_volume(p, Ellipsoid((1, 4, 3)), ctx)
+    got = integrate_ellipsoid_volume(p, Quadratic((1, 4, 3)), ctx)
     fix = P(
         "144*w1^4 + 72*w1^2*w2^2 + 9*w2^4 + 96*w1^2*w3^2 + 24*w2^2*w3^2 + 16*w3^4",
         ctx,
@@ -146,25 +150,25 @@ def test_ellipsoid_volume_passthrough():
 
 
 def test_ellipsoid_volume_unit_ball(ctx3):
-    got = integrate_ellipsoid_volume(P("1", ctx3), Ellipsoid((1, 1, 1)), ctx3)
+    got = integrate_ellipsoid_volume(P("1", ctx3), Quadratic((1, 1, 1)), ctx3)
     assert got == unit_ball_volume(3)
 
 
 def test_ellipsoid_area_centered(ctx3):
-    a57 = integrate_ellipsoid_area(P("x1^2*x2^6*x3^4", ctx3), Ellipsoid((1, 4, 3)), ctx3)
+    a57 = integrate_ellipsoid_area(P("x1^2*x2^6*x3^4", ctx3), Quadratic((1, 4, 3)), ctx3)
     assert (
         a57
         - Scalar.pi_power(2)
         * Scalar.from_fraction(F(1, 1729728))
         * Scalar.sqrt_int(3).inverse()
     ).is_zero()
-    a58 = integrate_ellipsoid_area(P("x1^8", ctx3), Ellipsoid((1, 4, 3)), ctx3)
+    a58 = integrate_ellipsoid_area(P("x1^8", ctx3), Quadratic((1, 4, 3)), ctx3)
     assert (
         a58
         - Scalar.pi_power(2) * Scalar.from_fraction(F(1, 9)) * Scalar.sqrt_int(3).inverse()
     ).is_zero()
     combo = integrate_ellipsoid_area(
-        P("9*x1^8 - 1729728*x1^2*x2^6*x3^4", ctx3), Ellipsoid((1, 4, 3)), ctx3
+        P("9*x1^8 - 1729728*x1^2*x2^6*x3^4", ctx3), Quadratic((1, 4, 3)), ctx3
     )
     assert combo.is_zero()
 
@@ -172,11 +176,11 @@ def test_ellipsoid_area_centered(ctx3):
 def test_ellipsoid_area_is_volume_derivative(ctx3):
     """The area integral equals d/dt of the volume integral over q < t."""
     p = P("x1^2*x2^6*x3^5", ctx3)
-    e = Ellipsoid((1, 4, 3), (5, 1, -2), F(-6))
+    e = Quadratic((1, 4, 3), (5, 1, -2), F(-6))
     area = integrate_ellipsoid_area(p, e, ctx3)
     h = F(1, 10**7)
-    vp = integrate_ellipsoid_volume(p, Ellipsoid(e.b, e.c, e.d - h), ctx3)
-    vm = integrate_ellipsoid_volume(p, Ellipsoid(e.b, e.c, e.d + h), ctx3)
+    vp = integrate_ellipsoid_volume(p, Quadratic(e.b, e.c, e.d - h), ctx3)
+    vm = integrate_ellipsoid_volume(p, Quadratic(e.b, e.c, e.d + h), ctx3)
     fd = (vp - vm) * Scalar.from_fraction(F(1) / (2 * h))
     rel = float(approx_scalar(area - fd, 10)) / float(approx_scalar(area, 10))
     assert abs(rel) < 1e-10
@@ -208,9 +212,9 @@ def test_homogeneous_sphere_ball_consistency(ctx3):
 
 
 def test_centered_ellipsoid_odd_symmetry(ctx3):
-    got = integrate_ellipsoid_volume(P("x1*x2^2 + x3", ctx3), Ellipsoid((2, 3, 5)), ctx3)
+    got = integrate_ellipsoid_volume(P("x1*x2^2 + x3", ctx3), Quadratic((2, 3, 5)), ctx3)
     assert got.is_zero()
-    got_a = integrate_ellipsoid_area(P("x1^3", ctx3), Ellipsoid((2, 3, 5)), ctx3)
+    got_a = integrate_ellipsoid_area(P("x1^3", ctx3), Quadratic((2, 3, 5)), ctx3)
     assert got_a.is_zero()
 
 
@@ -218,18 +222,18 @@ def test_unit_ellipsoid_matches_ball(ctx3):
     rng = random.Random(71)
     for _ in range(5):
         p = random_polynomial(rng, ctx3, max_degree=4, terms=4)
-        a = integrate_ellipsoid_volume(p, Ellipsoid((1, 1, 1)), ctx3)
+        a = integrate_ellipsoid_volume(p, Quadratic((1, 1, 1)), ctx3)
         b = integrate_ball(p, RadialFunction.one(), ctx3)
         assert (a - b).is_zero()
 
 
 def test_ellipsoid_axes_must_match_dimension(ctx3):
     # four axes against three coordinates must not integrate over another region
-    e = Ellipsoid((4, 1, 1, 9))
+    e = Quadratic((4, 1, 1, 9))
     one = Polynomial.const(1)
     with pytest.raises(DimensionMismatch):
         integrate_ellipsoid_volume(one, e, ctx3)
     with pytest.raises(DimensionMismatch):
         integrate_ellipsoid_area(one, e, ctx3)
     with pytest.raises(DimensionMismatch):
-        Ellipsoid((1, 1, 1), (1, 1))
+        Quadratic((1, 1, 1), (1, 1))

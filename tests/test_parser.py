@@ -25,6 +25,14 @@ def test_parse_norm_log_product(ctx5):
     assert (e - want).is_zero()
 
 
+@pytest.mark.parametrize("parse", [parse_expression, parse_polynomial])
+def test_deep_nesting_is_a_parse_error(parse, ctx3):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" * 3000 + "x1" + ")" * 3000, ctx3)
+    # moderate nesting still parses
+    assert parse("(" * 50 + "x1" + ")" * 50, ctx3) == parse("x1", ctx3)
+
+
 def test_parse_error_location(ctx3):
     with pytest.raises(ParseError) as err:
         parse_expression("x1^4*x2^2 + (1/2", ctx3)

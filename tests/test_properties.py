@@ -18,7 +18,7 @@ from conftest import random_norm_expr, random_polynomial
 from harmcalc.bvp import Sphere, dirichlet
 from harmcalc.calculus import divergence_of, expr_partial, gradient_of, laplacian_of
 from harmcalc.expr import Context, Expr, eval_expr
-from harmcalc.integrate import Ellipsoid, integrate_ellipsoid_volume, integrate_sphere
+from harmcalc.integrate import Quadratic, integrate_ellipsoid_volume, integrate_sphere
 from harmcalc.parser import parse_expression
 from harmcalc.render import expr_text
 from harmcalc.scalar import Scalar, approx_scalar
@@ -77,11 +77,11 @@ def test_monte_carlo_ellipsoid_cross_check():
     rng = numpy.random.default_rng(20240817)
     ctx = Context(3)
     cases = [
-        ("x1^2", Ellipsoid((1, 4, 3))),
-        ("x1^2*x2^2", Ellipsoid((2, 1, 5))),
-        ("x3^4", Ellipsoid((1, 1, 2), (1, 0, -1), F(-3))),
-        ("x1^2*x3^2", Ellipsoid((1, 4, 3), (5, 1, -2), F(-6))),
-        ("x2^2 + x1*x3", Ellipsoid((3, 2, 1), (0, 1, 1), F(-2))),
+        ("x1^2", Quadratic((1, 4, 3))),
+        ("x1^2*x2^2", Quadratic((2, 1, 5))),
+        ("x3^4", Quadratic((1, 1, 2), (1, 0, -1), F(-3))),
+        ("x1^2*x3^2", Quadratic((1, 4, 3), (5, 1, -2), F(-6))),
+        ("x2^2 + x1*x3", Quadratic((3, 2, 1), (0, 1, 1), F(-2))),
     ]
     from harmcalc.parser import parse_polynomial
 
