@@ -174,9 +174,7 @@ def _anti_laplacian_poly(p, ctx):
         lifted_mono = tuple(sorted({first: a1 + 2, **d}.items()))
         head = Polynomial({lifted_mono: Scalar.from_fraction(denom)})
         tail = Polynomial({tuple(sorted(d.items())): ONE})
-        lap_rest = Polynomial()
-        for v in rest:
-            lap_rest = lap_rest + tail.partial(v).partial(v)
+        lap_rest = poly_sum(tail.partial(v).partial(v) for v in rest)
         out = head
         if not lap_rest.is_zero():
             correction = Polynomial.var(first, a1 + 2) * lap_rest.scale(denom)
@@ -185,10 +183,7 @@ def _anti_laplacian_poly(p, ctx):
         return out
 
     def anti_poly(q):
-        total = Polynomial()
-        for mono, coeff in q.terms.items():
-            total = total + anti_mono(mono).scale(coeff)
-        return total
+        return poly_sum(anti_mono(mono).scale(coeff) for mono, coeff in q.terms.items())
 
     return anti_poly(p)
 
@@ -235,11 +230,11 @@ def _fold_radial_terms(e, ctx):
     rejected.
     """
     nb = ctx.norm_base
-    poly_part = Polynomial()
+    plain = []
     radial = []
     for poly, fac in e.terms:
         if not fac:
-            poly_part = poly_part + poly
+            plain.append(poly)
             continue
         if len(fac) != 1 or fac[0][0] != nb:
             raise UnsupportedRadialClass(
@@ -247,7 +242,7 @@ def _fold_radial_terms(e, ctx):
             )
         _, h, j = fac[0]
         radial.append((poly, h, j))
-    return poly_part, radial
+    return poly_sum(plain), radial
 
 
 def anti_laplacian(f, mode, ctx):
@@ -266,20 +261,16 @@ def anti_laplacian(f, mode, ctx):
 
 def _anti_laplacian_plain(f, ctx):
     poly_part, radial = _fold_radial_terms(f, ctx)
-    total = Expr.from_poly(ctx, _anti_laplacian_poly(poly_part, ctx))
+    raw = [(_anti_laplacian_poly(poly_part, ctx), ())]
     nb = ctx.norm_base
     for poly, h, j in radial:
         # log(normSq)^j = (2 log r)^j
         for hpoly, exp in harmonic_decompose(poly, ctx):
             for m, g in hpoly.homogeneous_parts(ctx.coords).items():
-                a = h + exp
-                sol = _radial_ode_solution(m, a, j, ctx)
-                for c, e, kk in sol:
+                for c, e, kk in _radial_ode_solution(m, h + exp, j, ctx):
                     coeff = Scalar.from_fraction(c * Fraction(2**j) / Fraction(2**kk))
-                    total = total + Expr.make(
-                        ctx, g.scale(coeff), [(nb, e, kk)]
-                    )
-    return total
+                    raw.append((g.scale(coeff), ((nb, e, kk),)))
+    return Expr._from_raw(ctx, raw)
 
 
 def _anti_laplacian_norm_multiple(f, ctx):
@@ -290,18 +281,24 @@ def _anti_laplacian_norm_multiple(f, ctx):
     """
     n = ctx.dim
     norm = ctx.norm_sq_poly()
-    total = Polynomial()
-    for k, part in f.homogeneous_parts(ctx.coords).items():
-        for j, g in _decompose_homogeneous(part, k, ctx).items():
-            lam = (2 * j + 2) * (2 * k - 2 * j + n)
-            total = total + norm ** (j + 1) * g.scale(Fraction(1, lam))
-    return total
+    return poly_sum(
+        norm ** (j + 1) * g.scale(Fraction(1, (2 * j + 2) * (2 * k - 2 * j + n)))
+        for k, part in f.homogeneous_parts(ctx.coords).items()
+        for j, g in _decompose_homogeneous(part, k, ctx).items()
+    )
 
 
 def _anti_laplacian_quadratic_multiple(f, quad, ctx):
-    """The unique anti-Laplacian that is a multiple of b.x^2 + c.x + d."""
+    """An anti-Laplacian u = q v of f, q = b.x^2 + c.x + d.
+
+    The Laplacian of q v has degree deg v + deg q - 2, so v is sought in
+    degree deg f + 2 - deg q: deg f for a quadric, more for a linear or
+    constant q.
+    """
     q = quad.poly(ctx)
-    deg = f.total_degree()
+    if q.is_zero():
+        raise UnsupportedInputError("the quadric multiple must not be zero")
+    deg = f.total_degree() + 2 - q.total_degree()
     monos = monomials(ctx.coords, range(deg + 1))
     columns = [[_laplacian_times(q, mono)] for mono in monos]
     sol = _solve_poly_constraints(columns, [-f], ctx)
@@ -309,10 +306,7 @@ def _anti_laplacian_quadratic_multiple(f, quad, ctx):
         raise SingularLinearSystem(
             "quadratic-multiple anti-Laplacian system is inconsistent"
         )
-    v = Polynomial.from_raw(
-        [(m, Scalar.from_fraction(c)) for m, c in zip(monos, sol) if c]
-    )
-    return q * v
+    return q * Polynomial.from_raw(zip(monos, sol))
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +355,16 @@ def _require_poly(p):
 def _dirichlet_sphere(p, ctx):
     _require_poly(p)
     parts = harmonic_parts_by_degree(p, ctx)
-    return Expr.from_poly(ctx, poly_sum(list(parts.values())))
+    return Expr.from_poly(ctx, poly_sum(parts.values()))
 
 
 def _dirichlet_exterior(p, ctx):
     _require_poly(p)
     parts = harmonic_parts_by_degree(p, ctx)
-    total = Expr.zero(ctx)
     n = ctx.dim
-    for m, g in parts.items():
-        total = total + Expr.make(ctx, g, [(ctx.norm_base, 2 - n - 2 * m, 0)])
-    return total
+    return Expr._from_raw(
+        ctx, [(g, ((ctx.norm_base, 2 - n - 2 * m, 0),)) for m, g in parts.items()]
+    )
 
 
 def _dirichlet_annulus(p_inner, p_outer, region, ctx):
@@ -386,16 +379,12 @@ def _dirichlet_annulus(p_inner, p_outer, region, ctx):
         # p restricted to the sphere of the given radius, written as
         # sum over degrees of (harmonic of degree m) with norm powers
         # specialized at the radius
-        out = {}
-        for h, e in harmonic_decompose(p, ctx):
-            w = radius**e
-            for m, part in h.homogeneous_parts(ctx.coords).items():
-                out[m] = out.get(m, Polynomial()) + part.scale(w)
-        return out
+        h = poly_sum(h.scale(radius**e) for h, e in harmonic_decompose(p, ctx))
+        return h.homogeneous_parts(ctx.coords)
 
     inner = boundary_coefficients(p_inner, r)
     outer = boundary_coefficients(p_outer, s)
-    total = Expr.zero(ctx)
+    raw = []
     for m in sorted(set(inner) | set(outer)):
         pm = inner.get(m, Polynomial())
         qm = outer.get(m, Polynomial())
@@ -403,12 +392,9 @@ def _dirichlet_annulus(p_inner, p_outer, region, ctx):
         rg, sg = r**gamma, s**gamma
         det = rg - sg
         beta = (pm - qm).scale(Fraction(1) / det)
-        alpha = pm - beta.scale(rg)
-        if not alpha.is_zero():
-            total = total + Expr.from_poly(ctx, alpha)
-        if not beta.is_zero():
-            total = total + Expr.make(ctx, beta, [(ctx.norm_base, gamma, 0)])
-    return total
+        raw.append((pm - beta.scale(rg), ()))
+        raw.append((beta, ((ctx.norm_base, gamma, 0),)))
+    return Expr._from_raw(ctx, raw)
 
 
 def _dirichlet_quadratic(p, region, ctx):
@@ -420,10 +406,7 @@ def _dirichlet_quadratic(p, region, ctx):
         columns = [[_laplacian_times(q, mono)] for mono in monos]
         sol = _solve_poly_constraints(columns, [poly_laplacian(p, ctx)], ctx)
         if sol is not None:
-            f = Polynomial.from_raw(
-                [(m, Scalar.from_fraction(c)) for m, c in zip(monos, sol) if c]
-            )
-            return Expr.from_poly(ctx, p + q * f)
+            return Expr.from_poly(ctx, p + q * Polynomial.from_raw(zip(monos, sol)))
     raise InfeasibleSystem(
         "no harmonic extension q-multiple up to degree %d" % (p.total_degree() + 2)
     )
@@ -471,10 +454,9 @@ def _neumann_sphere(f, g, ctx):
                 "the integral of the data over the sphere must vanish"
             )
         parts = _sphere_neumann_data(f, ctx)
-        total = Polynomial()
-        for m, gm in parts.items():
-            total = total + gm.scale(Fraction(1, m))
-        return Expr.from_poly(ctx, total)
+        return Expr.from_poly(
+            ctx, poly_sum(gm.scale(Fraction(1, m)) for m, gm in parts.items())
+        )
     # compatibility: area(n) * mean_S f = volume integral of g
     lhs = unit_sphere_area(ctx.dim) * integrate_sphere(f, ctx)
     rhs = integrate_ball(g, RadialFunction.one(), ctx)
@@ -483,9 +465,7 @@ def _neumann_sphere(f, g, ctx):
             "boundary and volume integrals disagree; no solution exists"
         )
     v = anti_laplacian(g, Plain(), ctx).as_polynomial()
-    radial_data = poly_sum(
-        [Polynomial.var(c) * v.partial(c) for c in ctx.coords]
-    )
+    radial_data = poly_sum(Polynomial.var(c) * v.partial(c) for c in ctx.coords)
     w = _neumann_sphere(f - radial_data, None, ctx).as_polynomial()
     u = w + v
     shift = u.eval({c: Fraction(0) for c in ctx.coords})
@@ -509,9 +489,7 @@ def _neumann_quadratic(f, g, region, ctx):
         )
     v = anti_laplacian(g, Plain(), ctx).as_polynomial()
     q = region.poly(ctx)
-    data = f - poly_sum(
-        [q.partial(c) * v.partial(c) for c in ctx.coords]
-    )
+    data = f - poly_sum(q.partial(c) * v.partial(c) for c in ctx.coords)
     h = _neumann_quadratic_standard(data, region, ctx).as_polynomial()
     u = h + v
     shift = u.eval({c: Fraction(0) for c in ctx.coords})
@@ -532,14 +510,7 @@ def _neumann_quadratic_standard(f, region, ctx):
             )
         sol = _solve_poly_constraints(columns, [Polynomial(), -f], ctx)
         if sol is not None:
-            h = Polynomial.from_raw(
-                [
-                    (m, Scalar.from_fraction(c))
-                    for m, c in zip(h_monos, sol[: len(h_monos)])
-                    if c
-                ]
-            )
-            return Expr.from_poly(ctx, h)
+            return Expr.from_poly(ctx, Polynomial.from_raw(zip(h_monos, sol)))
     raise InfeasibleSystem(
         "no harmonic solution up to degree %d" % (f.total_degree() + 2)
     )
@@ -562,14 +533,13 @@ def exterior_neumann(p, ctx):
             )
     elif n < 2:
         raise UnsupportedDimension("exterior Neumann needs dimension >= 2")
-    total = Expr.zero(ctx)
-    for m, g in parts.items():
-        total = total + Expr.make(
-            ctx,
-            g.scale(Fraction(1, m + n - 2)),
-            [(ctx.norm_base, 2 - n - 2 * m, 0)],
-        )
-    return total
+    return Expr._from_raw(
+        ctx,
+        [
+            (g.scale(Fraction(1, m + n - 2)), ((ctx.norm_base, 2 - n - 2 * m, 0),))
+            for m, g in parts.items()
+        ],
+    )
 
 
 def bi_dirichlet(p, ctx):
@@ -580,9 +550,7 @@ def bi_dirichlet(p, ctx):
     """
     _require_poly(p)
     v_parts = harmonic_parts_by_degree(p, ctx)
-    v = poly_sum(list(v_parts.values()))
-    w = Polynomial()
-    for m, vm in v_parts.items():
-        w = w + vm.scale(Fraction(m, 2))
+    v = poly_sum(v_parts.values())
+    w = poly_sum(vm.scale(Fraction(m, 2)) for m, vm in v_parts.items())
     one_minus = Polynomial.const(1) - ctx.norm_sq_poly()
     return Expr.from_poly(ctx, v + one_minus * w)

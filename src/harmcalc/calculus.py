@@ -80,10 +80,7 @@ def laplacian_of(e, power=1, ctx=None):
 
 def poly_laplacian(p, ctx):
     """Laplacian of a plain polynomial (fast path used by solvers)."""
-    out = Polynomial()
-    for v in ctx.coords:
-        out = out + p.partial(v).partial(v)
-    return out
+    return poly_sum(p.partial(v).partial(v) for v in ctx.coords)
 
 
 def divergence_of(vec, ctx):
@@ -91,10 +88,10 @@ def divergence_of(vec, ctx):
         raise DimensionMismatch(
             "vector field has %d components in dimension %d" % (len(vec), ctx.dim)
         )
-    acc = Expr.zero(ctx)
+    raw = []
     for v, comp in zip(ctx.coords, vec):
-        acc = acc + expr_partial(comp, v, ctx)
-    return acc
+        raw.extend(_partial_raw(ctx, comp.terms, v))
+    return Expr._from_raw(ctx, raw)
 
 
 def jacobian_of(vec, ctx):
@@ -112,10 +109,8 @@ def normal_d_sphere(e, ctx=None):
     a Neumann solve reproduce its boundary data exactly.
     """
     ctx = ctx or e.ctx
-    acc = Expr.zero(ctx)
-    for v in ctx.coords:
-        acc = acc + Expr.from_poly(ctx, Polynomial.var(v)) * expr_partial(e, v, ctx)
-    return Expr.from_poly(ctx, restrict_to_sphere(acc, ctx))
+    radial = _weighted_partials(ctx, e, [Polynomial.var(v) for v in ctx.coords])
+    return Expr.from_poly(ctx, restrict_to_sphere(radial, ctx))
 
 
 def normal_d_surface(e, q, ctx=None):
@@ -132,10 +127,15 @@ def normal_d_surface(e, q, ctx=None):
     gram = poly_sum([g * g for g in grads])
     if gram.is_zero():
         raise ZeroGradientField("grad q . grad q vanishes identically")
-    num = Expr.zero(ctx)
-    for g, v in zip(grads, ctx.coords):
-        num = num + Expr.from_poly(ctx, g) * expr_partial(e, v, ctx)
-    return num * Expr.base_power(ctx, gram, -1)
+    return _weighted_partials(ctx, e, grads) * Expr.base_power(ctx, gram, -1)
+
+
+def _weighted_partials(ctx, e, weights):
+    """sum_i weights[i] * d e / d x_i, canonicalized once."""
+    raw = []
+    for w, v in zip(weights, ctx.coords):
+        raw.extend((w * p, fac) for p, fac in _partial_raw(ctx, e.terms, v))
+    return Expr._from_raw(ctx, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +198,29 @@ def homogeneous_part(p, m, ctx, about=None):
     if about is None:
         return p.homogeneous_parts(ctx.coords).get(m, Polynomial())
     about_map = dict(zip(ctx.coords, about))
-    total = Polynomial()
-    for alpha, val in _derivative_values(p, m, about_map, ctx):
-        fact = 1
-        for k in alpha:
-            fact *= factorial(k)
-        term = val.scale(Fraction(1, fact))
-        for v, k in zip(ctx.coords, alpha):
-            if k:
-                a = about_map[v]
-                diff = Polynomial.var(v) - (
-                    Polynomial.var(a) if isinstance(a, str) else Polynomial.const(a)
-                )
-                term = term * diff**k
-        total = total + term
-    return total
+
+    def terms():
+        for alpha, val in _derivative_values(p, m, about_map, ctx):
+            fact = 1
+            for k in alpha:
+                fact *= factorial(k)
+            term = val.scale(Fraction(1, fact))
+            for v, k in zip(ctx.coords, alpha):
+                if k:
+                    a = about_map[v]
+                    diff = Polynomial.var(v) - (
+                        Polynomial.var(a) if isinstance(a, str) else Polynomial.const(a)
+                    )
+                    term = term * diff**k
+            yield term
+
+    return poly_sum(terms())
 
 
 def taylor_poly(p, m, ctx, about=None):
     """Sum of the homogeneous components of degree at most m."""
     p = _check_poly(p)
-    total = Polynomial()
-    for k in range(m + 1):
-        total = total + homogeneous_part(p, k, ctx, about)
-    return total
+    return poly_sum(homogeneous_part(p, k, ctx, about) for k in range(m + 1))
 
 
 def harmonic_conjugate(u, ctx):

@@ -607,16 +607,19 @@ def _v_approx(args):
 
 
 def _error(exc):
-    return {"error": str(exc), "type": type(exc).__name__}, exc.exit_code
+    """Payload and exit code of a failure.  An exception that is not a
+    HarmcalcError is an internal invariant failure (exit 6), told in one line."""
+    if isinstance(exc, HarmcalcError):
+        return {"error": str(exc), "type": type(exc).__name__}, exc.exit_code
+    return {"error": " ".join(str(exc).split()), "type": type(exc).__name__}, 6
 
 
 def run_command(argv):
     """Execute one command line; returns (payload, exit_code)."""
     try:
-        args = build_parser().parse_args(argv)
-    except HarmcalcError as exc:
+        return execute(build_parser().parse_args(argv))
+    except Exception as exc:
         return _error(exc)
-    return execute(args)
 
 
 def execute(args):
@@ -632,24 +635,27 @@ def execute(args):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            payload, code = run_command(shlex.split(line))
+            try:
+                payload, code = run_command(shlex.split(line))
+            except ValueError as exc:  # an unbalanced quote
+                payload, code = _error(ParseError("batch: %s" % exc))
             results.append({"command": line, "exit": code, "result": payload})
         return results, 0
     fn = VERBS[args.verb][0]
     started = time.monotonic()
     try:
         value, ctx = fn(args)
-    except HarmcalcError as exc:
+        if args.timing:
+            # timing goes to stderr so stdout stays byte-identical across runs
+            print("elapsed-ms: %.1f" % (1000.0 * (time.monotonic() - started)), file=sys.stderr)
+        fmt = args.format
+        if isinstance(value, tuple):
+            rendered = [render_value(v, fmt, ctx) for v in value]
+            payload = rendered if fmt == "json" else "\n".join(str(r) for r in rendered)
+        else:
+            payload = render_value(value, fmt, ctx)
+    except Exception as exc:
         return _error(exc)
-    if args.timing:
-        # timing goes to stderr so stdout stays byte-identical across runs
-        print("elapsed-ms: %.1f" % (1000.0 * (time.monotonic() - started)), file=sys.stderr)
-    fmt = args.format
-    if isinstance(value, tuple):
-        rendered = [render_value(v, fmt, ctx) for v in value]
-        payload = rendered if fmt == "json" else "\n".join(str(r) for r in rendered)
-    else:
-        payload = render_value(value, fmt, ctx)
     return payload, 0
 
 
@@ -657,24 +663,28 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
         payload, code = execute(args)
+        if not code:
+            _write(payload, args.out)
     except HelpRequested as exc:
         exc.parser.print_help()
         exc.parser.exit()
-    except HarmcalcError as exc:
+    except Exception as exc:
         payload, code = _error(exc)
     if code:
         print("%s: %s" % (payload["type"], payload["error"]), file=sys.stderr)
-        return code
+    return code
+
+
+def _write(payload, out):
     if isinstance(payload, (dict, list)):
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         text = str(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,15 @@ denominator in integer base powers, and the resulting polynomial is tested
 for zero.  Even nonnegative base powers with no log factor are expanded
 into the polynomial part.
 
-Polynomials are stored as {monomial tuple: Scalar}.  A product does not
+Polynomials are stored as {monomial tuple: Scalar}.  Every sum goes
+through one accumulator, `_sum_terms`: `+`, `poly_sum` and
+`Polynomial.from_raw` stream (monomial, Scalar) pairs into a single dict,
+adding Scalars only where two summands share a monomial, so a sum of many
+polynomials is built once instead of by a fold of pairwise sums.  Likewise
+an Expr sum is one `Expr._from_raw` call over all the raw terms: canonical
+form is unique, so canonicalizing once gives what a fold of `+` would.
+
+A product does not
 multiply Scalars term by term.  Each call packs every monomial into one
 int, a bit field per variable in name order, wide enough for the sum of
 the two operands' largest exponents, so the product of two monomials is
@@ -141,14 +149,11 @@ class Polynomial:
 
     @staticmethod
     def from_raw(pairs):
-        acc = {}
-        for mono, coeff in pairs:
-            coeff = coeff if isinstance(coeff, Scalar) else Scalar.from_fraction(coeff)
-            if mono in acc:
-                acc[mono] = acc[mono] + coeff
-            else:
-                acc[mono] = coeff
-        return Polynomial({m: c for m, c in acc.items() if not c.is_zero()})
+        """The sum of (monomial, coefficient) pairs; a coefficient may be an
+        int, a Fraction or a Scalar, and repeated monomials add up."""
+        return _sum_terms(
+            {}, ((m, c if isinstance(c, Scalar) else Scalar.from_fraction(c)) for m, c in pairs)
+        )
 
     # -- predicates / access ------------------------------------------------
 
@@ -187,17 +192,7 @@ class Polynomial:
             return other
         if not other.terms:
             return self
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in acc:
-                s = acc[m] + c
-                if s.is_zero():
-                    del acc[m]
-                else:
-                    acc[m] = s
-            else:
-                acc[m] = c
-        return Polynomial(acc)
+        return _sum_terms(dict(self.terms), other.terms.items())
 
     __radd__ = __add__
 
@@ -279,6 +274,8 @@ class Polynomial:
     # -- calculus helpers ----------------------------------------------------
 
     def partial(self, var):
+        # lowering the exponent of var is one-to-one on the monomials that
+        # contain it, so no two terms land on the same monomial
         acc = {}
         for m, c in self.terms.items():
             d = dict(m)
@@ -289,13 +286,8 @@ class Polynomial:
                 del d[var]
             else:
                 d[var] = e - 1
-            nm = tuple(sorted(d.items()))
-            nc = c * e
-            if nm in acc:
-                acc[nm] = acc[nm] + nc
-            else:
-                acc[nm] = nc
-        return Polynomial({m: c for m, c in acc.items() if not c.is_zero()})
+            acc[tuple(sorted(d.items()))] = c * e
+        return Polynomial(acc)
 
     def integrate(self, var):
         """Antiderivative in `var` with zero constant term."""
@@ -313,7 +305,6 @@ class Polynomial:
             value = Polynomial.const(Scalar.from_fraction(value))
         elif isinstance(value, Scalar):
             value = Polynomial.const(value)
-        out = Polynomial()
         powers = {0: Polynomial.const(1)}
 
         def vpow(k):
@@ -321,12 +312,14 @@ class Polynomial:
                 powers[k] = vpow(k - 1) * value
             return powers[k]
 
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.pop(var, 0)
-            rest = Polynomial({tuple(sorted(d.items())): c})
-            out = out + (rest * vpow(e) if e else rest)
-        return out
+        def pieces():
+            for m, c in self.terms.items():
+                d = dict(m)
+                e = d.pop(var, 0)
+                rest = Polynomial({tuple(sorted(d.items())): c})
+                yield rest * vpow(e) if e else rest
+
+        return poly_sum(pieces())
 
     def eval(self, point):
         """Exact value at a rational point (dict name -> Fraction/Scalar)."""
@@ -496,34 +489,28 @@ def _assemble(parts, fields):
 
     Each part is (pairs of (key, int n), int factor, int den, basis).  Keys
     unpack through fields of (name, shift, mask), in name order; within
-    one call each (name, exponent) pair is one shared tuple.
+    one call each (name, exponent) pair is one shared tuple.  Two parts
+    can reach one monomial, so the terms go through `_sum_terms`.
     """
     decoders = [(v, shift, mask, {}) for v, shift, mask in fields]
-    out = {}
-    for pairs, factor, den, (rad, pih, logs) in parts:
-        for k, n in pairs:
-            if not n:
-                continue
-            mono = []
-            for v, shift, mask, shared in decoders:
-                e = (k >> shift) & mask
-                if e:
-                    pair = shared.get(e)
-                    if pair is None:
-                        pair = shared[e] = (v, e)
-                    mono.append(pair)
-            mono = tuple(mono)
-            c = Fraction(n * factor) if den == 1 else Fraction(n * factor, den)
-            coeff = Scalar(((c, rad, pih, logs),))
-            prev = out.get(mono)
-            if prev is not None:
-                # another signature pair hit this monomial
-                coeff = prev + coeff
-                if coeff.is_zero():
-                    del out[mono]
+
+    def terms():
+        for pairs, factor, den, (rad, pih, logs) in parts:
+            for k, n in pairs:
+                if not n:
                     continue
-            out[mono] = coeff
-    return Polynomial(out)
+                mono = []
+                for v, shift, mask, shared in decoders:
+                    e = (k >> shift) & mask
+                    if e:
+                        pair = shared.get(e)
+                        if pair is None:
+                            pair = shared[e] = (v, e)
+                        mono.append(pair)
+                c = Fraction(n * factor) if den == 1 else Fraction(n * factor, den)
+                yield tuple(mono), Scalar(((c, rad, pih, logs),))
+
+    return _sum_terms({}, terms())
 
 
 def _as_poly(x):
@@ -534,11 +521,54 @@ def _as_poly(x):
     raise TypeError("cannot treat %r as a Polynomial" % (x,))
 
 
-def poly_sum(ps):
-    out = Polynomial()
-    for p in ps:
-        out = out + p
+def _sum_terms(acc, pairs):
+    """The Polynomial whose terms are the dict acc plus the (monomial, Scalar) pairs.
+
+    This is the one sum of the polynomial layer: `__add__`, `poly_sum`,
+    `from_raw` and the product's `_assemble` all come here.  The pairs stream into acc, a dict the caller
+    hands over; `Scalar.__add__` runs only on a monomial that two summands
+    share, and a zero coefficient or a sum that cancels leaves no entry.
+    """
+    get = acc.get
+    for m, c in pairs:
+        prev = get(m)
+        if prev is not None:
+            c = prev + c
+            if not c.terms:
+                del acc[m]
+                continue
+        elif not c.terms:
+            continue
+        acc[m] = c
+    out = object.__new__(Polynomial)
+    object.__setattr__(out, "terms", acc)  # acc is the caller's fresh dict: no copy
     return out
+
+
+def poly_sum(ps):
+    """The sum of an iterable of Polynomials, consumed one at a time.
+
+    A lone nonzero summand comes back unchanged.  Otherwise the first one's
+    terms are copied once and every later term streams through
+    `_sum_terms`; no summand is kept after its terms are read, so a
+    generator of large summands never holds more than one of them.
+    """
+    ps = (p for p in ps if p.terms)
+    first = next(ps, None)
+    second = next(ps, None)
+    if second is None:
+        return Polynomial() if first is None else first
+    acc = dict(first.terms)
+    pairs = _pairs(second, ps)
+    first = second = None
+    return _sum_terms(acc, pairs)
+
+
+def _pairs(p, more):
+    """The terms of p, then of each Polynomial in more, dropping each when done."""
+    yield from p.terms.items()
+    for p in more:
+        yield from p.terms.items()
 
 
 def dot_poly(a_names, b_names):
@@ -560,11 +590,14 @@ class Context:
     content^(half/2) into Scalar coefficients.
     """
 
-    def __init__(self, dim, coords=None, extra=(), vec_label="x"):
+    # the coordinate vector's label: ||x|| in the DSL, x1..xn by default
+    vec_label = "x"
+
+    def __init__(self, dim, coords=None, extra=()):
         if dim < 1:
             raise UnsupportedDimension("dimension must be positive")
         if coords is None:
-            coords = tuple("%s%d" % (vec_label, i + 1) for i in range(dim))
+            coords = tuple("x%d" % (i + 1) for i in range(dim))
         coords = tuple(coords)
         if len(coords) != dim:
             raise DimensionMismatch("need %d coordinate names, got %d" % (dim, len(coords)))
@@ -574,14 +607,13 @@ class Context:
         self.dim = dim
         self.coords = coords
         self.extra = extra
-        self.vec_label = vec_label
         self.var_rank = {v: i for i, v in enumerate(coords + extra)}
         self._bases = []
         self._base_index = {}
         self._base_names = []
         self._registry_lock = threading.Lock()
         norm = poly_sum([Polynomial.var(v, 2) for v in coords])
-        self.norm_base = self.register_base(norm, name="normSq(%s)" % vec_label)[0]
+        self.norm_base = self.register_base(norm, name="normSq(x)")[0]
 
     def _base_key(self, prim):
         return tuple(sorted(prim.rational_terms().items()))
@@ -622,12 +654,12 @@ class Context:
         )
 
 
-def make_context(dim, extra_vecs=(), extra=(), vec_label="x", coords=None):
+def make_context(dim, extra_vecs=(), extra=(), coords=None):
     """Context helper: extra_vecs adds y1..y_dim style auxiliary blocks."""
     names = list(extra)
     for label in extra_vecs:
         names.extend("%s%d" % (label, i + 1) for i in range(dim))
-    return Context(dim, coords=coords, extra=tuple(names), vec_label=vec_label)
+    return Context(dim, coords=coords, extra=tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -741,14 +773,7 @@ class Expr:
                 if len(js) != 1:
                     raise AssertionError("log powers differ inside a group")
                 logps[b] = js.pop()
-            total = Polynomial()
-            for poly, fd in members:
-                for b in base_ids:
-                    h = fd.get(b, (0, 0))[0]
-                    shift = (h - mins[b]) // 2
-                    if shift:
-                        poly = poly * ctx.base_poly(b) ** shift
-                total = total + poly
+            total = poly_sum(_shift(ctx, poly, fd, mins) for poly, fd in members)
             if total.is_zero():
                 continue
             # pull out base divisors so the representative is unique
@@ -778,19 +803,10 @@ class Expr:
                     factors.append((b, h, j))
             out_terms.append((total, tuple(factors)))
 
+        # a group keeps its nonzero (parity, log power) pairs in its
+        # factors, so no two groups share a factor tuple: nothing to merge
         out_terms.sort(key=lambda t: t[1])
-        merged = []
-        i = 0
-        while i < len(out_terms):
-            poly, fac = out_terms[i]
-            j = i + 1
-            while j < len(out_terms) and out_terms[j][1] == fac:
-                poly = poly + out_terms[j][0]
-                j += 1
-            if not poly.is_zero():
-                merged.append((poly, fac))
-            i = j
-        return Expr(ctx, tuple(merged))
+        return Expr(ctx, tuple(out_terms))
 
     # -- predicates ---------------------------------------------------------
 
@@ -887,6 +903,15 @@ class Expr:
         return "Expr(%s)" % expr_text(self)
 
 
+def _shift(ctx, poly, fd, mins):
+    """poly times base_b^((h_b - mins[b])/2), h_b the half power of b in fd."""
+    for b, low in mins.items():
+        shift = (fd.get(b, (0, 0))[0] - low) // 2
+        if shift:
+            poly = poly * ctx.base_poly(b) ** shift
+    return poly
+
+
 # ---------------------------------------------------------------------------
 # norm-specific operations
 
@@ -934,33 +959,23 @@ def reduce_poly_on_sphere(poly, names, radius_sq=1):
     names = tuple(names)
     last = names[-1]
     radius_sq = _as_fraction(radius_sq)
-    rest = (
-        Polynomial.const(radius_sq)
-        - poly_sum([Polynomial.var(v, 2) for v in names[:-1]])
-    ).terms
-    out = {}
-    todo = dict(poly.terms)
-    while todo:
-        redo = {}
-        for m, c in todo.items():
-            d = dict(m)
-            e = d.get(last, 0)
-            if e < 2:
-                prev = out.get(m)
-                out[m] = c if prev is None else prev + c
-                continue
-            if e == 2:
-                del d[last]
-            else:
-                d[last] = e - 2
-            head = tuple(sorted(d.items()))
-            for rm, rc in rest.items():
-                nm = mono_mul(head, rm)
-                nc = c * rc
-                prev = redo.get(nm)
-                redo[nm] = nc if prev is None else prev + nc
-        todo = {m: c for m, c in redo.items() if not c.is_zero()}
-    return Polynomial({m: c for m, c in out.items() if not c.is_zero()})
+    rest = Polynomial.const(radius_sq) - poly_sum(Polynomial.var(v, 2) for v in names[:-1])
+    lower = ((last, -2),)
+
+    def reduced():
+        todo = poly
+        while todo.terms:
+            low, high = {}, {}
+            for m, c in todo.terms.items():
+                if dict(m).get(last, 0) < 2:
+                    low[m] = c
+                else:
+                    high[mono_mul(m, lower)] = c
+            yield Polynomial(low)
+            # last^2 * high becomes (radius_sq - the other squares) * high
+            todo = Polynomial(high) * rest
+
+    return poly_sum(reduced())
 
 
 def restrict_to_sphere(e, ctx=None, radius=1):

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .calculus import poly_laplacian
 from .errors import NonPolynomialInput, UnsupportedDimension, UnsupportedScalarNorm
-from .expr import Context, Polynomial, dot_poly, monomials
+from .expr import Context, Polynomial, dot_poly, monomials, poly_sum
 from .integrate import RadialFunction, integrate_ball, integrate_sphere
 from .scalar import Scalar, scalar_sqrt
 
@@ -44,15 +44,11 @@ def _decompose_homogeneous(p, k, ctx):
     norm = ctx.norm_sq_poly()
     n = ctx.dim
     out = {}
-    acc = p
     for i, g in sub.items():
         j = i + 1
         # Laplacian of ||x||^(2j) h_m is 2j(2m + n + 2j - 2) ||x||^(2j-2) h_m
-        lam = 2 * j * (2 * k - 2 * j + n - 2)
-        h = g.scale(Fraction(1, lam))
-        out[j] = h
-        acc = acc - norm**j * h
-    out[0] = acc
+        out[j] = g.scale(Fraction(1, 2 * j * (2 * k - 2 * j + n - 2)))
+    out[0] = p - poly_sum(norm**j * h for j, h in out.items())
     return {j: h for j, h in out.items() if not h.is_zero()}
 
 
@@ -64,11 +60,12 @@ def harmonic_decompose(p, ctx):
     """
     if not isinstance(p, Polynomial):
         raise NonPolynomialInput("harmonic decomposition expects a polynomial")
-    acc = {}
+    groups = {}
     for k, part in p.homogeneous_parts(ctx.coords).items():
         for j, h in _decompose_homogeneous(part, k, ctx).items():
-            acc[2 * j] = acc.get(2 * j, Polynomial()) + h
-    return [(h, e) for e, h in sorted(acc.items()) if not h.is_zero()]
+            groups.setdefault(2 * j, []).append(h)
+    acc = sorted((e, poly_sum(hs)) for e, hs in groups.items())
+    return [(h, e) for e, h in acc if not h.is_zero()]
 
 
 def harmonic_parts_by_degree(p, ctx):
@@ -77,11 +74,8 @@ def harmonic_parts_by_degree(p, ctx):
     Drops the norm powers of the decomposition (they are 1 on the sphere)
     and regroups the harmonic pieces by homogeneity degree.
     """
-    out = {}
-    for h, _ in harmonic_decompose(p, ctx):
-        for m, part in h.homogeneous_parts(ctx.coords).items():
-            out[m] = out.get(m, Polynomial()) + part
-    return {m: h for m, h in sorted(out.items()) if not h.is_zero()}
+    h = poly_sum(h for h, _ in harmonic_decompose(p, ctx))
+    return dict(sorted(h.homogeneous_parts(ctx.coords).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +91,18 @@ def _harmonic_extension(q, eps, ctx):
     """
     first = ctx.coords[0]
     rest = ctx.coords[1:]
-    total = Polynomial()
-    k = 0
-    cur = q
-    while not cur.is_zero():
-        e = 2 * k + eps
-        term = cur.scale(Fraction(-1 if k % 2 else 1, factorial(e)))
-        if e:
-            term = Polynomial.var(first, e) * term
-        total = total + term
-        nxt = Polynomial()
-        for v in rest:
-            nxt = nxt + cur.partial(v).partial(v)
-        cur = nxt
-        k += 1
-    return total
+
+    def terms():
+        k = 0
+        cur = q
+        while not cur.is_zero():
+            e = 2 * k + eps
+            term = cur.scale(Fraction(-1 if k % 2 else 1, factorial(e)))
+            yield Polynomial.var(first, e) * term if e else term
+            cur = poly_sum(cur.partial(v).partial(v) for v in rest)
+            k += 1
+
+    return poly_sum(terms())
 
 
 def _primitive(p, ctx):
@@ -216,7 +207,7 @@ def zonal_harmonic(m, ctx, y_names):
     dot = dot_poly(ctx.coords, y_names)
     nx = ctx.norm_sq_poly()
     ny = ctx.norm_sq_poly(y_names)
-    total = Polynomial()
-    for k, c in enumerate(zonal_coefficients(m, ctx.dim)):
-        total = total + (dot ** (m - 2 * k) * (nx * ny) ** k).scale(c)
-    return total
+    return poly_sum(
+        (dot ** (m - 2 * k) * (nx * ny) ** k).scale(c)
+        for k, c in enumerate(zonal_coefficients(m, ctx.dim))
+    )

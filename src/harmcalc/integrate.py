@@ -84,7 +84,7 @@ def integrate_sphere(p, ctx):
     Polynomial in the auxiliary variables otherwise.
     """
     coords = set(ctx.coords)
-    acc = Polynomial()
+    pairs = []
     for mono, coeff in p.terms.items():
         exps = []
         rest = []
@@ -95,8 +95,8 @@ def integrate_sphere(p, ctx):
                 rest.append((v, e))
         w = sphere_monomial_integral(exps, ctx.dim)
         if w:
-            acc = acc + Polynomial({tuple(rest): coeff * w})
-    return _collapse(acc)
+            pairs.append((tuple(rest), coeff * w))
+    return _collapse(Polynomial.from_raw(pairs))
 
 
 def _collapse(poly):
@@ -201,14 +201,12 @@ def integrate_ball(p, radial, ctx):
             radial = RadialFunction.one()
     n = ctx.dim
     nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    acc = Polynomial()
+    parts = []
     for m, part in p.homogeneous_parts(ctx.coords).items():
         mean = _as_poly_result(integrate_sphere(part, ctx))
-        if mean.is_zero():
-            continue
-        moment = _radial_moment(n - 1 + m, radial)
-        acc = acc + mean.scale(nv * moment)
-    return _collapse(acc)
+        if not mean.is_zero():
+            parts.append(mean.scale(nv * _radial_moment(n - 1 + m, radial)))
+    return _collapse(poly_sum(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +262,9 @@ def _even_moment_table(p, e, ctx):
     """Shift p to the ellipsoid center and collect even ball moments.
 
     Yields (total degree m, rational axis factor prod b_i^(-beta_i/2),
-    sphere weight, coefficient polynomial in auxiliary variables) for each
-    all-even coordinate monomial of the shifted polynomial.  Both ellipsoid
+    sphere weight, monomial in the auxiliary variables, its Scalar
+    coefficient) for each all-even coordinate monomial of the shifted
+    polynomial.  Both ellipsoid
     integrals come through here, so this is where the quadric must be an
     ellipsoid: every b_i > 0, then rho^2 > 0, then one axis per coordinate.
     """
@@ -295,7 +294,7 @@ def _even_moment_table(p, e, ctx):
         axis = Fraction(1)
         for bi, be in zip(e.b, beta):
             axis /= bi ** (be // 2)
-        out.append((sum(beta), axis, w, Polynomial({tuple(rest): coeff})))
+        out.append((sum(beta), axis, w, tuple(rest), coeff))
     return out
 
 
@@ -319,12 +318,10 @@ def integrate_ellipsoid_volume(p, e, ctx):
     """Integral of p over the open region b.x^2 + c.x + d < 0."""
     n = ctx.dim
     nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    acc = Polynomial()
-    for m, axis, w, coeff in _even_moment_table(p, e, ctx):
-        if not w:
-            continue
-        factor = nv * Scalar.from_fraction(w * axis * Fraction(1, n + m))
-        acc = acc + coeff.scale(factor * _rho_power(e, n + m))
+    acc = Polynomial.from_raw(
+        (rest, coeff * nv * Scalar.from_fraction(w * axis / (n + m)) * _rho_power(e, n + m))
+        for m, axis, w, rest, coeff in _even_moment_table(p, e, ctx)
+    )
     return _collapse(acc.scale(_axis_norm(e)))
 
 
@@ -337,12 +334,10 @@ def integrate_ellipsoid_area(p, e, ctx):
     """
     n = ctx.dim
     nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    acc = Polynomial()
-    for m, axis, w, coeff in _even_moment_table(p, e, ctx):
-        if not w:
-            continue
-        # volume term A rho^(n+m) with A = nv w axis/(n+m);
-        # d/dt at t=0 is A (n+m)/2 rho^(n+m-2) = nv w axis/2 rho^(n+m-2)
-        factor = nv * Scalar.from_fraction(w * axis * Fraction(1, 2))
-        acc = acc + coeff.scale(factor * _rho_power(e, n + m - 2))
+    # volume term A rho^(n+m) with A = nv w axis/(n+m);
+    # d/dt at t=0 is A (n+m)/2 rho^(n+m-2) = nv w axis/2 rho^(n+m-2)
+    acc = Polynomial.from_raw(
+        (rest, coeff * nv * Scalar.from_fraction(w * axis / 2) * _rho_power(e, n + m - 2))
+        for m, axis, w, rest, coeff in _even_moment_table(p, e, ctx)
+    )
     return _collapse(acc.scale(_axis_norm(e)))

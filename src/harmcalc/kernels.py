@@ -132,9 +132,8 @@ def bergman_projection(u, ctx):
     if not isinstance(u, Polynomial):
         raise NonPolynomialInput("Bergman projection expects a polynomial")
     n = ctx.dim
-    total = Polynomial()
-    for h, e in harmonic_decompose(u, ctx):
-        for m, g in h.homogeneous_parts(ctx.coords).items():
-            k = m + e
-            total = total + g.scale(Fraction(n + 2 * m, n + m + k))
-    return total
+    return poly_sum(
+        g.scale(Fraction(n + 2 * m, n + 2 * m + e))
+        for h, e in harmonic_decompose(u, ctx)
+        for m, g in h.homogeneous_parts(ctx.coords).items()
+    )

@@ -133,13 +133,15 @@ class _Parser:
             self.advance()
             negate = True
         e = self.term()
-        if negate:
-            e = -e
+        summands = [-e if negate else e]
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs = self.term()
-            e = e + rhs if op.kind == "+" else e - rhs
-        return e
+            summands.append(rhs if op.kind == "+" else -rhs)
+        if len(summands) == 1:
+            return summands[0]
+        # one canonicalization for the whole sum
+        return Expr._from_raw(self.ctx, [t for s in summands for t in s.terms])
 
     def term(self):
         e = self.factor()

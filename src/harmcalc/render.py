@@ -8,6 +8,7 @@ round-trips through the parser.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .expr import Expr, Polynomial, _grlex_key
@@ -17,11 +18,16 @@ from .scalar import Scalar
 # scalars
 
 
+def _int_text(n):
+    # str(int) refuses more digits than sys.get_int_max_str_digits() allows;
+    # a Decimal converts without that limit
+    return str(Decimal(n))
+
+
 def _fraction_text(q):
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (
-        q.numerator,
-        q.denominator,
-    )
+    if q.denominator == 1:
+        return _int_text(q.numerator)
+    return "%s/%s" % (_int_text(q.numerator), _int_text(q.denominator))
 
 
 def _scalar_term_text(term):
@@ -41,13 +47,13 @@ def _scalar_term_text(term):
     sign = "-" if num < 0 else ""
     num = abs(num)
     if not parts:
-        body = str(num)
+        body = _int_text(num)
     elif num == 1:
         body = "*".join(parts)
     else:
-        body = "*".join([str(num)] + parts)
+        body = "*".join([_int_text(num)] + parts)
     if den != 1:
-        body += "/%d" % den
+        body += "/" + _int_text(den)
     return sign + body
 
 
@@ -75,10 +81,16 @@ def _scalar_term_latex(term):
     num, den = coeff.numerator, coeff.denominator
     sign = "-" if num < 0 else ""
     num = abs(num)
-    coeff_tex = str(num) if den == 1 else "\\frac{%d}{%d}" % (num, den)
+    coeff_tex = _fraction_latex(num, den)
     if parts and num == 1 and den == 1:
         coeff_tex = ""
     return sign + (coeff_tex + " ".join(parts) if parts else coeff_tex)
+
+
+def _fraction_latex(num, den):
+    if den == 1:
+        return _int_text(num)
+    return "\\frac{%s}{%s}" % (_int_text(num), _int_text(den))
 
 
 def _half_text(h):
@@ -168,13 +180,7 @@ def poly_latex(poly, ctx=None):
             q = coeff.as_fraction()
             sign = "-" if q < 0 else "+"
             q = abs(q)
-            body = (
-                "" if q == 1 and mono_tex else (
-                    str(q.numerator)
-                    if q.denominator == 1
-                    else "\\frac{%d}{%d}" % (q.numerator, q.denominator)
-                )
-            )
+            body = "" if q == 1 and mono_tex else _fraction_latex(q.numerator, q.denominator)
             term = (body + " " + mono_tex).strip()
         else:
             sign = "+"
@@ -309,5 +315,9 @@ def render_value(value, fmt, ctx=None):
             return rendered
         return "(" + ", ".join(str(r) for r in rendered) + ")"
     if isinstance(value, Fraction):
-        return _fraction_text(value) if fmt != "json" else _fraction_text(value)
+        return _fraction_text(value)
+    if type(value) is int:
+        text = _int_text(value)
+        # json.dumps writes an int with str(), so a very long one goes as text
+        return value if fmt == "json" and len(text) < 4300 else text
     return value if fmt == "json" else str(value)

@@ -47,7 +47,7 @@ def _mirror_vector(vec, n):
     return tuple(Fraction(v) for v in vec)
 
 
-def reflect_point(point, mirror, ctx=None):
+def reflect_point(point, mirror):
     """Reflection of a rational point in the given mirror."""
     point = tuple(Fraction(v) for v in point)
     if isinstance(mirror, UnitSphere):

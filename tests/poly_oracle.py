@@ -1,15 +1,43 @@
-"""Term-pair polynomial product and heap division: the reference for `harmcalc.expr`.
+"""Pairwise sum, term-pair product and heap division: the reference for `harmcalc.expr`.
 
 These are the textbook loops over `{monomial tuple: Scalar}` terms, one
 Scalar multiply and add per pair of terms.  They are slow on the large
 products that canonicalization builds, which is why `Polynomial.__mul__`
 and `Polynomial.divide_exact` work on packed monomials with integer
-coefficients instead, but their results are the contract the library keeps.
+coefficients instead, and why sums stream through one accumulator rather
+than a fold of `add`, but their results are the contract the library keeps.
 """
 
 import heapq
 
 from harmcalc.expr import Polynomial, mono_mul
+
+
+def add(a, b):
+    """a + b, one Scalar add per shared monomial, dropping sums that cancel."""
+    if not a.terms:
+        return b
+    if not b.terms:
+        return a
+    acc = dict(a.terms)
+    for m, c in b.terms.items():
+        if m in acc:
+            s = acc[m] + c
+            if s.is_zero():
+                del acc[m]
+            else:
+                acc[m] = s
+        else:
+            acc[m] = c
+    return Polynomial(acc)
+
+
+def total(polys):
+    """The left fold of `add` over polys, starting from zero."""
+    out = Polynomial()
+    for p in polys:
+        out = add(out, p)
+    return out
 
 
 def mul(a, b):

@@ -332,6 +332,30 @@ def test_anti_laplacian_quadratic_multiple_centered(ctx3):
         assert cof.coefficient(mono).as_fraction() == F(num, den)
 
 
+@pytest.mark.parametrize(
+    "quad, expected",
+    [
+        # q = x1: the ansatz for v needs degree deg f + 2 - deg q = 2
+        (Quadratic((0, 0), (1, 0), 0), "1/2*x1^2*x2"),
+        # q = 3: v is a plain anti-Laplacian of f/3
+        (Quadratic((0, 0), (0, 0), 3), "1/6*x2^3"),
+    ],
+)
+def test_anti_laplacian_low_degree_quadric_multiple(quad, expected):
+    ctx = Context(2)
+    f = P("x2", ctx)
+    u = anti_laplacian(f, quad, ctx).as_polynomial()
+    assert poly_laplacian(u, ctx) == f
+    assert u.divide_exact(quad.poly(ctx), ctx.var_rank) is not None
+    assert u == P(expected, ctx)
+
+
+def test_anti_laplacian_zero_quadric_multiple_is_typed():
+    ctx = Context(2)
+    with pytest.raises(UnsupportedInputError):
+        anti_laplacian(P("x2", ctx), Quadratic((0, 0), (0, 0), 0), ctx)
+
+
 def test_anti_laplacian_uniqueness_multiple_modes(ctx3):
     # the multiple-mode systems are uniquely solvable: the norm-multiple
     # route is a diagonal rescale and the quadratic route's kernel is empty

@@ -1,7 +1,9 @@
+import json
 import os
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -551,6 +553,56 @@ def test_batch_survives_deep_nesting(tmp_path):
     assert results[1]["result"] == "4*pi/3"
 
 
+def test_long_integers_render_exactly(tmp_path, capsys):
+    # 3^10000 has 4772 digits, past the default limit of str(int)
+    digits = str(Decimal(3**10000))
+    argv = ["eval", "x1^10000", "--dim", "1"]
+    assert run(argv + ["--at", "3"]) == (digits, 0)
+    assert run(argv + ["--at", "3", "--format", "latex"]) == (digits, 0)
+    assert run(argv + ["--at", "1/3"]) == ("1/" + digits, 0)
+    assert run(argv + ["--at=-1/3", "--format", "latex"]) == ("\\frac{1}{%s}" % digits, 0)
+    assert run(["eval", "x1^10000*x2", "--dim", "2", "--at", "1/3,1", "--format", "latex"]) == (
+        "\\frac{1}{%s}" % digits, 0)
+    payload, code = run(argv + ["--at", "3", "--format", "json"])
+    assert code == 0 and payload["terms"][0]["coeff"] == digits
+    big = harmcalc.harmonic.dim_harmonic(8000, 8000)
+    assert run(["dim-harmonic", "--m", "8000", "--n", "8000"]) == (str(Decimal(big)), 0)
+    script = tmp_path / "commands.txt"
+    script.write_text(
+        "eval x1^10000 --dim 1 --at 3\n"
+        "dim-harmonic --m 8000 --n 8000 --format json\n"
+        "volume --dim 3\n"
+    )
+    results, code = run(["batch", str(script)])
+    assert [r["exit"] for r in results] == [0, 0, 0]
+    assert results[0]["result"] == digits
+    assert results[1]["result"] == str(Decimal(big))
+    assert results[2]["result"] == "4*pi/3"
+    assert main(["batch", str(script)]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["result"] == digits
+
+
+def test_unexpected_exception_is_exit_6(monkeypatch, tmp_path, capsys):
+    def broken(args):
+        raise RuntimeError("lost\nits  way")
+
+    monkeypatch.setitem(VERBS, "volume", (broken,) + VERBS["volume"][1:])
+    failure = {"error": "lost its way", "type": "RuntimeError"}
+    assert run(["volume", "--dim", "3"]) == (failure, 6)
+    assert main(["volume", "--dim", "3"]) == 6
+    assert capsys.readouterr().err == "RuntimeError: lost its way\n"
+    script = tmp_path / "commands.txt"
+    script.write_text('volume --dim 3\nsurface-area --dim 3\nvolume --dim "3\n')
+    results, code = run(["batch", str(script)])
+    assert code == 0
+    assert [r["exit"] for r in results] == [6, 0, 2]
+    assert results[0]["result"] == failure
+    assert results[1]["result"] == "4*pi"
+    assert results[2]["result"] == {"error": "batch: No closing quotation", "type": "ParseError"}
+    assert main(["surface-area", "--dim", "3", "--out", str(tmp_path / "no" / "out.txt")]) == 6
+    assert capsys.readouterr().err.startswith("FileNotFoundError: ")
+
+
 def test_batch_help_line_is_a_usage_error(tmp_path, capsys):
     script = tmp_path / "commands.txt"
     script.write_text("volume --help\nvolume --dim 3\n")
@@ -584,6 +636,7 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ('neumann x1 --dim 3 --region "quadratic:1,2,3;1,0"', "DimensionMismatch"),
         ("dirichlet x1 --dim 3 --region quadratic:1,2", "DimensionMismatch"),
         ("anti-laplacian x1 --dim 3 --multiple quadratic:1,2,3,4", "DimensionMismatch"),
+        ('anti-laplacian x2 --dim 2 --multiple "quadratic:0,0;0,0;0"', "UnsupportedInputError"),
         ("dirichlet x1 --dim 3 --region annulus:4,1", "EmptyInterior"),
         ("eval x1 --dim 2 --at 1,2,3", "DimensionMismatch"),
         ("eval x1 --dim 2 --at 1", "DimensionMismatch"),

@@ -165,3 +165,34 @@ def test_equal_values_hash_equal(ctx3):
     # an Expr with base factors is not a polynomial and hashes as itself
     n1 = Expr.norm_power(ctx3, 1)
     assert hash(n1) == hash(Expr.norm_power(ctx3, 1))
+
+
+def test_one_canonicalization_equals_the_fold():
+    """`_from_raw` over the concatenated terms equals the left fold of `+`."""
+    from harmcalc.kernels import poisson_base
+
+    rng = random.Random(31)
+    ctx = make_context(3, extra_vecs=("y",))
+    base = poisson_base(ctx, ctx.extra)
+    for _ in range(40):
+        es = []
+        for _ in range(rng.randrange(2, 6)):
+            p = Expr.from_poly(ctx, random_polynomial(rng, ctx, max_degree=3, terms=3))
+            kind = rng.randrange(3)
+            if kind == 0:
+                f = Expr.norm_power(ctx, rng.randrange(-4, 5))
+            elif kind == 1:
+                f = Expr.norm_power(ctx, rng.randrange(-2, 3), log_pow=rng.randrange(1, 3))
+            else:
+                f = Expr.base_power(ctx, base, rng.randrange(-5, 2))
+            es.append(p * f)
+        if rng.random() < 0.3:
+            es.append(-es[0])
+        fold = Expr.zero(ctx)
+        for e in es:
+            fold = fold + e
+        once = Expr._from_raw(ctx, [t for e in es for t in e.terms])
+        assert once.terms == fold.terms
+        # output order: by factor tuple, each tuple once
+        factors = [f for _, f in once.terms]
+        assert factors == sorted(set(factors))

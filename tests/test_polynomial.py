@@ -1,5 +1,7 @@
-"""The packed polynomial product and exact division against the term-pair oracle.
+"""The polynomial sum, packed product and exact division against `poly_oracle`.
 
+`+`, `poly_sum` and `Polynomial.from_raw` must return exactly the
+polynomial that a left fold of the oracle's pairwise `add` gives.
 `Polynomial.__mul__` and `Polynomial.divide_exact` must return exactly the
 polynomial that `poly_oracle` computes one pair of terms at a time, or,
 for division, both must report that the division is not exact.
@@ -13,7 +15,7 @@ import pytest
 import poly_oracle
 
 from harmcalc.errors import NonRationalValue
-from harmcalc.expr import Context, Expr, Polynomial
+from harmcalc.expr import Context, Expr, Polynomial, poly_sum
 from harmcalc.scalar import Scalar
 
 CTX = Context(3, extra=("y1", "t"))
@@ -86,6 +88,80 @@ def test_product_matches_oracle():
     for a, b in _cases(rng):
         assert a * b == poly_oracle.mul(a, b)
         assert b * a == poly_oracle.mul(b, a)
+
+
+def _summands(rng):
+    """Lists of polynomials to add, with zeros, repeats and cancellation."""
+    x, aux = Polynomial.var("x1"), Polynomial.var("aux")
+    pi, r3 = Scalar.pi_power(1), Scalar.sqrt_int(3)
+    yield []
+    yield [Polynomial()]
+    yield [_poly(rng, 3)]
+    yield [Polynomial(), _poly(rng, 3), Polynomial()]
+    # a two-signature coefficient cancels one signature at a time
+    yield [x.scale(pi + r3), x.scale(-pi), aux, x.scale(-r3)]
+    # the sum cancels at a monomial, which a later summand brings back
+    yield [x, -x, aux, x.scale(F(1, 2))]
+    for _ in range(200):
+        ps = [_poly(rng, rng.randrange(0, 6)) for _ in range(rng.randrange(1, 6))]
+        r = rng.random()
+        if r < 0.2:
+            # the whole sum cancels to the empty polynomial
+            ps.append(-poly_oracle.total(ps))
+            rng.shuffle(ps)
+        elif r < 0.5:
+            # a later summand cancels some terms of an earlier one
+            a = sorted(rng.choice(ps).terms.items(), key=lambda kv: kv[0])
+            ps.append(-Polynomial(dict(rng.sample(a, (len(a) + 1) // 2))))
+        yield ps
+
+
+def test_sum_matches_oracle():
+    rng = random.Random(1993)
+    cancelled = 0
+    for ps in _summands(rng):
+        expected = poly_oracle.total(ps)
+        cancelled += bool(ps) and expected.is_zero()
+        pairs = [kv for p in ps for kv in p.terms.items()]
+        fold = Polynomial()
+        for p in ps:
+            fold = fold + p
+        for got in (
+            fold,
+            poly_sum(ps),
+            poly_sum(p for p in ps),
+            Polynomial.from_raw(pairs),
+            Polynomial.from_raw(iter(pairs)),
+        ):
+            assert got == expected
+            assert all(not c.is_zero() for c in got.terms.values())
+        if len(ps) >= 2:
+            assert ps[0] + ps[1] == poly_oracle.add(ps[0], ps[1])
+    assert cancelled > 20
+
+
+def test_lone_summand_comes_back_unchanged():
+    p = _poly(random.Random(3), 4)
+    zero = Polynomial()
+    assert poly_sum([zero, p, zero]) is p
+    assert p + zero is p and zero + p is p
+    assert poly_sum(iter([])) == zero and Polynomial.from_raw([]) == zero
+
+
+def test_from_raw_takes_fractions_and_ints():
+    rng = random.Random(7)
+    for _ in range(150):
+        pairs = []
+        for _ in range(rng.randrange(0, 8)):
+            c = F(rng.randrange(-3, 4), rng.randrange(1, 3))
+            kind = rng.randrange(3)
+            c = c if kind == 0 else int(c) if kind == 1 else Scalar.from_fraction(c)
+            pairs.append((_mono(rng, 2), c))
+        scalars = [(m, c if isinstance(c, Scalar) else Scalar.from_fraction(c)) for m, c in pairs]
+        expected = poly_oracle.total(Polynomial({m: c}) for m, c in scalars if not c.is_zero())
+        got = Polynomial.from_raw(pairs)
+        assert got == expected
+        assert all(not c.is_zero() for c in got.terms.values())
 
 
 def _divisors(rng):
