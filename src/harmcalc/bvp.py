@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .calculus import poly_laplacian
@@ -33,7 +32,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Expr, Polynomial, mono_mul, monomials, poly_sum
+from .expr import Expr, Polynomial, _join, _layout, mono_degree, monomials, poly_sum
 from .harmonic import _decompose_homogeneous, harmonic_decompose, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -44,7 +43,7 @@ from .integrate import (
     Quadratic,
     RadialFunction,
 )
-from .scalar import ONE, Scalar
+from .scalar import Scalar
 
 # ---------------------------------------------------------------------------
 # regions and modes
@@ -96,16 +95,23 @@ def _solve_poly_constraints(columns, constraints, ctx):
 
     `columns` is a list of lists: columns[i][k] is the polynomial multiplying
     unknown i in constraint k; `constraints` holds the constant polynomials.
-    Each (constraint, monomial) pair is one sparse row.  Returns the
+    Each (constraint, monomial) pair is one sparse row, the monomial packed
+    in one layout that holds every polynomial of the system.  Returns the
     canonical solution vector or None if inconsistent; trailing columns
     with no entries are left off the vector.
     """
-    rows = {}
     # the constants ride along as one extra column, then move to the right side
-    for i, col in enumerate(columns + [constraints]):
+    cols = columns + [constraints]
+    lay = _layout(())
+    for col in cols:
+        for poly in col:
+            lay = _join(lay, poly.layout)
+    rows = {}
+    for i, col in enumerate(cols):
         for cid, poly in enumerate(col):
-            for mono, coeff in poly.terms.items():
-                rows.setdefault((cid, mono), {})[i] = coeff.as_fraction()
+            den, nums = poly.rational_block(lay)
+            for k, n in nums.items():
+                rows.setdefault((cid, k), {})[i] = Fraction(n, den)
     rhs = [-row.pop(len(columns), 0) for row in rows.values()]
     return linalg.solve(list(rows.values()), rhs)
 
@@ -115,23 +121,23 @@ def _paired_image(q, mono, weight):
 
     a = mono and w = weight(a_i, b_i).  With w = s(s - 1), s = a_i + b_i,
     this is the Laplacian of q x^a; with w = a_i b_i it is grad q . grad x^a.
-    Ansatz columns come from one pass over q's few terms this way, without
-    forming the product q x^a.
+    Ansatz columns come from one pass over q's few packed terms this way,
+    without forming the product q x^a.
     """
-    rat = q.rational_terms()
-    den = lcm(*(c.denominator for c in rat.values()))
-    a = dict(mono)
+    names = tuple(v for v, _ in mono)
+    lay = _join(q.layout, _layout(names), q.total_degree() + mono_degree(mono))
+    den, nums = q.rational_block(lay)
+    ka = lay.pack(mono)
+    mask = lay.mask
+    fields = [(lay.shift[v], 2 * lay.unit[v]) for v in lay.names]
     acc = {}
-    for beta, c in rat.items():
-        n = c.numerator * (den // c.denominator)
-        b = dict(beta)
-        g = mono_mul(beta, mono)
-        for i, (v, e) in enumerate(g):
-            w = weight(a.get(v, 0), b.get(v, 0))
+    for kb, n in nums.items():
+        for s, two in fields:
+            w = weight((ka >> s) & mask, (kb >> s) & mask)
             if w:
-                m = g[:i] + g[i + 1 :] if e == 2 else g[:i] + ((v, e - 2),) + g[i + 1 :]
-                acc[m] = acc.get(m, 0) + n * w
-    return Polynomial({m: Scalar.from_fraction(Fraction(n, den)) for m, n in acc.items() if n})
+                k = ka + kb - two
+                acc[k] = acc.get(k, 0) + n * w
+    return Polynomial.packed(lay, den, acc)
 
 
 def _laplacian_times(q, mono):
@@ -158,34 +164,24 @@ def radial_solve_count():
 def _anti_laplacian_poly(p, ctx):
     """Polynomial anti-Laplacian via the first-coordinate recursion.
 
-    Raises the first coordinate's degree by two and recurses on the
-    correction, whose degree in the other coordinates strictly drops.
+    With L integrating twice in the first coordinate and D the Laplacian in
+    the others, u = L p - L D u, so u = sum_k (-1)^k L (D L)^k p; the series
+    ends because D lowers the degree in the other coordinates.
     """
     first = ctx.coords[0]
     rest = ctx.coords[1:]
-    cache = {}
 
-    def anti_mono(mono):
-        if mono in cache:
-            return cache[mono]
-        d = dict(mono)
-        a1 = d.pop(first, 0)
-        denom = Fraction(1, (a1 + 1) * (a1 + 2))
-        lifted_mono = tuple(sorted({first: a1 + 2, **d}.items()))
-        head = Polynomial({lifted_mono: Scalar.from_fraction(denom)})
-        tail = Polynomial({tuple(sorted(d.items())): ONE})
-        lap_rest = poly_sum(tail.partial(v).partial(v) for v in rest)
-        out = head
-        if not lap_rest.is_zero():
-            correction = Polynomial.var(first, a1 + 2) * lap_rest.scale(denom)
-            out = out - anti_poly(correction)
-        cache[mono] = out
-        return out
+    def lifted(q):
+        # x1^a m -> x1^(a+2) m / ((a+1)(a+2)) on every term
+        return q.integrate(first).integrate(first)
 
-    def anti_poly(q):
-        return poly_sum(anti_mono(mono).scale(coeff) for mono, coeff in q.terms.items())
+    def terms():
+        term = lifted(p)
+        while not term.is_zero():
+            yield term
+            term = -lifted(poly_sum(term.partial(v).partial(v) for v in rest))
 
-    return anti_poly(p)
+    return poly_sum(terms())
 
 
 def _antideriv_power_log(coeff, q, k):
@@ -400,6 +396,8 @@ def _dirichlet_annulus(p_inner, p_outer, region, ctx):
 def _dirichlet_quadratic(p, region, ctx):
     _require_poly(p)
     q = region.poly(ctx)
+    if q.is_constant():
+        raise UnsupportedInputError("a constant quadric bounds no region")
     base_deg = max(p.total_degree() - 2, 0)
     for deg in range(base_deg, p.total_degree() + 3):
         monos = monomials(ctx.coords, range(deg + 1))
@@ -505,9 +503,7 @@ def _neumann_quadratic_standard(f, region, ctx):
         r_monos = monomials(ctx.coords, range(max(deg, 1)))
         columns = [[_laplacian_times(one, mono), _gradient_dot(q, mono)] for mono in h_monos]
         for mono in r_monos:
-            columns.append(
-                [Polynomial(), Polynomial({mono_mul(m, mono): -c for m, c in q.terms.items()})]
-            )
+            columns.append([Polynomial(), q * Polynomial.from_raw([(mono, -1)])])
         sol = _solve_poly_constraints(columns, [Polynomial(), -f], ctx)
         if sol is not None:
             return Expr.from_poly(ctx, Polynomial.from_raw(zip(h_monos, sol)))

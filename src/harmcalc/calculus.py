@@ -8,7 +8,6 @@ Taylor expansions of polynomials, and the planar harmonic conjugate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .errors import (
     DimensionMismatch,
@@ -148,43 +147,25 @@ def _check_poly(p):
     return p
 
 
-def _derivative_values(p, m, about, ctx):
-    """All (alpha, d^alpha p evaluated at `about`) with |alpha| = m.
+# the expansion parameter of `_graded_parts`; no DSL name contains a space
+_T = " t"
 
-    `about` maps coordinates to Fractions or auxiliary variable names; the
-    returned values are polynomials in the auxiliary names.
+
+def _graded_parts(p, ctx, about):
+    """{m: degree-m graded component of p}, optionally about a point.
+
+    With `about` (Fractions or auxiliary variable names, one per
+    coordinate) the components are those of the expansion of p in powers
+    of x - b: substituting x_i -> b_i + t (x_i - b_i) once makes the
+    degree-m component the coefficient of t^m, read off by setting t = 1.
     """
-    subs = {}
-    for v in ctx.coords:
-        a = about[v]
-        subs[v] = Polynomial.var(a) if isinstance(a, str) else Polynomial.const(a)
-
-    def at_about(q):
-        for v in ctx.coords:
-            q = q.substitute(v, subs[v])
-        return q
-
-    out = []
-
-    def rec(i, alpha, q, remaining):
-        if q.is_zero():
-            return
-        if i == len(ctx.coords) - 1:
-            d = q
-            for _ in range(remaining):
-                d = d.partial(ctx.coords[i])
-            if not d.is_zero():
-                out.append((alpha + (remaining,), at_about(d)))
-            return
-        d = q
-        for k in range(remaining + 1):
-            rec(i + 1, alpha + (k,), d, remaining - k)
-            d = d.partial(ctx.coords[i])
-            if d.is_zero():
-                break
-
-    rec(0, (), p, m)
-    return out
+    if about is None:
+        return p.homogeneous_parts(ctx.coords)
+    t = Polynomial.var(_T)
+    for v, a in zip(ctx.coords, about):
+        b = Polynomial.var(a) if isinstance(a, str) else Polynomial.const(a)
+        p = p.substitute(v, b + t * (Polynomial.var(v) - b))
+    return {m: part.substitute(_T, 1) for m, part in p.homogeneous_parts([_T]).items()}
 
 
 def homogeneous_part(p, m, ctx, about=None):
@@ -194,33 +175,13 @@ def homogeneous_part(p, m, ctx, about=None):
     coordinate) the degree-m component of p(b + (x-b)) is returned fully
     expanded in the coordinates and the point symbols.
     """
-    p = _check_poly(p)
-    if about is None:
-        return p.homogeneous_parts(ctx.coords).get(m, Polynomial())
-    about_map = dict(zip(ctx.coords, about))
-
-    def terms():
-        for alpha, val in _derivative_values(p, m, about_map, ctx):
-            fact = 1
-            for k in alpha:
-                fact *= factorial(k)
-            term = val.scale(Fraction(1, fact))
-            for v, k in zip(ctx.coords, alpha):
-                if k:
-                    a = about_map[v]
-                    diff = Polynomial.var(v) - (
-                        Polynomial.var(a) if isinstance(a, str) else Polynomial.const(a)
-                    )
-                    term = term * diff**k
-            yield term
-
-    return poly_sum(terms())
+    return _graded_parts(_check_poly(p), ctx, about).get(m, Polynomial())
 
 
 def taylor_poly(p, m, ctx, about=None):
     """Sum of the homogeneous components of degree at most m."""
-    p = _check_poly(p)
-    return poly_sum(homogeneous_part(p, k, ctx, about) for k in range(m + 1))
+    parts = _graded_parts(_check_poly(p), ctx, about)
+    return poly_sum(part for k, part in parts.items() if k <= m)
 
 
 def harmonic_conjugate(u, ctx):

@@ -10,39 +10,33 @@ normSq^(h/2).  Canonicalization gives a decidable zero test: terms are
 grouped by per-base (parity, log power) signature, brought to a common
 denominator in integer base powers, and the resulting polynomial is tested
 for zero.  Even nonnegative base powers with no log factor are expanded
-into the polynomial part.
+into the polynomial part.  An Expr sum is one `Expr._from_raw` call over
+all the raw terms: canonical form is unique, so canonicalizing once gives
+what a fold of `+` would.
 
-Polynomials are stored as {monomial tuple: Scalar}.  Every sum goes
-through one accumulator, `_sum_terms`: `+`, `poly_sum` and
-`Polynomial.from_raw` stream (monomial, Scalar) pairs into a single dict,
-adding Scalars only where two summands share a monomial, so a sum of many
-polynomials is built once instead of by a fold of pairwise sums.  Likewise
-an Expr sum is one `Expr._from_raw` call over all the raw terms: canonical
-form is unique, so canonicalizing once gives what a fold of `+` would.
-
-A product does not
-multiply Scalars term by term.  Each call packs every monomial into one
-int, a bit field per variable in name order, wide enough for the sum of
-the two operands' largest exponents, so the product of two monomials is
-the sum of their keys.  Each operand splits by Scalar signature (radicand,
-pi half-exponent, logs) into blocks of integer numerators over one common
-denominator; every pair of blocks multiplies with ints only, and the keys
-are unpacked into monomial tuples once, at the end.
+A Polynomial stores one block per Scalar signature (radicand, pi
+half-exponent, logs): integer numerators over one common denominator, in
+lowest terms, keyed by monomials packed into ints by a shared `Layout`.
+Operations work on the blocks with ints only: the key of a product of
+monomials is the sum of their keys, every sum merges blocks in one `_Sum`,
+and a layout widens (more variables, wider fields) instead of overflowing.
+The {monomial tuple: Scalar} mapping is only an input format
+(`Polynomial(dict)`, `from_raw`) and the `terms` view built for rendering.
 
 `Polynomial.divide_exact` divides by a rational-coefficient polynomial and
-returns the quotient only if the division is exact, else None.  Each
-signature block of the dividend is divided on its own by heap long
-division on packed keys under a graded order, with a guard bit above each
-field to test monomial divisibility (Monagan and Pearce, "Sparse
-polynomial division using a heap", J. Symb. Comp. 2011).  An exact
-quotient is unique, so it does not depend on the monomial order.
+returns the quotient only if the division is exact, else None: each block
+is divided by heap long division on its keys, which compare in a graded
+order, a guard bit above each field testing monomial divisibility
+(Monagan and Pearce, "Sparse polynomial division using a heap", J. Symb.
+Comp. 2011).  An exact quotient is unique, so the order does not matter.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import comb, gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -58,30 +52,12 @@ from .scalar import ONE, ZERO, Scalar, _as_fraction, _merge_logs, power
 # ---------------------------------------------------------------------------
 # monomials: tuples of (variable name, positive exponent), sorted by name
 
-EMPTY_MONO = ()
-
-
-def mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    acc = dict(a)
-    for v, e in b:
-        n = acc.get(v, 0) + e
-        if n:
-            acc[v] = n
-        else:
-            del acc[v]
-    return tuple(sorted(acc.items()))
+# the Scalar signature (radicand, pi half-exponent, logs) of a rational
+RATIONAL = (1, 0, ())
 
 
 def mono_degree(m):
     return sum(e for _, e in m)
-
-
-def mono_from_dict(d):
-    return tuple(sorted((v, e) for v, e in d.items() if e))
 
 
 def _grlex_key(mono, rank):
@@ -110,7 +86,7 @@ def monomials(names, degrees):
     def rec(i, left, acc):
         if i == len(names):
             if left == 0:
-                out.append(mono_from_dict(acc))
+                out.append(tuple(sorted((v, e) for v, e in acc.items() if e)))
         else:
             for e in range(left + 1):
                 rec(i + 1, left - e, {**acc, names[i]: e})
@@ -120,13 +96,116 @@ def monomials(names, degrees):
     return out
 
 
-class Polynomial:
-    """Sparse polynomial with Scalar coefficients.  Treated as immutable."""
+class Layout:
+    """Where each exponent sits in a packed monomial key.
 
-    __slots__ = ("terms",)
+    A key is an int with one field of `stride` bits per variable, in name
+    order from the low end, and a last field on top holding the total
+    degree, so keys compare in a graded order and the key of a product of
+    monomials is the sum of their keys.  The top bit of each field is a
+    guard bit that stays clear: exponents and degrees are at most `mask`,
+    and a subtraction that borrows sets a guard.  `_layout` hands out one
+    shared Layout per (names, stride).
+    """
+
+    __slots__ = ("names", "stride", "mask", "top", "guards", "shift", "unit")
+
+    def __init__(self, names, stride):
+        self.names = names
+        self.stride = stride
+        self.mask = (1 << (stride - 1)) - 1
+        self.top = len(names) * stride
+        self.shift = {v: i * stride for i, v in enumerate(names)}
+        self.unit = {v: (1 << s) + (1 << self.top) for v, s in self.shift.items()}
+        self.guards = sum(1 << (i * stride + stride - 1) for i in range(len(names) + 1))
+
+    def pack(self, mono):
+        return sum(e * self.unit[v] for v, e in mono)
+
+    def unpack(self, key):
+        out = []
+        for v, s in self.shift.items():
+            e = (key >> s) & self.mask
+            if e:
+                out.append((v, e))
+        return tuple(out)
+
+
+# interned: one Layout per (names, stride) used, never changed once made
+_LAYOUTS = {}
+
+
+def _layout(names, stride=8):
+    key = (names, stride)
+    return _LAYOUTS.get(key) or _LAYOUTS.setdefault(key, Layout(names, stride))
+
+
+def _stride(degree):
+    """The narrowest stride s of 8, 16, 32, ... bits with degree < 2^(s - 1)."""
+    return max(8, 1 << degree.bit_length().bit_length())
+
+
+def _join(a, b, degree=0):
+    """The layout holding the variables of layouts a and b and degrees up to `degree`."""
+    if a is not b and not all(v in a.shift for v in b.names):
+        if all(v in b.shift for v in a.names):
+            a, b = b, a
+        else:
+            a = _layout(tuple(sorted(set(a.names).union(b.names))), a.stride)
+    stride = max(a.stride, b.stride, _stride(degree))
+    return a if stride == a.stride else _layout(a.names, stride)
+
+
+def _rekey(p, lay):
+    """The blocks of p with keys in lay, a layout holding p's variables and degree."""
+    src = p.layout
+    if src is lay:
+        return p.blocks
+    moves = [(src.shift[v], lay.shift[v]) for v in src.names]
+    mask, top, new_top = src.mask, src.top, lay.top
+
+    def key(k):
+        out = (k >> top) << new_top
+        for a, b in moves:
+            out |= ((k >> a) & mask) << b
+        return out
+
+    return {sig: (den, {key(k): n for k, n in nums.items()}) for sig, (den, nums) in p.blocks.items()}
+
+
+def _put(blocks, sig, den, nums):
+    """Store nums/den under sig in lowest terms, without zeros; an empty block is left out."""
+    if 0 in nums.values():
+        nums = {k: n for k, n in nums.items() if n}
+    if not nums:
+        return
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+    blocks[sig] = (den, nums)
+
+
+def _new(lay, blocks):
+    out = object.__new__(Polynomial)
+    out.layout = lay
+    out.blocks = blocks
+    return out
+
+
+class Polynomial:
+    """Sparse polynomial with Scalar coefficients.  Treated as immutable.
+
+    `blocks` maps each Scalar signature to (den, {key: num}), the rational
+    polynomial multiplying it in lowest terms, keys packed in `layout`.
+    """
+
+    __slots__ = ("layout", "blocks")
 
     def __init__(self, terms=None):
-        object.__setattr__(self, "terms", dict(terms) if terms else {})
+        p = Polynomial.from_raw(dict(terms).items()) if terms else _new(_EMPTY, {})
+        self.layout, self.blocks = p.layout, p.blocks
 
     # -- construction -------------------------------------------------------
 
@@ -137,67 +216,90 @@ class Polynomial:
     @staticmethod
     def const(c):
         c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
-        if c.is_zero():
-            return Polynomial()
-        return Polynomial({EMPTY_MONO: c})
+        return _new(_EMPTY, {(r, p, lg): (q.denominator, {0: q.numerator}) for q, r, p, lg in c.terms})
 
     @staticmethod
     def var(name, exp=1):
         if exp == 0:
             return Polynomial.const(1)
-        return Polynomial({((name, exp),): ONE})
+        lay = _layout((name,), _stride(exp))
+        return _new(lay, {RATIONAL: (1, {lay.unit[name] * exp: 1})})
+
+    @staticmethod
+    def packed(layout, den, nums):
+        """The rational polynomial sum(n * x^key) / den, keys packed in layout."""
+        blocks = {}
+        _put(blocks, RATIONAL, den, nums)
+        return _new(layout, blocks)
 
     @staticmethod
     def from_raw(pairs):
         """The sum of (monomial, coefficient) pairs; a coefficient may be an
         int, a Fraction or a Scalar, and repeated monomials add up."""
-        return _sum_terms(
-            {}, ((m, c if isinstance(c, Scalar) else Scalar.from_fraction(c)) for m, c in pairs)
-        )
+        pairs = [(m, c if isinstance(c, Scalar) else Scalar.from_fraction(c)) for m, c in pairs]
+        names = tuple(sorted({v for m, _ in pairs for v, _ in m}))
+        lay = _layout(names, _stride(max((mono_degree(m) for m, _ in pairs), default=0)))
+        total = _Sum(lay)
+        for m, c in pairs:
+            for q, *sig in c.terms:
+                total.add(tuple(sig), q.denominator, {lay.pack(m): q.numerator})
+        return total.result()
 
     # -- predicates / access ------------------------------------------------
 
+    @property
+    def terms(self):
+        """The {monomial tuple: Scalar} view, built anew on every access."""
+        split = {}
+        for sig, (den, nums) in sorted(self.blocks.items()):
+            for k, n in nums.items():
+                split.setdefault(k, []).append((Fraction(n, den),) + sig)
+        unpack = self.layout.unpack
+        return {unpack(k): Scalar(tuple(ts)) for k, ts in split.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.blocks
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and EMPTY_MONO in self.terms)
+        return not any(any(nums) for _, nums in self.blocks.values())
 
     def constant_term(self):
-        return self.terms.get(EMPTY_MONO, ZERO)
+        blocks = sorted(self.blocks.items())
+        return Scalar(tuple((Fraction(t[0], den),) + sig for sig, (den, t) in blocks if 0 in t))
 
     def coefficient(self, mono):
         return self.terms.get(mono, ZERO)
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        bits = 0
+        for _, nums in self.blocks.values():
+            for k in nums:
+                bits |= k
+        return {v for v, s in self.layout.shift.items() if (bits >> s) & self.layout.mask}
 
     def total_degree(self):
-        return max((mono_degree(m) for m in self.terms), default=0)
+        top = max((max(nums) for _, nums in self.blocks.values()), default=0)
+        return top >> self.layout.top
 
-    def rational_terms(self):
-        return {m: c.as_fraction() for m, c in self.terms.items()}
+    def rational_block(self, layout=None):
+        """(den, {key: num}) of a rational polynomial, keyed in `layout` (default its own)."""
+        blocks = self.blocks if layout is None else _rekey(self, layout)
+        if set(blocks) - {RATIONAL}:
+            raise NonRationalValue("not a rational polynomial: %r" % (self,))
+        return blocks.get(RATIONAL, (1, {}))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, (Polynomial, int, Fraction, Scalar)):
             return NotImplemented
-        other = _as_poly(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        return _sum_terms(dict(self.terms), other.terms.items())
+        return poly_sum((self, _as_poly(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        blocks = {sig: (den, {k: -n for k, n in t.items()}) for sig, (den, t) in self.blocks.items()}
+        return _new(self.layout, blocks)
 
     def __sub__(self, other):
         if not isinstance(other, (Polynomial, int, Fraction, Scalar)):
@@ -212,41 +314,17 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        # a field holds the largest exponent sum, so adding keys never carries
-        ma, mb = _max_exponents(self), _max_exponents(other)
-        units = {}
-        fields = []
-        shift = 0
-        for v in sorted(ma.keys() | mb.keys()):
-            width = (ma.get(v, 0) + mb.get(v, 0)).bit_length()
-            units[v] = 1 << shift
-            fields.append((v, shift, (1 << width) - 1))
-            shift += width
-        parts = []
-        blocks = _split(other, units)
-        for (ra, pa, la), da, ta in _split(self, units):
-            for (rb, pb, lb), db, tb in blocks:
-                acc = {}
-                get = acc.get
-                for ka, na in ta:
-                    for kb, nb in tb:
-                        k = ka + kb
-                        acc[k] = get(k, 0) + na * nb
-                g = gcd(ra, rb)
-                basis = ((ra // g) * (rb // g), pa + pb, _merge_logs(la, lb))
-                parts.append((acc.items(), g, da * db, basis))
-        return _assemble(parts, fields)
+        if not self.blocks or not other.blocks:
+            return Polynomial()
+        # the fields hold the product's degree, so adding keys never carries
+        lay = _join(self.layout, other.layout, self.total_degree() + other.total_degree())
+        return _product(lay, _rekey(self, lay), _rekey(other, lay))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, c):
-        c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
-        if c.is_zero():
-            return Polynomial()
-        return Polynomial({m: co * c for m, co in self.terms.items()})
+        # a constant's only key is 0, the same in every layout
+        return _product(self.layout, self.blocks, Polynomial.const(c).blocks)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -258,7 +336,9 @@ class Polynomial:
             other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.terms == other.terms
+        # blocks are in lowest terms, so equal polynomials have equal blocks
+        lay = _join(self.layout, other.layout)
+        return _rekey(self, lay) == _rekey(other, lay)
 
     def __hash__(self):
         # a constant equals its value, so it must hash like it
@@ -271,84 +351,104 @@ class Polynomial:
 
         return "Polynomial(%s)" % poly_text(self)
 
-    # -- calculus helpers ----------------------------------------------------
+    # -- maps over the terms ------------------------------------------------
 
-    def partial(self, var):
-        # lowering the exponent of var is one-to-one on the monomials that
-        # contain it, so no two terms land on the same monomial
-        acc = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(var, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[var]
-            else:
-                d[var] = e - 1
-            acc[tuple(sorted(d.items()))] = c * e
-        return Polynomial(acc)
+    def _map(self, f, lay=None):
+        """{label: Polynomial}: a term n x^k goes to label as n w x^k2, (label, k2, w) = f(k).
 
-    def integrate(self, var):
-        """Antiderivative in `var` with zero constant term."""
-        acc = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(var, 0) + 1
-            d[var] = e
-            acc[tuple(sorted(d.items()))] = c * Fraction(1, e)
-        return Polynomial(acc)
+        f sees keys in `lay` (default self's layout), returns new keys in
+        it, and drops a term by returning None; w is an int or a Fraction,
+        and terms meeting at one key add up.
+        """
+        lay = lay or self.layout
+        sums = {}
+        for sig, (den, nums) in _rekey(self, lay).items():
+            for k, n in nums.items():
+                hit = f(k)
+                if hit is not None:
+                    label, k, w = hit
+                    total = sums.get(label) or sums.setdefault(label, _Sum(lay))
+                    total.add(sig, den * w.denominator, {k: n * w.numerator})
+        return {label: total.result() for label, total in sums.items()}
 
-    def substitute(self, var, value):
-        """Replace a variable by a Fraction, Scalar, or Polynomial."""
-        if isinstance(value, (int, Fraction)):
-            value = Polynomial.const(Scalar.from_fraction(value))
-        elif isinstance(value, Scalar):
-            value = Polynomial.const(value)
-        powers = {0: Polynomial.const(1)}
+    def _splitter(self, names):
+        """key -> (exponent tuple over names, key with those variables removed)."""
+        lay = self.layout
+        fields = [(i, lay.shift[v], lay.unit[v]) for i, v in enumerate(names) if v in lay.shift]
 
-        def vpow(k):
-            if k not in powers:
-                powers[k] = vpow(k - 1) * value
-            return powers[k]
+        def split(k):
+            es = [0] * len(names)
+            for i, s, u in fields:
+                e = es[i] = (k >> s) & lay.mask
+                k -= e * u
+            return tuple(es), k
 
-        def pieces():
-            for m, c in self.terms.items():
-                d = dict(m)
-                e = d.pop(var, 0)
-                rest = Polynomial({tuple(sorted(d.items())): c})
-                yield rest * vpow(e) if e else rest
+        return split
 
-        return poly_sum(pieces())
+    def coefficients(self, names):
+        """{exponent tuple over names: polynomial in the other variables}.
 
-    def eval(self, point):
-        """Exact value at a rational point (dict name -> Fraction/Scalar)."""
-        total = ZERO
-        for m, c in self.terms.items():
-            v = c
-            for name, e in m:
-                if name not in point:
-                    raise KeyError("no value for variable %s" % name)
-                p = point[name]
-                if isinstance(p, Scalar):
-                    v = v * p**e
-                else:
-                    v = v * (_as_fraction(p) ** e)
-            total = total + v
-        return total
+        self is the sum over the entries of coefficient * prod names^exponent.
+        """
+        split = self._splitter(names)
+        return self._map(lambda k: split(k) + (1,))
+
+    def contract(self, names, weight):
+        """The sum over terms c x^a z^b, x = names, of weight(a) c z^b.
+
+        `weight` maps an exponent tuple over names to an int or Fraction.
+        """
+        split = self._splitter(names)
+
+        def f(k):
+            es, k = split(k)
+            return 0, k, weight(es)
+
+        return self._map(f).get(0, Polynomial())
 
     def homogeneous_parts(self, names=None):
         """Split by total degree (or degree in `names`): dict deg -> part."""
-        names = None if names is None else set(names)
-        parts = {}
-        for m, c in self.terms.items():
-            d = mono_degree(m) if names is None else sum(e for v, e in m if v in names)
-            parts.setdefault(d, {})[m] = c
-        return {d: Polynomial(t) for d, t in parts.items()}
+        lay = self.layout
+        if names is None:
+            return self._map(lambda k: (k >> lay.top, k, 1))
+        shifts = [lay.shift[v] for v in set(names) if v in lay.shift]
+        return self._map(lambda k: (sum((k >> s) & lay.mask for s in shifts), k, 1))
 
-    def leading(self, rank):
-        mono = max(self.terms, key=lambda m: _grlex_key(m, rank))
-        return mono, self.terms[mono]
+    def partial(self, var):
+        lay = self.layout
+        if var not in lay.shift:
+            return Polynomial()
+        s, mask, unit = lay.shift[var], lay.mask, lay.unit[var]
+
+        def f(k):
+            e = (k >> s) & mask
+            return (0, k - unit, e) if e else None
+
+        return self._map(f).get(0, Polynomial())
+
+    def integrate(self, var):
+        """Antiderivative in `var` with zero constant term."""
+        lay = _join(self.layout, _layout((var,)), self.total_degree() + 1)
+        s, mask, unit = lay.shift[var], lay.mask, lay.unit[var]
+        f = lambda k: (0, k + unit, Fraction(1, ((k >> s) & mask) + 1))  # noqa: E731
+        return self._map(f, lay).get(0, Polynomial())
+
+    def substitute(self, var, value):
+        """Replace a variable by a Fraction, Scalar, or Polynomial."""
+        value = _as_poly(value)
+        parts = self.coefficients((var,)).items()
+        return poly_sum(c * value**e if e else c for (e,), c in parts)
+
+    def eval(self, point):
+        """Exact value at a point (dict name -> Fraction/Scalar)."""
+        p = self
+        for v in sorted(self.variables()):
+            if v not in point:
+                raise KeyError("no value for variable %s" % v)
+            p = p.substitute(v, point[v])
+        return p.constant_term()
+
+    # -- division -------------------------------------------------------------
 
     def content_primitive(self, rank):
         """Write self = content * primitive with integer primitive part.
@@ -356,82 +456,53 @@ class Polynomial:
         Requires rational coefficients.  The primitive part has coprime
         integer coefficients and a positive leading coefficient.
         """
-        rat = self.rational_terms()
-        if not rat:
+        den, nums = self.rational_block()
+        if not nums:
             return Fraction(0), Polynomial()
-        num = 0
-        den = 1
-        for c in rat.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
-        _, lead = self.leading(rank)
+        g = gcd(*nums.values())
+        _, lead = max(self.terms.items(), key=lambda kv: _grlex_key(kv[0], rank))
         if lead.as_fraction() < 0:
-            content = -content
-        prim = Polynomial(
-            {m: Scalar.from_fraction(c / content) for m, c in rat.items()}
-        )
-        return content, prim
+            g = -g
+        return Fraction(g, den), _new(self.layout, {RATIONAL: (1, {k: n // g for k, n in nums.items()})})
 
     def divide_exact(self, divisor, rank):
         """Quotient self/divisor if the division is exact, else None.
 
-        The divisor must have rational coefficients.  The quotient of an
-        exact division is unique, so it does not depend on a monomial
-        order, and `rank` is not read.  Each signature block of self is
-        divided separately by heap long division on packed keys.
+        The divisor must have rational coefficients.  An exact quotient is
+        unique, so `rank`, a monomial order, is not read: each block of
+        self is divided by heap long division on its keys, graded order.
         """
-        from heapq import heapify, heappop, heappush
-
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return Polynomial()
-        top = self.total_degree()
-        if top < divisor.total_degree():
+        if self.total_degree() < divisor.total_degree():
             return None
-        # Every monomial the division meets has total degree <= top, so
-        # `width` bits hold any exponent.  One guard bit above each field
-        # catches a borrow, and the total degree sits in the highest field,
-        # so packed keys compare in graded order.
-        width = top.bit_length()
-        names = sorted(self.variables() | divisor.variables())
-        deg_unit = 1 << (len(names) * (width + 1))
-        units = {}
-        fields = []
-        for i, v in enumerate(names):
-            units[v] = (1 << i * (width + 1)) + deg_unit
-            fields.append((v, i * (width + 1), (1 << width) - 1))
-        guards = sum(1 << (i * (width + 1) + width) for i in range(len(names) + 1))
-        blocks = _split(divisor, units)
-        if [basis for basis, _, _ in blocks] != [(1, 0, ())]:
-            raise NonRationalValue("divide_exact needs a rational divisor")
-        (_, dden, dterms), = blocks
-        content = 0
-        for _, n in dterms:
-            content = gcd(content, n)
-        dterms = sorted(((k, n // content) for k, n in dterms), reverse=True)
-        (lead_k, lead_n), tail = dterms[0], dterms[1:]
-        parts = []
-        for basis, den, items in _split(self, units):
-            rem = dict(items)
+        # every monomial met has degree at most self's, which fits the fields
+        lay = _join(self.layout, divisor.layout)
+        dden, dnums = divisor.rational_block(lay)
+        content = gcd(*dnums.values())
+        (lead_k, lead_n), *tail = sorted(((k, n // content) for k, n in dnums.items()), reverse=True)
+        blocks = {}
+        for sig, (den, nums) in _rekey(self, lay).items():
+            rem = dict(nums)
             heap = [-k for k in rem]
             heapify(heap)
-            quot = []
+            quot = {}
             while heap:
                 k = -heappop(heap)
                 c = rem.pop(k)
                 if not c:
                     continue
                 qk = k - lead_k
-                if qk & guards:
-                    return None
+                if qk & lay.guards:
+                    return None  # a borrow: lead_k does not divide k
                 qn, r = divmod(c, lead_n)
                 if r:
                     # the divisor is primitive, so an exact quotient of an
                     # integer block has integer coefficients (Gauss)
                     return None
-                quot.append((qk, qn))
+                quot[qk] = qn * dden
                 for tk, tn in tail:
                     t = qk + tk
                     prev = rem.get(t)
@@ -440,135 +511,115 @@ class Polynomial:
                         heappush(heap, -t)
                     else:
                         rem[t] = prev - qn * tn
-            parts.append((quot, dden, den * content, basis))
-        return _assemble(parts, fields)
+            _put(blocks, sig, den * content, quot)
+        return _new(lay, blocks)
 
 
-def _max_exponents(poly):
-    out = {}
-    for m in poly.terms:
-        for v, e in m:
-            if e > out.get(v, 0):
-                out[v] = e
-    return out
-
-
-def _split(poly, units):
-    """Signature blocks [(basis, denominator, [(key, numerator)])] of poly.
-
-    A monomial packs to the sum of exponent * units[variable].  A basis is
-    a Scalar signature (radicand, pi half-exponent, logs); its block holds
-    the rational polynomial multiplying it, as integer numerators over one
-    common denominator.
-    """
-    blocks = {}
-    for m, s in poly.terms.items():
-        k = 0
-        for v, e in m:
-            k += e * units[v]
-        for c, rad, pih, logs in s.terms:
-            sig = (rad, pih, logs)
-            block = blocks.get(sig)
-            if block is None:
-                blocks[sig] = [(k, c)]
-            else:
-                block.append((k, c))
-    out = []
-    for sig, block in blocks.items():
-        den = 1
-        for _, c in block:
-            d = c.denominator
-            if den % d:
-                den = den // gcd(den, d) * d
-        out.append((sig, den, [(k, c.numerator * (den // c.denominator)) for k, c in block]))
-    return out
-
-
-def _assemble(parts, fields):
-    """The Polynomial sum over parts of factor/den * basis * sum(n * key).
-
-    Each part is (pairs of (key, int n), int factor, int den, basis).  Keys
-    unpack through fields of (name, shift, mask), in name order; within
-    one call each (name, exponent) pair is one shared tuple.  Two parts
-    can reach one monomial, so the terms go through `_sum_terms`.
-    """
-    decoders = [(v, shift, mask, {}) for v, shift, mask in fields]
-
-    def terms():
-        for pairs, factor, den, (rad, pih, logs) in parts:
-            for k, n in pairs:
-                if not n:
-                    continue
-                mono = []
-                for v, shift, mask, shared in decoders:
-                    e = (k >> shift) & mask
-                    if e:
-                        pair = shared.get(e)
-                        if pair is None:
-                            pair = shared[e] = (v, e)
-                        mono.append(pair)
-                c = Fraction(n * factor) if den == 1 else Fraction(n * factor, den)
-                yield tuple(mono), Scalar(((c, rad, pih, logs),))
-
-    return _sum_terms({}, terms())
+_EMPTY = _layout(())
 
 
 def _as_poly(x):
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, Fraction, Scalar)):
-        return Polynomial.const(x)
-    raise TypeError("cannot treat %r as a Polynomial" % (x,))
+    return x if isinstance(x, Polynomial) else Polynomial.const(x)
 
 
-def _sum_terms(acc, pairs):
-    """The Polynomial whose terms are the dict acc plus the (monomial, Scalar) pairs.
+def _product(lay, a, b):
+    """The Polynomial with blocks a times blocks b, both keyed in lay.
 
-    This is the one sum of the polynomial layer: `__add__`, `poly_sum`,
-    `from_raw` and the product's `_assemble` all come here.  The pairs stream into acc, a dict the caller
-    hands over; `Scalar.__add__` runs only on a monomial that two summands
-    share, and a zero coefficient or a sum that cancels leaves no entry.
+    Every pair of blocks multiplies with ints only; two pairs can land on
+    one signature (sqrt 2 * sqrt 2 and 1 * 1), so they meet in a `_Sum`.
     """
-    get = acc.get
-    for m, c in pairs:
-        prev = get(m)
-        if prev is not None:
-            c = prev + c
-            if not c.terms:
-                del acc[m]
-                continue
-        elif not c.terms:
-            continue
-        acc[m] = c
-    out = object.__new__(Polynomial)
-    object.__setattr__(out, "terms", acc)  # acc is the caller's fresh dict: no copy
-    return out
+    total = _Sum(lay)
+    for (ra, pa, la), (da, ta) in a.items():
+        for (rb, pb, lb), (db, tb) in b.items():
+            g = gcd(ra, rb)
+            big, small = (ta, tb) if len(ta) >= len(tb) else (tb, ta)
+            if g != 1:
+                small = {k: n * g for k, n in small.items()}
+            if len(small) == 1:
+                ((kb, nb),) = small.items()
+                acc = {k + kb: n * nb for k, n in big.items()}
+            else:
+                acc = {}
+                get = acc.get
+                for kb, nb in small.items():
+                    for k, n in big.items():
+                        k += kb
+                        acc[k] = get(k, 0) + n * nb
+            total.add(((ra // g) * (rb // g), pa + pb, _merge_logs(la, lb)), da * db, acc)
+    return total.result()
+
+
+class _Sum:
+    """The one sum of the polynomial layer: blocks merged per signature.
+
+    `+`, `poly_sum`, `from_raw` and products all add blocks here.  A block
+    that arrives first under its signature is held by reference and copied
+    only when a second one joins it; merging brings both to the lcm of
+    their denominators and adds numerators key by key, and `result` drops
+    cancelled terms and reduces each block to lowest terms.
+    """
+
+    __slots__ = ("layout", "blocks")
+
+    def __init__(self, layout):
+        self.layout = layout
+        self.blocks = {}
+
+    def add_poly(self, p):
+        lay = _join(self.layout, p.layout)
+        if lay is not self.layout:
+            self.blocks = _rekey(_new(self.layout, self.blocks), lay)
+            self.layout = lay
+        for sig, (den, nums) in _rekey(p, lay).items():
+            self.add(sig, den, nums)
+        return self
+
+    def add(self, sig, den, nums):
+        cur = self.blocks.get(sig)
+        if cur is None:
+            self.blocks[sig] = (den, nums)
+            return
+        if isinstance(cur, tuple):
+            cur = self.blocks[sig] = [cur[0], dict(cur[1])]
+        total, acc = cur
+        if total % den:
+            f = den // gcd(total, den)
+            for k in acc:
+                acc[k] *= f
+            cur[0] = total = total * f
+        f = total // den
+        get = acc.get
+        for k, n in nums.items():
+            acc[k] = get(k, 0) + n * f
+
+    def result(self):
+        blocks = {}
+        for sig, (den, nums) in self.blocks.items():
+            _put(blocks, sig, den, nums)
+        return _new(self.layout, blocks)
 
 
 def poly_sum(ps):
     """The sum of an iterable of Polynomials, consumed one at a time.
 
-    A lone nonzero summand comes back unchanged.  Otherwise the first one's
-    terms are copied once and every later term streams through
-    `_sum_terms`; no summand is kept after its terms are read, so a
+    A lone nonzero summand comes back unchanged.  Otherwise every summand
+    goes into one `_Sum` and is dropped once its blocks are read, so a
     generator of large summands never holds more than one of them.
     """
-    ps = (p for p in ps if p.terms)
-    first = next(ps, None)
-    second = next(ps, None)
-    if second is None:
-        return Polynomial() if first is None else first
-    acc = dict(first.terms)
-    pairs = _pairs(second, ps)
-    first = second = None
-    return _sum_terms(acc, pairs)
-
-
-def _pairs(p, more):
-    """The terms of p, then of each Polynomial in more, dropping each when done."""
-    yield from p.terms.items()
-    for p in more:
-        yield from p.terms.items()
+    total = lone = None
+    for p in ps:
+        if not p.blocks:
+            continue
+        if total is not None:
+            total.add_poly(p)
+        elif lone is None:
+            lone = p
+        else:
+            total = _Sum(lone.layout).add_poly(lone).add_poly(p)
+            lone = None
+    if total is not None:
+        return total.result()
+    return lone if lone is not None else Polynomial()
 
 
 def dot_poly(a_names, b_names):
@@ -612,11 +663,7 @@ class Context:
         self._base_index = {}
         self._base_names = []
         self._registry_lock = threading.Lock()
-        norm = poly_sum([Polynomial.var(v, 2) for v in coords])
-        self.norm_base = self.register_base(norm, name="normSq(x)")[0]
-
-    def _base_key(self, prim):
-        return tuple(sorted(prim.rational_terms().items()))
+        self.norm_base = self.register_base(self.norm_sq_poly(), name="normSq(x)")[0]
 
     def register_base(self, poly, name=None):
         """Register a squarefree rational-coefficient base polynomial.
@@ -627,13 +674,12 @@ class Context:
         if poly.is_constant():
             raise UnsupportedBase("constant polynomials cannot be bases")
         content, prim = poly.content_primitive(self.var_rank)
-        key = self._base_key(prim)
         with self._registry_lock:
-            bid = self._base_index.get(key)
+            bid = self._base_index.get(prim)
             if bid is None:
                 bid = len(self._bases)
                 self._bases.append(prim)
-                self._base_index[key] = bid
+                self._base_index[prim] = bid
                 self._base_names.append(name)
         return bid, content
 
@@ -647,11 +693,7 @@ class Context:
         return poly_sum([Polynomial.var(v, 2) for v in (names or self.coords)])
 
     def __repr__(self):
-        return "Context(dim=%d, coords=%s, extra=%s)" % (
-            self.dim,
-            list(self.coords),
-            list(self.extra),
-        )
+        return "Context(dim=%d, coords=%s, extra=%s)" % (self.dim, list(self.coords), list(self.extra))
 
 
 def make_context(dim, extra_vecs=(), extra=(), coords=None):
@@ -697,9 +739,7 @@ class Expr:
     @staticmethod
     def norm_power(ctx, half, log_pow=0):
         """||x||^half * log(||x||^2)^log_pow as an Expr."""
-        return Expr.make(
-            ctx, Polynomial.const(1), [(ctx.norm_base, half, log_pow)]
-        )
+        return Expr.make(ctx, Polynomial.const(1), [(ctx.norm_base, half, log_pow)])
 
     @staticmethod
     def base_power(ctx, base_poly, half, log_pow=0):
@@ -710,33 +750,23 @@ class Expr:
         """
         bid, content = ctx.register_base(base_poly)
         if content < 0 and (half % 2 or log_pow):
-            raise NegativeBaseValue(
-                "half powers and logs need a positive-content base"
-            )
+            raise NegativeBaseValue("half powers and logs need a positive-content base")
         if half % 2 == 0:
             cs = Scalar.from_fraction(content ** (half // 2))
         else:
             cs = Scalar.sqrt_fraction(content) ** half
-        out = []
-        if log_pow == 0:
-            out.append((Polynomial.const(cs), ((bid, half, 0),)))
-        else:
-            logc = Scalar.log_fraction(content)
-            from math import comb
-
-            for i in range(log_pow + 1):
-                coeff = cs * Scalar.from_fraction(comb(log_pow, i)) * logc**i
-                out.append(
-                    (Polynomial.const(coeff), ((bid, half, log_pow - i),))
-                )
+        logc = Scalar.log_fraction(content) if log_pow else ONE
+        out = [
+            (Polynomial.const(cs * comb(log_pow, i) * logc**i), ((bid, half, log_pow - i),))
+            for i in range(log_pow + 1)
+        ]
         return Expr._from_raw(ctx, out)
 
     # -- canonicalization ---------------------------------------------------
 
     @staticmethod
     def _from_raw(ctx, raw_terms):
-        rank = ctx.var_rank
-        work = []
+        groups = {}
         for poly, fac in raw_terms:
             if poly.is_zero():
                 continue
@@ -748,57 +778,32 @@ class Expr:
                     poly = poly * ctx.base_poly(b) ** (h // 2)
                 else:
                     nf.append((b, h, j))
-            work.append((poly, tuple(sorted(nf))))
-
-        groups = {}
-        for poly, nf in work:
-            sig = tuple(
-                sorted((b, h & 1, j) for b, h, j in nf if (h & 1, j) != (0, 0))
-            )
-            groups.setdefault(sig, []).append((poly, dict((b, (h, j)) for b, h, j in nf)))
+            sig = tuple(sorted((b, h & 1, j) for b, h, j in nf if (h & 1, j) != (0, 0)))
+            groups.setdefault(sig, []).append((poly, {b: (h, j) for b, h, j in nf}))
 
         out_terms = []
         for sig, members in sorted(groups.items()):
-            base_ids = set()
-            for _, fd in members:
-                base_ids.update(fd)
-            mins = {}
-            logps = {}
-            for b in base_ids:
-                hs = [fd.get(b, (0, 0))[0] for _, fd in members]
-                if any(b not in fd for _, fd in members):
-                    hs.append(0)
-                mins[b] = min(hs)
-                js = {fd.get(b, (0, 0))[1] for _, fd in members}
-                if len(js) != 1:
-                    raise AssertionError("log powers differ inside a group")
-                logps[b] = js.pop()
+            base_ids = {b for _, fd in members for b in fd}
+            # a member without b has b^0; log powers agree within a group
+            mins = {b: min(fd.get(b, (0, 0))[0] for _, fd in members) for b in base_ids}
+            logps = {b: max(fd.get(b, (0, 0))[1] for _, fd in members) for b in base_ids}
             total = poly_sum(_shift(ctx, poly, fd, mins) for poly, fd in members)
             if total.is_zero():
                 continue
-            # pull out base divisors so the representative is unique
-            changed = True
-            while changed:
-                changed = False
-                for b in sorted(base_ids):
-                    if logps[b] == 0 and mins[b] >= 0:
-                        continue
-                    bp = ctx.base_poly(b)
-                    if total.total_degree() < bp.total_degree():
-                        continue
-                    q = total.divide_exact(bp, rank)
-                    if q is not None:
-                        total = q
-                        mins[b] += 2
-                        changed = True
+            # pull out base divisors so the representative is unique; a base
+            # that does not divide total does not divide a quotient of it
+            for b in sorted(base_ids):
+                while logps[b] or mins[b] < 0:
+                    q = total.divide_exact(ctx.base_poly(b), ctx.var_rank)
+                    if q is None:
+                        break
+                    total, mins[b] = q, mins[b] + 2
             factors = []
             for b in sorted(base_ids):
                 h, j = mins[b], logps[b]
                 if j == 0 and h >= 0 and h % 2 == 0:
                     if h:
                         total = total * ctx.base_poly(b) ** (h // 2)
-                elif h == 0 and j == 0:
-                    continue
                 else:
                     factors.append((b, h, j))
             out_terms.append((total, tuple(factors)))
@@ -935,16 +940,8 @@ def substitute_norm_radius(e, r, ctx=None):
             if b != nb:
                 keep.append((b, h, j))
                 continue
-            coeff = coeff * Scalar.from_fraction(r**h)
-            if j:
-                if r == 1:
-                    coeff = ZERO
-                else:
-                    coeff = coeff * (
-                        Scalar.from_fraction(2) * Scalar.log_fraction(r)
-                    ) ** j
-        if coeff.is_zero():
-            continue
+            # log(normSq) = log r^2, which is ZERO at r = 1
+            coeff = coeff * Scalar.from_fraction(r**h) * Scalar.log_fraction(r * r) ** j
         raw.append((poly.scale(coeff), tuple(keep)))
     return Expr._from_raw(ctx, raw)
 
@@ -960,20 +957,19 @@ def reduce_poly_on_sphere(poly, names, radius_sq=1):
     last = names[-1]
     radius_sq = _as_fraction(radius_sq)
     rest = Polynomial.const(radius_sq) - poly_sum(Polynomial.var(v, 2) for v in names[:-1])
-    lower = ((last, -2),)
 
     def reduced():
         todo = poly
-        while todo.terms:
-            low, high = {}, {}
-            for m, c in todo.terms.items():
-                if dict(m).get(last, 0) < 2:
-                    low[m] = c
-                else:
-                    high[mono_mul(m, lower)] = c
-            yield Polynomial(low)
+        while todo.blocks:
+            lay = todo.layout
+            if last not in lay.shift:
+                yield todo
+                return
+            s, mask, two = lay.shift[last], lay.mask, 2 * lay.unit[last]
+            parts = todo._map(lambda k: (True, k - two, 1) if (k >> s) & mask >= 2 else (False, k, 1))
+            yield parts.get(False, Polynomial())
             # last^2 * high becomes (radius_sq - the other squares) * high
-            todo = Polynomial(high) * rest
+            todo = parts.get(True, Polynomial()) * rest
 
     return poly_sum(reduced())
 
@@ -1008,16 +1004,13 @@ def eval_expr(e, point, ctx=None):
                     raise ZeroBaseValue("base vanishes at the point")
                 v = ZERO
                 continue
-            if bval < 0:
-                if h % 2 or j > 0:
-                    raise NegativeBaseValue("negative base under sqrt or log")
+            if bval < 0 and (h % 2 or j):
+                raise NegativeBaseValue("negative base under sqrt or log")
+            if h % 2 == 0:
                 v = v * Scalar.from_fraction(bval ** (h // 2))
             else:
-                if h % 2 == 0:
-                    v = v * Scalar.from_fraction(bval ** (h // 2))
-                else:
-                    v = v * Scalar.sqrt_fraction(bval) ** h
-                if j:
-                    v = v * Scalar.log_fraction(bval) ** j
+                v = v * Scalar.sqrt_fraction(bval) ** h
+            if j:
+                v = v * Scalar.log_fraction(bval) ** j
         total = total + v
     return total

@@ -83,20 +83,8 @@ def integrate_sphere(p, ctx):
     the result is a Scalar for pure coordinate polynomials and a
     Polynomial in the auxiliary variables otherwise.
     """
-    coords = set(ctx.coords)
-    pairs = []
-    for mono, coeff in p.terms.items():
-        exps = []
-        rest = []
-        for v, e in mono:
-            if v in coords:
-                exps.append(e)
-            else:
-                rest.append((v, e))
-        w = sphere_monomial_integral(exps, ctx.dim)
-        if w:
-            pairs.append((tuple(rest), coeff * w))
-    return _collapse(Polynomial.from_raw(pairs))
+    n = ctx.dim
+    return _collapse(p.contract(ctx.coords, lambda exps: sphere_monomial_integral(exps, n)))
 
 
 def _collapse(poly):
@@ -259,14 +247,15 @@ class Quadratic:
 
 
 def _even_moment_table(p, e, ctx):
-    """Shift p to the ellipsoid center and collect even ball moments.
+    """Shift p to the ellipsoid center and collect its ball moments by degree.
 
-    Yields (total degree m, rational axis factor prod b_i^(-beta_i/2),
-    sphere weight, monomial in the auxiliary variables, its Scalar
-    coefficient) for each all-even coordinate monomial of the shifted
-    polynomial.  Both ellipsoid
-    integrals come through here, so this is where the quadric must be an
-    ellipsoid: every b_i > 0, then rho^2 > 0, then one axis per coordinate.
+    Returns {m: the polynomial in the auxiliary variables that sums, over
+    the coordinate monomials x^beta of total degree m of the shifted
+    polynomial, the sphere weight of beta times the rational axis factor
+    prod b_i^(-beta_i/2) times the coefficient}; a beta with an odd entry
+    has sphere weight 0.  Both ellipsoid integrals come through here, so
+    this is where the quadric must be an ellipsoid: every b_i > 0, then
+    rho^2 > 0, then one axis per coordinate.
     """
     if any(v <= 0 for v in e.b):
         raise NonPositiveAxis("every quadratic coefficient must be positive")
@@ -277,25 +266,15 @@ def _even_moment_table(p, e, ctx):
     for v, z in zip(ctx.coords, e.center()):
         if z:
             shifted = shifted.substitute(v, Polynomial.var(v) + Polynomial.const(z))
-    coords = {v: i for i, v in enumerate(ctx.coords)}
-    out = []
-    for mono, coeff in shifted.terms.items():
-        beta = [0] * ctx.dim
-        rest = []
-        for v, exp in mono:
-            i = coords.get(v)
-            if i is None:
-                rest.append((v, exp))
-            else:
-                beta[i] = exp
-        if any(x % 2 for x in beta):
-            continue
-        w = sphere_monomial_integral(beta, ctx.dim)
+
+    def weight(beta):
         axis = Fraction(1)
         for bi, be in zip(e.b, beta):
             axis /= bi ** (be // 2)
-        out.append((sum(beta), axis, w, tuple(rest), coeff))
-    return out
+        return sphere_monomial_integral(beta, ctx.dim) * axis
+
+    parts = shifted.homogeneous_parts(ctx.coords)
+    return {m: part.contract(ctx.coords, weight) for m, part in parts.items()}
 
 
 def _rho_power(e, k):
@@ -318,9 +297,9 @@ def integrate_ellipsoid_volume(p, e, ctx):
     """Integral of p over the open region b.x^2 + c.x + d < 0."""
     n = ctx.dim
     nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    acc = Polynomial.from_raw(
-        (rest, coeff * nv * Scalar.from_fraction(w * axis / (n + m)) * _rho_power(e, n + m))
-        for m, axis, w, rest, coeff in _even_moment_table(p, e, ctx)
+    acc = poly_sum(
+        part.scale(nv * Scalar.from_fraction(Fraction(1, n + m)) * _rho_power(e, n + m))
+        for m, part in _even_moment_table(p, e, ctx).items()
     )
     return _collapse(acc.scale(_axis_norm(e)))
 
@@ -336,8 +315,8 @@ def integrate_ellipsoid_area(p, e, ctx):
     nv = Scalar.from_fraction(n) * unit_ball_volume(n)
     # volume term A rho^(n+m) with A = nv w axis/(n+m);
     # d/dt at t=0 is A (n+m)/2 rho^(n+m-2) = nv w axis/2 rho^(n+m-2)
-    acc = Polynomial.from_raw(
-        (rest, coeff * nv * Scalar.from_fraction(w * axis / 2) * _rho_power(e, n + m - 2))
-        for m, axis, w, rest, coeff in _even_moment_table(p, e, ctx)
+    acc = poly_sum(
+        part.scale(nv * Scalar.from_fraction(Fraction(1, 2)) * _rho_power(e, n + m - 2))
+        for m, part in _even_moment_table(p, e, ctx).items()
     )
     return _collapse(acc.scale(_axis_norm(e)))

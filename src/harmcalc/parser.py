@@ -17,6 +17,8 @@ ParseError.
 
 from __future__ import annotations
 
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError, UnknownVariable, UnsupportedInputError
@@ -84,6 +86,23 @@ def _tokenize(src):
         raise ParseError("unexpected character %r" % ch, line, col)
     tokens.append(_Token("eof", "", line, col))
     return tokens
+
+
+def _int_value(token):
+    # int(str) refuses more digits than sys.get_int_max_str_digits() allows;
+    # a Decimal converts without that limit
+    return int(Decimal(token.text))
+
+
+def _exponent_value(token):
+    """An exponent literal; output prints exponents with str(), so one
+    longer than str() writes is refused here."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(token.text.lstrip("0")) > limit:
+        raise UnsupportedInputError(
+            "exponent longer than %d digits (line %d, column %d)" % (limit, token.line, token.col)
+        )
+    return _int_value(token)
 
 
 class _Parser:
@@ -160,7 +179,7 @@ class _Parser:
                 self.advance()
                 sign = -1
             t = self.expect("int", "integer exponent")
-            exp = sign * int(t.text)
+            exp = sign * _exponent_value(t)
         return self._apply_power(base_kind, payload, exp)
 
     def _apply_power(self, kind, payload, exp):
@@ -197,12 +216,12 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.advance()
-            num = int(t.text)
+            num = _int_value(t)
             if self.peek().kind == "/":
                 save = self.pos
                 self.advance()
                 if self.peek().kind == "int":
-                    den = int(self.advance().text)
+                    den = _int_value(self.advance())
                     if den == 0:
                         raise ParseError("division by zero", t.line, t.col)
                     return "value", Expr.from_scalar(

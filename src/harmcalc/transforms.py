@@ -188,16 +188,15 @@ def kelvin_h(e, ctx=None):
                 )
             h = hh
         # Q(Phi(z)) = 4/Q exactly, so Q^(h/2) pulls back to 2^h Q^(-h/2)
-        for mono, coeff in poly.terms.items():
-            piece = Polynomial.const(coeff)
-            deg = 0
-            for v, exp in mono:
-                if v not in num_for:
-                    raise UnsupportedBase(
-                        "modified Kelvin transform works on coordinate polynomials"
-                    )
-                piece = piece * num_for[v] ** exp
-                deg += exp
+        for exps, piece in poly.coefficients(ctx.coords).items():
+            if not piece.is_constant():
+                raise UnsupportedBase(
+                    "modified Kelvin transform works on coordinate polynomials"
+                )
+            for v, exp in zip(ctx.coords, exps):
+                if exp:
+                    piece = piece * num_for[v] ** exp
+            deg = sum(exps)
             piece = piece.scale(front * Scalar.from_fraction(Fraction(2) ** h))
             raw.append((piece, ((bid, 2 - n - 2 * deg - h, 0),)))
     return Expr._from_raw(ctx, raw)

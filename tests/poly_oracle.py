@@ -1,16 +1,32 @@
-"""Pairwise sum, term-pair product and heap division: the reference for `harmcalc.expr`.
+"""Term-at-a-time polynomial arithmetic: the reference for `harmcalc.expr`.
 
-These are the textbook loops over `{monomial tuple: Scalar}` terms, one
-Scalar multiply and add per pair of terms.  They are slow on the large
-products that canonicalization builds, which is why `Polynomial.__mul__`
-and `Polynomial.divide_exact` work on packed monomials with integer
-coefficients instead, and why sums stream through one accumulator rather
-than a fold of `add`, but their results are the contract the library keeps.
+These are the textbook loops over the `{monomial tuple: Scalar}` view
+`Polynomial.terms`, one Scalar operation per term or pair of terms.  They
+are slow on the large products that canonicalization builds, which is why
+`Polynomial` stores packed integer blocks per Scalar signature and works
+on them instead, but their results are the contract the library keeps.
 """
 
 import heapq
+from fractions import Fraction
 
-from harmcalc.expr import Polynomial, mono_mul
+from harmcalc.expr import Polynomial, _grlex_key, poly_sum
+from harmcalc.scalar import ZERO, Scalar, _as_fraction
+
+
+def mono_mul(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    acc = dict(a)
+    for v, e in b:
+        n = acc.get(v, 0) + e
+        if n:
+            acc[v] = n
+        else:
+            del acc[v]
+    return tuple(sorted(acc.items()))
 
 
 def add(a, b):
@@ -81,7 +97,7 @@ def divide_exact(a, divisor, rank):
             deg += e
         return (-deg, tuple(vec))
 
-    dmono, dcoeff = divisor.leading(full_rank)
+    dmono, dcoeff = max(divisor.terms.items(), key=lambda kv: _grlex_key(kv[0], full_rank))
     dinv = dcoeff.inverse()
     dset = dict(dmono)
     dterms = list(divisor.terms.items())
@@ -118,3 +134,82 @@ def divide_exact(a, divisor, rank):
     if any(not c.is_zero() for c in rem.values()):
         return None
     return Polynomial(quot)
+
+
+def scale(p, c):
+    c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
+    if c.is_zero():
+        return Polynomial()
+    return Polynomial({m: co * c for m, co in p.terms.items()})
+
+
+def neg(p):
+    return Polynomial({m: -c for m, c in p.terms.items()})
+
+
+def partial(p, var):
+    # lowering the exponent of var is one-to-one on the monomials that
+    # contain it, so no two terms land on the same monomial
+    acc = {}
+    for m, c in p.terms.items():
+        d = dict(m)
+        e = d.get(var, 0)
+        if not e:
+            continue
+        if e == 1:
+            del d[var]
+        else:
+            d[var] = e - 1
+        acc[tuple(sorted(d.items()))] = c * e
+    return Polynomial(acc)
+
+
+def integrate(p, var):
+    """Antiderivative in `var` with zero constant term."""
+    acc = {}
+    for m, c in p.terms.items():
+        d = dict(m)
+        e = d.get(var, 0) + 1
+        d[var] = e
+        acc[tuple(sorted(d.items()))] = c * Fraction(1, e)
+    return Polynomial(acc)
+
+
+def substitute(p, var, value):
+    """Replace a variable by a Fraction, Scalar, or Polynomial."""
+    if isinstance(value, (int, Fraction)):
+        value = Polynomial.const(Scalar.from_fraction(value))
+    elif isinstance(value, Scalar):
+        value = Polynomial.const(value)
+    powers = {0: Polynomial.const(1)}
+
+    def vpow(k):
+        if k not in powers:
+            powers[k] = vpow(k - 1) * value
+        return powers[k]
+
+    def pieces():
+        for m, c in p.terms.items():
+            d = dict(m)
+            e = d.pop(var, 0)
+            rest = Polynomial({tuple(sorted(d.items())): c})
+            yield rest * vpow(e) if e else rest
+
+    return poly_sum(pieces())
+
+
+def evaluate(p, point):
+    """Exact value at a rational point (dict name -> Fraction/Scalar)."""
+    total = ZERO
+    for m, c in p.terms.items():
+        v = c
+        for name, e in m:
+            if name not in point:
+                raise KeyError("no value for variable %s" % name)
+            q = point[name]
+            if isinstance(q, Scalar):
+                v = v * q**e
+            else:
+                v = v * (_as_fraction(q) ** e)
+        total = total + v
+    return total

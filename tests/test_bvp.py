@@ -571,6 +571,10 @@ def test_region_inputs_are_typed_errors(ctx3):
         Annulus(4, 1)
     with pytest.raises(UnsupportedInputError):
         Annulus(0, 1)
+    # a constant quadric, zero or not, bounds no region
+    for d in (0, 3):
+        with pytest.raises(UnsupportedInputError):
+            dirichlet(P("x1^2", ctx3), Quadratic((0, 0, 0), (), d), ctx3)
 
 
 def test_ansatz_columns_equal_the_products_they_replace():

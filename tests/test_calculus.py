@@ -180,6 +180,26 @@ def test_taylor_about_point():
     assert got == explicit
 
 
+def test_parts_about_a_mixed_point_sum_back():
+    # one symbolic and two nonzero rational coordinates of the point
+    ctx = Context(3, extra=("b1",))
+    about = ["b1", F(2, 3), F(-5)]
+    p = P("x1*x2 + x3^2", ctx)
+    d1 = Polynomial.var("x1") - Polynomial.var("b1")
+    d2 = Polynomial.var("x2") - F(2, 3)
+    d3 = Polynomial.var("x3") + 5
+    assert homogeneous_part(p, 2, ctx, about) == d1 * d2 + d3 * d3
+    assert homogeneous_part(p, 1, ctx, about) == d1.scale(F(2, 3)) + Polynomial.var("b1") * d2 - d3.scale(10)
+    assert homogeneous_part(p, 0, ctx, about) == Polynomial.var("b1").scale(F(2, 3)) + 25
+    rng = random.Random(61)
+    for _ in range(6):
+        p = random_polynomial(rng, ctx, max_degree=5, terms=5)
+        top = p.total_degree()
+        assert poly_sum(homogeneous_part(p, m, ctx, about) for m in range(top + 1)) == p
+        assert homogeneous_part(p, top + 1, ctx, about).is_zero()
+        assert taylor_poly(p, top, ctx, about) == p
+
+
 def test_taylor_truncates(ctx3):
     assert taylor_poly(P("x1^3", ctx3), 2, ctx3, about=[F(0), F(0), F(0)]).is_zero()
     p = P("x1^2*x2 + x3", ctx3)

@@ -637,6 +637,9 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ("dirichlet x1 --dim 3 --region quadratic:1,2", "DimensionMismatch"),
         ("anti-laplacian x1 --dim 3 --multiple quadratic:1,2,3,4", "DimensionMismatch"),
         ('anti-laplacian x2 --dim 2 --multiple "quadratic:0,0;0,0;0"', "UnsupportedInputError"),
+        # a constant quadric (zero or not) bounds no region
+        ('dirichlet x1^2 --dim 2 --region "quadratic:0,0;0,0;0"', "UnsupportedInputError"),
+        ('dirichlet x1^2 --dim 2 --region "quadratic:0,0;0,0;3"', "UnsupportedInputError"),
         ("dirichlet x1 --dim 3 --region annulus:4,1", "EmptyInterior"),
         ("eval x1 --dim 2 --at 1,2,3", "DimensionMismatch"),
         ("eval x1 --dim 2 --at 1", "DimensionMismatch"),

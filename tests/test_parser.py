@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -101,3 +102,24 @@ def test_round_trip_random(ctx3):
         text = expr_text(e, ctx3)
         back = parse_expression(text, ctx3)
         assert (back - e).is_zero()
+
+
+def test_long_literal_parses_exactly_and_renders_in_full(ctx3):
+    # longer than the digits int(str) converts
+    digits = "1" * 5000
+    e = parse_expression("%s*x1 - %s/7" % (digits, digits), ctx3)
+    n = int(Decimal(digits))
+    assert e == Expr.from_poly(ctx3, Polynomial.var("x1").scale(n) - F(n, 7))
+    assert expr_text(e, ctx3) == "-%s/7 + %s*x1" % (digits, digits)
+    assert parse_expression(expr_text(e, ctx3), ctx3) == e
+
+
+def test_exponent_longer_than_output_prints_is_a_typed_error(ctx3):
+    with pytest.raises(UnsupportedInputError, match="exponent longer than"):
+        parse_expression("x1^" + "1" * 5000, ctx3)
+    with pytest.raises(UnsupportedInputError, match="exponent longer than"):
+        parse_expression("norm(x)^-" + "2" * 5000, ctx3)
+    # leading zeros do not count, and a long exponent that prints still works
+    assert parse_polynomial("x1^" + "0" * 5000 + "3", ctx3) == Polynomial.var("x1", 3)
+    big = 10**300
+    assert parse_polynomial("x1^%d" % big, ctx3) == Polynomial.var("x1", big)

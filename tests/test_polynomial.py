@@ -1,10 +1,12 @@
-"""The polynomial sum, packed product and exact division against `poly_oracle`.
+"""The packed polynomial operations against the term-at-a-time `poly_oracle`.
 
 `+`, `poly_sum` and `Polynomial.from_raw` must return exactly the
 polynomial that a left fold of the oracle's pairwise `add` gives.
 `Polynomial.__mul__` and `Polynomial.divide_exact` must return exactly the
 polynomial that `poly_oracle` computes one pair of terms at a time, or,
-for division, both must report that the division is not exact.
+for division, both must report that the division is not exact.  `scale`,
+negation, `partial`, `integrate`, `substitute` and `eval` must agree with
+the oracle's loops over the terms, and equal results must hash alike.
 """
 
 import random
@@ -53,11 +55,16 @@ def _poly(rng, terms, max_exp=3, rational=False):
     )
 
 
+# exponents on both sides of the packed layout's field widths (fields of
+# 8, 16, 32, 64, ... bits hold degrees below 2^7, 2^15, 2^31, 2^63, ...)
+WIDE = (40, 100, 1000, 2**15 + 3, 2**16 + 1, 2**33, 2**62 + 1)
+
+
 def _wide(rng, rational=False):
-    """A polynomial with exponents of 40 or 1000 in some variables."""
+    """A polynomial with a large exponent in some variable."""
     p = _poly(rng, rng.randrange(1, 4), rational=rational)
     v = rng.choice(NAMES)
-    return p * Polynomial.var(v, rng.choice((40, 1000))) + _poly(rng, 2, rational=rational)
+    return p * Polynomial.var(v, rng.choice(WIDE)) + _poly(rng, 2, rational=rational)
 
 
 def _cases(rng):
@@ -88,6 +95,51 @@ def test_product_matches_oracle():
     for a, b in _cases(rng):
         assert a * b == poly_oracle.mul(a, b)
         assert b * a == poly_oracle.mul(b, a)
+
+
+def test_term_maps_match_oracle():
+    rng = random.Random(1977)
+    point = {v: F(rng.randrange(-4, 5), rng.randrange(1, 4)) for v in NAMES}
+    point["t"] = Scalar.sqrt_int(3) * F(1, 2)
+    values = (F(-2, 3), Scalar.sqrt_int(2), Polynomial.var("x1") + Polynomial.var("aux"), Polynomial.var("y1", 2))
+    wide = 0
+    for a, b in _cases(rng):
+        for p in (a, b):
+            c = _coeff(rng, rational=rng.random() < 0.5)
+            for got, want in (
+                (p.scale(c), poly_oracle.scale(p, c)),
+                (p * c, poly_oracle.scale(p, c)),
+                (-p, poly_oracle.neg(p)),
+            ):
+                assert got == want and hash(got) == hash(want)
+            for v in rng.sample(NAMES, 2):
+                assert p.partial(v) == poly_oracle.partial(p, v)
+                assert p.integrate(v) == poly_oracle.integrate(p, v)
+            if p.total_degree() > 12:
+                # the oracle's powers of a substituted value and of a point
+                # coordinate are computed in full
+                wide += 1
+                continue
+            v = rng.choice(NAMES)
+            value = rng.choice(values)
+            assert p.substitute(v, value) == poly_oracle.substitute(p, v, value)
+            assert p.eval(point) == poly_oracle.evaluate(p, point)
+    assert wide > 50
+
+
+def test_equal_polynomials_hash_alike_across_layouts():
+    x, aux = Polynomial.var("x1"), Polynomial.var("aux")
+    p = x * x + 1
+    # the same polynomial in a layout with one more variable and in one
+    # with wider fields
+    extra = (x + aux) * (x - aux) + aux * aux + 1
+    big = Polynomial.var("x1", 2**40)
+    wider = (p * big).divide_exact(big, CTX.var_rank)
+    for q in (extra, wider):
+        assert q.layout is not p.layout
+        assert q == p and p == q and hash(q) == hash(p)
+    c = (x + 1) * (x - 1) - x * x
+    assert c == -1 and hash(c) == hash(Scalar.from_fraction(-1)) == hash(-1)
 
 
 def _summands(rng):
