@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Expr, Polynomial, _join, _layout, mono_degree, monomials, poly_sum
+from .expr import Expr, Polynomial, monomials, poly_sum, rational_blocks
 from .harmonic import _decompose_homogeneous, harmonic_decompose, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -102,52 +102,25 @@ def _solve_poly_constraints(columns, constraints, ctx):
     """
     # the constants ride along as one extra column, then move to the right side
     cols = columns + [constraints]
-    lay = _layout(())
-    for col in cols:
-        for poly in col:
-            lay = _join(lay, poly.layout)
+    blocks = iter(rational_blocks([poly for col in cols for poly in col]))
     rows = {}
     for i, col in enumerate(cols):
-        for cid, poly in enumerate(col):
-            den, nums = poly.rational_block(lay)
+        for cid in range(len(col)):
+            den, nums = next(blocks)
             for k, n in nums.items():
                 rows.setdefault((cid, k), {})[i] = Fraction(n, den)
     rhs = [-row.pop(len(columns), 0) for row in rows.values()]
     return linalg.solve(list(rows.values()), rhs)
 
 
-def _paired_image(q, mono, weight):
-    """Sum over terms c x^b of q and variables i of w c x^(a + b - 2 e_i).
-
-    a = mono and w = weight(a_i, b_i).  With w = s(s - 1), s = a_i + b_i,
-    this is the Laplacian of q x^a; with w = a_i b_i it is grad q . grad x^a.
-    Ansatz columns come from one pass over q's few packed terms this way,
-    without forming the product q x^a.
-    """
-    names = tuple(v for v, _ in mono)
-    lay = _join(q.layout, _layout(names), q.total_degree() + mono_degree(mono))
-    den, nums = q.rational_block(lay)
-    ka = lay.pack(mono)
-    mask = lay.mask
-    fields = [(lay.shift[v], 2 * lay.unit[v]) for v in lay.names]
-    acc = {}
-    for kb, n in nums.items():
-        for s, two in fields:
-            w = weight((ka >> s) & mask, (kb >> s) & mask)
-            if w:
-                k = ka + kb - two
-                acc[k] = acc.get(k, 0) + n * w
-    return Polynomial.packed(lay, den, acc)
-
-
 def _laplacian_times(q, mono):
     """Laplacian of q * x^mono."""
-    return _paired_image(q, mono, lambda ai, bi: (ai + bi) * (ai + bi - 1))
+    return q.paired_image(mono, lambda ai, bi: (ai + bi) * (ai + bi - 1))
 
 
 def _gradient_dot(q, mono):
     """grad q . grad x^mono."""
-    return _paired_image(q, mono, lambda ai, bi: ai * bi)
+    return q.paired_image(mono, lambda ai, bi: ai * bi)
 
 
 # ---------------------------------------------------------------------------

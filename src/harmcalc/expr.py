@@ -226,13 +226,6 @@ class Polynomial:
         return _new(lay, {RATIONAL: (1, {lay.unit[name] * exp: 1})})
 
     @staticmethod
-    def packed(layout, den, nums):
-        """The rational polynomial sum(n * x^key) / den, keys packed in layout."""
-        blocks = {}
-        _put(blocks, RATIONAL, den, nums)
-        return _new(layout, blocks)
-
-    @staticmethod
     def from_raw(pairs):
         """The sum of (monomial, coefficient) pairs; a coefficient may be an
         int, a Fraction or a Scalar, and repeated monomials add up."""
@@ -433,6 +426,28 @@ class Polynomial:
         f = lambda k: (0, k + unit, Fraction(1, ((k >> s) & mask) + 1))  # noqa: E731
         return self._map(f, lay).get(0, Polynomial())
 
+    def paired_image(self, mono, weight):
+        """Sum over terms c x^b and variables i of w c x^(a + b - 2 e_i).
+
+        a = mono and w = weight(a_i, b_i): with w = s(s - 1), s = a_i + b_i,
+        this is the Laplacian of self x^a, with w = a_i b_i it is
+        grad self . grad x^a, and the product self x^a is never formed.
+        """
+        lay = _join(self.layout, _layout(tuple(v for v, _ in mono)), self.total_degree() + mono_degree(mono))
+        ka, mask = lay.pack(mono), lay.mask
+        fields = [(lay.shift[v], 2 * lay.unit[v]) for v in lay.names]
+        blocks = {}
+        for sig, (den, nums) in _rekey(self, lay).items():
+            acc = {}
+            for kb, n in nums.items():
+                for s, two in fields:
+                    w = weight((ka >> s) & mask, (kb >> s) & mask)
+                    if w:
+                        k = ka + kb - two
+                        acc[k] = acc.get(k, 0) + n * w
+            _put(blocks, sig, den, acc)
+        return _new(lay, blocks)
+
     def substitute(self, var, value):
         """Replace a variable by a Fraction, Scalar, or Polynomial."""
         value = _as_poly(value)
@@ -622,6 +637,15 @@ def poly_sum(ps):
     return lone if lone is not None else Polynomial()
 
 
+def rational_blocks(polys):
+    """(den, {key: num}) of each rational polynomial in polys; the keys are
+    packed in one layout, so one key is one monomial across the list."""
+    lay = _EMPTY
+    for p in polys:
+        lay = _join(lay, p.layout)
+    return [p.rational_block(lay) for p in polys]
+
+
 def dot_poly(a_names, b_names):
     """The dot product sum a_i*b_i of two blocks of variables."""
     return poly_sum([Polynomial.var(a) * Polynomial.var(b) for a, b in zip(a_names, b_names)])
@@ -770,8 +794,13 @@ class Expr:
         for poly, fac in raw_terms:
             if poly.is_zero():
                 continue
-            nf = []
+            # a product's factors may name one base twice: powers add
+            fd = {}
             for b, h, j in fac:
+                h0, j0 = fd.get(b, (0, 0))
+                fd[b] = (h0 + h, j0 + j)
+            nf = []
+            for b, (h, j) in fd.items():
                 if h == 0 and j == 0:
                     continue
                 if j == 0 and h > 0 and h % 2 == 0:
@@ -853,22 +882,12 @@ class Expr:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
-        raw = []
-        for p1, f1 in self.terms:
-            for p2, f2 in other.terms:
-                fd = dict((b, (h, j)) for b, h, j in f1)
-                for b, h, j in f2:
-                    h0, j0 = fd.get(b, (0, 0))
-                    fd[b] = (h0 + h, j0 + j)
-                raw.append(
-                    (p1 * p2, tuple((b, h, j) for b, (h, j) in sorted(fd.items())))
-                )
+        raw = [(p1 * p2, f1 + f2) for p1, f1 in self.terms for p2, f2 in other.terms]
         return Expr._from_raw(self.ctx, raw)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)
         return Expr._from_raw(self.ctx, [(p.scale(c), f) for p, f in self.terms])
 
     def __truediv__(self, c):
@@ -949,29 +968,16 @@ def substitute_norm_radius(e, r, ctx=None):
 def reduce_poly_on_sphere(poly, names, radius_sq=1):
     """Reduce a polynomial modulo sum(names^2) = radius_sq.
 
-    Substitutes last^2 -> radius_sq - sum of the other squares until no
-    monomial is divisible by last^2; the result is the canonical
-    representative of the restriction.
+    With poly = sum_e c_e last^e, last^e becomes last^(e mod 2) times
+    (radius_sq - the other squares)^(e // 2); no monomial of the result is
+    divisible by last^2, so it is the canonical representative of the
+    restriction.
     """
     names = tuple(names)
     last = names[-1]
-    radius_sq = _as_fraction(radius_sq)
-    rest = Polynomial.const(radius_sq) - poly_sum(Polynomial.var(v, 2) for v in names[:-1])
-
-    def reduced():
-        todo = poly
-        while todo.blocks:
-            lay = todo.layout
-            if last not in lay.shift:
-                yield todo
-                return
-            s, mask, two = lay.shift[last], lay.mask, 2 * lay.unit[last]
-            parts = todo._map(lambda k: (True, k - two, 1) if (k >> s) & mask >= 2 else (False, k, 1))
-            yield parts.get(False, Polynomial())
-            # last^2 * high becomes (radius_sq - the other squares) * high
-            todo = parts.get(True, Polynomial()) * rest
-
-    return poly_sum(reduced())
+    rest = Polynomial.const(_as_fraction(radius_sq)) - poly_sum(Polynomial.var(v, 2) for v in names[:-1])
+    parts = poly.coefficients((last,)).items()
+    return poly_sum(c * Polynomial.var(last, e % 2) * rest ** (e // 2) for (e,), c in parts)
 
 
 def restrict_to_sphere(e, ctx=None, radius=1):

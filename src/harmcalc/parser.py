@@ -96,8 +96,9 @@ def _int_value(token):
 
 def _exponent_value(token):
     """An exponent literal; output prints exponents with str(), so one
-    longer than str() writes is refused here."""
-    limit = sys.get_int_max_str_digits()
+    longer than str() writes is refused here.  Python before 3.10.7 has
+    no such limit (0 means none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and len(token.text.lstrip("0")) > limit:
         raise UnsupportedInputError(
             "exponent longer than %d digits (line %d, column %d)" % (limit, token.line, token.col)

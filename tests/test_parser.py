@@ -1,4 +1,5 @@
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -123,3 +124,10 @@ def test_exponent_longer_than_output_prints_is_a_typed_error(ctx3):
     assert parse_polynomial("x1^" + "0" * 5000 + "3", ctx3) == Polynomial.var("x1", 3)
     big = 10**300
     assert parse_polynomial("x1^%d" % big, ctx3) == Polynomial.var("x1", big)
+
+
+def test_long_exponent_parses_where_python_has_no_digit_limit(ctx3, monkeypatch):
+    # Python before 3.10.7 has neither the str() digit limit nor its getter
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    digits = "1" * 5000
+    assert parse_polynomial("x1^" + digits, ctx3) == Polynomial.var("x1", int(Decimal(digits)))
