@@ -95,8 +95,7 @@ def _solve_poly_constraints(columns, constraints, ctx):
 
     `columns` is a list of lists: columns[i][k] is the polynomial multiplying
     unknown i in constraint k; `constraints` holds the constant polynomials.
-    Each (constraint, monomial) pair is one sparse row, the monomial packed
-    in one layout that holds every polynomial of the system.  Returns the
+    Each (constraint, monomial) pair is one sparse row.  Returns the
     canonical solution vector or None if inconsistent; trailing columns
     with no entries are left off the vector.
     """

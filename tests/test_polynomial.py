@@ -115,6 +115,15 @@ def test_term_maps_match_oracle():
             for v in rng.sample(NAMES, 2):
                 assert p.partial(v) == poly_oracle.partial(p, v)
                 assert p.integrate(v) == poly_oracle.integrate(p, v)
+            # Laplacian of p x^a and grad p . grad x^a, over every name
+            a = _mono(rng, 3)
+            xa = Polynomial.from_raw([(a, 1)])
+            pxa = poly_oracle.mul(p, xa)
+            d = poly_oracle.partial
+            lap = poly_oracle.total([d(d(pxa, v), v) for v in NAMES])
+            grad = poly_oracle.total([poly_oracle.mul(d(p, v), d(xa, v)) for v in NAMES])
+            assert p.paired_image(a, lambda ai, bi: (ai + bi) * (ai + bi - 1)) == lap
+            assert p.paired_image(a, lambda ai, bi: ai * bi) == grad
             if p.total_degree() > 12:
                 # the oracle's powers of a substituted value and of a point
                 # coordinate are computed in full
