@@ -6,6 +6,11 @@ Neumann problems (sphere and quadratic surfaces, standard and
 generalized), the exterior Neumann problem, and the clamped-plate style
 biharmonic Dirichlet problem.
 
+Every solver here that splits its data reads the Fischer pieces
+p = sum ||x||^(2j) h_(m,j) of `harmonic.fischer_parts` (by degree m
+through `harmonic_parts_by_degree`); the polynomial anti-Laplacian is
+`harmonic.first_coordinate_series` of the twice x1-integrated data.
+
 One quadric type, `integrate.Quadratic(b, c, d)` for b.x^2 + c.x + d,
 serves as the Dirichlet region (any signs), the Neumann region (an
 ellipsoid) and the quadric-multiple mode of `anti_laplacian`.
@@ -33,7 +38,7 @@ from .errors import (
     UnsupportedRadialClass,
 )
 from .expr import Expr, Polynomial, monomials, poly_sum, rational_blocks
-from .harmonic import _decompose_homogeneous, harmonic_decompose, harmonic_parts_by_degree
+from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
     integrate_ellipsoid_area,
@@ -133,29 +138,6 @@ def radial_solve_count():
     return _radial_solve_count
 
 
-def _anti_laplacian_poly(p, ctx):
-    """Polynomial anti-Laplacian via the first-coordinate recursion.
-
-    With L integrating twice in the first coordinate and D the Laplacian in
-    the others, u = L p - L D u, so u = sum_k (-1)^k L (D L)^k p; the series
-    ends because D lowers the degree in the other coordinates.
-    """
-    first = ctx.coords[0]
-    rest = ctx.coords[1:]
-
-    def lifted(q):
-        # x1^a m -> x1^(a+2) m / ((a+1)(a+2)) on every term
-        return q.integrate(first).integrate(first)
-
-    def terms():
-        term = lifted(p)
-        while not term.is_zero():
-            yield term
-            term = -lifted(poly_sum(term.partial(v).partial(v) for v in rest))
-
-    return poly_sum(terms())
-
-
 def _antideriv_power_log(coeff, q, k):
     """Antiderivative of coeff * s^q log^k s with zero constant term.
 
@@ -229,15 +211,17 @@ def anti_laplacian(f, mode, ctx):
 
 def _anti_laplacian_plain(f, ctx):
     poly_part, radial = _fold_radial_terms(f, ctx)
-    raw = [(_anti_laplacian_poly(poly_part, ctx), ())]
+    # the series at s = L p, L integrating twice in x1, is an anti-Laplacian of p
+    first = ctx.coords[0]
+    raw = [(first_coordinate_series(poly_part.integrate(first).integrate(first), ctx), ())]
     nb = ctx.norm_base
-    for poly, h, j in radial:
-        # log(normSq)^j = (2 log r)^j
-        for hpoly, exp in harmonic_decompose(poly, ctx):
-            for m, g in hpoly.homogeneous_parts(ctx.coords).items():
-                for c, e, kk in _radial_ode_solution(m, h + exp, j, ctx):
-                    coeff = Scalar.from_fraction(c * Fraction(2**j) / Fraction(2**kk))
-                    raw.append((g.scale(coeff), ((nb, e, kk),)))
+    for poly, h, k in radial:
+        # a piece ||x||^(2j) g of the decomposition is g times r^(h + 2j) log^k;
+        # log(normSq)^k = (2 log r)^k
+        for (m, j), g in fischer_parts(poly, ctx).items():
+            for c, e, kk in _radial_ode_solution(m, h + 2 * j, k, ctx):
+                coeff = Scalar.from_fraction(c * Fraction(2**k) / Fraction(2**kk))
+                raw.append((g.scale(coeff), ((nb, e, kk),)))
     return Expr._from_raw(ctx, raw)
 
 
@@ -250,9 +234,8 @@ def _anti_laplacian_norm_multiple(f, ctx):
     n = ctx.dim
     norm = ctx.norm_sq_poly()
     return poly_sum(
-        norm ** (j + 1) * g.scale(Fraction(1, (2 * j + 2) * (2 * k - 2 * j + n)))
-        for k, part in f.homogeneous_parts(ctx.coords).items()
-        for j, g in _decompose_homogeneous(part, k, ctx).items()
+        norm ** (j + 1) * g.scale(Fraction(1, (2 * j + 2) * (2 * m + 2 * j + n)))
+        for (m, j), g in fischer_parts(f, ctx).items()
     )
 
 
@@ -342,16 +325,8 @@ def _dirichlet_annulus(p_inner, p_outer, region, ctx):
         raise UnsupportedDimension("annulus Dirichlet needs dimension >= 3")
     n = ctx.dim
     r, s = region.inner, region.outer
-
-    def boundary_coefficients(p, radius):
-        # p restricted to the sphere of the given radius, written as
-        # sum over degrees of (harmonic of degree m) with norm powers
-        # specialized at the radius
-        h = poly_sum(h.scale(radius**e) for h, e in harmonic_decompose(p, ctx))
-        return h.homogeneous_parts(ctx.coords)
-
-    inner = boundary_coefficients(p_inner, r)
-    outer = boundary_coefficients(p_outer, s)
+    inner = harmonic_parts_by_degree(p_inner, ctx, r)
+    outer = harmonic_parts_by_degree(p_outer, ctx, s)
     raw = []
     for m in sorted(set(inner) | set(outer)):
         pm = inner.get(m, Polynomial())

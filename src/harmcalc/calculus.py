@@ -18,6 +18,7 @@ from .errors import (
     ZeroGradientField,
 )
 from .expr import Expr, Polynomial, poly_sum, restrict_to_sphere
+from .scalar import Scalar
 
 
 def _partial_raw(ctx, terms, var):
@@ -116,8 +117,9 @@ def normal_d_surface(e, q, ctx=None):
     """Normal derivative with respect to the level surface q = const.
 
     Returns (grad e . grad q)/|grad q| with the squarefree part of
-    grad q . grad q kept as a symbolic radical; the point is not restricted
-    to the surface.
+    grad q . grad q kept as a symbolic radical, or as an exact constant
+    when grad q . grad q is constant (a plane); the point is not
+    restricted to the surface.
     """
     ctx = ctx or e.ctx
     if q.is_constant():
@@ -126,7 +128,10 @@ def normal_d_surface(e, q, ctx=None):
     gram = poly_sum([g * g for g in grads])
     if gram.is_zero():
         raise ZeroGradientField("grad q . grad q vanishes identically")
-    return _weighted_partials(ctx, e, grads) * Expr.base_power(ctx, gram, -1)
+    along = _weighted_partials(ctx, e, grads)
+    if gram.is_constant():
+        return along.scale(Scalar.half_power(gram.constant_term().as_fraction(), -1))
+    return along * Expr.base_power(ctx, gram, -1)
 
 
 def _weighted_partials(ctx, e, weights):

@@ -614,10 +614,19 @@ def _error(exc):
     return {"error": " ".join(str(exc).split()), "type": type(exc).__name__}, 6
 
 
-def run_command(argv):
-    """Execute one command line; returns (payload, exit_code)."""
+def run_command(argv, batch_line=False):
+    """Execute one command line; returns (payload, exit_code).
+
+    A batch line runs one verb and returns its result into the batch
+    array, so there `batch` and `--out` are usage errors, like `--help`.
+    """
     try:
-        return execute(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        if batch_line and args.verb == "batch":
+            raise ParseError("batch: a batch line cannot run batch")
+        if batch_line and args.out:
+            raise ParseError("batch: --out works only as a whole command line")
+        return execute(args)
     except Exception as exc:
         return _error(exc)
 
@@ -636,7 +645,7 @@ def execute(args):
             if not line or line.startswith("#"):
                 continue
             try:
-                payload, code = run_command(shlex.split(line))
+                payload, code = run_command(shlex.split(line), batch_line=True)
             except ValueError as exc:  # an unbalanced quote
                 payload, code = _error(ParseError("batch: %s" % exc))
             results.append({"command": line, "exit": code, "result": payload})

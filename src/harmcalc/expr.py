@@ -775,10 +775,7 @@ class Expr:
         bid, content = ctx.register_base(base_poly)
         if content < 0 and (half % 2 or log_pow):
             raise NegativeBaseValue("half powers and logs need a positive-content base")
-        if half % 2 == 0:
-            cs = Scalar.from_fraction(content ** (half // 2))
-        else:
-            cs = Scalar.sqrt_fraction(content) ** half
+        cs = Scalar.half_power(content, half)
         logc = Scalar.log_fraction(content) if log_pow else ONE
         out = [
             (Polynomial.const(cs * comb(log_pow, i) * logc**i), ((bid, half, log_pow - i),))
@@ -1012,10 +1009,7 @@ def eval_expr(e, point, ctx=None):
                 continue
             if bval < 0 and (h % 2 or j):
                 raise NegativeBaseValue("negative base under sqrt or log")
-            if h % 2 == 0:
-                v = v * Scalar.from_fraction(bval ** (h // 2))
-            else:
-                v = v * Scalar.sqrt_fraction(bval) ** h
+            v = v * Scalar.half_power(bval, h)
             if j:
                 v = v * Scalar.log_fraction(bval) ** j
         total = total + v

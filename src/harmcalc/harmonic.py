@@ -1,16 +1,19 @@
 """Structure theory of harmonic polynomials.
 
-Dimension counts, the unique decomposition p = sum h_k ||x||^(2k) with
-harmonic h_k, deterministic bases of the homogeneous harmonic spaces
+Dimension counts, the Fischer decomposition p = sum ||x||^(2j) h_(m,j)
+with harmonic h_(m,j) homogeneous of degree m, the first-coordinate
+(Cauchy-Kovalevskaya) series behind anti-Laplacians and harmonic
+extensions, deterministic bases of the homogeneous harmonic spaces
 (optionally orthonormalized under a pluggable inner product), and extended
-zonal harmonics.
+zonal harmonics.  The solvers and the Bergman projection read the
+decomposition through `fischer_parts`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Callable
 
 from .calculus import poly_laplacian
@@ -52,57 +55,77 @@ def _decompose_homogeneous(p, k, ctx):
     return {j: h for j, h in out.items() if not h.is_zero()}
 
 
+def fischer_parts(p, ctx):
+    """The Fischer decomposition p = sum ||x||^(2j) h_(m,j) as {(m, j): h}.
+
+    Each h is harmonic and homogeneous of degree m, and the pieces are
+    unique (Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 5);
+    zero pieces are dropped.
+    """
+    if not isinstance(p, Polynomial):
+        raise NonPolynomialInput("harmonic decomposition expects a polynomial")
+    return {
+        (k - 2 * j, j): h
+        for k, part in p.homogeneous_parts(ctx.coords).items()
+        for j, h in _decompose_homogeneous(part, k, ctx).items()
+    }
+
+
+def _sum_by(pairs):
+    """{key: sum of the polynomials paired with it} in key order, zero sums dropped."""
+    groups = {}
+    for key, h in pairs:
+        groups.setdefault(key, []).append(h)
+    sums = ((key, poly_sum(hs)) for key, hs in sorted(groups.items()))
+    return {key: h for key, h in sums if not h.is_zero()}
+
+
 def harmonic_decompose(p, ctx):
     """The unique list of (harmonic polynomial, even norm exponent) pairs.
 
     The weighted sum of the pairs reconstructs p; exponents are strictly
     increasing and zero parts are dropped.
     """
-    if not isinstance(p, Polynomial):
-        raise NonPolynomialInput("harmonic decomposition expects a polynomial")
-    groups = {}
-    for k, part in p.homogeneous_parts(ctx.coords).items():
-        for j, h in _decompose_homogeneous(part, k, ctx).items():
-            groups.setdefault(2 * j, []).append(h)
-    acc = sorted((e, poly_sum(hs)) for e, hs in groups.items())
-    return [(h, e) for e, h in acc if not h.is_zero()]
+    sums = _sum_by((2 * j, h) for (_, j), h in fischer_parts(p, ctx).items())
+    return [(h, e) for e, h in sums.items()]
 
 
-def harmonic_parts_by_degree(p, ctx):
-    """Boundary data on the unit sphere as dict degree -> harmonic part.
+def harmonic_parts_by_degree(p, ctx, radius=1):
+    """Boundary data on the sphere of a rational radius as dict degree -> harmonic part.
 
-    Drops the norm powers of the decomposition (they are 1 on the sphere)
-    and regroups the harmonic pieces by homogeneity degree.
+    On that sphere ||x||^(2j) equals radius^(2j), so each piece h_(m,j)
+    joins the degree-m part with that weight (1 on the unit sphere).
     """
-    h = poly_sum(h for h, _ in harmonic_decompose(p, ctx))
-    return dict(sorted(h.homogeneous_parts(ctx.coords).items()))
+    r2 = Fraction(radius) ** 2
+    pieces = fischer_parts(p, ctx).items()
+    return _sum_by((m, h.scale(r2**j) if r2 != 1 else h) for (m, j), h in pieces)
 
 
-# ---------------------------------------------------------------------------
-# bases
+def first_coordinate_series(s, ctx):
+    """u = sum_k (-1)^k (L D)^k s, the first-coordinate series of s.
 
-
-def _harmonic_extension(q, eps, ctx):
-    """The harmonic polynomial x1^eps q(x') + O(x1^2) extending Cauchy data.
-
-    q is a polynomial in the coordinates after the first; the alternating
-    series sum_k (-1)^k x1^(2k+eps) lap'^k q / (2k+eps)! terminates and is
-    annihilated by the Laplacian.
+    L integrates twice in the first coordinate (x1^a -> x1^(a+2)/((a+1)(a+2)))
+    and D is the Laplacian in the other coordinates.  The series ends
+    because D lowers the degree in those coordinates, and its Laplacian is
+    the second x1-derivative of s.  So s = L p gives an anti-Laplacian of
+    p, and s = x1^eps q(x') with eps in {0, 1} gives the harmonic
+    polynomial x1^eps q + O(x1^2) extending that Cauchy data.
     """
     first = ctx.coords[0]
     rest = ctx.coords[1:]
 
     def terms():
-        k = 0
-        cur = q
-        while not cur.is_zero():
-            e = 2 * k + eps
-            term = cur.scale(Fraction(-1 if k % 2 else 1, factorial(e)))
-            yield Polynomial.var(first, e) * term if e else term
-            cur = poly_sum(cur.partial(v).partial(v) for v in rest)
-            k += 1
+        term = s
+        while not term.is_zero():
+            yield term
+            d = poly_sum(term.partial(v).partial(v) for v in rest)
+            term = -d.integrate(first).integrate(first)
 
     return poly_sum(terms())
+
+
+# ---------------------------------------------------------------------------
+# bases
 
 
 def _primitive(p, ctx):
@@ -152,18 +175,12 @@ def basis_harmonic(m, ctx, ip=None):
     """
     if ctx.dim < 2:
         raise UnsupportedDimension("harmonic bases need dimension >= 2")
-    if m == 0:
-        basis = [Polynomial.const(1)]
-    else:
-        rest = ctx.coords[1:]
-        basis = []
-        for eps in (0, 1):
-            deg = m - eps
-            if deg < 0:
-                continue
-            for mono in monomials(rest, [deg]):
-                q = Polynomial({mono: Scalar.from_fraction(1)})
-                basis.append(_primitive(_harmonic_extension(q, eps, ctx), ctx))
+    first, rest = ctx.coords[0], ctx.coords[1:]
+    basis = []
+    for eps in (0, 1):
+        for mono in monomials(rest, [m - eps]):
+            cauchy = Polynomial.var(first, eps) * Polynomial.from_raw([(mono, 1)])
+            basis.append(_primitive(first_coordinate_series(cauchy, ctx), ctx))
     if ip is None:
         return basis
     ortho = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Optional, Tuple
 
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedRadialClass,
 )
-from .expr import Polynomial, poly_sum
+from .expr import Polynomial, _as_poly, poly_sum
 from .scalar import ONE, Scalar
 
 
@@ -38,12 +38,7 @@ def unit_ball_volume(n):
         k = n // 2
         return Scalar.from_fraction(Fraction(1, factorial(k))) * Scalar.pi_power(n)
     k = (n - 1) // 2
-    odd_fact = 1
-    for i in range(1, n + 1, 2):
-        odd_fact *= i
-    return Scalar.from_fraction(Fraction(2 ** (k + 1), odd_fact)) * Scalar.pi_power(
-        2 * k
-    )
+    return Scalar.from_fraction(Fraction(2 ** (k + 1), _double_factorial(n))) * Scalar.pi_power(2 * k)
 
 
 def unit_sphere_area(n):
@@ -91,10 +86,6 @@ def _collapse(poly):
     if poly.is_constant():
         return poly.constant_term()
     return poly
-
-
-def _as_poly_result(x):
-    return x if isinstance(x, Polynomial) else Polynomial.const(x)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def integrate_ball(p, radial, ctx):
     nv = Scalar.from_fraction(n) * unit_ball_volume(n)
     parts = []
     for m, part in p.homogeneous_parts(ctx.coords).items():
-        mean = _as_poly_result(integrate_sphere(part, ctx))
+        mean = _as_poly(integrate_sphere(part, ctx))
         if not mean.is_zero():
             parts.append(mean.scale(nv * _radial_moment(n - 1 + m, radial)))
     return _collapse(poly_sum(parts))
@@ -277,31 +268,16 @@ def _even_moment_table(p, e, ctx):
     return {m: part.contract(ctx.coords, weight) for m, part in parts.items()}
 
 
-def _rho_power(e, k):
-    """rho^k as an exact Scalar (rho = sqrt of the rational rho^2)."""
-    r2 = e.rho_sq()
-    if k % 2 == 0:
-        return Scalar.from_fraction(r2 ** (k // 2))
-    return Scalar.from_fraction(r2 ** ((k - 1) // 2)) * Scalar.sqrt_fraction(r2)
-
-
-def _axis_norm(e):
-    """1/sqrt(prod b_i)."""
-    prod = Fraction(1)
-    for bi in e.b:
-        prod *= bi
-    return Scalar.sqrt_fraction(1 / prod)
-
-
 def integrate_ellipsoid_volume(p, e, ctx):
     """Integral of p over the open region b.x^2 + c.x + d < 0."""
     n = ctx.dim
     nv = Scalar.from_fraction(n) * unit_ball_volume(n)
     acc = poly_sum(
-        part.scale(nv * Scalar.from_fraction(Fraction(1, n + m)) * _rho_power(e, n + m))
+        part.scale(nv * Scalar.from_fraction(Fraction(1, n + m)) * Scalar.half_power(e.rho_sq(), n + m))
         for m, part in _even_moment_table(p, e, ctx).items()
     )
-    return _collapse(acc.scale(_axis_norm(e)))
+    # the axis factor 1/sqrt(prod b_i)
+    return _collapse(acc.scale(Scalar.half_power(prod(e.b), -1)))
 
 
 def integrate_ellipsoid_area(p, e, ctx):
@@ -316,7 +292,7 @@ def integrate_ellipsoid_area(p, e, ctx):
     # volume term A rho^(n+m) with A = nv w axis/(n+m);
     # d/dt at t=0 is A (n+m)/2 rho^(n+m-2) = nv w axis/2 rho^(n+m-2)
     acc = poly_sum(
-        part.scale(nv * Scalar.from_fraction(Fraction(1, 2)) * _rho_power(e, n + m - 2))
+        part.scale(nv * Scalar.from_fraction(Fraction(1, 2)) * Scalar.half_power(e.rho_sq(), n + m - 2))
         for m, part in _even_moment_table(p, e, ctx).items()
     )
-    return _collapse(acc.scale(_axis_norm(e)))
+    return _collapse(acc.scale(Scalar.half_power(prod(e.b), -1)))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NonPolynomialInput
 from .expr import Expr, Polynomial, dot_poly, poly_sum
-from .harmonic import harmonic_decompose
+from .harmonic import fischer_parts
 from .integrate import unit_ball_volume
 from .scalar import Scalar
 
@@ -133,7 +133,6 @@ def bergman_projection(u, ctx):
         raise NonPolynomialInput("Bergman projection expects a polynomial")
     n = ctx.dim
     return poly_sum(
-        g.scale(Fraction(n + 2 * m, n + 2 * m + e))
-        for h, e in harmonic_decompose(u, ctx)
-        for m, g in h.homogeneous_parts(ctx.coords).items()
+        h.scale(Fraction(n + 2 * m, n + 2 * m + 2 * j))
+        for (m, j), h in fischer_parts(u, ctx).items()
     )

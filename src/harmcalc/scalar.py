@@ -194,6 +194,14 @@ class Scalar:
         return Scalar.sqrt_int(q.numerator * q.denominator) / Fraction(q.denominator)
 
     @staticmethod
+    def half_power(q, half):
+        """q^(half/2) for a rational q: any nonzero q when half is even, q > 0 when it is odd."""
+        q = _as_fraction(q)
+        if half % 2 == 0:
+            return Scalar.from_fraction(q ** (half // 2))
+        return Scalar.sqrt_fraction(q) ** half
+
+    @staticmethod
     def log_fraction(q):
         """log q for a positive rational, expanded over prime logs."""
         q = _as_fraction(q)

@@ -15,6 +15,7 @@ from typing import Tuple
 from .errors import (
     CenterSingularity,
     DimensionMismatch,
+    EmptyInterior,
     UnsupportedBase,
     UnsupportedDimension,
     ZeroGradientField,
@@ -32,6 +33,11 @@ class UnitSphere:
 class SphereMirror:
     center: Tuple[Fraction, ...]
     radius: Fraction
+
+    def __post_init__(self):
+        # radius 0 sends every point to the center, and -r would act as r
+        if self.radius <= 0:
+            raise EmptyInterior("a sphere mirror needs a positive radius")
 
 
 @dataclass(frozen=True)
@@ -172,10 +178,7 @@ def kelvin_h(e, ctx=None):
     bid, content = ctx.register_base(den)
     if content != 1:
         raise AssertionError("south pole base should be primitive")
-    if (n - 2) % 2 == 0:
-        front = Scalar.from_fraction(Fraction(2) ** ((n - 2) // 2))
-    else:
-        front = Scalar.sqrt_fraction(2) ** (n - 2)
+    front = Scalar.half_power(2, n - 2)
     num_for = dict(zip(ctx.coords, nums))
     raw = []
     for poly, fac in e.terms:

@@ -141,6 +141,11 @@ def test_normal_d_surface(ctx3):
     got2 = normal_d_surface(Expr.from_poly(ctx3, nq), nq, ctx3)
     assert (got2 - Expr.norm_power(ctx3, 1).scale(2)).is_zero()
     assert normal_d_surface(Expr.from_scalar(ctx3, Scalar.from_fraction(7)), nq, ctx3).is_zero()
+    # on a plane grad q . grad q is a constant: 2 here, so |grad q| = sqrt(2) exactly
+    got3 = normal_d_surface(E("x1", ctx3), P("x1 + x2", ctx3), ctx3)
+    assert got3 == Expr.from_scalar(ctx3, Scalar.sqrt_fraction(F(1, 2)))
+    got4 = normal_d_surface(E("x1*x2", ctx3), P("3*x1 - 4*x2 + 7", ctx3), ctx3)
+    assert got4 == Expr.from_poly(ctx3, P("3*x2 - 4*x1", ctx3).scale(F(1, 5)))
 
 
 def test_homogeneous_about_point():

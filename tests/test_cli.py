@@ -115,6 +115,14 @@ def test_reflect_point_verb():
     assert out.split("\n") == ["1/151", "-2/151", "5/151", "11/151"]
 
 
+def test_normal_d_plane_is_exact():
+    # grad q . grad q is the constant 2 on a plane: the answer is 1/sqrt(2)
+    assert run(["normal-d", "x1", "--dim", "2", "--surface", "x1 + x2"]) == ("(sqrt(2)/2)", 0)
+    payload, code = run(["normal-d", "x1", "--dim", "2", "--surface", "x1 + x2", "--format", "json"])
+    assert code == 0
+    assert payload == {"terms": [{"factors": [], "poly": "(sqrt(2)/2)"}]}
+
+
 def test_eval_and_approx():
     out, code = run(["eval", "norm(x)", "--dim", "2", "--at", "3,4"])
     assert code == 0 and out == "5"
@@ -614,6 +622,23 @@ def test_batch_help_line_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_batch_line_runs_one_verb(tmp_path):
+    # a line naming a batch file (here its own) or --out is a usage error
+    script = tmp_path / "commands.txt"
+    target = tmp_path / "out.txt"
+    script.write_text("batch %s\nvolume --dim 3 --out %s\nvolume --dim 3\n" % (script, target))
+    results, code = run(["batch", str(script)])
+    assert code == 0
+    assert [r["exit"] for r in results] == [2, 2, 0]
+    assert results[0]["result"] == {"error": "batch: a batch line cannot run batch", "type": "ParseError"}
+    assert results[1]["result"] == {
+        "error": "batch: --out works only as a whole command line",
+        "type": "ParseError",
+    }
+    assert results[2]["result"] == "4*pi/3"
+    assert not target.exists()
+
+
 def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
     payload, code = run(["batch", str(tmp_path / "missing.txt")])
     assert code == 2 and payload["type"] == "ParseError"
@@ -657,6 +682,10 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ("basis-h --dim 1", "UnsupportedDimension"),
         ("reflect --point 1,2 --mirror hyperplane:0,0;1", "ZeroGradientField"),
         ("reflect --dim 2 --mirror hyperplane:0,0;1", "ZeroGradientField"),
+        # radius 0 would send every point to the center, and -1 would act as 1
+        ('reflect --point 1,0 --mirror "sphere:0,0;0"', "EmptyInterior"),
+        ('reflect --point 1,0 --mirror "sphere:0,0;-1"', "EmptyInterior"),
+        ('reflect --dim 2 --mirror "sphere:0,0;0"', "EmptyInterior"),
         ("neumann x1 --dim 3 --region exterior-sphere", "UnsupportedInputError"),
         ("dirichlet x1 x2 --dim 3", "UnsupportedInputError"),
         ("dirichlet x1 x2 --dim 3 --region quadratic:1,2,3", "UnsupportedInputError"),

@@ -13,6 +13,7 @@ from harmcalc.harmonic import (
     ball_inner_product,
     basis_harmonic,
     dim_harmonic,
+    fischer_parts,
     harmonic_decompose,
     harmonic_parts_by_degree,
     sphere_inner_product,
@@ -67,6 +68,11 @@ def test_decompose_reconstruction_random():
                 assert poly_laplacian(h, ctx).is_zero()
                 total = total + n2 ** (e // 2) * h
             assert total == p
+            pieces = fischer_parts(p, ctx)
+            assert poly_sum(n2**j * h for (_, j), h in pieces.items()) == p
+            for (m, _), h in pieces.items():
+                assert poly_laplacian(h, ctx).is_zero()
+                assert list(h.homogeneous_parts(ctx.coords)) == [m]
 
 
 def test_basis_cardinality_and_harmonicity():

@@ -80,6 +80,17 @@ def test_sqrt_with_pi_and_radical():
     assert scalar_sqrt(Scalar.from_fraction(210)) == Scalar.sqrt_int(210)
 
 
+def test_half_power():
+    assert Scalar.half_power(F(9, 4), 3) == Scalar.from_fraction(F(27, 8))
+    assert Scalar.half_power(2, 3) == Scalar.sqrt_int(2) * 2
+    assert Scalar.half_power(2, -1) == Scalar.sqrt_int(2) / 2
+    assert Scalar.half_power(F(-2, 3), 4) == Scalar.from_fraction(F(4, 9))
+    assert Scalar.half_power(F(-2, 3), -2) == Scalar.from_fraction(F(-3, 2))
+    assert Scalar.half_power(7, 0) == Scalar.from_fraction(1)
+    with pytest.raises(NegativeRadicand):
+        Scalar.half_power(-2, 1)
+
+
 def test_sqrt_errors():
     with pytest.raises(MultiTermSqrt):
         scalar_sqrt(ONE + Scalar.pi_power(2))

@@ -6,7 +6,7 @@ import pytest
 from conftest import E
 
 from harmcalc.calculus import laplacian_of
-from harmcalc.errors import CenterSingularity, DimensionMismatch, UnsupportedBase
+from harmcalc.errors import CenterSingularity, DimensionMismatch, EmptyInterior, UnsupportedBase
 from harmcalc.expr import Context, Expr, Polynomial, make_context, poly_sum
 from harmcalc.harmonic import basis_harmonic
 from harmcalc.scalar import Scalar
@@ -226,3 +226,12 @@ def test_reflect_mirror_must_match_dimension():
         reflect_map(HyperplaneMirror((1, 0, 0), 0), Context(2))
     with pytest.raises(DimensionMismatch):
         reflect_map(SphereMirror((0,), 1), Context(2))
+
+
+@pytest.mark.parametrize("radius", [0, -1, F(-1, 2)])
+def test_sphere_mirror_needs_positive_radius(radius):
+    # radius 0 would send every point to the center, and -r would act as r
+    with pytest.raises(EmptyInterior):
+        reflect_point((1, 0), SphereMirror((0, 0), radius))
+    with pytest.raises(EmptyInterior):
+        reflect_map(SphereMirror((0, 0), radius), Context(2))
