@@ -614,17 +614,15 @@ def _error(exc):
     return {"error": " ".join(str(exc).split()), "type": type(exc).__name__}, 6
 
 
-def run_command(argv, batch_line=False):
+def run_command(argv):
     """Execute one command line; returns (payload, exit_code).
 
-    A batch line runs one verb and returns its result into the batch
-    array, so there `batch` and `--out` are usage errors, like `--help`.
+    The payload is returned, never written, so `--out` is a usage error
+    here, like `--help`.
     """
     try:
         args = build_parser().parse_args(argv)
-        if batch_line and args.verb == "batch":
-            raise ParseError("batch: a batch line cannot run batch")
-        if batch_line and args.out:
+        if args.out:
             raise ParseError("batch: --out works only as a whole command line")
         return execute(args)
     except Exception as exc:
@@ -645,8 +643,11 @@ def execute(args):
             if not line or line.startswith("#"):
                 continue
             try:
-                payload, code = run_command(shlex.split(line), batch_line=True)
-            except ValueError as exc:  # an unbalanced quote
+                argv = shlex.split(line)
+                if argv[:1] == ["batch"]:  # the parser takes no option before the verb
+                    raise ValueError("a batch line cannot run batch")
+                payload, code = run_command(argv)
+            except ValueError as exc:  # an unbalanced quote, or a nested batch
                 payload, code = _error(ParseError("batch: %s" % exc))
             results.append({"command": line, "exit": code, "result": payload})
         return results, 0

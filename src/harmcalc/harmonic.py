@@ -98,7 +98,7 @@ def harmonic_parts_by_degree(p, ctx, radius=1):
     """
     r2 = Fraction(radius) ** 2
     pieces = fischer_parts(p, ctx).items()
-    return _sum_by((m, h.scale(r2**j) if r2 != 1 else h) for (m, j), h in pieces)
+    return _sum_by((m, h.scale(r2**j)) for (m, j), h in pieces)
 
 
 def first_coordinate_series(s, ctx):
