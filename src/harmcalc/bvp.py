@@ -361,16 +361,6 @@ def _dirichlet_quadratic(p, region, ctx):
 # Neumann problems
 
 
-def _sphere_neumann_data(p, ctx):
-    parts = harmonic_parts_by_degree(p, ctx)
-    if 0 in parts:
-        raise SolvabilityViolation(
-            "the boundary data has nonzero mean over the sphere; "
-            "a solution cannot exist"
-        )
-    return parts
-
-
 def neumann(f, g=None, region=Sphere(), ctx=None):
     """Neumann problems on the sphere or a quadratic surface.
 
@@ -393,12 +383,12 @@ def neumann(f, g=None, region=Sphere(), ctx=None):
 
 def _neumann_sphere(f, g, ctx):
     if g is None:
-        mean_f = integrate_sphere(f, ctx)
-        if not (isinstance(mean_f, Scalar) and mean_f.is_zero()):
+        parts = harmonic_parts_by_degree(f, ctx)
+        # the degree-0 part is the mean of f over the sphere
+        if 0 in parts:
             raise SolvabilityViolation(
                 "the integral of the data over the sphere must vanish"
             )
-        parts = _sphere_neumann_data(f, ctx)
         return Expr.from_poly(
             ctx, poly_sum(gm.scale(Fraction(1, m)) for m, gm in parts.items())
         )

@@ -7,7 +7,8 @@ is read (`reflect` reads it only without `--point`); there is no ambient
 dimension state.  Vectors and regions are checked against `--dim`.
 Output is deterministic text, JSON or LaTeX.  A batch mode reads one
 command line per file line and emits a JSON array of results; a bad line
-records its error and the rest still run.
+records its error and the rest still run.  A line that names a verb is
+parsed by that verb's parser alone, built once per process.
 
 Exit codes: 0 success, 2 parse or usage error, 3 unsupported input class,
 4 solvability violation, 5 degree cap or infeasible system, 6 internal
@@ -17,6 +18,7 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -309,29 +311,61 @@ class _OneOrTwo(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+def _add_arguments(p, name):
+    """Add the arguments of verb `name` (or `batch`) to the parser p; returns p."""
+    if name == "batch":
+        p.add_argument("file")
+        p.add_argument("--out", default=None)
+        return p
+    _, nargs, flags = VERBS[name]
+    if nargs == 2:
+        p.add_argument("expr", nargs="+", action=_OneOrTwo, help="one or two expressions")
+    elif nargs:
+        p.add_argument("expr", nargs=nargs, help="expression")
+    for flag in flags:
+        key = flag.rstrip("!")
+        p.add_argument("--" + key, required=flag.endswith("!"), **FLAGS[key])
+    p.add_argument("--format", default="text", choices=("text", "json", "latex"))
+    p.add_argument("--out", default=None, help="write the result to this file")
+    p.add_argument("--timing", action="store_true", help="elapsed time on stderr")
+    return p
+
+
 def build_parser():
+    """The whole tree: one subparser per verb, then `batch`."""
     ap = _Parser(
         prog="harmcalc",
         description="Exact computer algebra for harmonic function theory.",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-    for name in sorted(VERBS):
-        _, nargs, flags = VERBS[name]
-        p = sub.add_parser(name)
-        if nargs == 2:
-            p.add_argument("expr", nargs="+", action=_OneOrTwo, help="one or two expressions")
-        elif nargs:
-            p.add_argument("expr", nargs=nargs, help="expression")
-        for flag in flags:
-            key = flag.rstrip("!")
-            p.add_argument("--" + key, required=flag.endswith("!"), **FLAGS[key])
-        p.add_argument("--format", default="text", choices=("text", "json", "latex"))
-        p.add_argument("--out", default=None, help="write the result to this file")
-        p.add_argument("--timing", action="store_true", help="elapsed time on stderr")
-    bp = sub.add_parser("batch")
-    bp.add_argument("file")
-    bp.add_argument("--out", default=None)
+    for name in sorted(VERBS) + ["batch"]:
+        _add_arguments(sub.add_parser(name), name)
     return ap
+
+
+@functools.cache
+def verb_parser(name):
+    """The parser of one verb (or `batch`), the same as its subparser in
+    `build_parser`; built once per process and reused."""
+    return _add_arguments(_Parser(prog="harmcalc " + name), name)
+
+
+def parse_command(argv):
+    """Parse one command line.
+
+    A line that starts with a verb is parsed by that verb's parser alone.
+    Any other line (top-level --help, an unknown verb, an empty line, an
+    option before the verb) goes to the whole tree, which reports it.
+    """
+    name = argv[0] if argv else None
+    if name != "batch" and name not in VERBS:
+        return build_parser().parse_args(argv)
+    args, extra = verb_parser(name).parse_known_args(argv[1:])
+    if extra:
+        # the whole tree reports what the verb's parser leaves over
+        raise ParseError("harmcalc: unrecognized arguments: %s" % " ".join(extra))
+    args.verb = name
+    return args
 
 
 def _ctx(args, label=None, extra=()):
@@ -621,7 +655,7 @@ def run_command(argv):
     here, like `--help`.
     """
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_command(argv)
         if args.out:
             raise ParseError("batch: --out works only as a whole command line")
         return execute(args)
@@ -671,7 +705,7 @@ def execute(args):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_command(sys.argv[1:] if argv is None else argv)
         payload, code = execute(args)
         if not code:
             _write(payload, args.out)

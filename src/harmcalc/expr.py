@@ -47,7 +47,7 @@ from .errors import (
     UnsupportedInputError,
     ZeroBaseValue,
 )
-from .scalar import ONE, ZERO, Scalar, _as_fraction, _merge_logs, power
+from .scalar import ONE, ZERO, Scalar, _as_fraction, _merge_logs, check_power, power
 
 # ---------------------------------------------------------------------------
 # monomials: tuples of (variable name, positive exponent), sorted by name
@@ -322,6 +322,7 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
+        check_power(k, _power_blocks((self,)))
         return power(self, k, Polynomial.const(1))
 
     def __eq__(self, other):
@@ -531,6 +532,11 @@ class Polynomial:
 
 
 _EMPTY = _layout(())
+
+
+def _power_blocks(polys):
+    """The (denominator, radicand, numerators) of every block, for `check_power`."""
+    return ((den, rad, nums.values()) for p in polys for (rad, _, _), (den, nums) in p.blocks.items())
 
 
 def _as_poly(x):
@@ -894,6 +900,7 @@ class Expr:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("expression exponent must be a nonnegative integer")
+        check_power(k, _power_blocks(p for p, _ in self.terms))
         return power(self, k, Expr.from_poly(self.ctx, Polynomial.const(1)))
 
     def _coerce(self, x):
@@ -957,6 +964,7 @@ def substitute_norm_radius(e, r, ctx=None):
                 keep.append((b, h, j))
                 continue
             # log(normSq) = log r^2, which is ZERO at r = 1
+            check_power(h, ((r.denominator, 1, (r.numerator,)),))
             coeff = coeff * Scalar.from_fraction(r**h) * Scalar.log_fraction(r * r) ** j
         raw.append((poly.scale(coeff), tuple(keep)))
     return Expr._from_raw(ctx, raw)

@@ -22,6 +22,7 @@ from .errors import (
     NonRationalSqrt,
     NonRationalValue,
     OddPiExponent,
+    UnsupportedInputError,
 )
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,7 @@ class Scalar:
         """q^(half/2) for a rational q: any nonzero q when half is even, q > 0 when it is odd."""
         q = _as_fraction(q)
         if half % 2 == 0:
+            check_power(half // 2, ((q.denominator, 1, (q.numerator,)),))
             return Scalar.from_fraction(q ** (half // 2))
         return Scalar.sqrt_fraction(q) ** half
 
@@ -317,6 +319,7 @@ class Scalar:
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("scalar exponent must be an integer")
+        check_power(k, ((c.denominator, r, (c.numerator,)) for c, r, _, _ in self.terms))
         if k < 0:
             return power(self.inverse(), -k, ONE)
         return power(self, k, ONE)
@@ -340,6 +343,32 @@ class Scalar:
         from .render import scalar_text
 
         return "Scalar(%s)" % scalar_text(self)
+
+
+# the largest power computed: one whose coefficients would need more bits
+# (about 315,000 decimal digits) is refused before it is computed
+MAX_POWER_BITS = 1 << 20
+
+
+def check_power(k, blocks):
+    """Refuse x**k when its coefficients would pass MAX_POWER_BITS bits.
+
+    `blocks` are (denominator, radicand, numerators) triples covering the
+    terms of x.  Each factor of the power adds about the largest log2
+    height of a term plus log2 of the number of terms.
+    """
+    if -1 <= k <= 1:
+        return
+    count = height = 0
+    for den, rad, nums in blocks:
+        count += len(nums)
+        top = max(max(nums), -min(nums)).bit_length()
+        height = max(height, top + den.bit_length() + rad.bit_length() - 3)
+    bits = height + (count - 1).bit_length() if count else 0
+    if abs(k) * bits > MAX_POWER_BITS:
+        raise UnsupportedInputError(
+            "power too large: its coefficients would pass %d bits" % MAX_POWER_BITS
+        )
 
 
 def power(x, k, one):

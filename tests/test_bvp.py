@@ -402,8 +402,16 @@ def test_neumann_degree_one(ctx3):
 
 
 def test_neumann_solvability(ctx3):
-    with pytest.raises(SolvabilityViolation):
-        neumann(P("x1^2", ctx3), None, Sphere(), ctx3)
+    # the degree-0 harmonic part of the data is its mean over the sphere
+    for data in ("x1^2", "x1^2*x2^2 - 1/16", "x1^2*x2^2 - 1/15 + 1"):
+        message = "^the integral of the data over the sphere must vanish$"
+        with pytest.raises(SolvabilityViolation, match=message):
+            neumann(P(data, ctx3), None, Sphere(), ctx3)
+    for data in ("x1^2 - x2^2", "x1^2*x2^2 - 1/15"):
+        f = P(data, ctx3)
+        sol = neumann(f, None, Sphere(), ctx3)
+        on_sphere = reduce_poly_on_sphere(f, ctx3.coords, 1)
+        assert normal_d_sphere(sol, ctx3) == Expr.from_poly(ctx3, on_sphere)
 
 
 def test_neumann_generalized_sphere(ctx3):

@@ -4,10 +4,12 @@ import shlex
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 import harmcalc
+from harmcalc import cli
 from harmcalc.cli import VERBS, main, parse_radial, run_command
 from harmcalc.scalar import Scalar
 
@@ -695,12 +697,23 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         # unknown kinds keep their plain type
         ("dirichlet x1 --dim 3 --region torus:1", "UnsupportedInputError"),
         ("reflect --dim 2 --mirror cube", "UnsupportedInputError"),
+        # a rational power past MAX_POWER_BITS is refused before it is computed
+        ('laplacian "2^%s" --dim 2' % ("9" * 40), "UnsupportedInputError"),
+        ('laplacian "log(norm(x))^%s" --dim 2' % ("9" * 40), "UnsupportedInputError"),
     ],
 )
 def test_bad_input_is_a_typed_error(line, error):
     payload, code = run(shlex.split(line))
     assert code == 3
     assert payload["type"] == error
+
+
+def test_huge_power_of_a_variable_answers():
+    # its coefficient stays 1, so the power bound does not apply
+    nines = "9" * 40
+    out, code = run(["laplacian", "x1^" + nines, "--dim", "2"])
+    assert code == 0
+    assert out == "%s*x1^%d" % (int(nines) * (int(nines) - 1), int(nines) - 2)
 
 
 def test_approx_constant_without_point():
@@ -722,3 +735,72 @@ def test_parse_error_location_is_optional():
 
     assert str(ParseError("bad flag")) == "bad flag"
     assert str(ParseError("bad", 1, 4, ("r",))) == "bad at line 1, column 4 (expected r)"
+
+
+# ---------------------------------------------------------------------------
+# the parser contract: help texts at 80 columns and usage-error messages,
+# pinned byte for byte in cli_goldens.json
+GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
+
+
+def test_help_goldens_cover_every_verb():
+    assert set(GOLDENS["help"]) == {"--help"} | {"%s --help" % v for v in [*VERBS, "batch"]}
+
+
+@pytest.mark.parametrize("line", sorted(GOLDENS["help"]))
+def test_help_text_is_pinned(line, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(shlex.split(line))
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.split("\n") == GOLDENS["help"][line]
+
+
+@pytest.mark.parametrize("line", sorted(GOLDENS["errors"]))
+def test_usage_error_text_is_pinned(line, capsys):
+    message = GOLDENS["errors"][line]
+    assert run(shlex.split(line)) == ({"error": message, "type": "ParseError"}, 2)
+    assert main(shlex.split(line)) == 2
+    assert capsys.readouterr().err == "ParseError: %s\n" % message
+
+
+# one verb run line after line in one process: no appended list, default or
+# required-flag state may carry over from one line to the next
+REUSE_LINES = [
+    ("partial x1^2*x2^3 --dim 2 --by x1", "2*x1*x2^3"),
+    ("partial x1^2*x2^3 --dim 2 --by x2", "3*x1^2*x2^2"),
+    ("partial x1^2*x2^3 --dim 2", "x1^2*x2^3"),
+    ("partial x1^2*x2^3 --dim 2 --by x1 --by x2:2 --format json",
+     {"terms": [{"poly": "12*x1*x2", "factors": []}]}),
+    ("partial x1^2*x2^3 --by x1", {
+        "error": "harmcalc partial: the following arguments are required: --dim",
+        "type": "ParseError",
+    }),
+    ("partial x1^2*x2^3 --dim 2", "x1^2*x2^3"),
+    ("laplacian x1^4 --dim 2 --power 2", "24"),
+    ("laplacian x1^4 --dim 2", "12*x1^2"),
+]
+
+
+def test_parser_reuse_keeps_no_state(tmp_path):
+    for line, expected in REUSE_LINES:
+        assert run(shlex.split(line))[0] == expected, line
+    script = tmp_path / "commands.txt"
+    script.write_text("".join(line + "\n" for line, _ in REUSE_LINES))
+    results, code = run(["batch", str(script)])
+    assert code == 0
+    assert [r["result"] for r in results] == [expected for _, expected in REUSE_LINES]
+
+
+def test_verb_lines_do_not_build_the_whole_tree(monkeypatch, tmp_path):
+    def whole_tree():
+        raise AssertionError("the whole parser tree was built")
+
+    monkeypatch.setattr(cli, "build_parser", whole_tree)
+    script = tmp_path / "commands.txt"
+    script.write_text("volume --dim 3\nvolume --dim 3 --region sphere\nvolume --help\n")
+    results, code = run(["batch", str(script)])
+    assert code == 0
+    assert [r["exit"] for r in results] == [0, 2, 2]
+    assert run(["volume", "--dim", "3"]) == ("4*pi/3", 0)
+    assert cli.verb_parser("volume") is cli.verb_parser("volume")

@@ -8,8 +8,11 @@ from harmcalc.errors import (
     MultiTermSqrt,
     NegativeRadicand,
     OddPiExponent,
+    UnsupportedInputError,
 )
+from harmcalc.expr import Polynomial
 from harmcalc.scalar import (
+    MAX_POWER_BITS,
     ONE,
     Scalar,
     approx_scalar,
@@ -89,6 +92,27 @@ def test_half_power():
     assert Scalar.half_power(7, 0) == Scalar.from_fraction(1)
     with pytest.raises(NegativeRadicand):
         Scalar.half_power(-2, 1)
+
+
+def test_power_bound():
+    # 2 and 1/2 add one bit per factor, a two-term sum one more
+    two = Scalar.from_fraction(2)
+    assert two**MAX_POWER_BITS == Scalar.from_fraction(2**MAX_POWER_BITS)
+    assert Scalar.half_power(F(1, 2), -2 * MAX_POWER_BITS) == two**MAX_POWER_BITS
+    x1 = Polynomial.var("x1")
+    assert (x1 + 1) ** 2 == x1 * x1 + 2 * x1 + 1
+    assert x1 ** (10**40) == Polynomial.var("x1", 10**40)
+    too_large = [
+        lambda: two ** (MAX_POWER_BITS + 1),
+        lambda: two ** -(MAX_POWER_BITS + 1),
+        lambda: (ONE + Scalar.pi_power(2)) ** (MAX_POWER_BITS + 1),
+        lambda: Scalar.half_power(F(1, 2), 2 * MAX_POWER_BITS + 2),
+        lambda: Polynomial.const(2) ** (MAX_POWER_BITS + 1),
+        lambda: (x1 + 1) ** (MAX_POWER_BITS + 1),
+    ]
+    for power in too_large:
+        with pytest.raises(UnsupportedInputError, match="^power too large"):
+            power()
 
 
 def test_sqrt_errors():
