@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ import pytest
 import harmcalc
 from harmcalc import cli
 from harmcalc.cli import VERBS, main, parse_radial, run_command
+from harmcalc.errors import HarmcalcError
+from harmcalc.integrate import RadialFunction
 from harmcalc.scalar import Scalar
 
 
@@ -88,6 +91,39 @@ def test_radial_weight_parser():
     assert r3.terms == ((Scalar.from_fraction(1), 2, 3),)
     r4 = parse_radial("1/(2 + 3*r)")
     assert r4.lin_den == (2, 3)
+
+
+# the weight grammar: accepted weights with their values, and malformed ones
+# with their exact error type, message and location
+WEIGHTS = [
+    ("1 - r^2", RadialFunction(((Scalar.from_fraction(1), 0, 0), (Scalar.from_fraction(-1), 2, 0)))),
+    ("r^-5", RadialFunction.power(-5)),
+    ("2/3*r^2*log(r)^3", RadialFunction.power(2, 3, Fraction(2, 3))),
+    ("1/(2 + 3*r)", RadialFunction.linear_reciprocal(2, 3)),
+]
+
+BAD_WEIGHTS = [
+    ("(1+r)", "ParseError", "unexpected ( at line 1, column 1 (expected r, log, number)", 1, 1),
+    ("log(x)", "ParseError", "log(r) only at line 1, column 5 (expected r)", 1, 5),
+    ("r/(1+x)", "ParseError", "linear denominator must be in r at line 1, column 6 (expected r)", 1, 6),
+    ("r r", "ParseError", "unexpected r at line 1, column 3 (expected end of input)", 1, 3),
+    ("r^", "ParseError", "unexpected end at line 1, column 3 (expected int)", 1, 3),
+    ("2*", "ParseError", "unexpected end at line 1, column 3 (expected r, log, number)", 1, 3),
+    ("", "ParseError", "unexpected end at line 1, column 1 (expected r, log, number)", 1, 1),
+]
+
+
+@pytest.mark.parametrize("src, want", WEIGHTS)
+def test_weight_values(src, want):
+    assert parse_radial(src) == want
+
+
+@pytest.mark.parametrize("src, error, message, line, column", BAD_WEIGHTS)
+def test_malformed_weight(src, error, message, line, column):
+    with pytest.raises(HarmcalcError) as info:
+        parse_radial(src)
+    exc = info.value
+    assert (type(exc).__name__, str(exc), exc.line, exc.column) == (error, message, line, column)
 
 
 def test_integrate_ball_verb():
