@@ -31,7 +31,6 @@ from .errors import (
     EmptyInterior,
     InfeasibleSystem,
     NonPolynomialInput,
-    SingularLinearSystem,
     SolvabilityViolation,
     UnsupportedDimension,
     UnsupportedInputError,
@@ -127,16 +126,21 @@ def _gradient_dot(q, mono):
     return q.paired_image(mono, lambda ai, bi: ai * bi)
 
 
+def _quadric_multiple(q, f, degrees, ctx):
+    """q v with Laplacian f, for v of the first degree in `degrees` that has one."""
+    for deg in degrees:
+        monos = monomials(ctx.coords, range(deg + 1))
+        columns = [[_laplacian_times(q, mono)] for mono in monos]
+        sol = _solve_poly_constraints(columns, [-f], ctx)
+        if sol is not None:
+            return q * Polynomial.from_raw(zip(monos, sol))
+    raise InfeasibleSystem(
+        "no multiple of the quadric has that Laplacian up to degree %d" % deg
+    )
+
+
 # ---------------------------------------------------------------------------
 # anti-Laplacians
-
-_radial_solve_count = 0
-
-
-def radial_solve_count():
-    """Instrumentation: number of radial ODE solves performed so far."""
-    return _radial_solve_count
-
 
 def _antideriv_power_log(coeff, q, k):
     """Antiderivative of coeff * s^q log^k s with zero constant term.
@@ -162,8 +166,6 @@ def _radial_ode_solution(m, a, k, ctx):
     antiderivative passes; any admissible constant choices differ from this
     one by a harmonic function, so the defining contract is unaffected.
     """
-    global _radial_solve_count
-    _radial_solve_count += 1
     n = ctx.dim
     inner = _antideriv_power_log(Fraction(1), 2 * m + n - 1 + a, k)
     outer = []
@@ -250,14 +252,7 @@ def _anti_laplacian_quadratic_multiple(f, quad, ctx):
     if q.is_zero():
         raise UnsupportedInputError("the quadric multiple must not be zero")
     deg = f.total_degree() + 2 - q.total_degree()
-    monos = monomials(ctx.coords, range(deg + 1))
-    columns = [[_laplacian_times(q, mono)] for mono in monos]
-    sol = _solve_poly_constraints(columns, [-f], ctx)
-    if sol is None:
-        raise SingularLinearSystem(
-            "quadratic-multiple anti-Laplacian system is inconsistent"
-        )
-    return q * Polynomial.from_raw(zip(monos, sol))
+    return _quadric_multiple(q, f, [deg], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +340,9 @@ def _dirichlet_quadratic(p, region, ctx):
     q = region.poly(ctx)
     if q.is_constant():
         raise UnsupportedInputError("a constant quadric bounds no region")
-    base_deg = max(p.total_degree() - 2, 0)
-    for deg in range(base_deg, p.total_degree() + 3):
-        monos = monomials(ctx.coords, range(deg + 1))
-        columns = [[_laplacian_times(q, mono)] for mono in monos]
-        sol = _solve_poly_constraints(columns, [poly_laplacian(p, ctx)], ctx)
-        if sol is not None:
-            return Expr.from_poly(ctx, p + q * Polynomial.from_raw(zip(monos, sol)))
-    raise InfeasibleSystem(
-        "no harmonic extension q-multiple up to degree %d" % (p.total_degree() + 2)
-    )
+    # the harmonic extension p + q v: Laplacian of q v is -Laplacian of p
+    degrees = range(max(p.total_degree() - 2, 0), p.total_degree() + 3)
+    return Expr.from_poly(ctx, p + _quadric_multiple(q, -poly_laplacian(p, ctx), degrees, ctx))
 
 
 # ---------------------------------------------------------------------------

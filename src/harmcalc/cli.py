@@ -8,7 +8,9 @@ dimension state.  Vectors and regions are checked against `--dim`.
 Output is deterministic text, JSON or LaTeX.  A batch mode reads one
 command line per file line and emits a JSON array of results; a bad line
 records its error and the rest still run.  A line that names a verb is
-parsed by that verb's parser alone, built once per process.
+parsed by that verb's parser alone, built once per process.  Expressions
+and `--weight` radial weights are read by `parser`; this module reads no
+DSL tokens itself.
 
 Exit codes: 0 success, 2 parse or usage error, 3 unsupported input class,
 4 solvability violation, 5 degree cap or infeasible system, 6 internal
@@ -28,125 +30,9 @@ from fractions import Fraction
 from . import bvp, calculus, harmonic, integrate, kernels, transforms
 from .errors import DimensionMismatch, HarmcalcError, ParseError, UnsupportedInputError
 from .expr import Context, eval_expr, make_context
-from .parser import _tokenize, parse_expression, parse_polynomial
+from .parser import parse_expression, parse_polynomial, parse_radial
 from .render import render_value
-from .scalar import Scalar, approx_scalar
-
-# ---------------------------------------------------------------------------
-# radial weight mini-parser: sums of c * r^a * log(r)^k, optionally divided
-# by a linear term (c0 + c1*r)
-
-
-def parse_radial(src):
-    tokens = _tokenize(src)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        t = tokens[pos[0]]
-        pos[0] += 1
-        return t
-
-    def expect(kind):
-        t = peek()
-        if t.kind != kind:
-            raise ParseError("unexpected %s" % (t.text or "end"), t.line, t.col, (kind,))
-        return advance()
-
-    def rational():
-        t = expect("int")
-        num = int(t.text)
-        if peek().kind == "/":
-            save = pos[0]
-            advance()
-            if peek().kind == "int":
-                return Fraction(num, int(advance().text))
-            pos[0] = save
-        return Fraction(num)
-
-    def exponent():
-        sign = 1
-        if peek().kind == "-":
-            advance()
-            sign = -1
-        return sign * int(expect("int").text)
-
-    def product():
-        coeff = Fraction(1)
-        a = 0
-        k = 0
-        while True:
-            t = peek()
-            if t.kind == "int":
-                coeff *= rational()
-            elif t.kind == "ident" and t.text == "r":
-                advance()
-                e = 1
-                if peek().kind == "^":
-                    advance()
-                    e = exponent()
-                a += e
-            elif t.kind == "ident" and t.text == "log":
-                advance()
-                expect("(")
-                inner = expect("ident")
-                if inner.text != "r":
-                    raise ParseError("log(r) only", inner.line, inner.col, ("r",))
-                expect(")")
-                e = 1
-                if peek().kind == "^":
-                    advance()
-                    e = exponent()
-                k += e
-            else:
-                raise ParseError(
-                    "unexpected %s" % (t.text or "end"), t.line, t.col, ("r", "log", "number")
-                )
-            if peek().kind == "*":
-                advance()
-                continue
-            return coeff, a, k
-
-    def total():
-        terms = []
-        sign = 1
-        if peek().kind == "-":
-            advance()
-            sign = -1
-        while True:
-            c, a, k = product()
-            terms.append((Scalar.from_fraction(sign * c), a, k))
-            t = peek()
-            if t.kind in ("+", "-"):
-                advance()
-                sign = 1 if t.kind == "+" else -1
-                continue
-            return terms
-
-    terms = total()
-    lin = None
-    if peek().kind == "/":
-        advance()
-        expect("(")
-        c0 = rational()
-        expect("+")
-        c1 = Fraction(1)
-        t = peek()
-        if t.kind == "int":
-            c1 = rational()
-            expect("*")
-        rv = expect("ident")
-        if rv.text != "r":
-            raise ParseError("linear denominator must be in r", rv.line, rv.col, ("r",))
-        expect(")")
-        lin = (c0, c1)
-    t = peek()
-    if t.kind != "eof":
-        raise ParseError("unexpected %s" % t.text, t.line, t.col, ("end of input",))
-    return integrate.RadialFunction(tuple(terms), lin)
-
+from .scalar import approx_scalar
 
 # ---------------------------------------------------------------------------
 # flag values: argparse turns a ValueError or TypeError raised here into a

@@ -112,12 +112,6 @@ class InfeasibleSystem(HarmcalcError):
     exit_code = 5
 
 
-class SingularLinearSystem(HarmcalcError):
-    """A linear system that should be uniquely solvable is not."""
-
-    exit_code = 6
-
-
 class ParseError(HarmcalcError):
     """Malformed expression or command line; the location is optional."""
 

@@ -24,10 +24,11 @@ from .errors import (
     EmptyInterior,
     NonPositiveAxis,
     UnsupportedDimension,
+    UnsupportedInputError,
     UnsupportedRadialClass,
 )
 from .expr import Polynomial, _as_poly, poly_sum
-from .scalar import ONE, Scalar
+from .scalar import MAX_POWER_BITS, ONE, Scalar
 
 
 def unit_ball_volume(n):
@@ -131,28 +132,50 @@ class RadialFunction:
 
 
 def power_log_integral_01(q, k):
-    """Integral of r^q log^k r over (0,1): (-1)^k k! / (q+1)^(k+1)."""
+    """Integral of r^q log^k r over (0,1): (-1)^k k! / (q+1)^(k+1).
+
+    One whose k! and (q+1)^(k+1) together would pass MAX_POWER_BITS bits
+    is refused before it is computed.
+    """
     if q <= -1:
         raise DivergentRadialIntegral("r^%d log^%d r diverges on (0,1)" % (q, k))
+    if k * k.bit_length() + (k + 1) * (q + 1).bit_length() > MAX_POWER_BITS:
+        raise UnsupportedInputError(
+            "the integral of r^%d log^%d r over (0,1) would pass %d bits" % (q, k, MAX_POWER_BITS)
+        )
     sign = -1 if k % 2 else 1
     return Fraction(sign * factorial(k), (q + 1) ** (k + 1))
 
 
 def linear_denominator_integral_01(q, c0, c1, _memo={}):
-    """Integral of r^q/(c0 + c1 r) over (0,1), exact with a log term."""
+    """Integral of r^q/(c0 + c1 r) over (0,1), exact with a log term.
+
+    I_0 = log((c0 + c1)/c0)/c1 and I_j = (1/j - c0 I_(j-1))/c1, iterated
+    from the largest j < q in the memo, which keeps each returned I_q.
+    Each step adds about the bits of c0 and c1 plus two; an I_q that would
+    pass MAX_POWER_BITS bits is refused before it is computed.
+    """
     if q < 0:
         raise DivergentRadialIntegral("r^%d/(c0+c1 r) diverges on (0,1)" % q)
     key = (q, c0, c1)
     if key in _memo:
         return _memo[key]
-    if q == 0:
-        out = Scalar.log_fraction((c0 + c1) / c0) * Scalar.from_fraction(
-            Fraction(1) / c1
+    step = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in (c0, c1)) + 2
+    if q * step > MAX_POWER_BITS:
+        raise UnsupportedInputError(
+            "the integral of r^%d/(c0+c1 r) over (0,1) would pass %d bits" % (q, MAX_POWER_BITS)
         )
+    j = q - 1
+    while j >= 0 and (j, c0, c1) not in _memo:
+        j -= 1
+    if j < 0:
+        j = 0
+        out = Scalar.log_fraction((c0 + c1) / c0) * Scalar.from_fraction(Fraction(1) / c1)
     else:
-        prev = linear_denominator_integral_01(q - 1, c0, c1)
+        out = _memo[(j, c0, c1)]
+    for j in range(j + 1, q + 1):
         out = (
-            Scalar.from_fraction(Fraction(1, q)) - prev * Scalar.from_fraction(c0)
+            Scalar.from_fraction(Fraction(1, j)) - out * Scalar.from_fraction(c0)
         ) * Scalar.from_fraction(Fraction(1) / c1)
     _memo[key] = out
     return out
@@ -173,11 +196,6 @@ def _radial_moment(q, radial):
 
 def integrate_ball(p, radial, ctx):
     """Integral of p(x) * radial(||x||) over the unit ball, volume measure."""
-    if isinstance(radial, (int, Fraction)):
-        if radial != 1:
-            radial = RadialFunction.power(0, coeff=radial)
-        else:
-            radial = RadialFunction.one()
     n = ctx.dim
     nv = Scalar.from_fraction(n) * unit_ball_volume(n)
     parts = []

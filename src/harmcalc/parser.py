@@ -1,18 +1,25 @@
-"""Recursive-descent parser for the expression DSL.
+"""Recursive-descent parser for the DSL: expressions and radial weights.
 
-Grammar (informally):
+Expression grammar (informally):
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
-    factor := atom ('^' ['-'] int)?
+    factor := atom power
     atom   := rational | ident | 'norm' '(' vec ')' | 'norm2' '(' vec ')'
             | 'log' '(' atom ')' | 'dot' '(' vec ',' vec ')' | '(' expr ')'
     vec    := ident
 
-`||x||` is also accepted wherever norm(x) is.  Rationals are written
-int or int/int.  Errors carry the line, column, and expected-token set;
-nesting deeper than the interpreter's stack allows is a location-free
-ParseError.
+Radial-weight grammar (`--weight`), a sum of c * r^a * log(r)^k over an
+optional linear denominator:
+
+    weight  := ['-'] product (('+'|'-') product)* ['/' '(' rational '+' [rational '*'] 'r' ')']
+    product := piece ('*' piece)*
+    piece   := rational | 'r' power | 'log' '(' 'r' ')' power
+
+Both share `power := ('^' ['-'] int)?` and `rational := int | int/int`.
+`||x||` is also accepted wherever norm(x) is.  Errors carry the line,
+column, and expected-token set; nesting deeper than the interpreter's
+stack allows is a location-free ParseError.
 """
 
 from __future__ import annotations
@@ -22,11 +29,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError, UnknownVariable, UnsupportedInputError
-from .expr import Expr, Polynomial, poly_sum
+from .expr import Expr, Polynomial, dot_poly
+from .integrate import RadialFunction
 from .scalar import Scalar
-
-_SYMBOLS = ("||", "+", "-", "*", "^", "(", ")", ",", "/")
-
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -107,7 +112,7 @@ def _exponent_value(token):
 
 
 class _Parser:
-    def __init__(self, src, ctx, vectors):
+    def __init__(self, src, ctx=None, vectors=()):
         self.tokens = _tokenize(src)
         self.pos = 0
         self.ctx = ctx
@@ -138,7 +143,32 @@ class _Parser:
             "unexpected %s" % (t.text or "end of input"), t.line, t.col, expected
         )
 
+    def rational(self):
+        """int or int/int, exactly; a '/' not followed by an int is left
+        for the caller."""
+        t = self.expect("int", "number")
+        num = _int_value(t)
+        if self.peek().kind == "/" and self.tokens[self.pos + 1].kind == "int":
+            self.advance()
+            den = _int_value(self.advance())
+            if den == 0:
+                raise ParseError("division by zero", t.line, t.col)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def power(self):
+        """An optional '^' [-]int; 1 when absent."""
+        if self.peek().kind != "^":
+            return 1
+        self.advance()
+        sign = 1
+        if self.peek().kind == "-":
+            self.advance()
+            sign = -1
+        return sign * _exponent_value(self.expect("int", "integer exponent"))
+
     # ------------------------------------------------------------------
+    # expressions
 
     def parse(self):
         e = self.expr()
@@ -172,26 +202,17 @@ class _Parser:
 
     def factor(self):
         base_kind, payload = self.atom()
-        exp = 1
-        if self.peek().kind == "^":
-            self.advance()
-            sign = 1
-            if self.peek().kind == "-":
-                self.advance()
-                sign = -1
-            t = self.expect("int", "integer exponent")
-            exp = sign * _exponent_value(t)
-        return self._apply_power(base_kind, payload, exp)
+        return self._apply_power(base_kind, payload, self.power())
 
     def _apply_power(self, kind, payload, exp):
         ctx = self.ctx
         if kind == "norm":
             return Expr.norm_power(ctx, exp) if payload == "__main__" else (
-                Expr.base_power(ctx, self._norm_sq_poly(payload), exp)
+                Expr.base_power(ctx, ctx.norm_sq_poly(payload), exp)
             )
         if kind == "norm2":
             return Expr.norm_power(ctx, 2 * exp) if payload == "__main__" else (
-                Expr.base_power(ctx, self._norm_sq_poly(payload), 2 * exp)
+                Expr.base_power(ctx, ctx.norm_sq_poly(payload), 2 * exp)
             )
         if exp >= 0:
             return payload**exp
@@ -210,26 +231,10 @@ class _Parser:
         raise UnknownVariable("unknown vector %r (line %d, column %d)"
                               % (label, tok.line, tok.col))
 
-    def _norm_sq_poly(self, names):
-        return poly_sum([Polynomial.var(v, 2) for v in names])
-
     def atom(self):
         t = self.peek()
         if t.kind == "int":
-            self.advance()
-            num = _int_value(t)
-            if self.peek().kind == "/":
-                save = self.pos
-                self.advance()
-                if self.peek().kind == "int":
-                    den = _int_value(self.advance())
-                    if den == 0:
-                        raise ParseError("division by zero", t.line, t.col)
-                    return "value", Expr.from_scalar(
-                        self.ctx, Scalar.from_fraction(Fraction(num, den))
-                    )
-                self.pos = save
-            return "value", Expr.from_scalar(self.ctx, Scalar.from_fraction(num))
+            return "value", Expr.from_scalar(self.ctx, Scalar.from_fraction(self.rational()))
         if t.kind == "norm_bars":
             self.advance()
             name = self.expect("ident", "vector name")
@@ -266,12 +271,7 @@ class _Parser:
                 bv = self._vector_names(b.text, b)
                 if len(av) != len(bv):
                     raise UnsupportedInputError("dot of unequal-length vectors")
-                return "value", Expr.from_poly(
-                    self.ctx,
-                    poly_sum(
-                        [Polynomial.var(p) * Polynomial.var(q) for p, q in zip(av, bv)]
-                    ),
-                )
+                return "value", Expr.from_poly(self.ctx, dot_poly(av, bv))
             if word in self.ctx.var_rank:
                 return "value", Expr.from_poly(self.ctx, Polynomial.var(word))
             raise UnknownVariable(
@@ -290,11 +290,11 @@ class _Parser:
             half = Expr.from_scalar(ctx, Scalar.from_fraction(Fraction(1, 2)))
             if payload == "__main__":
                 return half * Expr.norm_power(ctx, 0, log_pow=1)
-            return half * Expr.base_power(ctx, self._norm_sq_poly(payload), 0, 1)
+            return half * Expr.base_power(ctx, ctx.norm_sq_poly(payload), 0, 1)
         if kind == "norm2":
             if payload == "__main__":
                 return Expr.norm_power(ctx, 0, log_pow=1)
-            return Expr.base_power(ctx, self._norm_sq_poly(payload), 0, 1)
+            return Expr.base_power(ctx, ctx.norm_sq_poly(payload), 0, 1)
         if isinstance(payload, Expr) and payload.is_polynomial():
             poly = payload.as_polynomial()
             if poly.is_constant():
@@ -305,6 +305,72 @@ class _Parser:
             "log supports norms and positive rationals (line %d, column %d)"
             % (tok.line, tok.col)
         )
+
+    # ------------------------------------------------------------------
+    # radial weights
+
+    def weight(self):
+        """The whole source as a radial weight."""
+        terms = []
+        sign = 1
+        if self.peek().kind == "-":
+            self.advance()
+            sign = -1
+        while True:
+            c, a, k = self.weight_product()
+            terms.append((Scalar.from_fraction(sign * c), a, k))
+            if self.peek().kind not in ("+", "-"):
+                break
+            sign = 1 if self.advance().kind == "+" else -1
+        lin = None
+        if self.peek().kind == "/":
+            self.advance()
+            self.expect("(")
+            c0 = self.rational()
+            self.expect("+")
+            c1 = Fraction(1)
+            if self.peek().kind == "int":
+                c1 = self.rational()
+                self.expect("*")
+            self._radius("linear denominator must be in r")
+            self.expect(")")
+            lin = (c0, c1)
+        if self.peek().kind != "eof":
+            self.fail(("end of input",))
+        return RadialFunction(tuple(terms), lin)
+
+    def weight_product(self):
+        """(c, a, k) of one product c * r^a * log(r)^k."""
+        coeff, a, k = Fraction(1), 0, 0
+        while True:
+            t = self.peek()
+            if t.kind == "int":
+                coeff *= self.rational()
+            elif t.kind == "ident" and t.text == "r":
+                self.advance()
+                a += self.power()
+            elif t.kind == "ident" and t.text == "log":
+                self.advance()
+                self.expect("(")
+                self._radius("log(r) only")
+                self.expect(")")
+                k += self.power()
+            else:
+                self.fail(("r", "log", "number"))
+            if self.peek().kind != "*":
+                return coeff, a, k
+            self.advance()
+
+    def _radius(self, message):
+        t = self.expect("ident")
+        if t.text != "r":
+            raise ParseError(message, t.line, t.col, ("r",))
+
+
+def parse_radial(src):
+    """Parse a radial weight in r (see the module docstring) into an
+    `integrate.RadialFunction`."""
+    return _Parser(src).weight()
 
 
 def parse_expression(src, ctx, vectors=None):

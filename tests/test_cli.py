@@ -107,9 +107,9 @@ BAD_WEIGHTS = [
     ("log(x)", "ParseError", "log(r) only at line 1, column 5 (expected r)", 1, 5),
     ("r/(1+x)", "ParseError", "linear denominator must be in r at line 1, column 6 (expected r)", 1, 6),
     ("r r", "ParseError", "unexpected r at line 1, column 3 (expected end of input)", 1, 3),
-    ("r^", "ParseError", "unexpected end at line 1, column 3 (expected int)", 1, 3),
-    ("2*", "ParseError", "unexpected end at line 1, column 3 (expected r, log, number)", 1, 3),
-    ("", "ParseError", "unexpected end at line 1, column 1 (expected r, log, number)", 1, 1),
+    ("r^", "ParseError", "unexpected end of input at line 1, column 3 (expected integer exponent)", 1, 3),
+    ("2*", "ParseError", "unexpected end of input at line 1, column 3 (expected r, log, number)", 1, 3),
+    ("", "ParseError", "unexpected end of input at line 1, column 1 (expected r, log, number)", 1, 1),
 ]
 
 
@@ -124,6 +124,18 @@ def test_malformed_weight(src, error, message, line, column):
         parse_radial(src)
     exc = info.value
     assert (type(exc).__name__, str(exc), exc.line, exc.column) == (error, message, line, column)
+
+
+def test_weight_long_literal_is_exact():
+    # past Python's 4300-digit limit on int(str)
+    digits = "1" + "0" * 4999 + "1"
+    assert parse_radial(digits + "*r") == RadialFunction.power(1, 0, 10**5000 + 1)
+
+
+def test_weight_with_deep_linear_denominator_answers():
+    # the recurrence for r^q/(c0 + c1 r) runs past the interpreter's recursion limit
+    out, code = run(["integrate-ball", "1", "--dim", "3", "--weight", "r^3000/(1 + r)"])
+    assert code == 0 and out.endswith(" + 4*pi*log(2)")
 
 
 def test_integrate_ball_verb():
@@ -700,6 +712,8 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ("dirichlet x1 --dim 3 --region quadratic:1,2", "DimensionMismatch"),
         ("anti-laplacian x1 --dim 3 --multiple quadratic:1,2,3,4", "DimensionMismatch"),
         ('anti-laplacian x2 --dim 2 --multiple "quadratic:0,0;0,0;0"', "UnsupportedInputError"),
+        # Laplacian(q v) = 1 has no solution on the harmonic q = x1^2 - x2^2
+        ('anti-laplacian 1 --dim 2 --multiple "quadratic:1,-1;0,0;0"', "InfeasibleSystem"),
         # a constant quadric (zero or not) bounds no region
         ('dirichlet x1^2 --dim 2 --region "quadratic:0,0;0,0;0"', "UnsupportedInputError"),
         ('dirichlet x1^2 --dim 2 --region "quadratic:0,0;0,0;3"', "UnsupportedInputError"),
@@ -736,11 +750,17 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         # a rational power past MAX_POWER_BITS is refused before it is computed
         ('laplacian "2^%s" --dim 2' % ("9" * 40), "UnsupportedInputError"),
         ('laplacian "log(norm(x))^%s" --dim 2' % ("9" * 40), "UnsupportedInputError"),
+        # a radial integral past MAX_POWER_BITS is refused before it is computed
+        ("integrate-ball 1 --dim 3 --weight log(r)^200000", "UnsupportedInputError"),
+        ("integrate-ball 1 --dim 3 --weight log(r)^600000", "UnsupportedInputError"),
+        # a zero denominator in a weight reads as it does in an expression
+        ("integrate-ball 1 --dim 3 --weight 1/0", "ParseError"),
+        ('integrate-ball 1 --dim 3 --weight "r/(1/0 + r)"', "ParseError"),
     ],
 )
 def test_bad_input_is_a_typed_error(line, error):
     payload, code = run(shlex.split(line))
-    assert code == 3
+    assert code == {"ParseError": 2, "InfeasibleSystem": 5}.get(error, 3)
     assert payload["type"] == error
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -10,6 +11,7 @@ from harmcalc.errors import (
     DivergentRadialIntegral,
     EmptyInterior,
     NonPositiveAxis,
+    UnsupportedInputError,
     UnsupportedRadialClass,
 )
 from harmcalc.expr import Context, Polynomial, make_context, poly_sum
@@ -20,6 +22,8 @@ from harmcalc.integrate import (
     integrate_ellipsoid_area,
     integrate_ellipsoid_volume,
     integrate_sphere,
+    linear_denominator_integral_01,
+    power_log_integral_01,
     sphere_monomial_integral,
     unit_ball_volume,
     unit_sphere_area,
@@ -80,6 +84,26 @@ def test_ball_weight_with_linear_denominator():
         * Scalar.from_fraction(F(16, 3465))
     )
     assert (v - want).is_zero()
+
+
+def test_linear_denominator_recurrence_past_the_recursion_limit():
+    # c1 I_q + c0 I_(q-1) = 1/q, for I_q the integral of r^q/(c0 + c1 r)
+    c0, c1 = F(2), F(3)
+    for q in (3002, 5, 7, 6):
+        got = linear_denominator_integral_01(q, c0, c1) * Scalar.from_fraction(c1)
+        got = got + linear_denominator_integral_01(q - 1, c0, c1) * Scalar.from_fraction(c0)
+        assert got == Scalar.from_fraction(F(1, q))
+
+
+def test_radial_integral_size_bound():
+    # k! and 3^(k+1) together stay just under MAX_POWER_BITS at k = 58254
+    k = 58254
+    assert power_log_integral_01(2, k) == F(factorial(k), 3 ** (k + 1))
+    with pytest.raises(UnsupportedInputError):
+        power_log_integral_01(2, k + 1)
+    # 6 bits a step for unit coefficients
+    with pytest.raises(UnsupportedInputError):
+        linear_denominator_integral_01(174763, F(1), F(1))
 
 
 def test_ball_weighted_norm_case(ctx3):
