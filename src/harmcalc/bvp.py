@@ -142,6 +142,7 @@ def _quadric_multiple(q, f, degrees, ctx):
 # ---------------------------------------------------------------------------
 # anti-Laplacians
 
+
 def _antideriv_power_log(coeff, q, k):
     """Antiderivative of coeff * s^q log^k s with zero constant term.
 
