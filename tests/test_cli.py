@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -860,3 +861,39 @@ def test_verb_lines_do_not_build_the_whole_tree(monkeypatch, tmp_path):
     assert [r["exit"] for r in results] == [0, 2, 2]
     assert run(["volume", "--dim", "3"]) == ("4*pi/3", 0)
     assert cli.verb_parser("volume") is cli.verb_parser("volume")
+
+
+# sha256 of each line's output as `harmcalc` prints it (JSON with indent=2,
+# sorted keys); the digests were recorded before the Gram entries of radial
+# inner products came from the coefficients, and must not move.
+BASIS_DIGESTS = {
+    "basis-h --dim 4 --degree 6 --ip sphere": {
+        "text": "fe2cd204a2309b13fce38c0b66eb8988a93c7a2c93bf245e5d3524df4ce8e967",
+        "json": "6fbd25e14e2deec60c7ffddfcace3e1ccd14eb2d8c72310171f23272e8ecd1d2",
+        "latex": "f3d157f0366747437206b0bae352cbb546c171e8641d6fec6181fb17eb62512b",
+    },
+    "basis-h --dim 4 --degree 5 --ip ball": {
+        "text": "cff8bb153124b4ea742b5d68437ac58e547639019fb33421760a0de433b56e0e",
+        "json": "bde46a31fb5c073e99b8f5991d3c17efff5a86f4ce482c9d32338c1911c0146d",
+        "latex": "28f7a14b4ed4bb5616d08be1a83eb8770c57a9025b849ae6a3e948e1a760684a",
+    },
+    "basis-h --dim 5 --degree 4 --ip sphere": {
+        "text": "5848c54d8fb550db96c613072365b913a94c12b1fde4185644ff09af7a5bcca4",
+        "json": "9ffc5c59d0132d102a7b4ac9947e663854d242e9e2e01ce45d534a98b8e37077",
+        "latex": "527d1d14bb54251d2c1b4dcf2f53d27a13f0ffebb5342a3174187e6e5a8b8f5e",
+    },
+    "basis-h --dim 2 --degree 7 --ip ball": {
+        "text": "7c83e4816027c30520aadac8e603f107c0180b12c0a0da69a110e552653471cc",
+        "json": "15387faacffc423ca1b012c7b7348870c5f1c5cf708155bf3395c10d4089517f",
+        "latex": "4e74ce8cfd6d4d4d64ac8cbeff23867c6a14c0fe3b8f16562edef3f31da30eb1",
+    },
+}
+
+
+@pytest.mark.parametrize("line", sorted(BASIS_DIGESTS))
+def test_orthonormal_basis_bytes_are_pinned(line):
+    for fmt, want in BASIS_DIGESTS[line].items():
+        payload, code = run(shlex.split(line) + ["--format", fmt])
+        assert code == 0
+        text = json.dumps(payload, indent=2, sort_keys=True) if fmt == "json" else payload
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (line, fmt)
