@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 from .errors import (
     DimensionMismatch,
@@ -108,7 +108,7 @@ class Layout:
     shared Layout per (names, stride).
     """
 
-    __slots__ = ("names", "stride", "mask", "top", "guards", "shift", "unit")
+    __slots__ = ("names", "stride", "mask", "top", "guards", "shift", "unit", "factorials")
 
     def __init__(self, names, stride):
         self.names = names
@@ -118,6 +118,7 @@ class Layout:
         self.shift = {v: i * stride for i, v in enumerate(names)}
         self.unit = {v: (1 << s) + (1 << self.top) for v, s in self.shift.items()}
         self.guards = sum(1 << (i * stride + stride - 1) for i in range(len(names) + 1))
+        self.factorials = {}
 
     def pack(self, mono):
         return sum(e * self.unit[v] for v, e in mono)
@@ -129,6 +130,13 @@ class Layout:
             if e:
                 out.append((v, e))
         return tuple(out)
+
+    def factorial(self, key):
+        """a! = prod a_i! for the monomial x^a packed in key, memoized."""
+        out = self.factorials.get(key)
+        if out is None:
+            out = self.factorials[key] = prod(factorial(e) for _, e in self.unpack(key))
+        return out
 
 
 # interned: one Layout per (names, stride) used, never changed once made
@@ -464,6 +472,21 @@ class Polynomial:
             p = p.substitute(v, point[v])
         return p.constant_term()
 
+    def fischer(self, other):
+        """The Fischer pairing: the sum over monomials x^a of a! p_a q_a.
+
+        Both polynomials must have rational coefficients.  For p and q
+        harmonic and homogeneous of degree m in n coordinates, it is
+        n(n+2)...(n+2m-2) times the normalized sphere integral of p q
+        (Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 5).
+        """
+        lay = _join(self.layout, other.layout)
+        (pd, pn), (qd, qn) = self.rational_block(lay), other.rational_block(lay)
+        if len(pn) > len(qn):
+            pn, qn = qn, pn
+        weight = lay.factorial
+        return Fraction(sum(weight(k) * n * qn[k] for k, n in pn.items() if k in qn), pd * qd)
+
     # -- division -------------------------------------------------------------
 
     def content_primitive(self, rank):
@@ -476,8 +499,8 @@ class Polynomial:
         if not nums:
             return Fraction(0), Polynomial()
         g = gcd(*nums.values())
-        _, lead = max(self.terms.items(), key=lambda kv: _grlex_key(kv[0], rank))
-        if lead.as_fraction() < 0:
+        unpack = self.layout.unpack
+        if nums[max(nums, key=lambda k: _grlex_key(unpack(k), rank))] < 0:
             g = -g
         return Fraction(g, den), _new(self.layout, {RATIONAL: (1, {k: n // g for k, n in nums.items()})})
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Callable
+from math import comb, prod
+from typing import Callable, Optional
 
 from .calculus import poly_laplacian
 from .errors import NonPolynomialInput, UnsupportedDimension, UnsupportedScalarNorm
 from .expr import Context, Polynomial, dot_poly, monomials, poly_sum
-from .integrate import RadialFunction, integrate_ball, integrate_sphere
+from .integrate import RadialFunction, ball_radial_factor, integrate_ball, integrate_sphere
 from .scalar import Scalar, scalar_sqrt
 
 
@@ -135,32 +135,64 @@ def _primitive(p, ctx):
 
 @dataclass(frozen=True)
 class InnerProduct:
-    """Symmetric bilinear form on polynomials, by name."""
+    """Symmetric bilinear form on polynomials, by name.
+
+    A radial form (sphere, ball, weighted ball) is invariant under
+    rotations, so on the harmonics homogeneous of degree m in R^n it is a
+    multiple of the Fischer pairing (`Polynomial.fischer`):
+    ip(p, q) = degree_factor(m, n) * sum_a a! p_a q_a.  The sphere, ball
+    and weighted-ball constructors set `degree_factor`; a user-supplied
+    form leaves it None and is only ever called through `evaluator`.
+    """
 
     name: str
     evaluator: Callable[[Polynomial, Polynomial, Context], Scalar]
+    degree_factor: Optional[Callable[[int, int], Scalar]] = None
 
     def __call__(self, p, q, ctx):
         return self.evaluator(p, q, ctx)
 
 
+def _sphere_factor(m, n):
+    """1/(n(n+2)...(n+2m-2)): the normalized sphere integral of p q over
+    the Fischer pairing of p and q, harmonic of degree m in R^n."""
+    return Scalar.from_fraction(Fraction(1, prod(range(n, n + 2 * m, 2))))
+
+
 def sphere_inner_product():
     """L^2 of the unit sphere with normalized surface measure."""
-    return InnerProduct("sphere", lambda p, q, ctx: integrate_sphere(p * q, ctx))
+    return InnerProduct(
+        "sphere", lambda p, q, ctx: integrate_sphere(p * q, ctx), _sphere_factor
+    )
+
+
+def _ball_inner_product(name, radial):
+    return InnerProduct(
+        name,
+        lambda p, q, ctx: integrate_ball(p * q, radial, ctx),
+        lambda m, n: _sphere_factor(m, n) * ball_radial_factor(2 * m, radial, n),
+    )
 
 
 def ball_inner_product():
     """L^2 of the unit ball with volume measure."""
-    return InnerProduct(
-        "ball", lambda p, q, ctx: integrate_ball(p * q, RadialFunction.one(), ctx)
-    )
+    return _ball_inner_product("ball", RadialFunction.one())
 
 
 def weighted_ball_inner_product(radial):
     """L^2 of the ball against a radial weight."""
-    return InnerProduct(
-        "ball-weighted", lambda p, q, ctx: integrate_ball(p * q, radial, ctx)
-    )
+    return _ball_inner_product("ball-weighted", radial)
+
+
+def _fischer_gram_schmidt(vectors):
+    """[(w, [w, w])] for the vectors orthogonalized in order under the
+    Fischer pairing [p, q]; it is exactly bilinear, so every projection
+    of v is read from v itself and subtracted in one sum."""
+    ortho = []
+    for v in vectors:
+        w = poly_sum([v] + [g.scale(-v.fischer(g) / gg) for g, gg in ortho])
+        ortho.append((w, w.fischer(w)))
+    return ortho
 
 
 def basis_harmonic(m, ctx, ip=None):
@@ -172,26 +204,46 @@ def basis_harmonic(m, ctx, ip=None):
     divisible by the square of the first coordinate.  With an inner product
     the Gram-Schmidt procedure is applied in that order and each vector is
     divided by the square root of its self inner product.
+
+    A radial inner product (see `InnerProduct`) is c * the Fischer pairing
+    on these elements, c = degree_factor(m, n), so every Gram entry is read
+    from the rational coefficients as sum_a a! p_a q_a and c enters only
+    the self inner products c * sum_a a! w_a^2.  Each element keeps the
+    parity of its index monomial in every coordinate, and a radial measure
+    is even in each coordinate, so elements of different parity classes
+    are orthogonal: Gram-Schmidt runs in each class alone, with the same
+    result.  Any other form, or a c that is not one log-free term (which
+    no self inner product can be divided by), takes the general path: one
+    `ip` call per Gram entry over the whole basis.
     """
     if ctx.dim < 2:
         raise UnsupportedDimension("harmonic bases need dimension >= 2")
     first, rest = ctx.coords[0], ctx.coords[1:]
-    basis = []
+    basis, classes = [], {}
     for eps in (0, 1):
         for mono in monomials(rest, [m - eps]):
             cauchy = Polynomial.var(first, eps) * Polynomial.from_raw([(mono, 1)])
+            odd = (eps,) + tuple(v for v, e in mono if e % 2)
+            classes.setdefault(odd, []).append(len(basis))
             basis.append(_primitive(first_coordinate_series(cauchy, ctx), ctx))
-    if ip is None:
+    if ip is None or not basis:
         return basis
-    ortho = []
-    for v in basis:
-        w = v
-        for g, gg in ortho:
-            w = w - g.scale(ip(w, g, ctx) / gg)
-        ww = ip(w, w, ctx)
-        if not ww.is_single_term():
-            raise UnsupportedScalarNorm("self inner product is a multi-term scalar")
-        ortho.append((w, ww))
+    c = ip.degree_factor(m, ctx.dim) if ip.degree_factor else None
+    if c is None or not c.is_single_term() or c.terms[0][3]:
+        ortho = []
+        for v in basis:
+            w = v
+            for g, gg in ortho:
+                w = w - g.scale(ip(w, g, ctx) / gg)
+            ww = ip(w, w, ctx)
+            if not ww.is_single_term():
+                raise UnsupportedScalarNorm("self inner product is a multi-term scalar")
+            ortho.append((w, ww))
+    else:
+        ortho = [None] * len(basis)
+        for idx in classes.values():
+            for i, (w, ww) in zip(idx, _fischer_gram_schmidt([basis[i] for i in idx])):
+                ortho[i] = (w, c * ww)
     return [g.scale(scalar_sqrt(gg).inverse()) for g, gg in ortho]
 
 

@@ -95,7 +95,7 @@ def _collapse(poly):
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """Sum of c * r^a * log^k r, optionally all over (c0 + c1 r).
+    """Sum of c * r^a * log^k r with k >= 0, optionally all over (c0 + c1 r).
 
     When the linear denominator is present no log powers are allowed; this
     class covers every radial weight the ball integrator supports.
@@ -105,6 +105,8 @@ class RadialFunction:
     lin_den: Optional[Tuple[Fraction, Fraction]] = None
 
     def __post_init__(self):
+        if any(k < 0 for _, _, k in self.terms):
+            raise UnsupportedRadialClass("log powers must be nonnegative")
         if self.lin_den is not None:
             c0, c1 = self.lin_den
             if c0 <= 0 or c1 <= 0:
@@ -194,15 +196,23 @@ def _radial_moment(q, radial):
     return total
 
 
+def ball_radial_factor(m, radial, n):
+    """n V(B) times the integral of r^(n-1+m) * radial(r) over (0,1).
+
+    In polar coordinates the ball integral of p(x) * radial(||x||), for p
+    homogeneous of degree m in R^n, is this factor times the normalized
+    sphere integral of p.
+    """
+    return Scalar.from_fraction(n) * unit_ball_volume(n) * _radial_moment(n - 1 + m, radial)
+
+
 def integrate_ball(p, radial, ctx):
     """Integral of p(x) * radial(||x||) over the unit ball, volume measure."""
-    n = ctx.dim
-    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
     parts = []
     for m, part in p.homogeneous_parts(ctx.coords).items():
         mean = _as_poly(integrate_sphere(part, ctx))
         if not mean.is_zero():
-            parts.append(mean.scale(nv * _radial_moment(n - 1 + m, radial)))
+            parts.append(mean.scale(ball_radial_factor(m, radial, ctx.dim)))
     return _collapse(poly_sum(parts))
 
 

@@ -14,9 +14,10 @@ optional linear denominator:
 
     weight  := ['-'] product (('+'|'-') product)* ['/' '(' rational '+' [rational '*'] 'r' ')']
     product := piece ('*' piece)*
-    piece   := rational | 'r' power | 'log' '(' 'r' ')' power
+    piece   := rational | 'r' power | 'log' '(' 'r' ')' ['^' int]
 
-Both share `power := ('^' ['-'] int)?` and `rational := int | int/int`.
+Both share `power := ('^' ['-'] int)?` and `rational := int | int/int`;
+a log power takes no sign.
 `||x||` is also accepted wherever norm(x) is.  Errors carry the line,
 column, and expected-token set; nesting deeper than the interpreter's
 stack allows is a location-free ParseError.
@@ -156,11 +157,13 @@ class _Parser:
             return Fraction(num, den)
         return Fraction(num)
 
-    def power(self):
-        """An optional '^' [-]int; 1 when absent."""
+    def power(self, signed=True):
+        """An optional '^' [-]int ('^' int when not signed); 1 when absent."""
         if self.peek().kind != "^":
             return 1
         self.advance()
+        if not signed:
+            return _exponent_value(self.expect("int", "nonnegative integer exponent"))
         sign = 1
         if self.peek().kind == "-":
             self.advance()
@@ -354,7 +357,7 @@ class _Parser:
                 self.expect("(")
                 self._radius("log(r) only")
                 self.expect(")")
-                k += self.power()
+                k += self.power(signed=False)
             else:
                 self.fail(("r", "log", "number"))
             if self.peek().kind != "*":

@@ -111,6 +111,9 @@ BAD_WEIGHTS = [
     ("r^", "ParseError", "unexpected end of input at line 1, column 3 (expected integer exponent)", 1, 3),
     ("2*", "ParseError", "unexpected end of input at line 1, column 3 (expected r, log, number)", 1, 3),
     ("", "ParseError", "unexpected end of input at line 1, column 1 (expected r, log, number)", 1, 1),
+    # a log power takes no sign: log(r)^-1 is outside the weight class
+    ("log(r)^-1", "ParseError", "unexpected - at line 1, column 8 (expected nonnegative integer exponent)", 1, 8),
+    ("r^2*log(r)^-2", "ParseError", "unexpected - at line 1, column 12 (expected nonnegative integer exponent)", 1, 12),
 ]
 
 
@@ -125,6 +128,15 @@ def test_malformed_weight(src, error, message, line, column):
         parse_radial(src)
     exc = info.value
     assert (type(exc).__name__, str(exc), exc.line, exc.column) == (error, message, line, column)
+
+
+def test_negative_log_power_is_a_usage_error(capsys):
+    assert main(["integrate-ball", "1", "--dim", "3", "--weight", "log(r)^-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "ParseError: unexpected - at line 1, column 8 (expected nonnegative integer exponent)"
+    ]
 
 
 def test_weight_long_literal_is_exact():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import pytest
 from conftest import P, random_polynomial, rename_vars
 
 from harmcalc.calculus import poly_laplacian
-from harmcalc.errors import UnsupportedScalarNorm
+from harmcalc.errors import HarmcalcError, UnsupportedScalarNorm
 from harmcalc.expr import Context, Polynomial, make_context, poly_sum, reduce_poly_on_sphere
 from harmcalc.harmonic import (
     InnerProduct,
@@ -22,6 +23,7 @@ from harmcalc.harmonic import (
     zonal_harmonic,
 )
 from harmcalc.integrate import RadialFunction, integrate_sphere
+from harmcalc.parser import parse_radial
 from harmcalc.scalar import ONE, Scalar
 
 
@@ -138,6 +140,71 @@ def test_gram_schmidt_multi_term_norm_error():
     )
     with pytest.raises(UnsupportedScalarNorm):
         basis_harmonic(1, ctx, bad)
+
+
+def _basis_or_error(m, ctx, ip):
+    try:
+        return basis_harmonic(m, ctx, ip)
+    except HarmcalcError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# (inner product, the error every basis raises or None, exceptions by
+# (dimension, degree)); r^2*log(r) has negative radial moments, and the
+# moments of 1/(1 + 2r) are a rational plus a multiple of log(3), except in
+# dimension 3 at degree 0, where the factor is pi*log(3)/2
+RADIAL_FORMS = [
+    ("sphere", None, {}),
+    ("ball", None, {}),
+    ("r", None, {}),
+    ("1 + 2*r^3*log(r)^2", None, {}),
+    ("r^2*log(r)", "NegativeRadicand", {}),
+    ("1/(1 + 2*r)", "UnsupportedScalarNorm", {(3, 0): "NonRationalSqrt"}),
+]
+
+
+@pytest.mark.parametrize("form, error, exceptions", RADIAL_FORMS)
+def test_radial_inner_products_match_the_general_path(form, error, exceptions):
+    if form == "sphere":
+        radial = sphere_inner_product()
+    elif form == "ball":
+        radial = ball_inner_product()
+    else:
+        radial = weighted_ball_inner_product(parse_radial(form))
+    # the same form without its degree factor takes the general path
+    general = InnerProduct(radial.name, radial.evaluator)
+    for n in range(2, 6):
+        ctx = Context(n)
+        for m in range(5):
+            got = _basis_or_error(m, ctx, radial)
+            assert got == _basis_or_error(m, ctx, general), (n, m)
+            want = exceptions.get((n, m), error)
+            if want is None:
+                assert len(got) == dim_harmonic(m, n)
+            else:
+                assert got[0] == want, (n, m)
+
+
+def test_log_degree_factor_raises_as_the_general_path_does():
+    # (7 + 10r)/(1 + r) has the radial moment 3*log(2) against r^3, so in
+    # dimension 2 the degree-1 factor is one log term; no self inner
+    # product can be divided by it
+    radial = weighted_ball_inner_product(parse_radial("7 + 10*r/(1 + r)"))
+    ctx = Context(2)
+    assert radial.degree_factor(1, 2).terms[0][3]
+    got = _basis_or_error(1, ctx, radial)
+    assert got[0] == "MultiTermDivision"
+    assert got == _basis_or_error(1, ctx, InnerProduct(radial.name, radial.evaluator))
+
+
+def test_radial_gram_entries_do_not_call_the_evaluator(ctx3):
+    def unused(p, q, ctx):
+        raise AssertionError("a radial Gram entry called the evaluator")
+
+    weight = RadialFunction(((ONE, 0, 0), (Scalar.from_fraction(-1), 2, 0)))
+    for ip in (sphere_inner_product(), ball_inner_product(), weighted_ball_inner_product(weight)):
+        fast = dataclasses.replace(ip, evaluator=unused)
+        assert basis_harmonic(4, ctx3, fast) == basis_harmonic(4, ctx3, ip)
 
 
 def test_zonal_fixture_m5_n3():

@@ -128,6 +128,10 @@ def test_radial_class_validation():
         RadialFunction(((Scalar.from_fraction(1), 0, 1),), (F(1), F(1)))
     with pytest.raises(UnsupportedRadialClass):
         RadialFunction.linear_reciprocal(-1, 2)
+    # log^k r with k < 0 is 1/log^|k| r, outside the class
+    with pytest.raises(UnsupportedRadialClass, match="log powers must be nonnegative"):
+        RadialFunction.power(2, -1)
+    assert RadialFunction.power(2, 0) == RadialFunction.power(2)
 
 
 def test_ellipsoid_validation(ctx3):
