@@ -21,7 +21,9 @@ Operations work on the blocks with ints only: the key of a product of
 monomials is the sum of their keys, every sum merges blocks in one `_Sum`,
 and a layout widens (more variables, wider fields) instead of overflowing.
 The {monomial tuple: Scalar} mapping is only an input format
-(`Polynomial(dict)`, `from_raw`) and the `terms` view built for rendering.
+(`Polynomial(dict)`, `from_raw`) and the `terms` view that tests read:
+rendering, hashing and coefficient lookup read the blocks, and `order_key`
+sorts packed keys in the graded order rendering prints.
 
 `Polynomial.divide_exact` divides by a rational-coefficient polynomial and
 returns the quotient only if the division is exact, else None: each block
@@ -60,25 +62,12 @@ def mono_degree(m):
     return sum(e for _, e in m)
 
 
-def _grlex_key(mono, rank):
-    vec = [0] * len(rank)
-    extra = 0
-    for v, e in mono:
-        i = rank.get(v)
-        if i is None:
-            extra += e
-        else:
-            vec[i] = e
-    # trailing mono tuple breaks ties for variables outside the context
-    return (mono_degree(mono), extra, tuple(vec), mono)
-
-
 def monomials(names, degrees):
     """Monomials in names of each total degree in degrees, ascending graded-lex.
 
     Within a degree the exponent vectors, in names order, ascend
-    lexicographically, as under `_grlex_key` for coordinates `names`;
-    ansatz solves rely on this column order.
+    lexicographically, as under `order_key` with `names` ranked first to
+    last; ansatz solves rely on this column order.
     """
     names = tuple(names)
     out = []
@@ -153,6 +142,29 @@ def _stride(degree):
     return max(8, 1 << degree.bit_length().bit_length())
 
 
+def order_key(lay, rank):
+    """The sort key, ascending graded-lex, of monomials packed in lay.
+
+    Most significant first: total degree, degree in the variables outside
+    `rank` ({name: position}, a context's `var_rank`), then the ranked
+    exponents in rank order; if lay has variables outside the rank, the
+    monomial tuple breaks remaining ties.
+    """
+    ranked = [lay.shift[v] for v in sorted(rank, key=rank.get) if v in lay.shift]
+    others = [lay.shift[v] for v in lay.names if v not in rank]
+    mask, stride, top = lay.mask, lay.stride, lay.top
+
+    def key(k):
+        out = k >> top
+        for s in ranked:
+            out = out << stride | (k >> s) & mask
+        return out
+
+    if not others:
+        return key
+    return lambda k: (k >> top, sum((k >> s) & mask for s in others), key(k), lay.unpack(k))
+
+
 def _join(a, b, degree=0):
     """The layout holding the variables of layouts a and b and degrees up to `degree`."""
     if a is not b and not all(v in a.shift for v in b.names):
@@ -169,7 +181,7 @@ def _rekey(p, lay):
     src = p.layout
     if src is lay:
         return p.blocks
-    moves = [(src.shift[v], lay.shift[v]) for v in src.names]
+    moves = [(src.shift[v], lay.shift[v]) for v in src.names if v in lay.shift]
     mask, top, new_top = src.mask, src.top, lay.top
 
     def key(k):
@@ -250,13 +262,12 @@ class Polynomial:
 
     @property
     def terms(self):
-        """The {monomial tuple: Scalar} view, built anew on every access."""
-        split = {}
-        for sig, (den, nums) in sorted(self.blocks.items()):
-            for k, n in nums.items():
-                split.setdefault(k, []).append((Fraction(n, den),) + sig)
-        unpack = self.layout.unpack
-        return {unpack(k): Scalar(tuple(ts)) for k, ts in split.items()}
+        """The {monomial tuple: Scalar} view that tests read, built anew on every access."""
+        return {self.layout.unpack(k): self.coefficient_at(k) for k in self.packed_keys()}
+
+    def packed_keys(self):
+        """The packed monomials of the terms: the union of the blocks' keys."""
+        return set().union(*(nums for _, nums in self.blocks.values()))
 
     def is_zero(self):
         return not self.blocks
@@ -265,11 +276,19 @@ class Polynomial:
         return not any(any(nums) for _, nums in self.blocks.values())
 
     def constant_term(self):
-        blocks = sorted(self.blocks.items())
-        return Scalar(tuple((Fraction(t[0], den),) + sig for sig, (den, t) in blocks if 0 in t))
+        return self.coefficient_at(0)
 
     def coefficient(self, mono):
-        return self.terms.get(mono, ZERO)
+        """The Scalar coefficient of the monomial tuple mono."""
+        # an exponent past its field packs a degree past every key's
+        if any(v not in self.layout.shift for v, _ in mono):
+            return ZERO
+        return self.coefficient_at(self.layout.pack(mono))
+
+    def coefficient_at(self, k):
+        """The Scalar coefficient of the monomial packed in key k."""
+        blocks = sorted(self.blocks.items())
+        return Scalar(tuple((Fraction(t[k], den),) + sig for sig, (den, t) in blocks if k in t))
 
     def variables(self):
         bits = 0
@@ -330,7 +349,8 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        check_power(k, _power_blocks((self,)))
+        if k > 1:
+            check_power(k, _power_blocks((self,)), (self.total_degree(), len(self.variables())))
         return power(self, k, Polynomial.const(1))
 
     def __eq__(self, other):
@@ -346,7 +366,10 @@ class Polynomial:
         # a constant equals its value, so it must hash like it
         if self.is_constant():
             return hash(self.constant_term())
-        return hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
+        # equal polynomials have equal blocks in the layout of their variables
+        lay = _layout(tuple(sorted(self.variables())), _stride(self.total_degree()))
+        blocks = _rekey(self, lay).items()
+        return hash(frozenset((sig, den, frozenset(nums.items())) for sig, (den, nums) in blocks))
 
     def __repr__(self):
         from .render import poly_text
@@ -499,8 +522,7 @@ class Polynomial:
         if not nums:
             return Fraction(0), Polynomial()
         g = gcd(*nums.values())
-        unpack = self.layout.unpack
-        if nums[max(nums, key=lambda k: _grlex_key(unpack(k), rank))] < 0:
+        if nums[max(nums, key=order_key(self.layout, rank))] < 0:
             g = -g
         return Fraction(g, den), _new(self.layout, {RATIONAL: (1, {k: n // g for k, n in nums.items()})})
 
@@ -923,6 +945,9 @@ class Expr:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("expression exponent must be a nonnegative integer")
+        if self.is_polynomial():
+            # one polynomial power, under its bound on the result size
+            return Expr.from_poly(self.ctx, self.as_polynomial() ** k)
         check_power(k, _power_blocks(p for p, _ in self.terms))
         return power(self, k, Expr.from_poly(self.ctx, Polynomial.const(1)))
 

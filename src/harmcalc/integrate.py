@@ -154,8 +154,10 @@ def linear_denominator_integral_01(q, c0, c1, _memo={}):
 
     I_0 = log((c0 + c1)/c0)/c1 and I_j = (1/j - c0 I_(j-1))/c1, iterated
     from the largest j < q in the memo, which keeps each returned I_q.
-    Each step adds about the bits of c0 and c1 plus two; an I_q that would
-    pass MAX_POWER_BITS bits is refused before it is computed.
+    Each step adds about the bits of c0 and c1 plus two, and works on
+    numbers as large as its result, so the time grows with q times the
+    bits of I_q: an I_q that would pass MAX_POWER_BITS/16 bits is refused
+    before it is computed (r^10922/(1 + r), just under it, takes about 1 s).
     """
     if q < 0:
         raise DivergentRadialIntegral("r^%d/(c0+c1 r) diverges on (0,1)" % q)
@@ -163,9 +165,9 @@ def linear_denominator_integral_01(q, c0, c1, _memo={}):
     if key in _memo:
         return _memo[key]
     step = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in (c0, c1)) + 2
-    if q * step > MAX_POWER_BITS:
+    if q * step > MAX_POWER_BITS >> 4:
         raise UnsupportedInputError(
-            "the integral of r^%d/(c0+c1 r) over (0,1) would pass %d bits" % (q, MAX_POWER_BITS)
+            "the integral of r^%d/(c0+c1 r) over (0,1) would pass %d bits" % (q, MAX_POWER_BITS >> 4)
         )
     j = q - 1
     while j >= 0 and (j, c0, c1) not in _memo:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
-from .expr import Expr, Polynomial, _grlex_key
+from .expr import RATIONAL, Expr, Polynomial, order_key
 from .scalar import Scalar
 
 # ---------------------------------------------------------------------------
@@ -24,10 +25,10 @@ def _int_text(n):
     return str(Decimal(n))
 
 
-def _fraction_text(q):
-    if q.denominator == 1:
-        return _int_text(q.numerator)
-    return "%s/%s" % (_int_text(q.numerator), _int_text(q.denominator))
+def _fraction_text(num, den):
+    if den == 1:
+        return _int_text(num)
+    return "%s/%s" % (_int_text(num), _int_text(den))
 
 
 def _scalar_term_text(term):
@@ -57,14 +58,18 @@ def _scalar_term_text(term):
     return sign + body
 
 
+def _signed_sum(terms):
+    """Term strings joined as a sum, a leading minus written as a subtraction."""
+    out = []
+    for t in terms:
+        if out:
+            t = "- " + t[1:] if t.startswith("-") else "+ " + t
+        out.append(t)
+    return " ".join(out) or "0"
+
+
 def scalar_text(s):
-    if not s.terms:
-        return "0"
-    out = _scalar_term_text(s.terms[0])
-    for term in s.terms[1:]:
-        t = _scalar_term_text(term)
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    return _signed_sum(map(_scalar_term_text, s.terms))
 
 
 def _scalar_term_latex(term):
@@ -98,20 +103,14 @@ def _half_text(h):
 
 
 def scalar_latex(s):
-    if not s.terms:
-        return "0"
-    out = _scalar_term_latex(s.terms[0])
-    for term in s.terms[1:]:
-        t = _scalar_term_latex(term)
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    return _signed_sum(map(_scalar_term_latex, s.terms))
 
 
 def scalar_json(s):
     return {
         "terms": [
             {
-                "coeff": _fraction_text(c),
+                "coeff": _fraction_text(c.numerator, c.denominator),
                 "radicand": rad,
                 "piHalfExp": pih,
                 "logFactors": [[p, m] for p, m in logs],
@@ -125,71 +124,51 @@ def scalar_json(s):
 # polynomials
 
 
-def _mono_text(mono, power_op="^"):
-    parts = []
-    for v, e in mono:
-        parts.append(v if e == 1 else "%s%s%d" % (v, power_op, e))
-    return "*".join(parts)
+def _poly_terms(poly, ctx):
+    """(monomial tuple, coefficient) of poly's terms, ascending graded-lex.
+
+    A rational coefficient is (num, den) in lowest terms, read straight
+    from its block; a Scalar is built only for an irrational one.
+    """
+    lay, blocks = poly.layout, poly.blocks.items()
+    rank = ctx.var_rank if ctx is not None else {}
+    for k in sorted(poly.packed_keys(), key=order_key(lay, rank)):
+        if [sig for sig, (_, nums) in blocks if k in nums] == [RATIONAL]:
+            den, nums = poly.blocks[RATIONAL]
+            g = gcd(nums[k], den)
+            yield lay.unpack(k), (nums[k] // g, den // g)
+        else:
+            yield lay.unpack(k), poly.coefficient_at(k)
 
 
 def _poly_term_text(mono, coeff):
-    mono_txt = _mono_text(mono)
-    if coeff.is_rational():
-        q = coeff.as_fraction()
+    mono_txt = "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in mono)
+    if isinstance(coeff, tuple):
+        num, den = coeff
         if not mono_txt:
-            return _fraction_text(q)
-        if q == 1:
-            return mono_txt
-        if q == -1:
-            return "-" + mono_txt
-        return _fraction_text(q) + "*" + mono_txt
+            return _fraction_text(num, den)
+        if den == 1 and abs(num) == 1:
+            return mono_txt if num == 1 else "-" + mono_txt
+        return _fraction_text(num, den) + "*" + mono_txt
     body = "(%s)" % scalar_text(coeff)
     return body if not mono_txt else body + "*" + mono_txt
 
 
-def _sorted_monos(poly, rank):
-    return sorted(poly.terms.items(), key=lambda kv: _grlex_key(kv[0], rank))
+def _poly_term_latex(mono, coeff):
+    mono_tex = " ".join(v if e == 1 else "%s^{%d}" % (v, e) for v, e in mono)
+    if not isinstance(coeff, tuple):
+        return ("\\left(%s\\right) " % scalar_latex(coeff)) + mono_tex
+    num, den = coeff
+    body = "" if abs(num) == den == 1 and mono_tex else _fraction_latex(abs(num), den)
+    return ("-" if num < 0 else "") + (body + " " + mono_tex).strip()
 
 
 def poly_text(poly, ctx=None):
-    if poly.is_zero():
-        return "0"
-    rank = ctx.var_rank if ctx is not None else {}
-    parts = []
-    for mono, coeff in _sorted_monos(poly, rank):
-        t = _poly_term_text(mono, coeff)
-        if not parts:
-            parts.append(t)
-        elif t.startswith("-"):
-            parts.append("- " + t[1:])
-        else:
-            parts.append("+ " + t)
-    return " ".join(parts)
+    return _signed_sum(_poly_term_text(m, c) for m, c in _poly_terms(poly, ctx))
 
 
 def poly_latex(poly, ctx=None):
-    if poly.is_zero():
-        return "0"
-    rank = ctx.var_rank if ctx is not None else {}
-    parts = []
-    for mono, coeff in _sorted_monos(poly, rank):
-        mono_tex = " ".join(
-            v if e == 1 else "%s^{%d}" % (v, e) for v, e in mono
-        )
-        if coeff.is_rational():
-            q = coeff.as_fraction()
-            sign = "-" if q < 0 else "+"
-            q = abs(q)
-            body = "" if q == 1 and mono_tex else _fraction_latex(q.numerator, q.denominator)
-            term = (body + " " + mono_tex).strip()
-        else:
-            sign = "+"
-            term = ("\\left(%s\\right) " % scalar_latex(coeff)) + mono_tex
-        if not parts:
-            parts.append(term if sign == "+" else "-" + term)
-        else:
-            parts.append(("+ " if sign == "+" else "- ") + term)
-    return " ".join(parts)
+    return _signed_sum(_poly_term_latex(m, c) for m, c in _poly_terms(poly, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -238,40 +217,26 @@ def _factor_text(ctx, bid, half, logp, latex=False):
     return parts
 
 
-def expr_text(e, ctx=None):
+def _expr_render(e, ctx, latex):
     ctx = ctx or e.ctx
-    if e.is_zero():
-        return "0"
     chunks = []
     for poly, fac in e.terms:
-        body = poly_text(poly, ctx)
+        body = poly_latex(poly, ctx) if latex else poly_text(poly, ctx)
         if fac:
-            if len(poly.terms) > 1:
-                body = "(%s)" % body
-            factor_parts = []
-            for bid, half, logp in fac:
-                factor_parts.extend(_factor_text(ctx, bid, half, logp))
-            body = "*".join([body] + factor_parts)
+            if len(poly.packed_keys()) > 1:
+                body = ("\\left(%s\\right)" if latex else "(%s)") % body
+            parts = [body] + [t for f in fac for t in _factor_text(ctx, *f, latex=latex)]
+            body = (" " if latex else "*").join(parts)
         chunks.append(body)
-    return " + ".join(chunks)
+    return " + ".join(chunks) or "0"
+
+
+def expr_text(e, ctx=None):
+    return _expr_render(e, ctx, latex=False)
 
 
 def expr_latex(e, ctx=None):
-    ctx = ctx or e.ctx
-    if e.is_zero():
-        return "0"
-    chunks = []
-    for poly, fac in e.terms:
-        body = poly_latex(poly, ctx)
-        if fac:
-            if len(poly.terms) > 1:
-                body = "\\left(%s\\right)" % body
-            factor_parts = []
-            for bid, half, logp in fac:
-                factor_parts.extend(_factor_text(ctx, bid, half, logp, latex=True))
-            body = " ".join([body] + factor_parts)
-        chunks.append(body)
-    return " + ".join(chunks)
+    return _expr_render(e, ctx, latex=True)
 
 
 def expr_json(e, ctx=None):
@@ -315,7 +280,7 @@ def render_value(value, fmt, ctx=None):
             return rendered
         return "(" + ", ".join(str(r) for r in rendered) + ")"
     if isinstance(value, Fraction):
-        return _fraction_text(value)
+        return _fraction_text(value.numerator, value.denominator)
     if type(value) is int:
         text = _int_text(value)
         # json.dumps writes an int with str(), so a very long one goes as text

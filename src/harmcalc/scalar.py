@@ -349,13 +349,23 @@ class Scalar:
 # (about 315,000 decimal digits) is refused before it is computed
 MAX_POWER_BITS = 1 << 20
 
+# the largest polynomial power computed: one whose estimated size, terms
+# times coefficient bits, would pass this is refused; (x1^2 + x2^2)^2000,
+# just under it, takes about 2.4 s
+MAX_POWER_SIZE = 1 << 22
 
-def check_power(k, blocks):
+
+def check_power(k, blocks, shape=None):
     """Refuse x**k when its coefficients would pass MAX_POWER_BITS bits.
 
     `blocks` are (denominator, radicand, numerators) triples covering the
     terms of x.  Each factor of the power adds about the largest log2
-    height of a term plus log2 of the number of terms.
+    height of a term plus log2 of the number of terms.  For a polynomial
+    x, shape = (total degree d, number of variables v), and x**k is also
+    refused when its estimated terms times coefficient bits would pass
+    MAX_POWER_SIZE: t terms (the numerators of all blocks) give at most
+    C(k+t-1, t-1) terms, and degree k*d in v variables holds at most
+    C(k*d+v, v).
     """
     if -1 <= k <= 1:
         return
@@ -369,6 +379,13 @@ def check_power(k, blocks):
         raise UnsupportedInputError(
             "power too large: its coefficients would pass %d bits" % MAX_POWER_BITS
         )
+    if shape is not None and bits:
+        d, v = shape
+        terms = min(math.comb(k + count - 1, count - 1), math.comb(k * d + v, v))
+        if terms * k * bits > MAX_POWER_SIZE:
+            raise UnsupportedInputError(
+                "power too large: its result would pass %d bits" % MAX_POWER_SIZE
+            )
 
 
 def power(x, k, one):

@@ -10,8 +10,23 @@ on them instead, but their results are the contract the library keeps.
 import heapq
 from fractions import Fraction
 
-from harmcalc.expr import Polynomial, _grlex_key, poly_sum
+from harmcalc.expr import Polynomial, mono_degree, poly_sum
+from harmcalc.render import scalar_text
 from harmcalc.scalar import ZERO, Scalar, _as_fraction
+
+
+def _grlex_key(mono, rank):
+    """Ascending graded-lex over rank ({name: position}), as rendering prints."""
+    vec = [0] * len(rank)
+    extra = 0
+    for v, e in mono:
+        i = rank.get(v)
+        if i is None:
+            extra += e
+        else:
+            vec[i] = e
+    # trailing mono tuple breaks ties for variables outside the context
+    return (mono_degree(mono), extra, tuple(vec), mono)
 
 
 def mono_mul(a, b):
@@ -213,3 +228,19 @@ def evaluate(p, point):
                 v = v * (_as_fraction(q) ** e)
         total = total + v
     return total
+
+
+def poly_text(p, ctx=None):
+    """The text of p: the `terms` view sorted by `_grlex_key`, one Scalar a term."""
+    rank = ctx.var_rank if ctx is not None else {}
+    out = ""
+    for m, c in sorted(p.terms.items(), key=lambda kv: _grlex_key(kv[0], rank)):
+        mono = "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in m)
+        if not c.is_rational():
+            t = "(%s)" % scalar_text(c) + ("*" + mono if mono else "")
+        elif not mono or abs(c.as_fraction()) != 1:
+            t = str(c.as_fraction()) + ("*" + mono if mono else "")
+        else:
+            t = mono if c.as_fraction() == 1 else "-" + mono
+        out += t if not out else " - " + t[1:] if t.startswith("-") else " + " + t
+    return out or "0"

@@ -151,6 +151,55 @@ def test_equal_polynomials_hash_alike_across_layouts():
     assert c == -1 and hash(c) == hash(Scalar.from_fraction(-1)) == hash(-1)
 
 
+def test_coefficient_reads_any_layout():
+    # the layouts of the cross-layout hash test: one more variable, wider fields
+    x, aux = Polynomial.var("x1"), Polynomial.var("aux")
+    p = x * x + 1
+    extra = (x + aux) * (x - aux) + aux * aux + 1
+    big = Polynomial.var("x1", 2**40)
+    wider = (p * big).divide_exact(big, CTX.var_rank)
+    one, zero = Scalar.from_fraction(1), Scalar.from_fraction(0)
+    for q in (p, extra, wider):
+        assert q.coefficient((("x1", 2),)) == one and q.coefficient(()) == one
+        assert q.coefficient((("x1", 1),)) == zero
+        # a variable of the layout with no term, and one outside it
+        assert q.coefficient((("aux", 2),)) == zero
+        assert q.coefficient((("x1", 2), ("zz", 1))) == zero
+        # exponents past the fields of any of the three layouts
+        assert q.coefficient((("x1", 2**70),)) == zero
+        assert q.coefficient((("aux", 2**64 + 2), ("x1", 2))) == zero
+    assert big.coefficient((("x1", 2**40),)) == one
+    r2 = Scalar.sqrt_int(2)
+    assert (x.scale(one + r2) + 1).coefficient((("x1", 1),)) == one + r2
+
+
+def test_render_order_matches_oracle():
+    from harmcalc.render import poly_text
+
+    rng = random.Random(1963)
+    x1, x2, aux = Polynomial.var("x1"), Polynomial.var("x2"), Polynomial.var("aux")
+    r2 = Scalar.sqrt_int(2)
+    polys = [
+        Polynomial(),
+        Polynomial.const(r2 + 1),
+        # one key carrying two signatures, beside rational keys
+        x1.scale(Scalar.from_fraction(1) + r2) + x2 - 1,
+        (x1 + aux + 1) ** 3,
+    ]
+    polys += [_poly(rng, rng.randrange(1, 12), rational=rng.random() < 0.5) for _ in range(300)]
+    polys += [_wide(rng, rational=rng.random() < 0.5) for _ in range(40)]
+    # None ranks nothing; CTX ranks all but "aux"; the last ranks against
+    # name order and leaves "t" and "y1" out
+    ctxs = (None, CTX, Context(3, coords=("x3", "x1", "x2"), extra=("aux",)))
+    for p in polys:
+        for ctx in ctxs:
+            assert poly_text(p, ctx) == poly_oracle.poly_text(p, ctx)
+        for mono, c in p.terms.items():
+            assert p.coefficient(mono) == c
+        mono = _mono(rng, 3)
+        assert p.coefficient(mono) == p.terms.get(mono, Scalar.from_fraction(0))
+
+
 def _summands(rng):
     """Lists of polynomials to add, with zeros, repeats and cancellation."""
     x, aux = Polynomial.var("x1"), Polynomial.var("aux")
