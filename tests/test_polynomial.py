@@ -7,6 +7,8 @@ polynomial that `poly_oracle` computes one pair of terms at a time, or,
 for division, both must report that the division is not exact.  `scale`,
 negation, `partial`, `integrate`, `substitute` and `eval` must agree with
 the oracle's loops over the terms, and equal results must hash alike.
+Rendering must print the oracle's text, the `terms` view sorted in
+graded-lex order, and `coefficient` must read the oracle's terms.
 """
 
 import random
@@ -18,6 +20,7 @@ import poly_oracle
 
 from harmcalc.errors import NonRationalValue
 from harmcalc.expr import Context, Expr, Polynomial, poly_sum
+from harmcalc.render import poly_text
 from harmcalc.scalar import Scalar
 
 CTX = Context(3, extra=("y1", "t"))
@@ -174,8 +177,6 @@ def test_coefficient_reads_any_layout():
 
 
 def test_render_order_matches_oracle():
-    from harmcalc.render import poly_text
-
     rng = random.Random(1963)
     x1, x2, aux = Polynomial.var("x1"), Polynomial.var("x2"), Polynomial.var("aux")
     r2 = Scalar.sqrt_int(2)
