@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .calculus import poly_laplacian
@@ -99,21 +100,28 @@ def _solve_poly_constraints(columns, constraints, ctx):
 
     `columns` is a list of lists: columns[i][k] is the polynomial multiplying
     unknown i in constraint k; `constraints` holds the constant polynomials.
-    Each (constraint, monomial) pair is one sparse row.  Returns the
-    canonical solution vector or None if inconsistent; trailing columns
-    with no entries are left off the vector.
+    Each (constraint, monomial) pair is one sparse row of integers: the
+    numerators of the rational blocks it touches, each scaled to the lcm of
+    their denominators, so no Fraction is made before `linalg.solve`.
+    Returns the canonical solution vector or None if inconsistent; trailing
+    columns with no entries are left off the vector.
     """
     # the constants ride along as one extra column, then move to the right side
     cols = columns + [constraints]
     blocks = iter(rational_blocks([poly for col in cols for poly in col]))
-    rows = {}
+    entries = {}
     for i, col in enumerate(cols):
         for cid in range(len(col)):
             den, nums = next(blocks)
             for k, n in nums.items():
-                rows.setdefault((cid, k), {})[i] = Fraction(n, den)
-    rhs = [-row.pop(len(columns), 0) for row in rows.values()]
-    return linalg.solve(list(rows.values()), rhs)
+                entries.setdefault((cid, k), []).append((i, n, den))
+    rows, rhs = [], []
+    for row_entries in entries.values():
+        scale = lcm(*(den for _, _, den in row_entries))
+        row = {i: n * (scale // den) for i, n, den in row_entries}
+        rhs.append(-row.pop(len(columns), 0))
+        rows.append(row)
+    return linalg.solve(rows, rhs)
 
 
 def _laplacian_times(q, mono):

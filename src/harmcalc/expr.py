@@ -738,6 +738,7 @@ class Context:
         self._base_index = {}
         self._base_names = []
         self._registry_lock = threading.Lock()
+        self._base_powers = {}
         self.norm_base = self.register_base(self.norm_sq_poly(), name="normSq(x)")[0]
 
     def register_base(self, poly, name=None):
@@ -758,8 +759,15 @@ class Context:
                 self._base_names.append(name)
         return bid, content
 
-    def base_poly(self, bid):
-        return self._bases[bid]
+    def base_poly(self, bid, k=1):
+        """The registered base `bid` to the power k, memoized on this Context."""
+        if k == 1:
+            return self._bases[bid]
+        power = self._base_powers.get((bid, k))
+        if power is None:
+            # two threads may both compute a missing power; they store equal values
+            power = self._base_powers[bid, k] = self._bases[bid] ** k
+        return power
 
     def base_name(self, bid):
         return self._base_names[bid]
@@ -852,7 +860,7 @@ class Expr:
                 if h == 0 and j == 0:
                     continue
                 if j == 0 and h > 0 and h % 2 == 0:
-                    poly = poly * ctx.base_poly(b) ** (h // 2)
+                    poly = poly * ctx.base_poly(b, h // 2)
                 else:
                     nf.append((b, h, j))
             sig = tuple(sorted((b, h & 1, j) for b, h, j in nf if (h & 1, j) != (0, 0)))
@@ -880,7 +888,7 @@ class Expr:
                 h, j = mins[b], logps[b]
                 if j == 0 and h >= 0 and h % 2 == 0:
                     if h:
-                        total = total * ctx.base_poly(b) ** (h // 2)
+                        total = total * ctx.base_poly(b, h // 2)
                 else:
                     factors.append((b, h, j))
             out_terms.append((total, tuple(factors)))
@@ -984,7 +992,7 @@ def _shift(ctx, poly, fd, mins):
     for b, low in mins.items():
         shift = (fd.get(b, (0, 0))[0] - low) // 2
         if shift:
-            poly = poly * ctx.base_poly(b) ** shift
+            poly = poly * ctx.base_poly(b, shift)
     return poly
 
 

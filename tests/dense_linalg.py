@@ -47,7 +47,7 @@ def solve(a, b):
     if rows == 0:
         return [] if not b else None
     cols = len(a[0])
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
+    aug = [[Fraction(v) for v in a[i]] + [Fraction(b[i])] for i in range(rows)]
     pivots = rref(aug)
     if pivots and pivots[-1] == cols:
         return None

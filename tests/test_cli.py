@@ -911,3 +911,15 @@ def test_orthonormal_basis_bytes_are_pinned(line):
         assert code == 0
         text = json.dumps(payload, indent=2, sort_keys=True) if fmt == "json" else payload
         assert hashlib.sha256(text.encode()).hexdigest() == want, (line, fmt)
+
+
+# sha256 of the text answer of a heavy quadric Neumann solve (a 4425 x 4199
+# sparse system), recorded before the solve moved to integer rows
+HEAVY_NEUMANN = 'neumann "x1^9*x2^2*x3^2" --dim 4 --region "quadratic:1,2,3,4;0,0,0,0;-1"'
+HEAVY_NEUMANN_DIGEST = "41aa615c2301cb8a85509d8c25ddaf1b1138fb72e6f183792ab36cf42055ea80"
+
+
+def test_heavy_quadric_neumann_bytes_are_pinned():
+    text, code = run(shlex.split(HEAVY_NEUMANN))
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == HEAVY_NEUMANN_DIGEST

@@ -84,6 +84,83 @@ def test_dict_rows_are_as_wide_as_their_largest_key():
     assert linalg.solve([{}], [1]) is None
 
 
+def _integer_system(rng, rows, cols, rank):
+    """Rows mixing ints up to about 10^12, Fractions and small ints; with
+    `rank`, rows are integer combinations of `rank` of them, and some rows
+    are multiplied by a common factor so their content exceeds 1."""
+    big = 10**12
+
+    def entry():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randrange(-big, big + 1)
+        if kind == 1:
+            return F(rng.randrange(-big, big + 1), rng.randrange(1, 10**6))
+        return rng.randrange(-5, 6)
+
+    def row():
+        density = rng.choice((0.3, 0.7, 1.0))
+        out = [entry() if rng.random() < density else 0 for _ in range(cols)]
+        if rng.random() < 0.5:
+            # an all-int row with a common factor
+            k = rng.randrange(2, 10**6)
+            out = [k * v.numerator for v in out]
+        return out
+
+    if rank is None:
+        return [row() for _ in range(rows)]
+    base = [row() for _ in range(rank)]
+    out = []
+    for _ in range(rows):
+        ks = [rng.randrange(-3, 4) for _ in base]
+        out.append([sum((k * b[c] for k, b in zip(ks, base)), 0) for c in range(cols)])
+    return out
+
+
+def test_solve_matches_dense_reference_on_large_integer_and_mixed_rows():
+    rng = random.Random(19680701)
+    kinds = {"solved": 0, "inconsistent": 0}
+    for trial in range(300):
+        rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+        rank = None if trial % 3 == 0 else rng.randrange(0, min(rows, cols) + 1)
+        a = _integer_system(rng, rows, cols, rank)
+        if trial % 2:
+            x = [rng.randrange(-10**6, 10**6) for _ in range(cols)]
+            b = [sum((v * xi for v, xi in zip(row, x)), 0) for row in a]
+        else:
+            b = [rng.choice((rng.randrange(-10**12, 10**12), F(rng.randrange(-99, 99), 7)))
+                 for _ in range(rows)]
+        expected = _check(a, b)
+        kinds["solved" if expected is not None else "inconsistent"] += 1
+        dict_rows = [{c: v for c, v in enumerate(row) if v} for row in a]
+        dict_rows[0][cols - 1] = a[0][cols - 1]
+        assert linalg.solve(dict_rows, b) == expected
+    assert min(kinds.values()) > 50, kinds
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        # the left sides are proportional; only the right sides disagree
+        ([[2, 4, 6], [3, 6, 9]], [2, 4], None),
+        ([[2, 4, 6], [3, 6, 9]], [2, 3], [1, 0, 0]),
+        ([[F(1, 2), 1], [1, 2], [0, 5]], [1, 3, 5], None),
+        ([[F(1, 2), 1], [1, 2], [0, 5]], [1, 2, 5], [0, 1]),
+        ([[10**12, 2 * 10**12], [3 * 10**12, 6 * 10**12]], [10**12, 3 * 10**12 + 1], None),
+    ],
+)
+def test_inconsistency_through_the_right_side_alone(a, b, expected):
+    assert _check(a, b) == expected
+
+
+def test_solve_returns_fractions():
+    x = linalg.solve([[2, 0, 0], [0, 3, 0]], [4, 1])
+    assert x == [2, F(1, 3), 0]
+    assert all(type(v) is F for v in x)
+    x = linalg.solve([{1: F(6, 5)}], [F(12, 5)])
+    assert x == [0, 2] and all(type(v) is F for v in x)
+
+
 def _recording(monkeypatch):
     systems = []
     solve = linalg.solve
