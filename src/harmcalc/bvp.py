@@ -13,7 +13,8 @@ through `harmonic_parts_by_degree`); the polynomial anti-Laplacian is
 
 One quadric type, `integrate.Quadratic(b, c, d)` for b.x^2 + c.x + d,
 serves as the Dirichlet region (any signs), the Neumann region (an
-ellipsoid) and the quadric-multiple mode of `anti_laplacian`.
+ellipsoid) and the quadric-multiple mode of `anti_laplacian`; their
+ansatz systems go to `linalg.solve` as rows written by `expr.paired_rows`.
 
 Every solver's defining contracts (vanishing Laplacian or prescribed one,
 boundary match, origin normalization, normal-derivative match) hold as
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .calculus import poly_laplacian
@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Expr, Polynomial, monomials, poly_sum, rational_blocks
+from .expr import Expr, Polynomial, gradient_weight, laplace_weight, monomials, paired_rows, poly_sum
 from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -92,54 +92,16 @@ QuadraticMultiple = Quadratic
 
 
 # ---------------------------------------------------------------------------
-# linear-system scaffolding for polynomial ansatz solves
-
-
-def _solve_poly_constraints(columns, constraints, ctx):
-    """Solve sum_i x_i columns[i] + constant = 0 over given constraints.
-
-    `columns` is a list of lists: columns[i][k] is the polynomial multiplying
-    unknown i in constraint k; `constraints` holds the constant polynomials.
-    Each (constraint, monomial) pair is one sparse row of integers: the
-    numerators of the rational blocks it touches, each scaled to the lcm of
-    their denominators, so no Fraction is made before `linalg.solve`.
-    Returns the canonical solution vector or None if inconsistent; trailing
-    columns with no entries are left off the vector.
-    """
-    # the constants ride along as one extra column, then move to the right side
-    cols = columns + [constraints]
-    blocks = iter(rational_blocks([poly for col in cols for poly in col]))
-    entries = {}
-    for i, col in enumerate(cols):
-        for cid in range(len(col)):
-            den, nums = next(blocks)
-            for k, n in nums.items():
-                entries.setdefault((cid, k), []).append((i, n, den))
-    rows, rhs = [], []
-    for row_entries in entries.values():
-        scale = lcm(*(den for _, _, den in row_entries))
-        row = {i: n * (scale // den) for i, n, den in row_entries}
-        rhs.append(-row.pop(len(columns), 0))
-        rows.append(row)
-    return linalg.solve(rows, rhs)
-
-
-def _laplacian_times(q, mono):
-    """Laplacian of q * x^mono."""
-    return q.paired_image(mono, lambda ai, bi: (ai + bi) * (ai + bi - 1))
-
-
-def _gradient_dot(q, mono):
-    """grad q . grad x^mono."""
-    return q.paired_image(mono, lambda ai, bi: ai * bi)
+# polynomial ansatz solves: the unknowns are monomial coefficients, and
+# `expr.paired_rows` writes their rows straight from the polynomial blocks
 
 
 def _quadric_multiple(q, f, degrees, ctx):
     """q v with Laplacian f, for v of the first degree in `degrees` that has one."""
     for deg in degrees:
         monos = monomials(ctx.coords, range(deg + 1))
-        columns = [[_laplacian_times(q, mono)] for mono in monos]
-        sol = _solve_poly_constraints(columns, [-f], ctx)
+        unknowns = [(mono, [(0, q, laplace_weight)]) for mono in monos]
+        sol = linalg.solve(*paired_rows(unknowns, [f], ctx.coords))
         if sol is not None:
             return q * Polynomial.from_raw(zip(monos, sol))
     raise InfeasibleSystem(
@@ -431,14 +393,13 @@ def _neumann_quadratic(f, g, region, ctx):
 def _neumann_quadratic_standard(f, region, ctx):
     """Harmonic h with grad h . grad q = f + q*(cofactor), h(0) = 0."""
     q = region.poly(ctx)
-    one = Polynomial.const(1)
+    one, neg_q = Polynomial.const(1), -q
     for deg in range(f.total_degree(), f.total_degree() + 3):
+        # h's coefficients: Laplacian of x^a and grad q . grad x^a; the cofactor's: -q x^a
         h_monos = monomials(ctx.coords, range(1, deg + 1))
-        r_monos = monomials(ctx.coords, range(max(deg, 1)))
-        columns = [[_laplacian_times(one, mono), _gradient_dot(q, mono)] for mono in h_monos]
-        for mono in r_monos:
-            columns.append([Polynomial(), q * Polynomial.from_raw([(mono, -1)])])
-        sol = _solve_poly_constraints(columns, [Polynomial(), -f], ctx)
+        unknowns = [(mono, [(0, one, laplace_weight), (1, q, gradient_weight)]) for mono in h_monos]
+        unknowns += [(mono, [(1, neg_q, None)]) for mono in monomials(ctx.coords, range(max(deg, 1)))]
+        sol = linalg.solve(*paired_rows(unknowns, [Polynomial(), f], ctx.coords))
         if sol is not None:
             return Expr.from_poly(ctx, Polynomial.from_raw(zip(h_monos, sol)))
     raise InfeasibleSystem(

@@ -79,8 +79,8 @@ def laplacian_of(e, power=1, ctx=None):
 
 
 def poly_laplacian(p, ctx):
-    """Laplacian of a plain polynomial (fast path used by solvers)."""
-    return poly_sum(p.partial(v).partial(v) for v in ctx.coords)
+    """Laplacian of a plain polynomial in the coordinates of ctx."""
+    return p.laplacian(ctx.coords)
 
 
 def divergence_of(vec, ctx):

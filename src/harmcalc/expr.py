@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedInputError,
     ZeroBaseValue,
 )
-from .scalar import ONE, ZERO, Scalar, _as_fraction, _merge_logs, check_power, power
+from .scalar import ONE, ZERO, Scalar, _as_fraction, check_power, power, sig_product
 
 # ---------------------------------------------------------------------------
 # monomials: tuples of (variable name, positive exponent), sorted by name
@@ -211,6 +211,32 @@ def _new(lay, blocks):
     out = object.__new__(Polynomial)
     out.layout = lay
     out.blocks = blocks
+    return out
+
+
+# the `_second_order` weights of the Laplacian of q x^a and of grad q . grad x^a
+def laplace_weight(a, b):
+    return (a + b) * (a + b - 1)
+
+
+def gradient_weight(a, b):
+    return a * b
+
+
+def _second_order(nums, lay, names, ka, weight):
+    """{key: int}: the sum over terms n x^b of nums and v in names of
+    weight(a_v, b_v) n x^(a + b - 2 e_v), x^a packed in ka and keys in lay,
+    which holds a + b.  The weight vanishes unless a_v + b_v >= 2."""
+    mask = lay.mask
+    fields = [(lay.shift[v], 2 * lay.unit[v], (ka >> lay.shift[v]) & mask) for v in names if v in lay.shift]
+    out = {}
+    get = out.get
+    for kb, n in nums.items():
+        for s, two, a in fields:
+            w = weight(a, (kb >> s) & mask)
+            if w:
+                k = ka + kb - two
+                out[k] = get(k, 0) + n * w
     return out
 
 
@@ -458,27 +484,12 @@ class Polynomial:
         f = lambda k: (0, k + unit, Fraction(1, ((k >> s) & mask) + 1))  # noqa: E731
         return self._map(f, lay).get(0, Polynomial())
 
-    def paired_image(self, mono, weight):
-        """Sum over terms c x^b and variables i of w c x^(a + b - 2 e_i).
-
-        a = mono and w = weight(a_i, b_i): with w = s(s - 1), s = a_i + b_i,
-        this is the Laplacian of self x^a, with w = a_i b_i it is
-        grad self . grad x^a, and the product self x^a is never formed.
-        """
-        lay = _join(self.layout, _layout(tuple(v for v, _ in mono)), self.total_degree() + mono_degree(mono))
-        ka, mask = lay.pack(mono), lay.mask
-        fields = [(lay.shift[v], 2 * lay.unit[v]) for v in lay.names]
+    def laplacian(self, names):
+        """The Laplacian in the variables `names`; the others are constants."""
         blocks = {}
-        for sig, (den, nums) in _rekey(self, lay).items():
-            acc = {}
-            for kb, n in nums.items():
-                for s, two in fields:
-                    w = weight((ka >> s) & mask, (kb >> s) & mask)
-                    if w:
-                        k = ka + kb - two
-                        acc[k] = acc.get(k, 0) + n * w
-            _put(blocks, sig, den, acc)
-        return _new(lay, blocks)
+        for sig, (den, nums) in self.blocks.items():
+            _put(blocks, sig, den, _second_order(nums, self.layout, names, 0, laplace_weight))
+        return _new(self.layout, blocks)
 
     def substitute(self, var, value):
         """Replace a variable by a Fraction, Scalar, or Polynomial."""
@@ -595,9 +606,9 @@ def _product(lay, a, b):
     one signature (sqrt 2 * sqrt 2 and 1 * 1), so they meet in a `_Sum`.
     """
     total = _Sum(lay)
-    for (ra, pa, la), (da, ta) in a.items():
-        for (rb, pb, lb), (db, tb) in b.items():
-            g = gcd(ra, rb)
+    for sa, (da, ta) in a.items():
+        for sb, (db, tb) in b.items():
+            g, sig = sig_product(sa, sb)
             big, small = (ta, tb) if len(ta) >= len(tb) else (tb, ta)
             if g != 1:
                 small = {k: n * g for k, n in small.items()}
@@ -611,7 +622,7 @@ def _product(lay, a, b):
                     for k, n in big.items():
                         k += kb
                         acc[k] = get(k, 0) + n * nb
-            total.add(((ra // g) * (rb // g), pa + pb, _merge_logs(la, lb)), da * db, acc)
+            total.add(sig, da * db, acc)
     return total.result()
 
 
@@ -688,13 +699,45 @@ def poly_sum(ps):
     return lone if lone is not None else Polynomial()
 
 
-def rational_blocks(polys):
-    """(den, {key: num}) of each rational polynomial in polys; the keys are
-    packed in one layout, so one key is one monomial across the list."""
-    lay = _EMPTY
-    for p in polys:
-        lay = _join(lay, p.layout)
-    return [p.rational_block(lay) for p in polys]
+def paired_rows(unknowns, constants, names):
+    """(rows, rhs) of sum_j x_j image_j = constants, integer rows for `linalg.solve`.
+
+    Unknown j is (a, [(k, q, weight)]): a monomial x^a over names and its
+    image in each constraint k it enters, the `_second_order` sum of q's
+    rational terms against x^a, or q x^a when weight is None.  A row per
+    (constraint, monomial) that an image or a constant reaches; constraint
+    k is scaled by the lcm of its polynomials' denominators, so only the
+    right sides carry one.
+    """
+    polys = {id(q): q for _, uses in unknowns for _, q, _ in uses}
+    top = max((mono_degree(a) for a, _ in unknowns), default=0)
+    lay = _layout(tuple(sorted(names)), _stride(top))
+    for p in (*polys.values(), *constants):
+        lay = _join(lay, p.layout, p.total_degree() + top)
+    blocks = {i: q.rational_block(lay) for i, q in polys.items()}
+    scales = [1] * len(constants)
+    for k, i in {(k, id(q)) for _, uses in unknowns for k, q, _ in uses}:
+        scales[k] = lcm(scales[k], blocks[i][0])
+    rows = {}
+    for j, (a, uses) in enumerate(unknowns):
+        ka = lay.pack(a)
+        for k, q, weight in uses:
+            den, nums = blocks[id(q)]
+            if weight is None:
+                image = {ka + kb: n for kb, n in nums.items()}
+            else:
+                image = _second_order(nums, lay, names, ka, weight)
+            f = scales[k] // den
+            for key, n in image.items():
+                if n:
+                    rows.setdefault((k, key), {})[j] = n * f
+    # a right side rides in its row under the key None
+    for k, c in enumerate(constants):
+        den, nums = c.rational_block(lay)
+        for key, n in nums.items():
+            rows.setdefault((k, key), {})[None] = Fraction(n * scales[k], den)
+    rhs = [row.pop(None, 0) for row in rows.values()]
+    return list(rows.values()), rhs
 
 
 def dot_poly(a_names, b_names):

@@ -118,8 +118,7 @@ def first_coordinate_series(s, ctx):
         term = s
         while not term.is_zero():
             yield term
-            d = poly_sum(term.partial(v).partial(v) for v in rest)
-            term = -d.integrate(first).integrate(first)
+            term = -term.laplacian(rest).integrate(first).integrate(first)
 
     return poly_sum(terms())
 

@@ -276,29 +276,16 @@ class Scalar:
         if not self.terms or not other.terms:
             return ZERO
         if len(self.terms) == 1 and len(other.terms) == 1:
-            c1, r1, p1, l1 = self.terms[0]
-            c2, r2, p2, l2 = other.terms[0]
-            if r1 == 1 and r2 == 1 and not l1 and not l2:
-                return Scalar(((c1 * c2, 1, p1 + p2, ()),))
-            g = math.gcd(r1, r2)
-            return Scalar(
-                (
-                    (
-                        c1 * c2 * g,
-                        (r1 // g) * (r2 // g),
-                        p1 + p2,
-                        _merge_logs(l1, l2),
-                    ),
-                )
-            )
+            t1, t2 = self.terms[0], other.terms[0]
+            g, sig = sig_product(t1[1:], t2[1:])
+            c = t1[0] * t2[0]
+            # a Fraction times an int is slow, so skip g = 1
+            return Scalar(((c * g if g > 1 else c,) + sig,))
         raw = []
-        for c1, r1, p1, l1 in self.terms:
-            for c2, r2, p2, l2 in other.terms:
-                g = math.gcd(r1, r2)
-                coeff = c1 * c2 * g
-                rad = (r1 // g) * (r2 // g)
-                logs = _merge_logs(l1, l2)
-                raw.append((coeff, rad, p1 + p2, logs))
+        for c1, *s1 in self.terms:
+            for c2, *s2 in other.terms:
+                g, sig = sig_product(s1, s2)
+                raw.append((c1 * c2 * g,) + sig)
         return Scalar._build(raw)
 
     __rmul__ = __mul__
@@ -412,6 +399,14 @@ def _coerce(x):
     raise TypeError("cannot treat %r as a Scalar" % (x,))
 
 
+def sig_product(a, b):
+    """(g, signature) of the product of two (radicand, pi half-exponent, logs)
+    signatures: sqrt(r1 r2) = g sqrt(r1 r2 / g^2), g = gcd(r1, r2)."""
+    (r1, p1, l1), (r2, p2, l2) = a, b
+    g = math.gcd(r1, r2)
+    return g, ((r1 // g) * (r2 // g), p1 + p2, _merge_logs(l1, l2))
+
+
 def _merge_logs(l1, l2):
     if not l1:
         return l2
@@ -480,11 +475,12 @@ def _eval_decimal(s, prec):
     with localcontext() as c:
         c.prec = prec
         total = Decimal(0)
-        pi = _pi_decimal(prec)
+        # pi only when a term has a pi factor: at high precision it dominates
+        root_pi = _pi_decimal(prec).sqrt() if any(pih for _, _, pih, _ in s.terms) else None
         for coeff, rad, pih, logs in s.terms:
             v = Decimal(coeff.numerator) / Decimal(coeff.denominator)
             if pih:
-                v *= pi.sqrt() ** pih
+                v *= root_pi**pih
             if rad != 1:
                 v *= Decimal(rad).sqrt()
             for p, m in logs:

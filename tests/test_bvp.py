@@ -5,7 +5,7 @@ import pytest
 
 from conftest import E, P, random_polynomial
 
-from harmcalc import bvp
+from harmcalc import bvp, linalg
 from harmcalc.bvp import (
     Annulus,
     ExteriorSphere,
@@ -31,7 +31,10 @@ from harmcalc.expr import (
     Context,
     Expr,
     Polynomial,
+    gradient_weight,
+    laplace_weight,
     monomials,
+    paired_rows,
     poly_sum,
     reduce_poly_on_sphere,
     restrict_to_sphere,
@@ -599,7 +602,9 @@ def test_region_inputs_are_typed_errors(ctx3):
 
 
 def test_ansatz_columns_equal_the_products_they_replace():
-    # the quadric solvers build these columns in one pass over q's terms
+    # the quadric solvers write these columns in one pass over q's terms;
+    # with the product as the right side, every row reads n = rhs, the
+    # product's coefficient scaled by q's denominator
     rng = random.Random(2004)
     for dim in (1, 3, 4):
         ctx = Context(dim)
@@ -607,8 +612,37 @@ def test_ansatz_columns_equal_the_products_they_replace():
             b = [F(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(dim)]
             c = [F(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(dim)] if trial % 2 else []
             q = Quadratic(tuple(b), tuple(c), F(rng.randrange(-3, 3), rng.randrange(1, 4))).poly(ctx)
+            den = q.rational_block()[0]
             for mono in monomials(ctx.coords, range(5)):
                 v = Polynomial({mono: Scalar.from_fraction(1)})
-                assert bvp._laplacian_times(q, mono) == poly_laplacian(q * v, ctx)
                 grad_dot = poly_sum([q.partial(x) * v.partial(x) for x in ctx.coords])
-                assert bvp._gradient_dot(q, mono) == grad_dot
+                for weight, product in (
+                    (laplace_weight, poly_laplacian(q * v, ctx)),
+                    (gradient_weight, grad_dot),
+                    (None, q * v),
+                ):
+                    rows, rhs = paired_rows([(mono, [(0, q, weight)])], [product], ctx.coords)
+                    assert all(set(row) <= {0} and type(row.get(0, 0)) is int for row in rows)
+                    assert [row.get(0, 0) for row in rows] == rhs
+                    want = [coeff.as_fraction() * den for coeff in product.terms.values()]
+                    assert sorted(rhs) == sorted(want)
+
+
+def test_ansatz_rows_scale_each_constraint_and_keep_unreached_right_sides():
+    ctx2 = Context(2)
+    x1 = Polynomial.var("x1")
+    # x1/2 * 1 + 1/3 * x1 = 5/7 x1, scaled by the lcm 6 of its column
+    # denominators, and 1/5 * 1 = 2, scaled by 5
+    fifth = Polynomial.const(F(1, 5))
+    unknowns = [
+        ((), [(0, x1.scale(F(1, 2)), None), (1, fifth, None)]),
+        ((("x1", 1),), [(0, Polynomial.const(F(1, 3)), None)]),
+    ]
+    constants = [x1.scale(F(5, 7)), Polynomial.const(2)]
+    assert paired_rows(unknowns, constants, ctx2.coords) == ([{0: 3, 1: 2}, {0: 1}], [F(30, 7), 10])
+    # the Laplacian of c x1^2 is 2c: it reaches the constant 4, and no column reaches x2
+    unknowns = [((("x1", 2),), [(0, Polynomial.const(1), laplace_weight)])]
+    assert linalg.solve(*paired_rows(unknowns, [Polynomial.const(4)], ctx2.coords)) == [2]
+    rows, rhs = paired_rows(unknowns, [Polynomial.const(4) + Polynomial.var("x2")], ctx2.coords)
+    assert sorted(zip(rhs, map(len, rows))) == [(1, 0), (4, 1)]
+    assert linalg.solve(rows, rhs) is None

@@ -10,6 +10,7 @@ from harmcalc.errors import (
     OddPiExponent,
     UnsupportedInputError,
 )
+from harmcalc import scalar
 from harmcalc.expr import Polynomial
 from harmcalc.scalar import (
     MAX_POWER_BITS,
@@ -182,6 +183,18 @@ def test_approx_known_values():
     assert approx_scalar(Scalar.from_fraction(0), 3) == "0.000"
     assert approx_scalar(Scalar.from_fraction(F(1, 3)), 4) == "0.3333"
     assert approx_scalar(Scalar.sqrt_int(2), 8) == "1.4142136"
+
+
+def test_approx_computes_pi_only_for_a_pi_factor(monkeypatch):
+    def no_pi(prec):
+        raise AssertionError("pi computed for a value without a pi factor")
+
+    monkeypatch.setattr(scalar, "_pi_decimal", no_pi)
+    assert approx_scalar(Scalar.from_fraction(F(1, 3)), 30) == "0.333333333333333333333333333333"
+    value = Scalar.sqrt_int(2) * F(-5, 7) + F(1, 3)
+    assert approx_scalar(value, 40) == "-0.6768192112188774158107300411021652942164"
+    with pytest.raises(AssertionError):
+        approx_scalar(Scalar.pi_power(1), 5)
 
 
 def test_approx_ball_weight_constant():
