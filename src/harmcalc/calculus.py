@@ -3,6 +3,19 @@
 Partials, gradients, iterated Laplacians, divergence, Jacobian, normal
 derivatives (sphere and general quadric-style surfaces), homogeneous and
 Taylor expansions of polynomials, and the planar harmonic conjugate.
+
+The Laplacian of an Expr term is taken in closed form.  Write the term as
+P * prod_b F_b(B_b) with F_b = B_b^(h/2) * log(B_b)^j.  Then
+
+    Delta(P prod F) = Delta P * prod F
+                    + 2 sum_b F_b' (grad P . grad B_b) prod_(c != b) F_c
+                    + P sum_b (F_b' Delta B_b + F_b'' |grad B_b|^2) prod_(c != b) F_c
+                    + 2 P sum_(b < c) F_b' F_c' (grad B_b . grad B_c) prod_(others) F,
+
+where F' = (h/2) B^((h-2)/2) log(B)^j + j B^((h-2)/2) log(B)^(j-1), and F''
+is that rule applied twice.  Delta B_b and grad B_b . grad B_c are memoized
+on the Context, so a term costs a few polynomial products, not a product
+rule per coordinate.  First derivatives use the termwise product rule.
 """
 
 from __future__ import annotations
@@ -67,14 +80,55 @@ def gradient_of(e, ctx=None):
     return tuple(expr_partial(e, v, ctx) for v in ctx.coords)
 
 
+def _derivative(pieces):
+    """d/dB of sum c B^(h/2) log(B)^j over pieces [(c, h, j)], like terms combined."""
+    out = {}
+    for c, h, j in pieces:
+        for w, hj in ((Fraction(h, 2), (h - 2, j)), (j, (h - 2, j - 1))):
+            if w:
+                out[hj] = out.get(hj, 0) + c * w
+    return [(c, h, j) for (h, j), c in out.items() if c]
+
+
+def _laplacian_raw(ctx, poly, fac):
+    """Raw terms of the Laplacian of poly * prod fac, by the closed form above."""
+    coords = ctx.coords
+    raw = [(poly.laplacian(coords), fac)]
+    firsts = [_derivative([(1, h, j)]) for _, h, j in fac]
+
+    def put(*changes):
+        out = list(fac)
+        for i, h, j in changes:
+            out[i] = (fac[i][0], h, j)
+        return tuple(out)
+
+    for i, (b, _, _) in enumerate(fac):
+        first = poly.gradient_dot(ctx.base_poly(b), coords).scale(2) + poly * ctx.base_laplacian(b)
+        raw.extend((first.scale(c), put((i, h, j))) for c, h, j in firsts[i])
+        second = poly * ctx.base_gradient_dot(b, b)
+        raw.extend((second.scale(c), put((i, h, j))) for c, h, j in _derivative(firsts[i]))
+        for k in range(i + 1, len(fac)):
+            cross = poly * ctx.base_gradient_dot(b, fac[k][0])
+            for c1, h1, j1 in firsts[i]:
+                for c2, h2, j2 in firsts[k]:
+                    raw.append((cross.scale(2 * c1 * c2), put((i, h1, j1), (k, h2, j2))))
+    return raw
+
+
 def laplacian_of(e, power=1, ctx=None):
+    """The power-fold iterated Laplacian of e in the coordinates.
+
+    A term P * prod_b F_b(B_b), F_b = B_b^(h/2) log(B_b)^j, goes to
+    Delta P prod F + sum_b (2 grad P . grad B_b + P Delta B_b) F_b' prod_(c != b) F_c
+    + P sum_b |grad B_b|^2 F_b'' prod_(c != b) F_c
+    + 2 P sum_(b < c) (grad B_b . grad B_c) F_b' F_c' prod_(others) F
+    (see the module docstring), and each Laplacian canonicalizes the raw
+    terms of all the terms in one `Expr._from_raw`.
+    """
     ctx = ctx or e.ctx
     out = e
     for _ in range(power):
-        raw = []
-        for v in ctx.coords:
-            raw.extend(_partial_raw(ctx, _partial_raw(ctx, out.terms, v), v))
-        out = Expr._from_raw(ctx, raw)
+        out = Expr._from_raw(ctx, [t for poly, fac in out.terms for t in _laplacian_raw(ctx, poly, fac)])
     return out
 
 

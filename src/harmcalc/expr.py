@@ -8,8 +8,9 @@ factors raised to half-integer powers and log powers:
 The default base is normSq = sum of squared coordinates, so ||x||^h is
 normSq^(h/2).  Canonicalization gives a decidable zero test: terms are
 grouped by per-base (parity, log power) signature, brought to a common
-denominator in integer base powers, and the resulting polynomial is tested
-for zero.  Even nonnegative base powers with no log factor are expanded
+denominator in integer base powers (terms at one shift are summed before
+their one product with the base powers), and the resulting polynomial is
+tested for zero.  Even nonnegative base powers with no log factor are expanded
 into the polynomial part.  An Expr sum is one `Expr._from_raw` call over
 all the raw terms: canonical form is unique, so canonicalizing once gives
 what a fold of `+` would.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import (
@@ -67,21 +69,24 @@ def monomials(names, degrees):
 
     Within a degree the exponent vectors, in names order, ascend
     lexicographically, as under `order_key` with `names` ranked first to
-    last; ansatz solves rely on this column order.
+    last; ansatz solves rely on this column order.  A vector of degree d
+    is read off the n - 1 bar positions among d + n - 1 slots (stars and
+    bars), and `combinations` lists bar positions in that same order.
     """
     names = tuple(names)
+    n = len(names)
+    by_name = sorted(range(n), key=names.__getitem__)
     out = []
-
-    def rec(i, left, acc):
-        if i == len(names):
-            if left == 0:
-                out.append(tuple(sorted((v, e) for v, e in acc.items() if e)))
-        else:
-            for e in range(left + 1):
-                rec(i + 1, left - e, {**acc, names[i]: e})
-
     for deg in degrees:
-        rec(0, deg, {})
+        if deg < 0 or not n:
+            if deg == 0:
+                out.append(())
+            continue
+        end = (deg + n - 1,)
+        for bars in combinations(range(deg + n - 1), n - 1):
+            cuts = bars + end
+            es = [cuts[0]] + [b - a - 1 for a, b in zip(cuts, cuts[1:])]
+            out.append(tuple((names[i], es[i]) for i in by_name if es[i]))
     return out
 
 
@@ -491,6 +496,13 @@ class Polynomial:
             _put(blocks, sig, den, _second_order(nums, self.layout, names, 0, laplace_weight))
         return _new(self.layout, blocks)
 
+    def gradient_dot(self, other, names):
+        """grad self . grad other in the variables `names`; the others are constants."""
+        if not self.blocks or not other.blocks:
+            return Polynomial()
+        lay = _join(self.layout, other.layout, self.total_degree() + other.total_degree())
+        return _product(lay, _rekey(self, lay), _rekey(other, lay), names)
+
     def substitute(self, var, value):
         """Replace a variable by a Fraction, Scalar, or Polynomial."""
         value = _as_poly(value)
@@ -599,11 +611,13 @@ def _as_poly(x):
     return x if isinstance(x, Polynomial) else Polynomial.const(x)
 
 
-def _product(lay, a, b):
+def _product(lay, a, b, names=None):
     """The Polynomial with blocks a times blocks b, both keyed in lay.
 
     Every pair of blocks multiplies with ints only; two pairs can land on
     one signature (sqrt 2 * sqrt 2 and 1 * 1), so they meet in a `_Sum`.
+    With `names`, a pair of terms multiplies as grad . grad in those
+    variables instead (`_second_order` with `gradient_weight`).
     """
     total = _Sum(lay)
     for sa, (da, ta) in a.items():
@@ -612,7 +626,13 @@ def _product(lay, a, b):
             big, small = (ta, tb) if len(ta) >= len(tb) else (tb, ta)
             if g != 1:
                 small = {k: n * g for k, n in small.items()}
-            if len(small) == 1:
+            if names is not None:
+                acc = {}
+                get = acc.get
+                for kb, nb in small.items():
+                    for k, n in _second_order(big, lay, names, kb, gradient_weight).items():
+                        acc[k] = get(k, 0) + n * nb
+            elif len(small) == 1:
                 ((kb, nb),) = small.items()
                 acc = {k + kb: n * nb for k, n in big.items()}
             else:
@@ -782,6 +802,7 @@ class Context:
         self._base_names = []
         self._registry_lock = threading.Lock()
         self._base_powers = {}
+        self._base_derivatives = {}
         self.norm_base = self.register_base(self.norm_sq_poly(), name="normSq(x)")[0]
 
     def register_base(self, poly, name=None):
@@ -811,6 +832,21 @@ class Context:
             # two threads may both compute a missing power; they store equal values
             power = self._base_powers[bid, k] = self._bases[bid] ** k
         return power
+
+    def base_laplacian(self, bid):
+        """The Laplacian of base `bid` in the coordinates, memoized on this Context."""
+        out = self._base_derivatives.get(bid)
+        if out is None:
+            out = self._base_derivatives[bid] = self._bases[bid].laplacian(self.coords)
+        return out
+
+    def base_gradient_dot(self, b, c):
+        """grad base_b . grad base_c in the coordinates, memoized on this Context."""
+        key = (b, c) if b <= c else (c, b)
+        out = self._base_derivatives.get(key)
+        if out is None:
+            out = self._base_derivatives[key] = self._bases[b].gradient_dot(self._bases[c], self.coords)
+        return out
 
     def base_name(self, bid):
         return self._base_names[bid]
@@ -915,7 +951,17 @@ class Expr:
             # a member without b has b^0; log powers agree within a group
             mins = {b: min(fd.get(b, (0, 0))[0] for _, fd in members) for b in base_ids}
             logps = {b: max(fd.get(b, (0, 0))[1] for _, fd in members) for b in base_ids}
-            total = poly_sum(_shift(ctx, poly, fd, mins) for poly, fd in members)
+            if len(members) == 1:
+                total = _shift(ctx, members[0][0], members[0][1], mins)
+            else:
+                # members with equal half powers share one shift vector:
+                # they are summed first, so each distinct shift costs one
+                # product with the base powers
+                shifts = {}
+                for poly, fd in members:
+                    key = tuple(fd.get(b, (0, 0))[0] for b in base_ids)
+                    shifts.setdefault(key, (fd, []))[1].append(poly)
+                total = poly_sum(_shift(ctx, poly_sum(polys), fd, mins) for fd, polys in shifts.values())
             if total.is_zero():
                 continue
             # pull out base divisors so the representative is unique; a base

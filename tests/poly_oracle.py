@@ -15,6 +15,24 @@ from harmcalc.render import scalar_text
 from harmcalc.scalar import ZERO, Scalar, _as_fraction
 
 
+def monomials(names, degrees):
+    """The monomials of `expr.monomials`, one recursive call per variable."""
+    names = tuple(names)
+    out = []
+
+    def rec(i, left, acc):
+        if i == len(names):
+            if left == 0:
+                out.append(tuple(sorted((v, e) for v, e in acc.items() if e)))
+        else:
+            for e in range(left + 1):
+                rec(i + 1, left - e, {**acc, names[i]: e})
+
+    for deg in degrees:
+        rec(0, deg, {})
+    return out
+
+
 def _grlex_key(mono, rank):
     """Ascending graded-lex over rank ({name: position}), as rendering prints."""
     vec = [0] * len(rank)

@@ -6,6 +6,7 @@ import pytest
 from conftest import E, P, random_norm_expr, random_polynomial
 
 from harmcalc.calculus import (
+    _partial_raw,
     divergence_of,
     expr_partial,
     gradient_of,
@@ -20,6 +21,7 @@ from harmcalc.calculus import (
 )
 from harmcalc.errors import DimensionMismatch, NotHarmonic
 from harmcalc.expr import Context, Expr, Polynomial, eval_expr, poly_sum
+from harmcalc.render import expr_text
 from harmcalc.scalar import Scalar, approx_scalar
 
 
@@ -82,6 +84,60 @@ def test_laplacian_x3_norm(ctx3):
     e = Expr.from_poly(ctx3, Polynomial.var("x3")) * Expr.norm_power(ctx3, 1)
     want = Expr.make(ctx3, Polynomial.var("x3").scale(4), [(ctx3.norm_base, -1, 0)])
     assert laplacian_of(e, 1, ctx3) == want
+
+
+def _product_rule_laplacian(e, power, ctx):
+    """The oracle: the termwise product rule twice per coordinate, canonicalized once."""
+    out = e
+    for _ in range(power):
+        raw = []
+        for v in ctx.coords:
+            raw.extend(_partial_raw(ctx, _partial_raw(ctx, out.terms, v), v))
+        out = Expr._from_raw(ctx, raw)
+    return out
+
+
+def test_closed_form_laplacian_matches_product_rule():
+    """The closed-form term Laplacian gives the product-rule route's exact terms.
+
+    Two registered bases, the second with content 2 so its powers carry
+    sqrt(2) and log(2); odd and negative half powers, log powers 0 to 3,
+    terms with both bases (the cross-gradient piece), and iterated
+    Laplacians.
+    """
+    rng = random.Random(1915)
+    ctx = Context(3, extra=("y1",))
+    second = P("2*x1^2 + 2*x2*x3 + 4*y1 + 6", ctx)
+    both = 0
+    for case in range(24):
+        e = Expr.zero(ctx)
+        for _ in range(rng.randrange(1, 4)):
+            t = Expr.from_poly(ctx, random_polynomial(rng, ctx, max_degree=3, terms=3))
+            if rng.random() < 0.3:
+                t = t.scale(Scalar.sqrt_int(3))
+            if rng.random() < 0.8:
+                t = t * Expr.norm_power(ctx, rng.randrange(-5, 6), rng.randrange(4))
+            if rng.random() < 0.7:
+                t = t * Expr.base_power(ctx, second, rng.randrange(-5, 6), rng.randrange(4))
+            e = e + t
+        both += sum(len(fac) == 2 for _, fac in e.terms)
+        power = 2 if case % 4 == 0 else 1
+        got, want = laplacian_of(e, power, ctx), _product_rule_laplacian(e, power, ctx)
+        assert [f for _, f in got.terms] == [f for _, f in want.terms]
+        assert [p for p, _ in got.terms] == [p for p, _ in want.terms]
+        assert expr_text(got, ctx) == expr_text(want, ctx)
+    assert both >= 10
+
+
+def test_base_derivatives_stay_with_their_context():
+    """Two Contexts with different bases under one id keep their own derivatives."""
+    for src, lap, grad in (("x1 + 3", "0", "1"), ("x1^2 + x2^2 + 1", "4", "4*x1^2 + 4*x2^2")):
+        ctx = Context(2)
+        bid, _ = ctx.register_base(P(src, ctx))
+        assert bid == 1
+        assert ctx.base_laplacian(bid) == P(lap, ctx)
+        assert ctx.base_gradient_dot(bid, bid) == P(grad, ctx)
+        assert ctx.base_gradient_dot(bid, ctx.norm_base) == ctx.base_gradient_dot(ctx.norm_base, bid)
 
 
 def test_laplacian_named_coords():

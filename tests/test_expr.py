@@ -10,6 +10,7 @@ from harmcalc.expr import (
     Context,
     Expr,
     Polynomial,
+    _shift,
     eval_expr,
     make_context,
     reduce_poly_on_sphere,
@@ -196,3 +197,70 @@ def test_one_canonicalization_equals_the_fold():
         # output order: by factor tuple, each tuple once
         factors = [f for _, f in once.terms]
         assert factors == sorted(set(factors))
+
+
+def _per_member_shift(ctx, raw):
+    """The oracle: raw terms with every member of a signature group shifted
+    on its own by `_shift` to the group's least half powers, so the
+    members of a group share one factor tuple."""
+    groups = {}
+    for poly, fac in raw:
+        fd = {}
+        for b, h, j in fac:
+            h0, j0 = fd.get(b, (0, 0))
+            fd[b] = (h0 + h, j0 + j)
+        for b, (h, j) in list(fd.items()):
+            if j == 0 and h >= 0 and h % 2 == 0:
+                poly = poly * ctx.base_poly(b, h // 2)
+                del fd[b]
+        sig = tuple(sorted((b, h & 1, j) for b, (h, j) in fd.items() if (h & 1, j) != (0, 0)))
+        groups.setdefault(sig, []).append((poly, fd))
+    out = []
+    for members in groups.values():
+        bases = {b for _, fd in members for b in fd}
+        mins = {b: min(fd.get(b, (0, 0))[0] for _, fd in members) for b in bases}
+        logs = {b: max(fd.get(b, (0, 0))[1] for _, fd in members) for b in bases}
+        fac = tuple((b, mins[b], logs[b]) for b in sorted(bases))
+        out.extend((_shift(ctx, poly, fd, mins), fac) for poly, fd in members)
+    return out
+
+
+def test_grouped_shifts_match_per_member_shifts():
+    """`_from_raw` sums the members of one shift before shifting them; it
+    must give what shifting every member on its own gives."""
+    ctx = make_context(3, extra_vecs=("y",))
+    nb = ctx.norm_base
+    other, _ = ctx.register_base(P("x1*y1 + 2*x2 + 3", ctx))
+    x1, x2, x3 = (Polynomial.var(v) for v in ctx.coords)
+    norm = ctx.base_poly(nb)
+
+    def check(raw):
+        got = Expr._from_raw(ctx, raw)
+        assert got.terms == Expr._from_raw(ctx, _per_member_shift(ctx, raw)).terms
+        return got
+
+    # equal shifts: two members at each of the half powers 1 and 3
+    got = check([(x1, ((nb, 1, 0),)), (x2, ((nb, 1, 0),)), (x3, ((nb, 3, 0),)), (x1 * x2, ((nb, 3, 0),))])
+    assert got.terms == ((x1 + x2 + (x3 + x1 * x2) * norm, ((nb, 1, 0),)),)
+    # members with nonzero shifted sums whose group sum cancels: the group vanishes
+    got = check([(x1, ((nb, 1, 2),)), (-x1 * norm, ((nb, -1, 2),)), (x2, ((other, -1, 0),))])
+    assert got.terms == ((x2, ((other, -1, 0),)),)
+    assert check([(x1, ((nb, 1, 0),)), (x2, ((nb, 1, 0),)), (-x1 - x2, ((nb, 1, 0),))]).is_zero()
+    # the grouped sum is a multiple of the base, so divide_exact pulls it out
+    got = check([(x1 * norm, ((nb, -3, 0),)), (x2 * norm, ((nb, -3, 0),)), (x3, ((nb, -1, 0),))])
+    assert got.terms == ((x1 + x2 + x3, ((nb, -1, 0),)),)
+    got = check([(x1 * norm, ((nb, -3, 1),)), (-x1, ((nb, -1, 1),)), (x2 * norm * norm, ((nb, -3, 1),))])
+    assert got.terms == ((x2, ((nb, 1, 1),)),)
+
+    rng = random.Random(2004)
+    for _ in range(60):
+        raw = []
+        for _ in range(rng.randrange(1, 9)):
+            fac = []
+            for b in rng.sample([nb, other], rng.randrange(3)):
+                fac.append((b, rng.choice((-5, -3, -2, -1, 1, 2, 3)), rng.choice((0, 0, 1, 2))))
+            poly = random_polynomial(rng, ctx, max_degree=2, terms=2)
+            raw.append((poly, tuple(fac)))
+            if rng.random() < 0.3:
+                raw.append((-poly, tuple(fac)))
+        check(raw)

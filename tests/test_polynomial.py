@@ -5,8 +5,10 @@ polynomial that a left fold of the oracle's pairwise `add` gives.
 `Polynomial.__mul__` and `Polynomial.divide_exact` must return exactly the
 polynomial that `poly_oracle` computes one pair of terms at a time, or,
 for division, both must report that the division is not exact.  `scale`,
-negation, `partial`, `integrate`, `substitute` and `eval` must agree with
-the oracle's loops over the terms, and equal results must hash alike.
+negation, `partial`, `integrate`, `laplacian`, `gradient_dot`,
+`substitute` and `eval` must agree with the oracle's loops over the
+terms, and equal results must hash alike.  `monomials` must list the
+oracle's recursive enumeration in the same order.
 Rendering must print the oracle's text, the `terms` view sorted in
 graded-lex order, and `coefficient` must read the oracle's terms.
 """
@@ -19,7 +21,7 @@ import pytest
 import poly_oracle
 
 from harmcalc.errors import NonRationalValue
-from harmcalc.expr import Context, Expr, Polynomial, poly_sum
+from harmcalc.expr import Context, Expr, Polynomial, monomials, poly_sum
 from harmcalc.render import poly_text
 from harmcalc.scalar import Scalar
 
@@ -125,6 +127,8 @@ def test_term_maps_match_oracle():
             assert pxa.laplacian(NAMES) == poly_oracle.total([d(d(pxa, v), v) for v in NAMES])
             names = rng.sample(sorted(p.variables()), len(p.variables()) // 2) + ["z"]
             assert p.laplacian(names) == poly_oracle.total([d(d(p, v), v) for v in names])
+            want = poly_oracle.total([poly_oracle.mul(d(p, v), d(pxa, v)) for v in names])
+            assert p.gradient_dot(pxa, names) == want and pxa.gradient_dot(p, names) == want
             if p.total_degree() > 12:
                 # the oracle's powers of a substituted value and of a point
                 # coordinate are computed in full
@@ -333,3 +337,15 @@ def test_one_power_routine():
         p**-1
     with pytest.raises(ValueError):
         e**-1
+
+
+def test_monomials_match_recursive_order():
+    for n in range(1, 6):
+        names = ["x%d" % (i + 1) for i in range(n)]
+        for order in (names, names[::-1]):
+            for deg in range(9):
+                assert monomials(order, [deg]) == poly_oracle.monomials(order, [deg])
+            assert monomials(order, range(9)) == poly_oracle.monomials(order, range(9))
+        degrees = [3, -1, 0, 2]
+        assert monomials(names, degrees) == poly_oracle.monomials(names, degrees)
+    assert monomials((), [0, 1, 0]) == poly_oracle.monomials((), [0, 1, 0]) == [(), ()]
