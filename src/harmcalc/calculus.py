@@ -35,24 +35,23 @@ from .scalar import Scalar
 
 
 def _partial_raw(ctx, terms, var):
-    """Termwise product-rule derivative, without canonicalizing."""
+    """Termwise product-rule derivative, without canonicalizing.
+
+    A base factor F(B) contributes F'(B) (`_derivative`) times dB/dvar.
+    """
     raw = []
     for poly, fac in terms:
         dp = poly.partial(var)
         if not dp.is_zero():
             raw.append((dp, fac))
-        for idx in range(len(fac)):
-            b, h, j = fac[idx]
+        for idx, (b, h, j) in enumerate(fac):
             db = ctx.base_poly(b).partial(var)
             if db.is_zero():
                 continue
             rest = fac[:idx] + fac[idx + 1 :]
-            if h:
-                nf = tuple(sorted(rest + ((b, h - 2, j),)))
-                raw.append((poly * db * Fraction(h, 2), nf))
-            if j:
-                nf = tuple(sorted(rest + ((b, h - 2, j - 1),)))
-                raw.append((poly * db * Fraction(j), nf))
+            pdb = poly * db
+            for c, h2, j2 in _derivative([(1, h, j)]):
+                raw.append((pdb.scale(c), tuple(sorted(rest + ((b, h2, j2),)))))
     return raw
 
 

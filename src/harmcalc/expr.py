@@ -518,21 +518,6 @@ class Polynomial:
             p = p.substitute(v, point[v])
         return p.constant_term()
 
-    def fischer(self, other):
-        """The Fischer pairing: the sum over monomials x^a of a! p_a q_a.
-
-        Both polynomials must have rational coefficients.  For p and q
-        harmonic and homogeneous of degree m in n coordinates, it is
-        n(n+2)...(n+2m-2) times the normalized sphere integral of p q
-        (Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 5).
-        """
-        lay = _join(self.layout, other.layout)
-        (pd, pn), (qd, qn) = self.rational_block(lay), other.rational_block(lay)
-        if len(pn) > len(qn):
-            pn, qn = qn, pn
-        weight = lay.factorial
-        return Fraction(sum(weight(k) * n * qn[k] for k, n in pn.items() if k in qn), pd * qd)
-
     # -- division -------------------------------------------------------------
 
     def content_primitive(self, rank):

@@ -7,18 +7,41 @@ extensions, deterministic bases of the homogeneous harmonic spaces
 (optionally orthonormalized under a pluggable inner product), and extended
 zonal harmonics.  The solvers and the Bergman projection read the
 decomposition through `fischer_parts`.
+
+The series is taken in closed form: for s = sum_a x1^a q_a(x') it is
+sum_a sum_k (-1)^k a!/(a+2k)! x1^(a+2k) D'^k q_a, D' the Laplacian in
+the other coordinates, so a term costs one `_second_order` pass.  A
+radial inner product orthonormalizes a basis over integer vectors: on
+harmonics of degree m it is c(m, n) times the Fischer pairing
+sum_a a! p_a q_a, Gram-Schmidt runs on primitive integer coefficient
+dicts with Fraction projections, and c enters only the final scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 from typing import Callable, Optional
 
 from .calculus import poly_laplacian
 from .errors import NonPolynomialInput, UnsupportedDimension, UnsupportedScalarNorm
-from .expr import Context, Polynomial, dot_poly, monomials, poly_sum
+from .expr import (
+    RATIONAL,
+    Context,
+    Polynomial,
+    _join,
+    _layout,
+    _new,
+    _rekey,
+    _second_order,
+    _stride,
+    _Sum,
+    dot_poly,
+    laplace_weight,
+    monomials,
+    poly_sum,
+)
 from .integrate import RadialFunction, ball_radial_factor, integrate_ball, integrate_sphere
 from .scalar import Scalar, scalar_sqrt
 
@@ -44,14 +67,13 @@ def _decompose_homogeneous(p, k, ctx):
     if lap.is_zero():
         return {0: p}
     sub = _decompose_homogeneous(lap, k - 2, ctx)
-    norm = ctx.norm_sq_poly()
     n = ctx.dim
     out = {}
     for i, g in sub.items():
         j = i + 1
         # Laplacian of ||x||^(2j) h_m is 2j(2m + n + 2j - 2) ||x||^(2j-2) h_m
         out[j] = g.scale(Fraction(1, 2 * j * (2 * k - 2 * j + n - 2)))
-    out[0] = p - poly_sum(norm**j * h for j, h in out.items())
+    out[0] = p - poly_sum(ctx.base_poly(ctx.norm_base, j) * h for j, h in out.items())
     return {j: h for j, h in out.items() if not h.is_zero()}
 
 
@@ -110,26 +132,36 @@ def first_coordinate_series(s, ctx):
     the second x1-derivative of s.  So s = L p gives an anti-Laplacian of
     p, and s = x1^eps q(x') with eps in {0, 1} gives the harmonic
     polynomial x1^eps q + O(x1^2) extending that Cauchy data.
+
+    In closed form, (L D)^k x1^a q(x') = a!/(a+2k)! x1^(a+2k) D^k q, so
+    with s = sum_a x1^a q_a each block of s is split by its x1 exponent
+    and every D^k q_a is one `_second_order` pass over D^(k-1) q_a; all
+    the terms meet in one `_Sum`.
     """
-    first = ctx.coords[0]
-    rest = ctx.coords[1:]
-
-    def terms():
-        term = s
-        while not term.is_zero():
-            yield term
-            term = -term.laplacian(rest).integrate(first).integrate(first)
-
-    return poly_sum(terms())
+    first, rest = ctx.coords[0], ctx.coords[1:]
+    # x1^(a+2k) D^k q_a has the total degree of x1^a q_a
+    lay = _join(s.layout, _layout((first,)), s.total_degree())
+    shift, unit, mask = lay.shift[first], lay.unit[first], lay.mask
+    total = _Sum(lay)
+    for sig, (den, nums) in _rekey(s, lay).items():
+        by_power = {}
+        for key, n in nums.items():
+            a = (key >> shift) & mask
+            by_power.setdefault(a, {})[key - a * unit] = n
+        for a, q in by_power.items():
+            # the term x1^e D^k q_a / ratio with e = a + 2k, ratio = e!/a!
+            e, ratio, sign = a, 1, 1
+            while q:
+                lift = e * unit
+                total.add(sig, den * ratio, {key + lift: sign * n for key, n in q.items()})
+                q = {key: n for key, n in _second_order(q, lay, rest, 0, laplace_weight).items() if n}
+                ratio *= (e + 1) * (e + 2)
+                e, sign = e + 2, -sign
+    return total.result()
 
 
 # ---------------------------------------------------------------------------
 # bases
-
-
-def _primitive(p, ctx):
-    _, prim = p.content_primitive(ctx.var_rank)
-    return prim
 
 
 @dataclass(frozen=True)
@@ -138,7 +170,7 @@ class InnerProduct:
 
     A radial form (sphere, ball, weighted ball) is invariant under
     rotations, so on the harmonics homogeneous of degree m in R^n it is a
-    multiple of the Fischer pairing (`Polynomial.fischer`):
+    multiple of the Fischer pairing:
     ip(p, q) = degree_factor(m, n) * sum_a a! p_a q_a.  The sphere, ball
     and weighted-ball constructors set `degree_factor`; a user-supplied
     form leaves it None and is only ever called through `evaluator`.
@@ -183,15 +215,35 @@ def weighted_ball_inner_product(radial):
     return _ball_inner_product("ball-weighted", radial)
 
 
-def _fischer_gram_schmidt(vectors):
-    """[(w, [w, w])] for the vectors orthogonalized in order under the
-    Fischer pairing [p, q]; it is exactly bilinear, so every projection
-    of v is read from v itself and subtracted in one sum."""
-    ortho = []
+def _fischer_orthogonal(vectors, lay):
+    """[(W, [W, W])] for the integer vectors {key: int} orthogonalized in
+    order under the Fischer pairing [p, q] = sum_a a! p_a q_a, keys in lay.
+
+    v goes to w = v - sum_j ([v, W_j]/N_j) W_j with N_j = [W_j, W_j], and
+    W is w times the lcm of those denominators over its positive content:
+    a positive multiple of w, with integer entries.  [v, W_j] is read
+    against the dual {a: a! W_j,a}, kept beside W_j.
+    """
+
+    def dot(p, q):
+        return sum(n * q[k] for k, n in p.items() if k in q)
+
+    out = []  # (W, [W, W], the dual {a: a! W_a})
     for v in vectors:
-        w = poly_sum([v] + [g.scale(-v.fischer(g) / gg) for g, gg in ortho])
-        ortho.append((w, w.fischer(w)))
-    return ortho
+        coeffs = [Fraction(dot(v, dual), N) for _, N, dual in out]
+        scale = lcm(*(f.denominator for f in coeffs))
+        w = {k: n * scale for k, n in v.items()}
+        get = w.get
+        for f, (W, _, _) in zip(coeffs, out):
+            if f:
+                f = f.numerator * (scale // f.denominator)
+                for k, n in W.items():
+                    w[k] = get(k, 0) - f * n
+        g = gcd(*w.values())
+        W = {k: n // g for k, n in w.items() if n}
+        dual = {k: lay.factorial(k) * n for k, n in W.items()}
+        out.append((W, dot(W, dual), dual))
+    return [(W, N) for W, N, _ in out]
 
 
 def basis_harmonic(m, ctx, ip=None):
@@ -205,9 +257,10 @@ def basis_harmonic(m, ctx, ip=None):
     divided by the square root of its self inner product.
 
     A radial inner product (see `InnerProduct`) is c * the Fischer pairing
-    on these elements, c = degree_factor(m, n), so every Gram entry is read
-    from the rational coefficients as sum_a a! p_a q_a and c enters only
-    the self inner products c * sum_a a! w_a^2.  Each element keeps the
+    on these elements, c = degree_factor(m, n), so Gram-Schmidt runs on
+    their primitive integer coefficients (`_fischer_orthogonal`), and c
+    enters only the scale 1/sqrt(c [W, W]) of each orthogonal integer
+    vector W, built once as a polynomial.  Each element keeps the
     parity of its index monomial in every coordinate, and a radial measure
     is even in each coordinate, so elements of different parity classes
     are orthogonal: Gram-Schmidt runs in each class alone, with the same
@@ -218,13 +271,15 @@ def basis_harmonic(m, ctx, ip=None):
     if ctx.dim < 2:
         raise UnsupportedDimension("harmonic bases need dimension >= 2")
     first, rest = ctx.coords[0], ctx.coords[1:]
+    lay = _layout(tuple(sorted(ctx.coords)), _stride(m))
     basis, classes = [], {}
     for eps in (0, 1):
         for mono in monomials(rest, [m - eps]):
-            cauchy = Polynomial.var(first, eps) * Polynomial.from_raw([(mono, 1)])
+            cauchy = _new(lay, {RATIONAL: (1, {lay.pack(mono) + eps * lay.unit[first]: 1})})
             odd = (eps,) + tuple(v for v, e in mono if e % 2)
             classes.setdefault(odd, []).append(len(basis))
-            basis.append(_primitive(first_coordinate_series(cauchy, ctx), ctx))
+            _, prim = first_coordinate_series(cauchy, ctx).content_primitive(ctx.var_rank)
+            basis.append(prim)
     if ip is None or not basis:
         return basis
     c = ip.degree_factor(m, ctx.dim) if ip.degree_factor else None
@@ -238,12 +293,14 @@ def basis_harmonic(m, ctx, ip=None):
             if not ww.is_single_term():
                 raise UnsupportedScalarNorm("self inner product is a multi-term scalar")
             ortho.append((w, ww))
-    else:
-        ortho = [None] * len(basis)
-        for idx in classes.values():
-            for i, (w, ww) in zip(idx, _fischer_gram_schmidt([basis[i] for i in idx])):
-                ortho[i] = (w, c * ww)
-    return [g.scale(scalar_sqrt(gg).inverse()) for g, gg in ortho]
+        return [g.scale(scalar_sqrt(gg).inverse()) for g, gg in ortho]
+    out = [None] * len(basis)
+    for idx in classes.values():
+        vectors = [basis[i].rational_block(lay)[1] for i in idx]
+        for i, (W, N) in zip(idx, _fischer_orthogonal(vectors, lay)):
+            # W is a positive multiple of w, and w/sqrt(c [w, w]) is scale-free
+            out[i] = _new(lay, {RATIONAL: (1, W)}).scale(scalar_sqrt(c * N).inverse())
+    return out
 
 
 # ---------------------------------------------------------------------------

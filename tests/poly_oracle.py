@@ -5,14 +5,20 @@ These are the textbook loops over the `{monomial tuple: Scalar}` view
 are slow on the large products that canonicalization builds, which is why
 `Polynomial` stores packed integer blocks per Scalar signature and works
 on them instead, but their results are the contract the library keeps.
+
+The harmonic bases are kept here the same way: the first-coordinate
+series one (L D)^k term at a time, and the orthonormal bases by
+Gram-Schmidt on Polynomials under the Fischer pairing, where
+`harmcalc.harmonic` uses the closed form and integer vectors.
 """
 
 import heapq
 from fractions import Fraction
+from math import factorial, prod
 
 from harmcalc.expr import Polynomial, mono_degree, poly_sum
 from harmcalc.render import scalar_text
-from harmcalc.scalar import ZERO, Scalar, _as_fraction
+from harmcalc.scalar import ZERO, Scalar, _as_fraction, scalar_sqrt
 
 
 def monomials(names, degrees):
@@ -262,3 +268,55 @@ def poly_text(p, ctx=None):
             t = mono if c.as_fraction() == 1 else "-" + mono
         out += t if not out else " - " + t[1:] if t.startswith("-") else " + " + t
     return out or "0"
+
+
+def fischer(pt, qt):
+    """The Fischer pairing sum_a a! p_a q_a, a Fraction, of two rational
+    polynomials given by their `terms` views."""
+    pairs = ((m, c, qt[m]) for m, c in pt.items() if m in qt)
+    return sum(
+        (prod(factorial(e) for _, e in m) * a.as_fraction() * b.as_fraction() for m, a, b in pairs),
+        Fraction(0),
+    )
+
+
+def first_coordinate_series(s, ctx):
+    """sum_k (-1)^k (L D)^k s one term at a time: L integrates twice in the
+    first coordinate, D is the Laplacian in the other coordinates."""
+    first, rest = ctx.coords[0], ctx.coords[1:]
+    terms, term = [], s
+    while not term.is_zero():
+        terms.append(term)
+        term = neg(integrate(integrate(term.laplacian(rest), first), first))
+    return total(terms)
+
+
+def cauchy_basis(m, ctx):
+    """(basis, parity classes) of `harmonic.basis_harmonic` without an inner
+    product: the primitive series of each Cauchy monomial x1^eps x'^b, and
+    the basis positions by parity of eps and of each exponent of b."""
+    first, rest = ctx.coords[0], ctx.coords[1:]
+    basis, classes = [], {}
+    for eps in (0, 1):
+        for mono in monomials(rest, [m - eps]):
+            cauchy = Polynomial.var(first, eps) * Polynomial.from_raw([(mono, 1)])
+            classes.setdefault((eps,) + tuple(v for v, e in mono if e % 2), []).append(len(basis))
+            basis.append(first_coordinate_series(cauchy, ctx).content_primitive(ctx.var_rank)[1])
+    return basis, classes
+
+
+def fischer_orthonormal(basis, classes, c):
+    """The basis orthonormalized under c times the Fischer pairing: Gram-Schmidt
+    on Polynomials in each parity class, each vector w divided by
+    sqrt(c [w, w])."""
+    out = [None] * len(basis)
+    for idx in classes.values():
+        ortho = []  # (w, w.terms, [w, w])
+        for i in idx:
+            v = basis[i]
+            vt = v.terms
+            w = poly_sum([v] + [g.scale(-fischer(vt, gt) / gg) for g, gt, gg in ortho])
+            wt = w.terms
+            ortho.append((w, wt, fischer(wt, wt)))
+            out[i] = w.scale(scalar_sqrt(c * ortho[-1][2]).inverse())
+    return out

@@ -4,7 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -790,6 +790,46 @@ def test_huge_power_of_a_variable_answers():
 def test_approx_constant_without_point():
     out, code = run(["approx", "log(2)", "--dim", "2", "--digits", "3"])
     assert code == 0 and out == "0.693"
+
+
+def _approximation_150(value):
+    """The best rational approximation with a denominator of at most 10^150
+    to a Decimal computed at 400 digits."""
+    with localcontext() as c:
+        c.prec = 400
+        return Fraction(value()).limit_denominator(10**150)
+
+
+# approx stops once two guard precisions agree, so a difference far below
+# its guard digits prints as zero
+@pytest.mark.parametrize(
+    "expr, value, want",
+    [
+        pytest.param(
+            "norm(x)",
+            lambda: Decimal(2).sqrt(),
+            "3.889164545E-301",
+            marks=pytest.mark.xfail(
+                strict=True, reason="prints 0.0000000000; the true value of sqrt(2) - r is 3.889e-301"
+            ),
+            id="sqrt2",
+        ),
+        pytest.param(
+            "log(2)",
+            lambda: Decimal(2).ln(),
+            "-7.622740508E-301",
+            marks=pytest.mark.xfail(
+                strict=True, reason="prints 0.0000000000; the true value of log(2) - r is -7.62e-301"
+            ),
+            id="log2",
+        ),
+    ],
+)
+def test_approx_of_a_difference_below_the_guard_digits(expr, value, want):
+    r = _approximation_150(value)
+    out, code = run(["approx", "%s - %s" % (expr, r), "--dim", "2", "--at", "1,1", "--digits", "10"])
+    assert code == 0
+    assert Decimal(out) == Decimal(want)
 
 
 def test_verb_help_lists_only_its_flags(capsys):

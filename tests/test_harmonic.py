@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import poly_oracle
 from conftest import P, random_polynomial, rename_vars
 
 from harmcalc.calculus import poly_laplacian
@@ -14,6 +15,7 @@ from harmcalc.harmonic import (
     ball_inner_product,
     basis_harmonic,
     dim_harmonic,
+    first_coordinate_series,
     fischer_parts,
     harmonic_decompose,
     harmonic_parts_by_degree,
@@ -205,6 +207,47 @@ def test_radial_gram_entries_do_not_call_the_evaluator(ctx3):
     for ip in (sphere_inner_product(), ball_inner_product(), weighted_ball_inner_product(weight)):
         fast = dataclasses.replace(ip, evaluator=unused)
         assert basis_harmonic(4, ctx3, fast) == basis_harmonic(4, ctx3, ip)
+
+
+def _series_data(rng, ctx):
+    """A polynomial whose terms mix x1 degrees 0..5 with rational, sqrt(2)
+    and pi coefficients, as anti-Laplacian data carries them."""
+    units = (ONE, Scalar.sqrt_int(2), Scalar.pi_power(2))
+    pairs = []
+    for _ in range(rng.randrange(1, 7)):
+        mono = {ctx.coords[0]: rng.randrange(6)}
+        for _ in range(rng.randrange(5)):
+            v = rng.choice(ctx.coords[1:])
+            mono[v] = mono.get(v, 0) + 1
+        c = F(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.randrange(1, 5))
+        pairs.append((tuple(sorted((v, e) for v, e in mono.items() if e)), rng.choice(units) * c))
+    return Polynomial.from_raw(pairs)
+
+
+def test_closed_form_series_matches_the_iterated_series():
+    rng = random.Random(29)
+    sigs = set()
+    for n in (2, 3, 4, 5):
+        ctx = Context(n)
+        for _ in range(15):
+            s = _series_data(rng, ctx)
+            sigs.update(s.blocks)
+            assert first_coordinate_series(s, ctx) == poly_oracle.first_coordinate_series(s, ctx), (n, s)
+        for s in (Polynomial(), Polynomial.const(3), P("x2^4", ctx)):
+            assert first_coordinate_series(s, ctx) == poly_oracle.first_coordinate_series(s, ctx)
+    assert len(sigs) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_basis_matches_the_polynomial_gram_schmidt(n):
+    ctx = Context(n)
+    weighted = weighted_ball_inner_product(parse_radial("1 - r^2"))
+    for m in range(9):
+        basis, classes = poly_oracle.cauchy_basis(m, ctx)
+        assert basis_harmonic(m, ctx) == basis, m
+        for ip in (sphere_inner_product(), ball_inner_product(), weighted):
+            want = poly_oracle.fischer_orthonormal(basis, classes, ip.degree_factor(m, n))
+            assert basis_harmonic(m, ctx, ip) == want, (m, ip.name)
 
 
 def test_zonal_fixture_m5_n3():

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -195,6 +196,28 @@ def test_approx_computes_pi_only_for_a_pi_factor(monkeypatch):
     assert approx_scalar(value, 40) == "-0.6768192112188774158107300411021652942164"
     with pytest.raises(AssertionError):
         approx_scalar(Scalar.pi_power(1), 5)
+
+
+# pi to 200 decimals, truncated
+PI_200 = (
+    "3.14159265358979323846264338327950288419716939937510"
+    "58209749445923078164062862089986280348253421170679"
+    "82148086513282306647093844609550582231725359408128"
+    "48111745028410270193852110555964462294895493038196"
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "approx_scalar stops once two guard precisions agree and prints "
+        "-1.000000000e-134; the true value of pi minus its 200-decimal "
+        "truncation is +4.43e-201"
+    ),
+)
+def test_approx_pi_minus_its_200_decimals():
+    got = approx_scalar(Scalar.pi_power(2) - F(PI_200), 10)
+    assert Decimal(got) == Decimal("4.428810976E-201")
 
 
 def test_approx_ball_weight_constant():
