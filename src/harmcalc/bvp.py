@@ -13,8 +13,10 @@ through `harmonic_parts_by_degree`); the polynomial anti-Laplacian is
 
 One quadric type, `integrate.Quadratic(b, c, d)` for b.x^2 + c.x + d,
 serves as the Dirichlet region (any signs), the Neumann region (an
-ellipsoid) and the quadric-multiple mode of `anti_laplacian`; their
-ansatz systems go to `linalg.solve` as rows written by `expr.paired_rows`.
+ellipsoid) and the quadric-multiple mode of `anti_laplacian`.  Their
+ansatz solves only name the unknown polynomials (by degrees) and the
+maps that take them to the data; `expr.solve_ansatz` enumerates, writes
+and solves the linear system and returns the polynomials.
 
 Every solver's defining contracts (vanishing Laplacian or prescribed one,
 boundary match, origin normalization, normal-derivative match) hold as
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .calculus import poly_laplacian
 from .errors import (
     EmptyInterior,
@@ -37,7 +38,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Expr, Polynomial, gradient_weight, laplace_weight, monomials, paired_rows, poly_sum
+from .expr import Expr, Polynomial, gradient_weight, laplace_weight, poly_sum, solve_ansatz
 from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -92,21 +93,17 @@ QuadraticMultiple = Quadratic
 
 
 # ---------------------------------------------------------------------------
-# polynomial ansatz solves: the unknowns are monomial coefficients, and
-# `expr.paired_rows` writes their rows straight from the polynomial blocks
+# polynomial ansatz solves: `expr.solve_ansatz` takes each unknown
+# polynomial as (degrees, [(constraint, q, weight)])
 
 
 def _quadric_multiple(q, f, degrees, ctx):
     """q v with Laplacian f, for v of the first degree in `degrees` that has one."""
     for deg in degrees:
-        monos = monomials(ctx.coords, range(deg + 1))
-        unknowns = [(mono, [(0, q, laplace_weight)]) for mono in monos]
-        sol = linalg.solve(*paired_rows(unknowns, [f], ctx.coords))
+        sol = solve_ansatz([(range(deg + 1), [(0, q, laplace_weight)])], [f], ctx.coords)
         if sol is not None:
-            return q * Polynomial.from_raw(zip(monos, sol))
-    raise InfeasibleSystem(
-        "no multiple of the quadric has that Laplacian up to degree %d" % deg
-    )
+            return q * sol[0]
+    raise InfeasibleSystem("no multiple of the quadric has that Laplacian up to degree %d" % deg)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +359,7 @@ def _neumann_sphere(f, g, ctx):
     radial_data = poly_sum(Polynomial.var(c) * v.partial(c) for c in ctx.coords)
     w = _neumann_sphere(f - radial_data, None, ctx).as_polynomial()
     u = w + v
-    shift = u.eval({c: Fraction(0) for c in ctx.coords})
-    return Expr.from_poly(ctx, u - Polynomial.const(shift))
+    return Expr.from_poly(ctx, u - u.constant_term())
 
 
 def _neumann_quadratic(f, g, region, ctx):
@@ -386,25 +382,27 @@ def _neumann_quadratic(f, g, region, ctx):
     data = f - poly_sum(q.partial(c) * v.partial(c) for c in ctx.coords)
     h = _neumann_quadratic_standard(data, region, ctx).as_polynomial()
     u = h + v
-    shift = u.eval({c: Fraction(0) for c in ctx.coords})
-    return Expr.from_poly(ctx, u - Polynomial.const(shift))
+    return Expr.from_poly(ctx, u - u.constant_term())
 
 
 def _neumann_quadratic_standard(f, region, ctx):
-    """Harmonic h with grad h . grad q = f + q*(cofactor), h(0) = 0."""
+    """Harmonic h with grad h . grad q = f + q*(cofactor), h(0) = 0.
+
+    h is sought at the degree m of f alone: on an ellipsoid,
+    h -> grad q . grad h (mod q) is one-to-one on the harmonics of degree
+    at most m with h(0) = 0 (zero Neumann data forces a constant), and its
+    image has codimension one, so it is exactly the compatible data that
+    `neumann` checks.  A higher degree cannot succeed where m fails.
+    """
     q = region.poly(ctx)
-    one, neg_q = Polynomial.const(1), -q
-    for deg in range(f.total_degree(), f.total_degree() + 3):
-        # h's coefficients: Laplacian of x^a and grad q . grad x^a; the cofactor's: -q x^a
-        h_monos = monomials(ctx.coords, range(1, deg + 1))
-        unknowns = [(mono, [(0, one, laplace_weight), (1, q, gradient_weight)]) for mono in h_monos]
-        unknowns += [(mono, [(1, neg_q, None)]) for mono in monomials(ctx.coords, range(max(deg, 1)))]
-        sol = linalg.solve(*paired_rows(unknowns, [Polynomial(), f], ctx.coords))
-        if sol is not None:
-            return Expr.from_poly(ctx, Polynomial.from_raw(zip(h_monos, sol)))
-    raise InfeasibleSystem(
-        "no harmonic solution up to degree %d" % (f.total_degree() + 2)
-    )
+    deg = f.total_degree()
+    # h's columns: Laplacian of x^a and grad q . grad x^a; the cofactor's: -q x^a
+    h = (range(1, deg + 1), [(0, Polynomial.const(1), laplace_weight), (1, q, gradient_weight)])
+    cofactor = (range(max(deg, 1)), [(1, -q, None)])
+    sol = solve_ansatz([h, cofactor], [Polynomial(), f], ctx.coords)
+    if sol is None:
+        raise InfeasibleSystem("no harmonic solution of degree %d" % deg)
+    return Expr.from_poly(ctx, sol[0])
 
 
 def exterior_neumann(p, ctx):

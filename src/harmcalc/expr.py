@@ -26,6 +26,13 @@ The {monomial tuple: Scalar} mapping is only an input format
 rendering, hashing and coefficient lookup read the blocks, and `order_key`
 sorts packed keys in the graded order rendering prints.
 
+`solve_ansatz` is the quadric ansatz of the boundary-value solvers (as in
+Axler, Gorkin and Voss, "The Dirichlet problem on quadratic surfaces",
+Math. Comp. 73, 2004): unknown polynomials whose images under given
+second-order and multiplication maps add up to given data.  Their columns
+are packed keys from `monomials`, `paired_rows` writes the integer rows,
+`linalg.solve` solves them, and each answer is one rational block.
+
 `Polynomial.divide_exact` divides by a rational-coefficient polynomial and
 returns the quotient only if the division is exact, else None: each block
 is divided by heap long division on its keys, which compare in a graded
@@ -42,6 +49,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 
+from . import linalg
 from .errors import (
     DimensionMismatch,
     NegativeBaseValue,
@@ -54,18 +62,15 @@ from .errors import (
 from .scalar import ONE, ZERO, Scalar, _as_fraction, check_power, power, sig_product
 
 # ---------------------------------------------------------------------------
-# monomials: tuples of (variable name, positive exponent), sorted by name
+# monomials, packed into int keys by a Layout
 
 # the Scalar signature (radicand, pi half-exponent, logs) of a rational
 RATIONAL = (1, 0, ())
 
 
-def mono_degree(m):
-    return sum(e for _, e in m)
-
-
-def monomials(names, degrees):
-    """Monomials in names of each total degree in degrees, ascending graded-lex.
+def monomials(lay, names, degrees):
+    """The keys in lay of the monomials in names of each total degree in
+    degrees, ascending graded-lex; lay holds names and those degrees.
 
     Within a degree the exponent vectors, in names order, ascend
     lexicographically, as under `order_key` with `names` ranked first to
@@ -73,20 +78,17 @@ def monomials(names, degrees):
     is read off the n - 1 bar positions among d + n - 1 slots (stars and
     bars), and `combinations` lists bar positions in that same order.
     """
-    names = tuple(names)
-    n = len(names)
-    by_name = sorted(range(n), key=names.__getitem__)
+    units = [lay.unit[v] for v in names]
+    n = len(units)
     out = []
     for deg in degrees:
         if deg < 0 or not n:
             if deg == 0:
-                out.append(())
+                out.append(0)
             continue
-        end = (deg + n - 1,)
         for bars in combinations(range(deg + n - 1), n - 1):
-            cuts = bars + end
-            es = [cuts[0]] + [b - a - 1 for a, b in zip(cuts, cuts[1:])]
-            out.append(tuple((names[i], es[i]) for i in by_name if es[i]))
+            cuts = (-1, *bars, deg + n - 1)
+            out.append(sum((b - a - 1) * u for a, b, u in zip(cuts, cuts[1:], units)))
     return out
 
 
@@ -148,12 +150,13 @@ def _stride(degree):
 
 
 def order_key(lay, rank):
-    """The sort key, ascending graded-lex, of monomials packed in lay.
+    """The int sort key, ascending graded-lex, of monomials packed in lay.
 
     Most significant first: total degree, degree in the variables outside
     `rank` ({name: position}, a context's `var_rank`), then the ranked
-    exponents in rank order; if lay has variables outside the rank, the
-    monomial tuple breaks remaining ties.
+    exponents in rank order.  If lay has variables outside the rank, their
+    exponents in name order break remaining ties, an exponent of 0 read as
+    mask + 1: that is how the monomial tuples compare there.
     """
     ranked = [lay.shift[v] for v in sorted(rank, key=rank.get) if v in lay.shift]
     others = [lay.shift[v] for v in lay.names if v not in rank]
@@ -165,9 +168,16 @@ def order_key(lay, rank):
             out = out << stride | (k >> s) & mask
         return out
 
-    if not others:
-        return key
-    return lambda k: (k >> top, sum((k >> s) & mask for s in others), key(k), lay.unpack(k))
+    def outside_key(k):
+        es = [(k >> s) & mask for s in others]
+        out = (k >> top) << stride | sum(es)
+        for s in ranked:
+            out = out << stride | (k >> s) & mask
+        for e in es:
+            out = out << stride | (e or mask + 1)
+        return out
+
+    return outside_key if others else key
 
 
 def _join(a, b, degree=0):
@@ -282,7 +292,7 @@ class Polynomial:
         int, a Fraction or a Scalar, and repeated monomials add up."""
         pairs = [(m, c if isinstance(c, Scalar) else Scalar.from_fraction(c)) for m, c in pairs]
         names = tuple(sorted({v for m, _ in pairs for v, _ in m}))
-        lay = _layout(names, _stride(max((mono_degree(m) for m, _ in pairs), default=0)))
+        lay = _layout(names, _stride(max((sum(e for _, e in m) for m, _ in pairs), default=0)))
         total = _Sum(lay)
         for m, c in pairs:
             for q, *sig in c.terms:
@@ -308,13 +318,6 @@ class Polynomial:
 
     def constant_term(self):
         return self.coefficient_at(0)
-
-    def coefficient(self, mono):
-        """The Scalar coefficient of the monomial tuple mono."""
-        # an exponent past its field packs a degree past every key's
-        if any(v not in self.layout.shift for v, _ in mono):
-            return ZERO
-        return self.coefficient_at(self.layout.pack(mono))
 
     def coefficient_at(self, k):
         """The Scalar coefficient of the monomial packed in key k."""
@@ -704,35 +707,30 @@ def poly_sum(ps):
     return lone if lone is not None else Polynomial()
 
 
-def paired_rows(unknowns, constants, names):
+def paired_rows(lay, groups, constants, names):
     """(rows, rhs) of sum_j x_j image_j = constants, integer rows for `linalg.solve`.
 
-    Unknown j is (a, [(k, q, weight)]): a monomial x^a over names and its
-    image in each constraint k it enters, the `_second_order` sum of q's
-    rational terms against x^a, or q x^a when weight is None.  A row per
-    (constraint, monomial) that an image or a constant reaches; constraint
-    k is scaled by the lcm of its polynomials' denominators, so only the
-    right sides carry one.
+    Group (keys, uses) has an unknown x_j for each monomial x^a packed in
+    keys, numbered on from the unknowns of the groups before it, and x^a
+    enters each constraint k of uses (k, q, weight) as the `_second_order`
+    sum of q's rational terms against x^a, or as q x^a when weight is None.
+    lay holds every image and constant.  A row per (constraint, key) that
+    an image or a constant reaches; constraint k is scaled by the lcm of
+    its polynomials' denominators, so only the right sides carry one.
     """
-    polys = {id(q): q for _, uses in unknowns for _, q, _ in uses}
-    top = max((mono_degree(a) for a, _ in unknowns), default=0)
-    lay = _layout(tuple(sorted(names)), _stride(top))
-    for p in (*polys.values(), *constants):
-        lay = _join(lay, p.layout, p.total_degree() + top)
-    blocks = {i: q.rational_block(lay) for i, q in polys.items()}
+    blocks = [[(k, weight, q.rational_block(lay)) for k, q, weight in uses] for _, uses in groups]
     scales = [1] * len(constants)
-    for k, i in {(k, id(q)) for _, uses in unknowns for k, q, _ in uses}:
-        scales[k] = lcm(scales[k], blocks[i][0])
+    for k, _, (den, _) in (use for uses in blocks for use in uses):
+        scales[k] = lcm(scales[k], den)
     rows = {}
-    for j, (a, uses) in enumerate(unknowns):
-        ka = lay.pack(a)
-        for k, q, weight in uses:
-            den, nums = blocks[id(q)]
+    unknowns = ((ka, uses) for (keys, _), uses in zip(groups, blocks) for ka in keys)
+    for j, (ka, uses) in enumerate(unknowns):
+        for k, weight, (den, nums) in uses:
+            f = scales[k] // den
             if weight is None:
                 image = {ka + kb: n for kb, n in nums.items()}
             else:
                 image = _second_order(nums, lay, names, ka, weight)
-            f = scales[k] // den
             for key, n in image.items():
                 if n:
                     rows.setdefault((k, key), {})[j] = n * f
@@ -743,6 +741,34 @@ def paired_rows(unknowns, constants, names):
             rows.setdefault((k, key), {})[None] = Fraction(n * scales[k], den)
     rhs = [row.pop(None, 0) for row in rows.values()]
     return list(rows.values()), rhs
+
+
+def solve_ansatz(groups, constants, names):
+    """The unknown polynomials of the groups whose images add up to `constants`, or None.
+
+    Group (degrees, uses) is a polynomial over the monomials in names of
+    those total degrees, whose image in constraint k is named by (k, q,
+    weight) in uses as in `paired_rows`.  The columns are each group's
+    `monomials` in turn, so the answer is `linalg.solve`'s leftmost-pivot
+    solution in that graded-lex order: one polynomial per group, each a
+    single rational block.  None means the system is inconsistent.
+    """
+    top = max((d for degrees, _ in groups for d in degrees), default=0)
+    lay = _layout(tuple(sorted(names)), _stride(top))
+    for p in (*(q for _, uses in groups for _, q, _ in uses), *constants):
+        lay = _join(lay, p.layout, p.total_degree() + top)
+    columns = [(monomials(lay, names, degrees), uses) for degrees, uses in groups]
+    sol = linalg.solve(*paired_rows(lay, columns, constants, names))
+    if sol is None:
+        return None
+    out = []
+    for keys, _ in columns:
+        xs, sol = sol[: len(keys)], sol[len(keys) :]
+        den = lcm(*(x.denominator for x in xs))
+        blocks = {}
+        _put(blocks, RATIONAL, den, {k: x.numerator * (den // x.denominator) for k, x in zip(keys, xs)})
+        out.append(_new(lay, blocks))
+    return out
 
 
 def dot_poly(a_names, b_names):

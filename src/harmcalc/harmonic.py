@@ -250,34 +250,38 @@ def basis_harmonic(m, ctx, ip=None):
     """Deterministic basis of the degree-m homogeneous harmonics.
 
     Elements are indexed by the monomials of degree m with exponent at most
-    one in the first coordinate (harmonic extension of Cauchy data), giving
-    a reduced-echelon family: each element is its index monomial plus terms
-    divisible by the square of the first coordinate.  With an inner product
-    the Gram-Schmidt procedure is applied in that order and each vector is
-    divided by the square root of its self inner product.
+    one in the first coordinate (harmonic extension of Cauchy data), as
+    packed keys in `expr.monomials` order, giving a reduced-echelon family:
+    each element is its index monomial plus terms divisible by the square
+    of the first coordinate.  With an inner product the Gram-Schmidt
+    procedure is applied in that order and each vector is divided by the
+    square root of its self inner product.
 
     A radial inner product (see `InnerProduct`) is c * the Fischer pairing
     on these elements, c = degree_factor(m, n), so Gram-Schmidt runs on
     their primitive integer coefficients (`_fischer_orthogonal`), and c
     enters only the scale 1/sqrt(c [W, W]) of each orthogonal integer
-    vector W, built once as a polynomial.  Each element keeps the
-    parity of its index monomial in every coordinate, and a radial measure
-    is even in each coordinate, so elements of different parity classes
-    are orthogonal: Gram-Schmidt runs in each class alone, with the same
-    result.  Any other form, or a c that is not one log-free term (which
-    no self inner product can be divided by), takes the general path: one
-    `ip` call per Gram entry over the whole basis.
+    vector W, built once as a polynomial.  Each element keeps the parity
+    of its index monomial in every coordinate (the low bits of the key's
+    exponent fields), and a radial measure is even in each coordinate, so
+    elements of different parity classes are orthogonal: Gram-Schmidt runs
+    in each class alone, with the same result.  Any other form, or a c
+    that is not one log-free term (which no self inner product can be
+    divided by), takes the general path: one `ip` call per Gram entry
+    over the whole basis.
     """
     if ctx.dim < 2:
         raise UnsupportedDimension("harmonic bases need dimension >= 2")
     first, rest = ctx.coords[0], ctx.coords[1:]
     lay = _layout(tuple(sorted(ctx.coords)), _stride(m))
+    # the low bit of every exponent field: a key's parity class
+    odd = sum(1 << s for s in lay.shift.values())
     basis, classes = [], {}
     for eps in (0, 1):
-        for mono in monomials(rest, [m - eps]):
-            cauchy = _new(lay, {RATIONAL: (1, {lay.pack(mono) + eps * lay.unit[first]: 1})})
-            odd = (eps,) + tuple(v for v, e in mono if e % 2)
-            classes.setdefault(odd, []).append(len(basis))
+        for k in monomials(lay, rest, [m - eps]):
+            k += eps * lay.unit[first]
+            classes.setdefault(k & odd, []).append(len(basis))
+            cauchy = _new(lay, {RATIONAL: (1, {k: 1})})
             _, prim = first_coordinate_series(cauchy, ctx).content_primitive(ctx.var_rank)
             basis.append(prim)
     if ip is None or not basis:

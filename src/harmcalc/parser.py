@@ -68,9 +68,11 @@ def _tokenize(src):
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: Decimal reads every decimal digit, but
+        # superscript and circled digits are not decimal
+        if ch.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", src[i:j], line, col))
             col += j - i

@@ -10,19 +10,35 @@ The harmonic bases are kept here the same way: the first-coordinate
 series one (L D)^k term at a time, and the orthonormal bases by
 Gram-Schmidt on Polynomials under the Fischer pairing, where
 `harmcalc.harmonic` uses the closed form and integer vectors.
+
+Monomial tuples are read here too: `mono_degree`, the recursive
+`monomials` that `expr.monomials` lists as packed keys, and
+`coefficient`, the lookup of one tuple's coefficient in the blocks.
 """
 
 import heapq
 from fractions import Fraction
 from math import factorial, prod
 
-from harmcalc.expr import Polynomial, mono_degree, poly_sum
+from harmcalc.expr import Polynomial, poly_sum
 from harmcalc.render import scalar_text
 from harmcalc.scalar import ZERO, Scalar, _as_fraction, scalar_sqrt
 
 
+def mono_degree(m):
+    return sum(e for _, e in m)
+
+
+def coefficient(p, mono):
+    """The Scalar coefficient in p of the monomial tuple mono."""
+    # an exponent past its field packs a degree past every key's
+    if any(v not in p.layout.shift for v, _ in mono):
+        return ZERO
+    return p.coefficient_at(p.layout.pack(mono))
+
+
 def monomials(names, degrees):
-    """The monomials of `expr.monomials`, one recursive call per variable."""
+    """The monomials of `expr.monomials` as tuples, one recursive call per variable."""
     names = tuple(names)
     out = []
 

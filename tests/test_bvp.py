@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import poly_oracle
 from conftest import E, P, random_polynomial
 
 from harmcalc import bvp, linalg
@@ -31,6 +32,7 @@ from harmcalc.expr import (
     Context,
     Expr,
     Polynomial,
+    _layout,
     gradient_weight,
     laplace_weight,
     monomials,
@@ -38,6 +40,7 @@ from harmcalc.expr import (
     poly_sum,
     reduce_poly_on_sphere,
     restrict_to_sphere,
+    solve_ansatz,
 )
 from harmcalc.integrate import integrate_sphere
 from harmcalc.scalar import Scalar
@@ -310,7 +313,7 @@ def test_anti_laplacian_quadratic_multiple_offcenter(ctx3):
     }
     assert set(cof.terms) == set(expected)
     for mono, num in expected.items():
-        assert cof.coefficient(mono).as_fraction() == F(num, den)
+        assert poly_oracle.coefficient(cof, mono).as_fraction() == F(num, den)
 
 
 def test_anti_laplacian_quadratic_multiple_centered(ctx3):
@@ -345,7 +348,7 @@ def test_anti_laplacian_quadratic_multiple_centered(ctx3):
     }
     assert set(cof.terms) == set(expected)
     for mono, num in expected.items():
-        assert cof.coefficient(mono).as_fraction() == F(num, den)
+        assert poly_oracle.coefficient(cof, mono).as_fraction() == F(num, den)
 
 
 @pytest.mark.parametrize(
@@ -377,11 +380,10 @@ def test_anti_laplacian_uniqueness_multiple_modes(ctx3):
     # route is a diagonal rescale and the quadratic route's kernel is empty
     from dense_linalg import nullspace
     from harmcalc.calculus import poly_laplacian
-    from harmcalc.expr import monomials
 
     quad = Quadratic((5, 3, 2))
     q = quad.poly(ctx3)
-    monos = monomials(ctx3.coords, range(4))
+    monos = poly_oracle.monomials(ctx3.coords, range(4))
     rows = {}
     cols = []
     for mono in monos:
@@ -503,12 +505,50 @@ def test_neumann_generalized_quadratic(ctx3):
         (("x1", 1), ("x3", 3)): 1368225238464,
     }
     for mono, num in spots.items():
-        assert cof.coefficient(mono).as_fraction() == F(num, den)
+        assert poly_oracle.coefficient(cof, mono).as_fraction() == F(num, den)
 
 
 def test_neumann_quadratic_solvability(ctx3):
     with pytest.raises(SolvabilityViolation):
         neumann(P("x1^2", ctx3), None, Quadratic((5, 3, 2)), ctx3)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_neumann_on_random_ellipsoids_solves_once(dim, monkeypatch):
+    # on an ellipsoid the data's own degree always suffices: one linear
+    # solve per problem, standard or generalized, and exact contracts
+    from harmcalc.integrate import integrate_ellipsoid_area, integrate_ellipsoid_volume
+
+    ctx = Context(dim)
+    solve, calls = linalg.solve, []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(linalg, "solve", counted)
+    rng = random.Random(3000 + dim)
+    for deg in range(1, 6):
+        b = tuple(F(rng.randrange(1, 6), rng.randrange(1, 3)) for _ in range(dim))
+        c = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(dim))
+        region = Quadratic(b, c, F(-rng.randrange(1, 4)))
+        q = region.poly(ctx)
+        one = integrate_ellipsoid_area(Polynomial.const(1), region, ctx)
+        p = random_polynomial(rng, ctx, max_degree=deg - 1, terms=3) + Polynomial.var(rng.choice(ctx.coords), deg)
+        for g in (None, random_polynomial(rng, ctx, max_degree=max(deg - 2, 0), terms=2)):
+            # shift p by the constant that makes its surface integral match
+            # the volume integral of g (zero for the standard problem)
+            target = integrate_ellipsoid_volume(g, region, ctx) if g is not None else Scalar.from_fraction(0)
+            shift = (target - integrate_ellipsoid_area(p, region, ctx)) / one
+            assert shift.is_rational()
+            f = p + shift
+            del calls[:]
+            u = neumann(f, g, region, ctx).as_polynomial()
+            assert len(calls) == 1, (dim, deg, g)
+            assert poly_laplacian(u, ctx) == (g if g is not None else Polynomial())
+            assert u.constant_term().is_zero()
+            resid = poly_sum([u.partial(v) * q.partial(v) for v in ctx.coords]) - f
+            assert resid.divide_exact(q, ctx.var_rank) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -608,20 +648,22 @@ def test_ansatz_columns_equal_the_products_they_replace():
     rng = random.Random(2004)
     for dim in (1, 3, 4):
         ctx = Context(dim)
+        # fields of 8 bits hold the images' degrees, at most 6
+        lay = _layout(tuple(sorted(ctx.coords)))
         for trial in range(6):
             b = [F(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(dim)]
             c = [F(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(dim)] if trial % 2 else []
             q = Quadratic(tuple(b), tuple(c), F(rng.randrange(-3, 3), rng.randrange(1, 4))).poly(ctx)
             den = q.rational_block()[0]
-            for mono in monomials(ctx.coords, range(5)):
-                v = Polynomial({mono: Scalar.from_fraction(1)})
+            for ka in monomials(lay, ctx.coords, range(5)):
+                v = Polynomial({lay.unpack(ka): Scalar.from_fraction(1)})
                 grad_dot = poly_sum([q.partial(x) * v.partial(x) for x in ctx.coords])
                 for weight, product in (
                     (laplace_weight, poly_laplacian(q * v, ctx)),
                     (gradient_weight, grad_dot),
                     (None, q * v),
                 ):
-                    rows, rhs = paired_rows([(mono, [(0, q, weight)])], [product], ctx.coords)
+                    rows, rhs = paired_rows(lay, [([ka], [(0, q, weight)])], [product], ctx.coords)
                     assert all(set(row) <= {0} and type(row.get(0, 0)) is int for row in rows)
                     assert [row.get(0, 0) for row in rows] == rhs
                     want = [coeff.as_fraction() * den for coeff in product.terms.values()]
@@ -630,19 +672,37 @@ def test_ansatz_columns_equal_the_products_they_replace():
 
 def test_ansatz_rows_scale_each_constraint_and_keep_unreached_right_sides():
     ctx2 = Context(2)
+    lay = _layout(ctx2.coords)
     x1 = Polynomial.var("x1")
     # x1/2 * 1 + 1/3 * x1 = 5/7 x1, scaled by the lcm 6 of its column
     # denominators, and 1/5 * 1 = 2, scaled by 5
     fifth = Polynomial.const(F(1, 5))
     unknowns = [
-        ((), [(0, x1.scale(F(1, 2)), None), (1, fifth, None)]),
-        ((("x1", 1),), [(0, Polynomial.const(F(1, 3)), None)]),
+        ([0], [(0, x1.scale(F(1, 2)), None), (1, fifth, None)]),
+        ([lay.unit["x1"]], [(0, Polynomial.const(F(1, 3)), None)]),
     ]
     constants = [x1.scale(F(5, 7)), Polynomial.const(2)]
-    assert paired_rows(unknowns, constants, ctx2.coords) == ([{0: 3, 1: 2}, {0: 1}], [F(30, 7), 10])
+    assert paired_rows(lay, unknowns, constants, ctx2.coords) == ([{0: 3, 1: 2}, {0: 1}], [F(30, 7), 10])
     # the Laplacian of c x1^2 is 2c: it reaches the constant 4, and no column reaches x2
-    unknowns = [((("x1", 2),), [(0, Polynomial.const(1), laplace_weight)])]
-    assert linalg.solve(*paired_rows(unknowns, [Polynomial.const(4)], ctx2.coords)) == [2]
-    rows, rhs = paired_rows(unknowns, [Polynomial.const(4) + Polynomial.var("x2")], ctx2.coords)
+    unknowns = [([2 * lay.unit["x1"]], [(0, Polynomial.const(1), laplace_weight)])]
+    assert linalg.solve(*paired_rows(lay, unknowns, [Polynomial.const(4)], ctx2.coords)) == [2]
+    rows, rhs = paired_rows(lay, unknowns, [Polynomial.const(4) + Polynomial.var("x2")], ctx2.coords)
     assert sorted(zip(rhs, map(len, rows))) == [(1, 0), (4, 1)]
     assert linalg.solve(rows, rhs) is None
+
+
+def test_solve_ansatz_returns_every_group(ctx3):
+    # the Neumann ansatz of the off-centre fixture: h and its cofactor,
+    # each one rational block, meet both constraints exactly
+    q = Quadratic((5, 3, 2), (1, 4, 6), F(-7)).poly(ctx3)
+    f = P("x1^3*x3", ctx3) - Polynomial.const(F(97, 250))
+    h_group = (range(1, 5), [(0, Polynomial.const(1), laplace_weight), (1, q, gradient_weight)])
+    cofactor_group = (range(4), [(1, -q, None)])
+    h, cofactor = solve_ansatz([h_group, cofactor_group], [Polynomial(), f], ctx3.coords)
+    assert h == neumann(f, None, Quadratic((5, 3, 2), (1, 4, 6), F(-7)), ctx3).as_polynomial()
+    assert poly_laplacian(h, ctx3).is_zero()
+    assert h.gradient_dot(q, ctx3.coords) - q * cofactor == f
+    assert not cofactor.is_zero()
+    assert all(len(p.blocks) == 1 for p in (h, cofactor))
+    # without the cofactor, grad q . grad h = f has no harmonic solution
+    assert solve_ansatz([h_group], [Polynomial(), f], ctx3.coords) is None

@@ -570,6 +570,10 @@ def test_verb_rejects_foreign_flag(verb):
         "zonal --dim 3 --degree -1",
         "dirichlet x1 --dim 3 --region annulus:4",
         "dirichlet x1 --dim 3 --region quadratic:1;2;3;4",
+        # superscript and circled digits are not numbers
+        'laplacian "x1^\u00b2" --dim 2',
+        'laplacian "\u2460" --dim 2',
+        'integrate-ball 1 --dim 3 --weight "r^\u00b2"',
         "reflect --dim 2 --mirror sphere:1,2",
         "eval x1 --dim 2 --at 1,x",
         "eval x1 --dim 2 --at 1/0,1",
@@ -608,6 +612,22 @@ def test_batch_survives_usage_error(tmp_path):
     assert [r["exit"] for r in results] == [2, 0]
     assert results[0]["result"]["type"] == "ParseError"
     assert results[1]["result"] == "pi^2/2"
+
+
+def test_batch_survives_digits_that_are_not_decimal(tmp_path):
+    script = tmp_path / "commands.txt"
+    script.write_text(
+        'laplacian "x1^\u00b2" --dim 2\n'
+        'laplacian "\u2460" --dim 2\n'
+        'integrate-ball 1 --dim 3 --weight "r^\u00b2"\n'
+        'laplacian "x1^\u0663" --dim 2\n',
+        encoding="utf-8",
+    )
+    results, code = run(["batch", str(script)])
+    assert code == 0
+    assert [r["exit"] for r in results] == [2, 2, 2, 0]
+    assert [r["result"]["type"] for r in results[:3]] == ["ParseError"] * 3
+    assert results[3]["result"] == "6*x1"
 
 
 def test_batch_survives_deep_nesting(tmp_path):

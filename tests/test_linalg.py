@@ -12,7 +12,7 @@ import pytest
 import dense_linalg
 from conftest import P
 
-from harmcalc import bvp, linalg
+from harmcalc import linalg
 from harmcalc.bvp import Quadratic, QuadraticMultiple, anti_laplacian, dirichlet, neumann
 from harmcalc.expr import Context
 
@@ -169,7 +169,7 @@ def _recording(monkeypatch):
         systems.append(([dict(row) for row in a], list(b)))
         return solve(a, b)
 
-    monkeypatch.setattr(bvp.linalg, "solve", record)
+    monkeypatch.setattr(linalg, "solve", record)
     return systems
 
 

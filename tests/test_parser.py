@@ -9,7 +9,7 @@ from conftest import random_norm_expr
 
 from harmcalc.errors import ParseError, UnknownVariable, UnsupportedInputError
 from harmcalc.expr import Expr, Polynomial, make_context
-from harmcalc.parser import parse_expression, parse_polynomial
+from harmcalc.parser import parse_expression, parse_polynomial, parse_radial
 from harmcalc.render import expr_text
 from harmcalc.scalar import Scalar
 
@@ -131,3 +131,22 @@ def test_long_exponent_parses_where_python_has_no_digit_limit(ctx3, monkeypatch)
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     digits = "1" * 5000
     assert parse_polynomial("x1^" + digits, ctx3) == Polynomial.var("x1", int(Decimal(digits)))
+
+
+@pytest.mark.parametrize("src", ["x1^\u00b2", "\u2460", "2*x1^\u00b9\u00b2", "x1^3\u00b2"])
+def test_digits_that_are_not_decimal_are_parse_errors(src, ctx3):
+    # superscript and circled digits pass str.isdigit, which Decimal refuses
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_expression(src, ctx3)
+
+
+def test_weight_digits_that_are_not_decimal_are_parse_errors():
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_radial("r^\u00b2")
+
+
+def test_decimal_digits_of_other_scripts_read_as_numbers(ctx3):
+    # Arabic-Indic three, and Devanagari one and two
+    assert parse_polynomial("x1^\u0663", ctx3) == Polynomial.var("x1", 3)
+    assert parse_polynomial("\u0967\u0968*x2", ctx3) == Polynomial.var("x2").scale(12)
+    assert parse_radial("r^\u0663") == parse_radial("r^3")
