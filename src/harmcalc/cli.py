@@ -553,21 +553,23 @@ def execute(args):
     """Run a parsed command line; returns (payload, exit_code)."""
     if args.verb == "batch":
         try:
-            with open(args.file) as fh:
-                lines = fh.read().splitlines()
+            with open(args.file, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             return _error(ParseError("batch: cannot read %s: %s" % (args.file, exc.strerror)))
         results = []
-        for line in lines:
+        for line, undecodable in _batch_lines(data):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
+                if undecodable is not None:
+                    raise undecodable
                 argv = shlex.split(line)
                 if argv[:1] == ["batch"]:  # the parser takes no option before the verb
                     raise ValueError("a batch line cannot run batch")
                 payload, code = run_command(argv)
-            except ValueError as exc:  # an unbalanced quote, or a nested batch
+            except ValueError as exc:  # not UTF-8, an unbalanced quote, or a nested batch
                 payload, code = _error(ParseError("batch: %s" % exc))
             results.append({"command": line, "exit": code, "result": payload})
         return results, 0
@@ -587,6 +589,22 @@ def execute(args):
     except Exception as exc:
         return _error(exc)
     return payload, 0
+
+
+def _batch_lines(data):
+    """(line, UnicodeDecodeError or None) for each line of a batch file.
+
+    Each line is decoded as UTF-8 on its own, whatever the locale, so a
+    line that does not decode is that line's error and the rest still run.
+    """
+    for chunk in data.split(b"\n"):
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            yield chunk.decode("utf-8", "backslashreplace"), exc
+            continue
+        for line in text.splitlines():
+            yield line, None
 
 
 def main(argv=None):

@@ -7,13 +7,19 @@ factors raised to half-integer powers and log powers:
 
 The default base is normSq = sum of squared coordinates, so ||x||^h is
 normSq^(h/2).  Canonicalization gives a decidable zero test: terms are
-grouped by per-base (parity, log power) signature, brought to a common
-denominator in integer base powers (terms at one shift are summed before
-their one product with the base powers), and the resulting polynomial is
-tested for zero.  Even nonnegative base powers with no log factor are expanded
-into the polynomial part.  An Expr sum is one `Expr._from_raw` call over
-all the raw terms: canonical form is unique, so canonicalizing once gives
-what a fold of `+` would.
+grouped by per-base (parity, log power) signature and written over the
+group's least power of each base.  With B the group's first base, a group
+is a sum of levels L_s B^s, L_s the sum of the terms s integer powers of
+B above the least, with the other bases' shifts multiplied in.  While a
+log power or a negative half power remains, B is pulled out so the
+representative is unique.  The sum is L_0 mod B, so B divides it exactly
+when it divides L_0: only L_0 is divided, and its quotient joins L_1.  The
+levels left meet their powers of B once, each later base is pulled from
+that total as a single level, and the result is tested for zero.  Even
+nonnegative base powers with no log factor are expanded into the
+polynomial part.  An Expr sum is one `Expr._from_raw` call over all the
+raw terms: canonical form is unique, so canonicalizing once gives what a
+fold of `+` would.
 
 A Polynomial stores one block per Scalar signature (radicand, pi
 half-exponent, logs): integer numerators over one common denominator, in
@@ -958,40 +964,51 @@ class Expr:
 
         out_terms = []
         for sig, members in sorted(groups.items()):
-            base_ids = {b for _, fd in members for b in fd}
+            bases = sorted({b for _, fd in members for b in fd})
             # a member without b has b^0; log powers agree within a group
-            mins = {b: min(fd.get(b, (0, 0))[0] for _, fd in members) for b in base_ids}
-            logps = {b: max(fd.get(b, (0, 0))[1] for _, fd in members) for b in base_ids}
-            if len(members) == 1:
-                total = _shift(ctx, members[0][0], members[0][1], mins)
-            else:
-                # members with equal half powers share one shift vector:
-                # they are summed first, so each distinct shift costs one
-                # product with the base powers
-                shifts = {}
-                for poly, fd in members:
-                    key = tuple(fd.get(b, (0, 0))[0] for b in base_ids)
-                    shifts.setdefault(key, (fd, []))[1].append(poly)
-                total = poly_sum(_shift(ctx, poly_sum(polys), fd, mins) for fd, polys in shifts.values())
-            if total.is_zero():
-                continue
-            # pull out base divisors so the representative is unique; a base
-            # that does not divide total does not divide a quotient of it
-            for b in sorted(base_ids):
-                while logps[b] or mins[b] < 0:
-                    q = total.divide_exact(ctx.base_poly(b), ctx.var_rank)
+            half = [min(fd.get(b, (0, 0))[0] for _, fd in members) for b in bases]
+            logs = [max(fd.get(b, (0, 0))[1] for _, fd in members) for b in bases]
+            # members at one shift vector (powers of the bases over the
+            # least half powers) are summed first; the shifts of every base
+            # but the first are multiplied in, and the first base's shift s
+            # files each sum under its level L_s
+            shifts = {}
+            for poly, fd in members:
+                key = tuple((fd.get(b, (0, 0))[0] - h) // 2 for b, h in zip(bases, half))
+                shifts.setdefault(key, []).append(poly)
+            by_level = {}
+            for key, polys in shifts.items():
+                poly = poly_sum(polys)
+                for b, s in zip(bases[1:], key[1:]):
+                    if s:
+                        poly = poly * ctx.base_poly(b, s)
+                by_level.setdefault(key[0] if key else 0, []).append(poly)
+            levels = [poly_sum(by_level.get(s, ())) for s in range(max(by_level) + 1)]
+            total = levels[0]
+            factors = []
+            for i, b in enumerate(bases):
+                if i:
+                    levels = [total]  # a later base sees the total as one level
+                # pull B while the canonical form asks for it.  The total
+                # sum_s L_s B^s is L_0 mod B, so B divides it exactly when B
+                # divides L_0, and the quotient is L_0/B + sum_(s>=1)
+                # L_s B^(s-1): only the lowest level is ever divided.  A base
+                # that does not divide the total does not divide a quotient;
+                # a total of 0 ends as one zero level.
+                while (logs[i] or half[i] < 0) and (len(levels) > 1 or levels[0].blocks):
+                    q = levels[0].divide_exact(ctx.base_poly(b), ctx.var_rank)
                     if q is None:
                         break
-                    total, mins[b] = q, mins[b] + 2
-            factors = []
-            for b in sorted(base_ids):
-                h, j = mins[b], logps[b]
-                if j == 0 and h >= 0 and h % 2 == 0:
-                    if h:
-                        total = total * ctx.base_poly(b, h // 2)
-                else:
-                    factors.append((b, h, j))
-            out_terms.append((total, tuple(factors)))
+                    levels = [q + levels[1], *levels[2:]] if len(levels) > 1 else [q]
+                    half[i] += 2
+                # the levels left meet their base powers only now
+                total = poly_sum(p * ctx.base_poly(b, s) if s else p for s, p in enumerate(levels))
+                # an even half power with no log ends at most at 0, where
+                # the base leaves the term
+                if half[i] or logs[i]:
+                    factors.append((b, half[i], logs[i]))
+            if not total.is_zero():
+                out_terms.append((total, tuple(factors)))
 
         # a group keeps its nonzero (parity, log power) pairs in its
         # factors, so no two groups share a factor tuple: nothing to merge
@@ -1085,15 +1102,6 @@ class Expr:
         from .render import expr_text
 
         return "Expr(%s)" % expr_text(self)
-
-
-def _shift(ctx, poly, fd, mins):
-    """poly times base_b^((h_b - mins[b])/2), h_b the half power of b in fd."""
-    for b, low in mins.items():
-        shift = (fd.get(b, (0, 0))[0] - low) // 2
-        if shift:
-            poly = poly * ctx.base_poly(b, shift)
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,7 @@ def kelvin_h(e, ctx=None):
         raise AssertionError("south pole base should be primitive")
     front = Scalar.half_power(2, n - 2)
     num_for = dict(zip(ctx.coords, nums))
+    powers = {}  # (coordinate, exponent) -> its numerator to that power
     raw = []
     for poly, fac in e.terms:
         h = 0
@@ -198,7 +199,10 @@ def kelvin_h(e, ctx=None):
                 )
             for v, exp in zip(ctx.coords, exps):
                 if exp:
-                    piece = piece * num_for[v] ** exp
+                    pw = powers.get((v, exp))
+                    if pw is None:
+                        pw = powers[v, exp] = num_for[v] ** exp
+                    piece = piece * pw
             deg = sum(exps)
             piece = piece.scale(front * Scalar.from_fraction(Fraction(2) ** h))
             raw.append((piece, ((bid, 2 - n - 2 * deg - h, 0),)))

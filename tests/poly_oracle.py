@@ -14,6 +14,11 @@ Gram-Schmidt on Polynomials under the Fischer pairing, where
 Monomial tuples are read here too: `mono_degree`, the recursive
 `monomials` that `expr.monomials` lists as packed keys, and
 `coefficient`, the lookup of one tuple's coefficient in the blocks.
+
+`canonical_terms` is the earlier canonicalization of `Expr._from_raw`:
+every member of a group is shifted on its own to the group's least base
+powers, and each base is divided out of the whole shifted sum, where
+`Expr._from_raw` divides only the lowest level of the sum.
 """
 
 import heapq
@@ -336,3 +341,60 @@ def fischer_orthonormal(basis, classes, c):
             ortho.append((w, wt, fischer(wt, wt)))
             out[i] = w.scale(scalar_sqrt(c * ortho[-1][2]).inverse())
     return out
+
+
+def shift(ctx, poly, fd, mins):
+    """poly times base_b^((h_b - mins[b])/2), h_b the half power of b in fd."""
+    for b, low in mins.items():
+        k = (fd.get(b, (0, 0))[0] - low) // 2
+        if k:
+            poly = poly * ctx.base_poly(b, k)
+    return poly
+
+
+def canonical_terms(ctx, raw):
+    """The terms of `Expr._from_raw(ctx, raw)`: each group's members shifted
+    one by one and summed, then each base divided out of the whole sum
+    while the group's log power or a negative half power asks for it.
+
+    The shifted sums are large, so this uses the library's product, sum
+    and `divide_exact`, which the oracles above check on their own."""
+    groups = {}
+    for poly, fac in raw:
+        if poly.is_zero():
+            continue
+        fd = {}
+        for b, h, j in fac:
+            h0, j0 = fd.get(b, (0, 0))
+            fd[b] = (h0 + h, j0 + j)
+        for b, (h, j) in list(fd.items()):
+            if j == 0 and h >= 0 and h % 2 == 0:
+                if h:
+                    poly = poly * ctx.base_poly(b, h // 2)
+                del fd[b]
+        sig = tuple(sorted((b, h & 1, j) for b, (h, j) in fd.items() if (h & 1, j) != (0, 0)))
+        groups.setdefault(sig, []).append((poly, fd))
+    out = []
+    for members in groups.values():
+        bases = sorted({b for _, fd in members for b in fd})
+        mins = {b: min(fd.get(b, (0, 0))[0] for _, fd in members) for b in bases}
+        logs = {b: max(fd.get(b, (0, 0))[1] for _, fd in members) for b in bases}
+        tot = poly_sum(shift(ctx, poly, fd, mins) for poly, fd in members)
+        if tot.is_zero():
+            continue
+        for b in bases:
+            while logs[b] or mins[b] < 0:
+                q = tot.divide_exact(ctx.base_poly(b), ctx.var_rank)
+                if q is None:
+                    break
+                tot, mins[b] = q, mins[b] + 2
+        factors = []
+        for b in bases:
+            h, j = mins[b], logs[b]
+            if j == 0 and h >= 0 and h % 2 == 0:
+                if h:
+                    tot = tot * ctx.base_poly(b, h // 2)
+            else:
+                factors.append((b, h, j))
+        out.append((tot, tuple(factors)))
+    return tuple(sorted(out, key=lambda t: t[1]))

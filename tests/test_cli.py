@@ -630,6 +630,41 @@ def test_batch_survives_digits_that_are_not_decimal(tmp_path):
     assert results[3]["result"] == "6*x1"
 
 
+def test_batch_reads_utf8_under_the_c_locale(tmp_path):
+    # a line that is not UTF-8 is that line's usage error, and the lines
+    # around it still run, whatever the locale's encoding
+    script = tmp_path / "commands.txt"
+    script.write_bytes(
+        'laplacian "x1^²" --dim 2\n'.encode("utf-8")
+        + b"volume --dim \xff3\r\n"
+        + b"# caf\xc3\xa9\n"
+        + b"volume --dim 3\n"
+    )
+    src = os.path.dirname(os.path.dirname(harmcalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmcalc.cli", "batch", str(script)],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert [r["command"] for r in results] == [
+        'laplacian "x1^²" --dim 2',
+        "volume --dim \\xff3",
+        "volume --dim 3",
+    ]
+    assert [r["exit"] for r in results] == [2, 2, 0]
+    assert results[0]["result"]["type"] == "ParseError"
+    assert results[1]["result"] == {
+        "error": "batch: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte",
+        "type": "ParseError",
+    }
+    assert results[2]["result"] == "4*pi/3"
+
+
 def test_batch_survives_deep_nesting(tmp_path):
     deep = "(" * 3000 + "x1" + ")" * 3000
     script = tmp_path / "commands.txt"

@@ -3,21 +3,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import P, random_norm_expr, random_polynomial, rational_sphere_point
+import poly_oracle
+from conftest import E, P, random_norm_expr, random_polynomial, rational_sphere_point
 
 from harmcalc.errors import UnsupportedBase, ZeroBaseValue
 from harmcalc.expr import (
     Context,
     Expr,
     Polynomial,
-    _shift,
     eval_expr,
     make_context,
     reduce_poly_on_sphere,
     restrict_to_sphere,
     substitute_norm_radius,
 )
+from harmcalc.render import expr_text
 from harmcalc.scalar import Scalar
+from harmcalc.transforms import kelvin
 
 
 def test_norm_squared_expands(ctx3):
@@ -199,35 +201,9 @@ def test_one_canonicalization_equals_the_fold():
         assert factors == sorted(set(factors))
 
 
-def _per_member_shift(ctx, raw):
-    """The oracle: raw terms with every member of a signature group shifted
-    on its own by `_shift` to the group's least half powers, so the
-    members of a group share one factor tuple."""
-    groups = {}
-    for poly, fac in raw:
-        fd = {}
-        for b, h, j in fac:
-            h0, j0 = fd.get(b, (0, 0))
-            fd[b] = (h0 + h, j0 + j)
-        for b, (h, j) in list(fd.items()):
-            if j == 0 and h >= 0 and h % 2 == 0:
-                poly = poly * ctx.base_poly(b, h // 2)
-                del fd[b]
-        sig = tuple(sorted((b, h & 1, j) for b, (h, j) in fd.items() if (h & 1, j) != (0, 0)))
-        groups.setdefault(sig, []).append((poly, fd))
-    out = []
-    for members in groups.values():
-        bases = {b for _, fd in members for b in fd}
-        mins = {b: min(fd.get(b, (0, 0))[0] for _, fd in members) for b in bases}
-        logs = {b: max(fd.get(b, (0, 0))[1] for _, fd in members) for b in bases}
-        fac = tuple((b, mins[b], logs[b]) for b in sorted(bases))
-        out.extend((_shift(ctx, poly, fd, mins), fac) for poly, fd in members)
-    return out
-
-
 def test_grouped_shifts_match_per_member_shifts():
     """`_from_raw` sums the members of one shift before shifting them; it
-    must give what shifting every member on its own gives."""
+    must give what shifting every member on its own gives (the oracle)."""
     ctx = make_context(3, extra_vecs=("y",))
     nb = ctx.norm_base
     other, _ = ctx.register_base(P("x1*y1 + 2*x2 + 3", ctx))
@@ -236,7 +212,7 @@ def test_grouped_shifts_match_per_member_shifts():
 
     def check(raw):
         got = Expr._from_raw(ctx, raw)
-        assert got.terms == Expr._from_raw(ctx, _per_member_shift(ctx, raw)).terms
+        assert got.terms == poly_oracle.canonical_terms(ctx, raw)
         return got
 
     # equal shifts: two members at each of the half powers 1 and 3
@@ -264,3 +240,96 @@ def test_grouped_shifts_match_per_member_shifts():
             if rng.random() < 0.3:
                 raw.append((-poly, tuple(fac)))
         check(raw)
+
+
+def test_level_pull_out_matches_the_oracle():
+    """`_from_raw` divides only the lowest level of sum_s L_s B^s by the
+    base B; the oracle divides the whole shifted sum.  Both give the same
+    blocks and the same text, with the norm base alone and with a second
+    base of content 2, whose `Expr.base_power` terms carry sqrt(2) and
+    log(2)."""
+    rng = random.Random(18)
+    ctx = Context(3)
+    nb = ctx.norm_base
+    two = P("2*x1*x2 + 2*x3 + 6", ctx)
+    other, _ = ctx.register_base(two)
+
+    def multiple(b):
+        # a multiple of a base power, so the pulls have something to find
+        poly = random_polynomial(rng, ctx, max_degree=2, terms=2)
+        k = rng.randrange(3)
+        return poly * ctx.base_poly(b, k) if k and not poly.is_zero() else poly
+
+    def check(raw):
+        got = Expr._from_raw(ctx, raw)
+        want = poly_oracle.canonical_terms(ctx, raw)
+        assert got.terms == want
+        assert expr_text(got) == expr_text(Expr(ctx, want))
+        return got
+
+    for case in range(80):
+        two_bases = case % 2
+        # a group's parity and log power per base; a few members leave it
+        parity, logp = rng.randrange(2), rng.randrange(3)
+        lows = rng.sample(range(-9 + parity, 10, 2), 3)
+        raw = []
+        for _ in range(rng.randrange(1, 7)):
+            if rng.random() < 0.2:
+                h, j = rng.randrange(-9, 10), rng.randrange(3)
+            else:
+                h, j = rng.choice(lows), logp
+            poly = multiple(nb)
+            if not two_bases:
+                raw.append((poly, ((nb, h, j),)))
+                continue
+            g = Expr.base_power(ctx, two, rng.choice(lows), rng.randrange(3))
+            for p, fac in g.terms:
+                raw.append((poly * multiple(other) * p, ((nb, h, j),) + fac))
+        # members at one shift: a second member at some half power
+        if rng.random() < 0.5:
+            _, fac = rng.choice(raw)
+            raw.append((multiple(nb), fac))
+        # the lowest level cancels: negate every member at the least half power
+        if rng.random() < 0.4:
+            low = min(fac[0][1] for _, fac in raw)
+            raw += [(-p, fac) for p, fac in raw if fac[0][1] == low]
+        got = check(raw)
+        # all-zero sums
+        assert check(raw + [(-p, fac) for p, fac in raw]).is_zero()
+        assert check([(-p, fac) for p, fac in got.terms] + raw).is_zero()
+
+    # even half powers with no log that pull back to 0 expand into the
+    # polynomial part; a lowest level of 0 is pulled without a division
+    x1, x2 = Polynomial.var("x1"), Polynomial.var("x2")
+    norm = ctx.base_poly(nb)
+    got = check([(x1 * norm * norm, ((nb, -4, 0),)), (x2 * norm, ((nb, -2, 0),))])
+    assert got.terms == ((x1 + x2, ()),)
+    got = check([(x1, ((nb, -6, 0),)), (-x1, ((nb, -6, 0),)), (x2 * norm, ((nb, -4, 0),))])
+    assert got.terms == ((x2, ((nb, -2, 0),)),)
+    got = check([(x1, ((nb, -5, 1),)), (-x1 * norm, ((nb, -7, 1),)), (x2 * norm, ((nb, -3, 1),))])
+    assert got.terms == ((x2, ((nb, -1, 1),)),)
+
+
+def test_kelvin_round_trip_in_dimension_5_pulls_six_times(monkeypatch):
+    """The second Kelvin transform divides its lowest level by ||x||^2 six
+    times before the round trip gives the input back."""
+    ctx = Context(5)
+    u = E(
+        "(x1^6*x2^2*x3 - 3*x4^3*x5^4 + 2*x1*x2^3 - 5*x3^2)*norm(x)^-11"
+        " + (x3^2*x5^3 + x1^2*x2^2*x4^4)*norm(x)^-15",
+        ctx,
+    )
+    assert [f for _, f in u.terms] == [((ctx.norm_base, -15, 0),)]
+    k = kelvin(u)
+    assert [f for _, f in k.terms] == [((ctx.norm_base, -10, 0),)]
+    hits = []
+    divide_exact = Polynomial.divide_exact
+
+    def counted(self, divisor, rank):
+        q = divide_exact(self, divisor, rank)
+        hits.append(q is not None)
+        return q
+
+    monkeypatch.setattr(Polynomial, "divide_exact", counted)
+    assert kelvin(k).terms == u.terms
+    assert hits == [True] * 6 + [False]
