@@ -18,6 +18,11 @@ ansatz solves only name the unknown polynomials (by degrees) and the
 maps that take them to the data; `expr.solve_ansatz` enumerates, writes
 and solves the linear system and returns the polynomials.
 
+The exterior halves are Kelvin transforms (`transforms.kelvin`, which
+takes a harmonic h_m of degree m to h_m ||x||^(2-n-2m)) of interior sums,
+and one reduction (`_generalized_neumann`) takes the generalized Neumann
+problem to the standard one on the sphere and on a quadric.
+
 Every solver's defining contracts (vanishing Laplacian or prescribed one,
 boundary match, origin normalization, normal-derivative match) hold as
 exact canonical identities; the test suite asserts them directly.
@@ -38,7 +43,8 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Expr, Polynomial, gradient_weight, laplace_weight, poly_sum, solve_ansatz
+from .expr import Expr, Polynomial, context_of, gradient_weight, laplace_weight, poly_sum
+from .expr import solve_ansatz
 from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -50,6 +56,7 @@ from .integrate import (
     RadialFunction,
 )
 from .scalar import Scalar
+from .transforms import kelvin
 
 # ---------------------------------------------------------------------------
 # regions and modes
@@ -133,13 +140,14 @@ def _radial_ode_solution(m, a, k, ctx):
     Solves t h'' + (2m + n - 1) h' = t^(a+1) log^k t by two symbolic
     antiderivative passes; any admissible constant choices differ from this
     one by a harmonic function, so the defining contract is unaffected.
+    Returns (coeff, exponent, log power) triples, like terms combined.
     """
     n = ctx.dim
-    inner = _antideriv_power_log(Fraction(1), 2 * m + n - 1 + a, k)
-    outer = []
-    for c, e, kk in inner:
-        outer.extend(_antideriv_power_log(c, e + 1 - 2 * m - n, kk))
-    return outer
+    out = {}
+    for c, e, kk in _antideriv_power_log(Fraction(1), 2 * m + n - 1 + a, k):
+        for c2, e2, k2 in _antideriv_power_log(c, e + 1 - 2 * m - n, kk):
+            out[e2, k2] = out.get((e2, k2), 0) + c2
+    return [(c, e, kk) for (e, kk), c in out.items() if c]
 
 
 def _fold_radial_terms(e, ctx):
@@ -169,6 +177,7 @@ def anti_laplacian(f, mode, ctx):
     """A function whose Laplacian equals f, in the requested mode."""
     if isinstance(f, Polynomial):
         f = Expr.from_poly(ctx, f)
+    context_of(f, ctx)
     if isinstance(mode, Plain):
         return _anti_laplacian_plain(f, ctx)
     poly = f.as_polynomial()
@@ -273,12 +282,7 @@ def _dirichlet_sphere(p, ctx):
 
 
 def _dirichlet_exterior(p, ctx):
-    _require_poly(p)
-    parts = harmonic_parts_by_degree(p, ctx)
-    n = ctx.dim
-    return Expr._from_raw(
-        ctx, [(g, ((ctx.norm_base, 2 - n - 2 * m, 0),)) for m, g in parts.items()]
-    )
+    return kelvin(_dirichlet_sphere(p, ctx), ctx)
 
 
 def _dirichlet_annulus(p_inner, p_outer, region, ctx):
@@ -290,17 +294,19 @@ def _dirichlet_annulus(p_inner, p_outer, region, ctx):
     r, s = region.inner, region.outer
     inner = harmonic_parts_by_degree(p_inner, ctx, r)
     outer = harmonic_parts_by_degree(p_outer, ctx, s)
-    raw = []
+    # on degree m, p_m - beta_m r^gamma + beta_m ||x||^gamma with gamma =
+    # 2 - n - 2m; the second half is the Kelvin transform of beta_m
+    interior, betas = [], []
     for m in sorted(set(inner) | set(outer)):
         pm = inner.get(m, Polynomial())
         qm = outer.get(m, Polynomial())
         gamma = 2 - n - 2 * m
         rg, sg = r**gamma, s**gamma
-        det = rg - sg
-        beta = (pm - qm).scale(Fraction(1) / det)
-        raw.append((pm - beta.scale(rg), ()))
-        raw.append((beta, ((ctx.norm_base, gamma, 0),)))
-    return Expr._from_raw(ctx, raw)
+        beta = (pm - qm).scale(Fraction(1) / (rg - sg))
+        interior.append(pm - beta.scale(rg))
+        betas.append(beta)
+    outside = kelvin(Expr.from_poly(ctx, poly_sum(betas)), ctx)
+    return Expr.from_poly(ctx, poly_sum(interior)) + outside
 
 
 def _dirichlet_quadratic(p, region, ctx):
@@ -355,11 +361,9 @@ def _neumann_sphere(f, g, ctx):
         raise SolvabilityViolation(
             "boundary and volume integrals disagree; no solution exists"
         )
-    v = anti_laplacian(g, Plain(), ctx).as_polynomial()
-    radial_data = poly_sum(Polynomial.var(c) * v.partial(c) for c in ctx.coords)
-    w = _neumann_sphere(f - radial_data, None, ctx).as_polynomial()
-    u = w + v
-    return Expr.from_poly(ctx, u - u.constant_term())
+    # x . grad v is grad q . grad v for q = ||x||^2/2
+    q = ctx.norm_sq_poly().scale(Fraction(1, 2))
+    return _generalized_neumann(f, g, q, lambda d: _neumann_sphere(d, None, ctx), ctx)
 
 
 def _neumann_quadratic(f, g, region, ctx):
@@ -377,10 +381,17 @@ def _neumann_quadratic(f, g, region, ctx):
         raise SolvabilityViolation(
             "surface and volume integrals disagree; no solution exists"
         )
+    return _generalized_neumann(
+        f, g, region.poly(ctx), lambda d: _neumann_quadratic_standard(d, region, ctx), ctx
+    )
+
+
+def _generalized_neumann(f, g, q, standard, ctx):
+    """u with Laplacian g, grad q . grad u = f on the surface and u(0) = 0:
+    h + v less its value at 0, for v an anti-Laplacian of g and h the
+    standard solution (`standard`) for the data f - grad q . grad v."""
     v = anti_laplacian(g, Plain(), ctx).as_polynomial()
-    q = region.poly(ctx)
-    data = f - poly_sum(q.partial(c) * v.partial(c) for c in ctx.coords)
-    h = _neumann_quadratic_standard(data, region, ctx).as_polynomial()
+    h = standard(f - q.gradient_dot(v, ctx.coords)).as_polynomial()
     u = h + v
     return Expr.from_poly(ctx, u - u.constant_term())
 
@@ -422,13 +433,9 @@ def exterior_neumann(p, ctx):
             )
     elif n < 2:
         raise UnsupportedDimension("exterior Neumann needs dimension >= 2")
-    return Expr._from_raw(
-        ctx,
-        [
-            (g.scale(Fraction(1, m + n - 2)), ((ctx.norm_base, 2 - n - 2 * m, 0),))
-            for m, g in parts.items()
-        ],
-    )
+    # the Kelvin transform of h_m/(m + n - 2) is h_m ||x||^(2-n-2m)/(m + n - 2)
+    inside = poly_sum(g.scale(Fraction(1, m + n - 2)) for m, g in parts.items())
+    return kelvin(Expr.from_poly(ctx, inside), ctx)
 
 
 def bi_dirichlet(p, ctx):

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedDimension,
     ZeroGradientField,
 )
-from .expr import Expr, Polynomial, poly_sum, restrict_to_sphere
+from .expr import Expr, Polynomial, context_of, poly_sum, restrict_to_sphere
 from .scalar import Scalar
 
 
@@ -57,13 +57,13 @@ def _partial_raw(ctx, terms, var):
 
 def expr_partial(e, var, ctx=None):
     """Single partial derivative of an Expr."""
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     return Expr._from_raw(ctx, _partial_raw(ctx, e.terms, var))
 
 
 def partial_d(e, schedule, ctx=None):
     """Iterated partials; schedule is a list of (variable, multiplicity)."""
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     out = e
     for item in schedule:
         var, mult = item if isinstance(item, tuple) else (item, 1)
@@ -75,7 +75,7 @@ def partial_d(e, schedule, ctx=None):
 
 
 def gradient_of(e, ctx=None):
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     return tuple(expr_partial(e, v, ctx) for v in ctx.coords)
 
 
@@ -124,7 +124,7 @@ def laplacian_of(e, power=1, ctx=None):
     (see the module docstring), and each Laplacian canonicalizes the raw
     terms of all the terms in one `Expr._from_raw`.
     """
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     out = e
     for _ in range(power):
         out = Expr._from_raw(ctx, [t for poly, fac in out.terms for t in _laplacian_raw(ctx, poly, fac)])
@@ -143,7 +143,7 @@ def divergence_of(vec, ctx):
         )
     raw = []
     for v, comp in zip(ctx.coords, vec):
-        raw.extend(_partial_raw(ctx, comp.terms, v))
+        raw.extend(_partial_raw(context_of(comp, ctx), comp.terms, v))
     return Expr._from_raw(ctx, raw)
 
 
@@ -161,7 +161,7 @@ def normal_d_sphere(e, ctx=None):
     part reduced modulo sum x_i^2 = 1), which is what makes the result of
     a Neumann solve reproduce its boundary data exactly.
     """
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     radial = _weighted_partials(ctx, e, [Polynomial.var(v) for v in ctx.coords])
     return Expr.from_poly(ctx, restrict_to_sphere(radial, ctx))
 
@@ -174,7 +174,7 @@ def normal_d_surface(e, q, ctx=None):
     when grad q . grad q is constant (a plane); the point is not
     restricted to the surface.
     """
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     if q.is_constant():
         raise ZeroGradientField("surface polynomial is constant")
     grads = [q.partial(v) for v in ctx.coords]

@@ -816,13 +816,12 @@ class Context:
         self.var_rank = {v: i for i, v in enumerate(coords + extra)}
         self._bases = []
         self._base_index = {}
-        self._base_names = []
         self._registry_lock = threading.Lock()
         self._base_powers = {}
         self._base_derivatives = {}
-        self.norm_base = self.register_base(self.norm_sq_poly(), name="normSq(x)")[0]
+        self.norm_base = self.register_base(self.norm_sq_poly())[0]
 
-    def register_base(self, poly, name=None):
+    def register_base(self, poly):
         """Register a squarefree rational-coefficient base polynomial.
 
         Returns (base_id, content) with poly = content * stored primitive.
@@ -837,7 +836,6 @@ class Context:
                 bid = len(self._bases)
                 self._bases.append(prim)
                 self._base_index[prim] = bid
-                self._base_names.append(name)
         return bid, content
 
     def base_poly(self, bid, k=1):
@@ -866,7 +864,8 @@ class Context:
         return out
 
     def base_name(self, bid):
-        return self._base_names[bid]
+        """The norm base's name, normSq(x); None for any other base."""
+        return "normSq(%s)" % self.vec_label if bid == self.norm_base else None
 
     def norm_sq_poly(self, names=None):
         return poly_sum([Polynomial.var(v, 2) for v in (names or self.coords)])
@@ -1032,13 +1031,9 @@ class Expr:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other):
-        if self.ctx is not other.ctx:
-            raise ValueError("expressions from different contexts")
-
     def __add__(self, other):
         other = self._coerce(other)
-        self._check(other)
+        context_of(other, self.ctx)
         return Expr._from_raw(self.ctx, list(self.terms) + list(other.terms))
 
     __radd__ = __add__
@@ -1054,7 +1049,7 @@ class Expr:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        self._check(other)
+        context_of(other, self.ctx)
         raw = [(p1 * p2, f1 + f2) for p1, f1 in self.terms for p2, f2 in other.terms]
         return Expr._from_raw(self.ctx, raw)
 
@@ -1104,6 +1099,14 @@ class Expr:
         return "Expr(%s)" % expr_text(self)
 
 
+def context_of(e, ctx=None):
+    """The Context of the Expr e; a `ctx` that is not e's is an error,
+    since base ids are per Context."""
+    if ctx is not None and ctx is not e.ctx:
+        raise ValueError("expressions from different contexts")
+    return e.ctx
+
+
 # ---------------------------------------------------------------------------
 # norm-specific operations
 
@@ -1114,7 +1117,7 @@ def substitute_norm_radius(e, r, ctx=None):
     Only registered norm factors are touched; polynomial parts are left
     alone (they do not constrain the coordinates).
     """
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     r = _as_fraction(r)
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -1156,7 +1159,7 @@ def restrict_to_sphere(e, ctx=None, radius=1):
     reduced modulo sum(x_i^2) = radius^2.  Any other base factor is an
     error.
     """
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     radius = _as_fraction(radius)
     spec = substitute_norm_radius(e, radius, ctx)
     for _, fac in spec.terms:
@@ -1168,7 +1171,7 @@ def restrict_to_sphere(e, ctx=None, radius=1):
 
 def eval_expr(e, point, ctx=None):
     """Exact Scalar value of e at a rational point covering its variables."""
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     total = ZERO
     for poly, fac in e.terms:
         v = poly.eval(point)

@@ -5,8 +5,9 @@ Expression grammar (informally):
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := atom power
-    atom   := rational | ident | 'norm' '(' vec ')' | 'norm2' '(' vec ')'
-            | 'log' '(' atom ')' | 'dot' '(' vec ',' vec ')' | '(' expr ')'
+    atom   := rational | ident | norm | 'log' '(' atom ')'
+            | 'dot' '(' vec ',' vec ')' | '(' expr ')'
+    norm   := '||' vec '||' | 'norm' '(' vec ')' | 'norm2' '(' vec ')'
     vec    := ident
 
 Radial-weight grammar (`--weight`), a sum of c * r^a * log(r)^k over an
@@ -18,9 +19,11 @@ optional linear denominator:
 
 Both share `power := ('^' ['-'] int)?` and `rational := int | int/int`;
 a log power takes no sign.
-`||x||` is also accepted wherever norm(x) is.  Errors carry the line,
-column, and expected-token set; nesting deeper than the interpreter's
-stack allows is a location-free ParseError.
+One vector reader serves the norms and dot.  A norm is read as (v, k)
+for ||v||^k (k = 2 for norm2), and one helper makes its powers and its
+log.  Errors carry the line, column, and expected-token set; nesting
+deeper than the interpreter's stack allows is a location-free
+ParseError.
 """
 
 from __future__ import annotations
@@ -212,13 +215,8 @@ class _Parser:
     def _apply_power(self, kind, payload, exp):
         ctx = self.ctx
         if kind == "norm":
-            return Expr.norm_power(ctx, exp) if payload == "__main__" else (
-                Expr.base_power(ctx, ctx.norm_sq_poly(payload), exp)
-            )
-        if kind == "norm2":
-            return Expr.norm_power(ctx, 2 * exp) if payload == "__main__" else (
-                Expr.base_power(ctx, ctx.norm_sq_poly(payload), 2 * exp)
-            )
+            names, k = payload
+            return self._norm_power(names, k * exp)
         if exp >= 0:
             return payload**exp
         if isinstance(payload, Expr) and payload.is_polynomial():
@@ -230,37 +228,42 @@ class _Parser:
             "negative powers are supported on norms and rationals only"
         )
 
-    def _vector_names(self, label, tok):
-        if label in self.vectors:
-            return self.vectors[label]
-        raise UnknownVariable("unknown vector %r (line %d, column %d)"
-                              % (label, tok.line, tok.col))
+    def _norm_power(self, names, half, log_pow=0):
+        """||v||^half * log(||v||^2)^log_pow for the vector with these names."""
+        ctx = self.ctx
+        if names == ctx.coords:
+            return Expr.norm_power(ctx, half, log_pow)
+        return Expr.base_power(ctx, ctx.norm_sq_poly(names), half, log_pow)
+
+    def _vectors(self, *closers):
+        """A vector name before each closing token; their coordinate names,
+        looked up once the syntax is read."""
+        names = []
+        for closer in closers:
+            names.append(self.expect("ident", "vector name"))
+            self.expect(closer, "||" if closer == "norm_bars" else closer)
+        for name in names:
+            if name.text not in self.vectors:
+                raise UnknownVariable("unknown vector %r (line %d, column %d)"
+                                      % (name.text, name.line, name.col))
+        return [self.vectors[name.text] for name in names]
 
     def atom(self):
+        """("value", Expr), or ("norm", (names, k)) for ||v||^k (k = 1 or 2)."""
         t = self.peek()
         if t.kind == "int":
             return "value", Expr.from_scalar(self.ctx, Scalar.from_fraction(self.rational()))
         if t.kind == "norm_bars":
             self.advance()
-            name = self.expect("ident", "vector name")
-            self.expect("norm_bars", "||")
-            label = name.text
-            names = self._vector_names(label, name)
-            if label == self.ctx.vec_label:
-                return "norm", "__main__"
-            return "norm", names
+            (names,) = self._vectors("norm_bars")
+            return "norm", (names, 1)
         if t.kind == "ident":
             self.advance()
             word = t.text
             if word in ("norm", "norm2") and self.peek().kind == "(":
                 self.advance()
-                name = self.expect("ident", "vector name")
-                self.expect(")", ")")
-                label = name.text
-                names = self._vector_names(label, name)
-                if label == self.ctx.vec_label:
-                    return word, "__main__"
-                return word, names
+                (names,) = self._vectors(")")
+                return "norm", (names, 1 if word == "norm" else 2)
             if word == "log" and self.peek().kind == "(":
                 self.advance()
                 kind, payload = self.atom()
@@ -268,12 +271,7 @@ class _Parser:
                 return "value", self._log_atom(kind, payload, t)
             if word == "dot" and self.peek().kind == "(":
                 self.advance()
-                a = self.expect("ident", "vector name")
-                self.expect(",", ",")
-                b = self.expect("ident", "vector name")
-                self.expect(")", ")")
-                av = self._vector_names(a.text, a)
-                bv = self._vector_names(b.text, b)
+                av, bv = self._vectors(",", ")")
                 if len(av) != len(bv):
                     raise UnsupportedInputError("dot of unequal-length vectors")
                 return "value", Expr.from_poly(self.ctx, dot_poly(av, bv))
@@ -292,14 +290,9 @@ class _Parser:
     def _log_atom(self, kind, payload, tok):
         ctx = self.ctx
         if kind == "norm":
-            half = Expr.from_scalar(ctx, Scalar.from_fraction(Fraction(1, 2)))
-            if payload == "__main__":
-                return half * Expr.norm_power(ctx, 0, log_pow=1)
-            return half * Expr.base_power(ctx, ctx.norm_sq_poly(payload), 0, 1)
-        if kind == "norm2":
-            if payload == "__main__":
-                return Expr.norm_power(ctx, 0, log_pow=1)
-            return Expr.base_power(ctx, ctx.norm_sq_poly(payload), 0, 1)
+            # log ||v||^k = (k/2) log(||v||^2)
+            names, k = payload
+            return self._norm_power(names, 0, 1).scale(Fraction(k, 2))
         if isinstance(payload, Expr) and payload.is_polynomial():
             poly = payload.as_polynomial()
             if poly.is_constant():

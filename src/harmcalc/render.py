@@ -12,7 +12,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
-from .expr import RATIONAL, Expr, Polynomial, order_key
+from .expr import RATIONAL, Expr, Polynomial, context_of, order_key
 from .scalar import Scalar
 
 # ---------------------------------------------------------------------------
@@ -176,10 +176,9 @@ def poly_latex(poly, ctx=None):
 
 
 def _factor_text(ctx, bid, half, logp, latex=False):
-    name = ctx.base_name(bid)
     parts = []
-    if name is not None and name.startswith("normSq("):
-        label = name[len("normSq(") : -1]
+    if bid == ctx.norm_base:
+        label = ctx.vec_label
         if latex:
             core = "\\lVert %s \\rVert" % label
             if half:
@@ -218,7 +217,7 @@ def _factor_text(ctx, bid, half, logp, latex=False):
 
 
 def _expr_render(e, ctx, latex):
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     chunks = []
     for poly, fac in e.terms:
         body = poly_latex(poly, ctx) if latex else poly_text(poly, ctx)
@@ -240,7 +239,7 @@ def expr_latex(e, ctx=None):
 
 
 def expr_json(e, ctx=None):
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     return {
         "terms": [
             {

@@ -4,6 +4,11 @@ Reflections in spheres and hyperplanes, the Kelvin transform
 u -> ||x||^(2-n) u(x/||x||^2), the modified inversion through the south
 pole that exchanges ball and half-space, and the modified Kelvin
 transform, which is an exact involution in this algebra.
+
+One reflection formula (`_reflect`) serves a rational point and the
+coordinate map; they differ only in the reciprocal of the squared
+distance to a sphere's center.  The Kelvin transform here is also the
+one the exterior solvers of `bvp` read.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .errors import (
     UnsupportedDimension,
     ZeroGradientField,
 )
-from .expr import Expr, Polynomial, poly_sum
+from .expr import Expr, Polynomial, context_of, poly_sum
 from .scalar import Scalar
 
 
@@ -53,57 +58,48 @@ def _mirror_vector(vec, n):
     return tuple(Fraction(v) for v in vec)
 
 
-def reflect_point(point, mirror):
-    """Reflection of a rational point in the given mirror."""
-    point = tuple(Fraction(v) for v in point)
+def _reflect(xs, mirror, reciprocal):
+    """Reflection of xs (rationals, or the coordinate polynomials) in the mirror.
+
+    A sphere sends x to c + r^2 (x - c)/|x - c|^2, where `reciprocal`
+    takes the squared distance |x - c|^2 to its reciprocal; a hyperplane
+    b.x = t sends x to x - 2 (b.x - t) b/|b|^2.
+    """
     if isinstance(mirror, UnitSphere):
-        mirror = SphereMirror((Fraction(0),) * len(point), Fraction(1))
+        mirror = SphereMirror((Fraction(0),) * len(xs), Fraction(1))
     if isinstance(mirror, SphereMirror):
-        center = _mirror_vector(mirror.center, len(point))
-        diff = [p - c for p, c in zip(point, center)]
-        norm2 = sum(d * d for d in diff)
-        if norm2 == 0:
-            raise CenterSingularity("cannot reflect the sphere center")
-        scale = Fraction(mirror.radius) ** 2 / norm2
-        return tuple(c + scale * d for c, d in zip(center, diff))
+        center = _mirror_vector(mirror.center, len(xs))
+        diff = [x - c for x, c in zip(xs, center)]
+        inv = reciprocal(sum(d * d for d in diff))
+        r2 = Fraction(mirror.radius) ** 2
+        return tuple(c + d * r2 * inv for c, d in zip(center, diff))
     if isinstance(mirror, HyperplaneMirror):
-        b = _mirror_vector(mirror.normal, len(point))
+        b = _mirror_vector(mirror.normal, len(xs))
         bb = sum(v * v for v in b)
         if bb == 0:
             raise ZeroGradientField("hyperplane normal must be nonzero")
-        t = Fraction(mirror.offset)
-        scale = 2 * (sum(p * v for p, v in zip(point, b)) - t) / bb
-        return tuple(p - scale * v for p, v in zip(point, b))
+        inner = sum(x * v for x, v in zip(xs, b)) - Fraction(mirror.offset)
+        return tuple(x - inner * (2 * v / bb) for x, v in zip(xs, b))
     raise TypeError("unknown mirror %r" % (mirror,))
+
+
+def _point_reciprocal(norm2):
+    if norm2 == 0:
+        raise CenterSingularity("cannot reflect the sphere center")
+    return 1 / norm2
+
+
+def reflect_point(point, mirror):
+    """Reflection of a rational point in the given mirror."""
+    return _reflect(tuple(Fraction(v) for v in point), mirror, _point_reciprocal)
 
 
 def reflect_map(mirror, ctx):
     """Reflection of the coordinate vector as a tuple of expressions."""
     xs = [Polynomial.var(v) for v in ctx.coords]
-    if isinstance(mirror, UnitSphere):
-        inv = Expr.norm_power(ctx, -2)
-        return tuple(Expr.from_poly(ctx, x) * inv for x in xs)
-    if isinstance(mirror, SphereMirror):
-        center = _mirror_vector(mirror.center, ctx.dim)
-        diff = [x - Polynomial.const(c) for x, c in zip(xs, center)]
-        norm2 = poly_sum([d * d for d in diff])
-        inv = Expr.base_power(ctx, norm2, -2)
-        r2 = Fraction(mirror.radius) ** 2
-        return tuple(
-            Expr.from_poly(ctx, Polynomial.const(c)) + Expr.from_poly(ctx, d.scale(r2)) * inv
-            for c, d in zip(center, diff)
-        )
-    if isinstance(mirror, HyperplaneMirror):
-        b = _mirror_vector(mirror.normal, ctx.dim)
-        bb = sum(v * v for v in b)
-        if bb == 0:
-            raise ZeroGradientField("hyperplane normal must be nonzero")
-        t = Fraction(mirror.offset)
-        inner = poly_sum([x.scale(v) for x, v in zip(xs, b)]) - Polynomial.const(t)
-        return tuple(
-            Expr.from_poly(ctx, x - inner.scale(2 * v / bb)) for x, v in zip(xs, b)
-        )
-    raise TypeError("unknown mirror %r" % (mirror,))
+    out = _reflect(xs, mirror, lambda norm2: Expr.base_power(ctx, norm2, -2))
+    # a hyperplane's reflection is a polynomial map
+    return tuple(Expr.from_poly(ctx, v) if isinstance(v, Polynomial) else v for v in out)
 
 
 def kelvin(e, ctx=None):
@@ -113,7 +109,7 @@ def kelvin(e, ctx=None):
     of coordinate degree d picks up the factor ||x||^(-2d) and any norm
     power is negated.
     """
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     nb = ctx.norm_base
     n = ctx.dim
     raw = []
@@ -172,7 +168,7 @@ def kelvin_h(e, ctx=None):
     outputs (which carry Q powers) are accepted; the transform composed
     with itself is the identity.
     """
-    ctx = ctx or e.ctx
+    ctx = context_of(e, ctx)
     n = ctx.dim
     nums, den = _phi_numerators(ctx)
     bid, content = ctx.register_base(den)

@@ -21,9 +21,10 @@ from harmcalc.bvp import (
     exterior_neumann,
     neumann,
 )
-from harmcalc.calculus import laplacian_of, normal_d_sphere, poly_laplacian
+from harmcalc.calculus import homogeneous_part, laplacian_of, normal_d_sphere, poly_laplacian
 from harmcalc.errors import (
     DimensionMismatch,
+    NonPolynomialInput,
     SolvabilityViolation,
     UnsupportedDimension,
     UnsupportedInputError,
@@ -42,8 +43,29 @@ from harmcalc.expr import (
     restrict_to_sphere,
     solve_ansatz,
 )
+from harmcalc.harmonic import harmonic_decompose
 from harmcalc.integrate import integrate_sphere
+from harmcalc.kernels import bergman_projection
 from harmcalc.scalar import Scalar
+
+# ---------------------------------------------------------------------------
+# polynomial inputs
+
+POLYNOMIAL_ONLY = {
+    "dirichlet": lambda e, p, c: dirichlet(e, Sphere(), c),
+    "dirichlet rhs": lambda e, p, c: dirichlet(p, Sphere(), c, rhs=e),
+    "bi_dirichlet": lambda e, p, c: bi_dirichlet(e, c),
+    "harmonic_decompose": lambda e, p, c: harmonic_decompose(e, c),
+    "bergman_projection": lambda e, p, c: bergman_projection(e, c),
+    "homogeneous_part": lambda e, p, c: homogeneous_part(e, 1, c),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYNOMIAL_ONLY))
+def test_an_expr_is_not_polynomial_input(name, ctx3):
+    with pytest.raises(NonPolynomialInput):
+        POLYNOMIAL_ONLY[name](E("x1*norm(x)", ctx3), P("x1", ctx3), ctx3)
+
 
 # ---------------------------------------------------------------------------
 # Dirichlet

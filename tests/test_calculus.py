@@ -19,10 +19,20 @@ from harmcalc.calculus import (
     partial_d,
     taylor_poly,
 )
+from harmcalc.bvp import Plain, anti_laplacian
 from harmcalc.errors import DimensionMismatch, NotHarmonic
-from harmcalc.expr import Context, Expr, Polynomial, eval_expr, poly_sum
-from harmcalc.render import expr_text
+from harmcalc.expr import (
+    Context,
+    Expr,
+    Polynomial,
+    eval_expr,
+    poly_sum,
+    restrict_to_sphere,
+    substitute_norm_radius,
+)
+from harmcalc.render import expr_json, expr_latex, expr_text
 from harmcalc.scalar import Scalar, approx_scalar
+from harmcalc.transforms import kelvin, kelvin_h
 
 
 def test_mixed_partials_of_norm():
@@ -138,6 +148,54 @@ def test_base_derivatives_stay_with_their_context():
         assert ctx.base_laplacian(bid) == P(lap, ctx)
         assert ctx.base_gradient_dot(bid, bid) == P(grad, ctx)
         assert ctx.base_gradient_dot(bid, ctx.norm_base) == ctx.base_gradient_dot(ctx.norm_base, bid)
+
+
+_AT = {"x1": F(1), "x2": F(2)}
+
+# every reader of an Expr that also takes a Context
+FOREIGN_CONTEXT_CALLS = {
+    "laplacian_of": lambda e, c: laplacian_of(e, 1, c),
+    "expr_partial": lambda e, c: expr_partial(e, "x1", c),
+    "partial_d": lambda e, c: partial_d(e, ["x2"], c),
+    "gradient_of": gradient_of,
+    "divergence_of": lambda e, c: divergence_of((e, e), c),
+    "jacobian_of": lambda e, c: jacobian_of((e, e), c),
+    "normal_d_sphere": normal_d_sphere,
+    "normal_d_surface": lambda e, c: normal_d_surface(e, P("x1 + x2^2", c), c),
+    "anti_laplacian": lambda e, c: anti_laplacian(e, Plain(), c),
+    "kelvin": kelvin,
+    "kelvin_h": kelvin_h,
+    "eval_expr": lambda e, c: eval_expr(e, _AT, c),
+    "substitute_norm_radius": lambda e, c: substitute_norm_radius(e, 2, c),
+    "restrict_to_sphere": restrict_to_sphere,
+    "expr_text": expr_text,
+    "expr_latex": expr_latex,
+    "expr_json": expr_json,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_CONTEXT_CALLS))
+def test_an_expr_is_read_in_its_own_context(name):
+    """Base ids are per Context: a ctx that is not the Expr's own is refused.
+
+    Read in ctx2, where id 1 is 1 + x1^2, the Laplacian of (3 + x2^2)^-1
+    would be (-2 + 6*x1^2)*(1 + x1^2)^-3.
+    """
+    call = FOREIGN_CONTEXT_CALLS[name]
+    ctx1, ctx2 = Context(2), Context(2)
+    ctx2.register_base(P("1 + x1^2", ctx2))
+    e = Expr.base_power(ctx1, P("3 + x2^2", ctx1), -2)
+    with pytest.raises(ValueError):
+        call(e, ctx2)
+
+
+def test_laplacian_in_its_own_context():
+    ctx1, ctx2 = Context(2), Context(2)
+    ctx2.register_base(P("1 + x1^2", ctx2))
+    base = P("3 + x2^2", ctx1)
+    e = Expr.base_power(ctx1, base, -2)
+    want = Expr.from_poly(ctx1, P("-6 + 6*x2^2", ctx1)) * Expr.base_power(ctx1, base, -6)
+    assert laplacian_of(e, 1, ctx1) == laplacian_of(e) == want
 
 
 def test_laplacian_named_coords():

@@ -6,7 +6,7 @@ import pytest
 import poly_oracle
 from conftest import E, P, random_norm_expr, random_polynomial, rational_sphere_point
 
-from harmcalc.errors import UnsupportedBase, ZeroBaseValue
+from harmcalc.errors import NegativeBaseValue, UnsupportedBase, ZeroBaseValue
 from harmcalc.expr import (
     Context,
     Expr,
@@ -140,6 +140,26 @@ def test_base_registration_content():
     # registering an equivalent multiple maps to the same primitive base
     bid2, content2 = ctx.register_base(g.scale(F(1, 2)))
     assert bid2 == bid and content2 == F(2)
+
+
+def test_base_names():
+    ctx = Context(3)
+    other, _ = ctx.register_base(P("x1 + 2", ctx))
+    assert ctx.base_name(ctx.norm_base) == "normSq(x)"
+    assert ctx.base_name(other) is None
+
+
+def test_negative_base_under_a_root_or_log():
+    ctx = Context(3)
+    # -1 - x1^2 is -1 times a primitive base: no half power of it is real
+    with pytest.raises(NegativeBaseValue):
+        Expr.base_power(ctx, P("-1 - x1^2", ctx), 1)
+    with pytest.raises(NegativeBaseValue):
+        Expr.base_power(ctx, P("-1 - x1^2", ctx), 0, 1)
+    root = Expr.base_power(ctx, P("x1 + 2", ctx), 1)
+    with pytest.raises(NegativeBaseValue):
+        eval_expr(root, {"x1": F(-3), "x2": F(0), "x3": F(0)})
+    assert eval_expr(root, {"x1": F(2), "x2": F(0), "x3": F(0)}) == Scalar.from_fraction(2)
 
 
 def test_reduce_poly_on_sphere_radius():

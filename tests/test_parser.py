@@ -54,6 +54,24 @@ def test_unknown_variable(ctx3):
         parse_expression("x9", ctx3)
     with pytest.raises(UnknownVariable):
         parse_expression("dot(x,q)", ctx3)
+    # a vector atom's syntax is read before its names are looked up
+    for src in ("dot(q, )", "dot(q, x", "norm(q", "||q"):
+        with pytest.raises(ParseError):
+            parse_expression(src, ctx3)
+
+
+def test_one_norm_atom_for_every_vector():
+    ctx = make_context(3, extra_vecs=("y",))
+    vectors = {"y": ("y1", "y2", "y3"), "z": ctx.coords}
+
+    def parse(src):
+        return parse_expression(src, ctx, vectors)
+
+    for v in "xyz":
+        assert parse("norm2(%s)" % v) == parse("||%s||^2" % v) == parse("norm(%s)^2" % v)
+        assert parse("log(norm2(%s))" % v) == parse("2*log(||%s||)" % v)
+    # a label for the coordinates reads as the norm base itself
+    assert parse("norm(z)^-3*log(||z||)").terms == parse("norm(x)^-3*log(||x||)").terms
 
 
 def test_norm_bars_syntax(ctx3):

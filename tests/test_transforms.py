@@ -7,7 +7,7 @@ from conftest import E
 
 from harmcalc.calculus import laplacian_of
 from harmcalc.errors import CenterSingularity, DimensionMismatch, EmptyInterior, UnsupportedBase
-from harmcalc.expr import Context, Expr, Polynomial, make_context, poly_sum
+from harmcalc.expr import Context, Expr, Polynomial, eval_expr, make_context, poly_sum
 from harmcalc.harmonic import basis_harmonic
 from harmcalc.scalar import Scalar
 from harmcalc.transforms import (
@@ -72,6 +72,21 @@ def test_reflection_involution_points():
             if isinstance(mirror, SphereMirror) and pt == mirror.center:
                 continue
             assert reflect_point(reflect_point(pt, mirror), mirror) == pt
+
+
+def test_reflect_map_agrees_with_reflect_point(ctx3):
+    rng = random.Random(19)
+    for mirror in (
+        UnitSphere(),
+        SphereMirror((F(1), F(-2), F(3)), F(5, 2)),
+        HyperplaneMirror((F(2), F(-1), F(4)), F(3)),
+    ):
+        comps = reflect_map(mirror, ctx3)
+        for _ in range(10):
+            # no point drawn is a sphere's center
+            pt = tuple(F(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(3))
+            want = tuple(Scalar.from_fraction(v) for v in reflect_point(pt, mirror))
+            assert tuple(eval_expr(c, dict(zip(ctx3.coords, pt))) for c in comps) == want
 
 
 def test_hyperplane_reflection_fixes_plane(ctx3):
