@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import bvp, calculus, harmonic, integrate, kernels, transforms
 from .errors import DimensionMismatch, HarmcalcError, ParseError, UnsupportedInputError
 from .expr import Context, eval_expr, make_context
-from .parser import parse_expression, parse_polynomial, parse_radial
+from .parser import is_name, parse_expression, parse_polynomial, parse_radial
 from .render import render_value
 from .scalar import approx_scalar
 
@@ -49,7 +49,20 @@ def rational(text):
 
 
 def rationals(text):
-    return tuple(rational(t) for t in text.split(",") if t)
+    """Comma-separated rationals; an empty text has none, and an empty entry is refused."""
+    return tuple(rational(t) for t in text.split(",")) if text else ()
+
+
+def name(text):
+    """One identifier, as an expression reads it."""
+    if not is_name(text):
+        raise argparse.ArgumentTypeError("%r is not a name" % text)
+    return text
+
+
+def names(text):
+    """Comma-separated names; an empty text has none."""
+    return tuple(name(t) for t in text.split(",")) if text else ()
 
 
 def int_at_least(low):
@@ -71,7 +84,7 @@ def var_times(text):
 def about_point(text):
     """Rationals, or symbols that join the context."""
     tokens = (t.strip() for t in text.split(","))
-    return [t if t[:1].isalpha() or t[:1] == "_" else rational(t) for t in tokens]
+    return [name(t) if t[:1].isalpha() or t[:1] == "_" else rational(t) for t in tokens]
 
 
 def _quadric(text):
@@ -122,8 +135,8 @@ def mirror(text):
 # every flag a verb can declare, as add_argument keywords
 FLAGS = {
     "dim": dict(type=int_at_least(1), help="dimension n"),
-    "vars": dict(help="comma-separated coordinate names (default x1..xn)"),
-    "second-vec": dict(help="label y of a second point y1..yn"),
+    "vars": dict(type=names, help="comma-separated coordinate names (default x1..xn)"),
+    "second-vec": dict(type=name, help="label y of a second point y1..yn"),
     "power": dict(type=int_at_least(0), default=1, help="how many times to apply the Laplacian"),
     "by": dict(type=var_times, action="append", help="differentiate by VAR[:TIMES]"),
     "surface": dict(help="level surface q(x) = 0 (default: the unit sphere)"),
@@ -256,7 +269,7 @@ def parse_command(argv):
 
 def _ctx(args, label=None, extra=()):
     """Context from --dim and --vars, plus a block label1..labeln if given."""
-    coords = tuple(args.vars.split(",")) if args.vars else None
+    coords = args.vars or None
     vecs = (label,) if label else ()
     return make_context(args.dim, extra_vecs=vecs, extra=extra, coords=coords)
 

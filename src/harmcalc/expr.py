@@ -471,11 +471,9 @@ class Polynomial:
 
         return self._map(f).get(0, Polynomial())
 
-    def homogeneous_parts(self, names=None):
-        """Split by total degree (or degree in `names`): dict deg -> part."""
+    def homogeneous_parts(self, names):
+        """Split by the degree in `names`: dict deg -> part."""
         lay = self.layout
-        if names is None:
-            return self._map(lambda k: (k >> lay.top, k, 1))
         shifts = [lay.shift[v] for v in set(names) if v in lay.shift]
         return self._map(lambda k: (sum((k >> s) & lay.mask for s in shifts), k, 1))
 

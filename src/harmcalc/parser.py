@@ -99,6 +99,15 @@ def _tokenize(src):
     return tokens
 
 
+def is_name(text):
+    """Whether text is one whole identifier token, a name an expression can read."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == text
+
+
 def _int_value(token):
     # int(str) refuses more digits than sys.get_int_max_str_digits() allows;
     # a Decimal converts without that limit

@@ -28,8 +28,6 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # integer factorization (squarefree extraction needs full factorizations)
 
-_SMALL_PRIMES = []
-
 
 def _sieve(limit=10000):
     flags = bytearray([1]) * (limit + 1)
@@ -70,9 +68,8 @@ def _is_prime(n):
 
 
 def _pollard_brent(n):
-    # deterministic parameter sweep keeps results reproducible
-    if n % 2 == 0:
-        return 2
+    # deterministic parameter sweep keeps results reproducible; n is odd,
+    # since `factorize` divides out every prime below 10^4 first
     for c in range(1, 50):
         x = y = 2
         d = 1

@@ -1,18 +1,25 @@
 """Inversions and Kelvin transforms.
 
-Reflections in spheres and hyperplanes, the Kelvin transform
-u -> ||x||^(2-n) u(x/||x||^2), the modified inversion through the south
-pole that exchanges ball and half-space, and the modified Kelvin
-transform, which is an exact involution in this algebra.
+There is one inversion: the reflection x* = c + r^2 (x - c)/|x - c|^2 in
+the sphere with center c and radius r, given here as the pair (c, r^2).
+In the unit sphere it gives the Kelvin transform
+u -> ||x||^(2-n) u(x/||x||^2).  Phi, the map that exchanges the unit ball
+and the upper half-space, is the reflection in the sphere with center
+S = (0, ..., 0, -1) and radius sqrt(2), and the modified Kelvin transform
+`kelvin_h` is the Kelvin transform in that sphere, an exact involution in
+this algebra (Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 4
+and ch. 7).  Hyperplanes are the other mirror kind.
 
-One reflection formula (`_reflect`) serves a rational point and the
-coordinate map; they differ only in the reciprocal of the squared
-distance to a sphere's center.  The Kelvin transform here is also the
-one the exterior solvers of `bvp` read.
+`_invert` writes the reflection over the common denominator
+Q = |x - c|^2, the same for a rational point and for the coordinate map;
+one routine (`_kelvin`) pulls an expression back through it for both
+Kelvin transforms.  The Kelvin transform here is also the one the
+exterior solvers of `bvp` read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -25,7 +32,7 @@ from .errors import (
     UnsupportedDimension,
     ZeroGradientField,
 )
-from .expr import Expr, Polynomial, context_of, poly_sum
+from .expr import Expr, Polynomial, context_of
 from .scalar import Scalar
 
 
@@ -58,48 +65,117 @@ def _mirror_vector(vec, n):
     return tuple(Fraction(v) for v in vec)
 
 
-def _reflect(xs, mirror, reciprocal):
-    """Reflection of xs (rationals, or the coordinate polynomials) in the mirror.
-
-    A sphere sends x to c + r^2 (x - c)/|x - c|^2, where `reciprocal`
-    takes the squared distance |x - c|^2 to its reciprocal; a hyperplane
-    b.x = t sends x to x - 2 (b.x - t) b/|b|^2.
-    """
+def _sphere(mirror, n):
+    """A sphere mirror in n coordinates as (center, r^2); a pair is one already."""
+    if isinstance(mirror, tuple):
+        return mirror
     if isinstance(mirror, UnitSphere):
-        mirror = SphereMirror((Fraction(0),) * len(xs), Fraction(1))
+        return (Fraction(0),) * n, Fraction(1)
     if isinstance(mirror, SphereMirror):
-        center = _mirror_vector(mirror.center, len(xs))
-        diff = [x - c for x, c in zip(xs, center)]
-        inv = reciprocal(sum(d * d for d in diff))
-        r2 = Fraction(mirror.radius) ** 2
-        return tuple(c + d * r2 * inv for c, d in zip(center, diff))
-    if isinstance(mirror, HyperplaneMirror):
-        b = _mirror_vector(mirror.normal, len(xs))
-        bb = sum(v * v for v in b)
-        if bb == 0:
-            raise ZeroGradientField("hyperplane normal must be nonzero")
-        inner = sum(x * v for x, v in zip(xs, b)) - Fraction(mirror.offset)
-        return tuple(x - inner * (2 * v / bb) for x, v in zip(xs, b))
+        return _mirror_vector(mirror.center, n), Fraction(mirror.radius) ** 2
     raise TypeError("unknown mirror %r" % (mirror,))
 
 
-def _point_reciprocal(norm2):
-    if norm2 == 0:
-        raise CenterSingularity("cannot reflect the sphere center")
-    return 1 / norm2
+def _south_pole(n):
+    """The sphere (S, 2), S = (0, ..., 0, -1), of Phi and `kelvin_h`."""
+    if n < 2:
+        raise UnsupportedDimension("the south-pole inversion needs dimension >= 2")
+    return (Fraction(0),) * (n - 1) + (Fraction(-1),), Fraction(2)
+
+
+def _invert(xs, sphere):
+    """The reflection of xs (rationals, or the coordinate polynomials) in a sphere.
+
+    For the sphere (c, r^2) it is c + r^2 (x - c)/Q, Q = |x - c|^2, returned
+    as (N, Q) with N_i = c_i Q + r^2 (x_i - c_i), so that x* = N/Q.
+    """
+    center, r2 = sphere
+    diff = [x - c for x, c in zip(xs, center)]
+    q = sum(d * d for d in diff)
+    return [q * c + d * r2 for c, d in zip(center, diff)], q
+
+
+def _reflect_hyperplane(xs, mirror):
+    """The reflection x - 2 (b.x - t) b/|b|^2 of xs in the hyperplane b.x = t."""
+    b = _mirror_vector(mirror.normal, len(xs))
+    bb = sum(v * v for v in b)
+    if bb == 0:
+        raise ZeroGradientField("hyperplane normal must be nonzero")
+    inner = sum(x * v for x, v in zip(xs, b)) - Fraction(mirror.offset)
+    return tuple(x - inner * (2 * v / bb) for x, v in zip(xs, b))
 
 
 def reflect_point(point, mirror):
     """Reflection of a rational point in the given mirror."""
-    return _reflect(tuple(Fraction(v) for v in point), mirror, _point_reciprocal)
+    xs = tuple(Fraction(v) for v in point)
+    if isinstance(mirror, HyperplaneMirror):
+        return _reflect_hyperplane(xs, mirror)
+    nums, q = _invert(xs, _sphere(mirror, len(xs)))
+    if q == 0:
+        raise CenterSingularity("cannot reflect the sphere center")
+    return tuple(nm / q for nm in nums)
 
 
 def reflect_map(mirror, ctx):
     """Reflection of the coordinate vector as a tuple of expressions."""
     xs = [Polynomial.var(v) for v in ctx.coords]
-    out = _reflect(xs, mirror, lambda norm2: Expr.base_power(ctx, norm2, -2))
-    # a hyperplane's reflection is a polynomial map
-    return tuple(Expr.from_poly(ctx, v) if isinstance(v, Polynomial) else v for v in out)
+    if isinstance(mirror, HyperplaneMirror):
+        # a hyperplane's reflection is a polynomial map
+        return tuple(Expr.from_poly(ctx, v) for v in _reflect_hyperplane(xs, mirror))
+    nums, q = _invert(xs, _sphere(mirror, ctx.dim))
+    inv = Expr.base_power(ctx, q, -2)
+    return tuple(Expr.from_poly(ctx, nm) * inv for nm in nums)
+
+
+def phi_map(ctx):
+    """Phi, the reflection in the sphere with center (0, ..., 0, -1) and radius sqrt(2).
+
+    Returns one expression per coordinate; in split coordinates (x, y) it
+    is (2x, 1 - y^2 - ||x||^2)/((1 + y)^2 + ||x||^2).
+    """
+    return reflect_map(_south_pole(ctx.dim), ctx)
+
+
+def _kelvin(e, ctx, sphere):
+    """The Kelvin transform (r/|x - c|)^(n-2) e(x*) in the sphere (c, r^2).
+
+    Q = |x - c|^2 is the base.  A factor Q^(h/2) pulls back to
+    r^(2h) Q^(-h/2), and a monomial x^a of degree d to
+    prod N_i^(a_i) Q^(-d), with N the numerators of `_invert`.  In the unit
+    sphere N = x, Q is the norm base and every power of r is 1, so each
+    homogeneous part of degree d keeps its coefficients.  The centers here
+    are integral, so Q is primitive.
+    """
+    n = ctx.dim
+    center, r2 = sphere
+    if any(center) or r2 != 1:
+        nums, q = _invert([Polynomial.var(v) for v in ctx.coords], sphere)
+        bid = ctx.register_base(q)[0]
+    else:
+        nums, bid = None, ctx.norm_base
+    front = Scalar.half_power(r2, n - 2)
+    power = functools.cache(lambda i, a: nums[i] ** a)  # each N_i^a once per call
+    raw = []
+    for poly, fac in e.terms:
+        if any(b != bid or j for b, _, j in fac):
+            raise UnsupportedBase(
+                "a Kelvin transform accepts powers of |x - c|^2 only, the squared "
+                "distance to the center c of its sphere, without logs"
+            )
+        h = fac[0][1] if fac else 0
+        if r2 != 1:
+            poly = poly.scale(front * r2**h)
+        if nums is None:
+            pieces = poly.homogeneous_parts(ctx.coords).items()
+        else:
+            pieces = []
+            for exps, piece in poly.coefficients(ctx.coords).items():
+                for i, a in enumerate(exps):
+                    if a:
+                        piece = piece * power(i, a)
+                pieces.append((sum(exps), piece))
+        raw.extend((piece, ((bid, 2 - n - 2 * d - h, 0),)) for d, piece in pieces)
+    return Expr._from_raw(ctx, raw)
 
 
 def kelvin(e, ctx=None):
@@ -110,96 +186,16 @@ def kelvin(e, ctx=None):
     power is negated.
     """
     ctx = context_of(e, ctx)
-    nb = ctx.norm_base
-    n = ctx.dim
-    raw = []
-    for poly, fac in e.terms:
-        h = 0
-        for b, hh, j in fac:
-            if b != nb or j:
-                raise UnsupportedBase(
-                    "Kelvin transform accepts norm powers only, without logs"
-                )
-            h = hh
-        for d, part in poly.homogeneous_parts(ctx.coords).items():
-            raw.append((part, ((nb, 2 - n - 2 * d - h, 0),)))
-    return Expr._from_raw(ctx, raw)
-
-
-def _phi_numerators(ctx):
-    """(numerators, denominator) of the south-pole inversion.
-
-    The map is (2 x_1, ..., 2 x_(n-1), 1 - ||x||^2 - ... ) over the common
-    denominator ||z - southPole||^2; in split coordinates the denominator
-    is (1 + y)^2 + ||x||^2 and the last numerator is 1 - y^2 - ||x'||^2.
-    """
-    if ctx.dim < 2:
-        raise UnsupportedDimension("the south-pole inversion needs dimension >= 2")
-    last = ctx.coords[-1]
-    firsts = ctx.coords[:-1]
-    den = poly_sum(
-        [Polynomial.var(v, 2) for v in firsts]
-        + [(Polynomial.var(last) + Polynomial.const(1)) ** 2]
-    )
-    nums = [Polynomial.var(v).scale(2) for v in firsts]
-    nums.append(
-        Polynomial.const(1)
-        - Polynomial.var(last, 2)
-        - poly_sum([Polynomial.var(v, 2) for v in firsts])
-    )
-    return nums, den
-
-
-def phi_map(ctx):
-    """Modified inversion through the south pole (0, ..., 0, -1).
-
-    Returns one expression per coordinate; the last one is written as
-    -1 + 2(1 + last)/denominator, matching the split form.
-    """
-    nums, den = _phi_numerators(ctx)
-    inv = Expr.base_power(ctx, den, -2)
-    return tuple(Expr.from_poly(ctx, nm) * inv for nm in nums)
+    return _kelvin(e, ctx, _sphere(UnitSphere(), ctx.dim))
 
 
 def kelvin_h(e, ctx=None):
     """Modified Kelvin transform 2^((n-2)/2) Q^((2-n)/2) u(Phi(z)).
 
-    Q is the squared distance to the south pole.  Polynomials and previous
-    outputs (which carry Q powers) are accepted; the transform composed
-    with itself is the identity.
+    Q is the squared distance to the south pole, and this is the Kelvin
+    transform in the sphere of Phi.  Expressions with powers of Q (such
+    as its own outputs) are accepted; the transform composed with itself
+    is the identity.
     """
     ctx = context_of(e, ctx)
-    n = ctx.dim
-    nums, den = _phi_numerators(ctx)
-    bid, content = ctx.register_base(den)
-    if content != 1:
-        raise AssertionError("south pole base should be primitive")
-    front = Scalar.half_power(2, n - 2)
-    num_for = dict(zip(ctx.coords, nums))
-    powers = {}  # (coordinate, exponent) -> its numerator to that power
-    raw = []
-    for poly, fac in e.terms:
-        h = 0
-        for b, hh, j in fac:
-            if b != bid or j:
-                raise UnsupportedBase(
-                    "modified Kelvin transform accepts powers of the "
-                    "south-pole base only"
-                )
-            h = hh
-        # Q(Phi(z)) = 4/Q exactly, so Q^(h/2) pulls back to 2^h Q^(-h/2)
-        for exps, piece in poly.coefficients(ctx.coords).items():
-            if not piece.is_constant():
-                raise UnsupportedBase(
-                    "modified Kelvin transform works on coordinate polynomials"
-                )
-            for v, exp in zip(ctx.coords, exps):
-                if exp:
-                    pw = powers.get((v, exp))
-                    if pw is None:
-                        pw = powers[v, exp] = num_for[v] ** exp
-                    piece = piece * pw
-            deg = sum(exps)
-            piece = piece.scale(front * Scalar.from_fraction(Fraction(2) ** h))
-            raw.append((piece, ((bid, 2 - n - 2 * deg - h, 0),)))
-    return Expr._from_raw(ctx, raw)
+    return _kelvin(e, ctx, _south_pole(ctx.dim))

@@ -15,6 +15,10 @@ Monomial tuples are read here too: `mono_degree`, the recursive
 `monomials` that `expr.monomials` lists as packed keys, and
 `coefficient`, the lookup of one tuple's coefficient in the blocks.
 
+`phi_numerators` writes the south-pole inversion Phi in closed form, the
+reference for `transforms.phi_map`, which reads it off the one sphere
+reflection.
+
 `canonical_terms` is the earlier canonicalization of `Expr._from_raw`:
 every member of a group is shifted on its own to the group's least base
 powers, and each base is divided out of the whole shifted sum, where
@@ -341,6 +345,28 @@ def fischer_orthonormal(basis, classes, c):
             ortho.append((w, wt, fischer(wt, wt)))
             out[i] = w.scale(scalar_sqrt(c * ortho[-1][2]).inverse())
     return out
+
+
+def phi_numerators(ctx):
+    """(numerators, denominator) of the south-pole inversion.
+
+    The map is (2 x_1, ..., 2 x_(n-1), 1 - ||x||^2) over the common
+    denominator ||x - southPole||^2; in split coordinates the denominator
+    is (1 + y)^2 + ||x'||^2 and the last numerator is 1 - y^2 - ||x'||^2.
+    """
+    last = ctx.coords[-1]
+    firsts = ctx.coords[:-1]
+    den = poly_sum(
+        [Polynomial.var(v, 2) for v in firsts]
+        + [(Polynomial.var(last) + Polynomial.const(1)) ** 2]
+    )
+    nums = [Polynomial.var(v).scale(2) for v in firsts]
+    nums.append(
+        Polynomial.const(1)
+        - Polynomial.var(last, 2)
+        - poly_sum([Polynomial.var(v, 2) for v in firsts])
+    )
+    return nums, den
 
 
 def shift(ctx, poly, fd, mins):

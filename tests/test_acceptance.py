@@ -74,7 +74,6 @@ from harmcalc.transforms import (
     HyperplaneMirror,
     SphereMirror,
     UnitSphere,
-    _phi_numerators,
     kelvin_h,
     phi_map,
     reflect_map,
@@ -576,7 +575,7 @@ def test_criterion_15_transforms():
         assert (val - Expr.from_poly(ctxh, Polynomial.var("y").scale(4)) * inv).is_zero()
 
         # inversion is an involution (numerator identities)
-        nums, den = _phi_numerators(ctxh)
+        nums, den = poly_oracle.phi_numerators(ctxh)
         R = poly_sum([nm * nm for nm in nums[:-1]]) + (nums[-1] + den) ** 2
         for v, nm in zip(ctxh.coords[:-1], nums[:-1]):
             assert nm.scale(2) * den == Polynomial.var(v) * R

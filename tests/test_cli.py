@@ -826,12 +826,65 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         # a zero denominator in a weight reads as it does in an expression
         ("integrate-ball 1 --dim 3 --weight 1/0", "ParseError"),
         ('integrate-ball 1 --dim 3 --weight "r/(1/0 + r)"', "ParseError"),
+        # an empty vector entry is refused, not skipped
+        ("reflect --point 3,,4", "ParseError"),
+        ("eval x1 --dim 2 --at 1,,2", "ParseError"),
+        ("integrate-ellipsoid-volume 1 --dim 2 --b 1,,2", "ParseError"),
+        # a name the output could not show is refused
+        ("basis-h --dim 2 --degree 2 --vars 2,b", "ParseError"),
+        ('homogeneous "x1^2+x2" --dim 2 --about a-1,0 --degree 1', "ParseError"),
+        ('zonal --dim 2 --degree 1 --second-vec "y z"', "ParseError"),
+        ("neumann 1 1 --dim 3", "SolvabilityViolation"),
+        ("neumann 1 1 --dim 3 --region quadratic:1,2,3", "SolvabilityViolation"),
+        ("exterior-neumann x1 --dim 1", "UnsupportedDimension"),
+        ("harmonic-conjugate x1 --dim 3", "UnsupportedDimension"),
+        ("normal-d x1 --dim 2 --surface 3", "ZeroGradientField"),
+        ("poisson-kernel-h --dim 1", "UnsupportedInputError"),
+        ("basis-h --dim 3 --degree 2 --ip torus", "UnsupportedInputError"),
+        ("anti-laplacian x1 --dim 3 --multiple torus", "UnsupportedInputError"),
+        # the modified Kelvin transform reads powers of |x - S|^2, not of ||x||^2
+        ('kelvin-h "x1*norm(x)" --dim 3', "UnsupportedBase"),
+        ('kelvin "log(norm(x))" --dim 3', "UnsupportedBase"),
     ],
 )
 def test_bad_input_is_a_typed_error(line, error):
     payload, code = run(shlex.split(line))
-    assert code == {"ParseError": 2, "InfeasibleSystem": 5}.get(error, 3)
+    assert code == {"ParseError": 2, "SolvabilityViolation": 4, "InfeasibleSystem": 5}.get(error, 3)
     assert payload["type"] == error
+
+
+def test_anti_laplacian_of_the_inverse_square_is_a_log():
+    # the q = -1 case of the radial antiderivative: ||x||^-2 in dimension 3
+    from harmcalc.bvp import Plain, anti_laplacian
+    from harmcalc.calculus import laplacian_of
+    from harmcalc.expr import Context, Expr
+
+    out, code = run(["anti-laplacian", "norm(x)^-2", "--dim", "3"])
+    assert code == 0 and out == "1/2*log(||x||^2)"
+    ctx = Context(3)
+    f = Expr.norm_power(ctx, -2)
+    u = anti_laplacian(f, Plain(), ctx)
+    assert (u - Expr.norm_power(ctx, 0, log_pow=1).scale(Fraction(1, 2))).is_zero()
+    assert (laplacian_of(u, 1, ctx) - f).is_zero()
+
+
+def test_eval_of_the_norm_at_the_origin():
+    out, code = run(["eval", "norm(x)", "--dim", "2", "--at", "0,0"])
+    assert code == 0 and out == "0"
+
+
+def test_annulus_dirichlet_with_a_prescribed_laplacian():
+    from conftest import E, P
+    from harmcalc.calculus import laplacian_of
+    from harmcalc.expr import Context, reduce_poly_on_sphere, restrict_to_sphere
+
+    out, code = run(["dirichlet", "x1", "x2^2", "--dim", "3", "--region", "annulus:1,2", "--rhs", "x3"])
+    assert code == 0
+    ctx = Context(3)
+    u = E(out, ctx)
+    assert (laplacian_of(u, 1, ctx) - E("x3", ctx)).is_zero()
+    assert restrict_to_sphere(u, ctx, radius=1) == P("x1", ctx)
+    assert restrict_to_sphere(u, ctx, radius=2) == reduce_poly_on_sphere(P("x2^2", ctx), ctx.coords, 4)
 
 
 def test_huge_power_of_a_variable_answers():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import poly_oracle
 from conftest import E
 
 from harmcalc.calculus import laplacian_of
@@ -14,7 +15,6 @@ from harmcalc.transforms import (
     HyperplaneMirror,
     SphereMirror,
     UnitSphere,
-    _phi_numerators,
     kelvin,
     kelvin_h,
     phi_map,
@@ -189,11 +189,23 @@ def test_phi_involution(n):
     # 2 N_i D = z_i R and 2 D (N_last + D) - R = z_last R with
     # R = sum N_i^2 + (N_last + D)^2
     ctx = Context(n)
-    nums, den = _phi_numerators(ctx)
+    nums, den = poly_oracle.phi_numerators(ctx)
     R = poly_sum([nm * nm for nm in nums[:-1]]) + (nums[-1] + den) ** 2
     for v, nm in zip(ctx.coords[:-1], nums[:-1]):
         assert nm.scale(2) * den == Polynomial.var(v) * R
     assert (nums[-1] + den).scale(2) * den - R == Polynomial.var(ctx.coords[-1]) * R
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_phi_map_is_the_closed_form(n):
+    # phi_map reads the one sphere reflection; the oracle writes Phi out
+    ctx = Context(n)
+    nums, den = poly_oracle.phi_numerators(ctx)
+    inv = Expr.base_power(ctx, den, -2)
+    got = phi_map(ctx)
+    assert len(got) == n
+    for comp, nm in zip(got, nums):
+        assert (comp - Expr.from_poly(ctx, nm) * inv).is_zero()
 
 
 def test_kelvin_h_split_fixture():
@@ -219,6 +231,21 @@ def test_kelvin_h_involution():
         p = random_polynomial(rng, ctx, max_degree=3, terms=3)
         e = Expr.from_poly(ctx, p)
         assert (kelvin_h(kelvin_h(e, ctx), ctx) - e).is_zero()
+
+
+def test_kelvin_h_involution_with_second_vector():
+    # coefficients in a second point ride along, as they do in `kelvin`
+    ctx = make_context(3, extra_vecs=("y",))
+    vectors = {"y": ("y1", "y2", "y3")}
+    u = E("dot(x,y)*x2 + x1*y1 + x3^2*y2 - 5*y3^2", ctx, vectors=vectors)
+    k = kelvin_h(u, ctx)
+    assert (kelvin_h(k, ctx) - u).is_zero()
+    # the degree-0 part -5 y3^2 pulls back to -5 y3^2 2^(1/2) Q^(-1/2)
+    Q = poly_sum([Polynomial.var(v, 2) for v in ("x1", "x2")]) + (
+        Polynomial.var("x3") + Polynomial.const(1)
+    ) ** 2
+    front = Expr.base_power(ctx, Q, -1).scale(Scalar.sqrt_fraction(2))
+    assert (kelvin_h(E("y3^2", ctx, vectors=vectors), ctx) - front * E("y3^2", ctx)).is_zero()
 
 
 def test_kelvin_h_constant():
