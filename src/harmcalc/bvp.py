@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Expr, Polynomial, context_of, gradient_weight, laplace_weight, poly_sum
+from .expr import Expr, Polynomial, context_of, gradient_weight, horner, laplace_weight, poly_sum
 from .expr import solve_ansatz
 from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
 from .integrate import (
@@ -211,11 +211,9 @@ def _anti_laplacian_norm_multiple(f, ctx):
     diagonal with positive entries, so the solve is a per-piece rescale.
     """
     n = ctx.dim
-    norm = ctx.norm_sq_poly()
-    return poly_sum(
-        norm ** (j + 1) * g.scale(Fraction(1, (2 * j + 2) * (2 * m + 2 * j + n)))
-        for (m, j), g in fischer_parts(f, ctx).items()
-    )
+    parts = fischer_parts(f, ctx).items()
+    scaled = ((j + 1, g.scale(Fraction(1, (2 * j + 2) * (2 * m + 2 * j + n)))) for (m, j), g in parts)
+    return horner(scaled, ctx.norm_sq_poly())
 
 
 def _anti_laplacian_quadratic_multiple(f, quad, ctx):

@@ -54,8 +54,9 @@ def rationals(text):
 
 
 def name(text):
-    """One identifier, as an expression reads it."""
-    if not is_name(text):
+    """One identifier, as an expression reads it, other than pi, which
+    the text output could not tell from the constant."""
+    if not is_name(text) or text == "pi":
         raise argparse.ArgumentTypeError("%r is not a name" % text)
     return text
 

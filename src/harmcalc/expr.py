@@ -14,12 +14,13 @@ B above the least, with the other bases' shifts multiplied in.  While a
 log power or a negative half power remains, B is pulled out so the
 representative is unique.  The sum is L_0 mod B, so B divides it exactly
 when it divides L_0: only L_0 is divided, and its quotient joins L_1.  The
-levels left meet their powers of B once, each later base is pulled from
-that total as a single level, and the result is tested for zero.  Even
-nonnegative base powers with no log factor are expanded into the
-polynomial part.  An Expr sum is one `Expr._from_raw` call over all the
-raw terms: canonical form is unique, so canonicalizing once gives what a
-fold of `+` would.
+levels left meet B by Horner's rule (`horner`, which also folds in the
+other bases' shifts), each later base is pulled from that total as a
+single level, and the result is tested for zero.  Even nonnegative base
+powers with no log factor end in the polynomial part: a base outside the
+group's signature starts at most at power 0, so they ride the shifts.  An
+Expr sum is one `Expr._from_raw` call over all the raw terms: canonical
+form is unique, so canonicalizing once gives what a fold of `+` would.
 
 A Polynomial stores one block per Scalar signature (radicand, pi
 half-exponent, logs): integer numerators over one common denominator, in
@@ -711,6 +712,25 @@ def poly_sum(ps):
     return lone if lone is not None else Polynomial()
 
 
+def horner(pairs, base):
+    """The sum of p * base^s over the (s, p) pairs, s >= 0, by Horner's rule.
+
+    The polynomials at one s are summed first.  From the top level down,
+    the running total is multiplied by base itself and the next level is
+    added, so no whole power of base is formed; `check_power` refuses what
+    base ** top would refuse, before the first product.
+    """
+    levels = {}
+    for s, p in pairs:
+        levels.setdefault(s, []).append(p)
+    top = max(levels, default=0)
+    check_power(top, _power_blocks((base,)), (base.total_degree(), len(base.variables())))
+    total = poly_sum(levels.get(top, ()))
+    for s in range(top - 1, -1, -1):
+        total = poly_sum((total * base, *levels.get(s, ())))
+    return total
+
+
 def paired_rows(lay, groups, constants, names):
     """(rows, rhs) of sum_j x_j image_j = constants, integer rows for `linalg.solve`.
 
@@ -815,7 +835,7 @@ class Context:
         self._bases = []
         self._base_index = {}
         self._registry_lock = threading.Lock()
-        self._base_powers = {}
+        # two threads may both compute a missing derivative; they store equal values
         self._base_derivatives = {}
         self.norm_base = self.register_base(self.norm_sq_poly())[0]
 
@@ -836,15 +856,9 @@ class Context:
                 self._base_index[prim] = bid
         return bid, content
 
-    def base_poly(self, bid, k=1):
-        """The registered base `bid` to the power k, memoized on this Context."""
-        if k == 1:
-            return self._bases[bid]
-        power = self._base_powers.get((bid, k))
-        if power is None:
-            # two threads may both compute a missing power; they store equal values
-            power = self._base_powers[bid, k] = self._bases[bid] ** k
-        return power
+    def base_poly(self, bid):
+        """The registered base `bid`, as stored: primitive."""
+        return self._bases[bid]
 
     def base_laplacian(self, bid):
         """The Laplacian of base `bid` in the coordinates, memoized on this Context."""
@@ -948,37 +962,37 @@ class Expr:
             for b, h, j in fac:
                 h0, j0 = fd.get(b, (0, 0))
                 fd[b] = (h0 + h, j0 + j)
-            nf = []
-            for b, (h, j) in fd.items():
-                if h == 0 and j == 0:
-                    continue
-                if j == 0 and h > 0 and h % 2 == 0:
-                    poly = poly * ctx.base_poly(b, h // 2)
-                else:
-                    nf.append((b, h, j))
-            sig = tuple(sorted((b, h & 1, j) for b, h, j in nf if (h & 1, j) != (0, 0)))
-            groups.setdefault(sig, []).append((poly, {b: (h, j) for b, h, j in nf}))
+            fd = {b: hj for b, hj in fd.items() if hj != (0, 0)}
+            sig = tuple(sorted((b, h & 1, j) for b, (h, j) in fd.items() if (h & 1, j) != (0, 0)))
+            groups.setdefault(sig, []).append((poly, fd))
 
         out_terms = []
         for sig, members in sorted(groups.items()):
-            bases = sorted({b for _, fd in members for b in fd})
+            inside = {b for b, _, _ in sig}
             # a member without b has b^0; log powers agree within a group
-            half = [min(fd.get(b, (0, 0))[0] for _, fd in members) for b in bases]
+            ids = {b for _, fd in members for b in fd}
+            low = {b: min(fd.get(b, (0, 0))[0] for _, fd in members) for b in ids}
+            # a base outside the signature (even powers, no log) starts at
+            # most at b^0, so its positive powers ride the shifts.  Starting
+            # at b^0 it is never pulled: it comes last, and its shifts fold
+            # into the levels of a base that may be
+            bases = sorted(low, key=lambda b: (b not in inside and low[b] >= 0, b))
+            half = [low[b] if b in inside else min(low[b], 0) for b in bases]
             logs = [max(fd.get(b, (0, 0))[1] for _, fd in members) for b in bases]
-            # members at one shift vector (powers of the bases over the
-            # least half powers) are summed first; the shifts of every base
-            # but the first are multiplied in, and the first base's shift s
-            # files each sum under its level L_s
-            shifts = {}
+            # each member's shift vector holds the powers of the bases over
+            # the least half powers.  Horner's rule folds in the shifts of
+            # every base but the first, the last base first, and the first
+            # base's shift s files each sum under its level L_s
+            pairs = []
             for poly, fd in members:
-                key = tuple((fd.get(b, (0, 0))[0] - h) // 2 for b, h in zip(bases, half))
-                shifts.setdefault(key, []).append(poly)
+                pairs.append((tuple((fd.get(b, (0, 0))[0] - h) // 2 for b, h in zip(bases, half)), poly))
+            for b in reversed(bases[1:]):
+                outer = {}
+                for key, poly in pairs:
+                    outer.setdefault(key[:-1], []).append((key[-1], poly))
+                pairs = [(key, horner(polys, ctx.base_poly(b))) for key, polys in outer.items()]
             by_level = {}
-            for key, polys in shifts.items():
-                poly = poly_sum(polys)
-                for b, s in zip(bases[1:], key[1:]):
-                    if s:
-                        poly = poly * ctx.base_poly(b, s)
+            for key, poly in pairs:
                 by_level.setdefault(key[0] if key else 0, []).append(poly)
             levels = [poly_sum(by_level.get(s, ())) for s in range(max(by_level) + 1)]
             total = levels[0]
@@ -998,8 +1012,8 @@ class Expr:
                         break
                     levels = [q + levels[1], *levels[2:]] if len(levels) > 1 else [q]
                     half[i] += 2
-                # the levels left meet their base powers only now
-                total = poly_sum(p * ctx.base_poly(b, s) if s else p for s, p in enumerate(levels))
+                # the levels left meet their base only now, by Horner's rule
+                total = horner(enumerate(levels), ctx.base_poly(b))
                 # an even half power with no log ends at most at 0, where
                 # the base leaves the term
                 if half[i] or logs[i]:
@@ -1147,7 +1161,7 @@ def reduce_poly_on_sphere(poly, names, radius_sq=1):
     last = names[-1]
     rest = Polynomial.const(_as_fraction(radius_sq)) - poly_sum(Polynomial.var(v, 2) for v in names[:-1])
     parts = poly.coefficients((last,)).items()
-    return poly_sum(c * Polynomial.var(last, e % 2) * rest ** (e // 2) for (e,), c in parts)
+    return horner(((e // 2, c * Polynomial.var(last, e % 2)) for (e,), c in parts), rest)
 
 
 def restrict_to_sphere(e, ctx=None, radius=1):

@@ -38,6 +38,7 @@ from .expr import (
     _stride,
     _Sum,
     dot_poly,
+    horner,
     laplace_weight,
     monomials,
     poly_sum,
@@ -73,7 +74,7 @@ def _decompose_homogeneous(p, k, ctx):
         j = i + 1
         # Laplacian of ||x||^(2j) h_m is 2j(2m + n + 2j - 2) ||x||^(2j-2) h_m
         out[j] = g.scale(Fraction(1, 2 * j * (2 * k - 2 * j + n - 2)))
-    out[0] = p - poly_sum(ctx.base_poly(ctx.norm_base, j) * h for j, h in out.items())
+    out[0] = p - horner(out.items(), ctx.base_poly(ctx.norm_base))
     return {j: h for j, h in out.items() if not h.is_zero()}
 
 

@@ -374,7 +374,7 @@ def shift(ctx, poly, fd, mins):
     for b, low in mins.items():
         k = (fd.get(b, (0, 0))[0] - low) // 2
         if k:
-            poly = poly * ctx.base_poly(b, k)
+            poly = poly * ctx.base_poly(b) ** k
     return poly
 
 
@@ -396,7 +396,7 @@ def canonical_terms(ctx, raw):
         for b, (h, j) in list(fd.items()):
             if j == 0 and h >= 0 and h % 2 == 0:
                 if h:
-                    poly = poly * ctx.base_poly(b, h // 2)
+                    poly = poly * ctx.base_poly(b) ** (h // 2)
                 del fd[b]
         sig = tuple(sorted((b, h & 1, j) for b, (h, j) in fd.items() if (h & 1, j) != (0, 0)))
         groups.setdefault(sig, []).append((poly, fd))
@@ -419,7 +419,7 @@ def canonical_terms(ctx, raw):
             h, j = mins[b], logs[b]
             if j == 0 and h >= 0 and h % 2 == 0:
                 if h:
-                    tot = tot * ctx.base_poly(b, h // 2)
+                    tot = tot * ctx.base_poly(b) ** (h // 2)
             else:
                 factors.append((b, h, j))
         out.append((tot, tuple(factors)))

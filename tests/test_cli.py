@@ -834,6 +834,7 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ("basis-h --dim 2 --degree 2 --vars 2,b", "ParseError"),
         ('homogeneous "x1^2+x2" --dim 2 --about a-1,0 --degree 1', "ParseError"),
         ('zonal --dim 2 --degree 1 --second-vec "y z"', "ParseError"),
+        ('laplacian "pi^3" --dim 2 --vars pi,b', "ParseError"),
         ("neumann 1 1 --dim 3", "SolvabilityViolation"),
         ("neumann 1 1 --dim 3 --region quadratic:1,2,3", "SolvabilityViolation"),
         ("exterior-neumann x1 --dim 1", "UnsupportedDimension"),

@@ -6,13 +6,15 @@ import pytest
 import poly_oracle
 from conftest import E, P, random_norm_expr, random_polynomial, rational_sphere_point
 
-from harmcalc.errors import NegativeBaseValue, UnsupportedBase, ZeroBaseValue
+from harmcalc.errors import NegativeBaseValue, UnsupportedBase, UnsupportedInputError, ZeroBaseValue
 from harmcalc.expr import (
     Context,
     Expr,
     Polynomial,
     eval_expr,
+    horner,
     make_context,
+    poly_sum,
     reduce_poly_on_sphere,
     restrict_to_sphere,
     substitute_norm_radius,
@@ -261,6 +263,16 @@ def test_grouped_shifts_match_per_member_shifts():
                 raw.append((-poly, tuple(fac)))
         check(raw)
 
+    # a third base: two later bases' shifts are folded in, the last first
+    third, _ = ctx.register_base(P("x2*x3 - y2 + 1", ctx))
+    for _ in range(40):
+        raw = []
+        for _ in range(rng.randrange(1, 9)):
+            fac = [(b, rng.choice((-5, -3, -2, 1, 2, 4)), rng.choice((0, 0, 1))) for b in (nb, other, third)]
+            poly = random_polynomial(rng, ctx, max_degree=2, terms=2)
+            raw.append((poly, tuple(rng.sample(fac, rng.randrange(4)))))
+        check(raw)
+
 
 def test_level_pull_out_matches_the_oracle():
     """`_from_raw` divides only the lowest level of sum_s L_s B^s by the
@@ -278,7 +290,7 @@ def test_level_pull_out_matches_the_oracle():
         # a multiple of a base power, so the pulls have something to find
         poly = random_polynomial(rng, ctx, max_degree=2, terms=2)
         k = rng.randrange(3)
-        return poly * ctx.base_poly(b, k) if k and not poly.is_zero() else poly
+        return poly * ctx.base_poly(b) ** k if k and not poly.is_zero() else poly
 
     def check(raw):
         got = Expr._from_raw(ctx, raw)
@@ -328,6 +340,74 @@ def test_level_pull_out_matches_the_oracle():
     assert got.terms == ((x2, ((nb, -2, 0),)),)
     got = check([(x1, ((nb, -5, 1),)), (-x1 * norm, ((nb, -7, 1),)), (x2 * norm, ((nb, -3, 1),))])
     assert got.terms == ((x2, ((nb, -1, 1),)),)
+    # every member carries a base outside the signature at a positive even
+    # half power with no log: it starts from b^0 and its powers ride the shifts
+    q = ctx.base_poly(other)
+    got = check([(x1, ((nb, -3, 1), (other, 2, 0))), (x2 * norm, ((nb, -5, 1), (other, 4, 0)))])
+    assert got.terms == ((x1 * q + x2 * q * q, ((nb, -3, 1),)),)
+    got = check([(x1, ((nb, 2, 0), (other, 1, 0))), (x2, ((nb, 4, 0), (other, -1, 0)))])
+    assert got.terms == ((x1 * norm * q + x2 * norm * norm, ((other, -1, 0),)),)
+
+
+def test_a_base_outside_the_signature_comes_last(monkeypatch):
+    """The norm base, at positive even half powers with no log, is never
+    pulled, so it does not take the first place from the base that is:
+    that base divides only its lowest level, b Q^6 ||x||^2 here, and
+    never the whole total."""
+    ctx = Context(3)
+    nb = ctx.norm_base
+    q, _ = ctx.register_base(P("x1^2 + 2*x2^2 + 3*x3 + 5", ctx))
+    big_q, norm = ctx.base_poly(q), ctx.base_poly(nb)
+    a, b = P("x1^3*x2 - 2*x3^2 + 7*x1", ctx), P("x2^4 + x1*x3 - 3", ctx)
+    raw = [
+        (a * big_q**4, ((nb, 4, 0), (q, -9, 1))),
+        (b * big_q**6, ((nb, 2, 0), (q, -11, 1))),
+        (a * b * big_q**5, ((nb, 6, 0), (q, -9, 1))),
+    ]
+    dividends = []
+    divide_exact = Polynomial.divide_exact
+
+    def recorded(self, divisor, rank):
+        dividends.append(self)
+        return divide_exact(self, divisor, rank)
+
+    monkeypatch.setattr(Polynomial, "divide_exact", recorded)
+    got = Expr._from_raw(ctx, raw)
+    assert got.terms == poly_oracle.canonical_terms(ctx, raw)
+    assert [f for _, f in got.terms] == [((q, -1, 1),)]
+    assert dividends[0] == b * big_q**6 * norm
+
+
+def test_horner_is_the_sum_of_whole_powers():
+    """`horner` gives the naive sum of p * B^s: with gaps in s, a repeated
+    s (here cancelling a level), an empty input and s = 0 only."""
+    ctx = Context(3)
+    base = P("x1^2 + 2*x2*x3 - 3", ctx)
+    x1, x2, x3 = (Polynomial.var(v) for v in ctx.coords)
+    sqrt2 = Polynomial.const(Scalar.sqrt_int(2))
+    cases = [
+        [(0, x1), (3, x2 * sqrt2), (7, x1 * x3 - 1)],
+        [(2, x1), (5, x2), (2, x3), (2, -x1), (0, x2 * x3)],
+        [(4, x1), (4, -x1), (1, x3)],
+        [],
+        [(0, x1 + x2)],
+        [(0, x1), (0, x3 * sqrt2)],
+    ]
+    for pairs in cases:
+        assert horner(pairs, base) == poly_sum(p * base**s for s, p in pairs)
+    assert horner([(3, x1)], Polynomial.const(F(2, 3))) == x1 * F(8, 27)
+    assert horner([(0, x1), (2, x2)], Polynomial()) == x1
+
+
+def test_horner_refuses_what_the_whole_power_refuses():
+    """Past the size or height bound `horner` raises what `B ** top` raises, before any product."""
+    ctx = Context(2)
+    for base, top in ((ctx.norm_sq_poly(), 10000), (P("3^4000*x1 + 1", ctx), 300)):
+        with pytest.raises(UnsupportedInputError) as whole:
+            base**top
+        with pytest.raises(UnsupportedInputError) as folded:
+            horner([(0, Polynomial.var("x1")), (top, Polynomial.const(1))], base)
+        assert str(folded.value) == str(whole.value)
 
 
 def test_kelvin_round_trip_in_dimension_5_pulls_six_times(monkeypatch):
