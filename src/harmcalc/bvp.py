@@ -55,7 +55,7 @@ from .integrate import (
     Quadratic,
     RadialFunction,
 )
-from .scalar import Scalar
+from .scalar import MAX_POWER_SIZE, Scalar
 from .transforms import kelvin
 
 # ---------------------------------------------------------------------------
@@ -117,44 +117,46 @@ def _quadric_multiple(q, f, degrees, ctx):
 # anti-Laplacians
 
 
-def _antideriv_power_log(coeff, q, k):
-    """Antiderivative of coeff * s^q log^k s with zero constant term.
+def _first_order_solve(p, g):
+    """The polynomial Q with 2Q' + gQ = P; both are coefficient lists by power.
 
-    Returns a list of (coeff, exponent, log power) triples.  For q != -1
-    this also equals the integral from 0 when that converges.
+    One downward pass: q_j = (p_j - 2(j+1) q_(j+1))/g.  For g = 0, Q is
+    the antiderivative of P/2 with constant term 0.
     """
-    if q == -1:
-        return [(coeff * Fraction(1, k + 1), 0, k + 1)]
-    out = []
-    fall = Fraction(1)
-    for i in range(k + 1):
-        c = coeff * fall * Fraction((-1) ** i, (q + 1) ** (i + 1))
-        out.append((c, q + 1, k - i))
-        fall *= k - i
-    return out
+    if g == 0:
+        return [0] + [Fraction(c, 2 * j + 2) for j, c in enumerate(p)]
+    q = list(p)
+    nxt = 0
+    for j in reversed(range(len(p))):
+        q[j] = nxt = Fraction(p[j] - (2 * j + 2) * nxt, g)
+    return q
 
 
 def _radial_ode_solution(m, a, k, ctx):
-    """Closed form h with laplacian of h(||x||) q_m = r^a log^k r q_m.
+    """L with laplacian of r^(a+2) L(log r^2) q_m = r^a log^k(r^2) q_m, r = ||x||.
 
-    Solves t h'' + (2m + n - 1) h' = t^(a+1) log^k t by two symbolic
-    antiderivative passes; any admissible constant choices differ from this
-    one by a harmonic function, so the defining contract is unaffected.
-    Returns (coeff, exponent, log power) triples, like terms combined.
+    With u = log r^2 and D = d/du the radial equation reads
+    (2D + a + 2)(2D + a + 2m + n) L = u^k: two first-order solves, the
+    factor a + 2m + n first.  Any other solution differs from this one by
+    a harmonic function, so the defining contract is unaffected.  Returns
+    L's coefficients by power of u.  One whose estimated size, k + 1
+    coefficients of about k bits(k) + (k+1) bits(g) bits, would pass
+    MAX_POWER_SIZE << 4 bits is refused before it is computed.
     """
-    n = ctx.dim
-    out = {}
-    for c, e, kk in _antideriv_power_log(Fraction(1), 2 * m + n - 1 + a, k):
-        for c2, e2, k2 in _antideriv_power_log(c, e + 1 - 2 * m - n, kk):
-            out[e2, k2] = out.get((e2, k2), 0) + c2
-    return [(c, e, kk) for (e, kk), c in out.items() if c]
+    g1, g2 = a + 2 * m + ctx.dim, a + 2
+    bits = k * k.bit_length() + (k + 1) * max(abs(g1), abs(g2)).bit_length()
+    if (k + 1) * bits > MAX_POWER_SIZE << 4:
+        raise UnsupportedInputError(
+            "the anti-Laplacian of log(||x||^2)^%d would pass %d bits" % (k, MAX_POWER_SIZE << 4)
+        )
+    return _first_order_solve(_first_order_solve([0] * k + [1], g1), g2)
 
 
 def _fold_radial_terms(e, ctx):
     """Split an Expr into (polynomial part, radial terms).
 
     Radial terms are (coefficient polynomial, norm exponent a, log power k)
-    meaning poly * ||x||^a * log^k ||x||.  Bases other than the norm are
+    meaning poly * ||x||^a * log^k(||x||^2).  Bases other than the norm are
     rejected.
     """
     nb = ctx.norm_base
@@ -195,12 +197,11 @@ def _anti_laplacian_plain(f, ctx):
     raw = [(first_coordinate_series(poly_part.integrate(first).integrate(first), ctx), ())]
     nb = ctx.norm_base
     for poly, h, k in radial:
-        # a piece ||x||^(2j) g of the decomposition is g times r^(h + 2j) log^k;
-        # log(normSq)^k = (2 log r)^k
+        # a piece ||x||^(2j) g of the decomposition is g times r^(h + 2j) log^k(r^2)
         for (m, j), g in fischer_parts(poly, ctx).items():
-            for c, e, kk in _radial_ode_solution(m, h + 2 * j, k, ctx):
-                coeff = Scalar.from_fraction(c * Fraction(2**k) / Fraction(2**kk))
-                raw.append((g.scale(coeff), ((nb, e, kk),)))
+            a = h + 2 * j
+            for i, c in enumerate(_radial_ode_solution(m, a, k, ctx)):
+                raw.append((g.scale(c), ((nb, a + 2, i),)))
     return Expr._from_raw(ctx, raw)
 
 
@@ -208,11 +209,11 @@ def _anti_laplacian_norm_multiple(f, ctx):
     """The unique anti-Laplacian that is a polynomial multiple of ||x||^2.
 
     In the decomposition basis the map v -> laplacian(||x||^2 v) is
-    diagonal with positive entries, so the solve is a per-piece rescale.
+    diagonal with positive entries, so the solve is a per-piece rescale:
+    the radial solve at log power 0.
     """
-    n = ctx.dim
     parts = fischer_parts(f, ctx).items()
-    scaled = ((j + 1, g.scale(Fraction(1, (2 * j + 2) * (2 * m + 2 * j + n)))) for (m, j), g in parts)
+    scaled = ((j + 1, g.scale(_radial_ode_solution(m, 2 * j, 0, ctx)[0])) for (m, j), g in parts)
     return horner(scaled, ctx.norm_sq_poly())
 
 

@@ -50,7 +50,6 @@ Comp. 2011).  An exact quotient is unique, so the order does not matter.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -834,8 +833,6 @@ class Context:
         self.var_rank = {v: i for i, v in enumerate(coords + extra)}
         self._bases = []
         self._base_index = {}
-        self._registry_lock = threading.Lock()
-        # two threads may both compute a missing derivative; they store equal values
         self._base_derivatives = {}
         self.norm_base = self.register_base(self.norm_sq_poly())[0]
 
@@ -848,12 +845,11 @@ class Context:
         if poly.is_constant():
             raise UnsupportedBase("constant polynomials cannot be bases")
         content, prim = poly.content_primitive(self.var_rank)
-        with self._registry_lock:
-            bid = self._base_index.get(prim)
-            if bid is None:
-                bid = len(self._bases)
-                self._bases.append(prim)
-                self._base_index[prim] = bid
+        bid = self._base_index.get(prim)
+        if bid is None:
+            bid = len(self._bases)
+            self._bases.append(prim)
+            self._base_index[prim] = bid
         return bid, content
 
     def base_poly(self, bid):

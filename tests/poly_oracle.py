@@ -23,6 +23,11 @@ reflection.
 every member of a group is shifted on its own to the group's least base
 powers, and each base is divided out of the whole shifted sum, where
 `Expr._from_raw` divides only the lowest level of the sum.
+
+`radial_ode_solution` is the earlier radial solve of the anti-Laplacian:
+two symbolic antiderivative passes in t = ||x|| and every pair of their
+terms, where `bvp._radial_ode_solution` solves two first-order equations
+in u = log ||x||^2 on coefficient lists.
 """
 
 import heapq
@@ -424,3 +429,36 @@ def canonical_terms(ctx, raw):
                 factors.append((b, h, j))
         out.append((tot, tuple(factors)))
     return tuple(sorted(out, key=lambda t: t[1]))
+
+
+def _antideriv_power_log(coeff, q, k):
+    """Antiderivative of coeff * s^q log^k s with zero constant term.
+
+    Returns a list of (coeff, exponent, log power) triples.  For q != -1
+    this also equals the integral from 0 when that converges.
+    """
+    if q == -1:
+        return [(coeff * Fraction(1, k + 1), 0, k + 1)]
+    out = []
+    fall = Fraction(1)
+    for i in range(k + 1):
+        c = coeff * fall * Fraction((-1) ** i, (q + 1) ** (i + 1))
+        out.append((c, q + 1, k - i))
+        fall *= k - i
+    return out
+
+
+def radial_ode_solution(m, a, k, ctx):
+    """Closed form h with laplacian of h(||x||) q_m = r^a log^k r q_m.
+
+    Solves t h'' + (2m + n - 1) h' = t^(a+1) log^k t by two symbolic
+    antiderivative passes; any admissible constant choices differ from this
+    one by a harmonic function, so the defining contract is unaffected.
+    Returns (coeff, exponent, log power) triples, like terms combined.
+    """
+    n = ctx.dim
+    out = {}
+    for c, e, kk in _antideriv_power_log(Fraction(1), 2 * m + n - 1 + a, k):
+        for c2, e2, k2 in _antideriv_power_log(c, e + 1 - 2 * m - n, kk):
+            out[e2, k2] = out.get((e2, k2), 0) + c2
+    return [(c, e, kk) for (e, kk), c in out.items() if c]

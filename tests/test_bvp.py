@@ -268,6 +268,38 @@ def test_anti_laplacian_radial_log(ctx5, radial_solve_count):
     assert (laplacian_of(u, 1, ctx5) - f).is_zero()
 
 
+def test_radial_solve_matches_the_antiderivative_passes():
+    # every resonance: a + 2 = 0, a + 2m + n = 0, both (n = 2, m = 0, a = -2),
+    # and equal factors (n = 2, m = 0)
+    for n in range(2, 7):
+        ctx = Context(n)
+        for m in range(4):
+            for a in range(-2 * m - n - 1, 5):
+                for k in range(7):
+                    # the oracle's h(r) = r^(a+2) L(log r^2), with log^kk r = (log r^2)^kk / 2^kk
+                    terms = poly_oracle.radial_ode_solution(m, a, k, ctx)
+                    assert {e for _, e, _ in terms} == {a + 2}
+                    by_power = {kk: c * 2**k / 2**kk for c, _, kk in terms}
+                    expected = [by_power.get(i, 0) for i in range(max(by_power) + 1)]
+                    assert bvp._radial_ode_solution(m, a, k, ctx) == expected
+
+
+def test_norm_multiple_factor_is_the_radial_solve_at_log_power_0():
+    for n in range(1, 7):
+        ctx = Context(n)
+        for m in range(5):
+            for j in range(5):
+                assert bvp._radial_ode_solution(m, 2 * j, 0, ctx) == [F(1, (2 * j + 2) * (2 * m + 2 * j + n))]
+
+
+def test_radial_solve_size_bound():
+    # log(||x||^2)^2000 is solved in dimension 3; 2200 would pass the bound
+    ctx = Context(3)
+    assert len(bvp._radial_ode_solution(0, 0, 2000, ctx)) == 2001
+    with pytest.raises(UnsupportedInputError):
+        bvp._radial_ode_solution(0, 0, 2200, ctx)
+
+
 def test_anti_laplacian_radial_log10(ctx5):
     f = E("x1^2*x2", ctx5) * Expr.norm_power(ctx5, 0, log_pow=10).scale(
         Scalar.from_fraction(F(1, 1024))

@@ -820,6 +820,8 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ('laplacian "log(norm(x))^%s" --dim 2' % ("9" * 40), "UnsupportedInputError"),
         # a power whose result would pass MAX_POWER_SIZE is refused before it is computed
         ('laplacian "norm(x)^20000" --dim 2', "UnsupportedInputError"),
+        # so is a radial anti-Laplacian whose coefficients would pass MAX_POWER_SIZE << 4 bits
+        ('anti-laplacian "log(norm(x))^20000" --dim 3', "UnsupportedInputError"),
         # a radial integral past MAX_POWER_BITS is refused before it is computed
         ("integrate-ball 1 --dim 3 --weight log(r)^200000", "UnsupportedInputError"),
         ("integrate-ball 1 --dim 3 --weight log(r)^600000", "UnsupportedInputError"),
