@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedRadialClass,
 )
 from .expr import Expr, Polynomial, context_of, gradient_weight, horner, laplace_weight, poly_sum
-from .expr import solve_ansatz
+from .expr import _power_blocks, solve_ansatz
 from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -132,6 +132,16 @@ def _first_order_solve(p, g):
     return q
 
 
+# the bound on the estimated size in bits of a radial anti-Laplacian
+MAX_RADIAL_SIZE = MAX_POWER_SIZE << 4
+
+
+def _radial_bits(m, a, k, ctx):
+    """About the bits of one coefficient of `_radial_ode_solution(m, a, k, ctx)`:
+    k bits(k) + (k+1) bits(g), g the larger of |a + 2m + n| and |a + 2|."""
+    return k * k.bit_length() + (k + 1) * max(abs(a + 2 * m + ctx.dim), abs(a + 2)).bit_length()
+
+
 def _radial_ode_solution(m, a, k, ctx):
     """L with laplacian of r^(a+2) L(log r^2) q_m = r^a log^k(r^2) q_m, r = ||x||.
 
@@ -139,17 +149,15 @@ def _radial_ode_solution(m, a, k, ctx):
     (2D + a + 2)(2D + a + 2m + n) L = u^k: two first-order solves, the
     factor a + 2m + n first.  Any other solution differs from this one by
     a harmonic function, so the defining contract is unaffected.  Returns
-    L's coefficients by power of u.  One whose estimated size, k + 1
-    coefficients of about k bits(k) + (k+1) bits(g) bits, would pass
-    MAX_POWER_SIZE << 4 bits is refused before it is computed.
+    L's coefficients by power of u.  One whose k + 1 coefficients of
+    `_radial_bits` bits would pass MAX_RADIAL_SIZE bits is refused before
+    it is computed.
     """
-    g1, g2 = a + 2 * m + ctx.dim, a + 2
-    bits = k * k.bit_length() + (k + 1) * max(abs(g1), abs(g2)).bit_length()
-    if (k + 1) * bits > MAX_POWER_SIZE << 4:
+    if (k + 1) * _radial_bits(m, a, k, ctx) > MAX_RADIAL_SIZE:
         raise UnsupportedInputError(
-            "the anti-Laplacian of log(||x||^2)^%d would pass %d bits" % (k, MAX_POWER_SIZE << 4)
+            "the anti-Laplacian of log(||x||^2)^%d would pass %d bits" % (k, MAX_RADIAL_SIZE)
         )
-    return _first_order_solve(_first_order_solve([0] * k + [1], g1), g2)
+    return _first_order_solve(_first_order_solve([0] * k + [1], a + 2 * m + ctx.dim), a + 2)
 
 
 def _fold_radial_terms(e, ctx):
@@ -196,12 +204,20 @@ def _anti_laplacian_plain(f, ctx):
     first = ctx.coords[0]
     raw = [(first_coordinate_series(poly_part.integrate(first).integrate(first), ctx), ())]
     nb = ctx.norm_base
-    for poly, h, k in radial:
-        # a piece ||x||^(2j) g of the decomposition is g times r^(h + 2j) log^k(r^2)
-        for (m, j), g in fischer_parts(poly, ctx).items():
-            a = h + 2 * j
-            for i, c in enumerate(_radial_ode_solution(m, a, k, ctx)):
-                raw.append((g.scale(c), ((nb, a + 2, i),)))
+    # a piece ||x||^(2j) g of the decomposition is g times r^(h + 2j) log^k(r^2)
+    pieces = [(g, m, h + 2 * j, k) for poly, h, k in radial for (m, j), g in fischer_parts(poly, ctx).items()]
+    # the answer holds k + 1 multiples c g of each piece: refuse it before
+    # any solve when their terms times coefficient bits would pass the bound
+    size = 0
+    for g, m, a, k in pieces:
+        bits = _radial_bits(m, a, k, ctx)
+        for den, _, nums in _power_blocks((g,)):
+            size += (k + 1) * sum(bits + den.bit_length() + n.bit_length() for n in nums)
+    if size > MAX_RADIAL_SIZE:
+        raise UnsupportedInputError("the anti-Laplacian would pass %d bits" % MAX_RADIAL_SIZE)
+    for g, m, a, k in pieces:
+        for i, c in enumerate(_radial_ode_solution(m, a, k, ctx)):
+            raw.append((g.scale(c), ((nb, a + 2, i),)))
     return Expr._from_raw(ctx, raw)
 
 

@@ -13,9 +13,15 @@ P * prod_b F_b(B_b) with F_b = B_b^(h/2) * log(B_b)^j.  Then
                     + 2 P sum_(b < c) F_b' F_c' (grad B_b . grad B_c) prod_(others) F,
 
 where F' = (h/2) B^((h-2)/2) log(B)^j + j B^((h-2)/2) log(B)^(j-1), and F''
-is that rule applied twice.  Delta B_b and grad B_b . grad B_c are memoized
-on the Context, so a term costs a few polynomial products, not a product
-rule per coordinate.  First derivatives use the termwise product rule.
+is that rule applied twice.  Delta B_b, grad B_b . grad B_c and the
+quotient G_b = |grad B_b|^2 / B_b, where B_b divides it (4 for the norm,
+4|y|^2 for the Poisson base 1 - 2x.y + |x|^2|y|^2, 4 for |x - c|^2), are
+memoized on the Context, so a term costs a few polynomial products, not a
+product rule per coordinate.  With G_b, a piece c B^(h/2) log(B)^j of F''
+whose B the canonical form would pull out (j > 0 or h < 0) is written
+c P G_b B^((h+2)/2) log(B)^j, so `Expr._from_raw` has no division by B
+left to do; the other pieces, which keep their power there, keep
+P |grad B_b|^2.  First derivatives use the termwise product rule.
 """
 
 from __future__ import annotations
@@ -90,7 +96,10 @@ def _derivative(pieces):
 
 
 def _laplacian_raw(ctx, poly, fac):
-    """Raw terms of the Laplacian of poly * prod fac, by the closed form above."""
+    """Raw terms of the Laplacian of poly * prod fac, by the closed form above.
+
+    Each product P |grad B|^2 or P G is formed only if a piece of F'' uses it.
+    """
     coords = ctx.coords
     raw = [(poly.laplacian(coords), fac)]
     firsts = [_derivative([(1, h, j)]) for _, h, j in fac]
@@ -104,8 +113,15 @@ def _laplacian_raw(ctx, poly, fac):
     for i, (b, _, _) in enumerate(fac):
         first = poly.gradient_dot(ctx.base_poly(b), coords).scale(2) + poly * ctx.base_laplacian(b)
         raw.extend((first.scale(c), put((i, h, j))) for c, h, j in firsts[i])
-        second = poly * ctx.base_gradient_dot(b, b)
-        raw.extend((second.scale(c), put((i, h, j))) for c, h, j in _derivative(firsts[i]))
+        # with |grad B|^2 = G B, a piece _from_raw would pull B from (a log or
+        # a negative power) is P G one power of B up; the others keep P |grad B|^2
+        quotient = ctx.base_gradient_quotient(b)
+        seconds = {}
+        for c, h, j in _derivative(firsts[i]):
+            up = quotient is not None and (j > 0 or h < 0)
+            if up not in seconds:
+                seconds[up] = poly * (quotient if up else ctx.base_gradient_dot(b, b))
+            raw.append((seconds[up].scale(c), put((i, h + 2 * up, j))))
         for k in range(i + 1, len(fac)):
             cross = poly * ctx.base_gradient_dot(b, fac[k][0])
             for c1, h1, j1 in firsts[i]:

@@ -247,9 +247,16 @@ def gradient_weight(a, b):
 def _second_order(nums, lay, names, ka, weight):
     """{key: int}: the sum over terms n x^b of nums and v in names of
     weight(a_v, b_v) n x^(a + b - 2 e_v), x^a packed in ka and keys in lay,
-    which holds a + b.  The weight vanishes unless a_v + b_v >= 2."""
+    which holds a + b.  The weight vanishes unless a_v + b_v >= 2; with
+    `gradient_weight` it vanishes where a_v = 0, so only the variables of
+    x^a are visited, and a constant x^a gives {} at once."""
     mask = lay.mask
     fields = [(lay.shift[v], 2 * lay.unit[v], (ka >> lay.shift[v]) & mask) for v in names if v in lay.shift]
+    if weight is gradient_weight:
+        # a_v b_v vanishes where x^a has no v: a constant x^a meets nothing
+        fields = [f for f in fields if f[2]]
+        if not fields:
+            return {}
     out = {}
     get = out.get
     for kb, n in nums.items():
@@ -833,6 +840,7 @@ class Context:
         self.var_rank = {v: i for i, v in enumerate(coords + extra)}
         self._bases = []
         self._base_index = {}
+        # bid: Laplacian; (b, c): gradient dot; (bid,): |grad B|^2 / B or None
         self._base_derivatives = {}
         self.norm_base = self.register_base(self.norm_sq_poly())[0]
 
@@ -870,6 +878,15 @@ class Context:
         if out is None:
             out = self._base_derivatives[key] = self._bases[b].gradient_dot(self._bases[c], self.coords)
         return out
+
+    def base_gradient_quotient(self, bid):
+        """|grad base_bid|^2 / base_bid, or None if base_bid does not divide
+        it, memoized on this Context."""
+        key = (bid,)
+        if key not in self._base_derivatives:
+            square = self.base_gradient_dot(bid, bid)
+            self._base_derivatives[key] = square.divide_exact(self._bases[bid], self.var_rank)
+        return self._base_derivatives[key]
 
     def base_name(self, bid):
         """The norm base's name, normSq(x); None for any other base."""
@@ -1099,7 +1116,12 @@ class Expr:
         # with no base factors an Expr equals its polynomial, so hash as it
         if self.is_polynomial():
             return hash(self.as_polynomial())
-        return hash(self.terms)
+        # an odd, log-free, nonnegative power keeps its group's least power,
+        # so x1 ||x||^3 and (x1 normSq) ||x|| are equal terms: hash only the
+        # polynomial part and each term's (base, parity, log power) signature
+        first, first_fac = self.terms[0]  # the polynomial part, if any, sorts first
+        sigs = sorted(tuple((b, h & 1, j) for b, h, j in fac if h & 1 or j) for _, fac in self.terms)
+        return hash((None if first_fac else first, tuple(sigs)))
 
     def __repr__(self):
         from .render import expr_text

@@ -233,6 +233,11 @@ def partial(p, var):
     return Polynomial(acc)
 
 
+def gradient_dot(p, q, names):
+    """grad p . grad q in `names`: the sum over the names of the products of partials."""
+    return total([mul(partial(p, v), partial(q, v)) for v in names])
+
+
 def integrate(p, var):
     """Antiderivative in `var` with zero constant term."""
     acc = {}

@@ -300,6 +300,16 @@ def test_radial_solve_size_bound():
         bvp._radial_ode_solution(0, 0, 2200, ctx)
 
 
+def test_anti_laplacian_size_bound():
+    # the bound covers the whole answer, every Fischer piece times every
+    # coefficient of its radial solve: x1^10 has six pieces in dimension 3
+    ctx = Context(3)
+    with pytest.raises(UnsupportedInputError):
+        anti_laplacian(E("x1^10*log(norm(x))^1500", ctx), Plain(), ctx)
+    # one piece of one term is bounded as its radial solve is
+    assert len(anti_laplacian(E("log(norm(x))^2000", ctx), Plain(), ctx).terms) == 2001
+
+
 def test_anti_laplacian_radial_log10(ctx5):
     f = E("x1^2*x2", ctx5) * Expr.norm_power(ctx5, 0, log_pow=10).scale(
         Scalar.from_fraction(F(1, 1024))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import poly_oracle
 from conftest import E, P, random_norm_expr, random_polynomial
 
 from harmcalc.calculus import (
@@ -139,8 +140,71 @@ def test_closed_form_laplacian_matches_product_rule():
     assert both >= 10
 
 
+def test_laplacian_where_a_base_divides_its_gradient_square():
+    """Where |grad B|^2 = G B, the closed form still gives the product rule's exact terms.
+
+    |x - c|^2 (stored primitive, 9 |x - c|^2), the Poisson base
+    1 - 2 x1 y1 + |x|^2 y1^2, whose |grad B|^2 in x is 4 y1^2 B, and the
+    norm, alone and beside each of them.  Every half power -7..7 with every
+    log power 0..3, so also the odd log-free powers 3, 5 and 7, where the
+    canonical form keeps a group's least power; a second term of the same
+    base at a random power shares the group of some of them.
+    """
+    rng = random.Random(1861)
+    ctx = Context(3, extra=("y1",))
+    shifted = P("(x1 - 1)^2 + (x2 + 2)^2 + (x3 - 1/3)^2", ctx)
+    poisson = P("1 - 2*x1*y1 + (x1^2 + x2^2 + x3^2)*y1^2", ctx)
+    quotients = {None: "4", shifted: "36", poisson: "4*y1^2"}
+    for base, quotient in quotients.items():
+        bid = ctx.register_base(base)[0] if base else ctx.norm_base
+        assert ctx.base_gradient_quotient(bid) == P(quotient, ctx)
+
+    def power(base, h, j):
+        if base is None:
+            return Expr.norm_power(ctx, h, j)
+        return Expr.base_power(ctx, base, h, j)
+
+    for base in quotients:
+        for h in range(-7, 8):
+            for j in range(4):
+                e = Expr.from_poly(ctx, random_polynomial(rng, ctx, max_degree=2, terms=2)) * power(base, h, j)
+                if rng.random() < 0.5:
+                    t = Expr.from_poly(ctx, random_polynomial(rng, ctx, max_degree=2, terms=2))
+                    e = e + t * power(base, rng.randrange(-7, 8), j)
+                if base is not None and rng.random() < 0.5:
+                    e = e * Expr.norm_power(ctx, rng.randrange(-7, 8), rng.randrange(4))
+                power_ = 2 if (h + j) % 5 == 0 else 1
+                got, want = laplacian_of(e, power_, ctx), _product_rule_laplacian(e, power_, ctx)
+                assert got.terms == want.terms
+
+
+def test_gradient_dot_matches_oracle():
+    """grad P . grad Q in the coordinates is the sum of the products of partials.
+
+    Constant terms, the auxiliary y1 (outside the coordinates, so a
+    constant there) and sqrt(2), sqrt(3) blocks on either side.
+    """
+    rng = random.Random(1828)
+    ctx = Context(3, extra=("y1",))
+    y1 = Polynomial.var("y1")
+    for _ in range(40):
+        p, q = (
+            random_polynomial(rng, ctx, max_degree=3, terms=4) * rng.choice((1, y1, y1 + 2))
+            + rng.randrange(-3, 4) * Scalar.sqrt_int(rng.choice((1, 2, 3)))
+            for _ in range(2)
+        )
+        if rng.random() < 0.5:
+            q = q.scale(Scalar.sqrt_int(2))
+        want = poly_oracle.gradient_dot(p, q, ctx.coords)
+        assert p.gradient_dot(q, ctx.coords) == want and q.gradient_dot(p, ctx.coords) == want
+
+
 def test_base_derivatives_stay_with_their_context():
-    """Two Contexts with different bases under one id keep their own derivatives."""
+    """Two Contexts with different bases under one id keep their own derivatives.
+
+    The quotient |grad B|^2 / B is memoized beside them: 4 for the norm,
+    none for a base that does not divide its |grad B|^2.
+    """
     for src, lap, grad in (("x1 + 3", "0", "1"), ("x1^2 + x2^2 + 1", "4", "4*x1^2 + 4*x2^2")):
         ctx = Context(2)
         bid, _ = ctx.register_base(P(src, ctx))
@@ -148,6 +212,8 @@ def test_base_derivatives_stay_with_their_context():
         assert ctx.base_laplacian(bid) == P(lap, ctx)
         assert ctx.base_gradient_dot(bid, bid) == P(grad, ctx)
         assert ctx.base_gradient_dot(bid, ctx.norm_base) == ctx.base_gradient_dot(ctx.norm_base, bid)
+        assert ctx.base_gradient_quotient(bid) is None
+        assert ctx.base_gradient_quotient(ctx.norm_base) == P("4", ctx)
 
 
 _AT = {"x1": F(1), "x2": F(2)}

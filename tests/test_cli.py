@@ -822,6 +822,8 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ('laplacian "norm(x)^20000" --dim 2', "UnsupportedInputError"),
         # so is a radial anti-Laplacian whose coefficients would pass MAX_POWER_SIZE << 4 bits
         ('anti-laplacian "log(norm(x))^20000" --dim 3', "UnsupportedInputError"),
+        # and one whose answer, every Fischer piece times every coefficient, would
+        ('anti-laplacian "x1^10*log(norm(x))^1500" --dim 3', "UnsupportedInputError"),
         # a radial integral past MAX_POWER_BITS is refused before it is computed
         ("integrate-ball 1 --dim 3 --weight log(r)^200000", "UnsupportedInputError"),
         ("integrate-ball 1 --dim 3 --weight log(r)^600000", "UnsupportedInputError"),

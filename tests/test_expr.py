@@ -192,6 +192,26 @@ def test_equal_values_hash_equal(ctx3):
     assert hash(n1) == hash(Expr.norm_power(ctx3, 1))
 
 
+def test_equal_exprs_built_two_ways_hash_alike(ctx3):
+    """An odd, log-free, nonnegative power keeps its group's least power, so
+    one value has several representatives; equal Exprs still hash alike."""
+    nb, x1, x2, norm_sq = ctx3.norm_base, P("x1", ctx3), P("x2", ctx3), ctx3.norm_sq_poly()
+    pairs = [
+        (Expr.make(ctx3, x1, [(nb, 3, 0)]), Expr.make(ctx3, x1 * norm_sq, [(nb, 1, 0)])),
+        # beside a polynomial part and a log term, which have one representative each
+        (
+            Expr.make(ctx3, x1, [(nb, 5, 0)]) + x2 + Expr.norm_power(ctx3, -1, 2),
+            Expr.make(ctx3, x1 * norm_sq * norm_sq, [(nb, 1, 0)]) + x2 + Expr.norm_power(ctx3, -1, 2),
+        ),
+    ]
+    for e1, e2 in pairs:
+        assert e1.terms != e2.terms
+        assert e1 == e2 and hash(e1) == hash(e2)
+        assert len({e1, e2}) == 1
+    # values that differ stay apart in a set
+    assert len({e for pair in pairs for e in pair} | {Expr.make(ctx3, x2, [(nb, 3, 0)])}) == 3
+
+
 def test_one_canonicalization_equals_the_fold():
     """`_from_raw` over the concatenated terms equals the left fold of `+`."""
     from harmcalc.kernels import poisson_base
