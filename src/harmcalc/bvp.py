@@ -12,11 +12,12 @@ through `harmonic_parts_by_degree`); the polynomial anti-Laplacian is
 `harmonic.first_coordinate_series` of the twice x1-integrated data.
 
 One quadric type, `integrate.Quadratic(b, c, d)` for b.x^2 + c.x + d,
-serves as the Dirichlet region (any signs), the Neumann region (an
-ellipsoid) and the quadric-multiple mode of `anti_laplacian`.  Their
-ansatz solves only name the unknown polynomials (by degrees) and the
-maps that take them to the data; `expr.solve_ansatz` enumerates, writes
-and solves the linear system and returns the polynomials.
+serves as the Dirichlet region (any signs whose surface q = 0 has more
+than one point), the Neumann region (an ellipsoid) and the
+quadric-multiple mode of `anti_laplacian`.  Their ansatz solves only
+name the unknown polynomials (by degrees) and the maps that take them to
+the data; `linalg.solve_ansatz` enumerates, writes and solves the linear
+system and returns the polynomials.
 
 The exterior halves are Kelvin transforms (`transforms.kelvin`, which
 takes a harmonic h_m of degree m to h_m ||x||^(2-n-2m)) of interior sums,
@@ -44,7 +45,7 @@ from .errors import (
     UnsupportedRadialClass,
 )
 from .expr import Expr, Polynomial, context_of, gradient_weight, horner, laplace_weight, poly_sum
-from .expr import _power_blocks, solve_ansatz
+from .expr import _power_blocks
 from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -55,6 +56,7 @@ from .integrate import (
     Quadratic,
     RadialFunction,
 )
+from .linalg import solve_ansatz
 from .scalar import MAX_POWER_SIZE, Scalar
 from .transforms import kelvin
 
@@ -100,7 +102,7 @@ QuadraticMultiple = Quadratic
 
 
 # ---------------------------------------------------------------------------
-# polynomial ansatz solves: `expr.solve_ansatz` takes each unknown
+# polynomial ansatz solves: `linalg.solve_ansatz` takes each unknown
 # polynomial as (degrees, [(constraint, q, weight)])
 
 
@@ -329,6 +331,11 @@ def _dirichlet_quadratic(p, region, ctx):
     q = region.poly(ctx)
     if q.is_constant():
         raise UnsupportedInputError("a constant quadric bounds no region")
+    # with every b_i of one sign s, s q >= -s rho^2: the surface q = 0 is
+    # empty or a single point unless s rho^2 > 0
+    s = 1 if all(bi > 0 for bi in region.b) else -1 if all(bi < 0 for bi in region.b) else 0
+    if s and s * region.rho_sq() <= 0:
+        raise EmptyInterior("the surface b.x^2 + c.x + d = 0 is empty or a single point")
     # the harmonic extension p + q v: Laplacian of q v is -Laplacian of p
     degrees = range(max(p.total_degree() - 2, 0), p.total_degree() + 3)
     return Expr.from_poly(ctx, p + _quadric_multiple(q, -poly_laplacian(p, ctx), degrees, ctx))

@@ -33,12 +33,9 @@ The {monomial tuple: Scalar} mapping is only an input format
 rendering, hashing and coefficient lookup read the blocks, and `order_key`
 sorts packed keys in the graded order rendering prints.
 
-`solve_ansatz` is the quadric ansatz of the boundary-value solvers (as in
-Axler, Gorkin and Voss, "The Dirichlet problem on quadratic surfaces",
-Math. Comp. 73, 2004): unknown polynomials whose images under given
-second-order and multiplication maps add up to given data.  Their columns
-are packed keys from `monomials`, `paired_rows` writes the integer rows,
-`linalg.solve` solves them, and each answer is one rational block.
+`monomials` enumerates packed keys by total degree and `_second_order`
+writes the Laplacian and gradient images of a monomial against a
+polynomial's terms: `linalg` builds the quadric ansatz from the two.
 
 `Polynomial.divide_exact` divides by a rational-coefficient polynomial and
 returns the quotient only if the division is exact, else None: each block
@@ -53,9 +50,8 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, prod
 
-from . import linalg
 from .errors import (
     DimensionMismatch,
     NegativeBaseValue,
@@ -735,70 +731,6 @@ def horner(pairs, base):
     for s in range(top - 1, -1, -1):
         total = poly_sum((total * base, *levels.get(s, ())))
     return total
-
-
-def paired_rows(lay, groups, constants, names):
-    """(rows, rhs) of sum_j x_j image_j = constants, integer rows for `linalg.solve`.
-
-    Group (keys, uses) has an unknown x_j for each monomial x^a packed in
-    keys, numbered on from the unknowns of the groups before it, and x^a
-    enters each constraint k of uses (k, q, weight) as the `_second_order`
-    sum of q's rational terms against x^a, or as q x^a when weight is None.
-    lay holds every image and constant.  A row per (constraint, key) that
-    an image or a constant reaches; constraint k is scaled by the lcm of
-    its polynomials' denominators, so only the right sides carry one.
-    """
-    blocks = [[(k, weight, q.rational_block(lay)) for k, q, weight in uses] for _, uses in groups]
-    scales = [1] * len(constants)
-    for k, _, (den, _) in (use for uses in blocks for use in uses):
-        scales[k] = lcm(scales[k], den)
-    rows = {}
-    unknowns = ((ka, uses) for (keys, _), uses in zip(groups, blocks) for ka in keys)
-    for j, (ka, uses) in enumerate(unknowns):
-        for k, weight, (den, nums) in uses:
-            f = scales[k] // den
-            if weight is None:
-                image = {ka + kb: n for kb, n in nums.items()}
-            else:
-                image = _second_order(nums, lay, names, ka, weight)
-            for key, n in image.items():
-                if n:
-                    rows.setdefault((k, key), {})[j] = n * f
-    # a right side rides in its row under the key None
-    for k, c in enumerate(constants):
-        den, nums = c.rational_block(lay)
-        for key, n in nums.items():
-            rows.setdefault((k, key), {})[None] = Fraction(n * scales[k], den)
-    rhs = [row.pop(None, 0) for row in rows.values()]
-    return list(rows.values()), rhs
-
-
-def solve_ansatz(groups, constants, names):
-    """The unknown polynomials of the groups whose images add up to `constants`, or None.
-
-    Group (degrees, uses) is a polynomial over the monomials in names of
-    those total degrees, whose image in constraint k is named by (k, q,
-    weight) in uses as in `paired_rows`.  The columns are each group's
-    `monomials` in turn, so the answer is `linalg.solve`'s leftmost-pivot
-    solution in that graded-lex order: one polynomial per group, each a
-    single rational block.  None means the system is inconsistent.
-    """
-    top = max((d for degrees, _ in groups for d in degrees), default=0)
-    lay = _layout(tuple(sorted(names)), _stride(top))
-    for p in (*(q for _, uses in groups for _, q, _ in uses), *constants):
-        lay = _join(lay, p.layout, p.total_degree() + top)
-    columns = [(monomials(lay, names, degrees), uses) for degrees, uses in groups]
-    sol = linalg.solve(*paired_rows(lay, columns, constants, names))
-    if sol is None:
-        return None
-    out = []
-    for keys, _ in columns:
-        xs, sol = sol[: len(keys)], sol[len(keys) :]
-        den = lcm(*(x.denominator for x in xs))
-        blocks = {}
-        _put(blocks, RATIONAL, den, {k: x.numerator * (den // x.denominator) for k, x in zip(keys, xs)})
-        out.append(_new(lay, blocks))
-    return out
 
 
 def dot_poly(a_names, b_names):

@@ -226,9 +226,11 @@ def integrate_ball(p, radial, ctx):
 class Quadratic:
     """The quadric q = b.x^2 + c.x + d; c defaults to zeros.
 
-    Dirichlet solves and quadric-multiple anti-Laplacians take any signs.
-    Ellipsoid integrals and Neumann solves need the ellipsoid q < 0: every
-    b_i > 0 and rho^2 > 0, checked where they integrate.
+    Quadric-multiple anti-Laplacians take any signs.  Dirichlet solves
+    need the surface q = 0 to have more than one point: when every b_i
+    has one sign s, s rho^2 > 0.  Ellipsoid integrals and Neumann solves
+    need the ellipsoid q < 0: every b_i > 0 and rho^2 > 0, checked where
+    they integrate.
     """
 
     b: Tuple[Fraction, ...]

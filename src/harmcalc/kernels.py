@@ -104,18 +104,10 @@ def bergman_kernel_h(ctx, t_names, u_name):
     4 ((n-1)(u+y)^2 - ||x-t||^2) ((u+y)^2 + ||x-t||^2)^(-1-n/2) / (n volume(n)).
     """
     n = ctx.dim
-    t_names = tuple(t_names)
-    x_names = ctx.coords[:-1]
-    y = ctx.coords[-1]
-    uy = Polynomial.var(u_name) + Polynomial.var(y)
-    diff2 = poly_sum(
-        [
-            (Polynomial.var(a) - Polynomial.var(b)) ** 2
-            for a, b in zip(x_names, t_names)
-        ]
-    )
-    numer = ((uy * uy).scale(n - 1) - diff2).scale(4)
-    base = half_space_base(ctx, t_names, u_name)
+    uy = Polynomial.var(u_name) + Polynomial.var(ctx.coords[-1])
+    base = half_space_base(ctx, tuple(t_names), u_name)
+    # (n - 1)(u + y)^2 - ||x - t||^2 = n (u + y)^2 - base
+    numer = ((uy * uy).scale(n) - base).scale(4)
     nv = Scalar.from_fraction(n) * unit_ball_volume(n)
     return (
         Expr.from_poly(ctx, numer) * Expr.base_power(ctx, base, -(n + 2))

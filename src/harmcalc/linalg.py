@@ -1,13 +1,20 @@
-"""Exact sparse linear solve by fraction-free elimination over integer rows.
+"""The quadric ansatz, written and solved as one exact integer system.
 
-Each row is scaled once, with its right side, to integers by the lcm of
-its denominators; the right side rides along as one extra entry keyed
-past the last column.  Elimination updates a row as
+`solve_ansatz` is the ansatz of the quadric boundary-value solvers (as in
+Axler, Gorkin and Voss, "The Dirichlet problem on quadratic surfaces",
+Math. Comp. 73, 2004): unknown polynomials whose images under given
+second-order and multiplication maps add up to given data.  Their columns
+are packed keys from `expr.monomials`, `paired_rows` writes the rows,
+`solve` solves them, and each answer is one rational block.
+
+A row is a primitive `{column: int}` dict: constraint k is scaled by the
+lcm of its images' and its constant's denominators, the right side rides
+along as column `cols` (the number of unknowns), and the row is divided
+by its content.  Elimination updates a row as
 (p/g) row - (r/g) pivot_row with g = gcd(p, r), then divides the row by
 its content, so no entry outgrows the minor that Bareiss's
 integer-preserving elimination would hold in its place (Math. Comp. 22,
-1968).  Back-substitution runs in integers over one common denominator;
-only the returned vector is made of Fractions.
+1968).  Back-substitution runs in integers over one common denominator.
 
 `solve` returns the canonical particular solution: pivots are the
 leftmost independent columns and free variables are zero.  That solution
@@ -16,8 +23,9 @@ is unique, so it does not depend on which rows the elimination picks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+
+from .expr import RATIONAL, _join, _layout, _new, _put, _second_order, _stride, monomials
 
 
 def _primitive(row):
@@ -26,27 +34,16 @@ def _primitive(row):
     return {c: v // content for c, v in row.items()} if content > 1 else row
 
 
-def _integer_row(row, rhs, cols):
-    """The row with its right side at key `cols`, scaled to coprime integers."""
-    row = {c: v for c, v in row.items() if v}
-    if rhs:
-        row[cols] = rhs
-    scale = lcm(*(v.denominator for v in row.values()))
-    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
+def solve(rows, cols):
+    """(den, nums): the canonical solution x = nums / den of the rows, or None.
 
-
-def solve(a, b):
-    """Canonical particular solution of A x = b, or None if inconsistent.
-
-    Each row of A is a dense sequence or a `{column: value}` dict of ints
-    and Fractions; the solution is as long as the widest row (a dict row is
-    as wide as its largest key plus one).  b has one entry per row.  Free
-    variables are set to zero, giving the reduced-echelon representative.
-    The entries of the returned list are Fractions.
+    Each row is a primitive `{column: int}` dict over columns below cols,
+    its right side at column cols, as `paired_rows` writes them.  Free
+    variables are zero, giving the reduced-echelon representative; den > 0
+    is the least common denominator and nums has cols entries.  None means
+    the system is inconsistent.  The rows passed in are left unchanged.
     """
-    a = [row if isinstance(row, dict) else dict(enumerate(row)) for row in a]
-    cols = max((max(row, default=-1) + 1 for row in a), default=0)
-    rows = [_integer_row(row, v, cols) for row, v in zip(a, b, strict=True)]
+    rows = [dict(row) for row in rows]
     # column -> rows not yet used as a pivot that are nonzero there; the
     # right side's key `cols` sorts last and is never a pivot column
     where = {}
@@ -93,11 +90,74 @@ def solve(a, b):
         pv = row[c]
         n = row.get(cols, 0) * den - sum(v * num[j] for j, v in row.items() if j < cols)
         if n % pv:
-            # x[c] = n / (pv den): widen den to the lcm with its denominator q
-            q = pv * den // gcd(n, pv * den)
+            # x[c] = n / (pv den): widen den to the lcm with its denominator
+            # q, taken positive so that den stays positive
+            q = abs(pv * den) // gcd(n, pv * den)
             m = q // gcd(q, den)
             num = [v * m for v in num]
             den *= m
             n *= m
         num[c] = n // pv
-    return [Fraction(v, den) for v in num]
+    return den, num
+
+
+def paired_rows(lay, groups, constants, names):
+    """(rows, cols) of sum_j x_j image_j = constants, the rows `solve` takes.
+
+    Group (keys, uses) has an unknown x_j for each monomial x^a packed in
+    keys, numbered on from the unknowns of the groups before it, and x^a
+    enters each constraint k of uses (k, q, weight) as the `_second_order`
+    sum of q's rational terms against x^a, or as q x^a when weight is None.
+    lay holds every image and constant.  A row per (constraint, key) that
+    an image or a constant reaches; cols is the number of unknowns.
+    """
+    blocks = [[(k, weight, q.rational_block(lay)) for k, q, weight in uses] for _, uses in groups]
+    rhs = [c.rational_block(lay) for c in constants]
+    scales = [den for den, _ in rhs]
+    for k, _, (den, _) in (use for uses in blocks for use in uses):
+        scales[k] = lcm(scales[k], den)
+    rows = {}
+    unknowns = [(ka, uses) for (keys, _), uses in zip(groups, blocks) for ka in keys]
+    for j, (ka, uses) in enumerate(unknowns):
+        for k, weight, (den, nums) in uses:
+            f = scales[k] // den
+            if weight is None:
+                image = {ka + kb: n for kb, n in nums.items()}
+            else:
+                image = _second_order(nums, lay, names, ka, weight)
+            for key, n in image.items():
+                if n:
+                    rows.setdefault((k, key), {})[j] = n * f
+    cols = len(unknowns)
+    for k, (den, nums) in enumerate(rhs):
+        for key, n in nums.items():
+            rows.setdefault((k, key), {})[cols] = n * (scales[k] // den)
+    return [_primitive(row) for row in rows.values()], cols
+
+
+def solve_ansatz(groups, constants, names):
+    """The unknown polynomials of the groups whose images add up to `constants`, or None.
+
+    Group (degrees, uses) is a polynomial over the monomials in names of
+    those total degrees, whose image in constraint k is named by (k, q,
+    weight) in uses as in `paired_rows`.  The columns are each group's
+    `monomials` in turn, so the answer is `solve`'s leftmost-pivot
+    solution in that graded-lex order: one polynomial per group, each a
+    single rational block.  None means the system is inconsistent.
+    """
+    top = max((d for degrees, _ in groups for d in degrees), default=0)
+    lay = _layout(tuple(sorted(names)), _stride(top))
+    for p in (*(q for _, uses in groups for _, q, _ in uses), *constants):
+        lay = _join(lay, p.layout, p.total_degree() + top)
+    columns = [(monomials(lay, names, degrees), uses) for degrees, uses in groups]
+    sol = solve(*paired_rows(lay, columns, constants, names))
+    if sol is None:
+        return None
+    den, nums = sol
+    out = []
+    for keys, _ in columns:
+        blocks = {}
+        _put(blocks, RATIONAL, den, dict(zip(keys, nums)))
+        nums = nums[len(keys) :]
+        out.append(_new(lay, blocks))
+    return out

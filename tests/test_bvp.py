@@ -24,6 +24,7 @@ from harmcalc.bvp import (
 from harmcalc.calculus import homogeneous_part, laplacian_of, normal_d_sphere, poly_laplacian
 from harmcalc.errors import (
     DimensionMismatch,
+    EmptyInterior,
     NonPolynomialInput,
     SolvabilityViolation,
     UnsupportedDimension,
@@ -37,15 +38,14 @@ from harmcalc.expr import (
     gradient_weight,
     laplace_weight,
     monomials,
-    paired_rows,
     poly_sum,
     reduce_poly_on_sphere,
     restrict_to_sphere,
-    solve_ansatz,
 )
 from harmcalc.harmonic import harmonic_decompose
 from harmcalc.integrate import integrate_sphere
 from harmcalc.kernels import bergman_projection
+from harmcalc.linalg import paired_rows, solve_ansatz
 from harmcalc.scalar import Scalar
 
 # ---------------------------------------------------------------------------
@@ -586,9 +586,12 @@ def test_neumann_on_random_ellipsoids_solves_once(dim, monkeypatch):
     ctx = Context(dim)
     solve, calls = linalg.solve, []
 
-    def counted(a, b):
-        calls.append(len(a))
-        return solve(a, b)
+    def counted(rows, cols):
+        calls.append(len(rows))
+        sol = solve(rows, cols)
+        # a negative pivot must not leave the common denominator negative
+        assert sol is None or sol[0] > 0
+        return sol
 
     monkeypatch.setattr(linalg, "solve", counted)
     rng = random.Random(3000 + dim)
@@ -705,10 +708,29 @@ def test_region_inputs_are_typed_errors(ctx3):
             dirichlet(P("x1^2", ctx3), Quadratic((0, 0, 0), (), d), ctx3)
 
 
+def test_quadric_dirichlet_needs_a_surface_of_more_than_one_point():
+    ctx2 = Context(2)
+    p = P("x1^3 - x1*x2", ctx2)
+    # q > 0 everywhere, q = 0 at the origin only, q < 0 everywhere, and
+    # q = 0 at (-1, 0) only
+    for b, c, d in (((1, 1), (), 1), ((1, 1), (), 0), ((-1, -1), (), -1), ((2, 3), (4, 0), 2)):
+        with pytest.raises(EmptyInterior):
+            dirichlet(p, Quadratic(b, c, d), ctx2)
+    # the outside of the unit circle has the unit circle's answer
+    assert dirichlet(p, Quadratic((-1, -1), (), 1), ctx2) == dirichlet(p, Sphere(), ctx2)
+    # an ellipse about (-1, 0), and a hyperbola whatever d is
+    for b, c, d in (((2, 3), (4, 0), 1), ((1, -1), (), 1), ((1, -1), (), -1)):
+        region = Quadratic(b, c, d)
+        u = dirichlet(p, region, ctx2).as_polynomial()
+        assert poly_laplacian(u, ctx2).is_zero()
+        assert (u - p).divide_exact(region.poly(ctx2), ctx2.var_rank) is not None
+
+
 def test_ansatz_columns_equal_the_products_they_replace():
     # the quadric solvers write these columns in one pass over q's terms;
-    # with the product as the right side, every row reads n = rhs, the
-    # product's coefficient scaled by q's denominator
+    # with the product as the right side, every row reads n = rhs: made
+    # primitive, it is 1 = 1 or -1 = -1 by the sign of the product's
+    # coefficient, one row per term of the product
     rng = random.Random(2004)
     for dim in (1, 3, 4):
         ctx = Context(dim)
@@ -718,7 +740,6 @@ def test_ansatz_columns_equal_the_products_they_replace():
             b = [F(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(dim)]
             c = [F(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(dim)] if trial % 2 else []
             q = Quadratic(tuple(b), tuple(c), F(rng.randrange(-3, 3), rng.randrange(1, 4))).poly(ctx)
-            den = q.rational_block()[0]
             for ka in monomials(lay, ctx.coords, range(5)):
                 v = Polynomial({lay.unpack(ka): Scalar.from_fraction(1)})
                 grad_dot = poly_sum([q.partial(x) * v.partial(x) for x in ctx.coords])
@@ -727,32 +748,33 @@ def test_ansatz_columns_equal_the_products_they_replace():
                     (gradient_weight, grad_dot),
                     (None, q * v),
                 ):
-                    rows, rhs = paired_rows(lay, [([ka], [(0, q, weight)])], [product], ctx.coords)
-                    assert all(set(row) <= {0} and type(row.get(0, 0)) is int for row in rows)
-                    assert [row.get(0, 0) for row in rows] == rhs
-                    want = [coeff.as_fraction() * den for coeff in product.terms.values()]
-                    assert sorted(rhs) == sorted(want)
+                    rows, cols = paired_rows(lay, [([ka], [(0, q, weight)])], [product], ctx.coords)
+                    assert cols == 1
+                    assert all(set(row) == {0, 1} and row[0] == row[1] for row in rows)
+                    want = [1 if coeff.as_fraction() > 0 else -1 for coeff in product.terms.values()]
+                    assert sorted(row[0] for row in rows) == sorted(want)
 
 
 def test_ansatz_rows_scale_each_constraint_and_keep_unreached_right_sides():
     ctx2 = Context(2)
     lay = _layout(ctx2.coords)
     x1 = Polynomial.var("x1")
-    # x1/2 * 1 + 1/3 * x1 = 5/7 x1, scaled by the lcm 6 of its column
-    # denominators, and 1/5 * 1 = 2, scaled by 5
+    # x1/2 * 1 + 1/3 * x1 = 5/7 x1, scaled by the lcm 42 of its
+    # denominators, right side included, and 1/5 * 1 = 2, scaled by 5;
+    # the right sides sit at column 2, past the two unknowns
     fifth = Polynomial.const(F(1, 5))
     unknowns = [
         ([0], [(0, x1.scale(F(1, 2)), None), (1, fifth, None)]),
         ([lay.unit["x1"]], [(0, Polynomial.const(F(1, 3)), None)]),
     ]
     constants = [x1.scale(F(5, 7)), Polynomial.const(2)]
-    assert paired_rows(lay, unknowns, constants, ctx2.coords) == ([{0: 3, 1: 2}, {0: 1}], [F(30, 7), 10])
+    assert paired_rows(lay, unknowns, constants, ctx2.coords) == ([{0: 21, 1: 14, 2: 30}, {0: 1, 2: 10}], 2)
     # the Laplacian of c x1^2 is 2c: it reaches the constant 4, and no column reaches x2
     unknowns = [([2 * lay.unit["x1"]], [(0, Polynomial.const(1), laplace_weight)])]
-    assert linalg.solve(*paired_rows(lay, unknowns, [Polynomial.const(4)], ctx2.coords)) == [2]
-    rows, rhs = paired_rows(lay, unknowns, [Polynomial.const(4) + Polynomial.var("x2")], ctx2.coords)
-    assert sorted(zip(rhs, map(len, rows))) == [(1, 0), (4, 1)]
-    assert linalg.solve(rows, rhs) is None
+    assert linalg.solve(*paired_rows(lay, unknowns, [Polynomial.const(4)], ctx2.coords)) == (1, [2])
+    rows, cols = paired_rows(lay, unknowns, [Polynomial.const(4) + Polynomial.var("x2")], ctx2.coords)
+    assert sorted(rows, key=len) == [{1: 1}, {0: 1, 1: 2}] and cols == 1
+    assert linalg.solve(rows, cols) is None
 
 
 def test_solve_ansatz_returns_every_group(ctx3):
@@ -768,5 +790,6 @@ def test_solve_ansatz_returns_every_group(ctx3):
     assert h.gradient_dot(q, ctx3.coords) - q * cofactor == f
     assert not cofactor.is_zero()
     assert all(len(p.blocks) == 1 for p in (h, cofactor))
+    assert all(den > 0 for p in (h, cofactor) for den, _ in p.blocks.values())
     # without the cofactor, grad q . grad h = f has no harmonic solution
     assert solve_ansatz([h_group], [Polynomial(), f], ctx3.coords) is None

@@ -786,6 +786,10 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ('dirichlet x1^2 --dim 2 --region "quadratic:0,0;0,0;0"', "UnsupportedInputError"),
         ('dirichlet x1^2 --dim 2 --region "quadratic:0,0;0,0;3"', "UnsupportedInputError"),
         ("dirichlet x1 --dim 3 --region annulus:4,1", "EmptyInterior"),
+        # q > 0 everywhere, q = 0 at the origin only, and q < 0 everywhere
+        ('dirichlet x1 --dim 2 --region "quadratic:1,1;0,0;1"', "EmptyInterior"),
+        ('dirichlet x1 --dim 2 --region "quadratic:1,1;0,0;0"', "EmptyInterior"),
+        ('dirichlet x1 --dim 2 --region "quadratic:-1,-1;0,0;-1"', "EmptyInterior"),
         ("eval x1 --dim 2 --at 1,2,3", "DimensionMismatch"),
         ("eval x1 --dim 2 --at 1", "DimensionMismatch"),
         ("reflect --point 1,2 --mirror hyperplane:1,0,0;0", "DimensionMismatch"),

@@ -1,11 +1,14 @@
 """The sparse `linalg.solve` against the dense reference elimination.
 
 Both must return the same canonical solution (leftmost pivots, free
-variables zero) or both must report the system inconsistent.
+variables zero) or both must report the system inconsistent.  `_solve`
+writes Fraction rows in the primitive integer format `linalg.solve`
+takes and reads its answer back as Fractions.
 """
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -33,9 +36,30 @@ def _random_system(rng, rows, cols, density, rank=None):
     return out
 
 
+def _fractions(sol):
+    """`linalg.solve`'s (den, nums) as a Fraction vector; den must be positive."""
+    if sol is None:
+        return None
+    den, nums = sol
+    assert den > 0 and all(type(n) is int for n in nums)
+    return [F(n, den) for n in nums]
+
+
+def _solve(a, b):
+    """`linalg.solve` on dense or dict rows a of ints and Fractions, right sides b."""
+    a = [row if isinstance(row, dict) else dict(enumerate(row)) for row in a]
+    cols = max((max(row, default=-1) + 1 for row in a), default=0)
+    rows = []
+    for row, v in zip(a, b, strict=True):
+        row = {c: F(x) for c, x in {**row, cols: v}.items() if x}
+        scale = lcm(*(x.denominator for x in row.values()))
+        rows.append(linalg._primitive({c: (x * scale).numerator for c, x in row.items()}))
+    return _fractions(linalg.solve(rows, cols))
+
+
 def _check(a, b):
     expected = dense_linalg.solve(a, b)
-    assert linalg.solve(a, b) == expected
+    assert _solve(a, b) == expected
     return expected
 
 
@@ -57,7 +81,7 @@ def test_solve_matches_dense_reference_on_random_systems():
         # dict rows that name the last column give the same vector
         dict_rows = [{c: v for c, v in enumerate(row) if v} for row in a]
         dict_rows[0][cols - 1] = a[0][cols - 1]
-        assert linalg.solve(dict_rows, b) == expected
+        assert _solve(dict_rows, b) == expected
     assert min(kinds.values()) > 100, kinds
 
 
@@ -79,9 +103,9 @@ def test_solve_edge_cases_match_dense_reference(a, b):
 
 
 def test_dict_rows_are_as_wide_as_their_largest_key():
-    assert linalg.solve([{0: F(2)}, {1: F(3), 4: F(0)}], [2, 6]) == [1, 2, 0, 0, 0]
-    assert linalg.solve([{}, {2: F(1)}], [0, 7]) == [0, 0, 7]
-    assert linalg.solve([{}], [1]) is None
+    assert _solve([{0: F(2)}, {1: F(3), 4: F(0)}], [2, 6]) == [1, 2, 0, 0, 0]
+    assert _solve([{}, {2: F(1)}], [0, 7]) == [0, 0, 7]
+    assert _solve([{}], [1]) is None
 
 
 def _integer_system(rng, rows, cols, rank):
@@ -134,7 +158,7 @@ def test_solve_matches_dense_reference_on_large_integer_and_mixed_rows():
         kinds["solved" if expected is not None else "inconsistent"] += 1
         dict_rows = [{c: v for c, v in enumerate(row) if v} for row in a]
         dict_rows[0][cols - 1] = a[0][cols - 1]
-        assert linalg.solve(dict_rows, b) == expected
+        assert _solve(dict_rows, b) == expected
     assert min(kinds.values()) > 50, kinds
 
 
@@ -153,21 +177,39 @@ def test_inconsistency_through_the_right_side_alone(a, b, expected):
     assert _check(a, b) == expected
 
 
-def test_solve_returns_fractions():
-    x = linalg.solve([[2, 0, 0], [0, 3, 0]], [4, 1])
-    assert x == [2, F(1, 3), 0]
-    assert all(type(v) is F for v in x)
-    x = linalg.solve([{1: F(6, 5)}], [F(12, 5)])
-    assert x == [0, 2] and all(type(v) is F for v in x)
+def test_solve_returns_integers_over_one_denominator():
+    # 2 x0 = 4 and 3 x1 = 1: x = (6, 1, 0) / 3
+    assert linalg.solve([{0: 1, 3: 2}, {1: 3, 3: 1}], 3) == (3, [6, 1, 0])
+    # 6/5 x1 = 12/5, written as the primitive row x1 = 2
+    assert linalg.solve([{1: 1, 2: 2}], 2) == (1, [0, 2])
+    assert linalg.solve([], 0) == (1, [])
+    assert linalg.solve([{1: 1}], 1) is None
+
+
+@pytest.mark.parametrize(
+    "rows, cols, expected",
+    [
+        # -2 x0 = 1
+        ([{0: -2, 1: 1}], 1, (2, [-1])),
+        # -2 x1 = 1, then -3 x0 + x1 = 1
+        ([{0: -3, 1: 1, 2: 1}, {1: -2, 2: 1}], 2, (2, [-1, -1])),
+        # negative pivots whose denominators widen den twice
+        ([{0: -5, 1: 1, 2: 2}, {1: -3, 2: 1}], 2, (15, [-7, -5])),
+    ],
+)
+def test_negative_pivots_leave_the_denominator_positive(rows, cols, expected):
+    assert linalg.solve(rows, cols) == expected
+    dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
+    assert _fractions(expected) == dense_linalg.solve(dense, [row.get(cols, 0) for row in rows])
 
 
 def _recording(monkeypatch):
     systems = []
     solve = linalg.solve
 
-    def record(a, b):
-        systems.append(([dict(row) for row in a], list(b)))
-        return solve(a, b)
+    def record(rows, cols):
+        systems.append(([dict(row) for row in rows], cols))
+        return solve(rows, cols)
 
     monkeypatch.setattr(linalg, "solve", record)
     return systems
@@ -187,11 +229,11 @@ def test_solve_matches_dense_reference_on_quadric_ansatz_systems(dim, monkeypatc
     anti_laplacian(P("x1^2*x2*x3", ctx), QuadraticMultiple(b, c, F(-3)), ctx)
     monkeypatch.undo()
     outcomes = []
-    for rows, rhs in systems:
-        cols = 1 + max(c for row in rows for c in row)
-        dense = [[row.get(c, F(0)) for c in range(cols)] for row in rows]
+    for rows, cols in systems:
+        dense = [[row.get(c, 0) for c in range(cols)] for row in rows]
+        rhs = [row.get(cols, 0) for row in rows]
         expected = dense_linalg.solve(dense, rhs)
-        assert linalg.solve(rows, rhs) == expected
-        assert linalg.solve(dense, rhs) == expected
+        assert _fractions(linalg.solve(rows, cols)) == expected
+        assert _solve(dense, rhs) == expected
         outcomes.append(expected is not None)
     assert outcomes == [True, False, False, True, True, True]
