@@ -296,6 +296,16 @@ class Polynomial:
         return _new(lay, {RATIONAL: (1, {lay.unit[name] * exp: 1})})
 
     @staticmethod
+    def monomial(coeff, exps):
+        """The rational coeff times the product of v^e over the {v: e} map exps."""
+        if not coeff:
+            return Polynomial()
+        exps = {v: e for v, e in exps.items() if e}
+        lay = _layout(tuple(sorted(exps)), _stride(sum(exps.values())))
+        coeff = Fraction(coeff)
+        return _new(lay, {RATIONAL: (coeff.denominator, {lay.pack(exps.items()): coeff.numerator})})
+
+    @staticmethod
     def from_raw(pairs):
         """The sum of (monomial, coefficient) pairs; a coefficient may be an
         int, a Fraction or a Scalar, and repeated monomials add up."""

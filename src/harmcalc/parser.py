@@ -3,8 +3,7 @@
 Expression grammar (informally):
 
     expr   := ['-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := atom power
+    term   := atom power ('*' atom power)*
     atom   := rational | ident | norm | 'log' '(' atom ')'
             | 'dot' '(' vec ',' vec ')' | '(' expr ')'
     norm   := '||' vec '||' | 'norm' '(' vec ')' | 'norm2' '(' vec ')'
@@ -24,6 +23,16 @@ for ||v||^k (k = 2 for norm2), and one helper makes its powers and its
 log.  Errors carry the line, column, and expected-token set; nesting
 deeper than the interpreter's stack allows is a location-free
 ParseError.
+
+An expression is read as raw (Polynomial, factors) terms, the input of
+`Expr._from_raw`, and each sum is canonicalized once, a parenthesised
+sum included.  In a term, numbers at power 1 and variables at
+nonnegative powers fold into one coefficient and one exponent map: one
+monomial per term.  Every other factor is evaluated where it is read,
+under the bounds of the code that makes it: a norm atom's canonical
+form, `Polynomial.__pow__` and `Expr.__pow__` for other powers.  A fault
+is therefore raised at the token where a reader that canonicalized every
+factor would raise it, with the same type and message.
 """
 
 from __future__ import annotations
@@ -114,6 +123,18 @@ def _int_value(token):
     return int(Decimal(token.text))
 
 
+_NEGATIVE_POWERS = "negative powers are supported on norms and rationals only"
+
+
+def _has_bases(pairs):
+    return any(f for _, f in pairs)
+
+
+def _poly_expr(ctx, poly):
+    """The canonical Expr of a polynomial: one term with no base factors, or none."""
+    return Expr(ctx, ((poly, ()),) if poly.blocks else ())
+
+
 def _exponent_value(token):
     """An exponent literal; output prints exponents with str(), so one
     longer than str() writes is refused here.  Python before 3.10.7 has
@@ -195,47 +216,103 @@ class _Parser:
         return e
 
     def expr(self):
-        negate = False
+        """A sum: the raw terms of every summand, canonicalized once."""
+        sign = 1
         if self.peek().kind == "-":
             self.advance()
-            negate = True
-        e = self.term()
-        summands = [-e if negate else e]
+            sign = -1
+        raw = self.term(sign)
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            summands.append(rhs if op.kind == "+" else -rhs)
-        if len(summands) == 1:
-            return summands[0]
-        # one canonicalization for the whole sum
-        return Expr._from_raw(self.ctx, [t for s in summands for t in s.terms])
+            raw += self.term(1 if self.advance().kind == "+" else -1)
+        return Expr._from_raw(self.ctx, raw)
 
-    def term(self):
-        e = self.factor()
-        while self.peek().kind == "*":
+    def term(self, sign):
+        """The raw (Polynomial, factors) pairs of one product.
+
+        Numbers at power 1 and variables at nonnegative powers fold into one
+        coefficient and one exponent map, one monomial in the end.  Every
+        other factor is evaluated where it is read and multiplies `rest`,
+        the canonical pairs of the other factors times polynomials.  A
+        product of two sides that both carry base factors is canonicalized
+        there, as the size bound of its canonical form may refuse it.
+        """
+        coeff, exps = Fraction(sign), {}
+        rest = None
+        # whether a nonconstant polynomial went into rest since it was last
+        # canonical: a base may divide it
+        rough = False
+        while True:
+            kind, payload = self.atom()
+            exp = self.power()
+            if kind == "number" and exp == 1:
+                coeff *= payload
+            elif kind == "variable" and exp >= 0:
+                exps[payload] = exps.get(payload, 0) + exp
+            else:
+                value = self._factor(kind, payload, exp)
+                if rest is None:
+                    rest = value
+                elif _has_bases(rest) and _has_bases(value):
+                    rest = self._times_monomial(coeff, exps, rest, rough)
+                    rest = Expr._from_raw(self.ctx, [(p * q, f + g) for p, f in rest for q, g in value]).terms
+                    coeff, exps, rough = Fraction(1), {}, False
+                else:
+                    rest = [(p * q, f + g) for p, f in rest for q, g in value]
+                if not _has_bases(value) and not all(p.is_constant() for p, _ in value):
+                    rough = True
+            if self.peek().kind != "*":
+                return self._times_monomial(coeff, exps, rest, rough)
             self.advance()
-            e = e * self.factor()
-        return e
 
-    def factor(self):
-        base_kind, payload = self.atom()
-        return self._apply_power(base_kind, payload, self.power())
+    def _times_monomial(self, coeff, exps, rest, rough):
+        """The pairs of the monomial times `rest` (None for 1), canonical
+        where they carry base factors.
 
-    def _apply_power(self, kind, payload, exp):
-        ctx = self.ctx
+        Canonicalization pulls a base out of a pair only under a log or a
+        negative power, and only where the base divides the polynomial.  A
+        norm base of two or more terms is irreducible, so it divides
+        canonical pairs times a monomial only where it divides the pairs:
+        they stay canonical.  A base of one term may divide the monomial,
+        but it never meets the size bound, and a sum of such pairs reaches
+        the canonical form all the same.  Pairs that took in another
+        polynomial are canonicalized.
+        """
+        if not coeff:
+            return []
+        mono = Polynomial.monomial(coeff, exps)
+        if rest is None:
+            return [(mono, ())]
+        pairs = [(mono * p, f) for p, f in rest]
+        if rough and any(j or h < 0 for _, f in pairs for _, h, j in f):
+            return list(Expr._from_raw(self.ctx, pairs).terms)
+        return pairs
+
+    def _factor(self, kind, payload, exp):
+        """The canonical pairs of a factor that does not fold into the
+        monomial: a norm power, a variable's negative power, or a value's
+        power (a number's other than 1)."""
         if kind == "norm":
             names, k = payload
-            return self._norm_power(names, k * exp)
-        if exp >= 0:
-            return payload**exp
-        if isinstance(payload, Expr) and payload.is_polynomial():
+            return self._norm_power(names, k * exp).terms
+        if kind == "variable":
+            raise UnsupportedInputError(_NEGATIVE_POWERS)
+        if kind == "number":
+            payload = _poly_expr(self.ctx, Polynomial.const(payload))
+        if exp == 1:
+            return payload.terms
+        if payload.is_polynomial():
+            # one polynomial power, under its bound on the result size
             poly = payload.as_polynomial()
-            if poly.is_constant():
-                c = poly.constant_term()
-                return Expr.from_scalar(ctx, c.inverse() ** (-exp))
-        raise UnsupportedInputError(
-            "negative powers are supported on norms and rationals only"
-        )
+            if exp >= 0:
+                poly = poly**exp
+            elif poly.is_constant():
+                poly = Polynomial.const(poly.constant_term().inverse() ** (-exp))
+            else:
+                raise UnsupportedInputError(_NEGATIVE_POWERS)
+            return _poly_expr(self.ctx, poly).terms
+        if exp >= 0:
+            return (payload**exp).terms
+        raise UnsupportedInputError(_NEGATIVE_POWERS)
 
     def _norm_power(self, names, half, log_pow=0):
         """||v||^half * log(||v||^2)^log_pow for the vector with these names."""
@@ -258,10 +335,11 @@ class _Parser:
         return [self.vectors[name.text] for name in names]
 
     def atom(self):
-        """("value", Expr), or ("norm", (names, k)) for ||v||^k (k = 1 or 2)."""
+        """("number", Fraction), ("variable", name), ("norm", (names, k))
+        for ||v||^k (k = 1 or 2), or ("value", Expr)."""
         t = self.peek()
         if t.kind == "int":
-            return "value", Expr.from_scalar(self.ctx, Scalar.from_fraction(self.rational()))
+            return "number", self.rational()
         if t.kind == "norm_bars":
             self.advance()
             (names,) = self._vectors("norm_bars")
@@ -283,9 +361,9 @@ class _Parser:
                 av, bv = self._vectors(",", ")")
                 if len(av) != len(bv):
                     raise UnsupportedInputError("dot of unequal-length vectors")
-                return "value", Expr.from_poly(self.ctx, dot_poly(av, bv))
+                return "value", _poly_expr(self.ctx, dot_poly(av, bv))
             if word in self.ctx.var_rank:
-                return "value", Expr.from_poly(self.ctx, Polynomial.var(word))
+                return "variable", word
             raise UnknownVariable(
                 "unknown variable %r (line %d, column %d)" % (word, t.line, t.col)
             )
@@ -297,17 +375,19 @@ class _Parser:
         self.fail(("number", "variable", "norm", "log", "dot", "("))
 
     def _log_atom(self, kind, payload, tok):
-        ctx = self.ctx
         if kind == "norm":
             # log ||v||^k = (k/2) log(||v||^2)
             names, k = payload
             return self._norm_power(names, 0, 1).scale(Fraction(k, 2))
-        if isinstance(payload, Expr) and payload.is_polynomial():
+        c = None
+        if kind == "number":
+            c = payload
+        elif kind == "value" and payload.is_polynomial():
             poly = payload.as_polynomial()
-            if poly.is_constant():
-                c = poly.constant_term()
-                if c.is_rational() and c.as_fraction() > 0:
-                    return Expr.from_scalar(ctx, Scalar.log_fraction(c.as_fraction()))
+            if poly.is_constant() and poly.constant_term().is_rational():
+                c = poly.constant_term().as_fraction()
+        if c is not None and c > 0:
+            return _poly_expr(self.ctx, Polynomial.const(Scalar.log_fraction(c)))
         raise UnsupportedInputError(
             "log supports norms and positive rationals (line %d, column %d)"
             % (tok.line, tok.col)

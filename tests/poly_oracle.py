@@ -28,13 +28,20 @@ powers, and each base is divided out of the whole shifted sum, where
 two symbolic antiderivative passes in t = ||x|| and every pair of their
 terms, where `bvp._radial_ode_solution` solves two first-order equations
 in u = log ||x||^2 on coefficient lists.
+
+`FactorParser` is the earlier expression reader of `harmcalc.parser`:
+every atom is an Expr, every power and product is canonicalized, where
+`parser._Parser` folds a term's numbers and variables into one monomial
+and canonicalizes each sum once.
 """
 
 import heapq
 from fractions import Fraction
 from math import factorial, prod
 
-from harmcalc.expr import Polynomial, poly_sum
+from harmcalc.errors import ParseError, UnknownVariable, UnsupportedInputError
+from harmcalc.expr import Expr, Polynomial, dot_poly, poly_sum
+from harmcalc.parser import _Parser
 from harmcalc.render import scalar_text
 from harmcalc.scalar import ZERO, Scalar, _as_fraction, scalar_sqrt
 
@@ -467,3 +474,110 @@ def radial_ode_solution(m, a, k, ctx):
         for c2, e2, k2 in _antideriv_power_log(c, e + 1 - 2 * m - n, kk):
             out[e2, k2] = out.get((e2, k2), 0) + c2
     return [(c, e, kk) for (e, kk), c in out.items() if c]
+
+
+class FactorParser(_Parser):
+    """The expression grammar of `harmcalc.parser`, one canonical Expr per
+    atom, power and product, and one canonicalization of each sum's
+    canonical summands."""
+
+    def expr(self):
+        negate = False
+        if self.peek().kind == "-":
+            self.advance()
+            negate = True
+        e = self.term()
+        summands = [-e if negate else e]
+        while self.peek().kind in ("+", "-"):
+            op = self.advance()
+            rhs = self.term()
+            summands.append(rhs if op.kind == "+" else -rhs)
+        if len(summands) == 1:
+            return summands[0]
+        return Expr._from_raw(self.ctx, [t for s in summands for t in s.terms])
+
+    def term(self):
+        e = self.factor()
+        while self.peek().kind == "*":
+            self.advance()
+            e = e * self.factor()
+        return e
+
+    def factor(self):
+        kind, payload = self.atom()
+        exp = self.power()
+        if kind == "norm":
+            names, k = payload
+            return self._norm_power(names, k * exp)
+        if exp >= 0:
+            return payload**exp
+        if payload.is_polynomial():
+            poly = payload.as_polynomial()
+            if poly.is_constant():
+                return Expr.from_scalar(self.ctx, poly.constant_term().inverse() ** (-exp))
+        raise UnsupportedInputError("negative powers are supported on norms and rationals only")
+
+    def atom(self):
+        """("value", Expr), or ("norm", (names, k)) for ||v||^k."""
+        t = self.peek()
+        if t.kind == "int":
+            return "value", Expr.from_scalar(self.ctx, Scalar.from_fraction(self.rational()))
+        if t.kind == "norm_bars":
+            self.advance()
+            (names,) = self._vectors("norm_bars")
+            return "norm", (names, 1)
+        if t.kind == "ident":
+            self.advance()
+            word = t.text
+            if word in ("norm", "norm2") and self.peek().kind == "(":
+                self.advance()
+                (names,) = self._vectors(")")
+                return "norm", (names, 1 if word == "norm" else 2)
+            if word == "log" and self.peek().kind == "(":
+                self.advance()
+                kind, payload = self.atom()
+                self.expect(")", ")")
+                return "value", self._log_atom(kind, payload, t)
+            if word == "dot" and self.peek().kind == "(":
+                self.advance()
+                av, bv = self._vectors(",", ")")
+                if len(av) != len(bv):
+                    raise UnsupportedInputError("dot of unequal-length vectors")
+                return "value", Expr.from_poly(self.ctx, dot_poly(av, bv))
+            if word in self.ctx.var_rank:
+                return "value", Expr.from_poly(self.ctx, Polynomial.var(word))
+            raise UnknownVariable(
+                "unknown variable %r (line %d, column %d)" % (word, t.line, t.col)
+            )
+        if t.kind == "(":
+            self.advance()
+            e = self.expr()
+            self.expect(")", ")")
+            return "value", e
+        self.fail(("number", "variable", "norm", "log", "dot", "("))
+
+    def _log_atom(self, kind, payload, tok):
+        if kind == "norm":
+            names, k = payload
+            return self._norm_power(names, 0, 1).scale(Fraction(k, 2))
+        if payload.is_polynomial():
+            poly = payload.as_polynomial()
+            if poly.is_constant():
+                c = poly.constant_term()
+                if c.is_rational() and c.as_fraction() > 0:
+                    return Expr.from_scalar(self.ctx, Scalar.log_fraction(c.as_fraction()))
+        raise UnsupportedInputError(
+            "log supports norms and positive rationals (line %d, column %d)"
+            % (tok.line, tok.col)
+        )
+
+
+def parse_by_factors(src, ctx, vectors=None):
+    """`parser.parse_expression` read by `FactorParser`."""
+    table = {ctx.vec_label: ctx.coords}
+    if vectors:
+        table.update(vectors)
+    try:
+        return FactorParser(src, ctx, table).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None

@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_norm_expr
+from poly_oracle import parse_by_factors
 
-from harmcalc.errors import ParseError, UnknownVariable, UnsupportedInputError
+from harmcalc.errors import HarmcalcError, ParseError, UnknownVariable, UnsupportedInputError
 from harmcalc.expr import Expr, Polynomial, make_context
+from harmcalc import scalar
 from harmcalc.parser import parse_expression, parse_polynomial, parse_radial
 from harmcalc.render import expr_text
 from harmcalc.scalar import Scalar
@@ -168,3 +170,115 @@ def test_decimal_digits_of_other_scripts_read_as_numbers(ctx3):
     assert parse_polynomial("x1^\u0663", ctx3) == Polynomial.var("x1", 3)
     assert parse_polynomial("\u0967\u0968*x2", ctx3) == Polynomial.var("x2").scale(12)
     assert parse_radial("r^\u0663") == parse_radial("r^3")
+
+
+# ---------------------------------------------------------------------------
+# the monomial fold against the per-factor reader of `poly_oracle`
+
+_ATOMS = (
+    "x1", "x2", "x3", "y1", "y2", "x1", "x2", "3", "2/3", "0", "1",
+    "norm(x)", "norm(y)", "norm2(x)", "norm2(y)", "||x||", "||y||",
+    "log(norm(x))", "log(||y||)", "log(norm2(x))", "log(2)", "log(3/4)", "dot(x,y)", "dot(x,x)",
+)
+# each a fault of its own, or an operand that refuses a power
+_FAULTS = (
+    "bogus", "norm(q)", "x1^-1", "log(x1)", "log(0)", "1/0", "@", "(x1", "x2 +", "*x1",
+    "norm(x)^20000", "norm(y)^400", "2^" + "7" * 40, "(x1 + x2)^" + "9" * 40,
+    "(x1*norm(x) + 1)^-2", "dot(x,x)^-1", "x3^-2*norm(x)", "norm(x)^-" + "1" * 5000,
+    "norm(x)^301*norm(x)^301", "(x1*norm(y) + 1)*norm(y)^401",
+)
+
+
+def _random_expression(rng, depth=0):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            if depth < 2 and rng.random() < 0.15:
+                atom = "(%s)" % _random_expression(rng, depth + 1)
+            else:
+                atom = rng.choice(_ATOMS)
+            r = rng.random()
+            if r < 0.25:
+                atom += "^%d" % rng.randint(0, 3)
+            elif r < 0.4 and atom[0] in "n|(0123456789":
+                atom += "^-%d" % rng.randint(1, 3)
+            factors.append(atom)
+        terms.append("*".join(factors))
+    text = terms[0]
+    for t in terms[1:]:
+        text += rng.choice((" + ", " - ")) + t
+    return ("-" if rng.random() < 0.2 else "") + text
+
+
+def _with_faults(rng, text, count):
+    """text with `count` faults spliced in as factors or summands."""
+    for _ in range(count):
+        fault = rng.choice(_FAULTS)
+        text = rng.choice(("%s*%s", "%s + %s", "%s - %s")) % (
+            (text, fault) if rng.random() < 0.5 else (fault, text))
+    return text
+
+
+def _outcome(parse, src, ctx, vectors):
+    try:
+        e = parse(src, ctx, vectors)
+    except HarmcalcError as err:
+        return type(err), str(err)
+    return e, expr_text(e, ctx)
+
+
+def test_monomial_fold_matches_the_per_factor_reader():
+    ctx = make_context(3, extra_vecs=("y",))
+    vectors = {"y": ("y1", "y2", "y3")}
+    rng = random.Random(2015)
+    for i in range(300):
+        src = _with_faults(rng, _random_expression(rng), (0, 0, 1, 2)[i % 4])
+        got = _outcome(parse_expression, src, ctx, vectors)
+        want = _outcome(parse_by_factors, src, ctx, vectors)
+        if isinstance(want[0], Expr):
+            assert got[0] == want[0], src
+        assert got[1] == want[1], src
+        assert type(got[0]) is type(want[0]), src
+
+
+def test_a_term_meets_the_size_bound_where_the_per_factor_reader_does(ctx3, monkeypatch):
+    # the least bound that refuses 3 as the power of ||x||^2 in Horner's rule
+    monkeypatch.setattr(scalar, "MAX_POWER_SIZE", 59)
+    cases = (
+        # the term's canonical form pulls ||x||^2 three times
+        "dot(x,x)*dot(x,x)*dot(x,x)*log(norm(x)) + log(norm(x))",
+        "dot(x,x)^3*x1*log(norm(x)) + x1*log(norm(x))",
+        # a product of two sides with base factors is refused where it is read
+        "norm(x)^3*norm(x)^3 + bogus",
+        "x2*norm(x)^3*x1*(x3*norm(x)^3 + log(norm(x))) - (1",
+        "0*norm(x)^3*norm(x)^3",
+        "dot(x,x)*dot(x,x)*log(norm(x)) + log(norm(x))",
+    )
+    outcomes = [_outcome(parse_expression, src, ctx3, None) for src in cases]
+    assert outcomes == [_outcome(parse_by_factors, src, ctx3, None) for src in cases]
+    assert [o[1].startswith("power too large") for o in outcomes] == [True] * 4 + [False] * 2
+
+
+@pytest.fixture
+def canonicalization_count(monkeypatch):
+    """The number of `Expr._from_raw` calls since the test began."""
+    calls = []
+    from_raw = Expr._from_raw
+
+    def counted(*args):
+        calls.append(args)
+        return from_raw(*args)
+
+    monkeypatch.setattr(Expr, "_from_raw", staticmethod(counted))
+    return lambda: len(calls)
+
+
+def test_a_polynomial_sum_is_canonicalized_once(ctx5, canonicalization_count):
+    e = parse_expression("3/2*x1^3*x2^2*x3 - 5*x2^4*x5^2", ctx5)
+    assert canonicalization_count() == 1
+    assert e == Expr.from_poly(
+        ctx5,
+        Polynomial.var("x1", 3) * Polynomial.var("x2", 2) * Polynomial.var("x3") * F(3, 2)
+        - Polynomial.var("x2", 4) * Polynomial.var("x5", 2) * 5,
+    )
