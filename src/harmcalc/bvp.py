@@ -331,11 +331,16 @@ def _dirichlet_quadratic(p, region, ctx):
     q = region.poly(ctx)
     if q.is_constant():
         raise UnsupportedInputError("a constant quadric bounds no region")
-    # with every b_i of one sign s, s q >= -s rho^2: the surface q = 0 is
-    # empty or a single point unless s rho^2 > 0
-    s = 1 if all(bi > 0 for bi in region.b) else -1 if all(bi < 0 for bi in region.b) else 0
-    if s and s * region.rho_sq() <= 0:
-        raise EmptyInterior("the surface b.x^2 + c.x + d = 0 is empty or a single point")
+    # with every nonzero b_i of one sign s, and c_i = 0 where b_i = 0,
+    # s q >= -s rho^2 over the nonzero b_i: the surface q = 0 is empty
+    # unless s rho^2 >= 0, and a single point at s rho^2 = 0 unless a
+    # zero b_i leaves its variable free
+    pairs = [(bi, ci) for bi, ci in zip(region.b, region.c) if bi or ci]
+    s = 1 if all(bi > 0 for bi, _ in pairs) else -1 if all(bi < 0 for bi, _ in pairs) else 0
+    if s:
+        rho_sq = sum(ci * ci / (4 * bi) for bi, ci in pairs) - region.d
+        if s * rho_sq < 0 or s * rho_sq == 0 and len(pairs) == len(region.b):
+            raise EmptyInterior("the surface b.x^2 + c.x + d = 0 is empty or a single point")
     # the harmonic extension p + q v: Laplacian of q v is -Laplacian of p
     degrees = range(max(p.total_degree() - 2, 0), p.total_degree() + 3)
     return Expr.from_poly(ctx, p + _quadric_multiple(q, -poly_laplacian(p, ctx), degrees, ctx))

@@ -726,6 +726,21 @@ def test_quadric_dirichlet_needs_a_surface_of_more_than_one_point():
         assert (u - p).divide_exact(region.poly(ctx2), ctx2.var_rank) is not None
 
 
+def test_quadric_dirichlet_with_a_free_variable():
+    ctx2 = Context(2)
+    p = P("x1^3 - x1*x2", ctx2)
+    # x2 is free: q = x1^2 + 1 > 0 and q = -x1^2 - 1 < 0 everywhere
+    for b, d in (((1, 0), 1), ((-1, 0), -1)):
+        with pytest.raises(EmptyInterior):
+            dirichlet(p, Quadratic(b, (), d), ctx2)
+    # the line x1 = 0, the lines x1 = +-1 and the parabola x1^2 + x2 + 1 = 0
+    for b, c, d in (((1, 0), (), 0), ((1, 0), (), -1), ((1, 0), (0, 1), 1)):
+        region = Quadratic(b, c, d)
+        u = dirichlet(p, region, ctx2).as_polynomial()
+        assert poly_laplacian(u, ctx2).is_zero()
+        assert (u - p).divide_exact(region.poly(ctx2), ctx2.var_rank) is not None
+
+
 def test_ansatz_columns_equal_the_products_they_replace():
     # the quadric solvers write these columns in one pass over q's terms;
     # with the product as the right side, every row reads n = rhs: made

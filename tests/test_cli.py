@@ -790,6 +790,8 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ('dirichlet x1 --dim 2 --region "quadratic:1,1;0,0;1"', "EmptyInterior"),
         ('dirichlet x1 --dim 2 --region "quadratic:1,1;0,0;0"', "EmptyInterior"),
         ('dirichlet x1 --dim 2 --region "quadratic:-1,-1;0,0;-1"', "EmptyInterior"),
+        # x2 is free and x1^2 + 1 > 0
+        ('dirichlet x1 --dim 2 --region "quadratic:1,0;0,0;1"', "EmptyInterior"),
         ("eval x1 --dim 2 --at 1,2,3", "DimensionMismatch"),
         ("eval x1 --dim 2 --at 1", "DimensionMismatch"),
         ("reflect --point 1,2 --mirror hyperplane:1,0,0;0", "DimensionMismatch"),
