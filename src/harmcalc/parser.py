@@ -242,6 +242,7 @@ class _Parser:
         # canonical: a base may divide it
         rough = False
         while True:
+            t = self.peek()
             kind, payload = self.atom()
             exp = self.power()
             if kind == "number" and exp == 1:
@@ -249,7 +250,7 @@ class _Parser:
             elif kind == "variable" and exp >= 0:
                 exps[payload] = exps.get(payload, 0) + exp
             else:
-                value = self._factor(kind, payload, exp)
+                value = self._factor(kind, payload, exp, t)
                 if rest is None:
                     rest = value
                 elif _has_bases(rest) and _has_bases(value):
@@ -287,10 +288,10 @@ class _Parser:
             return list(Expr._from_raw(self.ctx, pairs).terms)
         return pairs
 
-    def _factor(self, kind, payload, exp):
+    def _factor(self, kind, payload, exp, tok):
         """The canonical pairs of a factor that does not fold into the
         monomial: a norm power, a variable's negative power, or a value's
-        power (a number's other than 1)."""
+        power (a number's other than 1).  tok is the factor's first token."""
         if kind == "norm":
             names, k = payload
             return self._norm_power(names, k * exp).terms
@@ -305,6 +306,8 @@ class _Parser:
             poly = payload.as_polynomial()
             if exp >= 0:
                 poly = poly**exp
+            elif poly.is_zero():
+                raise ParseError("division by zero", tok.line, tok.col)
             elif poly.is_constant():
                 poly = Polynomial.const(poly.constant_term().inverse() ** (-exp))
             else:

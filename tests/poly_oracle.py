@@ -504,6 +504,7 @@ class FactorParser(_Parser):
         return e
 
     def factor(self):
+        t = self.peek()
         kind, payload = self.atom()
         exp = self.power()
         if kind == "norm":
@@ -513,6 +514,8 @@ class FactorParser(_Parser):
             return payload**exp
         if payload.is_polynomial():
             poly = payload.as_polynomial()
+            if poly.is_zero():
+                raise ParseError("division by zero", t.line, t.col)
             if poly.is_constant():
                 return Expr.from_scalar(self.ctx, poly.constant_term().inverse() ** (-exp))
         raise UnsupportedInputError("negative powers are supported on norms and rationals only")

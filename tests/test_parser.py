@@ -92,6 +92,20 @@ def test_negative_powers(ctx3):
         parse_expression("x1^-1", ctx3)
 
 
+@pytest.mark.parametrize(
+    "src, column",
+    [("0^-1", 1), ("x1 + (x1 - x1)^-2", 6), ("2*0^-3*x1", 3), ("log(1)^-1", 1), ("(0)^-1 + bogus", 1)],
+)
+def test_a_zero_to_a_negative_power_is_a_division_by_zero(src, column, ctx3):
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse_expression(src, ctx3)
+    assert (err.value.line, err.value.column) == (1, column)
+    # as is a zero denominator
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_expression("1/0", ctx3)
+    assert parse_expression("0^0", ctx3) == Expr.from_scalar(ctx3, 1)
+
+
 def test_dot_and_second_vector():
     ctx = make_context(3, extra_vecs=("y",))
     e = parse_expression("dot(x,y)", ctx, vectors={"y": ("y1", "y2", "y3")})
@@ -178,7 +192,7 @@ def test_decimal_digits_of_other_scripts_read_as_numbers(ctx3):
 _ATOMS = (
     "x1", "x2", "x3", "y1", "y2", "x1", "x2", "3", "2/3", "0", "1",
     "norm(x)", "norm(y)", "norm2(x)", "norm2(y)", "||x||", "||y||",
-    "log(norm(x))", "log(||y||)", "log(norm2(x))", "log(2)", "log(3/4)", "dot(x,y)", "dot(x,x)",
+    "log(norm(x))", "log(||y||)", "log(norm2(x))", "log(2)", "log(3/4)", "log(1)", "dot(x,y)", "dot(x,x)",
 )
 # each a fault of its own, or an operand that refuses a power
 _FAULTS = (
