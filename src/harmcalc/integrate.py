@@ -229,9 +229,9 @@ class Quadratic:
     Quadric-multiple anti-Laplacians take any signs.  Dirichlet solves
     need the surface q = 0 to have more than one point: when every
     nonzero b_i has one sign s and c_i = 0 wherever b_i = 0, s rho^2 > 0
-    over the nonzero b_i, or s rho^2 = 0 with a zero b_i.  Ellipsoid integrals and Neumann solves
-    need the ellipsoid q < 0: every b_i > 0 and rho^2 > 0, checked where
-    they integrate.
+    over the nonzero b_i, or s rho^2 = 0 with a zero b_i.  Ellipsoid
+    integrals and Neumann solves need the ellipsoid q < 0: every b_i > 0
+    and rho^2 > 0, checked where they integrate.
     """
 
     b: Tuple[Fraction, ...]
