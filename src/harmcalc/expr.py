@@ -1036,7 +1036,7 @@ class Expr:
             # one polynomial power, under its bound on the result size
             return Expr.from_poly(self.ctx, self.as_polynomial() ** k)
         check_power(k, _power_blocks(p for p, _ in self.terms))
-        return power(self, k, Expr.from_poly(self.ctx, Polynomial.const(1)))
+        return power(self, k, None) if k else Expr.from_poly(self.ctx, Polynomial.const(1))
 
     def _coerce(self, x):
         if isinstance(x, Expr):

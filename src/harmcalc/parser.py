@@ -37,6 +37,7 @@ factor would raise it, with the same type and message.
 
 from __future__ import annotations
 
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -59,52 +60,38 @@ class _Token:
         return "Token(%s, %r)" % (self.kind, self.text)
 
 
+# the pieces of a source, in order: spaces, "||", decimal digits, a word,
+# an operator, or one stray character.  For str patterns \s is
+# str.isspace, \d str.isdecimal and \w str.isalnum or "_": superscript
+# and circled digits, which Decimal does not read, are no number, but
+# they may continue a name.
+_PIECE = re.compile(r"\s+|\|\||\d+|\w+|[-+*^(),/]|.")
+
+
 def _tokenize(src):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start, pos = 1, 0, 0
+    for text in _PIECE.findall(src):
+        first = text[0]
+        if first in "+-*^(),/":
+            kind = text
+        elif first.isalpha() or first == "_":
+            kind = "ident"
+        elif first.isdecimal():
+            kind = "int"
+        elif text == "||":
+            kind = "norm_bars"
+        elif first.isspace():
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
+            pos += len(text)
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if src.startswith("||", i):
-            tokens.append(_Token("norm_bars", "||", line, col))
-            i += 2
-            col += 2
-            continue
-        # isdecimal, not isdigit: Decimal reads every decimal digit, but
-        # superscript and circled digits are not decimal
-        if ch.isdecimal():
-            j = i
-            while j < n and src[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^(),/":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("eof", "", line, col))
+        else:
+            raise ParseError("unexpected character %r" % first, line, pos - line_start + 1)
+        tokens.append(_Token(kind, text, line, pos - line_start + 1))
+        pos += len(text)
+    tokens.append(_Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 

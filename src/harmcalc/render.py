@@ -157,7 +157,7 @@ def _poly_term_text(mono, coeff):
 def _poly_term_latex(mono, coeff):
     mono_tex = " ".join(v if e == 1 else "%s^{%d}" % (v, e) for v, e in mono)
     if not isinstance(coeff, tuple):
-        return ("\\left(%s\\right) " % scalar_latex(coeff)) + mono_tex
+        return ("\\left(%s\\right) %s" % (scalar_latex(coeff), mono_tex)).rstrip()
     num, den = coeff
     body = "" if abs(num) == den == 1 and mono_tex else _fraction_latex(abs(num), den)
     return ("-" if num < 0 else "") + (body + " " + mono_tex).strip()

@@ -40,7 +40,13 @@ def _sieve(limit=10000):
 
 _SMALL_PRIMES = _sieve()
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the first 13 prime bases is exact below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017).  At and above it, n is read by Baillie-PSW: one Miller-Rabin round
+# to base 2 and a strong Lucas test (Baillie and Wagstaff, Math. Comp. 35,
+# 1980), which has no known counterexample.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def _is_prime(n):
@@ -54,7 +60,7 @@ def _is_prime(n):
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < _PSI_13 else (2,):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -64,7 +70,54 @@ def _is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for an odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n):
+    """The strong Lucas test of an odd n > 1 with no prime factor below 42,
+    with Selfridge's parameters: the first D of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while _jacobi(D, n) != -1:
+        D = 2 - D if D < 0 else -D - 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n from k = 1 up the bits of d: U_2k = U_k V_k,
+    # V_2k = V_k^2 - 2 Q^k, 2 U_(k+1) = U_k + V_k, 2 V_(k+1) = D U_k + V_k
+    half = (n + 1) // 2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n):

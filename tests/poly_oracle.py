@@ -33,6 +33,10 @@ in u = log ||x||^2 on coefficient lists.
 every atom is an Expr, every power and product is canonicalized, where
 `parser._Parser` folds a term's numbers and variables into one monomial
 and canonicalizes each sum once.
+
+`tokenize_by_characters` is the earlier tokenizer: it walks the source
+one character at a time, where `parser._tokenize` matches one compiled
+regular expression.
 """
 
 import heapq
@@ -584,3 +588,53 @@ def parse_by_factors(src, ctx, vectors=None):
         return FactorParser(src, ctx, table).parse()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
+
+
+def tokenize_by_characters(src):
+    """`parser._tokenize` as (kind, text, line, column) tuples."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if src.startswith("||", i):
+            tokens.append(("norm_bars", "||", line, col))
+            i += 2
+            col += 2
+            continue
+        # isdecimal, not isdigit: Decimal reads every decimal digit, but
+        # superscript and circled digits are not decimal
+        if ch.isdecimal():
+            j = i
+            while j < n and src[j].isdecimal():
+                j += 1
+            tokens.append(("int", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("ident", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^(),/":
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError("unexpected character %r" % ch, line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -665,6 +666,24 @@ def test_batch_reads_utf8_under_the_c_locale(tmp_path):
     assert results[2]["result"] == "4*pi/3"
 
 
+def test_batch_line_that_is_not_utf8_is_that_lines_usage_error(tmp_path):
+    script = tmp_path / "commands.txt"
+    script.write_bytes(b"volume --dim \xff3\nvolume --dim 3\n")
+    results, code = run(["batch", str(script)])
+    assert code == 0
+    assert results == [
+        {
+            "command": "volume --dim \\xff3",
+            "exit": 2,
+            "result": {
+                "error": "batch: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte",
+                "type": "ParseError",
+            },
+        },
+        {"command": "volume --dim 3", "exit": 0, "result": "4*pi/3"},
+    ]
+
+
 def test_batch_survives_deep_nesting(tmp_path):
     deep = "(" * 3000 + "x1" + ")" * 3000
     script = tmp_path / "commands.txt"
@@ -992,6 +1011,35 @@ def test_usage_error_text_is_pinned(line, capsys):
     assert run(shlex.split(line)) == ({"error": message, "type": "ParseError"}, 2)
     assert main(shlex.split(line)) == 2
     assert capsys.readouterr().err == "ParseError: %s\n" % message
+
+
+PIN_SECONDS = 20
+
+
+def _out_of_time(signum, frame):
+    # pytest's Failed is no Exception, so `main` cannot turn it into exit 6
+    pytest.fail("no answer within %d s" % PIN_SECONDS)
+
+
+# known answers: each row pins a command line's exit code, its stdout
+# (exact text, or the sha256 of its UTF-8 bytes) and its stderr line count
+@pytest.mark.parametrize("line", list(GOLDENS["pins"]))
+def test_pinned_answer(line, capsys):
+    pin = GOLDENS["pins"][line]
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(PIN_SECONDS)
+    try:
+        code = main(shlex.split(line))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert code == pin["exit"], err
+    assert len(err.splitlines()) == pin["stderr_lines"]
+    if "stdout" in pin:
+        assert out == pin["stdout"] + "\n"
+    if "sha256" in pin:
+        assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
 
 
 # one verb run line after line in one process: no appended list, default or

@@ -6,7 +6,13 @@ import pytest
 import poly_oracle
 from conftest import E, P, random_norm_expr, random_polynomial, rational_sphere_point
 
-from harmcalc.errors import NegativeBaseValue, UnsupportedBase, UnsupportedInputError, ZeroBaseValue
+from harmcalc.errors import (
+    MultiTermDivision,
+    NegativeBaseValue,
+    UnsupportedBase,
+    UnsupportedInputError,
+    ZeroBaseValue,
+)
 from harmcalc.expr import (
     Context,
     Expr,
@@ -453,3 +459,14 @@ def test_kelvin_round_trip_in_dimension_5_pulls_six_times(monkeypatch):
     monkeypatch.setattr(Polynomial, "divide_exact", counted)
     assert kelvin(k).terms == u.terms
     assert hits == [True] * 6 + [False]
+
+
+def test_division_by_a_constant(ctx3):
+    e = E("x1*norm(x)^3 + 2*log(norm(x)) - 3/5*x2", ctx3)
+    assert (e / 2).terms == e.scale(Scalar.from_fraction(F(1, 2))).terms
+    assert e / F(2, 3) == E("3/2*x1*norm(x)^3 + 3*log(norm(x)) - 9/10*x2", ctx3)
+    pi_sqrt2 = Scalar.pi_power(2) * Scalar.sqrt_int(2)
+    assert (e / pi_sqrt2) * pi_sqrt2 == e
+    with pytest.raises(MultiTermDivision):
+        e / (Scalar.sqrt_int(2) + 1)
+

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
@@ -6,12 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_norm_expr
-from poly_oracle import parse_by_factors
+from poly_oracle import parse_by_factors, tokenize_by_characters
 
 from harmcalc.errors import HarmcalcError, ParseError, UnknownVariable, UnsupportedInputError
 from harmcalc.expr import Expr, Polynomial, make_context
 from harmcalc import scalar
-from harmcalc.parser import parse_expression, parse_polynomial, parse_radial
+from harmcalc.parser import _tokenize, parse_expression, parse_polynomial, parse_radial
 from harmcalc.render import expr_text
 from harmcalc.scalar import Scalar
 
@@ -296,3 +297,59 @@ def test_a_polynomial_sum_is_canonicalized_once(ctx5, canonicalization_count):
         Polynomial.var("x1", 3) * Polynomial.var("x2", 2) * Polynomial.var("x3") * F(3, 2)
         - Polynomial.var("x2", 4) * Polynomial.var("x5", 2) * 5,
     )
+
+
+def test_a_power_with_base_factors_builds_no_unused_one(ctx5, canonicalization_count):
+    # the 1 that is x^0 is built for a zero power only, not beside every power
+    parse_expression("log(norm(x))^2", ctx5)
+    assert canonicalization_count() == 4
+    parse_expression("(3*x1^2*x2 - x3^3 + 2/5*x4*x5^2)*norm(x)^3*log(norm(x))^2", ctx5)
+    assert canonicalization_count() == 4 + 7
+    assert parse_expression("log(norm(x))^0", ctx5) == Expr.from_scalar(ctx5, 1)
+
+
+def test_token_classes_are_the_str_predicates():
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+    assert re.findall(r"\d", chars) == [c for c in chars if c.isdecimal()]
+    assert re.findall(r"\w", chars) == [c for c in chars if c.isalnum() or c == "_"]
+
+
+def _token_tuples(src):
+    return [(t.kind, t.text, t.line, t.col) for t in _tokenize(src)]
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return tokenize(src)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# decimal digits of other scripts (Arabic-Indic, Devanagari, double-struck);
+# digits that are not decimal (superscript, circled, a fraction, a Roman
+# numeral), which continue a name but start no token; letters that are not
+# ASCII; every kind of space and line break
+TOKEN_PIECES = (
+    "x1", "x", "_a", "norm", "12", "0", "\u0663", "\u096a7", "\U0001d7d9",
+    "x\u00b2", "_\u2460", "\u03bb\u00bd\u216b", "\u00e9", "\u01c5",
+    " ", "\t", "\n", "\r", "\r\n", "\u2028", "\x0b", "\x85", "\u00a0", "\u3000",
+    "||", "+", "-", "*", "^", "(", ")", ",", "/",
+)
+STRAY_CHARACTERS = "|$!.=\x00\u0301\u00b2\u2460"
+
+
+def test_tokens_match_the_character_walk():
+    rng = random.Random(26)
+    sources = ["", "\n", "x1\n", "\u00b2", "x\u00b2", "1\u00b2", "|||", "\t\u00b2\n  \u2460"]
+    for _ in range(400):
+        src = "".join(rng.choices(TOKEN_PIECES, k=rng.randint(1, 16)))
+        at = rng.randint(0, len(src))
+        sources.append(src if rng.random() < 0.5 else src[:at] + rng.choice(STRAY_CHARACTERS) + src[at:])
+    errors = 0
+    for src in sources:
+        want = _tokens_or_error(tokenize_by_characters, src)
+        assert _tokens_or_error(_token_tuples, src) == want, src
+        errors += isinstance(want, tuple)
+    # both outcomes are exercised
+    assert 100 < errors < len(sources) - 100

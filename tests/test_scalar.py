@@ -35,6 +35,44 @@ def test_factorize_and_split_square():
     assert factorize(n) == {998117: 1, 1000003: 1}
 
 
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_strong_pseudoprimes_to_every_base_are_composite():
+    assert not scalar._is_prime(PSI_12)
+    assert not scalar._is_prime(PSI_13)
+    # both pass Miller-Rabin to base 2, so the strong Lucas test refuses them
+    assert not scalar._is_strong_lucas_probable_prime(PSI_13)
+    assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+def test_strong_lucas_test_accepts_primes_and_its_known_pseudoprimes():
+    # below 10^5 it errs only on the strong Lucas pseudoprimes with
+    # Selfridge's parameters (OEIS A217255), none with a factor below 42
+    n_max = 10**5
+    composite = bytearray(n_max)
+    for p in range(2, 317):
+        composite[p * p :: p] = b"\x01" * len(composite[p * p :: p])
+    wrong = [
+        n
+        for n in range(43, n_max, 2)
+        if all(n % p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+        and scalar._is_strong_lucas_probable_prime(n) != (not composite[n])
+    ]
+    assert wrong == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+
+def test_primes_above_the_last_exact_bound_are_read_by_baillie_psw():
+    for e in (89, 107, 127, 521, 607):
+        # Mersenne primes, and a semiprime and a square of two of them
+        assert scalar._is_prime(2**e - 1)
+        assert not scalar._is_prime((2**e - 1) * (2**61 - 1))
+        assert not scalar._is_prime((2**e - 1) ** 2)
+    assert not scalar._is_prime(2**523 - 1)
+
+
 def test_like_term_collection():
     half_pi2 = Scalar.pi_power(4) * Scalar.from_fraction(F(1, 2))
     assert half_pi2 + half_pi2 == Scalar.pi_power(4)
