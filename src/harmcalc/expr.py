@@ -104,9 +104,13 @@ class Layout:
     guard bit that stays clear: exponents and degrees are at most `mask`,
     and a subtraction that borrows sets a guard.  `_layout` hands out one
     shared Layout per (names, stride).
+
+    `factorials` memoizes `factorial` by key; `powers` holds the rendered
+    powers of each variable, one table per output form, filled by
+    `render` with the exponents it prints.
     """
 
-    __slots__ = ("names", "stride", "mask", "top", "guards", "shift", "unit", "factorials")
+    __slots__ = ("names", "stride", "mask", "top", "guards", "shift", "unit", "factorials", "powers")
 
     def __init__(self, names, stride):
         self.names = names
@@ -117,6 +121,7 @@ class Layout:
         self.unit = {v: (1 << s) + (1 << self.top) for v, s in self.shift.items()}
         self.guards = sum(1 << (i * stride + stride - 1) for i in range(len(names) + 1))
         self.factorials = {}
+        self.powers = {}
 
     def pack(self, mono):
         return sum(e * self.unit[v] for v, e in mono)

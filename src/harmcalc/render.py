@@ -4,24 +4,45 @@ Scalars render as coefficient then pi, sqrt, and log factors; polynomial
 terms are ordered by ascending graded-lex over the context's variables;
 norm factors render as ||x||^h.  Text output for the polynomial fragment
 round-trips through the parser.
+
+A polynomial prints from its blocks, one path for text and LaTeX (JSON
+carries the text).  Its keys are sorted by `order_key`; a key that one
+block holds prints its coefficient as ints over that block's denominator,
+reduced, beside the block's signature factors (`sqrt(3)`, `pi^(3/2)`,
+`log(2)^2`), which are written once per block.  Only a key that several
+blocks hold builds its Scalar coefficient.  Monomials are joined from the
+powers of each variable ("x1", "x1^3", "x1^{3}"), kept per output form on
+the interned `Layout` in `Layout.powers`: a table holds only the exponents
+printed in that layout, so it stays bounded by the variables times the
+exponents used, and in the usual 8-bit layout a key's exponents are its
+bytes.
 """
 
 from __future__ import annotations
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from operator import getitem
 
-from .expr import RATIONAL, Expr, Polynomial, context_of, order_key
+from .expr import Expr, Polynomial, context_of, order_key
 from .scalar import Scalar
 
 # ---------------------------------------------------------------------------
 # scalars
 
+# str(int) refuses more digits than sys.get_int_max_str_digits() allows, and
+# no limit can be set below this threshold (a Python without the limit has
+# the attribute missing and takes any int)
+_STR_LIMIT = 10 ** (getattr(sys.int_info, "str_digits_check_threshold", 640) - 1)
+
 
 def _int_text(n):
-    # str(int) refuses more digits than sys.get_int_max_str_digits() allows;
-    # a Decimal converts without that limit
+    # below the threshold's digit count str() always works; a Decimal
+    # converts any int, past every limit
+    if -_STR_LIMIT < n < _STR_LIMIT:
+        return str(n)
     return str(Decimal(n))
 
 
@@ -29,67 +50,6 @@ def _fraction_text(num, den):
     if den == 1:
         return _int_text(num)
     return "%s/%s" % (_int_text(num), _int_text(den))
-
-
-def _scalar_term_text(term):
-    coeff, rad, pih, logs = term
-    parts = []
-    if pih:
-        if pih % 2 == 0:
-            e = pih // 2
-            parts.append("pi" if e == 1 else "pi^%d" % e if e > 0 else "pi^(%d)" % e)
-        else:
-            parts.append("pi^(%d/2)" % pih)
-    if rad != 1:
-        parts.append("sqrt(%d)" % rad)
-    for p, m in logs:
-        parts.append("log(%d)" % p if m == 1 else "log(%d)^%d" % (p, m))
-    num, den = coeff.numerator, coeff.denominator
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    if not parts:
-        body = _int_text(num)
-    elif num == 1:
-        body = "*".join(parts)
-    else:
-        body = "*".join([_int_text(num)] + parts)
-    if den != 1:
-        body += "/" + _int_text(den)
-    return sign + body
-
-
-def _signed_sum(terms):
-    """Term strings joined as a sum, a leading minus written as a subtraction."""
-    out = []
-    for t in terms:
-        if out:
-            t = "- " + t[1:] if t.startswith("-") else "+ " + t
-        out.append(t)
-    return " ".join(out) or "0"
-
-
-def scalar_text(s):
-    return _signed_sum(map(_scalar_term_text, s.terms))
-
-
-def _scalar_term_latex(term):
-    coeff, rad, pih, logs = term
-    parts = []
-    if pih:
-        parts.append(
-            "\\pi" if pih == 2 else "\\pi^{%s}" % _half_text(pih)
-        )
-    if rad != 1:
-        parts.append("\\sqrt{%d}" % rad)
-    for p, m in logs:
-        parts.append("\\log %d" % p if m == 1 else "(\\log %d)^{%d}" % (p, m))
-    num, den = coeff.numerator, coeff.denominator
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    coeff_tex = _fraction_latex(num, den)
-    if parts and num == 1 and den == 1:
-        coeff_tex = ""
-    return sign + (coeff_tex + " ".join(parts) if parts else coeff_tex)
 
 
 def _fraction_latex(num, den):
@@ -102,8 +62,70 @@ def _half_text(h):
     return str(h // 2) if h % 2 == 0 else "%d/2" % h
 
 
+def _sig_factors(sig, latex):
+    """The printed factors of a Scalar signature (radicand, pi half-exponent,
+    logs): pi's power, then the square root, then the logs."""
+    rad, pih, logs = sig
+    parts = []
+    if latex:
+        if pih:
+            parts.append("\\pi" if pih == 2 else "\\pi^{%s}" % _half_text(pih))
+        if rad != 1:
+            parts.append("\\sqrt{%d}" % rad)
+        for p, m in logs:
+            parts.append("\\log %d" % p if m == 1 else "(\\log %d)^{%d}" % (p, m))
+        return " ".join(parts)
+    if pih:
+        if pih % 2 == 0:
+            e = pih // 2
+            parts.append("pi" if e == 1 else "pi^%d" % e if e > 0 else "pi^(%d)" % e)
+        else:
+            parts.append("pi^(%d/2)" % pih)
+    if rad != 1:
+        parts.append("sqrt(%d)" % rad)
+    for p, m in logs:
+        parts.append("log(%d)" % p if m == 1 else "log(%d)^%d" % (p, m))
+    return "*".join(parts)
+
+
+def _coeff_text(num, den, factors):
+    """num/den times the joined signature factors ('' for a rational), sign first."""
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    if not factors:
+        body = _int_text(num)
+    elif num == 1:
+        body = factors
+    else:
+        body = _int_text(num) + "*" + factors
+    if den != 1:
+        body += "/" + _int_text(den)
+    return sign + body
+
+
+def _coeff_latex(num, den, factors):
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    if factors and num == 1 and den == 1:
+        return sign + factors
+    return sign + _fraction_latex(num, den) + factors
+
+
+def _signed_sum(terms):
+    """Term strings joined as a sum, a leading minus written as a subtraction."""
+    terms = list(terms)
+    if not terms:
+        return "0"
+    rest = [" - " + t[1:] if t[0] == "-" else " + " + t for t in terms[1:]]
+    return terms[0] + "".join(rest)
+
+
+def scalar_text(s):
+    return _signed_sum(_coeff_text(c.numerator, c.denominator, _sig_factors(sig, False)) for c, *sig in s.terms)
+
+
 def scalar_latex(s):
-    return _signed_sum(map(_scalar_term_latex, s.terms))
+    return _signed_sum(_coeff_latex(c.numerator, c.denominator, _sig_factors(sig, True)) for c, *sig in s.terms)
 
 
 def scalar_json(s):
@@ -124,51 +146,103 @@ def scalar_json(s):
 # polynomials
 
 
-def _poly_terms(poly, ctx):
-    """(monomial tuple, coefficient) of poly's terms, ascending graded-lex.
+class _Powers(dict):
+    """The printed powers of one variable by exponent: '' for 0, the name for
+    1, and each other exponent formatted when first read."""
 
-    A rational coefficient is (num, den) in lowest terms, read straight
-    from its block; a Scalar is built only for an irrational one.
+    __slots__ = ("name", "form")
+
+    def __init__(self, name, form):
+        super().__init__({0: "", 1: name})
+        self.name, self.form = name, form
+
+    def __missing__(self, e):
+        out = self[e] = self.form % (self.name, e)
+        return out
+
+
+def _monomials(lay, keys, latex):
+    """The printed monomial of each packed key: the layout's powers of its
+    variables, in name order, joined."""
+    tables = lay.powers.get(latex)
+    if tables is None:
+        form = "%s^{%d}" if latex else "%s^%d"
+        tables = lay.powers[latex] = tuple(_Powers(v, form) for v in lay.names)
+    sep = " " if latex else "*"
+    if lay.stride == 8:
+        # one byte a field from the low end, the total degree's on top
+        width = len(lay.names) + 1
+        return [sep.join(filter(None, map(getitem, tables, k.to_bytes(width, "little")))) for k in keys]
+    fields, mask = range(0, lay.top, lay.stride), lay.mask
+    return [sep.join(filter(None, map(getitem, tables, [k >> s & mask for s in fields]))) for k in keys]
+
+
+def _rational_term_text(num, den, mono):
+    if not mono:
+        return _fraction_text(num, den)
+    if den == 1 and (num == 1 or num == -1):
+        return mono if num == 1 else "-" + mono
+    return _fraction_text(num, den) + "*" + mono
+
+
+def _rational_term_latex(num, den, mono):
+    sign = "-" if num < 0 else ""
+    if not mono:
+        return sign + _fraction_latex(abs(num), den)
+    if den == 1 and (num == 1 or num == -1):
+        return sign + mono
+    return sign + _fraction_latex(abs(num), den) + " " + mono
+
+
+def _poly_render(poly, ctx, latex):
+    """poly's terms as one sum, ascending graded-lex over ctx's variables.
+
+    A key held by one block, which is every key of a one-block polynomial,
+    prints its coefficient as ints over the block denominator beside the
+    block's signature factors, written once; only a key that several
+    blocks hold has its coefficient built as a Scalar.
     """
-    lay, blocks = poly.layout, poly.blocks.items()
-    rank = ctx.var_rank if ctx is not None else {}
-    for k in sorted(poly.packed_keys(), key=order_key(lay, rank)):
-        if [sig for sig, (_, nums) in blocks if k in nums] == [RATIONAL]:
-            den, nums = poly.blocks[RATIONAL]
-            g = gcd(nums[k], den)
-            yield lay.unpack(k), (nums[k] // g, den // g)
+    owner = {}
+    for sig, (den, nums) in poly.blocks.items():
+        block = (_sig_factors(sig, latex), den, nums)
+        if owner:
+            for k in nums:
+                owner[k] = None if k in owner else block
         else:
-            yield lay.unpack(k), poly.coefficient_at(k)
-
-
-def _poly_term_text(mono, coeff):
-    mono_txt = "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in mono)
-    if isinstance(coeff, tuple):
-        num, den = coeff
-        if not mono_txt:
-            return _fraction_text(num, den)
-        if den == 1 and abs(num) == 1:
-            return mono_txt if num == 1 else "-" + mono_txt
-        return _fraction_text(num, den) + "*" + mono_txt
-    body = "(%s)" % scalar_text(coeff)
-    return body if not mono_txt else body + "*" + mono_txt
-
-
-def _poly_term_latex(mono, coeff):
-    mono_tex = " ".join(v if e == 1 else "%s^{%d}" % (v, e) for v, e in mono)
-    if not isinstance(coeff, tuple):
-        return ("\\left(%s\\right) %s" % (scalar_latex(coeff), mono_tex)).rstrip()
-    num, den = coeff
-    body = "" if abs(num) == den == 1 and mono_tex else _fraction_latex(abs(num), den)
-    return ("-" if num < 0 else "") + (body + " " + mono_tex).strip()
+            owner = dict.fromkeys(nums, block)
+    lay = poly.layout
+    keys = sorted(owner, key=order_key(lay, ctx.var_rank if ctx is not None else {}))
+    if latex:
+        coeff_text, rational_term = _coeff_latex, _rational_term_latex
+        wrap, wrap_alone = "\\left(%s\\right) %s", "\\left(%s\\right)"
+    else:
+        coeff_text, rational_term, wrap, wrap_alone = _coeff_text, _rational_term_text, "(%s)*%s", "(%s)"
+    out = []
+    for k, mono in zip(keys, _monomials(lay, keys, latex)):
+        block = owner[k]
+        if block is None:
+            c = poly.coefficient_at(k)
+            coeff = scalar_latex(c) if latex else scalar_text(c)
+        else:
+            factors, den, nums = block
+            num = nums[k]
+            if den != 1:
+                g = gcd(num, den)
+                num, den = num // g, den // g
+            if not factors:
+                out.append(rational_term(num, den, mono))
+                continue
+            coeff = coeff_text(num, den, factors)
+        out.append(wrap % (coeff, mono) if mono else wrap_alone % coeff)
+    return _signed_sum(out)
 
 
 def poly_text(poly, ctx=None):
-    return _signed_sum(_poly_term_text(m, c) for m, c in _poly_terms(poly, ctx))
+    return _poly_render(poly, ctx, latex=False)
 
 
 def poly_latex(poly, ctx=None):
-    return _signed_sum(_poly_term_latex(m, c) for m, c in _poly_terms(poly, ctx))
+    return _poly_render(poly, ctx, latex=True)
 
 
 # ---------------------------------------------------------------------------
