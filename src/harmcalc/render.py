@@ -296,10 +296,14 @@ def _expr_render(e, ctx, latex):
     for poly, fac in e.terms:
         body = poly_latex(poly, ctx) if latex else poly_text(poly, ctx)
         if fac:
-            if len(poly.packed_keys()) > 1:
-                body = ("\\left(%s\\right)" if latex else "(%s)") % body
-            parts = [body] + [t for f in fac for t in _factor_text(ctx, *f, latex=latex)]
-            body = (" " if latex else "*").join(parts)
+            parts = [t for f in fac for t in _factor_text(ctx, *f, latex=latex)]
+            if body in ("1", "-1"):
+                # a unit polynomial prints as its sign before the factors
+                body = body[:-1] + (" " if latex else "*").join(parts)
+            else:
+                if len(poly.packed_keys()) > 1:
+                    body = ("\\left(%s\\right)" if latex else "(%s)") % body
+                body = (" " if latex else "*").join([body] + parts)
         chunks.append(body)
     return " + ".join(chunks) or "0"
 

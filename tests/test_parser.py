@@ -13,7 +13,8 @@ from harmcalc.errors import HarmcalcError, ParseError, UnknownVariable, Unsuppor
 from harmcalc.expr import Expr, Polynomial, make_context
 from harmcalc import scalar
 from harmcalc.parser import _tokenize, parse_expression, parse_polynomial, parse_radial
-from harmcalc.render import expr_text
+from harmcalc.calculus import laplacian_of
+from harmcalc.render import expr_json, expr_latex, expr_text
 from harmcalc.scalar import Scalar
 
 
@@ -138,6 +139,26 @@ def test_round_trip_random(ctx3):
         text = expr_text(e, ctx3)
         back = parse_expression(text, ctx3)
         assert (back - e).is_zero()
+
+
+def test_unit_polynomial_prints_only_its_sign_and_factors(ctx3):
+    # a term whose polynomial is 1 or -1 prints no coefficient before its
+    # factors, and the text reads back as the same Expr
+    cases = {
+        "norm(x)^-4 + x1*norm(x)^-3": ("||x||^-4 + x1*||x||^-3", "\\lVert x \\rVert^{-4} + x1 \\lVert x \\rVert^{-3}"),
+        "-norm(x)^-4 + x1*norm(x)^-3": ("-||x||^-4 + x1*||x||^-3", "-\\lVert x \\rVert^{-4} + x1 \\lVert x \\rVert^{-3}"),
+        "-norm(x)^-1": ("-||x||^-1", "-\\lVert x \\rVert^{-1}"),
+        "norm(x)^-3": ("||x||^-3", "\\lVert x \\rVert^{-3}"),
+    }
+    for src, (text, latex) in cases.items():
+        e = parse_expression(src, ctx3)
+        assert expr_text(e, ctx3) == text
+        assert expr_latex(e, ctx3) == latex
+        assert parse_expression(text, ctx3) == e
+    e = parse_expression("x1^2*log(norm(x))", ctx3)
+    assert expr_text(laplacian_of(e, ctx=ctx3), ctx3) == "5*x1^2*||x||^-2 + log(||x||^2)"
+    # JSON keeps the polynomial
+    assert expr_json(parse_expression("norm(x)^-3", ctx3), ctx3)["terms"][0]["poly"] == "1"
 
 
 def test_long_literal_parses_exactly_and_renders_in_full(ctx3):
