@@ -342,6 +342,8 @@ class Scalar:
 
     def inverse(self):
         """Reciprocal; only single log-free terms are invertible."""
+        if not self.terms:
+            raise ZeroDivisionError("division by zero")
         if len(self.terms) != 1:
             raise MultiTermDivision("division by multi-term scalar")
         c, r, p, logs = self.terms[0]

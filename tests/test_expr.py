@@ -469,4 +469,7 @@ def test_division_by_a_constant(ctx3):
     assert (e / pi_sqrt2) * pi_sqrt2 == e
     with pytest.raises(MultiTermDivision):
         e / (Scalar.sqrt_int(2) + 1)
+    for zero in (0, F(0), Scalar.from_fraction(0)):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            e / zero
 

@@ -16,6 +16,7 @@ from harmcalc.expr import Polynomial
 from harmcalc.scalar import (
     MAX_POWER_BITS,
     ONE,
+    ZERO,
     Scalar,
     approx_scalar,
     factorize,
@@ -169,6 +170,13 @@ def test_division_restrictions():
         (ONE + Scalar.pi_power(2)).inverse()
     with pytest.raises(MultiTermDivision):
         Scalar.log_fraction(2).inverse()
+
+
+def test_division_by_zero():
+    # zero has no terms, but it is no multi-term scalar
+    for divide in (ZERO.inverse, lambda: ONE / 0, lambda: Scalar.pi_power(1) / ZERO, lambda: ZERO ** -1):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            divide()
 
 
 def _random_scalar(rng, terms=3):
