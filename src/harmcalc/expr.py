@@ -50,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .errors import (
     DimensionMismatch,
@@ -748,6 +748,24 @@ def horner(pairs, base):
     return total
 
 
+def quadratic_poly(coeffs, d=0):
+    """The sum of b v^2 + c v over the (v, b, c) triples, plus d, with int or
+    Fraction coefficients: one rational block in lowest terms, keyed in the
+    8-bit layout of the variables with a nonzero b or c, as `poly_sum` of
+    the one-variable terms would give."""
+    coeffs = [t for t in coeffs if t[1] or t[2]]
+    lay = _layout(tuple(sorted(v for v, _, _ in coeffs)))
+    den = lcm(d.denominator, *(x.denominator for _, b, c in coeffs for x in (b, c)))
+    nums = {0: d.numerator * (den // d.denominator)}
+    for v, b, c in coeffs:
+        u = lay.unit[v]
+        for k, x in ((2 * u, b), (u, c)):
+            nums[k] = nums.get(k, 0) + x.numerator * (den // x.denominator)
+    blocks = {}
+    _put(blocks, RATIONAL, den, nums)
+    return _new(lay, blocks)
+
+
 def dot_poly(a_names, b_names):
     """The dot product sum a_i*b_i of two blocks of variables."""
     return poly_sum([Polynomial.var(a) * Polynomial.var(b) for a, b in zip(a_names, b_names)])
@@ -840,7 +858,7 @@ class Context:
         return "normSq(%s)" % self.vec_label if bid == self.norm_base else None
 
     def norm_sq_poly(self, names=None):
-        return poly_sum([Polynomial.var(v, 2) for v in (names or self.coords)])
+        return quadratic_poly((v, 1, 0) for v in (names or self.coords))
 
     def __repr__(self):
         return "Context(dim=%d, coords=%s, extra=%s)" % (self.dim, list(self.coords), list(self.extra))

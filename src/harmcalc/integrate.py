@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Polynomial, _as_poly, poly_sum
+from .expr import Polynomial, _as_poly, poly_sum, quadratic_poly
 from .scalar import MAX_POWER_BITS, ONE, Scalar
 
 
@@ -253,13 +253,7 @@ class Quadratic:
             raise DimensionMismatch(
                 "the quadric needs %d coefficients, got %d" % (ctx.dim, len(self.b))
             )
-        parts = [Polynomial.const(self.d)]
-        for v, bi, ci in zip(ctx.coords, self.b, self.c):
-            if bi:
-                parts.append(Polynomial.var(v, 2).scale(bi))
-            if ci:
-                parts.append(Polynomial.var(v).scale(ci))
-        return poly_sum(parts)
+        return quadratic_poly(zip(ctx.coords, self.b, self.c), self.d)
 
     def rho_sq(self):
         return (

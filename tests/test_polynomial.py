@@ -22,7 +22,8 @@ import pytest
 import poly_oracle
 
 from harmcalc.errors import NonRationalValue
-from harmcalc.expr import Context, Expr, Polynomial, _layout, monomials, order_key, poly_sum
+from harmcalc.expr import Context, Expr, Polynomial, _layout, monomials, order_key, poly_sum, quadratic_poly
+from harmcalc.integrate import Quadratic
 from harmcalc.render import poly_text
 from harmcalc.scalar import Scalar
 
@@ -369,3 +370,34 @@ def test_monomials_match_recursive_order():
         degrees = [3, -1, 0, 2]
         assert tuples(names, degrees) == poly_oracle.monomials(names, degrees)
     assert tuples((), [0, 1, 0]) == poly_oracle.monomials((), [0, 1, 0]) == [(), ()]
+
+
+def test_quadratic_poly_is_the_sum_of_its_terms():
+    # custom coordinate names out of name order ("x10" sorts before "x2"),
+    # coefficients with a common content, zero coefficients, constants
+    names = ("x2", "x10", "b", "x1")
+    cases = [
+        ([(v, 1, 0) for v in names], 0),
+        ([("x2", F(3, 2), 0), ("x10", 0, F(-1, 3)), ("b", F(5, 6), F(1, 4)), ("x1", 0, 0)], F(-7, 2)),
+        ([("x2", 2, 4), ("x10", 6, 0)], 8),
+        ([("x10", 0, 1)], 0),
+        ([(v, 0, 0) for v in names], F(1, 3)),
+        ([(v, 0, 0) for v in names], 0),
+    ]
+    for coeffs, d in cases:
+        got = quadratic_poly(coeffs, d)
+        want = poly_sum(
+            [Polynomial.const(d)]
+            + [Polynomial.var(v, 2).scale(b) + Polynomial.var(v).scale(c) for v, b, c in coeffs]
+        )
+        assert got.layout is want.layout
+        assert got.blocks == want.blocks
+    ctx = Context(4, coords=names)
+    squares = poly_sum([Polynomial.var(v, 2) for v in names])
+    assert ctx.norm_sq_poly().layout is squares.layout
+    assert ctx.norm_sq_poly().blocks == squares.blocks
+    q = Quadratic((1, F(2, 3), 0, 5), (0, F(1, 2), -1, 0), F(-3, 4)).poly(ctx)
+    assert q == poly_sum(
+        [Polynomial.const(F(-3, 4)), Polynomial.var("x2", 2), Polynomial.var("x10", 2).scale(F(2, 3)),
+         Polynomial.var("x10").scale(F(1, 2)), -Polynomial.var("b"), Polynomial.var("x1", 2).scale(5)]
+    )
