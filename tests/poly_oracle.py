@@ -29,6 +29,10 @@ two symbolic antiderivative passes in t = ||x|| and every pair of their
 terms, where `bvp._radial_ode_solution` solves two first-order equations
 in u = log ||x||^2 on coefficient lists.
 
+`poly_text` and `poly_latex` print a polynomial one term at a time from
+the `terms` view, a Scalar per coefficient, where `harmcalc.render` reads
+each signature block's integers and writes its factors once.
+
 `FactorParser` is the earlier expression reader of `harmcalc.parser`:
 every atom is an Expr, every power and product is canonicalized, where
 `parser._Parser` folds a term's numbers and variables into one monomial
@@ -46,7 +50,7 @@ from math import factorial, prod
 from harmcalc.errors import ParseError, UnknownVariable, UnsupportedInputError
 from harmcalc.expr import Expr, Polynomial, dot_poly, poly_sum
 from harmcalc.parser import _Parser
-from harmcalc.render import scalar_text
+from harmcalc.render import scalar_latex, scalar_text
 from harmcalc.scalar import ZERO, Scalar, _as_fraction, scalar_sqrt
 
 
@@ -312,6 +316,26 @@ def poly_text(p, ctx=None):
             t = str(c.as_fraction()) + ("*" + mono if mono else "")
         else:
             t = mono if c.as_fraction() == 1 else "-" + mono
+        out += t if not out else " - " + t[1:] if t.startswith("-") else " + " + t
+    return out or "0"
+
+
+def poly_latex(p, ctx=None):
+    """The LaTeX of p: the `terms` view sorted by `_grlex_key`, one Scalar a term."""
+    rank = ctx.var_rank if ctx is not None else {}
+    out = ""
+    for m, c in sorted(p.terms.items(), key=lambda kv: _grlex_key(kv[0], rank)):
+        mono = " ".join(v if e == 1 else "%s^{%d}" % (v, e) for v, e in m)
+        if not c.is_rational():
+            t = "\\left(%s\\right)" % scalar_latex(c) + (" " + mono if mono else "")
+        else:
+            q = c.as_fraction()
+            sign, q = ("-" if q < 0 else ""), abs(q)
+            if mono and q == 1:
+                t = sign + mono
+            else:
+                body = str(q) if q.denominator == 1 else "\\frac{%d}{%d}" % (q.numerator, q.denominator)
+                t = sign + body + (" " + mono if mono else "")
         out += t if not out else " - " + t[1:] if t.startswith("-") else " + " + t
     return out or "0"
 

@@ -9,12 +9,13 @@ negation, `partial`, `integrate`, `laplacian`, `gradient_dot`,
 `substitute` and `eval` must agree with the oracle's loops over the
 terms, and equal results must hash alike.  `monomials` must list the
 keys of the oracle's recursive enumeration in the same order.
-Rendering must print the oracle's text, the `terms` view sorted in
-graded-lex order, and the oracle's `coefficient` lookup on the blocks
+Rendering must print the oracle's text and LaTeX, the `terms` view sorted
+in graded-lex order, and the oracle's `coefficient` lookup on the blocks
 must read the oracle's terms.
 """
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +25,7 @@ import poly_oracle
 from harmcalc.errors import NonRationalValue
 from harmcalc.expr import Context, Expr, Polynomial, _layout, monomials, order_key, poly_sum, quadratic_poly
 from harmcalc.integrate import Quadratic
-from harmcalc.render import poly_text
+from harmcalc.render import poly_latex, poly_text
 from harmcalc.scalar import Scalar
 
 CTX = Context(3, extra=("y1", "t"))
@@ -195,10 +196,32 @@ def test_render_order_matches_oracle():
     polys += [_wide(rng, rational=rng.random() < 0.5) for _ in range(40)]
     # None ranks nothing; CTX ranks all but "aux"; the last ranks against
     # name order and leaves "t" and "y1" out
+    # one irrational signature: sqrt(5), odd and even pi half powers, logs
+    # with powers; units, negative coefficients, lone constants; exponents
+    # of 64 and more in 8-bit fields and of 128 and more in 16-bit ones
+    sigs = (
+        Scalar.sqrt_int(5),
+        Scalar.pi_power(3),
+        Scalar.pi_power(-1),
+        Scalar.pi_power(4),
+        Scalar.pi_power(-2) * Scalar.sqrt_int(3),
+        Scalar.log_fraction(2) ** 2 * Scalar.log_fraction(3),
+        Scalar.log_fraction(5) * Scalar.pi_power(1) * Scalar.sqrt_int(7),
+    )
+    shapes = (
+        x1 * x2 - x2**2 * F(3, 4) + x1**3 * 7 - 1,
+        -x1 + x2 * F(5, 3) - aux**2,
+        x1**64 * x2 - x2**127 + x1**65 * F(-1, 2),
+        x1**128 - x1 * x2**200 * 3 + aux**130 * F(2, 9),
+    )
+    polys += [Polynomial.const(c) for c in (1, -1, F(-5, 3), 12)]
+    polys += [Polynomial.const(c) for c in sigs] + [Polynomial.const(-c * F(2, 3)) for c in sigs]
+    polys += shapes + tuple(p.scale(c) for p in shapes for c in sigs)
     ctxs = (None, CTX, Context(3, coords=("x3", "x1", "x2"), extra=("aux",)))
     for p in polys:
         for ctx in ctxs:
             assert poly_text(p, ctx) == poly_oracle.poly_text(p, ctx)
+            assert poly_latex(p, ctx) == poly_oracle.poly_latex(p, ctx)
         for mono, c in p.terms.items():
             assert poly_oracle.coefficient(p, mono) == c
         mono = _mono(rng, 3)
@@ -401,3 +424,20 @@ def test_quadratic_poly_is_the_sum_of_its_terms():
         [Polynomial.const(F(-3, 4)), Polynomial.var("x2", 2), Polynomial.var("x10", 2).scale(F(2, 3)),
          Polynomial.var("x10").scale(F(1, 2)), -Polynomial.var("b"), Polynomial.var("x1", 2).scale(5)]
     )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_render_past_the_int_digit_limit():
+    # str() refuses an int of more digits than the limit; render does not
+    ints = (10**699 + 3, 10**639 - 1, 10**639)
+    want = [(str(n), str(n - 2)) for n in ints]
+    x1 = Polynomial.var("x1")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n, (digits, less) in zip(ints, want):
+            p = x1.scale(F(n, 7)) - (n - 2)
+            assert poly_text(p) == "-%s + %s/7*x1" % (less, digits)
+            assert poly_latex(p) == "-%s + \\frac{%s}{7} x1" % (less, digits)
+    finally:
+        sys.set_int_max_str_digits(old)
