@@ -121,11 +121,15 @@ def _signed_sum(terms):
 
 
 def scalar_text(s):
-    return _signed_sum(_coeff_text(c.numerator, c.denominator, _sig_factors(sig, False)) for c, *sig in s.terms)
+    return _signed_sum(
+        _coeff_text(c.numerator, c.denominator, _sig_factors(sig, False)) for c, *sig in s.terms
+    )
 
 
 def scalar_latex(s):
-    return _signed_sum(_coeff_latex(c.numerator, c.denominator, _sig_factors(sig, True)) for c, *sig in s.terms)
+    return _signed_sum(
+        _coeff_latex(c.numerator, c.denominator, _sig_factors(sig, True)) for c, *sig in s.terms
+    )
 
 
 def scalar_json(s):
@@ -194,6 +198,14 @@ def _rational_term_latex(num, den, mono):
     return sign + _fraction_latex(abs(num), den) + " " + mono
 
 
+# by latex or not: a coefficient's text, a rational term's text, and an
+# irrational coefficient wrapped before a monomial and alone
+_TERM_FORMS = {
+    False: (_coeff_text, _rational_term_text, "(%s)*%s", "(%s)"),
+    True: (_coeff_latex, _rational_term_latex, "\\left(%s\\right) %s", "\\left(%s\\right)"),
+}
+
+
 def _poly_render(poly, ctx, latex):
     """poly's terms as one sum, ascending graded-lex over ctx's variables.
 
@@ -212,11 +224,7 @@ def _poly_render(poly, ctx, latex):
             owner = dict.fromkeys(nums, block)
     lay = poly.layout
     keys = sorted(owner, key=order_key(lay, ctx.var_rank if ctx is not None else {}))
-    if latex:
-        coeff_text, rational_term = _coeff_latex, _rational_term_latex
-        wrap, wrap_alone = "\\left(%s\\right) %s", "\\left(%s\\right)"
-    else:
-        coeff_text, rational_term, wrap, wrap_alone = _coeff_text, _rational_term_text, "(%s)*%s", "(%s)"
+    coeff_text, rational_term, wrap, wrap_alone = _TERM_FORMS[latex]
     out = []
     for k, mono in zip(keys, _monomials(lay, keys, latex)):
         block = owner[k]
