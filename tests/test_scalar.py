@@ -174,7 +174,8 @@ def test_division_restrictions():
 
 def test_division_by_zero():
     # zero has no terms, but it is no multi-term scalar
-    for divide in (ZERO.inverse, lambda: ONE / 0, lambda: Scalar.pi_power(1) / ZERO, lambda: ZERO ** -1):
+    pi = Scalar.pi_power(1)
+    for divide in (ZERO.inverse, lambda: ONE / 0, lambda: pi / ZERO, lambda: ZERO ** -1):
         with pytest.raises(ZeroDivisionError, match="division by zero"):
             divide()
 
