@@ -90,14 +90,11 @@ def _sig_factors(sig, latex):
 
 def _coeff_text(num, den, factors):
     """num/den times the joined signature factors ('' for a rational), sign first."""
+    if not factors:
+        return _fraction_text(num, den)
     sign = "-" if num < 0 else ""
     num = abs(num)
-    if not factors:
-        body = _int_text(num)
-    elif num == 1:
-        body = factors
-    else:
-        body = _int_text(num) + "*" + factors
+    body = factors if num == 1 else _int_text(num) + "*" + factors
     if den != 1:
         body += "/" + _int_text(den)
     return sign + body
