@@ -36,7 +36,6 @@ from .calculus import (
 from .expr import (
     Context,
     Expr,
-    Polynomial,
     eval_expr,
     make_context,
     restrict_to_sphere,
@@ -68,6 +67,7 @@ from .kernels import (
     poisson_kernel_h,
 )
 from .parser import parse_expression, parse_polynomial
+from .poly import Polynomial
 from .scalar import Scalar, approx_scalar, scalar_sqrt
 from .transforms import (
     HyperplaneMirror,

@@ -44,8 +44,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Expr, Polynomial, context_of, gradient_weight, horner, laplace_weight, poly_sum
-from .expr import _power_blocks
+from .expr import Expr, context_of
 from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
 from .integrate import (
     integrate_ball,
@@ -57,7 +56,8 @@ from .integrate import (
     RadialFunction,
 )
 from .linalg import solve_ansatz
-from .scalar import MAX_POWER_SIZE, Scalar
+from .poly import Polynomial, _power_blocks, gradient_weight, horner, laplace_weight, poly_sum
+from .scalar import MAX_RADIAL_SIZE, Scalar
 from .transforms import kelvin
 
 # ---------------------------------------------------------------------------
@@ -134,10 +134,6 @@ def _first_order_solve(p, g):
     return q
 
 
-# the bound on the estimated size in bits of a radial anti-Laplacian
-MAX_RADIAL_SIZE = MAX_POWER_SIZE << 4
-
-
 def _radial_bits(m, a, k, ctx):
     """About the bits of one coefficient of `_radial_ode_solution(m, a, k, ctx)`:
     k bits(k) + (k+1) bits(g), g the larger of |a + 2m + n| and |a + 2|."""
@@ -151,14 +147,10 @@ def _radial_ode_solution(m, a, k, ctx):
     (2D + a + 2)(2D + a + 2m + n) L = u^k: two first-order solves, the
     factor a + 2m + n first.  Any other solution differs from this one by
     a harmonic function, so the defining contract is unaffected.  Returns
-    L's coefficients by power of u.  One whose k + 1 coefficients of
-    `_radial_bits` bits would pass MAX_RADIAL_SIZE bits is refused before
-    it is computed.
+    L's coefficients by power of u.  Its callers bound the size:
+    `_anti_laplacian_plain` refuses an answer past MAX_RADIAL_SIZE bits,
+    and `_anti_laplacian_norm_multiple` solves at log power 0.
     """
-    if (k + 1) * _radial_bits(m, a, k, ctx) > MAX_RADIAL_SIZE:
-        raise UnsupportedInputError(
-            "the anti-Laplacian of log(||x||^2)^%d would pass %d bits" % (k, MAX_RADIAL_SIZE)
-        )
     return _first_order_solve(_first_order_solve([0] * k + [1], a + 2 * m + ctx.dim), a + 2)
 
 

@@ -36,7 +36,8 @@ from .errors import (
     UnsupportedDimension,
     ZeroGradientField,
 )
-from .expr import Expr, Polynomial, context_of, poly_sum, restrict_to_sphere
+from .expr import Expr, context_of, restrict_to_sphere
+from .poly import Polynomial, poly_sum
 from .scalar import Scalar
 
 

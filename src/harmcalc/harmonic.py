@@ -26,9 +26,10 @@ from typing import Callable, Optional
 
 from .calculus import poly_laplacian
 from .errors import NonPolynomialInput, UnsupportedDimension, UnsupportedScalarNorm
-from .expr import (
+from .expr import Context
+from .integrate import RadialFunction, ball_radial_factor, integrate_ball, integrate_sphere
+from .poly import (
     RATIONAL,
-    Context,
     Polynomial,
     _join,
     _layout,
@@ -43,7 +44,6 @@ from .expr import (
     monomials,
     poly_sum,
 )
-from .integrate import RadialFunction, ball_radial_factor, integrate_ball, integrate_sphere
 from .scalar import Scalar, scalar_sqrt
 
 
@@ -252,7 +252,7 @@ def basis_harmonic(m, ctx, ip=None):
 
     Elements are indexed by the monomials of degree m with exponent at most
     one in the first coordinate (harmonic extension of Cauchy data), as
-    packed keys in `expr.monomials` order, giving a reduced-echelon family:
+    packed keys in `poly.monomials` order, giving a reduced-echelon family:
     each element is its index monomial plus terms divisible by the square
     of the first coordinate.  With an inner product the Gram-Schmidt
     procedure is applied in that order and each vector is divided by the

@@ -27,8 +27,8 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .expr import Polynomial, _as_poly, poly_sum, quadratic_poly
-from .scalar import MAX_POWER_BITS, ONE, Scalar
+from .poly import Polynomial, _as_poly, poly_sum, quadratic_poly
+from .scalar import MAX_LINEAR_DENOMINATOR_BITS, MAX_POWER_BITS, ONE, Scalar
 
 
 def unit_ball_volume(n):
@@ -156,8 +156,9 @@ def linear_denominator_integral_01(q, c0, c1, _memo={}):
     from the largest j < q in the memo, which keeps each returned I_q.
     Each step adds about the bits of c0 and c1 plus two, and works on
     numbers as large as its result, so the time grows with q times the
-    bits of I_q: an I_q that would pass MAX_POWER_BITS/16 bits is refused
-    before it is computed (r^10922/(1 + r), just under it, takes about 1 s).
+    bits of I_q: an I_q that would pass MAX_LINEAR_DENOMINATOR_BITS bits is
+    refused before it is computed (r^10922/(1 + r), just under it, takes
+    about 1 s).
     """
     if q < 0:
         raise DivergentRadialIntegral("r^%d/(c0+c1 r) diverges on (0,1)" % q)
@@ -165,9 +166,9 @@ def linear_denominator_integral_01(q, c0, c1, _memo={}):
     if key in _memo:
         return _memo[key]
     step = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in (c0, c1)) + 2
-    if q * step > MAX_POWER_BITS >> 4:
+    if q * step > MAX_LINEAR_DENOMINATOR_BITS:
         raise UnsupportedInputError(
-            "the integral of r^%d/(c0+c1 r) over (0,1) would pass %d bits" % (q, MAX_POWER_BITS >> 4)
+            "the integral of r^%d/(c0+c1 r) over (0,1) would pass %d bits" % (q, MAX_LINEAR_DENOMINATOR_BITS)
         )
     j = q - 1
     while j >= 0 and (j, c0, c1) not in _memo:
@@ -295,16 +296,23 @@ def _even_moment_table(p, e, ctx):
     return {m: part.contract(ctx.coords, weight) for m, part in parts.items()}
 
 
+def _ellipsoid_integral(p, e, ctx, factor):
+    """The sum over degrees m of the moments of p by `_even_moment_table`,
+    each times n V(B) factor(m, rho^2), times the axis factor
+    1/sqrt(prod b_i)."""
+    n = ctx.dim
+    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
+    table = _even_moment_table(p, e, ctx)
+    # read only now that the axes are checked: rho^2 divides by each b_i
+    rho_sq = e.rho_sq()
+    acc = poly_sum(part.scale(nv * factor(m, rho_sq)) for m, part in table.items())
+    return _collapse(acc.scale(Scalar.half_power(prod(e.b), -1)))
+
+
 def integrate_ellipsoid_volume(p, e, ctx):
     """Integral of p over the open region b.x^2 + c.x + d < 0."""
     n = ctx.dim
-    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    acc = poly_sum(
-        part.scale(nv * Scalar.from_fraction(Fraction(1, n + m)) * Scalar.half_power(e.rho_sq(), n + m))
-        for m, part in _even_moment_table(p, e, ctx).items()
-    )
-    # the axis factor 1/sqrt(prod b_i)
-    return _collapse(acc.scale(Scalar.half_power(prod(e.b), -1)))
+    return _ellipsoid_integral(p, e, ctx, lambda m, r2: Scalar.half_power(r2, n + m) * Fraction(1, n + m))
 
 
 def integrate_ellipsoid_area(p, e, ctx):
@@ -312,14 +320,8 @@ def integrate_ellipsoid_area(p, e, ctx):
 
     Computed with the coarea identity: the volume integral over q < t is a
     polynomial I(rho) in the radius parameter (rho^2 = rho0^2 + t), and the
-    area integral is I'(rho)/(2 rho) at t = 0.
+    area integral is I'(rho)/(2 rho) at t = 0: a volume term A rho^(n+m)
+    gives A (n+m)/2 rho^(n+m-2).
     """
     n = ctx.dim
-    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    # volume term A rho^(n+m) with A = nv w axis/(n+m);
-    # d/dt at t=0 is A (n+m)/2 rho^(n+m-2) = nv w axis/2 rho^(n+m-2)
-    acc = poly_sum(
-        part.scale(nv * Scalar.from_fraction(Fraction(1, 2)) * Scalar.half_power(e.rho_sq(), n + m - 2))
-        for m, part in _even_moment_table(p, e, ctx).items()
-    )
-    return _collapse(acc.scale(Scalar.half_power(prod(e.b), -1)))
+    return _ellipsoid_integral(p, e, ctx, lambda m, r2: Scalar.half_power(r2, n + m - 2) * Fraction(1, 2))

@@ -13,9 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NonPolynomialInput
-from .expr import Expr, Polynomial, dot_poly, poly_sum
+from .expr import Expr
 from .harmonic import fischer_parts
 from .integrate import unit_ball_volume
+from .poly import Polynomial, dot_poly, poly_sum
 from .scalar import Scalar
 
 

@@ -4,7 +4,7 @@
 Axler, Gorkin and Voss, "The Dirichlet problem on quadratic surfaces",
 Math. Comp. 73, 2004): unknown polynomials whose images under given
 second-order and multiplication maps add up to given data.  Their columns
-are packed keys from `expr.monomials`, `paired_rows` writes the rows,
+are packed keys from `poly.monomials`, `paired_rows` writes the rows,
 `solve` solves them, and each answer is one rational block.
 
 A row is a primitive `{column: int}` dict: constraint k is scaled by the
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .expr import RATIONAL, _join, _layout, _new, _put, _second_order, _stride, monomials
+from .poly import RATIONAL, _join, _layout, _new, _put, _second_order, _stride, monomials
 
 
 def _primitive(row):

@@ -4,7 +4,7 @@ Expression grammar (informally):
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := atom power ('*' atom power)*
-    atom   := rational | ident | norm | 'log' '(' atom ')'
+    atom   := rational | ident | norm | 'log' '(' (norm power | atom) ')'
             | 'dot' '(' vec ',' vec ')' | '(' expr ')'
     norm   := '||' vec '||' | 'norm' '(' vec ')' | 'norm2' '(' vec ')'
     vec    := ident
@@ -43,8 +43,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError, UnknownVariable, UnsupportedInputError
-from .expr import Expr, Polynomial, dot_poly
+from .expr import Expr
 from .integrate import RadialFunction
+from .poly import Polynomial, dot_poly
 from .scalar import Scalar
 
 class _Token:
@@ -115,11 +116,6 @@ _NEGATIVE_POWERS = "negative powers are supported on norms and rationals only"
 
 def _has_bases(pairs):
     return any(f for _, f in pairs)
-
-
-def _poly_expr(ctx, poly):
-    """The canonical Expr of a polynomial: one term with no base factors, or none."""
-    return Expr(ctx, ((poly, ()),) if poly.blocks else ())
 
 
 def _exponent_value(token):
@@ -285,7 +281,7 @@ class _Parser:
         if kind == "variable":
             raise UnsupportedInputError(_NEGATIVE_POWERS)
         if kind == "number":
-            payload = _poly_expr(self.ctx, Polynomial.const(payload))
+            payload = Expr.from_poly(self.ctx, Polynomial.const(payload))
         if exp == 1:
             return payload.terms
         if payload.is_polynomial():
@@ -299,7 +295,7 @@ class _Parser:
                 poly = Polynomial.const(poly.constant_term().inverse() ** (-exp))
             else:
                 raise UnsupportedInputError(_NEGATIVE_POWERS)
-            return _poly_expr(self.ctx, poly).terms
+            return Expr.from_poly(self.ctx, poly).terms
         if exp >= 0:
             return (payload**exp).terms
         raise UnsupportedInputError(_NEGATIVE_POWERS)
@@ -344,6 +340,8 @@ class _Parser:
             if word == "log" and self.peek().kind == "(":
                 self.advance()
                 kind, payload = self.atom()
+                if kind == "norm":
+                    payload = (payload[0], payload[1] * self.power())
                 self.expect(")", ")")
                 return "value", self._log_atom(kind, payload, t)
             if word == "dot" and self.peek().kind == "(":
@@ -351,7 +349,7 @@ class _Parser:
                 av, bv = self._vectors(",", ")")
                 if len(av) != len(bv):
                     raise UnsupportedInputError("dot of unequal-length vectors")
-                return "value", _poly_expr(self.ctx, dot_poly(av, bv))
+                return "value", Expr.from_poly(self.ctx, dot_poly(av, bv))
             if word in self.ctx.var_rank:
                 return "variable", word
             raise UnknownVariable(
@@ -377,7 +375,7 @@ class _Parser:
             if poly.is_constant() and poly.constant_term().is_rational():
                 c = poly.constant_term().as_fraction()
         if c is not None and c > 0:
-            return _poly_expr(self.ctx, Polynomial.const(Scalar.log_fraction(c)))
+            return Expr.from_poly(self.ctx, Polynomial.const(Scalar.log_fraction(c)))
         raise UnsupportedInputError(
             "log supports norms and positive rationals (line %d, column %d)"
             % (tok.line, tok.col)

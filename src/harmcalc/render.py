@@ -26,7 +26,8 @@ from fractions import Fraction
 from math import gcd
 from operator import getitem
 
-from .expr import Expr, Polynomial, context_of, order_key
+from .expr import Expr, context_of
+from .poly import Polynomial, order_key
 from .scalar import Scalar
 
 # ---------------------------------------------------------------------------

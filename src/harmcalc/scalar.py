@@ -393,6 +393,13 @@ MAX_POWER_BITS = 1 << 20
 # just under it, takes about 2.4 s
 MAX_POWER_SIZE = 1 << 22
 
+# the bound on the estimated size in bits of a radial anti-Laplacian
+MAX_RADIAL_SIZE = MAX_POWER_SIZE << 4
+
+# the bound on the bits of a radial moment over a linear denominator, whose
+# recurrence takes time about q times those bits
+MAX_LINEAR_DENOMINATOR_BITS = MAX_POWER_BITS >> 4
+
 
 def check_power(k, blocks, shape=None):
     """Refuse x**k when its coefficients would pass MAX_POWER_BITS bits.
@@ -501,13 +508,9 @@ def scalar_sqrt(s):
 # ---------------------------------------------------------------------------
 # decimal approximation
 
-_PI_CACHE = {}
-
 
 def _pi_decimal(prec):
     """pi to `prec` digits (arctan-free iteration from the decimal docs)."""
-    if prec in _PI_CACHE:
-        return _PI_CACHE[prec]
     with localcontext() as c:
         c.prec = prec + 10
         three = Decimal(3)
@@ -518,9 +521,7 @@ def _pi_decimal(prec):
             d, da = d + da, da + 32
             t = t * n / d
             s += t
-        pi = +s
-    _PI_CACHE[prec] = pi
-    return pi
+        return +s
 
 
 def _eval_decimal(s, prec):

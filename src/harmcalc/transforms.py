@@ -32,7 +32,8 @@ from .errors import (
     UnsupportedDimension,
     ZeroGradientField,
 )
-from .expr import Expr, Polynomial, context_of
+from .expr import Expr, context_of
+from .poly import Polynomial
 from .scalar import Scalar
 
 

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from harmcalc.expr import Context, Expr, Polynomial
+from harmcalc.expr import Context, Expr
 from harmcalc.parser import parse_expression, parse_polynomial
+from harmcalc.poly import Polynomial
 from harmcalc.scalar import Scalar
 
 

@@ -1,4 +1,4 @@
-"""Term-at-a-time polynomial arithmetic: the reference for `harmcalc.expr`.
+"""Term-at-a-time polynomial arithmetic: the reference for `harmcalc.poly`.
 
 These are the textbook loops over the `{monomial tuple: Scalar}` view
 `Polynomial.terms`, one Scalar operation per term or pair of terms.  They
@@ -12,7 +12,7 @@ Gram-Schmidt on Polynomials under the Fischer pairing, where
 `harmcalc.harmonic` uses the closed form and integer vectors.
 
 Monomial tuples are read here too: `mono_degree`, the recursive
-`monomials` that `expr.monomials` lists as packed keys, and
+`monomials` that `poly.monomials` lists as packed keys, and
 `coefficient`, the lookup of one tuple's coefficient in the blocks.
 
 `phi_numerators` writes the south-pole inversion Phi in closed form, the
@@ -48,8 +48,9 @@ from fractions import Fraction
 from math import factorial, prod
 
 from harmcalc.errors import ParseError, UnknownVariable, UnsupportedInputError
-from harmcalc.expr import Expr, Polynomial, dot_poly, poly_sum
+from harmcalc.expr import Expr
 from harmcalc.parser import _Parser
+from harmcalc.poly import Polynomial, dot_poly, poly_sum
 from harmcalc.render import scalar_latex, scalar_text
 from harmcalc.scalar import ZERO, Scalar, _as_fraction, scalar_sqrt
 
@@ -67,7 +68,7 @@ def coefficient(p, mono):
 
 
 def monomials(names, degrees):
-    """The monomials of `expr.monomials` as tuples, one recursive call per variable."""
+    """The monomials of `poly.monomials` as tuples, one recursive call per variable."""
     names = tuple(names)
     out = []
 

@@ -37,15 +37,7 @@ from harmcalc.calculus import (
     poly_laplacian,
     taylor_poly,
 )
-from harmcalc.expr import (
-    Context,
-    Expr,
-    Polynomial,
-    make_context,
-    poly_sum,
-    reduce_poly_on_sphere,
-    restrict_to_sphere,
-)
+from harmcalc.expr import Context, Expr, make_context, reduce_poly_on_sphere, restrict_to_sphere
 from harmcalc.harmonic import (
     ball_inner_product,
     basis_harmonic,
@@ -69,6 +61,7 @@ from harmcalc.kernels import (
     bergman_projection,
     poisson_kernel,
 )
+from harmcalc.poly import Polynomial, poly_sum
 from harmcalc.scalar import ONE, Scalar, approx_scalar
 from harmcalc.transforms import (
     HyperplaneMirror,

@@ -30,22 +30,12 @@ from harmcalc.errors import (
     UnsupportedDimension,
     UnsupportedInputError,
 )
-from harmcalc.expr import (
-    Context,
-    Expr,
-    Polynomial,
-    _layout,
-    gradient_weight,
-    laplace_weight,
-    monomials,
-    poly_sum,
-    reduce_poly_on_sphere,
-    restrict_to_sphere,
-)
+from harmcalc.expr import Context, Expr, reduce_poly_on_sphere, restrict_to_sphere
 from harmcalc.harmonic import harmonic_decompose
 from harmcalc.integrate import integrate_sphere
 from harmcalc.kernels import bergman_projection
 from harmcalc.linalg import paired_rows, solve_ansatz
+from harmcalc.poly import Polynomial, _layout, gradient_weight, laplace_weight, monomials, poly_sum
 from harmcalc.scalar import Scalar
 
 # ---------------------------------------------------------------------------
@@ -293,11 +283,12 @@ def test_norm_multiple_factor_is_the_radial_solve_at_log_power_0():
 
 
 def test_radial_solve_size_bound():
-    # log(||x||^2)^2000 is solved in dimension 3; 2200 would pass the bound
+    # log(||x||^2)^2000 is solved in dimension 3; 2200 would pass the bound,
+    # which the anti-Laplacian checks over its whole answer before any solve
     ctx = Context(3)
     assert len(bvp._radial_ode_solution(0, 0, 2000, ctx)) == 2001
-    with pytest.raises(UnsupportedInputError):
-        bvp._radial_ode_solution(0, 0, 2200, ctx)
+    with pytest.raises(UnsupportedInputError, match="the anti-Laplacian would pass 67108864 bits"):
+        anti_laplacian(E("log(||x||^2)^2200", ctx), Plain(), ctx)
 
 
 def test_anti_laplacian_size_bound():

@@ -22,15 +22,8 @@ from harmcalc.calculus import (
 )
 from harmcalc.bvp import Plain, anti_laplacian
 from harmcalc.errors import DimensionMismatch, NotHarmonic
-from harmcalc.expr import (
-    Context,
-    Expr,
-    Polynomial,
-    eval_expr,
-    poly_sum,
-    restrict_to_sphere,
-    substitute_norm_radius,
-)
+from harmcalc.expr import Context, Expr, eval_expr, restrict_to_sphere, substitute_norm_radius
+from harmcalc.poly import Polynomial, poly_sum
 from harmcalc.render import expr_json, expr_latex, expr_text
 from harmcalc.scalar import Scalar, approx_scalar
 from harmcalc.transforms import kelvin, kelvin_h
@@ -408,7 +401,7 @@ def test_cauchy_riemann_property():
     for _ in range(10):
         # random harmonic polynomial from real/imag parts of (x+iy)^k
         k = rng.randrange(1, 6)
-        re, im = Polynomial.const(1), Polynomial.zero()
+        re, im = Polynomial.const(1), Polynomial()
         for _ in range(k):
             re, im = (
                 re * Polynomial.var("x") - im * Polynomial.var("y"),

@@ -102,6 +102,8 @@ WEIGHTS = [
     ("r^-5", RadialFunction.power(-5)),
     ("2/3*r^2*log(r)^3", RadialFunction.power(2, 3, Fraction(2, 3))),
     ("1/(2 + 3*r)", RadialFunction.linear_reciprocal(2, 3)),
+    # a leading minus signs the first product
+    ("-r^2 + 1", RadialFunction(((Scalar.from_fraction(-1), 2, 0), (Scalar.from_fraction(1), 0, 0)))),
 ]
 
 BAD_WEIGHTS = [
@@ -138,6 +140,12 @@ def test_negative_log_power_is_a_usage_error(capsys):
     assert captured.err.strip().splitlines() == [
         "ParseError: unexpected - at line 1, column 8 (expected nonnegative integer exponent)"
     ]
+
+
+def test_weight_with_a_leading_minus():
+    # argparse reads "--weight -r^2" as an option, so the value is written after "="
+    out, code = run(["integrate-ball", "1", "--dim", "3", "--weight=-r^2"])
+    assert (out, code) == ("-4*pi/5", 0)
 
 
 def test_weight_long_literal_is_exact():

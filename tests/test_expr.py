@@ -16,15 +16,13 @@ from harmcalc.errors import (
 from harmcalc.expr import (
     Context,
     Expr,
-    Polynomial,
     eval_expr,
-    horner,
     make_context,
-    poly_sum,
     reduce_poly_on_sphere,
     restrict_to_sphere,
     substitute_norm_radius,
 )
+from harmcalc.poly import Polynomial, horner, poly_sum
 from harmcalc.render import expr_text
 from harmcalc.scalar import Scalar
 from harmcalc.transforms import kelvin

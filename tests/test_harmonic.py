@@ -9,7 +9,7 @@ from conftest import P, random_polynomial, rename_vars
 
 from harmcalc.calculus import poly_laplacian
 from harmcalc.errors import HarmcalcError, UnsupportedScalarNorm
-from harmcalc.expr import Context, Polynomial, make_context, poly_sum, reduce_poly_on_sphere
+from harmcalc.expr import Context, make_context, reduce_poly_on_sphere
 from harmcalc.harmonic import (
     InnerProduct,
     ball_inner_product,
@@ -26,6 +26,7 @@ from harmcalc.harmonic import (
 )
 from harmcalc.integrate import RadialFunction, integrate_sphere
 from harmcalc.parser import parse_radial
+from harmcalc.poly import Polynomial, poly_sum
 from harmcalc.scalar import ONE, Scalar
 
 

@@ -14,7 +14,7 @@ from harmcalc.errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from harmcalc.expr import Context, Polynomial, make_context, poly_sum
+from harmcalc.expr import Context, make_context
 from harmcalc.integrate import (
     Quadratic,
     RadialFunction,
@@ -28,6 +28,7 @@ from harmcalc.integrate import (
     unit_ball_volume,
     unit_sphere_area,
 )
+from harmcalc.poly import Polynomial, poly_sum
 from harmcalc.scalar import Scalar, approx_scalar
 
 

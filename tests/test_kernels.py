@@ -6,15 +6,7 @@ import pytest
 from conftest import P, random_polynomial
 
 from harmcalc.calculus import laplacian_of
-from harmcalc.expr import (
-    Context,
-    Expr,
-    Polynomial,
-    eval_expr,
-    make_context,
-    poly_sum,
-    reduce_poly_on_sphere,
-)
+from harmcalc.expr import Context, Expr, eval_expr, make_context, reduce_poly_on_sphere
 from harmcalc.harmonic import ball_inner_product, basis_harmonic, zonal_coefficients
 from harmcalc.integrate import RadialFunction, integrate_ball, unit_ball_volume
 from harmcalc.kernels import (
@@ -26,6 +18,7 @@ from harmcalc.kernels import (
     poisson_kernel,
     poisson_kernel_h,
 )
+from harmcalc.poly import Polynomial, poly_sum
 from harmcalc.scalar import Scalar
 
 

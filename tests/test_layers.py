@@ -1,0 +1,56 @@
+"""The package's layers, read from the module-level imports of its source.
+
+`poly` holds the packed polynomials and sits on `errors` and `scalar`
+alone; `expr` builds the expression algebra on top of it.  An import made
+inside a function, such as `Polynomial.__repr__` reaching `render`, is
+left out: it runs only once every module is loaded.
+"""
+
+import ast
+from pathlib import Path
+
+import harmcalc
+
+SOURCE = Path(harmcalc.__file__).parent
+
+
+def _module_imports():
+    """{module: the package modules its module-level `from .x import` lines name}."""
+    graph = {}
+    for path in SOURCE.glob("*.py"):
+        names = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # `from . import a, b` names modules; `from .x import y` names x
+                names.update([node.module] if node.module else [a.name for a in node.names])
+        graph[path.stem] = names
+    return graph
+
+
+def test_poly_imports_only_errors_and_scalar():
+    assert _module_imports()["poly"] == {"errors", "scalar"}
+
+
+def test_expr_imports_no_module_that_imports_expr():
+    graph = _module_imports()
+    assert "poly" in graph["expr"]
+    assert not [m for m in graph["expr"] if "expr" in graph[m]]
+
+
+def test_module_imports_have_no_cycle():
+    graph = _module_imports()
+    assert set().union(*graph.values()) <= set(graph)
+    done, path = set(), []
+
+    def visit(m):
+        assert m not in path, "import cycle: %s" % " -> ".join(path[path.index(m):] + [m])
+        if m in done:
+            return
+        path.append(m)
+        for n in sorted(graph[m]):
+            visit(n)
+        path.pop()
+        done.add(m)
+
+    for m in sorted(graph):
+        visit(m)

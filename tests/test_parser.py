@@ -10,7 +10,8 @@ from conftest import random_norm_expr
 from poly_oracle import parse_by_factors, tokenize_by_characters
 
 from harmcalc.errors import HarmcalcError, ParseError, UnknownVariable, UnsupportedInputError
-from harmcalc.expr import Expr, Polynomial, make_context
+from harmcalc.expr import Expr, make_context
+from harmcalc.poly import Polynomial
 from harmcalc import scalar
 from harmcalc.parser import _tokenize, parse_expression, parse_polynomial, parse_radial
 from harmcalc.calculus import laplacian_of
@@ -127,6 +128,18 @@ def test_log_of_rational(ctx3):
         parse_expression("log(x1)", ctx3)
 
 
+def test_log_takes_a_power_on_a_norm_only(ctx3):
+    # log ||v||^k = (k/2) log(||v||^2), so the printed log factor reads back
+    assert parse_expression("log(||x||^2)", ctx3) == parse_expression("2*log(norm(x))", ctx3)
+    assert parse_expression("log(norm(x)^-3)", ctx3) == parse_expression("-3*log(||x||)", ctx3)
+    assert parse_expression("log(norm2(x)^2)", ctx3) == parse_expression("4*log(||x||)", ctx3)
+    assert parse_expression("log(||x||^0)", ctx3).is_zero()
+    # every other atom takes no power inside log
+    for src in ("log(x1^2)", "log(2^2)", "log((x1)^2)"):
+        with pytest.raises(ParseError, match="unexpected \\^"):
+            parse_expression(src, ctx3)
+
+
 def test_unary_minus(ctx3):
     e = parse_expression("-x1 + 2", ctx3)
     assert e == Expr.from_poly(ctx3, Polynomial.const(2) - Polynomial.var("x1"))
@@ -156,8 +169,9 @@ def test_unit_polynomial_prints_only_its_sign_and_factors(ctx3):
         assert expr_text(e, ctx3) == text
         assert expr_latex(e, ctx3) == latex
         assert parse_expression(text, ctx3) == e
-    e = parse_expression("x1^2*log(norm(x))", ctx3)
-    assert expr_text(laplacian_of(e, ctx=ctx3), ctx3) == "5*x1^2*||x||^-2 + log(||x||^2)"
+    e = laplacian_of(parse_expression("x1^2*log(norm(x))", ctx3), ctx=ctx3)
+    assert expr_text(e, ctx3) == "5*x1^2*||x||^-2 + log(||x||^2)"
+    assert parse_expression(expr_text(e, ctx3), ctx3) == e
     # JSON keeps the polynomial
     assert expr_json(parse_expression("norm(x)^-3", ctx3), ctx3)["terms"][0]["poly"] == "1"
 

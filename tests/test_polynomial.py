@@ -23,8 +23,9 @@ import pytest
 import poly_oracle
 
 from harmcalc.errors import NonRationalValue
-from harmcalc.expr import Context, Expr, Polynomial, _layout, monomials, order_key, poly_sum, quadratic_poly
+from harmcalc.expr import Context, Expr
 from harmcalc.integrate import Quadratic
+from harmcalc.poly import Polynomial, _layout, monomials, order_key, poly_sum, quadratic_poly
 from harmcalc.render import poly_latex, poly_text
 from harmcalc.scalar import Scalar
 

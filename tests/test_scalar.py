@@ -12,7 +12,7 @@ from harmcalc.errors import (
     UnsupportedInputError,
 )
 from harmcalc import scalar
-from harmcalc.expr import Polynomial
+from harmcalc.poly import Polynomial
 from harmcalc.scalar import (
     MAX_POWER_BITS,
     ONE,

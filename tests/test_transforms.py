@@ -8,8 +8,9 @@ from conftest import E
 
 from harmcalc.calculus import laplacian_of
 from harmcalc.errors import CenterSingularity, DimensionMismatch, EmptyInterior, UnsupportedBase
-from harmcalc.expr import Context, Expr, Polynomial, eval_expr, make_context, poly_sum
+from harmcalc.expr import Context, Expr, eval_expr, make_context
 from harmcalc.harmonic import basis_harmonic
+from harmcalc.poly import Polynomial, poly_sum
 from harmcalc.scalar import Scalar
 from harmcalc.transforms import (
     HyperplaneMirror,
