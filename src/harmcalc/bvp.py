@@ -38,7 +38,6 @@ from .calculus import poly_laplacian
 from .errors import (
     EmptyInterior,
     InfeasibleSystem,
-    NonPolynomialInput,
     SolvabilityViolation,
     UnsupportedDimension,
     UnsupportedInputError,
@@ -56,7 +55,15 @@ from .integrate import (
     RadialFunction,
 )
 from .linalg import solve_ansatz
-from .poly import Polynomial, _power_blocks, gradient_weight, horner, laplace_weight, poly_sum
+from .poly import (
+    Polynomial,
+    _power_blocks,
+    gradient_weight,
+    horner,
+    laplace_weight,
+    poly_sum,
+    require_polynomial,
+)
 from .scalar import MAX_RADIAL_SIZE, Scalar
 from .transforms import kelvin
 
@@ -257,9 +264,7 @@ def dirichlet(p, region=Sphere(), ctx=None, rhs=None):
     if isinstance(p, tuple) and not isinstance(region, Annulus):
         raise UnsupportedInputError("only the annulus takes an (inner, outer) data pair")
     if rhs is not None:
-        if not isinstance(rhs, Polynomial):
-            raise NonPolynomialInput("prescribed Laplacian must be a polynomial")
-        v = anti_laplacian(rhs, Plain(), ctx).as_polynomial()
+        v = anti_laplacian(require_polynomial(rhs, "prescribed Laplacian"), Plain(), ctx).as_polynomial()
         if isinstance(p, tuple):
             data = (p[0] - v, p[1] - v)
         else:
@@ -278,14 +283,8 @@ def dirichlet(p, region=Sphere(), ctx=None, rhs=None):
     raise TypeError("unknown region %r" % (region,))
 
 
-def _require_poly(p):
-    if not isinstance(p, Polynomial):
-        raise NonPolynomialInput("boundary data must be a polynomial")
-    return p
-
-
 def _dirichlet_sphere(p, ctx):
-    _require_poly(p)
+    require_polynomial(p, "boundary data")
     parts = harmonic_parts_by_degree(p, ctx)
     return Expr.from_poly(ctx, poly_sum(parts.values()))
 
@@ -295,8 +294,8 @@ def _dirichlet_exterior(p, ctx):
 
 
 def _dirichlet_annulus(p_inner, p_outer, region, ctx):
-    _require_poly(p_inner)
-    _require_poly(p_outer)
+    require_polynomial(p_inner, "boundary data")
+    require_polynomial(p_outer, "boundary data")
     if ctx.dim < 3:
         raise UnsupportedDimension("annulus Dirichlet needs dimension >= 3")
     n = ctx.dim
@@ -319,7 +318,7 @@ def _dirichlet_annulus(p_inner, p_outer, region, ctx):
 
 
 def _dirichlet_quadratic(p, region, ctx):
-    _require_poly(p)
+    require_polynomial(p, "boundary data")
     q = region.poly(ctx)
     if q.is_constant():
         raise UnsupportedInputError("a constant quadric bounds no region")
@@ -330,7 +329,7 @@ def _dirichlet_quadratic(p, region, ctx):
     pairs = [(bi, ci) for bi, ci in zip(region.b, region.c) if bi or ci]
     s = 1 if all(bi > 0 for bi, _ in pairs) else -1 if all(bi < 0 for bi, _ in pairs) else 0
     if s:
-        rho_sq = sum(ci * ci / (4 * bi) for bi, ci in pairs) - region.d
+        rho_sq = region.rho_sq()
         if s * rho_sq < 0 or s * rho_sq == 0 and len(pairs) == len(region.b):
             raise EmptyInterior("the surface b.x^2 + c.x + d = 0 is empty or a single point")
     # the harmonic extension p + q v: Laplacian of q v is -Laplacian of p
@@ -352,9 +351,9 @@ def neumann(f, g=None, region=Sphere(), ctx=None):
     """
     if ctx is None:
         raise ValueError("a context is required")
-    _require_poly(f)
+    require_polynomial(f, "boundary data")
     if g is not None:
-        _require_poly(g)
+        require_polynomial(g, "boundary data")
     if isinstance(region, Sphere):
         return _neumann_sphere(f, g, ctx)
     if isinstance(region, Quadratic):
@@ -442,7 +441,7 @@ def exterior_neumann(p, ctx):
     infinity, and its exterior-outward normal derivative on the sphere is
     p (the ball-outward derivative is -p).
     """
-    _require_poly(p)
+    require_polynomial(p, "boundary data")
     n = ctx.dim
     parts = harmonic_parts_by_degree(p, ctx)
     if n == 2:
@@ -463,7 +462,7 @@ def bi_dirichlet(p, ctx):
     Built from the harmonic extension v = sum v_m as v + (1 - ||x||^2) w
     with w = sum (m/2) v_m; all three contracts are exact identities.
     """
-    _require_poly(p)
+    require_polynomial(p, "boundary data")
     v_parts = harmonic_parts_by_degree(p, ctx)
     v = poly_sum(v_parts.values())
     w = poly_sum(vm.scale(Fraction(m, 2)) for m, vm in v_parts.items())

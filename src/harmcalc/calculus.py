@@ -30,14 +30,13 @@ from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
-    NonPolynomialInput,
     NotHarmonic,
     UnknownVariable,
     UnsupportedDimension,
     ZeroGradientField,
 )
 from .expr import Expr, context_of, restrict_to_sphere
-from .poly import Polynomial, poly_sum
+from .poly import Polynomial, poly_sum, require_polynomial
 from .scalar import Scalar
 
 
@@ -216,12 +215,6 @@ def _weighted_partials(ctx, e, weights):
 # expansions
 
 
-def _check_poly(p):
-    if not isinstance(p, Polynomial):
-        raise NonPolynomialInput("expected a polynomial")
-    return p
-
-
 # the expansion parameter of `_graded_parts`; no DSL name contains a space
 _T = " t"
 
@@ -250,18 +243,18 @@ def homogeneous_part(p, m, ctx, about=None):
     coordinate) the degree-m component of p(b + (x-b)) is returned fully
     expanded in the coordinates and the point symbols.
     """
-    return _graded_parts(_check_poly(p), ctx, about).get(m, Polynomial())
+    return _graded_parts(require_polynomial(p, "expansion input"), ctx, about).get(m, Polynomial())
 
 
 def taylor_poly(p, m, ctx, about=None):
     """Sum of the homogeneous components of degree at most m."""
-    parts = _graded_parts(_check_poly(p), ctx, about)
+    parts = _graded_parts(require_polynomial(p, "expansion input"), ctx, about)
     return poly_sum(part for k, part in parts.items() if k <= m)
 
 
 def harmonic_conjugate(u, ctx):
     """Harmonic conjugate v of u on the plane with v(0,0) = 0."""
-    u = _check_poly(u)
+    u = require_polynomial(u, "harmonic conjugate input")
     if ctx.dim != 2:
         raise UnsupportedDimension("harmonic conjugates need dimension 2")
     x, y = ctx.coords

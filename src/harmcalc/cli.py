@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import shlex
 import sys
 import time
@@ -199,6 +200,10 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(add_help=False, **kwargs)
         self.add_argument("-h", "--help", action=_Help, nargs=0, default=argparse.SUPPRESS,
                           help="show this help message and exit")
+        # a token that starts with one '-', such as -x1^2 or -1,2, is a value
+        # (argparse reads one as an option unless it looks like a number):
+        # -h is the only short option, and argparse matches it first
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
     def error(self, message):
         raise ParseError("%s: %s" % (self.prog, message))
@@ -643,8 +648,11 @@ def _write(payload, out):
     else:
         text = str(payload)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError("cannot write %s: %s" % (out, exc.strerror)) from None
     else:
         print(text)
 

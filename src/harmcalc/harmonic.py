@@ -25,7 +25,7 @@ from math import comb, gcd, lcm, prod
 from typing import Callable, Optional
 
 from .calculus import poly_laplacian
-from .errors import NonPolynomialInput, UnsupportedDimension, UnsupportedScalarNorm
+from .errors import UnsupportedDimension, UnsupportedScalarNorm
 from .expr import Context
 from .integrate import RadialFunction, ball_radial_factor, integrate_ball, integrate_sphere
 from .poly import (
@@ -43,6 +43,7 @@ from .poly import (
     laplace_weight,
     monomials,
     poly_sum,
+    require_polynomial,
 )
 from .scalar import Scalar, scalar_sqrt
 
@@ -59,9 +60,7 @@ def dim_harmonic(m, n):
 
 
 def _decompose_homogeneous(p, k, ctx):
-    """dict j -> harmonic part of p = sum_j ||x||^(2j) h_(k-2j)."""
-    if p.is_zero():
-        return {}
+    """dict j -> harmonic part of p = sum_j ||x||^(2j) h_(k-2j), p nonzero."""
     if k <= 1:
         return {0: p}
     lap = poly_laplacian(p, ctx)
@@ -85,11 +84,10 @@ def fischer_parts(p, ctx):
     unique (Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 5);
     zero pieces are dropped.
     """
-    if not isinstance(p, Polynomial):
-        raise NonPolynomialInput("harmonic decomposition expects a polynomial")
+    parts = require_polynomial(p, "harmonic decomposition input").homogeneous_parts(ctx.coords)
     return {
         (k - 2 * j, j): h
-        for k, part in p.homogeneous_parts(ctx.coords).items()
+        for k, part in parts.items()
         for j, h in _decompose_homogeneous(part, k, ctx).items()
     }
 

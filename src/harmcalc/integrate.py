@@ -257,9 +257,8 @@ class Quadratic:
         return quadratic_poly(zip(ctx.coords, self.b, self.c), self.d)
 
     def rho_sq(self):
-        return (
-            sum((ci * ci) / (4 * bi) for bi, ci in zip(self.b, self.c)) - self.d
-        )
+        """rho^2 = sum c_i^2/(4 b_i) - d, the sum over the nonzero b_i."""
+        return sum(ci * ci / (4 * bi) for bi, ci in zip(self.b, self.c) if bi) - self.d
 
     def center(self):
         return tuple(-ci / (2 * bi) for bi, ci in zip(self.b, self.c))

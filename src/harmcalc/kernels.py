@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonPolynomialInput
 from .expr import Expr
 from .harmonic import fischer_parts
 from .integrate import unit_ball_volume
-from .poly import Polynomial, dot_poly, poly_sum
+from .poly import Polynomial, dot_poly, poly_sum, require_polynomial
 from .scalar import Scalar
 
 
@@ -41,6 +40,13 @@ def poisson_kernel(ctx, y_names, on_boundary=False):
     numer = Polynomial.const(1) - nx * ny2
     base = poisson_base(ctx, y_names, on_boundary)
     return Expr.from_poly(ctx, numer) * Expr.base_power(ctx, base, -ctx.dim)
+
+
+def _over_n_volume(ctx, numer, base, half):
+    """numer * base^(half/2) / (n V(B)), V(B) the volume of the unit ball."""
+    n = ctx.dim
+    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
+    return (Expr.from_poly(ctx, numer) * Expr.base_power(ctx, base, half)).scale(nv.inverse())
 
 
 def half_space_base(ctx, t_names, u_name):
@@ -71,10 +77,7 @@ def poisson_kernel_h(ctx, t_names, u_name):
     y = ctx.coords[-1]
     numer = (Polynomial.var(u_name) + Polynomial.var(y)).scale(2)
     base = half_space_base(ctx, t_names, u_name)
-    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    return (
-        Expr.from_poly(ctx, numer) * Expr.base_power(ctx, base, -n)
-    ).scale(nv.inverse())
+    return _over_n_volume(ctx, numer, base, -n)
 
 
 def bergman_kernel(ctx, y_names):
@@ -93,10 +96,7 @@ def bergman_kernel(ctx, y_names):
         + Polynomial.const(n)
     )
     base = poisson_base(ctx, y_names)
-    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    return (
-        Expr.from_poly(ctx, numer) * Expr.base_power(ctx, base, -(n + 2))
-    ).scale(nv.inverse())
+    return _over_n_volume(ctx, numer, base, -(n + 2))
 
 
 def bergman_kernel_h(ctx, t_names, u_name):
@@ -109,10 +109,7 @@ def bergman_kernel_h(ctx, t_names, u_name):
     base = half_space_base(ctx, tuple(t_names), u_name)
     # (n - 1)(u + y)^2 - ||x - t||^2 = n (u + y)^2 - base
     numer = ((uy * uy).scale(n) - base).scale(4)
-    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
-    return (
-        Expr.from_poly(ctx, numer) * Expr.base_power(ctx, base, -(n + 2))
-    ).scale(nv.inverse())
+    return _over_n_volume(ctx, numer, base, -(n + 2))
 
 
 def bergman_projection(u, ctx):
@@ -122,8 +119,7 @@ def bergman_projection(u, ctx):
     degree m sits inside the degree k = m + 2j component; expanding it in
     any orthonormal harmonic basis leaves (n + 2m)/(n + m + k) h.
     """
-    if not isinstance(u, Polynomial):
-        raise NonPolynomialInput("Bergman projection expects a polynomial")
+    require_polynomial(u, "Bergman projection input")
     n = ctx.dim
     return poly_sum(
         h.scale(Fraction(n + 2 * m, n + 2 * m + 2 * j))

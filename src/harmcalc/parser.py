@@ -282,23 +282,14 @@ class _Parser:
             raise UnsupportedInputError(_NEGATIVE_POWERS)
         if kind == "number":
             payload = Expr.from_poly(self.ctx, Polynomial.const(payload))
-        if exp == 1:
-            return payload.terms
-        if payload.is_polynomial():
-            # one polynomial power, under its bound on the result size
-            poly = payload.as_polynomial()
-            if exp >= 0:
-                poly = poly**exp
-            elif poly.is_zero():
-                raise ParseError("division by zero", tok.line, tok.col)
-            elif poly.is_constant():
-                poly = Polynomial.const(poly.constant_term().inverse() ** (-exp))
-            else:
-                raise UnsupportedInputError(_NEGATIVE_POWERS)
-            return Expr.from_poly(self.ctx, poly).terms
         if exp >= 0:
-            return (payload**exp).terms
-        raise UnsupportedInputError(_NEGATIVE_POWERS)
+            # Expr.__pow__ bounds a polynomial's power by its result size
+            return payload.terms if exp == 1 else (payload**exp).terms
+        if payload.is_zero():
+            raise ParseError("division by zero", tok.line, tok.col)
+        if not payload.is_polynomial() or not payload.as_polynomial().is_constant():
+            raise UnsupportedInputError(_NEGATIVE_POWERS)
+        return Expr.from_scalar(self.ctx, payload.as_polynomial().constant_term().inverse() ** -exp).terms
 
     def _norm_power(self, names, half, log_pow=0):
         """||v||^half * log(||v||^2)^log_pow for the vector with these names."""

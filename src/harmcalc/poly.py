@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 
-from .errors import NonRationalValue
+from .errors import NonPolynomialInput, NonRationalValue
 from .scalar import Scalar, check_power, power, sig_product
 
 # ---------------------------------------------------------------------------
@@ -585,6 +585,13 @@ def _power_blocks(polys):
 
 def _as_poly(x):
     return x if isinstance(x, Polynomial) else Polynomial.const(x)
+
+
+def require_polynomial(p, what):
+    """p if it is a Polynomial; otherwise NonPolynomialInput, naming what p is."""
+    if not isinstance(p, Polynomial):
+        raise NonPolynomialInput("%s must be a polynomial" % what)
+    return p
 
 
 def _product(lay, a, b, names=None):

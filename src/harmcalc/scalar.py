@@ -152,8 +152,6 @@ def factorize(n):
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

@@ -143,9 +143,37 @@ def test_negative_log_power_is_a_usage_error(capsys):
 
 
 def test_weight_with_a_leading_minus():
-    # argparse reads "--weight -r^2" as an option, so the value is written after "="
     out, code = run(["integrate-ball", "1", "--dim", "3", "--weight=-r^2"])
     assert (out, code) == ("-4*pi/5", 0)
+
+
+# a value or an expression may start with "-": one line per kind of value.
+# The parsers set argparse's private negative-number pattern, so a Python
+# whose argparse stops reading it fails here.
+LEADING_MINUS = [
+    ('laplacian "-x1^2" --dim 3', "-2"),
+    ("eval x1 --dim 2 --at -1,2", "-1"),
+    ("reflect --point -1,2", "-1/5\n2/5"),
+    ("homogeneous x1^2 --dim 2 --about -1,a --degree 1", "-2 - 2*x1"),
+    ("integrate-ellipsoid-volume 1 --dim 2 --b 1,1 --c -1,0 --d -3/2", "7*pi/4"),
+    ("integrate-ball 1 --dim 3 --weight -r^2+1", "8*pi/15"),
+]
+
+
+@pytest.mark.parametrize("line, want", LEADING_MINUS, ids=[r[0].split()[0] for r in LEADING_MINUS])
+def test_values_may_start_with_minus(line, want, tmp_path, capsys):
+    assert main(shlex.split(line)) == 0
+    assert capsys.readouterr().out == want + "\n"
+    script = tmp_path / "commands.txt"
+    script.write_text(line + "\n")
+    assert run(["batch", str(script)]) == ([{"command": line, "exit": 0, "result": want}], 0)
+
+
+def test_expression_starting_with_h_needs_double_dash():
+    # argparse reads -h... as -h with an argument, whatever the pattern
+    line = ["laplacian", "--dim", "2", "--vars", "h,k"]
+    assert run(line + ["-h^2"])[1] == 2
+    assert run(line + ["--", "-h^2"]) == ("-2", 0)
 
 
 def test_weight_long_literal_is_exact():
@@ -752,8 +780,9 @@ def test_unexpected_exception_is_exit_6(monkeypatch, tmp_path, capsys):
     assert results[0]["result"] == failure
     assert results[1]["result"] == "4*pi"
     assert results[2]["result"] == {"error": "batch: No closing quotation", "type": "ParseError"}
-    assert main(["surface-area", "--dim", "3", "--out", str(tmp_path / "no" / "out.txt")]) == 6
-    assert capsys.readouterr().err.startswith("FileNotFoundError: ")
+    # an --out path that cannot be written is a usage error
+    assert main(["surface-area", "--dim", "3", "--out", str(tmp_path / "no" / "out.txt")]) == 2
+    assert capsys.readouterr().err.startswith("ParseError: cannot write ")
 
 
 def test_batch_help_line_is_a_usage_error(tmp_path, capsys):
@@ -883,6 +912,9 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         # the modified Kelvin transform reads powers of |x - S|^2, not of ||x||^2
         ('kelvin-h "x1*norm(x)" --dim 3', "UnsupportedBase"),
         ('kelvin "log(norm(x))" --dim 3', "UnsupportedBase"),
+        # near 0, r^-5/(1 + r) times the ball's r^2 is about r^-3: no finite moment
+        ('integrate-ball 1 --dim 3 --weight "r^-5/(1 + r)"', "DivergentRadialIntegral"),
+        ("phi --dim 1", "UnsupportedDimension"),
     ],
 )
 def test_bad_input_is_a_typed_error(line, error):
@@ -1138,3 +1170,23 @@ def test_heavy_quadric_neumann_bytes_are_pinned():
     text, code = run(shlex.split(HEAVY_NEUMANN))
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == HEAVY_NEUMANN_DIGEST
+
+
+def _readme_cli_lines():
+    """The command lines of the README's CLI block, without `harmcalc`."""
+    text = Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("harmcalc ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_cli_lines_answer(tmp_path, capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) == 15 and ["batch", "commands.txt"] in lines
+    commands = tmp_path / "commands.txt"
+    commands.write_text("volume --dim 3\n")
+    for argv in lines:
+        if argv[0] == "batch":
+            argv = ["batch", str(commands)]
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""

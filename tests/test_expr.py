@@ -22,6 +22,7 @@ from harmcalc.expr import (
     restrict_to_sphere,
     substitute_norm_radius,
 )
+from harmcalc.parser import parse_expression
 from harmcalc.poly import Polynomial, horner, poly_sum
 from harmcalc.render import expr_text
 from harmcalc.scalar import Scalar
@@ -471,3 +472,8 @@ def test_division_by_a_constant(ctx3):
         with pytest.raises(ZeroDivisionError, match="division by zero"):
             e / zero
 
+
+
+def test_dot_of_unequal_length_vectors_is_refused():
+    with pytest.raises(UnsupportedInputError, match="dot of unequal-length vectors"):
+        parse_expression("dot(x,y)", Context(3), {"y": ("y1", "y2")})
