@@ -142,7 +142,8 @@ def _sig_factors(sig, form):
 
 
 def _scalar_render(s, form):
-    return _signed_sum(form.coeff(c.numerator, c.denominator, _sig_factors(sig, form)) for c, *sig in s.terms)
+    coeff = form.coeff
+    return _signed_sum(coeff(c.numerator, c.denominator, _sig_factors(sig, form)) for c, *sig in s.terms)
 
 
 def scalar_text(s):
