@@ -22,7 +22,9 @@ system and returns the polynomials.
 The exterior halves are Kelvin transforms (`transforms.kelvin`, which
 takes a harmonic h_m of degree m to h_m ||x||^(2-n-2m)) of interior sums,
 and one reduction (`_generalized_neumann`) takes the generalized Neumann
-problem to the standard one on the sphere and on a quadric.
+problem to the standard one on the sphere and on an ellipsoid.  No Neumann
+path integrates its data: each standard solve has a solution exactly when
+the data is compatible, and refuses it otherwise.
 
 Every solver's defining contracts (vanishing Laplacian or prescribed one,
 boundary match, origin normalization, normal-derivative match) hold as
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .calculus import poly_laplacian
 from .errors import (
@@ -45,15 +48,7 @@ from .errors import (
 )
 from .expr import Expr, context_of
 from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
-from .integrate import (
-    integrate_ball,
-    integrate_ellipsoid_area,
-    integrate_ellipsoid_volume,
-    integrate_sphere,
-    unit_sphere_area,
-    Quadratic,
-    RadialFunction,
-)
+from .integrate import Quadratic
 from .linalg import solve_ansatz
 from .poly import (
     Polynomial,
@@ -64,7 +59,7 @@ from .poly import (
     poly_sum,
     require_polynomial,
 )
-from .scalar import MAX_RADIAL_SIZE, Scalar
+from .scalar import MAX_RADIAL_SIZE
 from .transforms import kelvin
 
 # ---------------------------------------------------------------------------
@@ -342,12 +337,16 @@ def _dirichlet_quadratic(p, region, ctx):
 
 
 def neumann(f, g=None, region=Sphere(), ctx=None):
-    """Neumann problems on the sphere or a quadratic surface.
+    """Neumann problems on the sphere or an ellipsoid.
 
     Standard: harmonic u with normal derivative f on the surface and
     u(0) = 0.  Generalized (g given): Laplacian of u equals g as well.
-    Solvability requires the boundary integral of f to match the volume
-    integral of g (zero when g is absent); the check is exact.
+    Each region names the quadric q of its boundary term grad q . grad u
+    and one standard solve, and that solve decides solvability: it has a
+    solution exactly when the boundary integral of f matches the volume
+    integral of g (zero when g is absent), and refuses the data otherwise.
+    On an ellipsoid, data in variables other than the coordinates is
+    refused before any solve.
     """
     if ctx is None:
         raise ValueError("a context is required")
@@ -355,82 +354,68 @@ def neumann(f, g=None, region=Sphere(), ctx=None):
     if g is not None:
         require_polynomial(g, "boundary data")
     if isinstance(region, Sphere):
-        return _neumann_sphere(f, g, ctx)
-    if isinstance(region, Quadratic):
-        return _neumann_quadratic(f, g, region, ctx)
-    raise UnsupportedInputError("Neumann problems support Sphere and Quadratic regions")
-
-
-def _neumann_sphere(f, g, ctx):
+        # x . grad u is grad q . grad u for q = ||x||^2/2
+        q, standard = ctx.norm_sq_poly().scale(Fraction(1, 2)), partial(_neumann_sphere, ctx=ctx)
+    elif isinstance(region, Quadratic):
+        q = region.ellipsoid_poly(ctx)
+        # the ansatz has columns in the coordinates only, so a solve would
+        # read data in other variables as incompatible
+        if any(p.variables() - set(ctx.coords) for p in (f, g) if p is not None):
+            raise UnsupportedInputError("Neumann data on a quadric must be a polynomial in the coordinates")
+        standard = partial(_neumann_quadratic_standard, q=q, ctx=ctx)
+    else:
+        raise UnsupportedInputError("Neumann problems support Sphere and Quadratic regions")
     if g is None:
-        parts = harmonic_parts_by_degree(f, ctx)
-        # the degree-0 part is the mean of f over the sphere
-        if 0 in parts:
-            raise SolvabilityViolation(
-                "the integral of the data over the sphere must vanish"
-            )
-        return Expr.from_poly(
-            ctx, poly_sum(gm.scale(Fraction(1, m)) for m, gm in parts.items())
-        )
-    # compatibility: area(n) * mean_S f = volume integral of g
-    lhs = unit_sphere_area(ctx.dim) * integrate_sphere(f, ctx)
-    rhs = integrate_ball(g, RadialFunction.one(), ctx)
-    if not isinstance(lhs, Scalar) or not isinstance(rhs, Scalar) or not (lhs - rhs).is_zero():
-        raise SolvabilityViolation(
-            "boundary and volume integrals disagree; no solution exists"
-        )
-    # x . grad v is grad q . grad v for q = ||x||^2/2
-    q = ctx.norm_sq_poly().scale(Fraction(1, 2))
-    return _generalized_neumann(f, g, q, lambda d: _neumann_sphere(d, None, ctx), ctx)
+        return standard(f)
+    return _generalized_neumann(f, g, q, standard, ctx)
 
 
-def _neumann_quadratic(f, g, region, ctx):
-    area = integrate_ellipsoid_area(f, region, ctx)
-    if g is None:
-        if not (isinstance(area, Scalar) and area.is_zero()):
-            raise SolvabilityViolation(
-                "the surface integral of the data must vanish"
-            )
-        return _neumann_quadratic_standard(f, region, ctx)
-    vol = integrate_ellipsoid_volume(g, region, ctx)
-    if not isinstance(area, Scalar) or not isinstance(vol, Scalar) or not (
-        area - vol
-    ).is_zero():
-        raise SolvabilityViolation(
-            "surface and volume integrals disagree; no solution exists"
-        )
-    return _generalized_neumann(
-        f, g, region.poly(ctx), lambda d: _neumann_quadratic_standard(d, region, ctx), ctx
-    )
+def _neumann_sphere(f, ctx):
+    """Harmonic h with x . grad h = f on the sphere and h(0) = 0: h_m/m on
+    each harmonic part h_m of f.  The degree-0 part is the mean of f over
+    the sphere, so f is compatible exactly when it has none."""
+    parts = harmonic_parts_by_degree(f, ctx)
+    if 0 in parts:
+        raise SolvabilityViolation("the integral of the data over the sphere must vanish")
+    return Expr.from_poly(ctx, poly_sum(gm.scale(Fraction(1, m)) for m, gm in parts.items()))
 
 
 def _generalized_neumann(f, g, q, standard, ctx):
     """u with Laplacian g, grad q . grad u = f on the surface and u(0) = 0:
     h + v less its value at 0, for v an anti-Laplacian of g and h the
-    standard solution (`standard`) for the data f - grad q . grad v."""
+    standard solution (`standard`) for the data f - grad q . grad v.  That
+    data is compatible exactly when the boundary integral of f matches the
+    volume integral of g (the divergence theorem for v)."""
     v = anti_laplacian(g, Plain(), ctx).as_polynomial()
-    h = standard(f - q.gradient_dot(v, ctx.coords)).as_polynomial()
-    u = h + v
+    data = f - q.gradient_dot(v, ctx.coords)
+    try:
+        h = standard(data)
+    except SolvabilityViolation:
+        raise SolvabilityViolation("boundary and volume integrals disagree; no solution exists") from None
+    u = h.as_polynomial() + v
     return Expr.from_poly(ctx, u - u.constant_term())
 
 
-def _neumann_quadratic_standard(f, region, ctx):
-    """Harmonic h with grad h . grad q = f + q*(cofactor), h(0) = 0.
+def _neumann_quadratic_standard(f, q, ctx):
+    """Harmonic h with grad h . grad q = f + q*(cofactor), h(0) = 0, on the
+    ellipsoid q < 0.
 
-    h is sought at the degree m of f alone: on an ellipsoid,
-    h -> grad q . grad h (mod q) is one-to-one on the harmonics of degree
-    at most m with h(0) = 0 (zero Neumann data forces a constant), and its
-    image has codimension one, so it is exactly the compatible data that
-    `neumann` checks.  A higher degree cannot succeed where m fails.
+    A solution has normal derivative f/|grad q| on q = 0, so the surface
+    integral of f/|grad q| is the volume integral of the Laplacian of h,
+    zero.  Conversely h is sought at the degree m of f alone: on an
+    ellipsoid, h -> grad q . grad h (mod q) is one-to-one on the harmonics
+    of degree at most m with h(0) = 0 (zero Neumann data forces a
+    constant), and its image has codimension one, so it is exactly the
+    data whose surface integral vanishes.  The one linear solve therefore
+    fails exactly on incompatible data.
     """
-    q = region.poly(ctx)
     deg = f.total_degree()
     # h's columns: Laplacian of x^a and grad q . grad x^a; the cofactor's: -q x^a
     h = (range(1, deg + 1), [(0, Polynomial.const(1), laplace_weight), (1, q, gradient_weight)])
     cofactor = (range(max(deg, 1)), [(1, -q, None)])
     sol = solve_ansatz([h, cofactor], [Polynomial(), f], ctx.coords)
     if sol is None:
-        raise InfeasibleSystem("no harmonic solution of degree %d" % deg)
+        raise SolvabilityViolation("the surface integral of the data must vanish")
     return Expr.from_poly(ctx, sol[0])
 
 

@@ -238,12 +238,16 @@ def _add_arguments(p, name):
 
 def build_parser():
     """The whole tree: one subparser per verb, then `batch`."""
+    names = sorted(VERBS) + ["batch"]
+    # the usage as Python 3.10-3.12 wrap it (3.13 moves the "..." up a line)
+    indent = "\n" + " " * len("usage: harmcalc ")
     ap = _Parser(
         prog="harmcalc",
+        usage="%(prog)s [-h]" + indent + "{" + ",".join(names) + "}" + indent + "...",
         description="Exact computer algebra for harmonic function theory.",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-    for name in sorted(VERBS) + ["batch"]:
+    for name in names:
         _add_arguments(sub.add_parser(name), name)
     return ap
 

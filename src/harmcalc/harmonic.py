@@ -54,9 +54,11 @@ def dim_harmonic(m, n):
         raise ValueError("dimension must be positive")
     if m == 0:
         return 1
-    if m == 1:
-        return n
-    return comb(n + m - 1, n - 1) - comb(n + m - 3, n - 1)
+    if n == 1:
+        return 1 if m == 1 else 0
+    # C(m+n-1, n-1) - C(m+n-3, n-1), the degree-m homogeneous polynomials
+    # less the degree-(m-2) ones, written with one binomial
+    return (2 * m + n - 2) * comb(m + n - 3, m - 1) // m
 
 
 def _decompose_homogeneous(p, k, ctx):

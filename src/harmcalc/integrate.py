@@ -232,7 +232,7 @@ class Quadratic:
     nonzero b_i has one sign s and c_i = 0 wherever b_i = 0, s rho^2 > 0
     over the nonzero b_i, or s rho^2 = 0 with a zero b_i.  Ellipsoid
     integrals and Neumann solves need the ellipsoid q < 0: every b_i > 0
-    and rho^2 > 0, checked where they integrate.
+    and rho^2 > 0, checked by `ellipsoid_poly`.
     """
 
     b: Tuple[Fraction, ...]
@@ -256,6 +256,15 @@ class Quadratic:
             )
         return quadratic_poly(zip(ctx.coords, self.b, self.c), self.d)
 
+    def ellipsoid_poly(self, ctx):
+        """`poly(ctx)` of an ellipsoid: every b_i > 0, then rho^2 > 0, then
+        one axis per coordinate, checked in that order."""
+        if any(v <= 0 for v in self.b):
+            raise NonPositiveAxis("every quadratic coefficient must be positive")
+        if self.rho_sq() <= 0:
+            raise EmptyInterior("the region b.x^2 + c.x + d < 0 is empty")
+        return self.poly(ctx)
+
     def rho_sq(self):
         """rho^2 = sum c_i^2/(4 b_i) - d, the sum over the nonzero b_i."""
         return sum(ci * ci / (4 * bi) for bi, ci in zip(self.b, self.c) if bi) - self.d
@@ -272,14 +281,9 @@ def _even_moment_table(p, e, ctx):
     polynomial, the sphere weight of beta times the rational axis factor
     prod b_i^(-beta_i/2) times the coefficient}; a beta with an odd entry
     has sphere weight 0.  Both ellipsoid integrals come through here, so
-    this is where the quadric must be an ellipsoid: every b_i > 0, then
-    rho^2 > 0, then one axis per coordinate.
+    this is where the quadric must be an ellipsoid.
     """
-    if any(v <= 0 for v in e.b):
-        raise NonPositiveAxis("every quadratic coefficient must be positive")
-    if e.rho_sq() <= 0:
-        raise EmptyInterior("the region b.x^2 + c.x + d < 0 is empty")
-    e.poly(ctx)  # the dimension check
+    e.ellipsoid_poly(ctx)
     shifted = p
     for v, z in zip(ctx.coords, e.center()):
         if z:

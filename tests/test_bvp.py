@@ -29,11 +29,12 @@ from harmcalc.errors import (
     SolvabilityViolation,
     UnsupportedDimension,
     UnsupportedInputError,
+    UnsupportedRadialClass,
 )
 from harmcalc.expr import Context, Expr, reduce_poly_on_sphere, restrict_to_sphere
 from harmcalc.harmonic import harmonic_decompose
 from harmcalc.integrate import integrate_sphere
-from harmcalc.kernels import bergman_projection
+from harmcalc.kernels import bergman_projection, poisson_kernel
 from harmcalc.linalg import paired_rows, solve_ansatz
 from harmcalc.poly import Polynomial, _layout, gradient_weight, laplace_weight, monomials, poly_sum
 from harmcalc.scalar import Scalar
@@ -299,6 +300,14 @@ def test_anti_laplacian_size_bound():
         anti_laplacian(E("x1^10*log(norm(x))^1500", ctx), Plain(), ctx)
     # one piece of one term is bounded as its radial solve is
     assert len(anti_laplacian(E("log(norm(x))^2000", ctx), Plain(), ctx).terms) == 2001
+
+
+def test_anti_laplacian_refuses_a_base_other_than_the_norm():
+    # the Poisson kernel's base is |x - y|^2 stretched, not ||x||^2
+    ctx = Context(3, extra=("y1", "y2", "y3"))
+    message = "^anti-Laplacian accepts polynomials times norm power-log factors$"
+    with pytest.raises(UnsupportedRadialClass, match=message):
+        anti_laplacian(poisson_kernel(ctx, ctx.extra), Plain(), ctx)
 
 
 def test_anti_laplacian_radial_log10(ctx5):
@@ -568,13 +577,30 @@ def test_neumann_quadratic_solvability(ctx3):
         neumann(P("x1^2", ctx3), None, Quadratic((5, 3, 2)), ctx3)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_neumann_on_random_ellipsoids_solves_once(dim, monkeypatch):
-    # on an ellipsoid the data's own degree always suffices: one linear
-    # solve per problem, standard or generalized, and exact contracts
+def _compatible_ellipsoid_problems(dim):
+    """(ctx, region, f, g) for random ellipsoids at data degrees 1-5: a
+    standard (g None) and a generalized problem each, with f shifted by
+    the constant that makes its surface integral match the volume
+    integral of g (zero for the standard problem)."""
     from harmcalc.integrate import integrate_ellipsoid_area, integrate_ellipsoid_volume
 
     ctx = Context(dim)
+    rng = random.Random(3000 + dim)
+    for deg in range(1, 6):
+        b = tuple(F(rng.randrange(1, 6), rng.randrange(1, 3)) for _ in range(dim))
+        c = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(dim))
+        region = Quadratic(b, c, F(-rng.randrange(1, 4)))
+        one = integrate_ellipsoid_area(Polynomial.const(1), region, ctx)
+        p = random_polynomial(rng, ctx, max_degree=deg - 1, terms=3) + Polynomial.var(rng.choice(ctx.coords), deg)
+        for g in (None, random_polynomial(rng, ctx, max_degree=max(deg - 2, 0), terms=2)):
+            target = integrate_ellipsoid_volume(g, region, ctx) if g is not None else Scalar.from_fraction(0)
+            shift = (target - integrate_ellipsoid_area(p, region, ctx)) / one
+            assert shift.is_rational()
+            yield ctx, region, p + shift, g
+
+
+def _counted_solves(monkeypatch):
+    """The row counts of the `linalg.solve` calls made from now on."""
     solve, calls = linalg.solve, []
 
     def counted(rows, cols):
@@ -585,28 +611,76 @@ def test_neumann_on_random_ellipsoids_solves_once(dim, monkeypatch):
         return sol
 
     monkeypatch.setattr(linalg, "solve", counted)
-    rng = random.Random(3000 + dim)
-    for deg in range(1, 6):
-        b = tuple(F(rng.randrange(1, 6), rng.randrange(1, 3)) for _ in range(dim))
-        c = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(dim))
-        region = Quadratic(b, c, F(-rng.randrange(1, 4)))
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_neumann_on_random_ellipsoids_solves_once(dim, monkeypatch):
+    # on an ellipsoid the data's own degree always suffices: one linear
+    # solve per problem, standard or generalized, and exact contracts
+    calls = _counted_solves(monkeypatch)
+    for ctx, region, f, g in _compatible_ellipsoid_problems(dim):
         q = region.poly(ctx)
-        one = integrate_ellipsoid_area(Polynomial.const(1), region, ctx)
-        p = random_polynomial(rng, ctx, max_degree=deg - 1, terms=3) + Polynomial.var(rng.choice(ctx.coords), deg)
-        for g in (None, random_polynomial(rng, ctx, max_degree=max(deg - 2, 0), terms=2)):
-            # shift p by the constant that makes its surface integral match
-            # the volume integral of g (zero for the standard problem)
-            target = integrate_ellipsoid_volume(g, region, ctx) if g is not None else Scalar.from_fraction(0)
-            shift = (target - integrate_ellipsoid_area(p, region, ctx)) / one
-            assert shift.is_rational()
-            f = p + shift
+        del calls[:]
+        u = neumann(f, g, region, ctx).as_polynomial()
+        assert len(calls) == 1, (dim, g)
+        assert poly_laplacian(u, ctx) == (g if g is not None else Polynomial())
+        assert u.constant_term().is_zero()
+        resid = poly_sum([u.partial(v) * q.partial(v) for v in ctx.coords]) - f
+        assert resid.divide_exact(q, ctx.var_rank) is not None
+
+
+SPHERE_REFUSAL = "^the integral of the data over the sphere must vanish$"
+QUADRIC_REFUSAL = "^the surface integral of the data must vanish$"
+GENERALIZED_REFUSAL = "^boundary and volume integrals disagree; no solution exists$"
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_neumann_solve_alone_refuses_shifted_data(dim, monkeypatch):
+    # the standard solve is the only solvability test: compatible data
+    # shifted by a nonzero constant is refused by that one linear solve
+    calls = _counted_solves(monkeypatch)
+    for ctx, region, f, g in _compatible_ellipsoid_problems(dim):
+        for shift in (F(1), F(-2, 7)):
             del calls[:]
-            u = neumann(f, g, region, ctx).as_polynomial()
-            assert len(calls) == 1, (dim, deg, g)
-            assert poly_laplacian(u, ctx) == (g if g is not None else Polynomial())
-            assert u.constant_term().is_zero()
-            resid = poly_sum([u.partial(v) * q.partial(v) for v in ctx.coords]) - f
-            assert resid.divide_exact(q, ctx.var_rank) is not None
+            with pytest.raises(SolvabilityViolation, match=GENERALIZED_REFUSAL if g is not None else QUADRIC_REFUSAL):
+                neumann(f + Polynomial.const(shift), g, region, ctx)
+            assert len(calls) == 1, (dim, g, shift)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_neumann_sphere_refuses_shifted_data(dim):
+    # compatible data: p less its mean over the sphere, and x . grad u with
+    # the Laplacian of u for a random polynomial u, which u itself solves
+    ctx = Context(dim)
+    rng = random.Random(4000 + dim)
+    half_norm_sq = ctx.norm_sq_poly().scale(F(1, 2))
+    for deg in range(1, 6):
+        p = random_polynomial(rng, ctx, max_degree=deg, terms=4)
+        u = random_polynomial(rng, ctx, max_degree=deg, terms=4)
+        standard = (p - Polynomial.const(integrate_sphere(p, ctx)), None, SPHERE_REFUSAL)
+        generalized = (half_norm_sq.gradient_dot(u, ctx.coords), poly_laplacian(u, ctx), GENERALIZED_REFUSAL)
+        for f, g, refusal in (standard, generalized):
+            sol = neumann(f, g, Sphere(), ctx).as_polynomial()
+            assert poly_laplacian(sol, ctx) == (g if g is not None else Polynomial())
+            for shift in (F(1), F(-2, 7)):
+                with pytest.raises(SolvabilityViolation, match=refusal):
+                    neumann(f + Polynomial.const(shift), g, Sphere(), ctx)
+
+
+def test_neumann_data_outside_the_coordinates():
+    # on a quadric such data is refused before any solve (it was refused as
+    # InfeasibleSystem though a*x1 is compatible); on the sphere it solves,
+    # the generalized problem too when its integrals agree as polynomials in a
+    ctx = Context(3, extra=("a",))
+    region = Quadratic((1, 2, 3))
+    for f, g in (("a*x1", None), ("x1", "a"), ("a*x1", "x1")):
+        with pytest.raises(UnsupportedInputError, match="^Neumann data on a quadric must be a polynomial in the coordinates$"):
+            neumann(P(f, ctx), g and P(g, ctx), region, ctx)
+    assert neumann(P("a*x1", ctx), None, Sphere(), ctx) == E("a*x1", ctx)
+    assert neumann(P("a*x1^2", ctx), P("a", ctx), Sphere(), ctx) == E("1/2*a*x1^2", ctx)
+    with pytest.raises(SolvabilityViolation, match=GENERALIZED_REFUSAL):
+        neumann(P("a*x1^2", ctx), P("1", ctx), Sphere(), ctx)
 
 
 # ---------------------------------------------------------------------------

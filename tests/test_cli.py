@@ -903,6 +903,9 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         ('laplacian "pi^3" --dim 2 --vars pi,b', "ParseError"),
         ("neumann 1 1 --dim 3", "SolvabilityViolation"),
         ("neumann 1 1 --dim 3 --region quadratic:1,2,3", "SolvabilityViolation"),
+        # the quadric solve takes only rational data, compatible or not
+        ('neumann "log(2)*x1^2" --dim 3 --region quadratic:1,2,3', "NonRationalValue"),
+        ('neumann "log(2)*x1" --dim 3 --region quadratic:1,2,3', "NonRationalValue"),
         ("exterior-neumann x1 --dim 1", "UnsupportedDimension"),
         ("harmonic-conjugate x1 --dim 3", "UnsupportedDimension"),
         ("normal-d x1 --dim 2 --surface 3", "ZeroGradientField"),
@@ -912,6 +915,8 @@ def test_batch_missing_file_is_a_usage_error(tmp_path, capsys):
         # the modified Kelvin transform reads powers of |x - S|^2, not of ||x||^2
         ('kelvin-h "x1*norm(x)" --dim 3', "UnsupportedBase"),
         ('kelvin "log(norm(x))" --dim 3', "UnsupportedBase"),
+        # the norm-squared multiple takes a polynomial
+        ('anti-laplacian "norm(x)" --dim 3 --multiple norm2', "UnsupportedBase"),
         # near 0, r^-5/(1 + r) times the ball's r^2 is about r^-3: no finite moment
         ('integrate-ball 1 --dim 3 --weight "r^-5/(1 + r)"', "DivergentRadialIntegral"),
         ("phi --dim 1", "UnsupportedDimension"),

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from math import comb
 from fractions import Fraction as F
 
 import pytest
@@ -37,6 +38,15 @@ def test_dim_harmonic_values():
         assert dim_harmonic(m, 2) == 2
     assert dim_harmonic(0, 4) == 1
     assert dim_harmonic(4, 3) == 9
+
+
+def test_dim_harmonic_is_a_difference_of_binomials():
+    # the degree-m homogeneous polynomials less the degree-(m - 2) ones,
+    # which the Laplacian maps onto
+    for n in range(1, 40):
+        for m in range(40):
+            below = comb(m + n - 3, n - 1) if m >= 2 else 0
+            assert dim_harmonic(m, n) == comb(m + n - 1, n - 1) - below, (m, n)
 
 
 def test_decompose_x1_fourth(ctx3):

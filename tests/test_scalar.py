@@ -49,6 +49,22 @@ def test_strong_pseudoprimes_to_every_base_are_composite():
     assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
 
 
+def test_factorize_splits_a_25_digit_semiprime():
+    # Brent's search takes about half of MAX_RHO_STEPS on this one
+    assert factorize(3000000000130000000000507) == {1000000000039: 1, 3000000000013: 1}
+
+
+def test_factorize_past_its_step_budget_is_refused(monkeypatch):
+    # the cofactor left unsplit is named by its digits; psi_12 needs
+    # about 2^19 steps, so a budget of 2^16 refuses it
+    monkeypatch.setattr(scalar, "MAX_RHO_STEPS", 1 << 16)
+    message = "^could not factor a 24-digit integer within 65536 rho steps$"
+    with pytest.raises(UnsupportedInputError, match=message):
+        factorize(PSI_12)
+    with pytest.raises(UnsupportedInputError, match=message):
+        factorize(7 * PSI_12)
+
+
 def test_strong_lucas_test_accepts_primes_and_its_known_pseudoprimes():
     # below 10^5 it errs only on the strong Lucas pseudoprimes with
     # Selfridge's parameters (OEIS A217255), none with a factor below 42
