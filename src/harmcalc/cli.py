@@ -33,7 +33,7 @@ from .errors import DimensionMismatch, HarmcalcError, ParseError, UnsupportedInp
 from .expr import Context, eval_expr, make_context
 from .parser import is_name, parse_expression, parse_polynomial, parse_radial
 from .render import render_value
-from .scalar import approx_scalar
+from .scalar import approx_scalar, read_int
 
 # ---------------------------------------------------------------------------
 # flag values: argparse turns a ValueError or TypeError raised here into a
@@ -43,10 +43,10 @@ from .scalar import approx_scalar
 def rational(text):
     """N or N/D."""
     num, sep, den = text.partition("/")
-    den = int(den) if sep else 1
+    den = read_int(den) if sep else 1
     if not den:
         raise ValueError("zero denominator")
-    return Fraction(int(num), den)
+    return Fraction(read_int(num), den)
 
 
 def rationals(text):

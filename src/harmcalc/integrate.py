@@ -42,11 +42,17 @@ def unit_ball_volume(n):
     return Scalar.from_fraction(Fraction(2 ** (k + 1), _double_factorial(n))) * Scalar.pi_power(2 * k)
 
 
+def n_ball_volume(n):
+    """n V(B) for n >= 1, V(B) the volume of the unit ball: the area of the
+    unit sphere, and the factor of a ball integral in polar coordinates."""
+    return Scalar.from_fraction(n) * unit_ball_volume(n)
+
+
 def unit_sphere_area(n):
     """Surface area of the unit sphere: n times the ball volume."""
     if n < 2:
         raise UnsupportedDimension("surface area needs dimension >= 2")
-    return Scalar.from_fraction(n) * unit_ball_volume(n)
+    return n_ball_volume(n)
 
 
 def _double_factorial(k):
@@ -66,10 +72,7 @@ def sphere_monomial_integral(exponents, n):
             return Fraction(0)
         num *= _double_factorial(a - 1)
         total += a
-    den = 1
-    for j in range(total // 2):
-        den *= n + 2 * j
-    return Fraction(num, den)
+    return Fraction(num, prod(range(n, n + total, 2)))
 
 
 def integrate_sphere(p, ctx):
@@ -206,7 +209,7 @@ def ball_radial_factor(m, radial, n):
     homogeneous of degree m in R^n, is this factor times the normalized
     sphere integral of p.
     """
-    return Scalar.from_fraction(n) * unit_ball_volume(n) * _radial_moment(n - 1 + m, radial)
+    return n_ball_volume(n) * _radial_moment(n - 1 + m, radial)
 
 
 def integrate_ball(p, radial, ctx):
@@ -303,8 +306,7 @@ def _ellipsoid_integral(p, e, ctx, factor):
     """The sum over degrees m of the moments of p by `_even_moment_table`,
     each times n V(B) factor(m, rho^2), times the axis factor
     1/sqrt(prod b_i)."""
-    n = ctx.dim
-    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
+    nv = n_ball_volume(ctx.dim)
     table = _even_moment_table(p, e, ctx)
     # read only now that the axes are checked: rho^2 divides by each b_i
     rho_sq = e.rho_sq()

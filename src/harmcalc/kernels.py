@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .expr import Expr
 from .harmonic import fischer_parts
-from .integrate import unit_ball_volume
+from .integrate import n_ball_volume
 from .poly import Polynomial, dot_poly, poly_sum, require_polynomial
-from .scalar import Scalar
 
 
 def poisson_base(ctx, y_names, on_boundary=False):
@@ -44,8 +43,7 @@ def poisson_kernel(ctx, y_names, on_boundary=False):
 
 def _over_n_volume(ctx, numer, base, half):
     """numer * base^(half/2) / (n V(B)), V(B) the volume of the unit ball."""
-    n = ctx.dim
-    nv = Scalar.from_fraction(n) * unit_ball_volume(n)
+    nv = n_ball_volume(ctx.dim)
     return (Expr.from_poly(ctx, numer) * Expr.base_power(ctx, base, half)).scale(nv.inverse())
 
 

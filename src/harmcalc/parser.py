@@ -38,15 +38,13 @@ factor would raise it, with the same type and message.
 from __future__ import annotations
 
 import re
-import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError, UnknownVariable, UnsupportedInputError
 from .expr import Expr
 from .integrate import RadialFunction
 from .poly import Polynomial, dot_poly
-from .scalar import Scalar
+from .scalar import Scalar, int_digit_limit, read_int
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -64,7 +62,7 @@ class _Token:
 # the pieces of a source, in order: spaces, "||", decimal digits, a word,
 # an operator, or one stray character.  For str patterns \s is
 # str.isspace, \d str.isdecimal and \w str.isalnum or "_": superscript
-# and circled digits, which Decimal does not read, are no number, but
+# and circled digits, which int() does not read, are no number, but
 # they may continue a name.
 _PIECE = re.compile(r"\s+|\|\||\d+|\w+|[-+*^(),/]|.")
 
@@ -105,12 +103,6 @@ def is_name(text):
     return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == text
 
 
-def _int_value(token):
-    # int(str) refuses more digits than sys.get_int_max_str_digits() allows;
-    # a Decimal converts without that limit
-    return int(Decimal(token.text))
-
-
 _NEGATIVE_POWERS = "negative powers are supported on norms and rationals only"
 
 
@@ -119,15 +111,16 @@ def _has_bases(pairs):
 
 
 def _exponent_value(token):
-    """An exponent literal; output prints exponents with str(), so one
-    longer than str() writes is refused here.  Python before 3.10.7 has
-    no such limit (0 means none)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """An exponent literal.  A packed key gives each variable a field as
+    wide as the largest exponent needs, so an exponent costs its bits in
+    every key of its polynomial; one longer than the interpreter's digit
+    limit on int() is refused here, and none when there is no limit."""
+    limit = int_digit_limit()
     if limit and len(token.text.lstrip("0")) > limit:
         raise UnsupportedInputError(
             "exponent longer than %d digits (line %d, column %d)" % (limit, token.line, token.col)
         )
-    return _int_value(token)
+    return read_int(token.text)
 
 
 class _Parser:
@@ -166,10 +159,10 @@ class _Parser:
         """int or int/int, exactly; a '/' not followed by an int is left
         for the caller."""
         t = self.expect("int", "number")
-        num = _int_value(t)
+        num = read_int(t.text)
         if self.peek().kind == "/" and self.tokens[self.pos + 1].kind == "int":
             self.advance()
-            den = _int_value(self.advance())
+            den = read_int(self.advance().text)
             if den == 0:
                 raise ParseError("division by zero", t.line, t.col)
             return Fraction(num, den)

@@ -329,7 +329,9 @@ class Polynomial:
         """(den, {key: num}) of a rational polynomial, keyed in `layout` (default its own)."""
         blocks = self.blocks if layout is None else _rekey(self, layout)
         if set(blocks) - {RATIONAL}:
-            raise NonRationalValue("not a rational polynomial: %r" % (self,))
+            from .render import poly_text
+
+            raise NonRationalValue("not a rational polynomial: %s" % poly_text(self))
         return blocks.get(RATIONAL, (1, {}))
 
     # -- arithmetic ---------------------------------------------------------

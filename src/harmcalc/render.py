@@ -24,39 +24,32 @@ usual 8-bit layout a key's exponents are its bytes.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
-from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from operator import getitem
 
 from .expr import Expr, context_of
 from .poly import Polynomial, order_key
-from .scalar import Scalar
+from .scalar import Scalar, int_digit_limit, int_text
 
 # ---------------------------------------------------------------------------
 # numbers and products
 
-# str(int) refuses more digits than sys.get_int_max_str_digits() allows, and
-# no limit can be set below this threshold (a Python without the limit has
-# the attribute missing and takes any int)
-_STR_LIMIT = 10 ** (getattr(sys.int_info, "str_digits_check_threshold", 640) - 1)
 
-
-def _int_text(n):
-    # below the threshold's digit count str() always works; a Decimal
-    # converts any int, past every limit
-    if -_STR_LIMIT < n < _STR_LIMIT:
-        return str(n)
-    return str(Decimal(n))
+def _json_int(n):
+    """n as a JSON number while its text is shorter than the interpreter's
+    digit limit, which could stop json.dumps writing it; its text otherwise."""
+    text = int_text(n)
+    limit = int_digit_limit()
+    return text if limit and len(text) >= limit else n
 
 
 def _fraction(num, den, frac="%s/%s"):
     """num/den in the form's fraction format, the sign in front."""
     if den == 1:
-        return _int_text(num)
-    text = frac % (_int_text(abs(num)), _int_text(den))
+        return int_text(num)
+    text = frac % (int_text(abs(num)), int_text(den))
     return "-" + text if num < 0 else text
 
 
@@ -72,7 +65,7 @@ def _times(coeff, rest, sep):
 
 def _power(fmt, core, e):
     """core to the int power e by the format fmt; a power of 1 is core alone."""
-    return core if e == 1 else fmt % (core, e)
+    return core if e == 1 else fmt % (core, int_text(e))
 
 
 def _signed_sum(terms):
@@ -90,7 +83,7 @@ def _signed_sum(terms):
 
 def _coeff_text(num, den, factors):
     """num/den times the joined signature factors ('' for none): 3*sqrt(2)/4."""
-    return _times(_int_text(num), factors, "*") + ("" if den == 1 else "/" + _int_text(den))
+    return _times(int_text(num), factors, "*") + ("" if den == 1 else "/" + int_text(den))
 
 
 def _coeff_latex(num, den, factors):
@@ -107,15 +100,15 @@ _FORM_ROWS = (
     ("wrap", "(%s)", "\\left(%s\\right)"),
     ("coeff", _coeff_text, _coeff_latex),
     # an int power; pi's when negative; a half power, given 2 * exponent
-    ("power", "%s^%d", "%s^{%d}"),
-    ("neg_power", "%s^(%d)", "%s^{%d}"),
-    ("half", "%s^(%d/2)", "%s^{%d/2}"),
+    ("power", "%s^%s", "%s^{%s}"),
+    ("neg_power", "%s^(%s)", "%s^{%s}"),
+    ("half", "%s^(%s/2)", "%s^{%s/2}"),
     ("pi", "pi", "\\pi"),
-    ("sqrt", "sqrt(%d)", "\\sqrt{%d}"),
+    ("sqrt", "sqrt(%s)", "\\sqrt{%s}"),
     # the log of a prime or of ||x||^2; of a parenthesized base; its power
     ("log", "log(%s)", "\\log %s"),
     ("log_base", "log%s", "\\log %s"),
-    ("log_power", "%s^%d", "(%s)^{%d}"),
+    ("log_power", "%s^%s", "(%s)^{%s}"),
     ("norm", "||%s||", "\\lVert %s \\rVert"),
 )
 _Form = namedtuple("_Form", [row[0] for row in _FORM_ROWS])
@@ -131,13 +124,13 @@ def _sig_factors(sig, form):
     rad, pih, logs = sig
     parts = []
     if pih % 2:
-        parts.append(form.half % (form.pi, pih))
+        parts.append(form.half % (form.pi, int_text(pih)))
     elif pih:
         parts.append(_power(form.power if pih > 0 else form.neg_power, form.pi, pih // 2))
     if rad != 1:
-        parts.append(form.sqrt % rad)
+        parts.append(form.sqrt % int_text(rad))
     for p, m in logs:
-        parts.append(_power(form.log_power, form.log % p, m))
+        parts.append(_power(form.log_power, form.log % int_text(p), m))
     return form.sep.join(parts)
 
 
@@ -159,9 +152,9 @@ def scalar_json(s):
         "terms": [
             {
                 "coeff": _fraction(c.numerator, c.denominator),
-                "radicand": rad,
-                "piHalfExp": pih,
-                "logFactors": [[p, m] for p, m in logs],
+                "radicand": _json_int(rad),
+                "piHalfExp": _json_int(pih),
+                "logFactors": [[_json_int(p), _json_int(m)] for p, m in logs],
             }
             for c, rad, pih, logs in s.terms
         ]
@@ -183,7 +176,7 @@ class _Powers(dict):
         self.name, self.fmt = name, fmt
 
     def __missing__(self, e):
-        out = self[e] = self.fmt % (self.name, e)
+        out = self[e] = self.fmt % (self.name, int_text(e))
         return out
 
 
@@ -260,7 +253,8 @@ def _factor_text(ctx, bid, half, logp, form):
     else:
         core = "(%s)" % _poly_render(ctx.base_poly(bid), ctx, form)
         if half:
-            parts.append(form.half % (core, half) if half % 2 else form.power % (core, half // 2))
+            fmt, e = (form.half, half) if half % 2 else (form.power, half // 2)
+            parts.append(fmt % (core, int_text(e)))
         log = form.log_base % core
     if logp:
         parts.append(_power(form.log_power, log, logp))
@@ -299,8 +293,8 @@ def expr_json(e, ctx=None):
                     {
                         "base": ctx.base_name(bid)
                         or poly_text(ctx.base_poly(bid), ctx),
-                        "halfExp": half,
-                        "logPow": logp,
+                        "halfExp": _json_int(half),
+                        "logPow": _json_int(logp),
                     }
                     for bid, half, logp in fac
                 ],
@@ -327,7 +321,5 @@ def render_value(value, fmt, ctx=None):
     if isinstance(value, Fraction):
         return _fraction(value.numerator, value.denominator)
     if type(value) is int:
-        text = _int_text(value)
-        # json.dumps writes an int with str(), so a very long one goes as text
-        return value if fmt == "json" and len(text) < 4300 else text
+        return _json_int(value) if fmt == "json" else int_text(value)
     return value if fmt == "json" else str(value)

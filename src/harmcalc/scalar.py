@@ -7,11 +7,17 @@ multiset of prime logarithms.  Log arguments are always reduced to the
 prime basis (log 4 becomes 2*log 2, log(3/2) becomes log 3 - log 2), which
 keeps zero testing decidable: distinct signatures are treated as linearly
 independent over the rationals.
+
+Every int crosses the text boundary here: `int_text` writes the decimal
+text of any int and `read_int` reads what int() reads, both past the
+interpreter's digit limit, which `int_digit_limit` alone reads.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -24,6 +30,41 @@ from .errors import (
     OddPiExponent,
     UnsupportedInputError,
 )
+
+# ---------------------------------------------------------------------------
+# integers as decimal text
+
+# no digit limit can be set below this many digits (a Python without the
+# limit has no threshold and converts any int)
+_SAFE_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
+_SAFE_INT = 10 ** (_SAFE_DIGITS - 1)
+# the digits of an int, with single underscores between them
+_DIGITS = re.compile(r"\d+(?:_\d+)*")
+
+
+def int_digit_limit():
+    """The most digits int() and str() convert, 0 for no limit (Python
+    before 3.10.7 has none)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def int_text(n):
+    """The decimal text of any int, as str() writes it, past the digit limit."""
+    # a Decimal converts any int exactly
+    return str(n) if -_SAFE_INT < n < _SAFE_INT else str(Decimal(n))
+
+
+def read_int(text):
+    """The int that int(text) reads, past the digit limit; a ValueError for
+    any other text int() refuses."""
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
+    # int() refuses a text exactly when it refuses the text with each run of
+    # digits and single underscores cut to one 1, which no limit stops and
+    # which reads as the sign
+    sign = int(_DIGITS.sub("1", text))
+    return sign * int(Decimal(_DIGITS.search(text).group()))
+
 
 # ---------------------------------------------------------------------------
 # integer factorization (squarefree extraction needs full factorizations)
@@ -192,8 +233,7 @@ def factorize(n):
         d, used = _pollard_brent(m, MAX_RHO_STEPS - steps)
         steps += used
         if d is None:
-            # Decimal reads the int exactly, with no cap on its digits
-            digits = Decimal(m).adjusted() + 1
+            digits = len(int_text(m))
             raise UnsupportedInputError(
                 "could not factor a %d-digit integer within %d rho steps" % (digits, MAX_RHO_STEPS)
             )
@@ -246,12 +286,8 @@ class Scalar:
                 continue
             sig = (rad, pih, logs)
             acc[sig] = acc.get(sig, _ZERO) + coeff
-        terms = tuple(
-            (c, sig[0], sig[1], sig[2])
-            for sig, c in sorted(acc.items(), key=lambda kv: kv[0])
-            if c != 0
-        )
-        return Scalar(terms)
+        # the signatures are distinct, so the sort never compares coefficients
+        return Scalar(tuple((c, *sig) for sig, c in sorted(acc.items()) if c))
 
     @staticmethod
     def from_fraction(q):
@@ -320,7 +356,9 @@ class Scalar:
             return _ZERO
         if self.is_rational():
             return self.terms[0][0]
-        raise NonRationalValue("not a rational scalar: %r" % (self,))
+        from .render import scalar_text
+
+        raise NonRationalValue("not a rational scalar: %s" % scalar_text(self))
 
     def is_single_term(self):
         return len(self.terms) == 1

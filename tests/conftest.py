@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,17 @@ from harmcalc.expr import Context, Expr
 from harmcalc.parser import parse_expression, parse_polynomial
 from harmcalc.poly import Polynomial
 from harmcalc.scalar import Scalar
+
+
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits for one test, the old limit restored
+    after; the test is skipped on a Python without the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int digit limit")
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from harmcalc import cli
 from harmcalc.cli import VERBS, main, parse_radial, run_command
 from harmcalc.errors import HarmcalcError
 from harmcalc.integrate import RadialFunction
+from harmcalc.render import render_value
 from harmcalc.scalar import Scalar
 
 
@@ -761,6 +762,91 @@ def test_long_integers_render_exactly(tmp_path, capsys):
     assert results[2]["result"] == "4*pi/3"
     assert main(["batch", str(script)]) == 0
     assert json.loads(capsys.readouterr().out)[0]["result"] == digits
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def _ellipsoid_past_the_limit():
+    """--b of three products of the primes below 10^4, each under 1442
+    digits, whose product, the radicand of the volume, has 4306."""
+    b = [1, 1, 1]
+    for i, p in enumerate(_primes_below(10**4)):
+        b[i % 3] *= p
+    b[0] *= 10007 * 10009
+    return ",".join(str(Decimal(v)) for v in b), b[0] * b[1] * b[2]
+
+
+def test_radicand_past_the_limit_answers_in_every_format(tmp_path, capsys):
+    bs, rad = _ellipsoid_past_the_limit()
+    assert len(str(Decimal(rad))) == 4306
+    coeff = Fraction(4, 3 * rad)  # 4 pi / (3 sqrt(rad)) = 4 pi sqrt(rad) / (3 rad)
+    num, den, radicand = (str(Decimal(v)) for v in (coeff.numerator, coeff.denominator, rad))
+    argv = ["integrate-ellipsoid-volume", "1", "--dim", "3", "--b", bs]
+    assert run(argv) == ("%s*pi*sqrt(%s)/%s" % (num, radicand, den), 0)
+    assert run(argv + ["--format", "latex"]) == ("\\frac{%s}{%s}\\pi \\sqrt{%s}" % (num, den, radicand), 0)
+    want = {"terms": [{"coeff": "%s/%s" % (num, den), "radicand": radicand, "piHalfExp": 2, "logFactors": []}]}
+    assert run(argv + ["--format", "json"]) == (want, 0)
+    # one such line does not take its batch down
+    script = tmp_path / "commands.txt"
+    script.write_text("volume --dim 3\n%s --format json\nvolume --dim 2\n" % " ".join(argv))
+    assert main(["batch", str(script)]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [(r["exit"], r["result"]) for r in records] == [(0, "4*pi/3"), (0, want), (0, "pi")]
+
+
+def test_log_prime_past_the_limit_answers(digit_limit):
+    digit_limit(640)
+    prime = str(Decimal(10**700 + 7))  # the least prime above 10^700
+    argv = ["laplacian", "log(%s)*x1^2" % prime, "--dim", "1"]
+    assert run(argv) == ("(2*log(%s))" % prime, 0)
+    assert run(argv + ["--format", "latex"]) == ("\\left(2\\log %s\\right)" % prime, 0)
+    assert run(argv + ["--format", "json"]) == ({"terms": [{"poly": "(2*log(%s))" % prime, "factors": []}]}, 0)
+    payload, code = run(["eval", "log(%s)" % prime, "--dim", "1", "--at", "0", "--format", "json"])
+    assert code == 0 and payload["terms"][0]["logFactors"] == [[prime, 1]]
+
+
+def test_exponent_past_the_limit_answers(digit_limit):
+    digit_limit(4300)
+    e = "9" * 4300
+    argv = ["laplacian", "x1^%s*x1^%s" % (e, e), "--dim", "1", "--power", "0"]
+    twice = "1" + "9" * 4299 + "8"
+    assert run(argv) == ("x1^" + twice, 0)
+    assert run(argv + ["--format", "latex"]) == ("x1^{%s}" % twice, 0)
+    assert run(argv + ["--format", "json"]) == ({"terms": [{"poly": "x1^" + twice, "factors": []}]}, 0)
+
+
+def test_value_flags_read_ints_past_the_limit(digit_limit):
+    digit_limit(4300)
+    n = "7" * 5000
+    assert run(["eval", "x1", "--dim", "1", "--at", n]) == (n, 0)
+    assert run(["eval", "x1", "--dim", "1", "--at=-%s/3" % n]) == ("-%s/3" % n, 0)
+    assert run(["eval", "%s*x1" % n, "--dim", "1", "--at", "1"]) == (n, 0)
+    # the reflection of (N, 0) in the line x1 = N/3 is (-N/3, 0)
+    assert run(["reflect", "--point", "%s,0" % n, "--mirror", "hyperplane:1,0;%s/3" % n]) == ("-%s/3\n0" % n, 0)
+    # a value that int() refuses is a usage error, and so is a size past the limit
+    assert run(["eval", "x1", "--dim", "1", "--at", "1e5"])[1] == 2
+    payload, code = run(["volume", "--dim", "1" * 4301])
+    assert code == 2 and payload["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("limit", [4300, 640, 0])
+def test_json_ints_are_numbers_below_the_limit(limit, digit_limit):
+    digit_limit(limit)
+    for n in (10**638, -(10**637), 10**4298, -(10**4297), 10**639, -(10**638), 10**4299, -(10**4298)):
+        digit_limit(0)
+        text = str(n)
+        digit_limit(limit)
+        number = not limit or len(text) < limit
+        assert render_value(n, "json") == (n if number else text)
+        assert render_value(n, "text") == text
+
+
+def test_non_rational_polynomial_error_names_its_text():
+    payload, code = run(["neumann", "log(2)*x1^2", "--dim", "3", "--region", "quadratic:1,2,3"])
+    assert code == 3
+    assert payload == {"error": "not a rational polynomial: (log(2))*x1^2", "type": "NonRationalValue"}
 
 
 def test_unexpected_exception_is_exit_6(monkeypatch, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from harmcalc.errors import (
     MultiTermDivision,
     MultiTermSqrt,
     NegativeRadicand,
+    NonRationalValue,
     OddPiExponent,
     UnsupportedInputError,
 )
@@ -20,6 +22,9 @@ from harmcalc.scalar import (
     Scalar,
     approx_scalar,
     factorize,
+    int_digit_limit,
+    int_text,
+    read_int,
     scalar_sqrt,
     split_square,
 )
@@ -315,3 +320,73 @@ def test_approx_monotone_consistency():
         diff = approx_scalar(s - t, digits)
         if abs(float(diff)) > 10.0 ** (-digits + 2):
             assert s != t
+
+
+# ---------------------------------------------------------------------------
+# the integer codec: int_text and read_int against str and int
+
+def _ints_near_the_limits():
+    for digits in (639, 640, 641, 4299, 4300, 4301):
+        for n in (10 ** (digits - 1), 10**digits - 1, 7 * 10 ** (digits - 1) + 3):
+            yield n
+            yield -n
+
+
+# what int() reads besides plain digits: a sign, spaces, underscores and the
+# decimal digits of other scripts
+SPELLED_INTS = [
+    "+" + "1" * 700,
+    " \t-" + "12_34" * 1000 + "\n",
+    "\u0663" * 5000,
+    "9" * 5000 + "\u2003",
+    " " * 5000 + "5",
+]
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_int_codec_matches_str_and_int(limit, digit_limit):
+    digit_limit(0)
+    texts = {n: str(n) for n in _ints_near_the_limits()}
+    spelled = [(text, int(text)) for text in SPELLED_INTS]
+    digit_limit(limit)
+    assert int_digit_limit() == limit
+    for n, text in texts.items():
+        assert int_text(n) == text
+        assert read_int(text) == n
+    for text, n in spelled:
+        assert read_int(text) == n
+
+
+def test_int_digit_limit_is_zero_without_a_limit(monkeypatch):
+    # Python before 3.10.7 has neither the limit nor its getter
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert int_digit_limit() == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e5", "1.5", "+-5", "- 5", "", "+", "0x10", "\u00b2", "12a", "1" * 5000 + "2a", "1" * 5000 + "e5",
+     "1" * 5000 + ".5", "+-" + "5" * 5000, "1__0" * 2000, "_" + "1" * 5000, "1" * 5000 + "_",
+     "\x1c" + "1" * 5000, "1" * 5000 + "\x1f", "1" * 3000 + " " + "1" * 3000],
+)
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_read_int_refuses_what_int_refuses(text, limit, digit_limit):
+    digit_limit(0)
+    with pytest.raises(ValueError):
+        int(text)
+    digit_limit(limit)
+    with pytest.raises(ValueError):
+        read_int(text)
+
+
+def test_factorize_names_the_digits_past_the_limit(monkeypatch, digit_limit):
+    monkeypatch.setattr(scalar, "MAX_RHO_STEPS", 0)
+    digit_limit(640)
+    # composite, with no factor below 10^4
+    with pytest.raises(UnsupportedInputError, match="could not factor a 1601-digit integer"):
+        factorize(10007**400)
+
+
+def test_non_rational_scalar_error_names_its_text():
+    with pytest.raises(NonRationalValue, match=r"^not a rational scalar: 3\*sqrt\(2\)/4$"):
+        (Scalar.sqrt_int(2) * F(3, 4)).as_fraction()

@@ -3,14 +3,16 @@
 A code line holds a token other than a comment, a newline, an indent or a
 dedent.  A docstring, a string that stands alone as the first statement of
 a module, class or function, is not code.  Prints one count per file and
-a total:
+a total.  A directory counts the *.py files under it:
 
     python3 tools/code_lines.py src/harmcalc/*.py
+    python3 tools/code_lines.py src/harmcalc
 """
 
 import ast
 import sys
 import tokenize
+from pathlib import Path
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -47,9 +49,14 @@ def code_lines(path):
     return len(lines - docstrings)
 
 
+def _files(paths):
+    for path in map(Path, paths):
+        yield from sorted(path.rglob("*.py")) if path.is_dir() else [path]
+
+
 def main(paths):
     total = 0
-    for path in paths:
+    for path in _files(paths):
         n = code_lines(path)
         total += n
         print("%6d %s" % (n, path))
