@@ -33,7 +33,6 @@ exact canonical identities; the test suite asserts them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -59,6 +58,7 @@ from .poly import (
     poly_sum,
     require_polynomial,
 )
+from .record import Record
 from .scalar import MAX_RADIAL_SIZE
 from .transforms import kelvin
 
@@ -66,36 +66,30 @@ from .transforms import kelvin
 # regions and modes
 
 
-@dataclass(frozen=True)
-class Sphere:
-    pass
+class Sphere(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExteriorSphere:
-    pass
+class ExteriorSphere(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Annulus:
-    inner: Fraction
-    outer: Fraction
+class Annulus(Record):
+    __slots__ = ("inner", "outer")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inner", Fraction(self.inner))
-        object.__setattr__(self, "outer", Fraction(self.outer))
-        if not 0 < self.inner < self.outer:
+    def __init__(self, inner, outer):
+        inner, outer = Fraction(inner), Fraction(outer)
+        if not 0 < inner < outer:
             raise EmptyInterior("annulus needs 0 < inner radius < outer radius")
+        Record.__init__(self, inner, outer)
 
 
-@dataclass(frozen=True)
-class Plain:
-    pass
+class Plain(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NormSquaredMultiple:
-    pass
+class NormSquaredMultiple(Record):
+    __slots__ = ()
 
 
 # `anti_laplacian` reads a Quadratic mode as "a multiple of the quadric";

@@ -19,18 +19,14 @@ dicts with Fraction projections, and c enters only the final scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from typing import Callable, Optional
 
 from .calculus import poly_laplacian
 from .errors import UnsupportedDimension, UnsupportedScalarNorm
-from .expr import Context
 from .integrate import RadialFunction, ball_radial_factor, integrate_ball, integrate_sphere
 from .poly import (
     RATIONAL,
-    Polynomial,
     _join,
     _layout,
     _new,
@@ -45,6 +41,7 @@ from .poly import (
     poly_sum,
     require_polynomial,
 )
+from .record import Record
 from .scalar import Scalar, scalar_sqrt
 
 
@@ -165,21 +162,22 @@ def first_coordinate_series(s, ctx):
 # bases
 
 
-@dataclass(frozen=True)
-class InnerProduct:
+class InnerProduct(Record):
     """Symmetric bilinear form on polynomials, by name.
 
-    A radial form (sphere, ball, weighted ball) is invariant under
-    rotations, so on the harmonics homogeneous of degree m in R^n it is a
-    multiple of the Fischer pairing:
-    ip(p, q) = degree_factor(m, n) * sum_a a! p_a q_a.  The sphere, ball
-    and weighted-ball constructors set `degree_factor`; a user-supplied
-    form leaves it None and is only ever called through `evaluator`.
+    `evaluator(p, q, ctx)` returns the Scalar ip(p, q).  A radial form
+    (sphere, ball, weighted ball) is invariant under rotations, so on the
+    harmonics homogeneous of degree m in R^n it is a multiple of the
+    Fischer pairing: ip(p, q) = degree_factor(m, n) * sum_a a! p_a q_a.
+    The sphere, ball and weighted-ball constructors set `degree_factor`; a
+    user-supplied form leaves it None and is only ever called through
+    `evaluator`.
     """
 
-    name: str
-    evaluator: Callable[[Polynomial, Polynomial, Context], Scalar]
-    degree_factor: Optional[Callable[[int, int], Scalar]] = None
+    __slots__ = ("name", "evaluator", "degree_factor")
+
+    def __init__(self, name, evaluator, degree_factor=None):
+        Record.__init__(self, name, evaluator, degree_factor)
 
     def __call__(self, p, q, ctx):
         return self.evaluator(p, q, ctx)

@@ -13,10 +13,8 @@ anti-Laplacian multiple in `bvp`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Optional, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -28,6 +26,7 @@ from .errors import (
     UnsupportedRadialClass,
 )
 from .poly import Polynomial, _as_poly, poly_sum, quadratic_poly
+from .record import Record
 from .scalar import MAX_LINEAR_DENOMINATOR_BITS, MAX_POWER_BITS, ONE, Scalar
 
 
@@ -55,12 +54,23 @@ def unit_sphere_area(n):
     return n_ball_volume(n)
 
 
+_PRODUCT_LEAF = 64  # factors a product tree leaf multiplies with plain `prod`
+
+
 def _double_factorial(k):
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    """k!! = k (k - 2) (k - 4) ... down to 2 or 1; 1 for k < 2."""
+    return _step_product(2 - k % 2, k)
+
+
+def _step_product(lo, hi):
+    """lo (lo + 2) ... hi, for lo and hi of one parity, by a product tree:
+    halves of near-equal size keep the big products balanced, which is
+    what makes the large multiplications subquadratic."""
+    n = (hi - lo) // 2 + 1
+    if n <= _PRODUCT_LEAF:
+        return prod(range(lo, hi + 1, 2))
+    mid = lo + 2 * (n // 2)
+    return _step_product(lo, mid - 2) * _step_product(mid, hi)
 
 
 def sphere_monomial_integral(exponents, n):
@@ -96,30 +106,31 @@ def _collapse(poly):
 # radial weights
 
 
-@dataclass(frozen=True)
-class RadialFunction:
+class RadialFunction(Record):
     """Sum of c * r^a * log^k r with k >= 0, optionally all over (c0 + c1 r).
 
-    When the linear denominator is present no log powers are allowed; this
-    class covers every radial weight the ball integrator supports.
+    `terms` holds the (c, a, k) as (Scalar, int, int); `lin_den` is the
+    pair (c0, c1) of Fractions, or None.  When the linear denominator is
+    present no log powers are allowed; this class covers every radial
+    weight the ball integrator supports.
     """
 
-    terms: Tuple[Tuple[Scalar, int, int], ...] = ((ONE, 0, 0),)
-    lin_den: Optional[Tuple[Fraction, Fraction]] = None
+    __slots__ = ("terms", "lin_den")
 
-    def __post_init__(self):
-        if any(k < 0 for _, _, k in self.terms):
+    def __init__(self, terms=((ONE, 0, 0),), lin_den=None):
+        if any(k < 0 for _, _, k in terms):
             raise UnsupportedRadialClass("log powers must be nonnegative")
-        if self.lin_den is not None:
-            c0, c1 = self.lin_den
+        if lin_den is not None:
+            c0, c1 = lin_den
             if c0 <= 0 or c1 <= 0:
                 raise UnsupportedRadialClass(
                     "linear denominator needs positive coefficients"
                 )
-            if any(k for _, _, k in self.terms):
+            if any(k for _, _, k in terms):
                 raise UnsupportedRadialClass(
                     "log powers cannot be combined with a linear denominator"
                 )
+        Record.__init__(self, terms, lin_den)
 
     @staticmethod
     def one():
@@ -226,9 +237,9 @@ def integrate_ball(p, radial, ctx):
 # ellipsoids
 
 
-@dataclass(frozen=True)
-class Quadratic:
-    """The quadric q = b.x^2 + c.x + d; c defaults to zeros.
+class Quadratic(Record):
+    """The quadric q = b.x^2 + c.x + d, with b and c tuples of Fractions and
+    d a Fraction; c defaults to zeros.
 
     Quadric-multiple anti-Laplacians take any signs.  Dirichlet solves
     need the surface q = 0 to have more than one point: when every
@@ -238,18 +249,14 @@ class Quadratic:
     and rho^2 > 0, checked by `ellipsoid_poly`.
     """
 
-    b: Tuple[Fraction, ...]
-    c: Tuple[Fraction, ...] = ()
-    d: Fraction = Fraction(-1)
+    __slots__ = ("b", "c", "d")
 
-    def __post_init__(self):
-        b = tuple(Fraction(v) for v in self.b)
-        c = tuple(Fraction(v) for v in self.c) if self.c else (Fraction(0),) * len(b)
+    def __init__(self, b, c=(), d=-1):
+        b = tuple(Fraction(v) for v in b)
+        c = tuple(Fraction(v) for v in c) if c else (Fraction(0),) * len(b)
         if len(c) != len(b):
             raise DimensionMismatch("b and c must have equal length")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", Fraction(self.d))
+        Record.__init__(self, b, c, Fraction(d))
 
     def poly(self, ctx):
         """b.x^2 + c.x + d in the coordinates of ctx."""

@@ -20,9 +20,7 @@ exterior solvers of `bvp` read.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 from .errors import (
     CenterSingularity,
@@ -34,29 +32,33 @@ from .errors import (
 )
 from .expr import Expr, context_of
 from .poly import Polynomial
+from .record import Record
 from .scalar import Scalar
 
 
-@dataclass(frozen=True)
-class UnitSphere:
-    pass
+class UnitSphere(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SphereMirror:
-    center: Tuple[Fraction, ...]
-    radius: Fraction
+class SphereMirror(Record):
+    """The sphere with a center (a tuple of Fractions) and a radius."""
 
-    def __post_init__(self):
+    __slots__ = ("center", "radius")
+
+    def __init__(self, center, radius):
         # radius 0 sends every point to the center, and -r would act as r
-        if self.radius <= 0:
+        if radius <= 0:
             raise EmptyInterior("a sphere mirror needs a positive radius")
+        Record.__init__(self, center, radius)
 
 
-@dataclass(frozen=True)
-class HyperplaneMirror:
-    normal: Tuple[Fraction, ...]
-    offset: Fraction
+class HyperplaneMirror(Record):
+    """The hyperplane normal.x = offset."""
+
+    __slots__ = ("normal", "offset")
+
+    def __init__(self, normal, offset):
+        Record.__init__(self, normal, offset)
 
 
 def _mirror_vector(vec, n):

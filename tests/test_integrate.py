@@ -15,6 +15,7 @@ from harmcalc.errors import (
     UnsupportedRadialClass,
 )
 from harmcalc.expr import Context, make_context
+from harmcalc import integrate
 from harmcalc.integrate import (
     Quadratic,
     RadialFunction,
@@ -45,6 +46,23 @@ def test_unit_sphere_area():
         F(536870912, 8687364368561751199826958100282265625)
     )
     assert unit_sphere_area(57) == want
+
+
+def _double_factorial_loop(k):
+    out = 1
+    while k > 1:
+        out *= k
+        k -= 2
+    return out
+
+
+def test_double_factorial_tree_matches_the_loop():
+    # one leaf holds the factors of k <= 2 leaf; a larger k splits, into
+    # halves of equal or unequal sizes
+    leaf = integrate._PRODUCT_LEAF
+    ks = list(range(-3, 301)) + [k + d for k in (2 * leaf, 14 * leaf, 1000, 4096) for d in range(-2, 4)]
+    for k in ks:
+        assert integrate._double_factorial(k) == _double_factorial_loop(k), k
 
 
 def test_sphere_monomial_rule():

@@ -4,9 +4,15 @@
 alone; `expr` builds the expression algebra on top of it.  An import made
 inside a function, such as `Polynomial.__repr__` reaching `render`, is
 left out: it runs only once every module is loaded.
+
+A cold start of the CLI pays for every module the package imports, so the
+import path keeps out `dataclasses` (which loads `inspect`, `ast`, `dis`
+and `tokenize`) and `typing`.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import harmcalc
@@ -54,3 +60,19 @@ def test_module_imports_have_no_cycle():
 
     for m in sorted(graph):
         visit(m)
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site hooks out; some installations preload typing there
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import harmcalc, harmcalc.cli\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SOURCE.parent)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
