@@ -10,11 +10,14 @@ decomposition through `fischer_parts`.
 
 The series is taken in closed form: for s = sum_a x1^a q_a(x') it is
 sum_a sum_k (-1)^k a!/(a+2k)! x1^(a+2k) D'^k q_a, D' the Laplacian in
-the other coordinates, so a term costs one `_second_order` pass.  A
-radial inner product orthonormalizes a basis over integer vectors: on
-harmonics of degree m it is c(m, n) times the Fischer pairing
+the other coordinates, and one `_ladder` of integer dicts gives the
+levels D'^k q_a, one `_second_order` pass each.  A basis element is the
+primitive integer form of the series of a Cauchy monomial, read off its
+ladder.  A radial inner product orthonormalizes a basis over integer
+vectors: on harmonics of degree m it is c(m, n) times the Fischer pairing
 sum_a a! p_a q_a, Gram-Schmidt runs on primitive integer coefficient
-dicts with Fraction projections, and c enters only the final scale.
+dicts with Fraction projections, and c enters only the final scale, as
+one square split per element.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from math import comb, gcd, lcm, prod
 
 from .calculus import poly_laplacian
 from .errors import UnsupportedDimension, UnsupportedScalarNorm
-from .integrate import RadialFunction, ball_radial_factor, integrate_ball, integrate_sphere
+from .integrate import RadialFunction, _tree_product, ball_radial_factor, integrate_ball, integrate_sphere
 from .poly import (
     RATIONAL,
     _join,
     _layout,
     _new,
+    _put,
     _rekey,
     _second_order,
     _stride,
@@ -42,7 +46,7 @@ from .poly import (
     require_polynomial,
 )
 from .record import Record
-from .scalar import Scalar, scalar_sqrt
+from .scalar import Scalar, _sieve, scalar_sqrt, split_square
 
 
 def dim_harmonic(m, n):
@@ -55,7 +59,34 @@ def dim_harmonic(m, n):
         return 1 if m == 1 else 0
     # C(m+n-1, n-1) - C(m+n-3, n-1), the degree-m homogeneous polynomials
     # less the degree-(m-2) ones, written with one binomial
-    return (2 * m + n - 2) * comb(m + n - 3, m - 1) // m
+    return (2 * m + n - 2) * _binomial(m + n - 3, m - 1) // m
+
+
+# the least min(k, n - k) for which `_binomial` multiplies prime powers
+_LEGENDRE_MIN = 4096
+
+
+def _binomial(n, k):
+    """C(n, k) for 0 <= k <= n.
+
+    math.comb is quadratic in the digits of the answer.  Once j = min(k,
+    n - k) is at least `_LEGENDRE_MIN` and n at most 64 j, so that sieving
+    to n costs no more than the answer, C(n, k) is the product, by a
+    product tree, of p^e over the primes p <= n, with e = sum_i (n // p^i -
+    k // p^i - (n - k) // p^i) by Legendre's formula.
+    """
+    j = min(k, n - k)
+    if j < _LEGENDRE_MIN or n > 64 * j:
+        return comb(n, k)
+    powers = []
+    for p in _sieve(n):
+        e, q = 0, p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        if e:
+            powers.append(p**e)
+    return _tree_product(powers)
 
 
 def _decompose_homogeneous(p, k, ctx):
@@ -121,6 +152,17 @@ def harmonic_parts_by_degree(p, ctx, radius=1):
     return _sum_by((m, h.scale(r2**j)) for (m, j), h in pieces)
 
 
+def _ladder(q, lay, names):
+    """[q, D q, D^2 q, ...] up to the last nonzero level, q an integer dict
+    {key: int} in lay and D the Laplacian in names: one `_second_order`
+    pass a level."""
+    levels = []
+    while q:
+        levels.append(q)
+        q = {key: n for key, n in _second_order(q, lay, names, 0, laplace_weight).items() if n}
+    return levels
+
+
 def first_coordinate_series(s, ctx):
     """u = sum_k (-1)^k (L D)^k s, the first-coordinate series of s.
 
@@ -132,9 +174,9 @@ def first_coordinate_series(s, ctx):
     polynomial x1^eps q + O(x1^2) extending that Cauchy data.
 
     In closed form, (L D)^k x1^a q(x') = a!/(a+2k)! x1^(a+2k) D^k q, so
-    with s = sum_a x1^a q_a each block of s is split by its x1 exponent
-    and every D^k q_a is one `_second_order` pass over D^(k-1) q_a; all
-    the terms meet in one `_Sum`.
+    with s = sum_a x1^a q_a each block of s is split by its x1 exponent,
+    the levels D^k q_a come from one `_ladder`, and all the terms meet in
+    one `_Sum`.
     """
     first, rest = ctx.coords[0], ctx.coords[1:]
     # x1^(a+2k) D^k q_a has the total degree of x1^a q_a
@@ -149,10 +191,9 @@ def first_coordinate_series(s, ctx):
         for a, q in by_power.items():
             # the term x1^e D^k q_a / ratio with e = a + 2k, ratio = e!/a!
             e, ratio, sign = a, 1, 1
-            while q:
+            for level in _ladder(q, lay, rest):
                 lift = e * unit
-                total.add(sig, den * ratio, {key + lift: sign * n for key, n in q.items()})
-                q = {key: n for key, n in _second_order(q, lay, rest, 0, laplace_weight).items() if n}
+                total.add(sig, den * ratio, {key + lift: sign * n for key, n in level.items()})
                 ratio *= (e + 1) * (e + 2)
                 e, sign = e + 2, -sign
     return total.result()
@@ -256,33 +297,51 @@ def basis_harmonic(m, ctx, ip=None):
     procedure is applied in that order and each vector is divided by the
     square root of its self inner product.
 
+    Each element is the primitive integer form of the series of its Cauchy
+    monomial x1^eps x'^b: with the `_ladder` levels D'^k x'^b, k <= K, it
+    puts (-1)^(K-k) (eps+2K)!/(eps+2k)! on x1^(eps+2k) D'^k x'^b and divides
+    by the gcd.  The x1^(eps+2K) terms lead, and D'^K of a monomial has
+    positive coefficients, so the leading coefficient is positive, as
+    `content_primitive` makes it.
+
     A radial inner product (see `InnerProduct`) is c * the Fischer pairing
     on these elements, c = degree_factor(m, n), so Gram-Schmidt runs on
-    their primitive integer coefficients (`_fischer_orthogonal`), and c
-    enters only the scale 1/sqrt(c [W, W]) of each orthogonal integer
-    vector W, built once as a polynomial.  Each element keeps the parity
-    of its index monomial in every coordinate (the low bits of the key's
-    exponent fields), and a radial measure is even in each coordinate, so
-    elements of different parity classes are orthogonal: Gram-Schmidt runs
-    in each class alone, with the same result.  Any other form, or a c
-    that is not one log-free term (which no self inner product can be
-    divided by), takes the general path: one `ip` call per Gram entry
-    over the whole basis.
+    their integer coefficients (`_fischer_orthogonal`), and c enters only
+    the scale 1/sqrt(c [W, W]) of each orthogonal integer vector W.  With
+    c = cq pi^(p/2) and cq [W, W] = a/b in lowest terms, a b = s^2 t with t
+    squarefree gives W/sqrt(c [W, W]) = b W/(s t) * sqrt(t) pi^(-p/4): one
+    block, from one square split.  Each element keeps the parity of its
+    index monomial in every coordinate (the low bits of the key's exponent
+    fields), and a radial measure is even in each coordinate, so elements
+    of different parity classes are orthogonal: Gram-Schmidt runs in each
+    class alone, with the same result.  Any other form, or a c that is not
+    one log-free term (which no self inner product can be divided by),
+    takes the general path: one `ip` call per Gram entry over the whole
+    basis.
     """
     if ctx.dim < 2:
         raise UnsupportedDimension("harmonic bases need dimension >= 2")
     first, rest = ctx.coords[0], ctx.coords[1:]
     lay = _layout(tuple(sorted(ctx.coords)), _stride(m))
+    unit = lay.unit[first]
     # the low bit of every exponent field: a key's parity class
     odd = sum(1 << s for s in lay.shift.values())
-    basis, classes = [], {}
+    vectors, classes = [], {}
     for eps in (0, 1):
-        for k in monomials(lay, rest, [m - eps]):
-            k += eps * lay.unit[first]
-            classes.setdefault(k & odd, []).append(len(basis))
-            cauchy = _new(lay, {RATIONAL: (1, {k: 1})})
-            _, prim = first_coordinate_series(cauchy, ctx).content_primitive(ctx.var_rank)
-            basis.append(prim)
+        for kb in monomials(lay, rest, [m - eps]):
+            classes.setdefault((kb + eps * unit) & odd, []).append(len(vectors))
+            levels = _ladder({kb: 1}, lay, rest)
+            # (-1)^(K-k) (eps+2K)!/(eps+2k)! on level k, from k = K down
+            W, f, e = {}, 1, eps + 2 * len(levels) - 2
+            for level in reversed(levels):
+                lift = e * unit
+                for key, n in level.items():
+                    W[key + lift] = f * n
+                f *= -e * (e - 1)
+                e -= 2
+            g = gcd(*W.values())
+            vectors.append({key: n // g for key, n in W.items()})
+    basis = [_new(lay, {RATIONAL: (1, W)}) for W in vectors]
     if ip is None or not basis:
         return basis
     c = ip.degree_factor(m, ctx.dim) if ip.degree_factor else None
@@ -297,12 +356,20 @@ def basis_harmonic(m, ctx, ip=None):
                 raise UnsupportedScalarNorm("self inner product is a multi-term scalar")
             ortho.append((w, ww))
         return [g.scale(scalar_sqrt(gg).inverse()) for g, gg in ortho]
+    # [W, W] > 0 changes no sign, radical or pi power: c N has a root
+    # exactly when c has one, and scalar_sqrt(c) raises as sqrt(c N) would
+    scalar_sqrt(c)
+    ((cq, _, p, _),) = c.terms
+    pi_half = -(p // 2)
     out = [None] * len(basis)
     for idx in classes.values():
-        vectors = [basis[i].rational_block(lay)[1] for i in idx]
-        for i, (W, N) in zip(idx, _fischer_orthogonal(vectors, lay)):
+        for i, (W, N) in zip(idx, _fischer_orthogonal([vectors[i] for i in idx], lay)):
             # W is a positive multiple of w, and w/sqrt(c [w, w]) is scale-free
-            out[i] = _new(lay, {RATIONAL: (1, W)}).scale(scalar_sqrt(c * N).inverse())
+            q = cq * N
+            s, t = split_square(q.numerator * q.denominator)
+            blocks = {}
+            _put(blocks, (t, pi_half, ()), s * t, {k: q.denominator * n for k, n in W.items()})
+            out[i] = _new(lay, blocks)
     return out
 
 

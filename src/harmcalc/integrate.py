@@ -59,18 +59,17 @@ _PRODUCT_LEAF = 64  # factors a product tree leaf multiplies with plain `prod`
 
 def _double_factorial(k):
     """k!! = k (k - 2) (k - 4) ... down to 2 or 1; 1 for k < 2."""
-    return _step_product(2 - k % 2, k)
+    return _tree_product(range(2 - k % 2, k + 1, 2))
 
 
-def _step_product(lo, hi):
-    """lo (lo + 2) ... hi, for lo and hi of one parity, by a product tree:
-    halves of near-equal size keep the big products balanced, which is
-    what makes the large multiplications subquadratic."""
-    n = (hi - lo) // 2 + 1
-    if n <= _PRODUCT_LEAF:
-        return prod(range(lo, hi + 1, 2))
-    mid = lo + 2 * (n // 2)
-    return _step_product(lo, mid - 2) * _step_product(mid, hi)
+def _tree_product(xs):
+    """The product of a sequence of ints (a list or a range), by a product
+    tree: halves of near-equal size keep the big products balanced, which
+    is what makes the large multiplications subquadratic."""
+    if len(xs) <= _PRODUCT_LEAF:
+        return prod(xs)
+    mid = len(xs) // 2
+    return _tree_product(xs[:mid]) * _tree_product(xs[mid:])
 
 
 def sphere_monomial_integral(exponents, n):

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 from .errors import (
     MultiTermDivision,
@@ -38,6 +39,8 @@ from .errors import (
 # limit has no threshold and converts any int)
 _SAFE_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
 _SAFE_INT = 10 ** (_SAFE_DIGITS - 1)
+# int_text converts pieces of at most this many bits (617 digits) directly
+_JOIN_BITS = 2048
 # the digits of an int, with single underscores between them
 _DIGITS = re.compile(r"\d+(?:_\d+)*")
 
@@ -49,21 +52,62 @@ def int_digit_limit():
 
 
 def int_text(n):
-    """The decimal text of any int, as str() writes it, past the digit limit."""
-    # a Decimal converts any int exactly
-    return str(n) if -_SAFE_INT < n < _SAFE_INT else str(Decimal(n))
+    """The decimal text of any int, as str() writes it, past the digit limit.
+
+    Past 640 digits n is split in binary halves, down to pieces of at most
+    `_JOIN_BITS` bits, and joined as Decimal(hi) * 2^h + Decimal(lo) with
+    the powers of two cached: libmpdec multiplies large numbers by a
+    number-theoretic transform, so the join is subquadratic where one
+    Decimal(n) is quadratic (CPython 3.12's `_pylong.int_to_decimal`).
+    """
+    if -_SAFE_INT < n < _SAFE_INT:
+        return str(n)
+
+    @cache
+    def two(h):
+        # 2^h as a Decimal, each once per call
+        return Decimal(1 << h) if h <= _JOIN_BITS else two(h >> 1) * two(h - (h >> 1))
+
+    def join(n, w):
+        # the Decimal of 0 <= n < 2^w
+        if w <= _JOIN_BITS:
+            return Decimal(n)
+        h = w >> 1
+        hi = n >> h
+        return join(hi, w - h) * two(h) + join(n - (hi << h), h)
+
+    with localcontext() as ctx:
+        # every product and sum is exact
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        text = str(join(abs(n), abs(n).bit_length()))
+    return text if n > 0 else "-" + text
 
 
 def read_int(text):
     """The int that int(text) reads, past the digit limit; a ValueError for
-    any other text int() refuses."""
+    any other text int() refuses.
+
+    Past 640 characters the digits are split in halves, down to pieces of
+    at most 640 digits, which no limit refuses, and joined as
+    int(hi) * 10^len(lo) + int(lo) with the powers of ten cached.
+    """
     if len(text) <= _SAFE_DIGITS:
         return int(text)
     # int() refuses a text exactly when it refuses the text with each run of
     # digits and single underscores cut to one 1, which no limit stops and
     # which reads as the sign
     sign = int(_DIGITS.sub("1", text))
-    return sign * int(Decimal(_DIGITS.search(text).group()))
+    digits = _DIGITS.search(text).group().replace("_", "")
+    ten = cache(lambda w: 10**w)  # each power once per call
+
+    def join(a, b):
+        # the int of digits[a:b]
+        if b - a <= _SAFE_DIGITS:
+            return int(digits[a:b])
+        mid = (a + b) // 2
+        return join(a, mid) * ten(b - mid) + join(mid, b)
+
+    return sign * join(0, len(digits))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import random
-from math import comb
+from math import comb, factorial
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +10,7 @@ from conftest import P, random_polynomial, rename_vars
 from harmcalc.calculus import poly_laplacian
 from harmcalc.errors import HarmcalcError, UnsupportedScalarNorm
 from harmcalc.expr import Context, make_context, reduce_poly_on_sphere
+from harmcalc import harmonic
 from harmcalc.harmonic import (
     InnerProduct,
     ball_inner_product,
@@ -26,7 +27,7 @@ from harmcalc.harmonic import (
 )
 from harmcalc.integrate import RadialFunction, integrate_sphere
 from harmcalc.parser import parse_radial
-from harmcalc.poly import Polynomial, poly_sum
+from harmcalc.poly import RATIONAL, Polynomial, _layout, _new, _stride, monomials, poly_sum
 from harmcalc.scalar import ONE, Scalar
 
 
@@ -46,6 +47,17 @@ def test_dim_harmonic_is_a_difference_of_binomials():
         for m in range(40):
             below = comb(m + n - 3, n - 1) if m >= 2 else 0
             assert dim_harmonic(m, n) == comb(m + n - 1, n - 1) - below, (m, n)
+
+
+def test_binomial_matches_math_comb_across_the_switch_over():
+    lo = harmonic._LEGENDRE_MIN
+    for j in (lo - 1, lo, lo + 1):
+        # prime powers up to n = 64 j, math.comb past it and below lo
+        for n in (2 * j, 2 * j + 1, 3 * j + 7, 64 * j, 64 * j + 1):
+            for k in (j, n - j):
+                assert harmonic._binomial(n, k) == comb(n, k), (n, k)
+    m = lo + 2
+    assert dim_harmonic(m, m) == comb(2 * m - 1, m - 1) - comb(2 * m - 3, m - 1)
 
 
 def test_decompose_x1_fourth(ctx3):
@@ -246,6 +258,36 @@ def test_closed_form_series_matches_the_iterated_series():
         for s in (Polynomial(), Polynomial.const(3), P("x2^4", ctx)):
             assert first_coordinate_series(s, ctx) == poly_oracle.first_coordinate_series(s, ctx)
     assert len(sigs) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ladder_levels_give_the_series_of_cauchy_monomials(n):
+    # the series of x1^eps x'^b is sum_k (-1)^k eps!/(eps+2k)! x1^(eps+2k) D'^k x'^b
+    ctx = Context(n)
+    first, rest = ctx.coords[0], ctx.coords[1:]
+    for m in range(9):
+        lay = _layout(tuple(sorted(ctx.coords)), _stride(m))
+        for eps in (0, 1):
+            for kb in monomials(lay, rest, [m - eps]):
+                levels = harmonic._ladder({kb: 1}, lay, rest)
+                series = poly_sum(
+                    _new(lay, {RATIONAL: (1, level)}).scale(F((-1) ** k * factorial(eps), factorial(eps + 2 * k)))
+                    * Polynomial.var(first, eps + 2 * k)
+                    for k, level in enumerate(levels)
+                )
+                cauchy = Polynomial.var(first, eps) * _new(lay, {RATIONAL: (1, {kb: 1})})
+                assert series == poly_oracle.first_coordinate_series(cauchy, ctx), (m, eps, kb)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_high_degree_bases_match_the_polynomial_gram_schmidt(n):
+    ctx = Context(n)
+    for m in range(9, 13):
+        basis, classes = poly_oracle.cauchy_basis(m, ctx)
+        assert basis_harmonic(m, ctx) == basis, m
+        for ip in (sphere_inner_product(), ball_inner_product()):
+            want = poly_oracle.fischer_orthonormal(basis, classes, ip.degree_factor(m, n))
+            assert basis_harmonic(m, ctx, ip) == want, (m, ip.name)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

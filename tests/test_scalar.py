@@ -357,6 +357,29 @@ def test_int_codec_matches_str_and_int(limit, digit_limit):
         assert read_int(text) == n
 
 
+def _random_ints(rng):
+    # across each switch-over of the codec, and far past it, where both
+    # directions split in halves
+    for digits in (639, 640, 641, 4299, 4300, 4301, 100_000, 100_001):
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        yield n
+        yield -n
+
+
+@pytest.mark.parametrize("limit", [640, 0])
+def test_int_codec_halves_match_str_and_int(limit, digit_limit):
+    digit_limit(0)
+    texts = {n: str(n) for n in _random_ints(random.Random(33))}
+    spelled = ["0" * 700 + "12_34" * 25_000, "-" + "\u0663" * 100_001, "+" + "9" * 100_000 + " "]
+    spelled = [(text, int(text)) for text in spelled]
+    digit_limit(limit)
+    for n, text in texts.items():
+        assert int_text(n) == text
+        assert read_int(text) == n
+    for text, n in spelled:
+        assert read_int(text) == n
+
+
 def test_int_digit_limit_is_zero_without_a_limit(monkeypatch):
     # Python before 3.10.7 has neither the limit nor its getter
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
