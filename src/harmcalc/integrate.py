@@ -165,16 +165,19 @@ def power_log_integral_01(q, k):
 def linear_denominator_integral_01(q, c0, c1, _memo={}):
     """Integral of r^q/(c0 + c1 r) over (0,1), exact with a log term.
 
-    I_0 = log((c0 + c1)/c0)/c1 and I_j = (1/j - c0 I_(j-1))/c1, iterated
-    from the largest j < q in the memo, which keeps each returned I_q.
-    Each step adds about the bits of c0 and c1 plus two, and works on
-    numbers as large as its result, so the time grows with q times the
-    bits of I_q: an I_q that would pass MAX_LINEAR_DENOMINATOR_BITS bits is
-    refused before it is computed (r^10922/(1 + r), just under it, takes
-    about 1 s).
+    With a = c0/c1, dividing r^q by r + a gives
+    I_q = (S_q + (-a)^q log((c0 + c1)/c0))/c1, where the rational part
+    S_q = sum over k < q of (-a)^(q-1-k)/(k+1) is summed by Horner's rule,
+    S_k = 1/k - a S_(k-1).  Each step adds about the bits of c0 and c1
+    plus two, and works on numbers as large as its result, so the time
+    grows with q times the bits of I_q: an I_q that would pass
+    MAX_LINEAR_DENOMINATOR_BITS bits is refused before it is computed.
     """
     if q < 0:
         raise DivergentRadialIntegral("r^%d/(c0+c1 r) diverges on (0,1)" % q)
+    # a plain result cache: bench/workloads.py reads this default to empty
+    # it before each timed CLI line, and bench/selftest.py checks that the
+    # 1/(c0 + c1 r) line fills it
     key = (q, c0, c1)
     if key in _memo:
         return _memo[key]
@@ -183,18 +186,11 @@ def linear_denominator_integral_01(q, c0, c1, _memo={}):
         raise UnsupportedInputError(
             "the integral of r^%d/(c0+c1 r) over (0,1) would pass %d bits" % (q, MAX_LINEAR_DENOMINATOR_BITS)
         )
-    j = q - 1
-    while j >= 0 and (j, c0, c1) not in _memo:
-        j -= 1
-    if j < 0:
-        j = 0
-        out = Scalar.log_fraction((c0 + c1) / c0) * Scalar.from_fraction(Fraction(1) / c1)
-    else:
-        out = _memo[(j, c0, c1)]
-    for j in range(j + 1, q + 1):
-        out = (
-            Scalar.from_fraction(Fraction(1, j)) - out * Scalar.from_fraction(c0)
-        ) * Scalar.from_fraction(Fraction(1) / c1)
+    a = c0 / c1
+    s = Fraction(0)
+    for k in range(1, q + 1):
+        s = Fraction(1, k) - a * s
+    out = (Scalar.log_fraction((c0 + c1) / c0) * (-a) ** q + s) / c1
     _memo[key] = out
     return out
 

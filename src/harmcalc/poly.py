@@ -500,7 +500,7 @@ class Polynomial:
         """Replace a variable by a Fraction, Scalar, or Polynomial."""
         value = _as_poly(value)
         parts = self.coefficients((var,)).items()
-        return poly_sum(c * value**e if e else c for (e,), c in parts)
+        return horner(((e, c) for (e,), c in parts), value)
 
     def eval(self, point):
         """Exact value at a point (dict name -> Fraction/Scalar)."""

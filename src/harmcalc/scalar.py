@@ -212,8 +212,10 @@ _RHO_BATCH = 128
 def _pollard_brent(n, budget):
     """(d, steps): a proper factor d of the odd composite n by Brent's
     cycle search (BIT 20, 1980), or d = None when every c fails or the
-    next round would pass `budget` steps of y -> y^2 + c mod n.
+    next round would pass `budget` steps.
 
+    A step is one y -> y^2 + c mod n, charged by its cost: max(1,
+    bits(n)^2 >> 16) steps, so 1 up to 362 bits and 15 at 1000.
     Round r moves y r steps ahead of x, then r more while multiplying the
     |x - y| mod n, with one gcd per _RHO_BATCH products; r doubles each
     round and is charged its 2r steps up front.  A batch whose gcd is n
@@ -221,13 +223,14 @@ def _pollard_brent(n, budget):
     divides out every prime below 10^4 first, and the deterministic sweep
     of c keeps results reproducible.
     """
+    cost = max(1, n.bit_length() ** 2 >> 16)
     steps = 0
     for c in range(1, 50):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            if steps + 2 * r > budget:
+            if steps + 2 * r * cost > budget:
                 return None, steps
-            steps += 2 * r
+            steps += 2 * r * cost
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -253,7 +256,8 @@ def _pollard_brent(n, budget):
 def factorize(n):
     """Prime factorization of n >= 1 as a dict prime -> exponent.
 
-    The rho splits of one call share MAX_RHO_STEPS steps; a factor left
+    The rho splits of one call share MAX_RHO_STEPS steps, each charged by
+    the size of the number it works on (`_pollard_brent`); a factor left
     unsplit past them raises UnsupportedInputError, naming its digits.
     """
     if n < 1:
@@ -518,12 +522,15 @@ MAX_POWER_SIZE = 1 << 22
 MAX_RADIAL_SIZE = MAX_POWER_SIZE << 4
 
 # the bound on the bits of a radial moment over a linear denominator, whose
-# recurrence takes time about q times those bits
-MAX_LINEAR_DENOMINATOR_BITS = MAX_POWER_BITS >> 4
+# Horner sum takes time about q times those bits; the moment of
+# r^21845/(1 + r), just under it, takes about 0.5 s on a 2-vCPU VM
+MAX_LINEAR_DENOMINATOR_BITS = MAX_POWER_BITS >> 3
 
-# the most polynomial steps of Pollard rho in one factorization: psi_13,
-# the least strong pseudoprime to the first 13 prime bases, splits within
-# 2^21 of them, and all 2^22 take about 3 s on a 2-vCPU VM (Python 3.11)
+# the most steps of Pollard rho in one factorization, each charged by the
+# size of n (`_pollard_brent`): psi_13, the least strong pseudoprime to the
+# first 13 prime bases, splits within 2^21 of them, and all 2^22 take
+# 3 s below 200 bits and at most about 5 s at any size of n on a 2-vCPU VM
+# (Python 3.11)
 MAX_RHO_STEPS = 1 << 22
 
 

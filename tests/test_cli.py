@@ -184,7 +184,7 @@ def test_weight_long_literal_is_exact():
 
 
 def test_weight_with_deep_linear_denominator_answers():
-    # the recurrence for r^q/(c0 + c1 r) runs past the interpreter's recursion limit
+    # the moment of r^q/(c0 + c1 r) at a q past the interpreter's recursion limit
     out, code = run(["integrate-ball", "1", "--dim", "3", "--weight", "r^3000/(1 + r)"])
     assert code == 0 and out.endswith(" + 4*pi*log(2)")
 

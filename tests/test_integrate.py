@@ -123,10 +123,10 @@ def test_radial_integral_size_bound():
     # 6 bits a step for unit coefficients
     with pytest.raises(UnsupportedInputError):
         linear_denominator_integral_01(174763, F(1), F(1))
-    # the recurrence's time grows with q times the result's bits, so its
-    # bound is MAX_POWER_BITS/16: 10922 * 6 bits pass, 10923 * 6 do not
-    with pytest.raises(UnsupportedInputError, match="would pass 65536 bits"):
-        linear_denominator_integral_01(10923, F(1), F(1))
+    # the Horner sum's time grows with q times the result's bits, so its
+    # bound is MAX_POWER_BITS/8: 21845 * 6 bits pass, 21846 * 6 do not
+    with pytest.raises(UnsupportedInputError, match="would pass 131072 bits"):
+        linear_denominator_integral_01(21846, F(1), F(1))
 
 
 def test_ball_weighted_norm_case(ctx3):

@@ -70,6 +70,27 @@ def test_factorize_past_its_step_budget_is_refused(monkeypatch):
         factorize(7 * PSI_12)
 
 
+def test_rho_steps_are_charged_by_the_size_of_n(monkeypatch):
+    # the walk mod the factor 2^20 - 3 is the same whatever its cofactor,
+    # about 2^11 steps; charged 1 each at 63 bits it fits a budget of 2^12,
+    # charged 25 each at 1299 bits (cofactor the prime 2^1279 - 1) it does not
+    p, mersenne = 1048573, 2**1279 - 1
+    monkeypatch.setattr(scalar, "MAX_RHO_STEPS", 1 << 12)
+    assert factorize(p * 8796093022237) == {p: 1, 8796093022237: 1}
+    message = "^could not factor a 392-digit integer within 4096 rho steps$"
+    with pytest.raises(UnsupportedInputError, match=message):
+        factorize(p * mersenne)
+
+
+def test_pollard_brent_walks_back_a_batch_whose_gcd_is_n():
+    # with c = 1 the first batch of 10403 = 101 * 103 meets both factors
+    assert scalar._pollard_brent(10403, scalar.MAX_RHO_STEPS)[0] == 101
+    for n in range(10001, 20001, 2):
+        if not scalar._is_prime(n):
+            d, _ = scalar._pollard_brent(n, scalar.MAX_RHO_STEPS)
+            assert d is not None and 1 < d < n and n % d == 0, n
+
+
 def test_strong_lucas_test_accepts_primes_and_its_known_pseudoprimes():
     # below 10^5 it errs only on the strong Lucas pseudoprimes with
     # Selfridge's parameters (OEIS A217255), none with a factor below 42
