@@ -707,19 +707,22 @@ def poly_sum(ps):
 def horner(pairs, base):
     """The sum of p * base^s over the (s, p) pairs, s >= 0, by Horner's rule.
 
-    The polynomials at one s are summed first.  From the top level down,
-    the running total is multiplied by base itself and the next level is
-    added, so no whole power of base is formed; `check_power` refuses what
-    base ** top would refuse, before the first product.
+    The polynomials at one s are summed first.  From the top level down to
+    0, the running total is multiplied by base to the gap between present
+    levels, by square-and-multiply, and the next level is added: dense
+    levels form no whole power of base, and a lone level at s costs
+    O(log s) products.  `check_power` refuses what base ** top would
+    refuse, before the first product.
     """
-    levels = {}
+    levels = {0: []}
     for s, p in pairs:
         levels.setdefault(s, []).append(p)
-    top = max(levels, default=0)
-    check_power(top, _power_blocks((base,)), (base.total_degree(), len(base.variables())))
-    total = poly_sum(levels.get(top, ()))
-    for s in range(top - 1, -1, -1):
-        total = poly_sum((total * base, *levels.get(s, ())))
+    order = sorted(levels, reverse=True)
+    check_power(order[0], _power_blocks((base,)), (base.total_degree(), len(base.variables())))
+    total = poly_sum(levels[order[0]])
+    for hi, lo in zip(order, order[1:]):
+        # hi > lo, so no base**0 is formed
+        total = poly_sum((total * power(base, hi - lo, None), *levels[lo]))
     return total
 
 

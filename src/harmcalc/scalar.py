@@ -210,12 +210,14 @@ _RHO_BATCH = 128
 
 
 def _pollard_brent(n, budget):
-    """(d, steps): a proper factor d of the odd composite n by Brent's
+    """(d, used): a proper factor d of the odd composite n by Brent's
     cycle search (BIT 20, 1980), or d = None when every c fails or the
-    next round would pass `budget` steps.
+    next round would pass `budget`.
 
-    A step is one y -> y^2 + c mod n, charged by its cost: max(1,
-    bits(n)^2 >> 16) steps, so 1 up to 362 bits and 15 at 1000.
+    `budget` and `used` count in units of 2^-16 steps, and each step
+    y -> y^2 + c mod n is charged by its cost, max(2^16, bits(n)^2) units:
+    one whole step up to 256 bits, 15.3 steps at 1000 bits.
+
     Round r moves y r steps ahead of x, then r more while multiplying the
     |x - y| mod n, with one gcd per _RHO_BATCH products; r doubles each
     round and is charged its 2r steps up front.  A batch whose gcd is n
@@ -223,14 +225,14 @@ def _pollard_brent(n, budget):
     divides out every prime below 10^4 first, and the deterministic sweep
     of c keeps results reproducible.
     """
-    cost = max(1, n.bit_length() ** 2 >> 16)
-    steps = 0
+    cost = max(1 << 16, n.bit_length() ** 2)
+    used = 0
     for c in range(1, 50):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            if steps + 2 * r * cost > budget:
-                return None, steps
-            steps += 2 * r * cost
+            if used + 2 * r * cost > budget:
+                return None, used
+            used += 2 * r * cost
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -249,16 +251,17 @@ def _pollard_brent(n, budget):
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g, steps
-    return None, steps
+            return g, used
+    return None, used
 
 
 def factorize(n):
     """Prime factorization of n >= 1 as a dict prime -> exponent.
 
     The rho splits of one call share MAX_RHO_STEPS steps, each charged by
-    the size of the number it works on (`_pollard_brent`); a factor left
-    unsplit past them raises UnsupportedInputError, naming its digits.
+    the size of the number it works on (`_pollard_brent`), so past 256
+    bits fewer steps run; a factor left unsplit past them raises
+    UnsupportedInputError, naming its digits.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -272,14 +275,14 @@ def factorize(n):
         if p * p > n:
             break
     stack = [n] if n > 1 else []
-    steps = 0
+    budget = MAX_RHO_STEPS << 16
     while stack:
         m = stack.pop()
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d, used = _pollard_brent(m, MAX_RHO_STEPS - steps)
-        steps += used
+        d, used = _pollard_brent(m, budget)
+        budget -= used
         if d is None:
             digits = len(int_text(m))
             raise UnsupportedInputError(
@@ -529,8 +532,7 @@ MAX_LINEAR_DENOMINATOR_BITS = MAX_POWER_BITS >> 3
 # the most steps of Pollard rho in one factorization, each charged by the
 # size of n (`_pollard_brent`): psi_13, the least strong pseudoprime to the
 # first 13 prime bases, splits within 2^21 of them, and all 2^22 take
-# 3 s below 200 bits and at most about 5 s at any size of n on a 2-vCPU VM
-# (Python 3.11)
+# 3-4 s up to 256 bits, and less above, on a 2-vCPU VM (Python 3.11)
 MAX_RHO_STEPS = 1 << 22
 
 

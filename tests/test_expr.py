@@ -435,6 +435,22 @@ def test_horner_refuses_what_the_whole_power_refuses():
         assert str(folded.value) == str(whole.value)
 
 
+def test_horner_steps_over_absent_levels_by_square_and_multiply(monkeypatch):
+    """A lone level at s costs O(log s) products, so `eval x1^E` at a
+    constant stays cheap for an E far past the number of levels worth
+    walking one at a time."""
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    top = 10**5
+    assert Polynomial.var("x1", top).substitute("x1", F(3)) == Polynomial.const(3**top)
+    assert len(products) <= 2 * top.bit_length() + 2
+    products.clear()
+    x2, x3 = Polynomial.var("x2"), Polynomial.var("x3")
+    got = horner([(top, x2), (top // 2, Polynomial.const(1)), (1, x3)], Polynomial.const(3))
+    assert got == x2 * 3**top + 3 ** (top // 2) + x3 * 3
+    assert len(products) <= 3 * (2 * top.bit_length() + 2)
+
 def test_kelvin_round_trip_in_dimension_5_pulls_six_times(monkeypatch):
     """The second Kelvin transform divides its lowest level by ||x||^2 six
     times before the round trip gives the input back."""

@@ -114,6 +114,15 @@ def test_linear_denominator_recurrence_past_the_recursion_limit():
         assert got == Scalar.from_fraction(F(1, q))
 
 
+def test_linear_denominator_moments_do_not_depend_on_the_order_asked():
+    # the Horner sum resumes from the largest power it has reached below q
+    c0, c1 = F(3, 7), F(5, 11)
+    qs = [9, 0, 4, 12, 1, 4, 10]
+    fresh = [linear_denominator_integral_01(q, c0, c1, {}) for q in qs]
+    memo = {}
+    assert [linear_denominator_integral_01(q, c0, c1, memo) for q in qs] == fresh
+
+
 def test_radial_integral_size_bound():
     # k! and 3^(k+1) together stay just under MAX_POWER_BITS at k = 58254
     k = 58254
