@@ -4,9 +4,9 @@ Dimension counts, the Fischer decomposition p = sum ||x||^(2j) h_(m,j)
 with harmonic h_(m,j) homogeneous of degree m, the first-coordinate
 (Cauchy-Kovalevskaya) series behind anti-Laplacians and harmonic
 extensions, deterministic bases of the homogeneous harmonic spaces
-(optionally orthonormalized under a pluggable inner product), and extended
-zonal harmonics.  The solvers and the Bergman projection read the
-decomposition through `fischer_parts`.
+(optionally orthonormalized under the sphere, ball or weighted-ball inner
+product), and extended zonal harmonics.  The solvers and the Bergman
+projection read the decomposition through `fischer_parts`.
 
 The series is taken in closed form: for s = sum_a x1^a q_a(x') it is
 sum_a sum_k (-1)^k a!/(a+2k)! x1^(a+2k) D'^k q_a, D' the Laplacian in
@@ -204,55 +204,45 @@ def first_coordinate_series(s, ctx):
 
 
 class InnerProduct(Record):
-    """Symmetric bilinear form on polynomials, by name.
+    """A rotation-invariant inner product on polynomials, by name: the
+    normalized sphere integral of p q when `radial` is None, else the unit
+    ball integral of p q against the RadialFunction `radial`.
 
-    `evaluator(p, q, ctx)` returns the Scalar ip(p, q).  A radial form
-    (sphere, ball, weighted ball) is invariant under rotations, so on the
-    harmonics homogeneous of degree m in R^n it is a multiple of the
-    Fischer pairing: ip(p, q) = degree_factor(m, n) * sum_a a! p_a q_a.
-    The sphere, ball and weighted-ball constructors set `degree_factor`; a
-    user-supplied form leaves it None and is only ever called through
-    `evaluator`.
+    On the harmonics homogeneous of degree m in R^n such a form is a
+    multiple of the Fischer pairing (Axler, Bourdon and Ramey, Harmonic
+    Function Theory, ch. 5): ip(p, q) = degree_factor(m, n) * sum_a a! p_a q_a.
     """
 
-    __slots__ = ("name", "evaluator", "degree_factor")
+    __slots__ = ("name", "radial")
 
-    def __init__(self, name, evaluator, degree_factor=None):
-        Record.__init__(self, name, evaluator, degree_factor)
+    def __init__(self, name, radial):
+        Record.__init__(self, name, radial)
 
     def __call__(self, p, q, ctx):
-        return self.evaluator(p, q, ctx)
+        if self.radial is None:
+            return integrate_sphere(p * q, ctx)
+        return integrate_ball(p * q, self.radial, ctx)
 
-
-def _sphere_factor(m, n):
-    """1/(n(n+2)...(n+2m-2)): the normalized sphere integral of p q over
-    the Fischer pairing of p and q, harmonic of degree m in R^n."""
-    return Scalar.from_fraction(Fraction(1, prod(range(n, n + 2 * m, 2))))
+    def degree_factor(self, m, n):
+        """c(m, n): 1/(n(n+2)...(n+2m-2)) on the sphere, times the radial
+        moment `ball_radial_factor` of degree 2m on the ball."""
+        c = Scalar.from_fraction(Fraction(1, prod(range(n, n + 2 * m, 2))))
+        return c if self.radial is None else c * ball_radial_factor(2 * m, self.radial, n)
 
 
 def sphere_inner_product():
     """L^2 of the unit sphere with normalized surface measure."""
-    return InnerProduct(
-        "sphere", lambda p, q, ctx: integrate_sphere(p * q, ctx), _sphere_factor
-    )
-
-
-def _ball_inner_product(name, radial):
-    return InnerProduct(
-        name,
-        lambda p, q, ctx: integrate_ball(p * q, radial, ctx),
-        lambda m, n: _sphere_factor(m, n) * ball_radial_factor(2 * m, radial, n),
-    )
+    return InnerProduct("sphere", None)
 
 
 def ball_inner_product():
     """L^2 of the unit ball with volume measure."""
-    return _ball_inner_product("ball", RadialFunction.one())
+    return InnerProduct("ball", RadialFunction.one())
 
 
 def weighted_ball_inner_product(radial):
     """L^2 of the ball against a radial weight."""
-    return _ball_inner_product("ball-weighted", radial)
+    return InnerProduct("ball-weighted", radial)
 
 
 def _fischer_orthogonal(vectors, lay):
@@ -304,8 +294,8 @@ def basis_harmonic(m, ctx, ip=None):
     positive coefficients, so the leading coefficient is positive, as
     `content_primitive` makes it.
 
-    A radial inner product (see `InnerProduct`) is c * the Fischer pairing
-    on these elements, c = degree_factor(m, n), so Gram-Schmidt runs on
+    The inner product `ip` (an `InnerProduct`) is c * the Fischer pairing
+    on these elements, c = ip.degree_factor(m, n), so Gram-Schmidt runs on
     their integer coefficients (`_fischer_orthogonal`), and c enters only
     the scale 1/sqrt(c [W, W]) of each orthogonal integer vector W.  With
     c = cq pi^(p/2) and cq [W, W] = a/b in lowest terms, a b = s^2 t with t
@@ -314,10 +304,10 @@ def basis_harmonic(m, ctx, ip=None):
     index monomial in every coordinate (the low bits of the key's exponent
     fields), and a radial measure is even in each coordinate, so elements
     of different parity classes are orthogonal: Gram-Schmidt runs in each
-    class alone, with the same result.  Any other form, or a c that is not
-    one log-free term (which no self inner product can be divided by),
-    takes the general path: one `ip` call per Gram entry over the whole
-    basis.
+    class alone, with the same result.  A c that is zero or has more than
+    one term raises UnsupportedScalarNorm, and a one-term c with no square
+    root (negative, or with a radical, a log or an odd power of sqrt(pi))
+    raises as `scalar_sqrt` does.
     """
     if ctx.dim < 2:
         raise UnsupportedDimension("harmonic bases need dimension >= 2")
@@ -344,19 +334,11 @@ def basis_harmonic(m, ctx, ip=None):
     basis = [_new(lay, {RATIONAL: (1, W)}) for W in vectors]
     if ip is None or not basis:
         return basis
-    c = ip.degree_factor(m, ctx.dim) if ip.degree_factor else None
-    if c is None or not c.is_single_term() or c.terms[0][3]:
-        ortho = []
-        for v in basis:
-            w = v
-            for g, gg in ortho:
-                w = w - g.scale(ip(w, g, ctx) / gg)
-            ww = ip(w, w, ctx)
-            if not ww.is_single_term():
-                raise UnsupportedScalarNorm("self inner product is a multi-term scalar")
-            ortho.append((w, ww))
-        return [g.scale(scalar_sqrt(gg).inverse()) for g, gg in ortho]
-    # [W, W] > 0 changes no sign, radical or pi power: c N has a root
+    c = ip.degree_factor(m, ctx.dim)
+    if not c.is_single_term():
+        what = "zero" if c.is_zero() else "a multi-term scalar"
+        raise UnsupportedScalarNorm("self inner product is " + what)
+    # [W, W] > 0 changes no sign, radical, pi power or log: c N has a root
     # exactly when c has one, and scalar_sqrt(c) raises as sqrt(c N) would
     scalar_sqrt(c)
     ((cq, _, p, _),) = c.terms

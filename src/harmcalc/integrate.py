@@ -173,33 +173,32 @@ def linear_denominator_integral_01(q, c0, c1, _memo={}):
     plus two, and works on numbers as large as its result, so the time
     grows with q times the bits of I_q: an I_q that would pass
     MAX_LINEAR_DENOMINATOR_BITS bits is refused before it is computed.
-    The sum resumes from the largest k <= q whose S_k it has reached for
-    c0 and c1, so moments asked for in about ascending q, as
+    The log, whose prime factors can cost seconds to find, is taken once
+    for c0 and c1, and the sum resumes from the largest k <= q whose S_k
+    it has reached for them, so moments asked for in about ascending q, as
     `integrate_ball` asks for its degrees, cost about one pass in all.
     """
     if q < 0:
         raise DivergentRadialIntegral("r^%d/(c0+c1 r) diverges on (0,1)" % q)
-    # the results by (q, c0, c1) and the (k, S_k) reached, ascending in k,
-    # by (c0, c1): bench/workloads.py reads this default to empty it before
-    # each timed CLI line, and bench/selftest.py checks that the
-    # 1/(c0 + c1 r) line fills it
-    key = (q, c0, c1)
-    if key in _memo:
-        return _memo[key]
     step = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in (c0, c1)) + 2
     if q * step > MAX_LINEAR_DENOMINATOR_BITS:
         raise UnsupportedInputError(
             "the integral of r^%d/(c0+c1 r) over (0,1) would pass %d bits" % (q, MAX_LINEAR_DENOMINATOR_BITS)
         )
+    # the log and the (k, S_k) reached, ascending in k, by (c0, c1):
+    # bench/workloads.py reads this default to empty it before each timed
+    # CLI line, and bench/selftest.py checks that the 1/(c0 + c1 r) line
+    # fills it
+    if (c0, c1) not in _memo:
+        _memo[c0, c1] = Scalar.log_fraction((c0 + c1) / c0), [(0, Fraction(0))]
+    log, reached = _memo[c0, c1]
     a = c0 / c1
-    reached = _memo.setdefault((c0, c1), [(0, Fraction(0))])
     j, s = reached[bisect(reached, (q + 1,)) - 1]
     for k in range(j + 1, q + 1):
         s = Fraction(1, k) - a * s
-    insort(reached, (q, s))
-    out = (Scalar.log_fraction((c0 + c1) / c0) * (-a) ** q + s) / c1
-    _memo[key] = out
-    return out
+    if j < q:
+        insort(reached, (q, s))
+    return (log * (-a) ** q + s) / c1
 
 
 def _radial_moment(q, radial):

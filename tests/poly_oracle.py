@@ -10,6 +10,9 @@ The harmonic bases are kept here the same way: the first-coordinate
 series one (L D)^k term at a time, and the orthonormal bases by
 Gram-Schmidt on Polynomials under the Fischer pairing, where
 `harmcalc.harmonic` uses the closed form and integer vectors.
+`integral_orthonormal` is the earlier general Gram-Schmidt, one inner
+product integral per Gram entry, where `harmonic.basis_harmonic` reads
+every entry off the Fischer pairing and the degree factor.
 
 Monomial tuples are read here too: `mono_degree`, the recursive
 `monomials` that `poly.monomials` lists as packed keys, and
@@ -47,7 +50,7 @@ import heapq
 from fractions import Fraction
 from math import factorial, prod
 
-from harmcalc.errors import ParseError, UnknownVariable, UnsupportedInputError
+from harmcalc.errors import ParseError, UnknownVariable, UnsupportedInputError, UnsupportedScalarNorm
 from harmcalc.expr import Expr
 from harmcalc.parser import _Parser
 from harmcalc.poly import Polynomial, dot_poly, poly_sum
@@ -391,6 +394,23 @@ def fischer_orthonormal(basis, classes, c):
             ortho.append((w, wt, fischer(wt, wt)))
             out[i] = w.scale(scalar_sqrt(c * ortho[-1][2]).inverse())
     return out
+
+
+def integral_orthonormal(basis, ip, ctx):
+    """The basis orthonormalized in order by Gram-Schmidt with one `ip` call
+    (an integral) per Gram entry over the whole basis, each vector w
+    divided by sqrt(ip(w, w))."""
+    ortho = []
+    for v in basis:
+        w = v
+        for g, gg in ortho:
+            w = w - g.scale(ip(w, g, ctx) / gg)
+        ww = ip(w, w, ctx)
+        if not ww.is_single_term():
+            what = "zero" if ww.is_zero() else "a multi-term scalar"
+            raise UnsupportedScalarNorm("self inner product is " + what)
+        ortho.append((w, ww))
+    return [g.scale(scalar_sqrt(gg).inverse()) for g, gg in ortho]
 
 
 def phi_numerators(ctx):

@@ -8,11 +8,10 @@ import poly_oracle
 from conftest import P, random_polynomial, rename_vars
 
 from harmcalc.calculus import poly_laplacian
-from harmcalc.errors import HarmcalcError, UnsupportedScalarNorm
+from harmcalc.errors import HarmcalcError
 from harmcalc.expr import Context, make_context, reduce_poly_on_sphere
 from harmcalc import harmonic
 from harmcalc.harmonic import (
-    InnerProduct,
     ball_inner_product,
     basis_harmonic,
     dim_harmonic,
@@ -156,16 +155,6 @@ def test_ball_normalization_constants(ctx3):
     assert seen_pi_half
 
 
-def test_gram_schmidt_multi_term_norm_error():
-    ctx = Context(2)
-    bad = InnerProduct(
-        "bad",
-        lambda p, q, ctx_: integrate_sphere(p * q, ctx_) + Scalar.log_fraction(2),
-    )
-    with pytest.raises(UnsupportedScalarNorm):
-        basis_harmonic(1, ctx, bad)
-
-
 def _basis_or_error(m, ctx, ip):
     try:
         return basis_harmonic(m, ctx, ip)
@@ -173,10 +162,21 @@ def _basis_or_error(m, ctx, ip):
         return type(exc).__name__, str(exc)
 
 
+def _general_or_error(basis, ctx, ip):
+    """`poly_oracle.integral_orthonormal`, one integral per Gram entry, or
+    its typed error as `_basis_or_error` gives it."""
+    try:
+        return poly_oracle.integral_orthonormal(basis, ip, ctx)
+    except HarmcalcError as exc:
+        return type(exc).__name__, str(exc)
+
+
 # (inner product, the error every basis raises or None, exceptions by
 # (dimension, degree)); r^2*log(r) has negative radial moments, and the
 # moments of 1/(1 + 2r) are a rational plus a multiple of log(3), except in
-# dimension 3 at degree 0, where the factor is pi*log(3)/2
+# dimension 3 at degree 0, where the factor is pi*log(3)/2; against 3 - 4r
+# the factor is (3 - k)/(k(k + 1)) n V(B) with k = n + 2m, positive only
+# at k = 2 and zero at k = 3
 RADIAL_FORMS = [
     ("sphere", None, {}),
     ("ball", None, {}),
@@ -184,6 +184,7 @@ RADIAL_FORMS = [
     ("1 + 2*r^3*log(r)^2", None, {}),
     ("r^2*log(r)", "NegativeRadicand", {}),
     ("1/(1 + 2*r)", "UnsupportedScalarNorm", {(3, 0): "NonRationalSqrt"}),
+    ("3 - 4*r", "NegativeRadicand", {(2, 0): None, (3, 0): "UnsupportedScalarNorm"}),
 ]
 
 
@@ -195,13 +196,11 @@ def test_radial_inner_products_match_the_general_path(form, error, exceptions):
         radial = ball_inner_product()
     else:
         radial = weighted_ball_inner_product(parse_radial(form))
-    # the same form without its degree factor takes the general path
-    general = InnerProduct(radial.name, radial.evaluator)
     for n in range(2, 6):
         ctx = Context(n)
         for m in range(5):
             got = _basis_or_error(m, ctx, radial)
-            assert got == _basis_or_error(m, ctx, general), (n, m)
+            assert got == _general_or_error(basis_harmonic(m, ctx), ctx, radial), (n, m)
             want = exceptions.get((n, m), error)
             if want is None:
                 assert len(got) == dim_harmonic(m, n)
@@ -209,26 +208,41 @@ def test_radial_inner_products_match_the_general_path(form, error, exceptions):
                 assert got[0] == want, (n, m)
 
 
+def test_a_zero_degree_factor_is_named():
+    # against 3 - 4r the dimension-3, degree-0 factor is zero
+    radial = weighted_ball_inner_product(parse_radial("3 - 4*r"))
+    assert radial.degree_factor(0, 3).is_zero()
+    got = _basis_or_error(0, Context(3), radial)
+    assert got == ("UnsupportedScalarNorm", "self inner product is zero")
+
+
 def test_log_degree_factor_raises_as_the_general_path_does():
     # (7 + 10r)/(1 + r) has the radial moment 3*log(2) against r^3, so in
-    # dimension 2 the degree-1 factor is one log term; no self inner
-    # product can be divided by it
+    # dimension 2 the degree-1 factor is one log term, which has no square
+    # root: the two-element basis raises as the general path does on its
+    # first element alone.  On both elements the general path first
+    # divides a Gram entry by that log term, which raises MultiTermDivision
     radial = weighted_ball_inner_product(parse_radial("7 + 10*r/(1 + r)"))
     ctx = Context(2)
     assert radial.degree_factor(1, 2).terms[0][3]
     got = _basis_or_error(1, ctx, radial)
-    assert got[0] == "MultiTermDivision"
-    assert got == _basis_or_error(1, ctx, InnerProduct(radial.name, radial.evaluator))
+    assert got == ("NonRationalSqrt", "sqrt of a scalar with log factors")
+    basis = basis_harmonic(1, ctx)
+    assert got == _general_or_error(basis[:1], ctx, radial)
+    assert _general_or_error(basis, ctx, radial)[0] == "MultiTermDivision"
 
 
-def test_radial_gram_entries_do_not_call_the_evaluator(ctx3):
-    def unused(p, q, ctx):
-        raise AssertionError("a radial Gram entry called the evaluator")
-
+def test_radial_gram_entries_call_no_integral(ctx3, monkeypatch):
     weight = RadialFunction(((ONE, 0, 0), (Scalar.from_fraction(-1), 2, 0)))
-    for ip in (sphere_inner_product(), ball_inner_product(), weighted_ball_inner_product(weight)):
-        fast = InnerProduct(ip.name, unused, ip.degree_factor)
-        assert basis_harmonic(4, ctx3, fast) == basis_harmonic(4, ctx3, ip)
+    ips = (sphere_inner_product(), ball_inner_product(), weighted_ball_inner_product(weight))
+    want = [basis_harmonic(4, ctx3, ip) for ip in ips]
+
+    def unused(*args):
+        raise AssertionError("a radial Gram entry called an integral")
+
+    monkeypatch.setattr(harmonic, "integrate_sphere", unused)
+    monkeypatch.setattr(harmonic, "integrate_ball", unused)
+    assert [basis_harmonic(4, ctx3, ip) for ip in ips] == want
 
 
 def _series_data(rng, ctx):

@@ -123,6 +123,27 @@ def test_linear_denominator_moments_do_not_depend_on_the_order_asked():
     assert [linear_denominator_integral_01(q, c0, c1, memo) for q in qs] == fresh
 
 
+def test_a_ball_integral_takes_the_log_of_its_weight_once(monkeypatch):
+    # ten degrees share one log((c0 + c1)/c0) and one memo entry, which
+    # keeps each Horner state (k, S_k) once
+    memo = {}
+    monkeypatch.setattr(integrate.linear_denominator_integral_01, "__defaults__", (memo,))
+    calls = []
+    log_fraction = Scalar.log_fraction
+    monkeypatch.setattr(Scalar, "log_fraction", staticmethod(lambda q: calls.append(q) or log_fraction(q)))
+    ctx = Context(2)
+    p = poly_sum(P("x1^%d" % (2 * k), ctx) for k in range(10))
+    weight = RadialFunction.linear_reciprocal(3, 5)
+    got = integrate_ball(p, weight, ctx)
+    assert calls == [F(8, 3)]
+    # the same moments again reach no new state
+    assert integrate_ball(p + p, weight, ctx) == got * Scalar.from_fraction(2)
+    assert calls == [F(8, 3)]
+    assert list(memo) == [(F(3), F(5))]
+    reached = [k for k, _ in memo[F(3), F(5)][1]]
+    assert reached == [0, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
+
+
 def test_radial_integral_size_bound():
     # k! and 3^(k+1) together stay just under MAX_POWER_BITS at k = 58254
     k = 58254

@@ -8,9 +8,13 @@ left out: it runs only once every module is loaded.
 A cold start of the CLI pays for every module the package imports, so the
 import path keeps out `dataclasses` (which loads `inspect`, `ast`, `dis`
 and `tokenize`) and `typing`.
+
+The benchmark's tracer (`bench/tracer.py`) wraps library functions by
+name, so a renamed one must fail here, not only in a traced bench run.
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -76,3 +80,17 @@ def test_cold_import_loads_no_dataclasses_inspect_or_typing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_every_name_the_benchmark_traces_is_found():
+    # the tracer looks for each function in every loaded harmcalc module,
+    # and render_value and run_command are bound only once the CLI is loaded
+    import harmcalc.cli  # noqa: F401
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [name for _, _, name, _ in tracer.ENTRY_POINTS]
+    assert len(names) == len(set(names)) == 36
+    assert {name for *_, name in tracer.Tracer().sites()} == set(names)

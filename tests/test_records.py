@@ -41,10 +41,10 @@ CASES = [
         "Quadratic(b=(Fraction(1, 1), Fraction(1, 1)), c=(Fraction(0, 1), Fraction(0, 1)), d=Fraction(-1, 1))",
     ),
     (
-        InnerProduct("custom", max),
-        InnerProduct(name="custom", evaluator=max, degree_factor=None),
-        InnerProduct("custom", min),
-        "InnerProduct(name='custom', evaluator=<built-in function max>, degree_factor=None)",
+        InnerProduct("sphere", None),
+        InnerProduct(name="sphere", radial=None),
+        InnerProduct("ball", RadialFunction()),
+        "InnerProduct(name='sphere', radial=None)",
     ),
     (UnitSphere(), UnitSphere(), None, "UnitSphere()"),
     (
