@@ -7,6 +7,7 @@ reproducing kernels, all in exact rational arithmetic extended by
 half-integer powers of pi, integer square roots, and prime logarithms.
 """
 
+from .approx import approx_scalar
 from .bvp import (
     Annulus,
     ExteriorSphere,
@@ -68,7 +69,7 @@ from .kernels import (
 )
 from .parser import parse_expression, parse_polynomial
 from .poly import Polynomial
-from .scalar import Scalar, approx_scalar, scalar_sqrt
+from .scalar import Scalar, scalar_sqrt
 from .transforms import (
     HyperplaneMirror,
     SphereMirror,

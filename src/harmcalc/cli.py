@@ -23,6 +23,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import re
 import shlex
 import sys
@@ -30,11 +31,12 @@ import time
 from fractions import Fraction
 
 from . import bvp, calculus, harmonic, integrate, kernels, transforms
+from .approx import approx_scalar
+from .arith import read_int
 from .errors import DimensionMismatch, HarmcalcError, ParseError, UnsupportedInputError
 from .expr import Context, eval_expr, make_context
 from .parser import is_name, parse_expression, parse_polynomial, parse_radial
 from .render import render_value
-from .scalar import approx_scalar, read_int
 
 # ---------------------------------------------------------------------------
 # flag values: argparse turns a ValueError or TypeError raised here into a
@@ -672,14 +674,20 @@ def _write(payload, out):
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         text = str(payload)
-    if out:
-        try:
+    try:
+        if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
-            raise ParseError("cannot write %s: %s" % (out, exc.strerror)) from None
-    else:
-        print(text)
+        else:
+            print(text, flush=True)
+    except OSError as exc:
+        if not out:
+            # the interpreter flushes stdout again at exit: point it at
+            # devnull so that flush fails on nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ParseError("cannot write %s: %s" % (out or "stdout", exc.strerror)) from None
 
 
 if __name__ == "__main__":

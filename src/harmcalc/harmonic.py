@@ -23,11 +23,12 @@ one square split per element.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 
+from .arith import binomial, split_square
 from .calculus import poly_laplacian
 from .errors import UnsupportedDimension, UnsupportedScalarNorm
-from .integrate import RadialFunction, _tree_product, ball_radial_factor, integrate_ball, integrate_sphere
+from .integrate import RadialFunction, ball_radial_factor, integrate_ball, integrate_sphere
 from .poly import (
     RATIONAL,
     _join,
@@ -46,47 +47,23 @@ from .poly import (
     require_polynomial,
 )
 from .record import Record
-from .scalar import Scalar, _sieve, scalar_sqrt, split_square
+from .scalar import Scalar, scalar_sqrt
 
 
 def dim_harmonic(m, n):
-    """Dimension of the space of degree-m homogeneous harmonics in R^n."""
+    """Dimension of the space of degree-m homogeneous harmonics in R^n;
+    0 for a negative degree, as `basis_harmonic` has no element there."""
     if n < 1:
-        raise ValueError("dimension must be positive")
+        raise UnsupportedDimension("dimension must be positive")
+    if m < 0:
+        return 0
     if m == 0:
         return 1
     if n == 1:
         return 1 if m == 1 else 0
     # C(m+n-1, n-1) - C(m+n-3, n-1), the degree-m homogeneous polynomials
     # less the degree-(m-2) ones, written with one binomial
-    return (2 * m + n - 2) * _binomial(m + n - 3, m - 1) // m
-
-
-# the least min(k, n - k) for which `_binomial` multiplies prime powers
-_LEGENDRE_MIN = 4096
-
-
-def _binomial(n, k):
-    """C(n, k) for 0 <= k <= n.
-
-    math.comb is quadratic in the digits of the answer.  Once j = min(k,
-    n - k) is at least `_LEGENDRE_MIN` and n at most 64 j, so that sieving
-    to n costs no more than the answer, C(n, k) is the product, by a
-    product tree, of p^e over the primes p <= n, with e = sum_i (n // p^i -
-    k // p^i - (n - k) // p^i) by Legendre's formula.
-    """
-    j = min(k, n - k)
-    if j < _LEGENDRE_MIN or n > 64 * j:
-        return comb(n, k)
-    powers = []
-    for p in _sieve(n):
-        e, q = 0, p
-        while q <= n:
-            e += n // q - k // q - (n - k) // q
-            q *= p
-        if e:
-            powers.append(p**e)
-    return _tree_product(powers)
+    return (2 * m + n - 2) * binomial(m + n - 3, m - 1) // m
 
 
 def _decompose_homogeneous(p, k, ctx):

@@ -17,6 +17,7 @@ from bisect import bisect, insort
 from fractions import Fraction
 from math import factorial, prod
 
+from .arith import double_factorial
 from .errors import (
     DimensionMismatch,
     DivergentRadialIntegral,
@@ -34,12 +35,12 @@ from .scalar import MAX_LINEAR_DENOMINATOR_BITS, MAX_POWER_BITS, ONE, Scalar
 def unit_ball_volume(n):
     """Volume of the unit ball as an exact Scalar."""
     if n < 1:
-        raise ValueError("dimension must be positive")
+        raise UnsupportedDimension("dimension must be positive")
     if n % 2 == 0:
         k = n // 2
         return Scalar.from_fraction(Fraction(1, factorial(k))) * Scalar.pi_power(n)
     k = (n - 1) // 2
-    return Scalar.from_fraction(Fraction(2 ** (k + 1), _double_factorial(n))) * Scalar.pi_power(2 * k)
+    return Scalar.from_fraction(Fraction(2 ** (k + 1), double_factorial(n))) * Scalar.pi_power(2 * k)
 
 
 def n_ball_volume(n):
@@ -55,24 +56,6 @@ def unit_sphere_area(n):
     return n_ball_volume(n)
 
 
-_PRODUCT_LEAF = 64  # factors a product tree leaf multiplies with plain `prod`
-
-
-def _double_factorial(k):
-    """k!! = k (k - 2) (k - 4) ... down to 2 or 1; 1 for k < 2."""
-    return _tree_product(range(2 - k % 2, k + 1, 2))
-
-
-def _tree_product(xs):
-    """The product of a sequence of ints (a list or a range), by a product
-    tree: halves of near-equal size keep the big products balanced, which
-    is what makes the large multiplications subquadratic."""
-    if len(xs) <= _PRODUCT_LEAF:
-        return prod(xs)
-    mid = len(xs) // 2
-    return _tree_product(xs[:mid]) * _tree_product(xs[mid:])
-
-
 def sphere_monomial_integral(exponents, n):
     """Integral of prod x_i^(a_i) over the unit sphere, normalized measure."""
     total = 0
@@ -80,7 +63,7 @@ def sphere_monomial_integral(exponents, n):
     for a in exponents:
         if a % 2:
             return Fraction(0)
-        num *= _double_factorial(a - 1)
+        num *= double_factorial(a - 1)
         total += a
     return Fraction(num, prod(range(n, n + total, 2)))
 

@@ -40,11 +40,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .arith import int_digit_limit, read_int
 from .errors import ParseError, UnknownVariable, UnsupportedInputError
 from .expr import Expr
 from .integrate import RadialFunction
 from .poly import Polynomial, dot_poly
-from .scalar import Scalar, int_digit_limit, read_int
+from .scalar import Scalar
 
 class _Token:
     __slots__ = ("kind", "text", "line", "col")

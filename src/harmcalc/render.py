@@ -29,9 +29,10 @@ from fractions import Fraction
 from math import gcd
 from operator import getitem
 
+from .arith import int_digit_limit, int_text
 from .expr import Expr, context_of
 from .poly import Polynomial, order_key
-from .scalar import Scalar, int_digit_limit, int_text
+from .scalar import Scalar
 
 # ---------------------------------------------------------------------------
 # numbers and products

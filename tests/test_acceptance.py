@@ -62,7 +62,8 @@ from harmcalc.kernels import (
     poisson_kernel,
 )
 from harmcalc.poly import Polynomial, poly_sum
-from harmcalc.scalar import ONE, Scalar, approx_scalar
+from harmcalc.approx import approx_scalar
+from harmcalc.scalar import ONE, Scalar
 from harmcalc.transforms import (
     HyperplaneMirror,
     SphereMirror,

@@ -25,7 +25,8 @@ from harmcalc.errors import DimensionMismatch, NotHarmonic
 from harmcalc.expr import Context, Expr, eval_expr, restrict_to_sphere, substitute_norm_radius
 from harmcalc.poly import Polynomial, poly_sum
 from harmcalc.render import expr_json, expr_latex, expr_text
-from harmcalc.scalar import Scalar, approx_scalar
+from harmcalc.approx import approx_scalar
+from harmcalc.scalar import Scalar
 from harmcalc.transforms import kelvin, kelvin_h
 
 

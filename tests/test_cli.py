@@ -283,6 +283,28 @@ def test_console_script_runs():
     assert proc.stdout.strip() == "5"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_stdout_that_cannot_be_written_is_a_usage_error(unbuffered):
+    # one stderr line and exit 2, as for --out; the interpreter's own flush
+    # of stdout at exit adds nothing
+    src = os.path.dirname(os.path.dirname(harmcalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+    cmd = [sys.executable, "-m", "harmcalc.cli"]
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(cmd + ["volume", "--dim", "3"], stdout=full, stderr=subprocess.PIPE, env=env)
+        assert (proc.returncode, proc.stderr) == (2, b"ParseError: cannot write stdout: No space left on device\n")
+    # 77,501 bytes, more than a pipe holds: the write meets the closed pipe
+    proc = subprocess.Popen(
+        cmd + ["basis-h", "--dim", "3", "--degree", "30"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert len(os.read(proc.stdout.fileno(), 1)) == 1
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, b"ParseError: cannot write stdout: Broken pipe\n")
+
+
 def test_infeasible_system_exit_code():
     # constants are unreachable over the harmonic surface x1^2 - x2^2 = 0,
     # so the degree schedule runs out

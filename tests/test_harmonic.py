@@ -7,8 +7,9 @@ import pytest
 import poly_oracle
 from conftest import P, random_polynomial, rename_vars
 
+from harmcalc.arith import _LEGENDRE_MIN, binomial
 from harmcalc.calculus import poly_laplacian
-from harmcalc.errors import HarmcalcError
+from harmcalc.errors import HarmcalcError, UnsupportedDimension
 from harmcalc.expr import Context, make_context, reduce_poly_on_sphere
 from harmcalc import harmonic
 from harmcalc.harmonic import (
@@ -24,7 +25,7 @@ from harmcalc.harmonic import (
     zonal_coefficients,
     zonal_harmonic,
 )
-from harmcalc.integrate import RadialFunction, integrate_sphere
+from harmcalc.integrate import RadialFunction, integrate_sphere, unit_ball_volume
 from harmcalc.parser import parse_radial
 from harmcalc.poly import RATIONAL, Polynomial, _layout, _new, _stride, monomials, poly_sum
 from harmcalc.scalar import ONE, Scalar
@@ -48,13 +49,20 @@ def test_dim_harmonic_is_a_difference_of_binomials():
             assert dim_harmonic(m, n) == comb(m + n - 1, n - 1) - below, (m, n)
 
 
+def test_a_dimension_below_one_is_unsupported():
+    with pytest.raises(UnsupportedDimension, match="^dimension must be positive$"):
+        dim_harmonic(3, 0)
+    with pytest.raises(UnsupportedDimension, match="^dimension must be positive$"):
+        unit_ball_volume(0)
+
+
 def test_binomial_matches_math_comb_across_the_switch_over():
-    lo = harmonic._LEGENDRE_MIN
+    lo = _LEGENDRE_MIN
     for j in (lo - 1, lo, lo + 1):
         # prime powers up to n = 64 j, math.comb past it and below lo
         for n in (2 * j, 2 * j + 1, 3 * j + 7, 64 * j, 64 * j + 1):
             for k in (j, n - j):
-                assert harmonic._binomial(n, k) == comb(n, k), (n, k)
+                assert binomial(n, k) == comb(n, k), (n, k)
     m = lo + 2
     assert dim_harmonic(m, m) == comb(2 * m - 1, m - 1) - comb(2 * m - 3, m - 1)
 
@@ -103,7 +111,7 @@ def test_decompose_reconstruction_random():
 def test_basis_cardinality_and_harmonicity():
     for n in (2, 3, 4, 5, 6):
         ctx = Context(n)
-        for m in range(0, 9):
+        for m in range(-2, 9):
             basis = basis_harmonic(m, ctx)
             assert len(basis) == dim_harmonic(m, n)
             for b in basis:

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import P, random_polynomial
 
+from harmcalc.approx import approx_scalar
+from harmcalc.arith import _PRODUCT_LEAF, double_factorial
 from harmcalc.errors import (
     DimensionMismatch,
     DivergentRadialIntegral,
@@ -30,7 +32,7 @@ from harmcalc.integrate import (
     unit_sphere_area,
 )
 from harmcalc.poly import Polynomial, poly_sum
-from harmcalc.scalar import Scalar, approx_scalar
+from harmcalc.scalar import Scalar
 
 
 def test_unit_ball_volume():
@@ -59,10 +61,10 @@ def _double_factorial_loop(k):
 def test_double_factorial_tree_matches_the_loop():
     # one leaf holds the factors of k <= 2 leaf; a larger k splits, into
     # halves of equal or unequal sizes
-    leaf = integrate._PRODUCT_LEAF
+    leaf = _PRODUCT_LEAF
     ks = list(range(-3, 301)) + [k + d for k in (2 * leaf, 14 * leaf, 1000, 4096) for d in range(-2, 4)]
     for k in ks:
-        assert integrate._double_factorial(k) == _double_factorial_loop(k), k
+        assert double_factorial(k) == _double_factorial_loop(k), k
 
 
 def test_sphere_monomial_rule():

@@ -1,5 +1,9 @@
 """The package's layers, read from the module-level imports of its source.
 
+`arith` holds the integer code (the decimal codec, factorization, product
+trees) on `errors` and the standard library alone; `scalar` holds the
+exact constants on `arith`; `approx`, the decimal evaluator, sits on
+`scalar` and is read only by the CLI and the package's public names.
 `poly` holds the packed polynomials and sits on `errors` and `scalar`
 alone; `expr` builds the expression algebra on top of it.  An import made
 inside a function, such as `Polynomial.__repr__` reaching `render`, is
@@ -39,6 +43,30 @@ def _module_imports():
 
 def test_poly_imports_only_errors_and_scalar():
     assert _module_imports()["poly"] == {"errors", "scalar"}
+
+
+def test_integers_sit_below_scalar_and_approx_above_it():
+    graph = _module_imports()
+    assert graph["arith"] == {"errors"}
+    tree = ast.parse((SOURCE / "arith.py").read_text())
+    absolute = {a.name for n in tree.body if isinstance(n, ast.Import) for a in n.names}
+    absolute |= {n.module for n in tree.body if isinstance(n, ast.ImportFrom) and not n.level}
+    assert {m.split(".")[0] for m in absolute} <= sys.stdlib_module_names
+    assert graph["scalar"] == {"errors", "arith"}
+    assert graph["approx"] == {"scalar"}
+    assert {m for m, names in graph.items() if "approx" in names} == {"cli", "__init__"}
+
+
+def test_no_module_imports_a_private_name_of_arith_or_approx():
+    private = [
+        (path.stem, a.name)
+        for path in SOURCE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("arith", "approx")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_expr_imports_no_module_that_imports_expr():

@@ -21,7 +21,8 @@ from harmcalc.expr import Context, Expr, eval_expr
 from harmcalc.integrate import Quadratic, integrate_ellipsoid_volume, integrate_sphere
 from harmcalc.parser import parse_expression
 from harmcalc.render import expr_text
-from harmcalc.scalar import Scalar, approx_scalar
+from harmcalc.approx import approx_scalar
+from harmcalc.scalar import Scalar
 
 
 def test_canonical_form_idempotence():

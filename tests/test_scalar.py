@@ -13,20 +13,16 @@ from harmcalc.errors import (
     OddPiExponent,
     UnsupportedInputError,
 )
-from harmcalc import scalar
+from harmcalc import approx, arith
+from harmcalc.approx import approx_scalar
+from harmcalc.arith import factorize, int_digit_limit, int_text, read_int, split_square
 from harmcalc.poly import Polynomial
 from harmcalc.scalar import (
     MAX_POWER_BITS,
     ONE,
     ZERO,
     Scalar,
-    approx_scalar,
-    factorize,
-    int_digit_limit,
-    int_text,
-    read_int,
     scalar_sqrt,
-    split_square,
 )
 
 
@@ -47,10 +43,10 @@ PSI_13 = 3317044064679887385961981
 
 
 def test_strong_pseudoprimes_to_every_base_are_composite():
-    assert not scalar._is_prime(PSI_12)
-    assert not scalar._is_prime(PSI_13)
+    assert not arith._is_prime(PSI_12)
+    assert not arith._is_prime(PSI_13)
     # both pass Miller-Rabin to base 2, so the strong Lucas test refuses them
-    assert not scalar._is_strong_lucas_probable_prime(PSI_13)
+    assert not arith._is_strong_lucas_probable_prime(PSI_13)
     assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
 
 
@@ -62,7 +58,7 @@ def test_factorize_splits_a_25_digit_semiprime():
 def test_factorize_past_its_step_budget_is_refused(monkeypatch):
     # the cofactor left unsplit is named by its digits; psi_12 needs
     # about 2^19 steps, so a budget of 2^16 refuses it
-    monkeypatch.setattr(scalar, "MAX_RHO_STEPS", 1 << 16)
+    monkeypatch.setattr(arith, "MAX_RHO_STEPS", 1 << 16)
     message = "^could not factor a 24-digit integer within 65536 rho steps$"
     with pytest.raises(UnsupportedInputError, match=message):
         factorize(PSI_12)
@@ -75,7 +71,7 @@ def test_rho_steps_are_charged_by_the_size_of_n(monkeypatch):
     # about 2^11 steps; charged 1 each at 63 bits it fits a budget of 2^12,
     # charged 25.7 each at 1299 bits (cofactor the prime 2^1279 - 1) it does not
     p, mersenne = 1048573, 2**1279 - 1
-    monkeypatch.setattr(scalar, "MAX_RHO_STEPS", 1 << 12)
+    monkeypatch.setattr(arith, "MAX_RHO_STEPS", 1 << 12)
     assert factorize(p * 8796093022237) == {p: 1, 8796093022237: 1}
     message = "^could not factor a 392-digit integer within 4096 rho steps$"
     with pytest.raises(UnsupportedInputError, match=message):
@@ -84,11 +80,11 @@ def test_rho_steps_are_charged_by_the_size_of_n(monkeypatch):
 
 def test_pollard_brent_walks_back_a_batch_whose_gcd_is_n():
     # with c = 1 the first batch of 10403 = 101 * 103 meets both factors
-    budget = scalar.MAX_RHO_STEPS << 16
-    assert scalar._pollard_brent(10403, budget)[0] == 101
+    budget = arith.MAX_RHO_STEPS << 16
+    assert arith._pollard_brent(10403, budget)[0] == 101
     for n in range(10001, 20001, 2):
-        if not scalar._is_prime(n):
-            d, _ = scalar._pollard_brent(n, budget)
+        if not arith._is_prime(n):
+            d, _ = arith._pollard_brent(n, budget)
             assert d is not None and 1 < d < n and n % d == 0, n
 
 
@@ -103,7 +99,7 @@ def test_strong_lucas_test_accepts_primes_and_its_known_pseudoprimes():
         n
         for n in range(43, n_max, 2)
         if all(n % p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
-        and scalar._is_strong_lucas_probable_prime(n) != (not composite[n])
+        and arith._is_strong_lucas_probable_prime(n) != (not composite[n])
     ]
     assert wrong == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
 
@@ -111,10 +107,10 @@ def test_strong_lucas_test_accepts_primes_and_its_known_pseudoprimes():
 def test_primes_above_the_last_exact_bound_are_read_by_baillie_psw():
     for e in (89, 107, 127, 521, 607):
         # Mersenne primes, and a semiprime and a square of two of them
-        assert scalar._is_prime(2**e - 1)
-        assert not scalar._is_prime((2**e - 1) * (2**61 - 1))
-        assert not scalar._is_prime((2**e - 1) ** 2)
-    assert not scalar._is_prime(2**523 - 1)
+        assert arith._is_prime(2**e - 1)
+        assert not arith._is_prime((2**e - 1) * (2**61 - 1))
+        assert not arith._is_prime((2**e - 1) ** 2)
+    assert not arith._is_prime(2**523 - 1)
 
 
 def test_like_term_collection():
@@ -280,7 +276,7 @@ def test_approx_computes_pi_only_for_a_pi_factor(monkeypatch):
     def no_pi(prec):
         raise AssertionError("pi computed for a value without a pi factor")
 
-    monkeypatch.setattr(scalar, "_pi_decimal", no_pi)
+    monkeypatch.setattr(approx, "_pi_decimal", no_pi)
     assert approx_scalar(Scalar.from_fraction(F(1, 3)), 30) == "0.333333333333333333333333333333"
     value = Scalar.sqrt_int(2) * F(-5, 7) + F(1, 3)
     assert approx_scalar(value, 40) == "-0.6768192112188774158107300411021652942164"
@@ -425,7 +421,7 @@ def test_read_int_refuses_what_int_refuses(text, limit, digit_limit):
 
 
 def test_factorize_names_the_digits_past_the_limit(monkeypatch, digit_limit):
-    monkeypatch.setattr(scalar, "MAX_RHO_STEPS", 0)
+    monkeypatch.setattr(arith, "MAX_RHO_STEPS", 0)
     digit_limit(640)
     # composite, with no factor below 10^4
     with pytest.raises(UnsupportedInputError, match="could not factor a 1601-digit integer"):
