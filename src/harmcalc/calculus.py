@@ -226,9 +226,12 @@ def _graded_parts(p, ctx, about):
     coordinate) the components are those of the expansion of p in powers
     of x - b: substituting x_i -> b_i + t (x_i - b_i) once makes the
     degree-m component the coefficient of t^m, read off by setting t = 1.
+    An `about` of other than one entry per coordinate is a DimensionMismatch.
     """
     if about is None:
         return p.homogeneous_parts(ctx.coords)
+    if len(about) != ctx.dim:
+        raise DimensionMismatch("about needs %d values, got %d" % (ctx.dim, len(about)))
     t = Polynomial.var(_T)
     for v, a in zip(ctx.coords, about):
         b = Polynomial.var(a) if isinstance(a, str) else Polynomial.const(a)
@@ -240,8 +243,9 @@ def homogeneous_part(p, m, ctx, about=None):
     """Degree-m graded component, optionally in the expansion about a point.
 
     With `about` (a list of Fractions or auxiliary variable names, one per
-    coordinate) the degree-m component of p(b + (x-b)) is returned fully
-    expanded in the coordinates and the point symbols.
+    coordinate, else DimensionMismatch) the degree-m component of
+    p(b + (x-b)) is returned fully expanded in the coordinates and the
+    point symbols.  A p that is not a Polynomial is NonPolynomialInput.
     """
     return _graded_parts(require_polynomial(p, "expansion input"), ctx, about).get(m, Polynomial())
 

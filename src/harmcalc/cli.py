@@ -158,7 +158,7 @@ FLAGS = {
         type=region, default="sphere", help="sphere, exterior-sphere, annulus:R,S or quadratic:B;C;D"
     ),
     "rhs": dict(help="prescribed Laplacian"),
-    "multiple": dict(type=multiple, help="norm2 or quadratic:B;C;D (default: none)"),
+    "multiple": dict(type=multiple, default="", help="norm2 or quadratic:B;C;D (default: none)"),
     "boundary": dict(action="store_true", help="confine the second point to the unit sphere"),
     "mirror": dict(type=mirror, default="unit", help="unit, sphere:C;R or hyperplane:B;T"),
     "point": dict(type=rationals, help="comma-separated rational point"),
@@ -369,8 +369,6 @@ def _v_field(args):
 @verb("taylor", 1, "dim! vars degree about")
 def _v_expand(args):
     about = args.about
-    if about and len(about) != args.dim:
-        raise DimensionMismatch("--about needs %d values, got %d" % (args.dim, len(about)))
     ctx = _ctx(args, extra=tuple(t for t in about or () if isinstance(t, str)))
     p = parse_polynomial(args.expr[0], ctx)
     if args.verb == "homogeneous":
@@ -445,10 +443,7 @@ def _v_dirichlet(args):
 @verb("anti-laplacian", 1, "dim! vars multiple")
 def _v_antilap(args):
     e, ctx = _parsed(args)
-    mode = args.multiple or bvp.Plain()
-    if not isinstance(mode, bvp.Plain):
-        e = e.as_polynomial()
-    return bvp.anti_laplacian(e, mode, ctx), ctx
+    return bvp.anti_laplacian(e, args.multiple, ctx), ctx
 
 
 @verb("neumann", 2, "dim! vars region")
@@ -570,51 +565,56 @@ def run_command(argv):
         args = parse_command(argv)
         if args.out:
             raise ParseError("batch: --out works only as a whole command line")
-        return execute(args)
+        return execute(args), 0
     except Exception as exc:
         return _error(exc)
 
 
 def execute(args):
-    """Run a parsed command line; returns (payload, exit_code)."""
+    """Run a parsed command line; returns its payload.
+
+    A failure is raised, not returned: `run_command` and `main` turn it
+    into a payload and exit code through `_error`.  A batch returns its
+    records, each with its line's own exit code.
+    """
     if args.verb == "batch":
-        try:
-            with open(args.file, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            return _error(ParseError("batch: cannot read %s: %s" % (args.file, exc.strerror)))
-        results = []
-        for line, undecodable in _batch_lines(data):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                if undecodable is not None:
-                    raise undecodable
-                argv = _split_line(line)
-                if argv[:1] == ["batch"]:  # the parser takes no option before the verb
-                    raise ValueError("a batch line cannot run batch")
-                payload, code = run_command(argv)
-            except ValueError as exc:  # not UTF-8, an unbalanced quote, or a nested batch
-                payload, code = _error(ParseError("batch: %s" % exc))
-            results.append({"command": line, "exit": code, "result": payload})
-        return results, 0
+        return _run_batch(args.file)
     fn = VERBS[args.verb][0]
     started = time.monotonic()
+    value, ctx = fn(args)
+    if args.timing:
+        # timing goes to stderr so stdout stays byte-identical across runs
+        print("elapsed-ms: %.1f" % (1000.0 * (time.monotonic() - started)), file=sys.stderr)
+    fmt = args.format
+    if isinstance(value, tuple):
+        rendered = [render_value(v, fmt, ctx) for v in value]
+        return rendered if fmt == "json" else "\n".join(str(r) for r in rendered)
+    return render_value(value, fmt, ctx)
+
+
+def _run_batch(path):
+    """The records of a batch file: one per command line, in order."""
     try:
-        value, ctx = fn(args)
-        if args.timing:
-            # timing goes to stderr so stdout stays byte-identical across runs
-            print("elapsed-ms: %.1f" % (1000.0 * (time.monotonic() - started)), file=sys.stderr)
-        fmt = args.format
-        if isinstance(value, tuple):
-            rendered = [render_value(v, fmt, ctx) for v in value]
-            payload = rendered if fmt == "json" else "\n".join(str(r) for r in rendered)
-        else:
-            payload = render_value(value, fmt, ctx)
-    except Exception as exc:
-        return _error(exc)
-    return payload, 0
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError("batch: cannot read %s: %s" % (path, exc.strerror)) from None
+    results = []
+    for line, undecodable in _batch_lines(data):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if undecodable is not None:
+                raise undecodable
+            argv = _split_line(line)
+            if argv[:1] == ["batch"]:  # the parser takes no option before the verb
+                raise ValueError("a batch line cannot run batch")
+            payload, code = run_command(argv)
+        except ValueError as exc:  # not UTF-8, an unbalanced quote, or a nested batch
+            payload, code = _error(ParseError("batch: %s" % exc))
+        results.append({"command": line, "exit": code, "result": payload})
+    return results
 
 
 # a piece of a batch line as shlex.split reads it: a run of blanks, which
@@ -654,18 +654,21 @@ def _batch_lines(data):
 
 
 def main(argv=None):
+    """Run one command line as a process: the payload goes to stdout (or
+    `--out`), a failure to one stderr line; returns the exit code.  --help
+    writes its text through the same writer and raises SystemExit(0)."""
     try:
-        args = parse_command(sys.argv[1:] if argv is None else argv)
-        payload, code = execute(args)
-        if not code:
-            _write(payload, args.out)
-    except HelpRequested as exc:
-        exc.parser.print_help()
-        exc.parser.exit()
+        try:
+            args = parse_command(sys.argv[1:] if argv is None else argv)
+        except HelpRequested as exc:
+            # the writer adds back the newline that ends every help text
+            _write(exc.parser.format_help()[:-1], None)
+            raise SystemExit(0)
+        _write(execute(args), args.out)
+        return 0
     except Exception as exc:
         payload, code = _error(exc)
-    if code:
-        print("%s: %s" % (payload["type"], payload["error"]), file=sys.stderr)
+    print("%s: %s" % (payload["type"], payload["error"]), file=sys.stderr)
     return code
 
 

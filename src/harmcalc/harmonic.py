@@ -356,8 +356,6 @@ def zonal_coefficients(m, n):
 def zonal_harmonic(m, ctx, y_names):
     """Extended zonal harmonic as a polynomial in x and y coordinates."""
     y_names = tuple(y_names)
-    if len(y_names) != ctx.dim:
-        raise ValueError("second vector needs %d coordinates" % ctx.dim)
     dot = dot_poly(ctx.coords, y_names)
     nx = ctx.norm_sq_poly()
     ny = ctx.norm_sq_poly(y_names)

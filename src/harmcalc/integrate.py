@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .poly import Polynomial, _as_poly, poly_sum, quadratic_poly
+from .poly import Polynomial, _as_poly, poly_sum, quadratic_poly, require_polynomial
 from .record import Record
 from .scalar import MAX_LINEAR_DENOMINATOR_BITS, MAX_POWER_BITS, ONE, Scalar
 
@@ -76,6 +76,7 @@ def integrate_sphere(p, ctx):
     Polynomial in the auxiliary variables otherwise.
     """
     n = ctx.dim
+    p = require_polynomial(p, "integrand")
     return _collapse(p.contract(ctx.coords, lambda exps: sphere_monomial_integral(exps, n)))
 
 
@@ -211,7 +212,7 @@ def integrate_ball(p, radial, ctx):
     """Integral of p(x) * radial(||x||) over the unit ball, volume measure."""
     parts = []
     # in ascending degree, for the radial moments' shared Horner sum
-    for m, part in sorted(p.homogeneous_parts(ctx.coords).items()):
+    for m, part in sorted(require_polynomial(p, "integrand").homogeneous_parts(ctx.coords).items()):
         mean = _as_poly(integrate_sphere(part, ctx))
         if not mean.is_zero():
             parts.append(mean.scale(ball_radial_factor(m, radial, ctx.dim)))
@@ -276,10 +277,10 @@ def _even_moment_table(p, e, ctx):
     polynomial, the sphere weight of beta times the rational axis factor
     prod b_i^(-beta_i/2) times the coefficient}; a beta with an odd entry
     has sphere weight 0.  Both ellipsoid integrals come through here, so
-    this is where the quadric must be an ellipsoid.
+    this is where p must be a polynomial and the quadric an ellipsoid.
     """
+    shifted = require_polynomial(p, "integrand")
     e.ellipsoid_poly(ctx)
-    shifted = p
     for v, z in zip(ctx.coords, e.center()):
         if z:
             shifted = shifted.substitute(v, Polynomial.var(v) + Polynomial.const(z))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import DimensionMismatch
 from .expr import Expr
 from .harmonic import fischer_parts
 from .integrate import n_ball_volume
@@ -51,9 +52,12 @@ def half_space_base(ctx, t_names, u_name):
     """(u + y)^2 + ||x - t||^2 over the split coordinates.
 
     ctx.coords is the half-space block (x_1..x_(n-1), y); t, u name the
-    second point.
+    second point.  A t of other than n - 1 names is a DimensionMismatch.
     """
     x_names = ctx.coords[:-1]
+    t_names = tuple(t_names)
+    if len(t_names) != len(x_names):
+        raise DimensionMismatch("t needs %d coordinates, got %d" % (len(x_names), len(t_names)))
     y = ctx.coords[-1]
     uy = Polynomial.var(u_name) + Polynomial.var(y)
     parts = [uy * uy]
@@ -69,9 +73,6 @@ def poisson_kernel_h(ctx, t_names, u_name):
     2 (u + y) ((u + y)^2 + ||x - t||^2)^(-n/2) / (n volume(n)).
     """
     n = ctx.dim
-    t_names = tuple(t_names)
-    if len(t_names) != n - 1:
-        raise ValueError("t needs %d coordinates" % (n - 1))
     y = ctx.coords[-1]
     numer = (Polynomial.var(u_name) + Polynomial.var(y)).scale(2)
     base = half_space_base(ctx, t_names, u_name)
@@ -104,7 +105,7 @@ def bergman_kernel_h(ctx, t_names, u_name):
     """
     n = ctx.dim
     uy = Polynomial.var(u_name) + Polynomial.var(ctx.coords[-1])
-    base = half_space_base(ctx, tuple(t_names), u_name)
+    base = half_space_base(ctx, t_names, u_name)
     # (n - 1)(u + y)^2 - ||x - t||^2 = n (u + y)^2 - base
     numer = ((uy * uy).scale(n) - base).scale(4)
     return _over_n_volume(ctx, numer, base, -(n + 2))

@@ -332,8 +332,6 @@ class _Parser:
             if word == "dot" and self.peek().kind == "(":
                 self.advance()
                 av, bv = self._vectors(",", ")")
-                if len(av) != len(bv):
-                    raise UnsupportedInputError("dot of unequal-length vectors")
                 return "value", Expr.from_poly(self.ctx, dot_poly(av, bv))
             if word in self.ctx.var_rank:
                 return "variable", word

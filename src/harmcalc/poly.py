@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 
-from .errors import NonPolynomialInput, NonRationalValue
+from .errors import DimensionMismatch, NonPolynomialInput, NonRationalValue, UnknownVariable
 from .scalar import Scalar, check_power, power, sig_product
 
 # ---------------------------------------------------------------------------
@@ -503,11 +503,12 @@ class Polynomial:
         return horner(((e, c) for (e,), c in parts), value)
 
     def eval(self, point):
-        """Exact value at a point (dict name -> Fraction/Scalar)."""
+        """Exact value at a point (dict name -> Fraction/Scalar); a variable
+        that the point does not give is an UnknownVariable."""
         p = self
         for v in sorted(self.variables()):
             if v not in point:
-                raise KeyError("no value for variable %s" % v)
+                raise UnknownVariable("no value for variable %s" % v)
             p = p.substitute(v, point[v])
         return p.constant_term()
 
@@ -745,5 +746,8 @@ def quadratic_poly(coeffs, d=0):
 
 
 def dot_poly(a_names, b_names):
-    """The dot product sum a_i*b_i of two blocks of variables."""
+    """The dot product sum a_i*b_i of two blocks of variables; blocks of
+    unequal length are a DimensionMismatch."""
+    if len(a_names) != len(b_names):
+        raise DimensionMismatch("dot of unequal-length vectors")
     return poly_sum([Polynomial.var(a) * Polynomial.var(b) for a, b in zip(a_names, b_names)])

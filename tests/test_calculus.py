@@ -379,6 +379,14 @@ def test_parts_about_a_mixed_point_sum_back():
         assert taylor_poly(p, top, ctx, about) == p
 
 
+@pytest.mark.parametrize("expand", [homogeneous_part, taylor_poly])
+@pytest.mark.parametrize("about", [[F(1)], [F(1), F(2), F(3), F(4)]], ids=["one value", "four values"])
+def test_an_expansion_point_of_the_wrong_length_is_refused(expand, about, ctx3):
+    # a short point must not expand about a point padded from the origin
+    with pytest.raises(DimensionMismatch, match="^about needs 3 values, got %d$" % len(about)):
+        expand(P("x1^2 + x2^2 + x3^2", ctx3), 1, ctx3, about)
+
+
 def test_taylor_truncates(ctx3):
     assert taylor_poly(P("x1^3", ctx3), 2, ctx3, about=[F(0), F(0), F(0)]).is_zero()
     p = P("x1^2*x2 + x3", ctx3)

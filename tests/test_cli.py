@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -1167,6 +1168,30 @@ def test_verb_help_lists_only_its_flags(capsys):
     out = capsys.readouterr().out
     assert "--dim" in out and "--format" in out
     assert "--region" not in out and "--vars" not in out
+
+
+class _FullStdout:
+    """A stdout on a full device: every write fails."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_help_text_that_cannot_be_written_is_a_usage_error(monkeypatch, capsys):
+    # help goes through the one stdout writer, so an unwritten help is not a success
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _FullStdout(sink.fileno()))
+        assert main(["volume", "--help"]) == 2
+    assert capsys.readouterr().err == "ParseError: cannot write stdout: %s\n" % os.strerror(errno.ENOSPC)
 
 
 def test_parse_error_location_is_optional():

@@ -12,11 +12,12 @@ from harmcalc.errors import (
     DimensionMismatch,
     DivergentRadialIntegral,
     EmptyInterior,
+    NonPolynomialInput,
     NonPositiveAxis,
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from harmcalc.expr import Context, make_context
+from harmcalc.expr import Context, Expr, make_context
 from harmcalc import integrate
 from harmcalc.integrate import (
     Quadratic,
@@ -308,6 +309,22 @@ def test_unit_ellipsoid_matches_ball(ctx3):
         a = integrate_ellipsoid_volume(p, Quadratic((1, 1, 1)), ctx3)
         b = integrate_ball(p, RadialFunction.one(), ctx3)
         assert (a - b).is_zero()
+
+
+INTEGRALS = {
+    "sphere": lambda p, ctx: integrate_sphere(p, ctx),
+    "ball": lambda p, ctx: integrate_ball(p, RadialFunction.one(), ctx),
+    "ellipsoid volume": lambda p, ctx: integrate_ellipsoid_volume(p, Quadratic((1, 2, 3)), ctx),
+    "ellipsoid area": lambda p, ctx: integrate_ellipsoid_area(p, Quadratic((1, 2, 3)), ctx),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRALS))
+def test_an_expression_integrand_is_refused(name, ctx3):
+    # an Expr, even one that holds a polynomial, is refused with a typed error (exit 3)
+    e = Expr.from_poly(ctx3, P("x1^2", ctx3))
+    with pytest.raises(NonPolynomialInput, match="^integrand must be a polynomial$"):
+        INTEGRALS[name](e, ctx3)
 
 
 def test_ellipsoid_axes_must_match_dimension(ctx3):

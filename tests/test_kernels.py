@@ -6,8 +6,9 @@ import pytest
 from conftest import P, random_polynomial
 
 from harmcalc.calculus import laplacian_of
+from harmcalc.errors import DimensionMismatch
 from harmcalc.expr import Context, Expr, eval_expr, make_context, reduce_poly_on_sphere
-from harmcalc.harmonic import ball_inner_product, basis_harmonic, zonal_coefficients
+from harmcalc.harmonic import ball_inner_product, basis_harmonic, zonal_coefficients, zonal_harmonic
 from harmcalc.integrate import RadialFunction, integrate_ball, unit_ball_volume
 from harmcalc.kernels import (
     bergman_kernel,
@@ -34,6 +35,23 @@ def test_poisson_kernel_shape():
     base = poisson_base(ctx, y)
     want = Expr.from_poly(ctx, numer) * Expr.base_power(ctx, base, -3)
     assert (k - want).is_zero()
+
+
+SHORT_SECOND_POINT_CALLS = {
+    "poisson_kernel": lambda ctx: poisson_kernel(ctx, ("y1", "y2")),
+    "bergman_kernel": lambda ctx: bergman_kernel(ctx, ("y1", "y2")),
+    "zonal_harmonic": lambda ctx: zonal_harmonic(2, ctx, ("y1", "y2")),
+    "poisson_kernel_h": lambda ctx: poisson_kernel_h(ctx, ("t1",), "u"),
+    "bergman_kernel_h": lambda ctx: bergman_kernel_h(ctx, ("t1",), "u"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_SECOND_POINT_CALLS))
+def test_a_second_point_of_the_wrong_length_is_refused(name):
+    # y1, y2 (or t1) in dimension 3: no kernel of a point padded with zeros
+    ctx = Context(3, extra=("y1", "y2", "t1", "u"))
+    with pytest.raises(DimensionMismatch):
+        SHORT_SECOND_POINT_CALLS[name](ctx)
 
 
 def test_poisson_kernel_at_origin():

@@ -22,7 +22,7 @@ import pytest
 
 import poly_oracle
 
-from harmcalc.errors import NonRationalValue
+from harmcalc.errors import NonRationalValue, UnknownVariable
 from harmcalc.expr import Context, Expr
 from harmcalc.integrate import Quadratic
 from harmcalc.poly import Polynomial, _layout, monomials, order_key, poly_sum, quadratic_poly
@@ -143,6 +143,12 @@ def test_term_maps_match_oracle():
             assert p.substitute(v, value) == poly_oracle.substitute(p, v, value)
             assert p.eval(point) == poly_oracle.evaluate(p, point)
     assert wide > 50
+
+
+def test_eval_without_a_value_for_a_variable_is_refused():
+    p = Polynomial.var("x1") * Polynomial.var("x2")
+    with pytest.raises(UnknownVariable, match="^no value for variable x2$"):
+        p.eval({"x1": F(1)})
 
 
 def test_equal_polynomials_hash_alike_across_layouts():
