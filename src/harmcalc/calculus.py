@@ -18,7 +18,7 @@ quotient G_b = |grad B_b|^2 / B_b, where B_b divides it (4 for the norm,
 4|y|^2 for the Poisson base 1 - 2x.y + |x|^2|y|^2, 4 for |x - c|^2), are
 memoized on the Context, so a term costs a few polynomial products, not a
 product rule per coordinate.  With G_b, a piece c B^(h/2) log(B)^j of F''
-whose B the canonical form would pull out (j > 0 or h < 0) is written
+whose B the canonical form would pull out (`expr.pulls_base`) is written
 c P G_b B^((h+2)/2) log(B)^j, so `Expr._from_raw` has no division by B
 left to do; the other pieces, which keep their power there, keep
 P |grad B_b|^2.  First derivatives use the termwise product rule.
@@ -33,9 +33,10 @@ from .errors import (
     NotHarmonic,
     UnknownVariable,
     UnsupportedDimension,
+    UnsupportedInputError,
     ZeroGradientField,
 )
-from .expr import Expr, context_of, restrict_to_sphere
+from .expr import Expr, context_of, pulls_base, restrict_to_sphere
 from .poly import Polynomial, poly_sum, require_polynomial
 from .scalar import Scalar
 
@@ -68,13 +69,16 @@ def expr_partial(e, var, ctx=None):
 
 
 def partial_d(e, schedule, ctx=None):
-    """Iterated partials; schedule is a list of (variable, multiplicity)."""
+    """Iterated partials; schedule is a list of (variable, multiplicity).
+    A negative multiplicity is an UnsupportedInputError."""
     ctx = context_of(e, ctx)
     out = e
     for item in schedule:
         var, mult = item if isinstance(item, tuple) else (item, 1)
         if var not in ctx.var_rank:
             raise UnknownVariable("cannot differentiate by unknown variable %r" % (var,))
+        if mult < 0:
+            raise UnsupportedInputError("multiplicity must be at least 0, got %d" % mult)
         for _ in range(mult):
             out = expr_partial(out, var, ctx)
     return out
@@ -118,7 +122,7 @@ def _laplacian_raw(ctx, poly, fac):
         quotient = ctx.base_gradient_quotient(b)
         seconds = {}
         for c, h, j in _derivative(firsts[i]):
-            up = quotient is not None and (j > 0 or h < 0)
+            up = quotient is not None and pulls_base(h, j)
             if up not in seconds:
                 seconds[up] = poly * (quotient if up else ctx.base_gradient_dot(b, b))
             raw.append((seconds[up].scale(c), put((i, h + 2 * up, j))))
@@ -138,9 +142,12 @@ def laplacian_of(e, power=1, ctx=None):
     + P sum_b |grad B_b|^2 F_b'' prod_(c != b) F_c
     + 2 P sum_(b < c) (grad B_b . grad B_c) F_b' F_c' prod_(others) F
     (see the module docstring), and each Laplacian canonicalizes the raw
-    terms of all the terms in one `Expr._from_raw`.
+    terms of all the terms in one `Expr._from_raw`.  A negative power is an
+    UnsupportedInputError.
     """
     ctx = context_of(e, ctx)
+    if power < 0:
+        raise UnsupportedInputError("Laplacian power must be at least 0, got %d" % power)
     out = e
     for _ in range(power):
         out = Expr._from_raw(ctx, [t for poly, fac in out.terms for t in _laplacian_raw(ctx, poly, fac)])
@@ -188,9 +195,11 @@ def normal_d_surface(e, q, ctx=None):
     Returns (grad e . grad q)/|grad q| with the squarefree part of
     grad q . grad q kept as a symbolic radical, or as an exact constant
     when grad q . grad q is constant (a plane); the point is not
-    restricted to the surface.
+    restricted to the surface.  A q that is not a Polynomial is
+    NonPolynomialInput.
     """
     ctx = context_of(e, ctx)
+    q = require_polynomial(q, "surface")
     if q.is_constant():
         raise ZeroGradientField("surface polynomial is constant")
     grads = [q.partial(v) for v in ctx.coords]

@@ -21,6 +21,10 @@ powers with no log factor end in the polynomial part: a base outside the
 group's signature starts at most at power 0, so they ride the shifts.  An
 Expr sum is one `Expr._from_raw` call over all the raw terms: canonical
 form is unique, so canonicalizing once gives what a fold of `+` would.
+A base is pulled only from a factor with a log or a negative power
+(`pulls_base`), so a polynomial times terms with no such factor is
+canonical as multiplied: each group's total is only multiplied by the
+polynomial.
 """
 
 from __future__ import annotations
@@ -144,6 +148,13 @@ def make_context(dim, extra_vecs=(), extra=(), coords=None):
 # expressions
 
 
+def pulls_base(half, log_pow):
+    """Whether canonical form pulls a base out of a factor base^(half/2) *
+    log(base)^log_pow where the base divides the polynomial: under a log or
+    a negative power."""
+    return log_pow > 0 or half < 0
+
+
 class Expr:
     """Canonical sum of polynomial-times-base-power terms, bound to a Context."""
 
@@ -253,7 +264,7 @@ class Expr:
                 # L_s B^(s-1): only the lowest level is ever divided.  A base
                 # that does not divide the total does not divide a quotient;
                 # a total of 0 ends as one zero level.
-                while (logs[i] or half[i] < 0) and (len(levels) > 1 or levels[0].blocks):
+                while pulls_base(half[i], logs[i]) and (len(levels) > 1 or levels[0].blocks):
                     q = levels[0].divide_exact(ctx.base_poly(b), ctx.var_rank)
                     if q is None:
                         break
@@ -310,6 +321,11 @@ class Expr:
         other = self._coerce(other)
         context_of(other, self.ctx)
         raw = [(p1 * p2, f1 + f2) for p1, f1 in self.terms for p2, f2 in other.terms]
+        # a polynomial multiple with nothing to pull is canonical as multiplied
+        if (self.is_polynomial() or other.is_polynomial()) and not any(
+            pulls_base(h, j) for _, f in raw for _, h, j in f
+        ):
+            return Expr(self.ctx, tuple(raw))
         return Expr._from_raw(self.ctx, raw)
 
     __rmul__ = __mul__

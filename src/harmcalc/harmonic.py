@@ -340,8 +340,11 @@ def zonal_coefficients(m, n):
     """Coefficients c_k of sum c_k (x.y)^(m-2k) (||x||^2 ||y||^2)^k.
 
     Harmonicity in x forces the ratio recurrence; the overall scale is
-    pinned by sum c_k = dim of the degree-m harmonic space.
+    pinned by sum c_k = dim of the degree-m harmonic space.  For m < 0 that
+    space is {0}, whose kernel is the empty sum.
     """
+    if m < 0:
+        return []
     if n < 2 and m >= 2:
         raise UnsupportedDimension("zonal harmonics of degree >= 2 need dimension >= 2")
     cs = [Fraction(1)]
@@ -354,7 +357,7 @@ def zonal_coefficients(m, n):
 
 
 def zonal_harmonic(m, ctx, y_names):
-    """Extended zonal harmonic as a polynomial in x and y coordinates."""
+    """Extended zonal harmonic as a polynomial in x and y coordinates; 0 for m < 0."""
     y_names = tuple(y_names)
     dot = dot_poly(ctx.coords, y_names)
     nx = ctx.norm_sq_poly()

@@ -28,11 +28,15 @@ An expression is read as raw (Polynomial, factors) terms, the input of
 `Expr._from_raw`, and each sum is canonicalized once, a parenthesised
 sum included.  In a term, numbers at power 1 and variables at
 nonnegative powers fold into one coefficient and one exponent map: one
-monomial per term.  Every other factor is evaluated where it is read,
-under the bounds of the code that makes it: a norm atom's canonical
-form, `Polynomial.__pow__` and `Expr.__pow__` for other powers.  A fault
-is therefore raised at the token where a reader that canonicalized every
-factor would raise it, with the same type and message.
+monomial per term.  Every other factor is evaluated as an Expr where it
+is read, under the bounds of the code that makes it (a norm atom's
+canonical form, `Polynomial.__pow__` and `Expr.__pow__` for other
+powers), and multiplied in with `Expr.__mul__` at its own `*`, which
+alone decides whether the product needs canonicalizing; once the
+coefficient is 0 nothing more is multiplied.  A fault is therefore
+raised at the token where a reader that multiplied every factor as an
+Expr would raise it, with the same type and message.  The term's
+monomial times the product's terms are the raw terms of the sum.
 """
 
 from __future__ import annotations
@@ -105,10 +109,6 @@ def is_name(text):
 
 
 _NEGATIVE_POWERS = "negative powers are supported on norms and rationals only"
-
-
-def _has_bases(pairs):
-    return any(f for _, f in pairs)
 
 
 def _exponent_value(token):
@@ -208,16 +208,12 @@ class _Parser:
 
         Numbers at power 1 and variables at nonnegative powers fold into one
         coefficient and one exponent map, one monomial in the end.  Every
-        other factor is evaluated where it is read and multiplies `rest`,
-        the canonical pairs of the other factors times polynomials.  A
-        product of two sides that both carry base factors is canonicalized
-        there, as the size bound of its canonical form may refuse it.
+        other factor is read as an Expr and multiplied in at its own `*`,
+        where `Expr.__mul__` canonicalizes the product unless it is already
+        canonical; once the coefficient is 0 nothing more is multiplied.
         """
         coeff, exps = Fraction(sign), {}
-        rest = None
-        # whether a nonconstant polynomial went into rest since it was last
-        # canonical: a base may divide it
-        rough = False
+        product = None
         while True:
             t = self.peek()
             kind, payload = self.atom()
@@ -228,62 +224,37 @@ class _Parser:
                 exps[payload] = exps.get(payload, 0) + exp
             else:
                 value = self._factor(kind, payload, exp, t)
-                if rest is None:
-                    rest = value
-                elif _has_bases(rest) and _has_bases(value):
-                    rest = self._times_monomial(coeff, exps, rest, rough)
-                    rest = Expr._from_raw(self.ctx, [(p * q, f + g) for p, f in rest for q, g in value]).terms
-                    coeff, exps, rough = Fraction(1), {}, False
-                else:
-                    rest = [(p * q, f + g) for p, f in rest for q, g in value]
-                if not _has_bases(value) and not all(p.is_constant() for p, _ in value):
-                    rough = True
+                if coeff:
+                    product = value if product is None else product * value
             if self.peek().kind != "*":
-                return self._times_monomial(coeff, exps, rest, rough)
+                break
             self.advance()
-
-    def _times_monomial(self, coeff, exps, rest, rough):
-        """The pairs of the monomial times `rest` (None for 1), canonical
-        where they carry base factors.
-
-        Canonicalization pulls a base out of a pair only under a log or a
-        negative power, and only where the base divides the polynomial.  A
-        norm base of two or more terms is irreducible, so it divides
-        canonical pairs times a monomial only where it divides the pairs:
-        they stay canonical.  A base of one term may divide the monomial,
-        but it never meets the size bound, and a sum of such pairs reaches
-        the canonical form all the same.  Pairs that took in another
-        polynomial are canonicalized.
-        """
         if not coeff:
             return []
         mono = Polynomial.monomial(coeff, exps)
-        if rest is None:
+        if product is None:
             return [(mono, ())]
-        pairs = [(mono * p, f) for p, f in rest]
-        if rough and any(j or h < 0 for _, f in pairs for _, h, j in f):
-            return list(Expr._from_raw(self.ctx, pairs).terms)
-        return pairs
+        return [(mono * p, f) for p, f in product.terms]
 
     def _factor(self, kind, payload, exp, tok):
-        """The canonical pairs of a factor that does not fold into the
-        monomial: a norm power, a variable's negative power, or a value's
-        power (a number's other than 1).  tok is the factor's first token."""
+        """A factor that does not fold into the monomial, as an Expr: a norm
+        power, a variable's negative power, or a value's power (a number's
+        other than 1).  tok is the factor's first token."""
         if kind == "norm":
             names, k = payload
-            return self._norm_power(names, k * exp).terms
+            return self._norm_power(names, k * exp)
         if kind == "variable":
             raise UnsupportedInputError(_NEGATIVE_POWERS)
         if kind == "number":
             payload = Expr.from_poly(self.ctx, Polynomial.const(payload))
         if exp >= 0:
             # Expr.__pow__ bounds a polynomial's power by its result size
-            return payload.terms if exp == 1 else (payload**exp).terms
+            return payload if exp == 1 else payload**exp
         if payload.is_zero():
             raise ParseError("division by zero", tok.line, tok.col)
         if not payload.is_polynomial() or not payload.as_polynomial().is_constant():
             raise UnsupportedInputError(_NEGATIVE_POWERS)
-        return Expr.from_scalar(self.ctx, payload.as_polynomial().constant_term().inverse() ** -exp).terms
+        return Expr.from_scalar(self.ctx, payload.as_polynomial().constant_term().inverse() ** -exp)
 
     def _norm_power(self, names, half, log_pow=0):
         """||v||^half * log(||v||^2)^log_pow for the vector with these names."""

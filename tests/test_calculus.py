@@ -21,7 +21,7 @@ from harmcalc.calculus import (
     taylor_poly,
 )
 from harmcalc.bvp import Plain, anti_laplacian
-from harmcalc.errors import DimensionMismatch, NotHarmonic
+from harmcalc.errors import DimensionMismatch, NonPolynomialInput, NotHarmonic, UnsupportedInputError
 from harmcalc.expr import Context, Expr, eval_expr, restrict_to_sphere, substitute_norm_radius
 from harmcalc.poly import Polynomial, poly_sum
 from harmcalc.render import expr_json, expr_latex, expr_text
@@ -320,6 +320,28 @@ def test_normal_d_surface(ctx3):
     assert got3 == Expr.from_scalar(ctx3, Scalar.sqrt_fraction(F(1, 2)))
     got4 = normal_d_surface(E("x1*x2", ctx3), P("3*x1 - 4*x2 + 7", ctx3), ctx3)
     assert got4 == Expr.from_poly(ctx3, P("3*x2 - 4*x1", ctx3).scale(F(1, 5)))
+
+
+def test_a_surface_that_is_no_polynomial_is_refused(ctx3):
+    e = E("x1*norm(x)", ctx3)
+    with pytest.raises(NonPolynomialInput, match="^surface must be a polynomial$"):
+        normal_d_surface(e, e, ctx3)
+
+
+def test_a_negative_laplacian_power_is_refused(ctx3):
+    e = E("x1^3*norm(x)", ctx3)
+    with pytest.raises(UnsupportedInputError, match="^Laplacian power must be at least 0, got -1$"):
+        laplacian_of(e, -1, ctx3)
+    assert laplacian_of(e, 0, ctx3) == e
+
+
+def test_a_negative_multiplicity_is_refused(ctx3):
+    e = E("x1^3*norm(x)", ctx3)
+    with pytest.raises(UnsupportedInputError, match="^multiplicity must be at least 0, got -1$"):
+        partial_d(e, [("x1", -1)], ctx3)
+    with pytest.raises(UnsupportedInputError, match="^multiplicity must be at least 0, got -2$"):
+        partial_d(e, [("x2", 1), ("x1", -2)], ctx3)
+    assert partial_d(e, [("x1", 0)], ctx3) == e
 
 
 def test_homogeneous_about_point():

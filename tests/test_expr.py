@@ -248,6 +248,45 @@ def test_one_canonicalization_equals_the_fold():
         assert factors == sorted(set(factors))
 
 
+def test_a_polynomial_multiple_has_the_terms_of_its_canonical_form(monkeypatch):
+    """A product with a polynomial side skips `_from_raw` where the other
+    side has no log and no negative power, and its terms are exactly
+    those `_from_raw` gives the raw product."""
+    from harmcalc.kernels import poisson_base
+
+    rng = random.Random(38)
+    ctx = make_context(3, extra_vecs=("y",))
+    base = poisson_base(ctx, ctx.extra)
+    from_raw = Expr._from_raw
+    calls = []
+    monkeypatch.setattr(Expr, "_from_raw", staticmethod(lambda *args: calls.append(args) or from_raw(*args)))
+    paths = {True: 0, False: 0}
+    for i in range(60):
+        e = random_norm_expr(rng, ctx)
+        if i % 3 == 1:
+            e = e * Expr.norm_power(ctx, 0, log_pow=rng.randrange(1, 3))
+        elif i % 3 == 2:
+            e = e * Expr.base_power(ctx, base, rng.randrange(-3, 4))
+        pulls = any(j or h < 0 for _, f in e.terms for _, h, j in f)
+        multiples = (
+            random_polynomial(rng, ctx),
+            Polynomial(),
+            Polynomial.const(F(rng.randrange(-9, 10) or 1, 7)),
+            Polynomial.const(Scalar.sqrt_fraction(F(2))),
+        )
+        for q in (Expr.from_poly(ctx, m) for m in multiples):
+            for a, b in ((e, q), (q, e)):
+                raw = [(p1 * p2, f1 + f2) for p1, f1 in a.terms for p2, f2 in b.terms]
+                before = len(calls)
+                got = a * b
+                canonicalized = len(calls) > before
+                assert canonicalized == (pulls and bool(raw))
+                assert got.terms == from_raw(ctx, raw).terms
+                paths[canonicalized] += bool(raw)
+    # both paths are taken by nonzero products
+    assert min(paths.values()) >= 60, paths
+
+
 def test_grouped_shifts_match_per_member_shifts():
     """`_from_raw` sums the members of one shift before shifting them; it
     must give what shifting every member on its own gives (the oracle)."""

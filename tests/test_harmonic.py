@@ -9,7 +9,7 @@ from conftest import P, random_polynomial, rename_vars
 
 from harmcalc.arith import _LEGENDRE_MIN, binomial
 from harmcalc.calculus import poly_laplacian
-from harmcalc.errors import HarmcalcError, UnsupportedDimension
+from harmcalc.errors import DimensionMismatch, HarmcalcError, UnsupportedDimension
 from harmcalc.expr import Context, make_context, reduce_poly_on_sphere
 from harmcalc import harmonic
 from harmcalc.harmonic import (
@@ -343,6 +343,18 @@ def test_zonal_trivial():
     ctx = make_context(4, extra_vecs=("y",))
     z0 = zonal_harmonic(0, ctx, tuple("y%d" % (i + 1) for i in range(4)))
     assert z0 == Polynomial.const(1)
+
+
+def test_a_negative_zonal_degree_gives_zero():
+    # H_m is {0} for m < 0, so its reproducing kernel is 0
+    for n in (1, 2, 3, 5):
+        ctx = make_context(n, extra_vecs=("y",))
+        y = ctx.extra
+        for m in (-1, -2, -7):
+            assert zonal_coefficients(m, n) == []
+            assert zonal_harmonic(m, ctx, y) == Polynomial()
+        with pytest.raises(DimensionMismatch):
+            zonal_harmonic(-1, ctx, y + ("x1",))
 
 
 def test_zonal_coefficients_n7():
