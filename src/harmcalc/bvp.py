@@ -59,7 +59,7 @@ from .poly import (
     require_polynomial,
 )
 from .record import Record
-from .scalar import MAX_RADIAL_SIZE
+from .scalar import MAX_RADIAL_SIZE, factorial_power_bits
 from .transforms import kelvin
 
 # ---------------------------------------------------------------------------
@@ -130,12 +130,6 @@ def _first_order_solve(p, g):
     return q
 
 
-def _radial_bits(m, a, k, ctx):
-    """About the bits of one coefficient of `_radial_ode_solution(m, a, k, ctx)`:
-    k bits(k) + (k+1) bits(g), g the larger of |a + 2m + n| and |a + 2|."""
-    return k * k.bit_length() + (k + 1) * max(abs(a + 2 * m + ctx.dim), abs(a + 2)).bit_length()
-
-
 def _radial_ode_solution(m, a, k, ctx):
     """L with laplacian of r^(a+2) L(log r^2) q_m = r^a log^k(r^2) q_m, r = ||x||.
 
@@ -200,7 +194,9 @@ def _anti_laplacian_plain(f, ctx):
     # any solve when their terms times coefficient bits would pass the bound
     size = 0
     for g, m, a, k in pieces:
-        bits = _radial_bits(m, a, k, ctx)
+        # one coefficient of `_radial_ode_solution(m, a, k, ctx)` has about
+        # the bits of k! g^(k+1), g the larger of |a + 2m + n| and |a + 2|
+        bits = factorial_power_bits(k, max(abs(a + 2 * m + ctx.dim), abs(a + 2)))
         for den, _, nums in _power_blocks((g,)):
             size += (k + 1) * sum(bits + den.bit_length() + n.bit_length() for n in nums)
     if size > MAX_RADIAL_SIZE:

@@ -34,6 +34,7 @@ from math import comb
 
 from .errors import (
     DimensionMismatch,
+    EmptyInterior,
     NegativeBaseValue,
     UnsupportedBase,
     UnsupportedDimension,
@@ -41,7 +42,7 @@ from .errors import (
     ZeroBaseValue,
 )
 from .poly import Polynomial, _power_blocks, horner, poly_sum, quadratic_poly
-from .scalar import ONE, ZERO, Scalar, _as_fraction, check_power, power
+from .scalar import ONE, ZERO, Scalar, _as_fraction, power
 
 # ---------------------------------------------------------------------------
 # context
@@ -338,13 +339,11 @@ class Expr:
         return self.scale(c.inverse())
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("expression exponent must be a nonnegative integer")
         if self.is_polynomial():
             # one polynomial power, under its bound on the result size
             return Expr.from_poly(self.ctx, self.as_polynomial() ** k)
-        check_power(k, _power_blocks(p for p, _ in self.terms))
-        return power(self, k, None) if k else Expr.from_poly(self.ctx, Polynomial.const(1))
+        one = Expr.from_poly(self.ctx, Polynomial.const(1))
+        return power(self, k, one, _power_blocks(p for p, _ in self.terms))
 
     def _coerce(self, x):
         if isinstance(x, Expr):
@@ -400,7 +399,7 @@ def substitute_norm_radius(e, r, ctx=None):
     ctx = context_of(e, ctx)
     r = _as_fraction(r)
     if r <= 0:
-        raise ValueError("radius must be positive")
+        raise EmptyInterior("radius must be positive")
     nb = ctx.norm_base
     raw = []
     for poly, fac in e.terms:
@@ -411,8 +410,7 @@ def substitute_norm_radius(e, r, ctx=None):
                 keep.append((b, h, j))
                 continue
             # log(normSq) = log r^2, which is ZERO at r = 1
-            check_power(h, ((r.denominator, 1, (r.numerator,)),))
-            coeff = coeff * Scalar.from_fraction(r**h) * Scalar.log_fraction(r * r) ** j
+            coeff = coeff * Scalar.from_fraction(r) ** h * Scalar.log_fraction(r * r) ** j
         raw.append((poly.scale(coeff), tuple(keep)))
     return Expr._from_raw(ctx, raw)
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .poly import Polynomial, _as_poly, poly_sum, quadratic_poly, require_polynomial
 from .record import Record
-from .scalar import MAX_LINEAR_DENOMINATOR_BITS, MAX_POWER_BITS, ONE, Scalar
+from .scalar import MAX_LINEAR_DENOMINATOR_BITS, MAX_POWER_BITS, ONE, Scalar, factorial_power_bits
 
 
 def unit_ball_volume(n):
@@ -139,7 +139,7 @@ def power_log_integral_01(q, k):
     """
     if q <= -1:
         raise DivergentRadialIntegral("r^%d log^%d r diverges on (0,1)" % (q, k))
-    if k * k.bit_length() + (k + 1) * (q + 1).bit_length() > MAX_POWER_BITS:
+    if factorial_power_bits(k, q + 1) > MAX_POWER_BITS:
         raise UnsupportedInputError(
             "the integral of r^%d log^%d r over (0,1) would pass %d bits" % (q, k, MAX_POWER_BITS)
         )

@@ -373,11 +373,8 @@ class Polynomial:
         return _product(self.layout, self.blocks, Polynomial.const(c).blocks)
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
-        if k > 1:
-            check_power(k, _power_blocks((self,)), (self.total_degree(), len(self.variables())))
-        return power(self, k, Polynomial.const(1))
+        shape = self.total_degree(), len(self.variables())
+        return power(self, k, Polynomial.const(1), _power_blocks((self,)), shape)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -719,11 +716,12 @@ def horner(pairs, base):
     for s, p in pairs:
         levels.setdefault(s, []).append(p)
     order = sorted(levels, reverse=True)
-    check_power(order[0], _power_blocks((base,)), (base.total_degree(), len(base.variables())))
+    blocks, shape = tuple(_power_blocks((base,))), (base.total_degree(), len(base.variables()))
+    check_power(order[0], blocks, shape)
     total = poly_sum(levels[order[0]])
     for hi, lo in zip(order, order[1:]):
         # hi > lo, so no base**0 is formed
-        total = poly_sum((total * power(base, hi - lo, None), *levels[lo]))
+        total = poly_sum((total * power(base, hi - lo, None, blocks, shape), *levels[lo]))
     return total
 
 

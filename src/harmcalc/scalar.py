@@ -18,6 +18,7 @@ from . import arith
 from .errors import (
     MultiTermDivision,
     MultiTermSqrt,
+    NegativeBaseValue,
     NegativeRadicand,
     NonRationalSqrt,
     NonRationalValue,
@@ -69,8 +70,10 @@ class Scalar:
 
     @staticmethod
     def pi_power(half):
-        """pi^(half/2), half an integer."""
-        return Scalar(((Fraction(1), 1, int(half), ()),))
+        """pi^(half/2), half an int; any other half is UnsupportedInputError."""
+        if not isinstance(half, int):
+            raise UnsupportedInputError("pi half-exponent must be an integer, got %r" % (half,))
+        return Scalar(((Fraction(1), 1, half, ()),))
 
     @staticmethod
     def sqrt_int(d):
@@ -93,10 +96,8 @@ class Scalar:
     @staticmethod
     def half_power(q, half):
         """q^(half/2) for a rational q: any nonzero q when half is even, q > 0 when it is odd."""
-        q = _as_fraction(q)
         if half % 2 == 0:
-            check_power(half // 2, ((q.denominator, 1, (q.numerator,)),))
-            return Scalar.from_fraction(q ** (half // 2))
+            return Scalar.from_fraction(q) ** (half // 2)
         return Scalar.sqrt_fraction(q) ** half
 
     @staticmethod
@@ -104,7 +105,7 @@ class Scalar:
         """log q for a positive rational, expanded over prime logs."""
         q = _as_fraction(q)
         if q <= 0:
-            raise ValueError("log of nonpositive rational %s" % q)
+            raise NegativeBaseValue("log of nonpositive rational %s" % q)
         raw = []
         for p, e in arith.factorize(q.numerator).items():
             raw.append((Fraction(e), 1, 0, ((p, 1),)))
@@ -204,12 +205,11 @@ class Scalar:
         return self * _coerce(other).inverse()
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("scalar exponent must be an integer")
-        check_power(k, ((c.denominator, r, (c.numerator,)) for c, r, _, _ in self.terms))
-        if k < 0:
-            return power(self.inverse(), -k, ONE)
-        return power(self, k, ONE)
+        # a negative k inverts first; the bound is taken on self at |k|
+        blocks = ((c.denominator, r, (c.numerator,)) for c, r, _, _ in self.terms)
+        if isinstance(k, int) and k < 0:
+            return power(self.inverse(), -k, ONE, blocks)
+        return power(self, k, ONE, blocks)
 
     # -- equality -----------------------------------------------------------
 
@@ -250,19 +250,26 @@ MAX_RADIAL_SIZE = MAX_POWER_SIZE << 4
 MAX_LINEAR_DENOMINATOR_BITS = MAX_POWER_BITS >> 3
 
 
-def check_power(k, blocks, shape=None):
-    """Refuse x**k when its coefficients would pass MAX_POWER_BITS bits.
+def factorial_power_bits(k, g):
+    """About the bits of k! g^(k+1): k bits(k) + (k+1) bits(g)."""
+    return k * k.bit_length() + (k + 1) * g.bit_length()
 
-    `blocks` are (denominator, radicand, numerators) triples covering the
-    terms of x.  Each factor of the power adds about the largest log2
-    height of a term plus log2 of the number of terms.  For a polynomial
-    x, shape = (total degree d, number of variables v), and x**k is also
-    refused when its estimated terms times coefficient bits would pass
-    MAX_POWER_SIZE: t terms (the numerators of all blocks) give at most
-    C(k+t-1, t-1) terms, and degree k*d in v variables holds at most
-    C(k*d+v, v).
+
+def check_power(k, blocks, shape=None):
+    """Refuse x**k, k >= 0, when its coefficients would pass MAX_POWER_BITS bits.
+
+    `power` calls it on every power it computes, and `horner` on the top
+    power of its base.  `blocks` are (denominator, radicand, numerators)
+    triples covering the terms of x; a Scalar's negative power passes
+    those of the Scalar before it is inverted.  Each factor of the power
+    adds about the largest log2 height of a term plus log2 of the number
+    of terms.  For a polynomial x, shape = (total degree d, number of
+    variables v), and x**k is also refused when its estimated terms times
+    coefficient bits would pass MAX_POWER_SIZE: t terms (the numerators
+    of all blocks) give at most C(k+t-1, t-1) terms, and degree k*d in v
+    variables holds at most C(k*d+v, v).
     """
-    if -1 <= k <= 1:
+    if k <= 1:
         return
     count = height = 0
     for den, rad, nums in blocks:
@@ -270,7 +277,7 @@ def check_power(k, blocks, shape=None):
         top = max(max(nums), -min(nums)).bit_length()
         height = max(height, top + den.bit_length() + rad.bit_length() - 3)
     bits = height + (count - 1).bit_length() if count else 0
-    if abs(k) * bits > MAX_POWER_BITS:
+    if k * bits > MAX_POWER_BITS:
         raise UnsupportedInputError(
             "power too large: its coefficients would pass %d bits" % MAX_POWER_BITS
         )
@@ -283,12 +290,18 @@ def check_power(k, blocks, shape=None):
             )
 
 
-def power(x, k, one):
-    """x**k for an integer k >= 0 by square-and-multiply; `one` is x**0.
+def power(x, k, one, blocks, shape=None):
+    """x**k by square-and-multiply: the one exponentiation routine.
 
-    The base is squared only while a higher bit of k remains, so no
-    square is computed and then thrown away.
+    A k that is not an int >= 0 is refused with UnsupportedInputError, and
+    `check_power(k, blocks, shape)` refuses a power past the size bounds
+    before any product; `one` is x**0.  The base is squared only while a
+    higher bit of k remains, so no square is computed and then thrown
+    away.
     """
+    if not isinstance(k, int) or k < 0:
+        raise UnsupportedInputError("exponent must be an integer >= 0, got %r" % (k,))
+    check_power(k, blocks, shape)
     out = None
     while True:
         if k & 1:

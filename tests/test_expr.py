@@ -7,6 +7,7 @@ import poly_oracle
 from conftest import E, P, random_norm_expr, random_polynomial, rational_sphere_point
 
 from harmcalc.errors import (
+    EmptyInterior,
     MultiTermDivision,
     NegativeBaseValue,
     UnsupportedBase,
@@ -25,7 +26,7 @@ from harmcalc.expr import (
 from harmcalc.parser import parse_expression
 from harmcalc.poly import Polynomial, horner, poly_sum
 from harmcalc.render import expr_text
-from harmcalc.scalar import Scalar
+from harmcalc.scalar import MAX_POWER_BITS, Scalar
 from harmcalc.transforms import kelvin
 
 
@@ -75,6 +76,25 @@ def test_substitute_norm_radius(ctx3):
     assert substitute_norm_radius(loge, 1, ctx3).is_zero()
     at2 = substitute_norm_radius(loge, 2, ctx3)
     assert at2 == Expr.from_scalar(ctx3, Scalar.log_fraction(2) * Scalar.from_fraction(2))
+
+
+def test_substitute_norm_radius_bounds_each_power(ctx3):
+    # at r = 2 each factor adds one bit; an even norm power is a polynomial
+    for h in (MAX_POWER_BITS - 1, -(MAX_POWER_BITS - 1)):
+        got = substitute_norm_radius(Expr.norm_power(ctx3, h), 2, ctx3)
+        assert got == Expr.from_scalar(ctx3, Scalar.from_fraction(F(2) ** h))
+    for h in (MAX_POWER_BITS + 1, -(MAX_POWER_BITS + 1)):
+        with pytest.raises(UnsupportedInputError, match="^power too large"):
+            substitute_norm_radius(Expr.norm_power(ctx3, h), 2, ctx3)
+
+
+def test_a_radius_that_is_not_positive_is_refused(ctx3):
+    e = Expr.norm_power(ctx3, 1)
+    for r in (0, -1, F(-1, 2)):
+        with pytest.raises(EmptyInterior, match="^radius must be positive"):
+            substitute_norm_radius(e, r, ctx3)
+        with pytest.raises(EmptyInterior, match="^radius must be positive"):
+            restrict_to_sphere(e, ctx3, r)
 
 
 def test_restrict_to_sphere_basics(ctx3):

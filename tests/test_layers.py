@@ -69,6 +69,18 @@ def test_no_module_imports_a_private_name_of_arith_or_approx():
     assert private == []
 
 
+def test_only_power_and_horner_check_a_power():
+    callers = {
+        (path.stem, fn.name)
+        for path in SOURCE.glob("*.py")
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_power"
+    }
+    assert callers == {("scalar", "power"), ("poly", "horner")}
+
+
 def test_expr_imports_no_module_that_imports_expr():
     graph = _module_imports()
     assert "poly" in graph["expr"]

@@ -22,7 +22,7 @@ import pytest
 
 import poly_oracle
 
-from harmcalc.errors import NonRationalValue, UnknownVariable
+from harmcalc.errors import NonRationalValue, UnknownVariable, UnsupportedInputError
 from harmcalc.expr import Context, Expr
 from harmcalc.integrate import Quadratic
 from harmcalc.poly import Polynomial, _layout, monomials, order_key, poly_sum, quadratic_poly
@@ -380,10 +380,28 @@ def test_one_power_routine():
             acc = acc * x
     r = Scalar.sqrt_int(3) * F(2, 5)
     assert r**-3 == r.inverse() * r.inverse() * r.inverse()
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInputError):
         p**-1
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInputError):
         e**-1
+
+
+@pytest.mark.parametrize(
+    "x, exponents",
+    [
+        (Scalar.sqrt_int(3) * F(2, 5), (1.5, F(2), -1.5)),
+        (Polynomial.var("x1") + 1, (-1, 1.5, F(2))),
+        (Expr.from_poly(CTX, Polynomial.var("x1") + 1), (-1, 1.5, F(2))),
+        (Expr.from_poly(CTX, Polynomial.var("x1") + 1) * Expr.norm_power(CTX, 1), (-1, 1.5, F(2))),
+    ],
+    ids=["scalar", "polynomial", "polynomial expr", "expr"],
+)
+def test_an_exponent_that_is_no_int_at_least_0_is_refused(x, exponents):
+    """`scalar.power` refuses every exponent that is not an int >= 0; a
+    Scalar inverts first at a negative one, so only its non-ints reach it."""
+    for k in exponents:
+        with pytest.raises(UnsupportedInputError, match="^exponent must be an integer >= 0, got "):
+            x**k
 
 
 def test_monomials_match_recursive_order():

@@ -8,6 +8,7 @@ import pytest
 from harmcalc.errors import (
     MultiTermDivision,
     MultiTermSqrt,
+    NegativeBaseValue,
     NegativeRadicand,
     NonRationalValue,
     OddPiExponent,
@@ -193,6 +194,27 @@ def test_power_bound():
     for power in too_large:
         with pytest.raises(UnsupportedInputError, match="^power too large"):
             power()
+
+
+def test_a_negative_scalar_power_inverts():
+    r = Scalar.sqrt_int(3) * F(2, 5)
+    assert r**-2 == r.inverse() * r.inverse()
+    assert Scalar.from_fraction(F(-2, 3)) ** -1 == Scalar.from_fraction(F(-3, 2))
+    with pytest.raises(ZeroDivisionError):
+        ZERO**-1
+
+
+def test_a_pi_half_exponent_that_is_no_int_is_refused():
+    assert Scalar.pi_power(-3) * Scalar.pi_power(3) == ONE
+    for half in (F(1, 2), F(2), 1.0):
+        with pytest.raises(UnsupportedInputError, match="^pi half-exponent must be an integer"):
+            Scalar.pi_power(half)
+
+
+def test_the_log_of_a_nonpositive_rational_is_refused():
+    for q in (0, -2, F(-1, 3)):
+        with pytest.raises(NegativeBaseValue, match="^log of nonpositive rational"):
+            Scalar.log_fraction(q)
 
 
 def test_sqrt_errors():
