@@ -224,28 +224,24 @@ def _weighted_partials(ctx, e, weights):
 # expansions
 
 
-# the expansion parameter of `_graded_parts`; no DSL name contains a space
-_T = " t"
-
-
-def _graded_parts(p, ctx, about):
-    """{m: degree-m graded component of p}, optionally about a point.
+def _graded_parts(p, ctx, about, degrees):
+    """{m: degree-m graded component of p} for m in degrees, optionally
+    about a point.
 
     With `about` (Fractions or auxiliary variable names, one per
     coordinate) the components are those of the expansion of p in powers
-    of x - b: substituting x_i -> b_i + t (x_i - b_i) once makes the
-    degree-m component the coefficient of t^m, read off by setting t = 1.
-    An `about` of other than one entry per coordinate is a DimensionMismatch.
+    of x - b: with T(y) = p(b + y) and T_m its part of degree m, the
+    degree-m component is T_m(x - b) (`Polynomial.parts_about`).  An
+    `about` of other than one entry per coordinate is a DimensionMismatch,
+    and a coordinate among its names an UnsupportedInputError.
     """
     if about is None:
-        return p.homogeneous_parts(ctx.coords)
+        about = (0,) * ctx.dim
     if len(about) != ctx.dim:
         raise DimensionMismatch("about needs %d values, got %d" % (ctx.dim, len(about)))
-    t = Polynomial.var(_T)
-    for v, a in zip(ctx.coords, about):
-        b = Polynomial.var(a) if isinstance(a, str) else Polynomial.const(a)
-        p = p.substitute(v, b + t * (Polynomial.var(v) - b))
-    return {m: part.substitute(_T, 1) for m, part in p.homogeneous_parts([_T]).items()}
+    if set(about) & set(ctx.coords):
+        raise UnsupportedInputError("an expansion point cannot name a coordinate")
+    return p.parts_about(ctx.coords, [Polynomial.var(a) if isinstance(a, str) else a for a in about], degrees)
 
 
 def homogeneous_part(p, m, ctx, about=None):
@@ -256,13 +252,13 @@ def homogeneous_part(p, m, ctx, about=None):
     p(b + (x-b)) is returned fully expanded in the coordinates and the
     point symbols.  A p that is not a Polynomial is NonPolynomialInput.
     """
-    return _graded_parts(require_polynomial(p, "expansion input"), ctx, about).get(m, Polynomial())
+    return _graded_parts(require_polynomial(p, "expansion input"), ctx, about, (m,)).get(m, Polynomial())
 
 
 def taylor_poly(p, m, ctx, about=None):
     """Sum of the homogeneous components of degree at most m."""
-    parts = _graded_parts(require_polynomial(p, "expansion input"), ctx, about)
-    return poly_sum(part for k, part in parts.items() if k <= m)
+    parts = _graded_parts(require_polynomial(p, "expansion input"), ctx, about, range(m + 1))
+    return poly_sum(parts.values())
 
 
 def harmonic_conjugate(u, ctx):

@@ -149,6 +149,15 @@ def make_context(dim, extra_vecs=(), extra=(), coords=None):
 # expressions
 
 
+def _check_factor(half, log_pow):
+    """Refuse a factor base^(half/2) * log(base)^log_pow whose half is no
+    int or whose log_pow is no int >= 0."""
+    if not isinstance(half, int):
+        raise UnsupportedInputError("half exponent must be an integer, got %s" % (half,))
+    if not isinstance(log_pow, int) or log_pow < 0:
+        raise UnsupportedInputError("log power must be an integer >= 0, got %s" % (log_pow,))
+
+
 def pulls_base(half, log_pow):
     """Whether canonical form pulls a base out of a factor base^(half/2) *
     log(base)^log_pow where the base divides the polynomial: under a log or
@@ -183,7 +192,10 @@ class Expr:
     @staticmethod
     def make(ctx, poly, factors):
         """One term with explicit (base_id, half_exp, log_pow) factors."""
-        return Expr._from_raw(ctx, [(poly, tuple(factors))])
+        factors = tuple(factors)
+        for _, half, log_pow in factors:
+            _check_factor(half, log_pow)
+        return Expr._from_raw(ctx, [(poly, factors)])
 
     @staticmethod
     def norm_power(ctx, half, log_pow=0):
@@ -197,6 +209,7 @@ class Expr:
         The registered primitive P satisfies base_poly = c*P; the result is
         c^(half/2) * P^(half/2) * (log c + log P)^log_pow.
         """
+        _check_factor(half, log_pow)
         bid, content = ctx.register_base(base_poly)
         if content < 0 and (half % 2 or log_pow):
             raise NegativeBaseValue("half powers and logs need a positive-content base")

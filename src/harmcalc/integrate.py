@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedInputError,
     UnsupportedRadialClass,
 )
-from .poly import Polynomial, _as_poly, poly_sum, quadratic_poly, require_polynomial
+from .poly import _as_poly, poly_sum, quadratic_poly, require_polynomial
 from .record import Record
 from .scalar import MAX_LINEAR_DENOMINATOR_BITS, MAX_POWER_BITS, ONE, Scalar, factorial_power_bits
 
@@ -282,8 +282,7 @@ def _even_moment_table(p, e, ctx):
     shifted = require_polynomial(p, "integrand")
     e.ellipsoid_poly(ctx)
     for v, z in zip(ctx.coords, e.center()):
-        if z:
-            shifted = shifted.substitute(v, Polynomial.var(v) + Polynomial.const(z))
+        shifted = shifted.translate(v, z)
 
     def weight(beta):
         axis = Fraction(1)

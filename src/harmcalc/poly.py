@@ -28,10 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
-from .errors import DimensionMismatch, NonPolynomialInput, NonRationalValue, UnknownVariable
-from .scalar import Scalar, check_power, power, sig_product
+from .errors import (
+    DimensionMismatch,
+    NonPolynomialInput,
+    NonRationalValue,
+    UnknownVariable,
+    UnsupportedInputError,
+)
+from .scalar import MAX_POWER_SIZE, Scalar, check_power, power, sig_product
 
 # ---------------------------------------------------------------------------
 # monomials, packed into int keys by a Layout
@@ -321,6 +327,13 @@ class Polynomial:
                 bits |= k
         return {v for v, s in self.layout.shift.items() if (bits >> s) & self.layout.mask}
 
+    def degree_in(self, var):
+        """The greatest exponent of var in the terms."""
+        if var not in self.layout.shift:
+            return 0
+        s, mask = self.layout.shift[var], self.layout.mask
+        return max(((k >> s) & mask for _, nums in self.blocks.values() for k in nums), default=0)
+
     def total_degree(self):
         top = max((max(nums) for _, nums in self.blocks.values()), default=0)
         return top >> self.layout.top
@@ -498,6 +511,72 @@ class Polynomial:
         value = _as_poly(value)
         parts = self.coefficients((var,)).items()
         return horner(((e, c) for (e,), c in parts), value)
+
+    def translate(self, var, c):
+        """self with var replaced by var + c, c a rational or a rational times
+        one variable other than var; any other c is an UnsupportedInputError,
+        and so is a binomial (var + c)^top past `check_translation`'s bound.
+
+        One binomial pass on the blocks: with c = (u/w) y (y = 1 for a
+        rational), a term n x^e goes to the sum over i of
+        C(e, i) n u^i w^(top - i) x^(e - i) y^i, over the one denominator
+        w^top of its block, top the block's greatest exponent of x.  The
+        degree does not grow, so the layout only joins y.
+        """
+        c = _as_poly(c)
+        one_term = len(c.packed_keys()) <= 1 and c.total_degree() <= 1
+        if set(c.blocks) - {RATIONAL} or not one_term or var in c.variables():
+            from .render import poly_text
+
+            raise UnsupportedInputError(
+                "%s can be translated by a rational or a rational times one other variable only, not by %s"
+                % (var, poly_text(c))
+            )
+        if not c.blocks or var not in self.layout.shift:
+            return self
+        check_translation([self.degree_in(var)], c)
+        lay = _join(self.layout, c.layout)
+        w, ((ky, u),) = c.blocks[RATIONAL][0], _rekey(c, lay)[RATIONAL][1].items()
+        s, mask, unit = lay.shift[var], lay.mask, lay.unit[var]
+        step = ky - unit  # x^e y^j -> x^(e-1) y^(j+1), or x^(e-1) for a rational c
+        blocks = {}
+        for sig, (den, nums) in _rekey(self, lay).items():
+            top = max((k >> s) & mask for k in nums)
+            lifts = [u**i * w ** (top - i) for i in range(top + 1)]
+            rows, acc = {}, {}
+            get = acc.get
+            for k, n in nums.items():
+                e = (k >> s) & mask
+                row = rows.get(e) or rows.setdefault(e, [comb(e, i) * lifts[i] for i in range(e + 1)])
+                for weight in row:
+                    acc[k] = get(k, 0) + n * weight
+                    k += step
+            _put(blocks, sig, den * w**top, acc)
+        return _new(lay, blocks)
+
+    def parts_about(self, names, point, degrees=None):
+        """{d: T_d(x - b)}: the parts of self in powers of x - b, d in
+        degrees (default every degree).
+
+        T(y) = self(b + y) and T_d is its part of degree d in the variables
+        names; point holds b, one entry per name, each a shift `translate`
+        takes in no variable of names.  self is translated by b, split, and
+        each part kept translated back, no product formed;
+        `check_translation` bounds the parts' binomials together, before
+        any part is translated back in a variable.
+        """
+        shifts = [(v, _as_poly(b)) for v, b in zip(names, point)]
+        p = self
+        for v, b in shifts:
+            p = p.translate(v, b)
+        parts = p.homogeneous_parts(names)
+        if degrees is not None:
+            parts = {d: part for d, part in parts.items() if d in degrees}
+        for v, b in shifts:
+            if b.blocks:
+                check_translation([part.degree_in(v) for part in parts.values()], b)
+                parts = {d: part.translate(v, -b) for d, part in parts.items()}
+        return parts
 
     def eval(self, point):
         """Exact value at a point (dict name -> Fraction/Scalar); a variable
@@ -700,6 +779,17 @@ def poly_sum(ps):
     if total is not None:
         return total.result()
     return lone if lone is not None else Polynomial()
+
+
+def check_translation(tops, c):
+    """Refuse translations by c = (u/w) y that expand binomials (x + c)^top,
+    one per top in tops, when those would pass MAX_POWER_SIZE bits together:
+    (x + c)^top has top + 1 terms of at most top (1 + max(bits(u), bits(w)))
+    bits, C(top, i) < 2^top and a lift u^i w^(top - i) in each."""
+    w, nums = c.blocks[RATIONAL]
+    bits = 1 + max(w.bit_length(), *(abs(n).bit_length() for n in nums.values()))
+    if sum((top + 1) * top for top in tops) * bits > MAX_POWER_SIZE:
+        raise UnsupportedInputError("translation too large: its result would pass %d bits" % MAX_POWER_SIZE)
 
 
 def horner(pairs, base):

@@ -11,15 +11,17 @@ this algebra (Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 4
 and ch. 7).  Hyperplanes are the other mirror kind.
 
 `_invert` writes the reflection over the common denominator
-Q = |x - c|^2, the same for a rational point and for the coordinate map;
-one routine (`_kelvin`) pulls an expression back through it for both
-Kelvin transforms.  The Kelvin transform here is also the one the
-exterior solvers of `bvp` read.
+Q = |x - c|^2, the same for a rational point and for the coordinate map.
+One routine (`_kelvin`) serves both Kelvin transforms and pulls an
+expression back by translation: with T(y) = P(c + y) and T_d its part of
+degree d, P(x*) = sum_d r^(2d) T_d(x - c) Q^(-d), so P is translated to
+the center, split into homogeneous parts and each part translated back,
+with no product of polynomials.  The Kelvin transform here is also the
+one the exterior solvers of `bvp` read.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
     ZeroGradientField,
 )
 from .expr import Expr, context_of
-from .poly import Polynomial
+from .poly import Polynomial, quadratic_poly
 from .record import Record
 from .scalar import Scalar
 
@@ -142,22 +144,23 @@ def phi_map(ctx):
 def _kelvin(e, ctx, sphere):
     """The Kelvin transform (r/|x - c|)^(n-2) e(x*) in the sphere (c, r^2).
 
-    Q = |x - c|^2 is the base.  A factor Q^(h/2) pulls back to
-    r^(2h) Q^(-h/2), and a monomial x^a of degree d to
-    prod N_i^(a_i) Q^(-d), with N the numerators of `_invert`.  In the unit
-    sphere N = x, Q is the norm base and every power of r is 1, so each
-    homogeneous part of degree d keeps its coefficients.  The centers here
-    are integral, so Q is primitive.
+    Q = |x - c|^2 is the base, the norm base if c = 0, and
+    x* = c + r^2 (x - c)/Q.  A factor Q^(h/2) pulls back to
+    r^(2h) Q^(-h/2).  With T(y) = P(c + y) and T_d its part of degree d,
+    P(x*) = sum_d r^(2d) T_d(x - c) Q^(-d), and `Polynomial.parts_about`
+    gives the parts T_d(x - c) with no product, so none is formed before
+    `Expr._from_raw`.  In the unit sphere nothing is translated and every
+    power of r is 1, so each homogeneous part keeps its coefficients.  The
+    centers here are integral, so Q is primitive.
     """
     n = ctx.dim
     center, r2 = sphere
-    if any(center) or r2 != 1:
-        nums, q = _invert([Polynomial.var(v) for v in ctx.coords], sphere)
+    if any(center):
+        q = quadratic_poly(((v, 1, -2 * c) for v, c in zip(ctx.coords, center)), sum(c * c for c in center))
         bid = ctx.register_base(q)[0]
     else:
-        nums, bid = None, ctx.norm_base
+        bid = ctx.norm_base
     front = Scalar.half_power(r2, n - 2)
-    power = functools.cache(lambda i, a: nums[i] ** a)  # each N_i^a once per call
     raw = []
     for poly, fac in e.terms:
         if any(b != bid or j for b, _, j in fac):
@@ -166,18 +169,10 @@ def _kelvin(e, ctx, sphere):
                 "distance to the center c of its sphere, without logs"
             )
         h = fac[0][1] if fac else 0
-        if r2 != 1:
-            poly = poly.scale(front * r2**h)
-        if nums is None:
-            pieces = poly.homogeneous_parts(ctx.coords).items()
-        else:
-            pieces = []
-            for exps, piece in poly.coefficients(ctx.coords).items():
-                for i, a in enumerate(exps):
-                    if a:
-                        piece = piece * power(i, a)
-                pieces.append((sum(exps), piece))
-        raw.extend((piece, ((bid, 2 - n - 2 * d - h, 0),)) for d, piece in pieces)
+        for d, part in poly.parts_about(ctx.coords, center).items():
+            if r2 != 1:
+                part = part.scale(front * r2 ** (h + d))
+            raw.append((part, ((bid, 2 - n - 2 * d - h, 0),)))
     return Expr._from_raw(ctx, raw)
 
 

@@ -22,6 +22,14 @@ Monomial tuples are read here too: `mono_degree`, the recursive
 reference for `transforms.phi_map`, which reads it off the one sphere
 reflection.
 
+`kelvin_by_products` is the earlier pullback of a Kelvin transform in a
+sphere other than the unit sphere: one product of numerator powers per
+monomial, where `transforms._kelvin` translates to the center, splits into
+homogeneous parts and translates back.  `graded_parts_by_parameter` is the
+earlier expansion about a point, through a parameter t and one
+substitution per coordinate, where `calculus._graded_parts` translates the
+same way.
+
 `canonical_terms` is the earlier canonicalization of `Expr._from_raw`:
 every member of a group is shifted on its own to the group's least base
 powers, and each base is divided out of the whole shifted sum, where
@@ -56,6 +64,7 @@ from harmcalc.parser import _Parser
 from harmcalc.poly import Polynomial, dot_poly, poly_sum
 from harmcalc.render import scalar_latex, scalar_text
 from harmcalc.scalar import ZERO, Scalar, _as_fraction, scalar_sqrt
+from harmcalc.transforms import _invert
 
 
 def mono_degree(m):
@@ -433,6 +442,41 @@ def phi_numerators(ctx):
         - poly_sum([Polynomial.var(v, 2) for v in firsts])
     )
     return nums, den
+
+
+def kelvin_by_products(e, ctx, sphere):
+    """The earlier pullback of `transforms._kelvin` through the sphere (c, r^2).
+
+    A factor Q^(h/2), Q = |x - c|^2, goes to r^(2h) Q^(-h/2), and each
+    monomial x^a of degree d to prod N_i^(a_i) Q^(-d), N and Q the
+    numerators and denominator of `transforms._invert`: every numerator
+    power and every product is formed.
+    """
+    n = ctx.dim
+    center, r2 = sphere
+    nums, q = _invert([Polynomial.var(v) for v in ctx.coords], sphere)
+    bid = ctx.register_base(q)[0]
+    front = Scalar.half_power(r2, n - 2)
+    raw = []
+    for poly, fac in e.terms:
+        h = fac[0][1] if fac else 0
+        poly = poly.scale(front * r2**h)
+        for exps, piece in poly.coefficients(ctx.coords).items():
+            for num, a in zip(nums, exps):
+                piece = piece * num**a
+            raw.append((piece, ((bid, 2 - n - 2 * sum(exps) - h, 0),)))
+    return Expr._from_raw(ctx, raw)
+
+
+def graded_parts_by_parameter(p, ctx, about):
+    """The earlier expansion of `calculus._graded_parts` about a point b:
+    x_i -> b_i + t (x_i - b_i) is substituted for every coordinate, and the
+    degree-m part is the coefficient of t^m, read off at t = 1."""
+    t = " t"  # no DSL name contains a space
+    for v, a in zip(ctx.coords, about):
+        b = Polynomial.var(a) if isinstance(a, str) else Polynomial.const(a)
+        p = p.substitute(v, b + Polynomial.var(t) * (Polynomial.var(v) - b))
+    return {m: part.substitute(t, 1) for m, part in p.homogeneous_parts([t]).items()}
 
 
 def shift(ctx, poly, fd, mins):

@@ -7,6 +7,7 @@ import poly_oracle
 from conftest import E, P, random_norm_expr, random_polynomial
 
 from harmcalc.calculus import (
+    _graded_parts,
     _partial_raw,
     divergence_of,
     expr_partial,
@@ -505,3 +506,27 @@ def test_taylor_is_sum_of_homogeneous_parts():
         for k in range(m + 1):
             total = total + homogeneous_part(p, k, ctx, about)
         assert total == taylor_poly(p, m, ctx, about)
+
+
+def test_parts_about_a_point_are_the_parameter_expansion():
+    # rational, symbolic and mixed points, data with point symbols in it
+    ctx = Context(4, extra=("b1", "b2"))
+    rng = random.Random(40)
+    points = (
+        [F(1, 2), F(-2), F(5, 3), F(0)],
+        ["b1", "b2", F(0), F(3)],
+        ["b2", F(-1, 4), "b1", "b1"],
+    )
+    for about in points:
+        for _ in range(4):
+            p = random_polynomial(rng, ctx, max_degree=6, terms=6)
+            p = p + Polynomial.var("b1") * random_polynomial(rng, ctx, max_degree=3, terms=3)
+            want = poly_oracle.graded_parts_by_parameter(p, ctx, about)
+            got = _graded_parts(p, ctx, about, None)
+            assert {m: q for m, q in got.items() if q.blocks} == {m: q for m, q in want.items() if q.blocks}
+
+
+@pytest.mark.parametrize("about", [["x1", F(0), F(0)], [F(1), "x1", F(2)]])
+def test_an_expansion_point_that_names_a_coordinate_is_refused(about, ctx3):
+    with pytest.raises(UnsupportedInputError, match="^an expansion point cannot name a coordinate$"):
+        taylor_poly(P("x1^2*x2", ctx3), 2, ctx3, about)

@@ -189,6 +189,29 @@ def test_negative_base_under_a_root_or_log():
     assert eval_expr(root, {"x1": F(2), "x2": F(0), "x3": F(0)}) == Scalar.from_fraction(2)
 
 
+@pytest.mark.parametrize(
+    "half, log_pow, message",
+    [
+        (1, -1, "log power must be an integer >= 0, got -1"),
+        (1, 1.5, "log power must be an integer >= 0, got 1.5"),
+        (1, F(1), "log power must be an integer >= 0, got 1"),
+        (F(1, 2), 0, "half exponent must be an integer, got 1/2"),
+        (1.0, 0, "half exponent must be an integer, got 1.0"),
+    ],
+)
+def test_a_factor_exponent_that_is_no_int_is_refused(half, log_pow, message):
+    # where the factor is read: norm_power, make and base_power
+    ctx = Context(3)
+    calls = (
+        lambda: Expr.norm_power(ctx, half, log_pow),
+        lambda: Expr.make(ctx, P("x1", ctx), [(ctx.norm_base, 2, 0), (ctx.norm_base, half, log_pow)]),
+        lambda: Expr.base_power(ctx, P("x1^2 + 1", ctx), half, log_pow),
+    )
+    for call in calls:
+        with pytest.raises(UnsupportedInputError, match="^%s$" % message):
+            call()
+
+
 def test_reduce_poly_on_sphere_radius():
     ctx = Context(5)
     p = ctx.norm_sq_poly()

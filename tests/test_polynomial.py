@@ -7,8 +7,9 @@ polynomial that `poly_oracle` computes one pair of terms at a time, or,
 for division, both must report that the division is not exact.  `scale`,
 negation, `partial`, `integrate`, `laplacian`, `gradient_dot`,
 `substitute` and `eval` must agree with the oracle's loops over the
-terms, and equal results must hash alike.  `monomials` must list the
-keys of the oracle's recursive enumeration in the same order.
+terms, `translate` with `substitute`, and equal results must hash alike.
+`monomials` must list the keys of the oracle's recursive enumeration in
+the same order.
 Rendering must print the oracle's text and LaTeX, the `terms` view sorted
 in graded-lex order, and the oracle's `coefficient` lookup on the blocks
 must read the oracle's terms.
@@ -17,6 +18,7 @@ must read the oracle's terms.
 import random
 import sys
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -149,6 +151,64 @@ def test_eval_without_a_value_for_a_variable_is_refused():
     p = Polynomial.var("x1") * Polynomial.var("x2")
     with pytest.raises(UnknownVariable, match="^no value for variable x2$"):
         p.eval({"x1": F(1)})
+
+
+def test_translate_is_substitute_of_var_plus_c():
+    rng = random.Random(1931)
+    shifts = [F(0), F(1), F(-3), F(5, 4), F(-7, 6)]
+    for name in NAMES:
+        shifts += [Polynomial.var(name), -Polynomial.var(name), Polynomial.var(name).scale(F(-2, 9))]
+    polys = [Polynomial(), Polynomial.const(F(-5, 3)), Polynomial.const(COEFFS[-1])]
+    polys += [_poly(rng, rng.randrange(1, 7), rational=rng.random() < 0.3) for _ in range(150)]
+    for p in polys:
+        # "z" is in no polynomial here, and a constant has no variable at all
+        for v in rng.sample(NAMES, 2) + ["z"]:
+            other = [c for c in shifts if not isinstance(c, Polynomial) or v not in c.variables()]
+            for c in rng.sample(other, 3):
+                got = p.translate(v, c)
+                want = p.substitute(v, Polynomial.var(v) + c)
+                assert got == want and hash(got) == hash(want), (p, v, c)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        Polynomial.var("y1") + 1,
+        Polynomial.var("y1") - Polynomial.var("t"),
+        Polynomial.var("y1", 2),
+        Polynomial.var("y1") * Polynomial.var("t"),
+        Polynomial.var("x1").scale(F(1, 2)),
+        Polynomial.const(Scalar.sqrt_int(2)),
+    ],
+)
+def test_translate_refuses_what_it_cannot_shift_by(c):
+    p = Polynomial.var("x1", 3) + Polynomial.var("y1")
+    with pytest.raises(UnsupportedInputError, match="^x1 can be translated by a rational or a rational times"):
+        p.translate("x1", c)
+
+
+def test_translate_bounds_its_binomial():
+    # (x1 + 1)^E has E + 1 terms of at most 2E bits: E (E + 1) 2 <= 2^22
+    assert Polynomial.var("x1", 1447).translate("x1", 1).total_degree() == 1447
+    with pytest.raises(UnsupportedInputError, match="^translation too large: its result would pass 4194304 bits$"):
+        Polynomial.var("x1", 1448).translate("x1", 1)
+
+
+def test_parts_about_bounds_the_parts_together():
+    # x1^E about -1 has the parts C(E, d) x1^d, each translated back by 1:
+    # the binomials (x1 + 1)^d pass 2^22 bits together from E = 184 on,
+    # though each alone is far inside the bound
+    for top in (183, 184):
+        p = Polynomial.var("x1", top) + Polynomial.var("y1")
+        if top == 183:
+            parts = p.parts_about(["x1"], [F(-1)])
+            assert sorted(parts) == list(range(top + 1)) and poly_sum(parts.values()) == p
+            continue
+        with pytest.raises(UnsupportedInputError, match="^translation too large"):
+            p.parts_about(["x1"], [F(-1)])
+    # only the parts asked for are translated back: C(184, d) (-1)^(184-d) (x1 + 1)^d
+    want = {d: (Polynomial.var("x1") + 1) ** d * (comb(184, d) * (-1) ** d) for d in range(3)}
+    assert Polynomial.var("x1", 184).parts_about(["x1"], [F(-1)], range(3)) == want
 
 
 def test_equal_polynomials_hash_alike_across_layouts():

@@ -16,6 +16,8 @@ from harmcalc.transforms import (
     HyperplaneMirror,
     SphereMirror,
     UnitSphere,
+    _kelvin,
+    _south_pole,
     kelvin,
     kelvin_h,
     phi_map,
@@ -278,3 +280,68 @@ def test_sphere_mirror_needs_positive_radius(radius):
         reflect_point((1, 0), SphereMirror((0, 0), radius))
     with pytest.raises(EmptyInterior):
         reflect_map(SphereMirror((0, 0), radius), Context(2))
+
+
+def _sphere_data(rng, ctx, degree):
+    """A random rational polynomial in the coordinates and the second vector."""
+    names = ctx.coords + ctx.extra
+    terms = []
+    for _ in range(4):
+        mono = {}
+        for _ in range(rng.randrange(degree + 1)):
+            v = rng.choice(names)
+            mono[v] = mono.get(v, 0) + 1
+        terms.append((tuple(sorted(mono.items())), F(rng.randrange(-6, 7), rng.randrange(1, 4))))
+    return Polynomial.from_raw(terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kelvin_in_any_sphere_is_the_pullback_by_products(n):
+    # the south-pole sphere and spheres with other integral centers, on
+    # sums of polynomials in x and y times powers Q^(h/2) of their base
+    rng = random.Random(40 + n)
+    ctx = make_context(n, extra_vecs=("y",))
+    spheres = [_south_pole(n)]
+    for r2 in (F(1), F(3), F(9, 4)):
+        spheres.append((tuple(F(rng.randrange(-2, 3)) for _ in range(n)), r2))
+    for sphere in spheres:
+        center, _ = sphere
+        q = poly_sum((Polynomial.var(v) - c) ** 2 for v, c in zip(ctx.coords, center))
+        bid = ctx.register_base(q)[0]
+        for _ in range(3):
+            e = Expr.zero(ctx)
+            for _ in range(2):
+                p = _sphere_data(rng, ctx, 4 if n < 5 else 3)
+                e = e + Expr.make(ctx, p, [(bid, rng.randrange(-4, 4), 0)])
+            assert _kelvin(e, ctx, sphere) == poly_oracle.kelvin_by_products(e, ctx, sphere)
+
+
+def test_the_pullback_forms_no_product_before_canonical_form(monkeypatch):
+    # translations and homogeneous parts only: every Polynomial product of
+    # a Kelvin transform is formed by `Expr._from_raw`
+    ctx = make_context(3, extra_vecs=("y",))
+    sphere = ((F(2), F(-1), F(1)), F(5))
+    q = poly_sum((Polynomial.var(v) - c) ** 2 for v, c in zip(ctx.coords, sphere[0]))
+    u = E("x1^3*x2*y1 - 2*x3^2*y2^2 + 5*x1*x3 - 7/3", ctx, vectors={"y": ("y1", "y2", "y3")})
+    v = Expr.make(ctx, u.as_polynomial(), [(ctx.register_base(q)[0], -3, 0)])
+    products, inside = [], []
+    mul, from_raw = Polynomial.__mul__, Expr._from_raw
+
+    def counted_mul(a, b):
+        if not inside:
+            products.append((a, b))
+        return mul(a, b)
+
+    def marked_from_raw(ctx, raw):
+        inside.append(1)
+        try:
+            return from_raw(ctx, raw)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Expr, "_from_raw", staticmethod(marked_from_raw))
+    for e, s in ((u, _south_pole(3)), (u, sphere), (v, sphere)):
+        _kelvin(e, ctx, s)
+    kelvin_h(kelvin_h(u, ctx), ctx)
+    assert products == []
