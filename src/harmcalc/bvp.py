@@ -7,9 +7,11 @@ generalized), the exterior Neumann problem, and the clamped-plate style
 biharmonic Dirichlet problem.
 
 Every solver here that splits its data reads the Fischer pieces
-p = sum ||x||^(2j) h_(m,j) of `harmonic.fischer_parts` (by degree m
-through `harmonic_parts_by_degree`); the polynomial anti-Laplacian is
-`harmonic.first_coordinate_series` of the twice x1-integrated data.
+p = sum ||x||^(2j) h_(m,j) through `harmonic.fischer_sums`: the ball
+Dirichlet solution as their one sum, the others by degree m
+(`harmonic_parts_by_degree`) or piece by piece (`fischer_parts`); the
+polynomial anti-Laplacian is `harmonic.first_coordinate_series` of the
+twice x1-integrated data.
 
 One quadric type, `integrate.Quadratic(b, c, d)` for b.x^2 + c.x + d,
 serves as the Dirichlet region (any signs whose surface q = 0 has more
@@ -46,7 +48,7 @@ from .errors import (
     UnsupportedRadialClass,
 )
 from .expr import Expr, context_of
-from .harmonic import first_coordinate_series, fischer_parts, harmonic_parts_by_degree
+from .harmonic import first_coordinate_series, fischer_parts, fischer_sums, harmonic_parts_by_degree
 from .integrate import Quadratic
 from .linalg import solve_ansatz
 from .poly import (
@@ -179,7 +181,7 @@ def anti_laplacian(f, mode, ctx):
         return Expr.from_poly(ctx, _anti_laplacian_norm_multiple(poly, ctx))
     if isinstance(mode, Quadratic):
         return Expr.from_poly(ctx, _anti_laplacian_quadratic_multiple(poly, mode, ctx))
-    raise TypeError("unknown anti-Laplacian mode %r" % (mode,))
+    raise UnsupportedInputError("unknown anti-Laplacian mode %r" % (mode,))
 
 
 def _anti_laplacian_plain(f, ctx):
@@ -265,13 +267,13 @@ def dirichlet(p, region=Sphere(), ctx=None, rhs=None):
         return _dirichlet_annulus(pair[0], pair[1], region, ctx)
     if isinstance(region, Quadratic):
         return _dirichlet_quadratic(p, region, ctx)
-    raise TypeError("unknown region %r" % (region,))
+    raise UnsupportedInputError("unknown region %r" % (region,))
 
 
 def _dirichlet_sphere(p, ctx):
+    # every piece ||x||^(2j) h_(m,j) is h_(m,j) on the sphere: one sum of them all
     require_polynomial(p, "boundary data")
-    parts = harmonic_parts_by_degree(p, ctx)
-    return Expr.from_poly(ctx, poly_sum(parts.values()))
+    return Expr.from_poly(ctx, fischer_sums(p, ctx, lambda m, j: 0).get(0, Polynomial()))
 
 
 def _dirichlet_exterior(p, ctx):

@@ -251,7 +251,7 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="verb", required=True)
     for name in names:
-        _add_arguments(sub.add_parser(name), name)
+        _add_arguments(sub.add_parser(name, prog="harmcalc " + name), name)
     return ap
 
 

@@ -5,8 +5,18 @@ with harmonic h_(m,j) homogeneous of degree m, the first-coordinate
 (Cauchy-Kovalevskaya) series behind anti-Laplacians and harmonic
 extensions, deterministic bases of the homogeneous harmonic spaces
 (optionally orthonormalized under the sphere, ball or weighted-ball inner
-product), and extended zonal harmonics.  The solvers and the Bergman
-projection read the decomposition through `fischer_parts`.
+product), and extended zonal harmonics.
+
+The decomposition is taken in closed form (Axler, Bourdon and Ramey,
+Harmonic Function Theory, ch. 5): on a homogeneous part p_k with the
+Laplacian ladder L_t = Laplacian^t p_k, the piece of degree m = k - 2j is
+h_(m,j) = pi(L_j)/gamma_j, where gamma_j = prod_(i=1..j) 2i(2m + n + 2i - 2)
+is what Laplacian^j does to ||x||^(2j) h_m, and pi(q) = sum_i c_i ||x||^(2i)
+Laplacian^i q, c_0 = 1 and c_i/c_(i-1) = -1/(2i(2m + n - 2 - 2i)), is the
+harmonic projection of degree m.  `fischer_sums` groups the pieces by a
+label and sums them with a weight, one `horner` in ||x||^2 per label; the
+pieces themselves, the sums by norm exponent and by degree, the ball
+Dirichlet solution and the Bergman projection are each one call.
 
 The series is taken in closed form: for s = sum_a x1^a q_a(x') it is
 sum_a sum_k (-1)^k a!/(a+2k)! x1^(a+2k) D'^k q_a, D' the Laplacian in
@@ -66,22 +76,38 @@ def dim_harmonic(m, n):
     return (2 * m + n - 2) * binomial(m + n - 3, m - 1) // m
 
 
-def _decompose_homogeneous(p, k, ctx):
-    """dict j -> harmonic part of p = sum_j ||x||^(2j) h_(k-2j), p nonzero."""
-    if k <= 1:
-        return {0: p}
-    lap = poly_laplacian(p, ctx)
-    if lap.is_zero():
-        return {0: p}
-    sub = _decompose_homogeneous(lap, k - 2, ctx)
+def fischer_sums(p, ctx, label, weight=None):
+    """{label(m, j): sum of weight(m, j) h_(m,j)} over the Fischer pieces
+    p = sum ||x||^(2j) h_(m,j), in label order; weight is 1 when None, and
+    zero sums are dropped.
+
+    For a homogeneous part p_k, h_(k-2j) = pi(L_j)/gamma_j on the ladder
+    L_t = Laplacian^t p_k, with pi(q) = sum_i c_i ||x||^(2i) Laplacian^i q
+    on degree m = k - 2j: one ladder per part, one `horner` per label.
+    """
+    parts = require_polynomial(p, "harmonic decomposition input").homogeneous_parts(ctx.coords)
     n = ctx.dim
-    out = {}
-    for i, g in sub.items():
-        j = i + 1
-        # Laplacian of ||x||^(2j) h_m is 2j(2m + n + 2j - 2) ||x||^(2j-2) h_m
-        out[j] = g.scale(Fraction(1, 2 * j * (2 * k - 2 * j + n - 2)))
-    out[0] = p - horner(out.items(), ctx.base_poly(ctx.norm_base))
-    return {j: h for j, h in out.items() if not h.is_zero()}
+    groups = {}
+    for k, part in parts.items():
+        levels = [part]
+        for _ in range(k // 2):
+            lap = poly_laplacian(levels[-1], ctx)
+            if lap.is_zero():
+                break
+            levels.append(lap)
+        for j in range(len(levels)):
+            m = k - 2 * j
+            gamma = prod(2 * i * (2 * m + n + 2 * i - 2) for i in range(1, j + 1))
+            c = Fraction(1 if weight is None else weight(m, j), gamma)
+            pairs = groups.setdefault(label(m, j), [])
+            for i, level in enumerate(levels[j:]):
+                if i:
+                    # c_i/c_(i-1); L_(j+i) has degree m - 2i >= 0, so 2m + n - 2 - 2i > 0
+                    c /= -2 * i * (2 * m + n - 2 - 2 * i)
+                pairs.append((i, level.scale(c)))
+    base = ctx.base_poly(ctx.norm_base)
+    sums = ((key, horner(pairs, base)) for key, pairs in sorted(groups.items()))
+    return {key: h for key, h in sums if not h.is_zero()}
 
 
 def fischer_parts(p, ctx):
@@ -91,21 +117,7 @@ def fischer_parts(p, ctx):
     unique (Axler, Bourdon and Ramey, Harmonic Function Theory, ch. 5);
     zero pieces are dropped.
     """
-    parts = require_polynomial(p, "harmonic decomposition input").homogeneous_parts(ctx.coords)
-    return {
-        (k - 2 * j, j): h
-        for k, part in parts.items()
-        for j, h in _decompose_homogeneous(part, k, ctx).items()
-    }
-
-
-def _sum_by(pairs):
-    """{key: sum of the polynomials paired with it} in key order, zero sums dropped."""
-    groups = {}
-    for key, h in pairs:
-        groups.setdefault(key, []).append(h)
-    sums = ((key, poly_sum(hs)) for key, hs in sorted(groups.items()))
-    return {key: h for key, h in sums if not h.is_zero()}
+    return fischer_sums(p, ctx, lambda m, j: (m, j))
 
 
 def harmonic_decompose(p, ctx):
@@ -114,8 +126,7 @@ def harmonic_decompose(p, ctx):
     The weighted sum of the pairs reconstructs p; exponents are strictly
     increasing and zero parts are dropped.
     """
-    sums = _sum_by((2 * j, h) for (_, j), h in fischer_parts(p, ctx).items())
-    return [(h, e) for e, h in sums.items()]
+    return [(h, e) for e, h in fischer_sums(p, ctx, lambda m, j: 2 * j).items()]
 
 
 def harmonic_parts_by_degree(p, ctx, radius=1):
@@ -125,8 +136,7 @@ def harmonic_parts_by_degree(p, ctx, radius=1):
     joins the degree-m part with that weight (1 on the unit sphere).
     """
     r2 = Fraction(radius) ** 2
-    pieces = fischer_parts(p, ctx).items()
-    return _sum_by((m, h.scale(r2**j)) for (m, j), h in pieces)
+    return fischer_sums(p, ctx, lambda m, j: m, lambda m, j: r2**j)
 
 
 def _ladder(q, lay, names):

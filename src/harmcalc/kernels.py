@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .expr import Expr
-from .harmonic import fischer_parts
+from .harmonic import fischer_sums
 from .integrate import n_ball_volume
 from .poly import Polynomial, dot_poly, poly_sum, require_polynomial
 
@@ -116,11 +116,10 @@ def bergman_projection(u, ctx):
 
     A decomposition piece ||x||^(2j) h with h harmonic homogeneous of
     degree m sits inside the degree k = m + 2j component; expanding it in
-    any orthonormal harmonic basis leaves (n + 2m)/(n + m + k) h.
+    any orthonormal harmonic basis leaves (n + 2m)/(n + m + k) h, so the
+    projection is one weighted sum of the pieces.
     """
     require_polynomial(u, "Bergman projection input")
     n = ctx.dim
-    return poly_sum(
-        h.scale(Fraction(n + 2 * m, n + 2 * m + 2 * j))
-        for (m, j), h in fischer_parts(u, ctx).items()
-    )
+    sums = fischer_sums(u, ctx, lambda m, j: 0, lambda m, j: Fraction(n + 2 * m, n + 2 * m + 2 * j))
+    return sums.get(0, Polynomial())

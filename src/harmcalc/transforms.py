@@ -30,6 +30,7 @@ from .errors import (
     EmptyInterior,
     UnsupportedBase,
     UnsupportedDimension,
+    UnsupportedInputError,
     ZeroGradientField,
 )
 from .expr import Expr, context_of
@@ -78,7 +79,7 @@ def _sphere(mirror, n):
         return (Fraction(0),) * n, Fraction(1)
     if isinstance(mirror, SphereMirror):
         return _mirror_vector(mirror.center, n), Fraction(mirror.radius) ** 2
-    raise TypeError("unknown mirror %r" % (mirror,))
+    raise UnsupportedInputError("unknown mirror %r" % (mirror,))
 
 
 def _south_pole(n):

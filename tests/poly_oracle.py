@@ -35,6 +35,12 @@ every member of a group is shifted on its own to the group's least base
 powers, and each base is divided out of the whole shifted sum, where
 `Expr._from_raw` divides only the lowest level of the sum.
 
+`fischer_parts_by_recursion` is the earlier Fischer decomposition: the
+pieces of the Laplacian of each homogeneous part, found recursively,
+lifted by ||x||^2 and divided by the factor the Laplacian brings, and the
+harmonic piece as the remainder, where `harmonic.fischer_sums` reads
+every piece off one Laplacian ladder in closed form.
+
 `radial_ode_solution` is the earlier radial solve of the anti-Laplacian:
 two symbolic antiderivative passes in t = ||x|| and every pair of their
 terms, where `bvp._radial_ode_solution` solves two first-order equations
@@ -361,6 +367,27 @@ def fischer(pt, qt):
         (prod(factorial(e) for _, e in m) * a.as_fraction() * b.as_fraction() for m, a, b in pairs),
         Fraction(0),
     )
+
+
+def fischer_parts_by_recursion(p, ctx):
+    """{(m, j): h_(m,j)} with p = sum ||x||^(2j) h_(m,j), zero pieces dropped."""
+    n2 = ctx.norm_sq_poly()
+
+    def pieces(q, k):
+        # dict j -> h_(k-2j) of q homogeneous of degree k, q nonzero
+        lap = q.laplacian(ctx.coords)
+        if k <= 1 or lap.is_zero():
+            return {0: q}
+        # Laplacian of ||x||^(2j) h_m is 2j(2m + n + 2j - 2) ||x||^(2j-2) h_m
+        out = {
+            i + 1: g.scale(Fraction(1, 2 * (i + 1) * (2 * k - 2 * (i + 1) + ctx.dim - 2)))
+            for i, g in pieces(lap, k - 2).items()
+        }
+        out[0] = q - total([n2**j * h for j, h in out.items()])
+        return {j: h for j, h in out.items() if not h.is_zero()}
+
+    parts = p.homogeneous_parts(ctx.coords)
+    return {(k - 2 * j, j): h for k, q in parts.items() for j, h in pieces(q, k).items()}
 
 
 def first_coordinate_series(s, ctx):

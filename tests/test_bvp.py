@@ -439,6 +439,16 @@ def test_anti_laplacian_zero_quadric_multiple_is_typed():
         anti_laplacian(P("x2", ctx), Quadratic((0, 0), (0, 0), 0), ctx)
 
 
+def test_an_unknown_region_is_typed(ctx3):
+    with pytest.raises(UnsupportedInputError, match="^unknown region 'torus'$"):
+        dirichlet(P("x1", ctx3), "torus", ctx3)
+
+
+def test_an_unknown_anti_laplacian_mode_is_typed(ctx3):
+    with pytest.raises(UnsupportedInputError, match="^unknown anti-Laplacian mode 'torus'$"):
+        anti_laplacian(P("x1", ctx3), "torus", ctx3)
+
+
 def test_anti_laplacian_uniqueness_multiple_modes(ctx3):
     # the multiple-mode systems are uniquely solvable: the norm-multiple
     # route is a diagonal rescale and the quadratic route's kernel is empty

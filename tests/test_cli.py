@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import itertools
@@ -1218,6 +1219,19 @@ def test_help_text_is_pinned(line, monkeypatch, capsys):
         main(shlex.split(line))
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.split("\n") == GOLDENS["help"][line]
+
+
+def test_the_whole_tree_holds_each_verbs_own_parser(monkeypatch, capsys):
+    # a line that starts with an option goes to the whole tree: its verb
+    # subparsers report, and print help, as the verb's own parser does
+    monkeypatch.setenv("COLUMNS", "80")
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        assert (sub.prog, sub.format_help()) == (cli.verb_parser(name).prog, cli.verb_parser(name).format_help())
+    with pytest.raises(SystemExit) as exit_info:
+        main(shlex.split("--x volume --dim 3 --help"))
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.split("\n") == GOLDENS["help"]["volume --help"]
 
 
 @pytest.mark.parametrize("line", sorted(GOLDENS["errors"]))

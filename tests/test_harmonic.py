@@ -108,6 +108,57 @@ def test_decompose_reconstruction_random():
                 assert list(h.homogeneous_parts(ctx.coords)) == [m]
 
 
+# coefficients the oracle test draws from: rationals, sqrt(2), pi, log 6
+ORACLE_COEFFS = (
+    Scalar.from_fraction(F(-5, 3)),
+    Scalar.from_fraction(7),
+    Scalar.sqrt_int(2) * F(3, 2),
+    Scalar.pi_power(2),
+    Scalar.log_fraction(6) - Scalar.from_fraction(1),
+)
+
+
+def _oracle_data(rng, ctx, degree):
+    """A sum of a few random monomials of total degree at most `degree` in
+    the coordinates, some with a factor in the extra variables, always
+    with one term of the full degree."""
+    p = Polynomial()
+    for d in [degree] + [rng.randrange(degree + 1) for _ in range(rng.randrange(4))]:
+        mono = {}
+        for v in rng.choices(ctx.coords, k=d) + rng.choices(ctx.extra, k=rng.randrange(3)):
+            mono[v] = mono.get(v, 0) + 1
+        p = p + Polynomial({tuple(sorted(mono.items())): rng.choice(ORACLE_COEFFS)})
+    return p
+
+
+def test_fischer_sums_match_the_recursion():
+    # the closed form against `poly_oracle.fischer_parts_by_recursion`, read
+    # through each of its callers, on the zero polynomial, constants and
+    # random data of degree 0-30 in dimensions 1-6 (lower degrees where the
+    # pieces have many terms)
+    from harmcalc.kernels import bergman_projection
+
+    rng = random.Random(41)
+    r2 = F(4, 9)
+    cases = [(Context(n, extra=("a", "b")), d) for n, top in [(1, 30), (2, 30), (3, 30), (4, 20), (5, 14), (6, 12)]
+             for d in sorted({0, 1, 2, 3, top, *rng.sample(range(top + 1), 4)})]
+    for ctx, degree in cases:
+        n = ctx.dim
+        for p in (Polynomial(), Polynomial.const(F(2, 7)), _oracle_data(rng, ctx, degree)):
+            want = poly_oracle.fischer_parts_by_recursion(p, ctx)
+            assert fischer_parts(p, ctx) == want, (n, p)
+            by_degree, by_exponent = {}, {}
+            for (m, j), h in want.items():
+                by_degree[m] = by_degree.get(m, Polynomial()) + h.scale(r2**j)
+                by_exponent[2 * j] = by_exponent.get(2 * j, Polynomial()) + h
+            by_degree = {m: h for m, h in by_degree.items() if not h.is_zero()}
+            assert harmonic_parts_by_degree(p, ctx, F(2, 3)) == by_degree, (n, p)
+            pairs = [(h, e) for e, h in sorted(by_exponent.items()) if not h.is_zero()]
+            assert harmonic_decompose(p, ctx) == pairs, (n, p)
+            projected = poly_sum(h.scale(F(n + 2 * m, n + 2 * m + 2 * j)) for (m, j), h in want.items())
+            assert bergman_projection(p, ctx) == projected, (n, p)
+
+
 def test_basis_cardinality_and_harmonicity():
     for n in (2, 3, 4, 5, 6):
         ctx = Context(n)

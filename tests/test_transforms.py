@@ -7,7 +7,13 @@ import poly_oracle
 from conftest import E
 
 from harmcalc.calculus import laplacian_of
-from harmcalc.errors import CenterSingularity, DimensionMismatch, EmptyInterior, UnsupportedBase
+from harmcalc.errors import (
+    CenterSingularity,
+    DimensionMismatch,
+    EmptyInterior,
+    UnsupportedBase,
+    UnsupportedInputError,
+)
 from harmcalc.expr import Context, Expr, eval_expr, make_context
 from harmcalc.harmonic import basis_harmonic
 from harmcalc.poly import Polynomial, poly_sum
@@ -31,6 +37,11 @@ def test_reflect_unit_sphere_point():
     assert got == (F(1, 151), F(-2, 151), F(5, 151), F(11, 151))
     with pytest.raises(CenterSingularity):
         reflect_point((0, 0), UnitSphere())
+
+
+def test_an_unknown_mirror_is_typed():
+    with pytest.raises(UnsupportedInputError, match="^unknown mirror 'unit'$"):
+        reflect_point((1, 2), "unit")
 
 
 def test_reflect_sphere_point():
