@@ -247,7 +247,7 @@ def dirichlet(p, region=Sphere(), ctx=None, rhs=None):
     the generalized problem: Laplacian equal to rhs and boundary values p.
     """
     if ctx is None:
-        raise ValueError("a context is required")
+        raise UnsupportedInputError("a context is required")
     if isinstance(p, tuple) and not isinstance(region, Annulus):
         raise UnsupportedInputError("only the annulus takes an (inner, outer) data pair")
     if rhs is not None:
@@ -341,7 +341,7 @@ def neumann(f, g=None, region=Sphere(), ctx=None):
     refused before any solve.
     """
     if ctx is None:
-        raise ValueError("a context is required")
+        raise UnsupportedInputError("a context is required")
     require_polynomial(f, "boundary data")
     if g is not None:
         require_polynomial(g, "boundary data")

@@ -395,7 +395,7 @@ def context_of(e, ctx=None):
     """The Context of the Expr e; a `ctx` that is not e's is an error,
     since base ids are per Context."""
     if ctx is not None and ctx is not e.ctx:
-        raise ValueError("expressions from different contexts")
+        raise UnsupportedInputError("expressions from different contexts")
     return e.ctx
 
 

@@ -21,13 +21,14 @@ Dirichlet solution and the Bergman projection are each one call.
 The series is taken in closed form: for s = sum_a x1^a q_a(x') it is
 sum_a sum_k (-1)^k a!/(a+2k)! x1^(a+2k) D'^k q_a, D' the Laplacian in
 the other coordinates, and one `_ladder` of integer dicts gives the
-levels D'^k q_a, one `_second_order` pass each.  A basis element is the
-primitive integer form of the series of a Cauchy monomial, read off its
-ladder.  A radial inner product orthonormalizes a basis over integer
-vectors: on harmonics of degree m it is c(m, n) times the Fischer pairing
-sum_a a! p_a q_a, Gram-Schmidt runs on primitive integer coefficient
-dicts with Fraction projections, and c enters only the final scale, as
-one square split per element.
+levels D'^k q_a, each the image of x^0 under the Laplacian `Stencil` of
+the level before.  A basis element is the primitive integer form of the
+series of a Cauchy monomial, read off its ladder.  A radial inner
+product orthonormalizes a basis over integer vectors: on harmonics of
+degree m it is c(m, n) times the Fischer pairing sum_a a! p_a q_a,
+Gram-Schmidt runs on primitive integer coefficient dicts with Fraction
+projections, and c enters only the final scale, as one square split per
+element.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from .errors import UnsupportedDimension, UnsupportedScalarNorm
 from .integrate import RadialFunction, ball_radial_factor, integrate_ball, integrate_sphere
 from .poly import (
     RATIONAL,
+    Stencil,
     _join,
     _layout,
     _new,
     _put,
     _rekey,
-    _second_order,
     _stride,
     _Sum,
     dot_poly,
@@ -141,12 +142,12 @@ def harmonic_parts_by_degree(p, ctx, radius=1):
 
 def _ladder(q, lay, names):
     """[q, D q, D^2 q, ...] up to the last nonzero level, q an integer dict
-    {key: int} in lay and D the Laplacian in names: one `_second_order`
-    pass a level."""
+    {key: int} in lay and D the Laplacian in names: a level is the image
+    of x^0 under the Laplacian `Stencil` of the one before."""
     levels = []
     while q:
         levels.append(q)
-        q = {key: n for key, n in _second_order(q, lay, names, 0, laplace_weight).items() if n}
+        q = {key: n for key, n in Stencil(q, lay, names, laplace_weight).add(0, {}).items() if n}
     return levels
 
 

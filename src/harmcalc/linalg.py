@@ -4,17 +4,21 @@
 Axler, Gorkin and Voss, "The Dirichlet problem on quadratic surfaces",
 Math. Comp. 73, 2004): unknown polynomials whose images under given
 second-order and multiplication maps add up to given data.  Their columns
-are packed keys from `poly.monomials`, `paired_rows` writes the rows,
-`solve` solves them, and each answer is one rational block.
+are packed keys from `poly.monomials`, `paired_rows` writes the rows
+(one `poly.Stencil` per use, applied to each column), `solve` solves
+them, and each answer is one rational block.
 
 A row is a primitive `{column: int}` dict: constraint k is scaled by the
 lcm of its images' and its constant's denominators, the right side rides
 along as column `cols` (the number of unknowns), and the row is divided
 by its content.  Elimination updates a row as
 (p/g) row - (r/g) pivot_row with g = gcd(p, r), then divides the row by
-its content, so no entry outgrows the minor that Bareiss's
-integer-preserving elimination would hold in its place (Math. Comp. 22,
-1968).  Back-substitution runs in integers over one common denominator.
+its content in the same pass, so no entry outgrows the minor that
+Bareiss's integer-preserving elimination would hold in its place (Math.
+Comp. 22, 1968).  `solve` keeps, per column, the rows not yet used as a
+pivot that are nonzero there; an update touches that record only where
+it creates or cancels an entry.  Back-substitution runs in integers over
+one common denominator.
 
 `solve` returns the canonical particular solution: pivots are the
 leftmost independent columns and free variables are zero.  That solution
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .poly import RATIONAL, _join, _layout, _new, _put, _second_order, _stride, monomials
+from .poly import RATIONAL, Stencil, _join, _layout, _new, _put, _stride, monomials
 
 
 def _primitive(row):
@@ -68,14 +72,19 @@ def solve(rows, cols):
             if s != 1:
                 row = {j: s * v for j, v in row.items()}
             for j, v in prow.items():
-                new = row.get(j, 0) - t * v
-                if new:
-                    row[j] = new
+                # row[j] - t v; only an entry that this creates joins where[j]
+                v *= t
+                old = row.get(j)
+                if old is None:
+                    row[j] = -v
                     where[j].add(i)
+                elif old != v:
+                    row[j] = old - v
                 else:
                     del row[j]
                     where[j].discard(i)
-            rows[i] = _primitive(row)
+            content = gcd(*row.values())
+            rows[i] = {j: v // content for j, v in row.items()} if content > 1 else row
         pivots.append((c, p))
     # rows never used as a pivot have no column entries left: a right
     # side left there is 0 = rhs
@@ -106,28 +115,32 @@ def paired_rows(lay, groups, constants, names):
 
     Group (keys, uses) has an unknown x_j for each monomial x^a packed in
     keys, numbered on from the unknowns of the groups before it, and x^a
-    enters each constraint k of uses (k, q, weight) as the `_second_order`
-    sum of q's rational terms against x^a, or as q x^a when weight is None.
-    lay holds every image and constant.  A row per (constraint, key) that
-    an image or a constant reaches; cols is the number of unknowns.
+    enters each constraint k of uses (k, q, weight) as the image of x^a
+    under the `Stencil` of q's rational terms with that weight, built once
+    per use, or as q x^a when weight is None.  lay holds every image and
+    constant.  A row per (constraint, key) that an image or a constant
+    reaches; cols is the number of unknowns.
     """
     blocks = [[(k, weight, q.rational_block(lay)) for k, q, weight in uses] for _, uses in groups]
     rhs = [c.rational_block(lay) for c in constants]
     scales = [den for den, _ in rhs]
     for k, _, (den, _) in (use for uses in blocks for use in uses):
         scales[k] = lcm(scales[k], den)
+
+    # each use's constraint, its scale there, q's terms and their stencil
+    # (None for a product by q)
+    blocks = [
+        [(k, scales[k] // den, nums, weight and Stencil(nums, lay, names, weight)) for k, weight, (den, nums) in uses]
+        for uses in blocks
+    ]
     rows = {}
     unknowns = [(ka, uses) for (keys, _), uses in zip(groups, blocks) for ka in keys]
     for j, (ka, uses) in enumerate(unknowns):
-        for k, weight, (den, nums) in uses:
-            f = scales[k] // den
-            if weight is None:
-                image = {ka + kb: n for kb, n in nums.items()}
-            else:
-                image = _second_order(nums, lay, names, ka, weight)
+        for k, f, nums, stencil in uses:
+            image = stencil.add(ka, {}, f) if stencil else {ka + kb: n * f for kb, n in nums.items()}
             for key, n in image.items():
                 if n:
-                    rows.setdefault((k, key), {})[j] = n * f
+                    rows.setdefault((k, key), {})[j] = n
     cols = len(unknowns)
     for k, (den, nums) in enumerate(rhs):
         for key, n in nums.items():

@@ -11,9 +11,11 @@ The {monomial tuple: Scalar} mapping is only an input format
 rendering, hashing and coefficient lookup read the blocks, and `order_key`
 sorts packed keys in the graded order rendering prints.
 
-`monomials` enumerates packed keys by total degree and `_second_order`
-writes the Laplacian and gradient images of a monomial against a
-polynomial's terms: `linalg` builds the quadric ansatz from the two.
+`monomials` enumerates packed keys by total degree, and a `Stencil`,
+built once from a polynomial's terms, writes the Laplacian or gradient
+image of each monomial against them: `linalg` builds the quadric ansatz
+from the two, and `Polynomial.laplacian`, `gradient_dot` and the
+harmonic ladders apply a stencil too.
 
 `Polynomial.divide_exact` divides by a rational-coefficient polynomial and
 returns the quotient only if the division is exact, else None: each block
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 
 from .errors import (
@@ -52,22 +53,23 @@ def monomials(lay, names, degrees):
 
     Within a degree the exponent vectors, in names order, ascend
     lexicographically, as under `order_key` with `names` ranked first to
-    last; ansatz solves rely on this column order.  A vector of degree d
-    is read off the n - 1 bar positions among d + n - 1 slots (stars and
-    bars), and `combinations` lists bar positions in that same order.
+    last; ansatz solves rely on this column order.  The keys of degree d
+    over names[i:] are x_i^e times each key of degree d - e over
+    names[i + 1:], for e = 0..d: those suffix lists are built once, from
+    the last name back, and the first name is put in front for the
+    degrees asked for only.
     """
-    units = [lay.unit[v] for v in names]
-    n = len(units)
-    out = []
-    for deg in degrees:
-        if deg < 0 or not n:
-            if deg == 0:
-                out.append(0)
-            continue
-        for bars in combinations(range(deg + n - 1), n - 1):
-            cuts = (-1, *bars, deg + n - 1)
-            out.append(sum((b - a - 1) * u for a, b, u in zip(cuts, cuts[1:], units)))
-    return out
+    degrees = [d for d in degrees if d >= 0]
+    if not names:
+        return [0 for d in degrees if d == 0]
+    first, *rest = [lay.unit[v] for v in names]
+    top = max(degrees, default=0)
+    # suffix[d]: the keys of degree d over the names from u to the last;
+    # over no names, 0 alone at degree 0
+    suffix = [[0]] + [[]] * top
+    for u in reversed(rest):
+        suffix = [[e * u + k for e in range(d + 1) for k in suffix[d - e]] for d in range(top + 1)]
+    return [e * first + k for d in degrees for e in range(d + 1) for k in suffix[d - e]]
 
 
 class Layout:
@@ -212,37 +214,55 @@ def _new(lay, blocks):
     return out
 
 
-# the `_second_order` weights of the Laplacian of q x^a and of grad q . grad x^a
-def laplace_weight(a, b):
-    return (a + b) * (a + b - 1)
+# the markers of the two second-order maps a `Stencil` applies: the
+# Laplacian of q x^a, and grad q . grad x^a
+laplace_weight = "laplace"
+gradient_weight = "gradient"
 
 
-def gradient_weight(a, b):
-    return a * b
+class Stencil:
+    """The second-order image of monomials x^a against one operand's terms,
+    built once per operand and applied once per monomial.
 
+    The image of x^a is the sum over terms n x^b of the operand and v in
+    names of w(a_v, b_v) n x^(a + b - 2 e_v), with w = (a + b)(a + b - 1)
+    for `laplace_weight` (the Laplacian of q x^a) and w = a b for
+    `gradient_weight` (grad q . grad x^a).  `terms` holds (v's field
+    shift, b_v, n, k_b - 2 e_v) for every term and every variable v of
+    names in lay, term by term, less those with b_v = 0 for the gradient,
+    whose weight vanishes there: an image meets its keys in that order,
+    and `linalg.paired_rows` numbers its rows by it.  lay must hold every
+    a + b.
+    """
 
-def _second_order(nums, lay, names, ka, weight):
-    """{key: int}: the sum over terms n x^b of nums and v in names of
-    weight(a_v, b_v) n x^(a + b - 2 e_v), x^a packed in ka and keys in lay,
-    which holds a + b.  The weight vanishes unless a_v + b_v >= 2; with
-    `gradient_weight` it vanishes where a_v = 0, so only the variables of
-    x^a are visited, and a constant x^a gives {} at once."""
-    mask = lay.mask
-    fields = [(lay.shift[v], 2 * lay.unit[v], (ka >> lay.shift[v]) & mask) for v in names if v in lay.shift]
-    if weight is gradient_weight:
-        # a_v b_v vanishes where x^a has no v: a constant x^a meets nothing
-        fields = [f for f in fields if f[2]]
-        if not fields:
-            return {}
-    out = {}
-    get = out.get
-    for kb, n in nums.items():
-        for s, two, a in fields:
-            w = weight(a, (kb >> s) & mask)
-            if w:
-                k = ka + kb - two
-                out[k] = get(k, 0) + n * w
-    return out
+    __slots__ = ("laplace", "mask", "terms")
+
+    def __init__(self, nums, lay, names, weight):
+        self.laplace = weight is laplace_weight
+        self.mask = mask = lay.mask
+        fields = [(lay.shift[v], 2 * lay.unit[v]) for v in names if v in lay.shift]
+        self.terms = [(s, (kb >> s) & mask, n, kb - two) for kb, n in nums.items() for s, two in fields]
+        if not self.laplace:
+            self.terms = [t for t in self.terms if t[1]]
+
+    def add(self, ka, acc, c=1):
+        """acc, a {key: int} dict, with c times the image of x^a (packed in ka) added in."""
+        get, mask = acc.get, self.mask
+        if self.laplace:
+            for s, b, n, k in self.terms:
+                # (a_v + b_v)(a_v + b_v - 1), which vanishes unless a_v + b_v >= 2
+                w = ((ka >> s) & mask) + b
+                if w > 1:
+                    k += ka
+                    acc[k] = get(k, 0) + c * w * (w - 1) * n
+        else:
+            for s, b, n, k in self.terms:
+                # a_v b_v, where b_v > 0
+                a = (ka >> s) & mask
+                if a:
+                    k += ka
+                    acc[k] = get(k, 0) + c * a * b * n
+        return acc
 
 
 class Polynomial:
@@ -496,7 +516,7 @@ class Polynomial:
         """The Laplacian in the variables `names`; the others are constants."""
         blocks = {}
         for sig, (den, nums) in self.blocks.items():
-            _put(blocks, sig, den, _second_order(nums, self.layout, names, 0, laplace_weight))
+            _put(blocks, sig, den, Stencil(nums, self.layout, names, laplace_weight).add(0, {}))
         return _new(self.layout, blocks)
 
     def gradient_dot(self, other, names):
@@ -679,7 +699,8 @@ def _product(lay, a, b, names=None):
     Every pair of blocks multiplies with ints only; two pairs can land on
     one signature (sqrt 2 * sqrt 2 and 1 * 1), so they meet in a `_Sum`.
     With `names`, a pair of terms multiplies as grad . grad in those
-    variables instead (`_second_order` with `gradient_weight`).
+    variables instead: one gradient `Stencil` of the larger operand takes
+    every term of the smaller into one sum.
     """
     total = _Sum(lay)
     for sa, (da, ta) in a.items():
@@ -689,11 +710,9 @@ def _product(lay, a, b, names=None):
             if g != 1:
                 small = {k: n * g for k, n in small.items()}
             if names is not None:
-                acc = {}
-                get = acc.get
+                stencil, acc = Stencil(big, lay, names, gradient_weight), {}
                 for kb, nb in small.items():
-                    for k, n in _second_order(big, lay, names, kb, gradient_weight).items():
-                        acc[k] = get(k, 0) + n * nb
+                    stencil.add(kb, acc, nb)
             elif len(small) == 1:
                 ((kb, nb),) = small.items()
                 acc = {k + kb: n * nb for k, n in big.items()}

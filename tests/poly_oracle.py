@@ -58,16 +58,24 @@ and canonicalizes each sum once.
 `tokenize_by_characters` is the earlier tokenizer: it walks the source
 one character at a time, where `parser._tokenize` matches one compiled
 regular expression.
+
+`second_order` is the earlier second-order image of one monomial against
+a polynomial's terms, a weight function call per term and variable and a
+dict per monomial, where `poly.Stencil` is built once per operand and
+applied once per monomial.  `laplacian_by_blocks` and
+`gradient_dot_by_terms` apply it block by block and term by term, and
+`paired_rows_by_terms` writes the quadric ansatz rows with it, where
+`linalg.paired_rows` builds one stencil per use.
 """
 
 import heapq
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 from harmcalc.errors import ParseError, UnknownVariable, UnsupportedInputError, UnsupportedScalarNorm
 from harmcalc.expr import Expr
 from harmcalc.parser import _Parser
-from harmcalc.poly import Polynomial, dot_poly, poly_sum
+from harmcalc.poly import Polynomial, _join, _rekey, dot_poly, gradient_weight, laplace_weight, poly_sum
 from harmcalc.render import scalar_latex, scalar_text
 from harmcalc.scalar import ZERO, Scalar, _as_fraction, scalar_sqrt
 from harmcalc.transforms import _invert
@@ -754,3 +762,92 @@ def tokenize_by_characters(src):
         raise ParseError("unexpected character %r" % ch, line, col)
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+# the weight of each second-order map, by the marker the library passes
+SECOND_ORDER_WEIGHTS = {
+    laplace_weight: lambda a, b: (a + b) * (a + b - 1),
+    gradient_weight: lambda a, b: a * b,
+}
+
+
+def second_order(nums, lay, names, ka, weight):
+    """{key: int}: the sum over terms n x^b of nums and v in names of
+    w(a_v, b_v) n x^(a + b - 2 e_v), x^a packed in ka and keys in lay,
+    which holds a + b, w the weight of the marker `weight`.  The weight
+    vanishes unless a_v + b_v >= 2; for the gradient it vanishes where
+    a_v = 0, so only the variables of x^a are visited."""
+    mask = lay.mask
+    w_of = SECOND_ORDER_WEIGHTS[weight]
+    fields = [(lay.shift[v], 2 * lay.unit[v], (ka >> lay.shift[v]) & mask) for v in names if v in lay.shift]
+    if weight is gradient_weight:
+        fields = [f for f in fields if f[2]]
+    out = {}
+    for kb, n in nums.items():
+        for s, two, a in fields:
+            w = w_of(a, (kb >> s) & mask)
+            if w:
+                k = ka + kb - two
+                out[k] = out.get(k, 0) + n * w
+    return out
+
+
+def _block_poly(lay, pairs):
+    """The sum of the (key in lay, Scalar) pairs, read back through monomial tuples."""
+    return Polynomial.from_raw([(lay.unpack(k), c) for k, c in pairs])
+
+
+def laplacian_by_blocks(p, names):
+    """The Laplacian of p in names: `second_order` of each block at x^0."""
+    pairs = []
+    for sig, (den, nums) in p.blocks.items():
+        for k, n in second_order(nums, p.layout, names, 0, laplace_weight).items():
+            if n:
+                pairs.append((k, Scalar(((Fraction(n, den),) + sig,))))
+    return _block_poly(p.layout, pairs)
+
+
+def gradient_dot_by_terms(p, q, names):
+    """grad p . grad q in names: `second_order` of each block of p against
+    each term of each block of q, the coefficients multiplied as Scalars."""
+    lay = _join(p.layout, q.layout, p.total_degree() + q.total_degree())
+    pairs = []
+    for sa, (da, ta) in _rekey(p, lay).items():
+        for sb, (db, tb) in _rekey(q, lay).items():
+            for kb, nb in tb.items():
+                cb = Scalar(((Fraction(nb, db),) + sb,))
+                for k, n in second_order(ta, lay, names, kb, gradient_weight).items():
+                    if n:
+                        pairs.append((k, Scalar(((Fraction(n, da),) + sa,)) * cb))
+    return _block_poly(lay, pairs)
+
+
+def paired_rows_by_terms(lay, groups, constants, names):
+    """The rows of `linalg.paired_rows`, one `second_order` image per
+    unknown and use, each scaled by its constraint's factor as it goes."""
+    blocks = [[(k, weight, q.rational_block(lay)) for k, q, weight in uses] for _, uses in groups]
+    rhs = [c.rational_block(lay) for c in constants]
+    scales = [den for den, _ in rhs]
+    for k, _, (den, _) in (use for uses in blocks for use in uses):
+        scales[k] = lcm(scales[k], den)
+    rows = {}
+    unknowns = [(ka, uses) for (keys, _), uses in zip(groups, blocks) for ka in keys]
+    for j, (ka, uses) in enumerate(unknowns):
+        for k, weight, (den, nums) in uses:
+            f = scales[k] // den
+            if weight is None:
+                image = {ka + kb: n for kb, n in nums.items()}
+            else:
+                image = second_order(nums, lay, names, ka, weight)
+            for key, n in image.items():
+                if n:
+                    rows.setdefault((k, key), {})[j] = n * f
+    cols = len(unknowns)
+    for k, (den, nums) in enumerate(rhs):
+        for key, n in nums.items():
+            rows.setdefault((k, key), {})[cols] = n * (scales[k] // den)
+    out = []
+    for row in rows.values():
+        content = gcd(*row.values())
+        out.append({c: v // content for c, v in row.items()} if content > 1 else row)
+    return out, cols

@@ -883,3 +883,13 @@ def test_solve_ansatz_returns_every_group(ctx3):
     assert all(den > 0 for p in (h, cofactor) for den, _ in p.blocks.values())
     # without the cofactor, grad q . grad h = f has no harmonic solution
     assert solve_ansatz([h_group], [Polynomial(), f], ctx3.coords) is None
+
+
+def test_dirichlet_without_a_context_is_a_typed_error():
+    with pytest.raises(UnsupportedInputError, match="^a context is required$"):
+        dirichlet(Polynomial.var("x1"))
+
+
+def test_neumann_without_a_context_is_a_typed_error():
+    with pytest.raises(UnsupportedInputError, match="^a context is required$"):
+        neumann(Polynomial.var("x1"))

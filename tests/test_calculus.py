@@ -246,7 +246,7 @@ def test_an_expr_is_read_in_its_own_context(name):
     ctx1, ctx2 = Context(2), Context(2)
     ctx2.register_base(P("1 + x1^2", ctx2))
     e = Expr.base_power(ctx1, P("3 + x2^2", ctx1), -2)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInputError, match="^expressions from different contexts$"):
         call(e, ctx2)
 
 

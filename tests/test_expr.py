@@ -17,6 +17,7 @@ from harmcalc.errors import (
 from harmcalc.expr import (
     Context,
     Expr,
+    context_of,
     eval_expr,
     make_context,
     reduce_poly_on_sphere,
@@ -575,3 +576,12 @@ def test_division_by_a_constant(ctx3):
 def test_dot_of_unequal_length_vectors_is_refused():
     with pytest.raises(UnsupportedInputError, match="dot of unequal-length vectors"):
         parse_expression("dot(x,y)", Context(3), {"y": ("y1", "y2")})
+
+
+def test_an_expr_from_another_context_is_a_typed_error():
+    # base ids are per Context, so a foreign one is refused (exit 3), not a bare ValueError
+    ctx1, ctx2 = Context(3), Context(3)
+    e = Expr.from_poly(ctx1, Polynomial.var("x1"))
+    assert context_of(e) is context_of(e, ctx1) is ctx1
+    with pytest.raises(UnsupportedInputError, match="^expressions from different contexts$"):
+        context_of(e, ctx2)

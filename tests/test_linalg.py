@@ -13,11 +13,13 @@ from math import lcm
 import pytest
 
 import dense_linalg
+import poly_oracle
 from conftest import P
 
 from harmcalc import linalg
 from harmcalc.bvp import Quadratic, QuadraticMultiple, anti_laplacian, dirichlet, neumann
 from harmcalc.expr import Context
+from harmcalc.poly import Polynomial, _join, _layout, _stride, gradient_weight, laplace_weight, monomials
 
 
 def _random_system(rng, rows, cols, density, rank=None):
@@ -237,3 +239,71 @@ def test_solve_matches_dense_reference_on_quadric_ansatz_systems(dim, monkeypatc
         assert _solve(dense, rhs) == expected
         outcomes.append(expected is not None)
     assert outcomes == [True, False, False, True, True, True]
+
+
+def _with_order(rows):
+    """The rows as lists of their entries, in the order each row holds them."""
+    return [list(row.items()) for row in rows]
+
+
+def test_solve_leaves_its_rows_unchanged(monkeypatch):
+    # elimination updates rows in place, on its own copies: the caller's
+    # rows keep their entries and their order, on quadric ansatz systems
+    # (consistent and not) and on integer rows with large entries
+    ctx = Context(3)
+    systems = _recording(monkeypatch)
+    dirichlet(P("x1^3*x2^2", ctx), Quadratic((2, 3, 5), (1, 0, -2), F(-2)), ctx)
+    dirichlet(P("x3^4", ctx), Quadratic((1, -1, 0)), ctx)
+    neumann(P("x1^2*x2 - x2^3", ctx), region=Quadratic((2, 3, 5)), ctx=ctx)
+    monkeypatch.undo()
+    rng = random.Random(1968)
+    for rows, cols, rank in ((8, 6, 3), (6, 5, None), (4, 7, None)):
+        system = []
+        for row in _integer_system(rng, rows, cols, rank):
+            row = {c: F(x) for c, x in enumerate(row + [rng.randrange(-9, 10)]) if x}
+            scale = lcm(*(x.denominator for x in row.values()))
+            system.append(linalg._primitive({c: (x * scale).numerator for c, x in row.items()}))
+        systems.append((system, cols))
+    for rows, cols in systems:
+        before = _with_order(rows)
+        linalg.solve(rows, cols)
+        assert _with_order(rows) == before
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_paired_rows_match_the_second_order_oracle(dim):
+    # every row, its place and the order of its entries, against rows
+    # written one `second_order` image at a time: the quadric Dirichlet and
+    # Neumann groups on ellipsoids, indefinite quadrics, quadrics with a
+    # zero b_i and linear q, and a group whose degrees start above 0 with a
+    # quartic q beside a gradient use in one constraint
+    rng = random.Random(2004 + dim)
+    ctx = Context(dim)
+    one = Polynomial.const(1)
+    for _ in range(10):
+        b = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 3)) if rng.random() < 0.7 else F(0) for _ in range(dim))
+        c = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(dim))
+        q = Quadratic(b, c, F(rng.randrange(-3, 3), rng.randrange(1, 3))).poly(ctx)
+        monos = [tuple((v, rng.randrange(1, 4)) for v in rng.sample(ctx.coords, rng.randrange(dim + 1))) for _ in range(4)]
+        f = Polynomial.from_raw((m, rng.randrange(1, 9)) for m in monos[: rng.randrange(1, 5)])
+        deg = rng.randrange(4)
+        for groups, constants in (
+            ([(range(deg + 1), [(0, q, laplace_weight)])], [f]),
+            (
+                [
+                    (range(1, deg + 1), [(0, one, laplace_weight), (1, q, gradient_weight)]),
+                    (range(max(deg, 1)), [(1, -q, None)]),
+                ],
+                [Polynomial(), f],
+            ),
+            ([(range(deg, deg + 2), [(0, q * q, laplace_weight), (0, q, gradient_weight)])], [f]),
+        ):
+            # the layout `solve_ansatz` would take
+            top = max(d for degrees, _ in groups for d in degrees)
+            lay = _layout(tuple(sorted(ctx.coords)), _stride(top))
+            for p in (*(q for _, uses in groups for _, q, _ in uses), *constants):
+                lay = _join(lay, p.layout, p.total_degree() + top)
+            columns = [(monomials(lay, ctx.coords, degrees), uses) for degrees, uses in groups]
+            rows, cols = linalg.paired_rows(lay, columns, constants, ctx.coords)
+            want_rows, want_cols = poly_oracle.paired_rows_by_terms(lay, columns, constants, ctx.coords)
+            assert (_with_order(rows), cols) == (_with_order(want_rows), want_cols)

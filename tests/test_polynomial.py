@@ -27,7 +27,17 @@ import poly_oracle
 from harmcalc.errors import NonRationalValue, UnknownVariable, UnsupportedInputError
 from harmcalc.expr import Context, Expr
 from harmcalc.integrate import Quadratic
-from harmcalc.poly import Polynomial, _layout, monomials, order_key, poly_sum, quadratic_poly
+from harmcalc.poly import (
+    Polynomial,
+    Stencil,
+    _layout,
+    gradient_weight,
+    laplace_weight,
+    monomials,
+    order_key,
+    poly_sum,
+    quadratic_poly,
+)
 from harmcalc.render import poly_latex, poly_text
 from harmcalc.scalar import Scalar
 
@@ -145,6 +155,61 @@ def test_term_maps_match_oracle():
             assert p.substitute(v, value) == poly_oracle.substitute(p, v, value)
             assert p.eval(point) == poly_oracle.evaluate(p, point)
     assert wide > 50
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_stencil_matches_the_second_order_oracle(dim):
+    # random integer terms over the names and two variables outside them
+    # ("u", "w", in the layout); the names applied, shuffled, also hold "z",
+    # which is in no term: each image, at x^0 and at random x^a, with the
+    # keys in the oracle's order, and added with a coefficient into a dict
+    # that already holds some keys
+    rng = random.Random(1968 + dim)
+    names = tuple("x%d" % (i + 1) for i in range(dim))
+    lay = _layout(tuple(sorted(names + ("u", "w"))))
+
+    def key(variables, top):
+        return lay.pack([(v, rng.randrange(top + 1)) for v in rng.sample(variables, rng.randrange(len(variables) + 1))])
+
+    for _ in range(40):
+        nums = {key(names + ("u", "w"), 3): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randrange(1, 9))}
+        use = list(rng.sample(names, rng.randrange(1, dim + 1))) + ["z"]
+        rng.shuffle(use)
+        for weight in (laplace_weight, gradient_weight):
+            stencil = Stencil(nums, lay, use, weight)
+            for ka in (0, key(names, 3), key(names + ("u",), 4), key(names, 1)):
+                want = poly_oracle.second_order(nums, lay, use, ka, weight)
+                assert list(stencil.add(ka, {}).items()) == list(want.items())
+                c = rng.choice((-5, 2, 7))
+                acc = {k: rng.randrange(-3, 4) for k in rng.sample(sorted(want), len(want) // 2)}
+                expected = dict(acc)
+                for k, n in want.items():
+                    expected[k] = expected.get(k, 0) + c * n
+                got = stencil.add(ka, acc, c)
+                assert got is acc and got == expected
+    if dim > 1:
+        # terms that cancel: the image of x1^2 - x2^2 at x^0 is 2 - 2 at key 0
+        nums = {lay.pack([("x1", 2)]): 1, lay.pack([("x2", 2)]): -1}
+        want = poly_oracle.second_order(nums, lay, names, 0, laplace_weight)
+        assert Stencil(nums, lay, names, laplace_weight).add(0, {}) == want == {0: 0}
+
+
+def test_laplacian_and_gradient_dot_match_the_second_order_oracle():
+    # block by block against `poly_oracle.second_order`, over irrational
+    # signatures (sqrt 2, sqrt 3, pi, logs), fields from 8 to 128 bits,
+    # names that leave some variables out and one that is in no layout
+    rng = random.Random(2004)
+    r2 = Scalar.sqrt_int(2)
+    blocks = 0
+    for a, b in _cases(rng):
+        b = b + Polynomial.var("x2").scale(r2 * F(-3, 5))
+        names = rng.sample(NAMES, rng.randrange(1, len(NAMES) + 1)) + ["z"]
+        assert a.laplacian(names) == poly_oracle.laplacian_by_blocks(a, names)
+        want = poly_oracle.gradient_dot_by_terms(a, b, names)
+        assert a.gradient_dot(b, names) == want and b.gradient_dot(a, names) == want
+        assert b.laplacian(NAMES) == poly_oracle.laplacian_by_blocks(b, NAMES)
+        blocks += len(a.blocks) > 1
+    assert blocks > 100
 
 
 def test_eval_without_a_value_for_a_variable_is_refused():
