@@ -270,16 +270,48 @@ def test_solve_leaves_its_rows_unchanged(monkeypatch):
         assert _with_order(rows) == before
 
 
+def _block_of_the_constants(rows, cols):
+    """The rows joined to a right side through the unknowns they share, in
+    their order: union-find over the rows, the right side's column cols
+    counted as one more shared column."""
+    parent = list(range(len(rows)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            parent[find(i)] = find(first.setdefault(c, i))
+    roots = {find(i) for i, row in enumerate(rows) if cols in row}
+    return [row for i, row in enumerate(rows) if find(i) in roots]
+
+
+def _ansatz_layout(groups, constants, names):
+    """The layout `solve_ansatz` would take, and its columns."""
+    top = max(d for degrees, _ in groups for d in degrees)
+    lay = _layout(tuple(sorted(names)), _stride(top))
+    for p in (*(q for _, uses in groups for _, q, _ in uses), *constants):
+        lay = _join(lay, p.layout, p.total_degree() + top)
+    return lay, [(monomials(lay, names, degrees), uses) for degrees, uses in groups]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_paired_rows_match_the_second_order_oracle(dim):
-    # every row, its place and the order of its entries, against rows
-    # written one `second_order` image at a time: the quadric Dirichlet and
-    # Neumann groups on ellipsoids, indefinite quadrics, quadrics with a
-    # zero b_i and linear q, and a group whose degrees start above 0 with a
-    # quartic q beside a gradient use in one constraint
+    # the rows of the right side's block, their order and the order of
+    # their entries, against rows written one `second_order` image at a
+    # time and cut to that block here: the quadric Dirichlet and Neumann
+    # groups on ellipsoids, indefinite quadrics, quadrics with a zero b_i
+    # and linear q, and a group whose degrees start above 0 with a quartic
+    # q beside a gradient use in one constraint; the rows left out are
+    # homogeneous, so both systems have one canonical solution
     rng = random.Random(2004 + dim)
     ctx = Context(dim)
     one = Polynomial.const(1)
+    dropped = 0
     for _ in range(10):
         b = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 3)) if rng.random() < 0.7 else F(0) for _ in range(dim))
         c = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(dim))
@@ -298,12 +330,49 @@ def test_paired_rows_match_the_second_order_oracle(dim):
             ),
             ([(range(deg, deg + 2), [(0, q * q, laplace_weight), (0, q, gradient_weight)])], [f]),
         ):
-            # the layout `solve_ansatz` would take
-            top = max(d for degrees, _ in groups for d in degrees)
-            lay = _layout(tuple(sorted(ctx.coords)), _stride(top))
-            for p in (*(q for _, uses in groups for _, q, _ in uses), *constants):
-                lay = _join(lay, p.layout, p.total_degree() + top)
-            columns = [(monomials(lay, ctx.coords, degrees), uses) for degrees, uses in groups]
+            lay, columns = _ansatz_layout(groups, constants, ctx.coords)
             rows, cols = linalg.paired_rows(lay, columns, constants, ctx.coords)
             want_rows, want_cols = poly_oracle.paired_rows_by_terms(lay, columns, constants, ctx.coords)
-            assert (_with_order(rows), cols) == (_with_order(want_rows), want_cols)
+            block = _block_of_the_constants(want_rows, want_cols)
+            assert (_with_order(rows), cols) == (_with_order(block), want_cols)
+            assert linalg.solve(rows, cols) == linalg.solve(want_rows, want_cols)
+            dropped += len(want_rows) - len(rows)
+    # the data reaches only some blocks of these systems
+    assert dropped > 0
+
+
+def test_paired_rows_of_zero_constants_are_empty():
+    # no right side reaches a row: no rows, and the zero solution
+    ctx = Context(3)
+    q = Quadratic((1, 2, 3), (1, 0, -1), F(-2)).poly(ctx)
+    groups = [
+        (range(1, 4), [(0, Polynomial.const(1), laplace_weight), (1, q, gradient_weight)]),
+        (range(3), [(1, -q, None)]),
+    ]
+    for constants in ([Polynomial(), Polynomial()], [Polynomial.const(0), P("x1 - x1", ctx)]):
+        lay, columns = _ansatz_layout(groups, constants, ctx.coords)
+        rows, cols = linalg.paired_rows(lay, columns, constants, ctx.coords)
+        assert (rows, cols) == ([], 29)
+        assert linalg.solve(rows, cols) == (1, [0] * 29)
+
+
+def test_paired_rows_keep_to_the_parity_class_of_the_data():
+    # on a centered ellipsoid, the Laplacian of q x^a keeps the parity of
+    # every exponent, so Dirichlet data x1^4 x2^2, whose Laplacian is the
+    # right side, reaches only the unknowns whose exponents are all even,
+    # and only their rows are written
+    ctx = Context(3)
+    q = Quadratic((1, 2, 3)).poly(ctx)
+    f = P("2*x1^4 + 12*x1^2*x2^2", ctx)
+    groups = [(range(5), [(0, q, laplace_weight)])]
+    lay, columns = _ansatz_layout(groups, [f], ctx.coords)
+    keys = columns[0][0]
+    rows, cols = linalg.paired_rows(lay, columns, [f], ctx.coords)
+    want_rows, _ = poly_oracle.paired_rows_by_terms(lay, columns, [f], ctx.coords)
+    even = [j for j, ka in enumerate(keys) if all(e % 2 == 0 for _, e in lay.unpack(ka))]
+    assert cols == len(keys) == 35 and len(even) == 10
+    assert {c for row in rows for c in row} == {*even, cols}
+    assert len(rows) == 10 < len(want_rows)
+    den, nums = linalg.solve(rows, cols)
+    assert {j for j, n in enumerate(nums) if n} <= set(even)
+    assert linalg.solve(want_rows, cols) == (den, nums)
