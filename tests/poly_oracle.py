@@ -64,8 +64,9 @@ a polynomial's terms, a weight function call per term and variable and a
 dict per monomial, where `poly.Stencil` is built once per operand and
 applied once per monomial.  `laplacian_by_blocks` and
 `gradient_dot_by_terms` apply it block by block and term by term, and
-`paired_rows_by_terms` writes the quadric ansatz rows with it, where
-`linalg.paired_rows` builds one stencil per use.
+`paired_rows_by_terms` writes every row of the quadric ansatz with it,
+where `linalg.paired_rows` builds one stencil per use and writes only
+the rows of the block that the constants reach.
 """
 
 import heapq
@@ -823,8 +824,9 @@ def gradient_dot_by_terms(p, q, names):
 
 
 def paired_rows_by_terms(lay, groups, constants, names):
-    """The rows of `linalg.paired_rows`, one `second_order` image per
-    unknown and use, each scaled by its constraint's factor as it goes."""
+    """Every row of the system `linalg.paired_rows` writes a block of, one
+    `second_order` image per unknown and use, each scaled by its
+    constraint's factor as it goes."""
     blocks = [[(k, weight, q.rational_block(lay)) for k, q, weight in uses] for _, uses in groups]
     rhs = [c.rational_block(lay) for c in constants]
     scales = [den for den, _ in rhs]
