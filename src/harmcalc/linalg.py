@@ -8,15 +8,18 @@ are packed keys from `poly.monomials`, `paired_rows` writes the rows
 (one `poly.Stencil` per use, applied to each column), `solve` solves
 them, and each answer is one rational block.
 
-The system splits into blocks that share no unknown: on a centered
-quadric the Laplacian of q x^a keeps the parity of every exponent, and a
-linear term of q couples only its own axes.  `paired_rows` writes only
-the block that the right side reaches.  The rest is homogeneous, and its
-canonical solution is 0: the leftmost-pivot, free-variables-zero
-solution of a block-diagonal system is that of each block, so leaving
-those unknowns without rows, at 0, changes no answer.  A homogeneous
-block is consistent, so an inconsistent system is inconsistent in the
-block written, and is still refused.
+The system splits into blocks that share no unknown: v -> Delta(q v)
+keeps the parity of every exponent in which q is even, and on a quadric
+with no linear or constant term it keeps the degree.  Those key bits,
+fixed by every use, are read off q's terms, and `paired_rows` writes
+only the unknowns whose fixed bits are those of some constant's key.
+Every image stays in its unknown's class, so the unknowns left out form
+homogeneous blocks, and their canonical solution is 0: the
+leftmost-pivot, free-variables-zero solution of a block-diagonal system
+is that of each block, so leaving those unknowns without rows, at 0,
+changes no answer.  A homogeneous block is consistent, so an
+inconsistent system is inconsistent in the blocks written, and is still
+refused.
 
 A row is a primitive `{column: int}` dict: constraint k is scaled by the
 lcm of its images' and its constant's denominators, the right side rides
@@ -37,9 +40,7 @@ is unique, so it does not depend on which rows the elimination picks.
 
 from __future__ import annotations
 
-from itertools import product, starmap
 from math import gcd, lcm
-from operator import sub
 
 from .poly import RATIONAL, Stencil, _join, _layout, _new, _put, _stride, monomials
 
@@ -129,20 +130,21 @@ def paired_rows(lay, groups, constants, names):
     keys, numbered on from the unknowns of the groups before it, and x^a
     enters each constraint k of uses (k, q, weight) as the image of x^a
     under the `Stencil` of q's rational terms with that weight, built once
-    per use, or as q x^a when weight is None.  lay holds every image and
-    constant; cols is the number of unknowns.
+    per use, or as q x^a when weight is None; the images of one x^a add
+    up.  lay holds every image and constant; cols is the number of
+    unknowns.
 
-    The rows are those of the block of the constants: every row of a
-    constant, and every row where an unknown joined to one of them by
-    nonzero entries has a nonzero entry, found level by level outward
-    from the constants' rows.  A row key minus an offset of one of the
-    stencils (a k_b - 2 e_v of its terms) or of q's keys (for a product)
-    names each unknown that can reach that row.  A weight or a sum of
-    terms can vanish, so those offsets name a superset, and an unknown
-    joins only where its image has a nonzero entry in a row already
-    reached.  The rows come in the order that writing every unknown's
-    image would give them, by unknown and then by image entry, with
-    their entries in that order; the other unknowns have no entries.
+    Only the unknowns whose fixed key bits are those of some constant's
+    key are written.  A use moves x^a's key by a term of q less 2 e_v (v
+    in names) for a stencil, or by a term of q for a product.  The bits
+    that no move changes are the low bit of each name's exponent that
+    every move changes by an even amount, and the degree field: whole when
+    no move changes the degree, its low bit when every move changes it by
+    an even amount.  Each image keeps its unknown's fixed bits, so the
+    unknowns written are a union of whole blocks that holds every
+    constant.  The rows come in the order that writing every unknown's
+    image would give them, by unknown and then by image entry, with their
+    entries in that order; the other unknowns have no entries.
     """
     # the row of key in constraint k is key + k * base, base a field above
     # the degree field, so q's terms moved to constraint k's rows carry x^a
@@ -157,56 +159,39 @@ def paired_rows(lay, groups, constants, names):
 
     # each use's scale in its constraint, q's terms there and their
     # stencil (None for a product by q)
-    blocks = [
-        [
-            (scales[k] // den, nums, weight and Stencil(nums, lay, names, weight))
-            for k, weight, (den, nums) in uses
-            for nums in [{kb + k * base: n for kb, n in nums.items()}]
-        ]
-        for uses in blocks
-    ]
-    # per group, its {key: unknown}, every row - key by which one of its
-    # uses can carry x^a to a row, and its uses
-    reach = []
+    for uses in blocks:
+        for i, (k, weight, (den, nums)) in enumerate(uses):
+            nums = {kb + k * base: n for kb, n in nums.items()}
+            uses[i] = (scales[k] // den, nums, weight and Stencil(nums, lay, names, weight))
+    # a move changes each field by an amount of the parity of q's term
+    # there (2 e_v is even), so odd, the OR of q's terms, holds the low
+    # bits that some move flips; moved: whether some move changes the
+    # degree
+    odd = moved = 0
+    for _, nums, stencil in (use for uses in blocks for use in uses):
+        for kb in nums:
+            odd |= kb
+            moved |= (kb >> lay.top & lay.mask) != (2 if stencil else 0)
+    fixed = (sum(1 << lay.shift[v] for v in names) | 1 << lay.top) & ~odd
+    fixed |= 0 if moved else lay.mask << lay.top
+    classes = {key & fixed for nums in rhs for key in nums}
+
+    rows = {}
     cols = 0
     for (keys, _), uses in zip(groups, blocks):
-        offsets = set()
-        for _, nums, stencil in uses:
-            offsets.update([t[3] for t in stencil.terms] if stencil else nums)
-        reach.append(({ka: j for j, ka in enumerate(keys, cols)}, offsets, uses))
+        for j, ka in enumerate(keys, cols):
+            if ka & fixed in classes:
+                image = {}
+                for f, nums, stencil in uses:
+                    if stencil:
+                        stencil.add(ka, image, f)
+                    else:
+                        for kb, n in nums.items():
+                            image[ka + kb] = image.get(ka + kb, 0) + n * f
+                for row, n in image.items():
+                    if n:
+                        rows.setdefault(row, {})[j] = n
         cols += len(keys)
-
-    def image(ka, uses):
-        # {row: entry} of x^a, zero entries left out; a later use
-        # overwrites an earlier one's entry in the same row
-        out = {}
-        for f, nums, stencil in uses:
-            one = stencil.add(ka, {}, f) if stencil else {ka + kb: n * f for kb, n in nums.items()}
-            if 0 in one.values():
-                one = {row: n for row, n in one.items() if n}
-            out.update(one)
-        return out
-
-    # {unknown: its image} of the unknowns joined to a constant's row
-    # through nonzero entries, level by level; an unknown leaves its
-    # group's index once reached
-    reached = {}
-    fresh = {row for nums in rhs for row in nums}
-    seen = set(fresh)
-    while fresh:
-        found = set()
-        for index, offsets, uses in reach:
-            for ka in index.keys() & starmap(sub, product(fresh, offsets)):
-                entries = image(ka, uses)
-                if not seen.isdisjoint(entries):
-                    reached[index.pop(ka)] = entries
-                    found.update(entries)
-        fresh = found - seen
-        seen |= fresh
-    rows = {}
-    for j in sorted(reached):
-        for row, n in reached[j].items():
-            rows.setdefault(row, {})[j] = n
     for nums in rhs:
         for row, n in nums.items():
             rows.setdefault(row, {})[cols] = n
@@ -221,9 +206,10 @@ def solve_ansatz(groups, constants, names):
     weight) in uses as in `paired_rows`.  The columns are each group's
     `monomials` in turn, so the answer is `solve`'s leftmost-pivot
     solution in that graded-lex order: one polynomial per group, each a
-    single rational block.  Only the block that the constants reach is
-    written and solved; the coefficients outside it are 0, as that
-    solution has them.  None means the system is inconsistent.
+    single rational block.  Only the unknowns that share a constant's
+    fixed key bits are written and solved; the coefficients outside them
+    are 0, as that solution has them.  None means the system is
+    inconsistent.
     """
     top = max((d for degrees, _ in groups for d in degrees), default=0)
     lay = _layout(tuple(sorted(names)), _stride(top))

@@ -66,7 +66,7 @@ applied once per monomial.  `laplacian_by_blocks` and
 `gradient_dot_by_terms` apply it block by block and term by term, and
 `paired_rows_by_terms` writes every row of the quadric ansatz with it,
 where `linalg.paired_rows` builds one stencil per use and writes only
-the rows of the block that the constants reach.
+the rows of the unknowns that share the constants' fixed key bits.
 """
 
 import heapq
@@ -824,9 +824,9 @@ def gradient_dot_by_terms(p, q, names):
 
 
 def paired_rows_by_terms(lay, groups, constants, names):
-    """Every row of the system `linalg.paired_rows` writes a block of, one
-    `second_order` image per unknown and use, each scaled by its
-    constraint's factor as it goes."""
+    """Every row of the system `linalg.paired_rows` writes whole blocks of,
+    one `second_order` image per unknown and use, each scaled by its
+    constraint's factor as it goes and added into the unknown's image."""
     blocks = [[(k, weight, q.rational_block(lay)) for k, q, weight in uses] for _, uses in groups]
     rhs = [c.rational_block(lay) for c in constants]
     scales = [den for den, _ in rhs]
@@ -835,15 +835,19 @@ def paired_rows_by_terms(lay, groups, constants, names):
     rows = {}
     unknowns = [(ka, uses) for (keys, _), uses in zip(groups, blocks) for ka in keys]
     for j, (ka, uses) in enumerate(unknowns):
+        # the images of x^a under its uses add up, row by row
+        image = {}
         for k, weight, (den, nums) in uses:
             f = scales[k] // den
             if weight is None:
-                image = {ka + kb: n for kb, n in nums.items()}
+                one = {ka + kb: n for kb, n in nums.items()}
             else:
-                image = second_order(nums, lay, names, ka, weight)
-            for key, n in image.items():
-                if n:
-                    rows.setdefault((k, key), {})[j] = n * f
+                one = second_order(nums, lay, names, ka, weight)
+            for key, n in one.items():
+                image[k, key] = image.get((k, key), 0) + n * f
+        for row, n in image.items():
+            if n:
+                rows.setdefault(row, {})[j] = n
     cols = len(unknowns)
     for k, (den, nums) in enumerate(rhs):
         for key, n in nums.items():

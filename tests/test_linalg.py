@@ -301,13 +301,14 @@ def _ansatz_layout(groups, constants, names):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_paired_rows_match_the_second_order_oracle(dim):
-    # the rows of the right side's block, their order and the order of
-    # their entries, against rows written one `second_order` image at a
-    # time and cut to that block here: the quadric Dirichlet and Neumann
+    # the rows of whole blocks that hold the right side's block, their
+    # order and the order of their entries, against rows written one
+    # `second_order` image at a time: the quadric Dirichlet and Neumann
     # groups on ellipsoids, indefinite quadrics, quadrics with a zero b_i
-    # and linear q, and a group whose degrees start above 0 with a quartic
-    # q beside a gradient use in one constraint; the rows left out are
-    # homogeneous, so both systems have one canonical solution
+    # and linear q, a group whose degrees start above 0 with a quartic q
+    # beside a gradient use in one constraint, and the Dirichlet group on
+    # the same quadric centered, whose parity classes split; the rows left
+    # out are homogeneous, so both systems have one canonical solution
     rng = random.Random(2004 + dim)
     ctx = Context(dim)
     one = Polynomial.const(1)
@@ -315,7 +316,8 @@ def test_paired_rows_match_the_second_order_oracle(dim):
     for _ in range(10):
         b = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 3)) if rng.random() < 0.7 else F(0) for _ in range(dim))
         c = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(dim))
-        q = Quadratic(b, c, F(rng.randrange(-3, 3), rng.randrange(1, 3))).poly(ctx)
+        d = F(rng.randrange(-3, 3), rng.randrange(1, 3))
+        q = Quadratic(b, c, d).poly(ctx)
         monos = [tuple((v, rng.randrange(1, 4)) for v in rng.sample(ctx.coords, rng.randrange(dim + 1))) for _ in range(4)]
         f = Polynomial.from_raw((m, rng.randrange(1, 9)) for m in monos[: rng.randrange(1, 5)])
         deg = rng.randrange(4)
@@ -329,16 +331,53 @@ def test_paired_rows_match_the_second_order_oracle(dim):
                 [Polynomial(), f],
             ),
             ([(range(deg, deg + 2), [(0, q * q, laplace_weight), (0, q, gradient_weight)])], [f]),
+            ([(range(deg + 1), [(0, Quadratic(b, (), d).poly(ctx), laplace_weight)])], [f]),
         ):
             lay, columns = _ansatz_layout(groups, constants, ctx.coords)
             rows, cols = linalg.paired_rows(lay, columns, constants, ctx.coords)
             want_rows, want_cols = poly_oracle.paired_rows_by_terms(lay, columns, constants, ctx.coords)
-            block = _block_of_the_constants(want_rows, want_cols)
-            assert (_with_order(rows), cols) == (_with_order(block), want_cols)
+            assert cols == want_cols
+            # the rows written are the oracle's, in its order and with its
+            # entries; the rows left out share no column with them, so
+            # they are whole blocks, and they hold the constants' block
+            order = _with_order(want_rows)
+            picked = []
+            for row in _with_order(rows):
+                picked.append(order.index(row, picked[-1] + 1 if picked else 0))
+            written = {c for row in rows for c in row}
+            assert all(written.isdisjoint(row) for i, row in enumerate(want_rows) if i not in picked)
+            assert all(row in rows for row in _block_of_the_constants(want_rows, want_cols))
             assert linalg.solve(rows, cols) == linalg.solve(want_rows, want_cols)
             dropped += len(want_rows) - len(rows)
-    # the data reaches only some blocks of these systems
+    # the classes of the data leave out some rows of these systems
     assert dropped > 0
+
+
+def test_paired_rows_on_a_homogeneous_quadric_keep_to_one_degree():
+    # q has no linear or constant term, so the Laplacian of q x^a has the
+    # degree of x^a: data of degree 6 and exponent parities (odd, odd,
+    # even) reach the 6 unknowns of that degree and parity, one block,
+    # and not the 4 of degrees 2 and 4 with the same parities
+    ctx = Context(3)
+    q = Quadratic((1, 2, 3), (0, 0, 0), F(0)).poly(ctx)
+    f = P("x1^3*x2^3 + x1*x2*x3^4", ctx)
+    groups = [(range(7), [(0, q, laplace_weight)])]
+    lay, columns = _ansatz_layout(groups, [f], ctx.coords)
+    keys = columns[0][0]
+    rows, cols = linalg.paired_rows(lay, columns, [f], ctx.coords)
+    want_rows, _ = poly_oracle.paired_rows_by_terms(lay, columns, [f], ctx.coords)
+    block = {c for row in _block_of_the_constants(want_rows, cols) for c in row} - {cols}
+    assert {c for row in rows for c in row} - {cols} == block
+    assert sorted(sum(e for _, e in lay.unpack(keys[j])) for j in block) == [6] * 6
+    assert linalg.solve(rows, cols) == linalg.solve(want_rows, cols)
+
+
+def test_images_of_two_uses_in_one_constraint_add_up():
+    # x1 enters the one constraint as 1 x1 and as 2 x1, so 3 x1 = 6 x1
+    # and the answer is 2 x1
+    x1 = Polynomial.var("x1")
+    uses = [(0, Polynomial.const(1), None), (0, Polynomial.const(2), None)]
+    assert linalg.solve_ansatz([(range(2), uses)], [6 * x1], ("x1",)) == [2 * x1]
 
 
 def test_paired_rows_of_zero_constants_are_empty():
