@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 
+from .errors import UnsupportedInputError
 from .scalar import Scalar
 
 
@@ -58,8 +59,8 @@ def _format_sig(v, digits):
 
 def approx_scalar(s, digits):
     """Correctly rounded decimal string with `digits` significant digits."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    if not isinstance(digits, int) or digits < 1:
+        raise UnsupportedInputError("digits must be an integer >= 1, got %r" % (digits,))
     s = s if isinstance(s, Scalar) else Scalar.from_fraction(s)
     if s.is_zero():
         return "0." + "0" * digits

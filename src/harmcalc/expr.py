@@ -21,10 +21,7 @@ powers with no log factor end in the polynomial part: a base outside the
 group's signature starts at most at power 0, so they ride the shifts.  An
 Expr sum is one `Expr._from_raw` call over all the raw terms: canonical
 form is unique, so canonicalizing once gives what a fold of `+` would.
-A base is pulled only from a factor with a log or a negative power
-(`pulls_base`), so a polynomial times terms with no such factor is
-canonical as multiplied: each group's total is only multiplied by the
-polynomial.
+Every sum and every product ends in that one canonicalizer.
 """
 
 from __future__ import annotations
@@ -335,11 +332,6 @@ class Expr:
         other = self._coerce(other)
         context_of(other, self.ctx)
         raw = [(p1 * p2, f1 + f2) for p1, f1 in self.terms for p2, f2 in other.terms]
-        # a polynomial multiple with nothing to pull is canonical as multiplied
-        if (self.is_polynomial() or other.is_polynomial()) and not any(
-            pulls_base(h, j) for _, f in raw for _, h, j in f
-        ):
-            return Expr(self.ctx, tuple(raw))
         return Expr._from_raw(self.ctx, raw)
 
     __rmul__ = __mul__

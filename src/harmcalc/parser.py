@@ -31,9 +31,8 @@ nonnegative powers fold into one coefficient and one exponent map: one
 monomial per term.  Every other factor is evaluated as an Expr where it
 is read, under the bounds of the code that makes it (a norm atom's
 canonical form, `Polynomial.__pow__` and `Expr.__pow__` for other
-powers), and multiplied in with `Expr.__mul__` at its own `*`, which
-alone decides whether the product needs canonicalizing; once the
-coefficient is 0 nothing more is multiplied.  A fault is therefore
+powers), and multiplied in with `Expr.__mul__` at its own `*`; once
+the coefficient is 0 nothing more is multiplied.  A fault is therefore
 raised at the token where a reader that multiplied every factor as an
 Expr would raise it, with the same type and message.  The term's
 monomial times the product's terms are the raw terms of the sum.
@@ -208,9 +207,8 @@ class _Parser:
 
         Numbers at power 1 and variables at nonnegative powers fold into one
         coefficient and one exponent map, one monomial in the end.  Every
-        other factor is read as an Expr and multiplied in at its own `*`,
-        where `Expr.__mul__` canonicalizes the product unless it is already
-        canonical; once the coefficient is 0 nothing more is multiplied.
+        other factor is read as an Expr and multiplied in with `Expr.__mul__`
+        at its own `*`; once the coefficient is 0 nothing more is multiplied.
         """
         coeff, exps = Fraction(sign), {}
         product = None

@@ -6,7 +6,8 @@ integer half-exponent of pi (the term contributes pi^(pi_half/2)), and a
 multiset of prime logarithms.  Log arguments are always reduced to the
 prime basis (log 4 becomes 2*log 2, log(3/2) becomes log 3 - log 2), which
 keeps zero testing decidable: distinct signatures are treated as linearly
-independent over the rationals.
+independent over the rationals.  Every sum and product is canonicalized by
+one routine, `Scalar._build`.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ class Scalar:
         """Canonicalize a list of (coeff, radicand, pi_half, logs) tuples."""
         acc = {}
         for coeff, rad, pih, logs in raw:
-            if coeff == 0:
-                continue
             sig = (rad, pih, logs)
-            acc[sig] = acc.get(sig, _ZERO) + coeff
+            # a signature's sum starts at its first coefficient; a zero sum drops below
+            acc[sig] = acc[sig] + coeff if sig in acc else coeff
         # the signatures are distinct, so the sort never compares coefficients
-        return Scalar(tuple((c, *sig) for sig, c in sorted(acc.items()) if c))
+        return Scalar([(c, *sig) for sig, c in sorted(acc.items()) if c])
 
     @staticmethod
     def from_fraction(q):
@@ -140,20 +140,7 @@ class Scalar:
     def __add__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
-        other = _coerce(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            c1, r1, p1, l1 = self.terms[0]
-            c2, r2, p2, l2 = other.terms[0]
-            if (r1, p1, l1) == (r2, p2, l2):
-                c = c1 + c2
-                if not c:
-                    return ZERO
-                return Scalar(((c, r1, p1, l1),))
-        return Scalar._build(list(self.terms) + list(other.terms))
+        return Scalar._build(self.terms + _coerce(other).terms)
 
     __radd__ = __add__
 
@@ -172,19 +159,13 @@ class Scalar:
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         other = _coerce(other)
-        if not self.terms or not other.terms:
-            return ZERO
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            t1, t2 = self.terms[0], other.terms[0]
-            g, sig = sig_product(t1[1:], t2[1:])
-            c = t1[0] * t2[0]
-            # a Fraction times an int is slow, so skip g = 1
-            return Scalar(((c * g if g > 1 else c,) + sig,))
         raw = []
-        for c1, *s1 in self.terms:
-            for c2, *s2 in other.terms:
-                g, sig = sig_product(s1, s2)
-                raw.append((c1 * c2 * g,) + sig)
+        for t1 in self.terms:
+            for t2 in other.terms:
+                g, sig = sig_product(t1[1:], t2[1:])
+                c = t1[0] * t2[0]
+                # a Fraction times an int is slow, so skip g = 1
+                raw.append((c * g if g > 1 else c,) + sig)
         return Scalar._build(raw)
 
     __rmul__ = __mul__
@@ -313,11 +294,7 @@ def power(x, k, one, blocks, shape=None):
 
 
 def _coerce(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.from_fraction(x)
-    raise TypeError("cannot treat %r as a Scalar" % (x,))
+    return x if isinstance(x, Scalar) else Scalar.from_fraction(x)
 
 
 def sig_product(a, b):

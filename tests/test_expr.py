@@ -6,13 +6,18 @@ import pytest
 import poly_oracle
 from conftest import E, P, random_norm_expr, random_polynomial, rational_sphere_point
 
+from harmcalc.calculus import normal_d_surface
 from harmcalc.errors import (
     EmptyInterior,
     MultiTermDivision,
     NegativeBaseValue,
+    NegativeRadicand,
+    NonRationalSqrt,
     UnsupportedBase,
+    UnsupportedDimension,
     UnsupportedInputError,
     ZeroBaseValue,
+    ZeroGradientField,
 )
 from harmcalc.expr import (
     Context,
@@ -27,7 +32,7 @@ from harmcalc.expr import (
 from harmcalc.parser import parse_expression
 from harmcalc.poly import Polynomial, horner, poly_sum
 from harmcalc.render import expr_text
-from harmcalc.scalar import MAX_POWER_BITS, Scalar
+from harmcalc.scalar import MAX_POWER_BITS, Scalar, scalar_sqrt
 from harmcalc.transforms import kelvin
 
 
@@ -35,6 +40,31 @@ def test_norm_squared_expands(ctx3):
     e = Expr.norm_power(ctx3, 1)
     p = ctx3.norm_sq_poly()
     assert (e * e - Expr.from_poly(ctx3, p)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Context(0), UnsupportedDimension, "^dimension must be positive$"),
+        (
+            lambda: Expr.base_power(Context(2), Polynomial.const(2), 1),
+            UnsupportedBase,
+            "^constant polynomials cannot be bases$",
+        ),
+        (
+            lambda: normal_d_surface(E("x1", make_context(2, extra=("a",))), Polynomial.var("a")),
+            ZeroGradientField,
+            "vanishes identically",
+        ),
+        (lambda: Scalar.sqrt_int(0), NegativeRadicand, "^sqrt of nonpositive integer 0$"),
+        (lambda: scalar_sqrt(Scalar.sqrt_int(2)), NonRationalSqrt, "already carrying a radical"),
+    ],
+    ids=["dimension-0", "constant-base", "auxiliary-surface", "sqrt-0", "sqrt-of-a-radical"],
+)
+def test_typed_refusals(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert info.value.exit_code == 3
 
 
 def test_like_terms_cancel(ctx3):
@@ -293,9 +323,9 @@ def test_one_canonicalization_equals_the_fold():
 
 
 def test_a_polynomial_multiple_has_the_terms_of_its_canonical_form(monkeypatch):
-    """A product with a polynomial side skips `_from_raw` where the other
-    side has no log and no negative power, and its terms are exactly
-    those `_from_raw` gives the raw product."""
+    """Every product with a polynomial side, whether or not the other side
+    has a log or a negative power, is one `_from_raw` call over the raw
+    product, and its terms are exactly those `_from_raw` gives it."""
     from harmcalc.kernels import poisson_base
 
     rng = random.Random(38)
@@ -304,7 +334,7 @@ def test_a_polynomial_multiple_has_the_terms_of_its_canonical_form(monkeypatch):
     from_raw = Expr._from_raw
     calls = []
     monkeypatch.setattr(Expr, "_from_raw", staticmethod(lambda *args: calls.append(args) or from_raw(*args)))
-    paths = {True: 0, False: 0}
+    kinds = {True: 0, False: 0}
     for i in range(60):
         e = random_norm_expr(rng, ctx)
         if i % 3 == 1:
@@ -321,14 +351,13 @@ def test_a_polynomial_multiple_has_the_terms_of_its_canonical_form(monkeypatch):
         for q in (Expr.from_poly(ctx, m) for m in multiples):
             for a, b in ((e, q), (q, e)):
                 raw = [(p1 * p2, f1 + f2) for p1, f1 in a.terms for p2, f2 in b.terms]
-                before = len(calls)
+                calls.clear()
                 got = a * b
-                canonicalized = len(calls) > before
-                assert canonicalized == (pulls and bool(raw))
+                assert calls == [(ctx, raw)]
                 assert got.terms == from_raw(ctx, raw).terms
-                paths[canonicalized] += bool(raw)
-    # both paths are taken by nonzero products
-    assert min(paths.values()) >= 60, paths
+                kinds[pulls] += bool(raw)
+    # nonzero products with and without a factor to pull both occur
+    assert min(kinds.values()) >= 60, kinds
 
 
 def test_grouped_shifts_match_per_member_shifts():

@@ -3,11 +3,13 @@
 Each test here is a self-contained randomized property with a fixed seed:
 canonical-form idempotence, finite-difference derivative agreement,
 Laplacian = divergence of gradient, the mean-value identity, a Monte-Carlo
-cross-check of ellipsoid integrals, and the render/parse round trip.
+cross-check of ellipsoid integrals, the render/parse round trip, and the
+reflected arithmetic operators.
 Run with: pytest tests/test_properties.py
 """
 
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -34,6 +36,43 @@ def test_canonical_form_idempotence():
         shuffled = list(e.terms)
         rng.shuffle(shuffled)
         assert Expr._from_raw(ctx, shuffled).terms == e.terms
+
+
+def _random_scalar(rng):
+    """A rational plus up to two multiples of a radical, a pi power or a log."""
+    out = Scalar.from_fraction(F(rng.randrange(-9, 10), rng.randrange(1, 6)))
+    for _ in range(rng.randrange(3)):
+        part = rng.choice(
+            (
+                Scalar.sqrt_int(rng.choice((2, 3, 6))),
+                Scalar.pi_power(rng.randrange(-2, 3)),
+                Scalar.log_fraction(F(rng.randrange(2, 9), rng.randrange(1, 5))),
+            )
+        )
+        out = out + part * rng.randrange(-4, 5)
+    return out
+
+
+def test_reflected_operands_agree_with_the_direct_ones():
+    """With a number c on the left of a Scalar, Polynomial or Expr x,
+    c - x is -(x - c), c + x and c * x are x + c and x * c, and 0 + x is
+    x; an operand of a foreign type is a TypeError on either side."""
+    ctx = Context(3)
+    rng = random.Random(45)
+    for _ in range(30):
+        c = rng.choice((rng.randrange(-5, 6), F(rng.randrange(-9, 10), rng.randrange(1, 8))))
+        for x in (_random_scalar(rng), random_polynomial(rng, ctx), random_norm_expr(rng, ctx)):
+            assert c - x == -(x - c)
+            assert c + x == x + c
+            assert c * x == x * c
+            assert 0 + x == x
+    for x in (_random_scalar(rng), random_polynomial(rng, ctx), random_norm_expr(rng, ctx)):
+        for foreign in ("1", 1.5, None, [1]):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(foreign, x)
+                with pytest.raises(TypeError):
+                    op(x, foreign)
 
 
 def test_finite_difference_derivatives():

@@ -294,6 +294,13 @@ def test_approx_known_values():
     assert approx_scalar(Scalar.sqrt_int(2), 8) == "1.4142136"
 
 
+@pytest.mark.parametrize("digits", [0, -3, 2.5, "6"])
+def test_approx_refuses_digits_that_are_no_int_of_at_least_one(digits):
+    with pytest.raises(UnsupportedInputError, match="digits must be an integer >= 1") as info:
+        approx_scalar(Scalar.sqrt_int(2), digits)
+    assert info.value.exit_code == 3
+
+
 def test_approx_computes_pi_only_for_a_pi_factor(monkeypatch):
     def no_pi(prec):
         raise AssertionError("pi computed for a value without a pi factor")
