@@ -13,12 +13,15 @@ P * prod_b F_b(B_b) with F_b = B_b^(h/2) * log(B_b)^j.  Then
                     + 2 P sum_(b < c) F_b' F_c' (grad B_b . grad B_c) prod_(others) F,
 
 where F' = (h/2) B^((h-2)/2) log(B)^j + j B^((h-2)/2) log(B)^(j-1), and F''
-is that rule applied twice.  Delta B_b, grad B_b . grad B_c and the
-quotient G_b = |grad B_b|^2 / B_b, where B_b divides it (4 for the norm,
-4|y|^2 for the Poisson base 1 - 2x.y + |x|^2|y|^2, 4 for |x - c|^2), are
-memoized on the Context, so a term costs a few polynomial products, not a
-product rule per coordinate.  With G_b, a piece c B^(h/2) log(B)^j of F''
-whose B the canonical form would pull out (`expr.pulls_base`) is written
+is that rule applied twice.  Per term and base, 2 grad P . grad B_b +
+P Delta B_b is one pass over P's terms of B_b's first-order `Stencil`
+(`Context.base_first_order`, the stencil built once per layout), and each
+F' piece scales it by a rational.  grad B_b . grad B_c and the quotient
+G_b = |grad B_b|^2 / B_b, where B_b divides it (4 for the norm, 4|y|^2 for
+the Poisson base 1 - 2x.y + |x|^2|y|^2, 4 for |x - c|^2), are memoized on
+the Context, so each kind of F'' piece and each pair of bases costs one
+product by P.  With G_b, a piece c B^(h/2) log(B)^j of F'' whose B the
+canonical form would pull out (`expr.pulls_base`) is written
 c P G_b B^((h+2)/2) log(B)^j, so `Expr._from_raw` has no division by B
 left to do; the other pieces, which keep their power there, keep
 P |grad B_b|^2.  First derivatives use the termwise product rule.
@@ -115,7 +118,7 @@ def _laplacian_raw(ctx, poly, fac):
         return tuple(out)
 
     for i, (b, _, _) in enumerate(fac):
-        first = poly.gradient_dot(ctx.base_poly(b), coords).scale(2) + poly * ctx.base_laplacian(b)
+        first = ctx.base_first_order(b, poly)
         raw.extend((first.scale(c), put((i, h, j))) for c, h, j in firsts[i])
         # with |grad B|^2 = G B, a piece _from_raw would pull B from (a log or
         # a negative power) is P G one power of B up; the others keep P |grad B|^2

@@ -21,7 +21,8 @@ powers with no log factor end in the polynomial part: a base outside the
 group's signature starts at most at power 0, so they ride the shifts.  An
 Expr sum is one `Expr._from_raw` call over all the raw terms: canonical
 form is unique, so canonicalizing once gives what a fold of `+` would.
-Every sum and every product ends in that one canonicalizer.
+Every sum and every product ends in that one canonicalizer, but for
+negation and `scale` by a constant, which keep canonical terms canonical.
 """
 
 from __future__ import annotations
@@ -38,7 +39,16 @@ from .errors import (
     UnsupportedInputError,
     ZeroBaseValue,
 )
-from .poly import Polynomial, _power_blocks, horner, poly_sum, quadratic_poly
+from .poly import (
+    Polynomial,
+    Stencil,
+    _join,
+    _power_blocks,
+    first_order_weight,
+    horner,
+    poly_sum,
+    quadratic_poly,
+)
 from .scalar import ONE, ZERO, Scalar, _as_fraction, power
 
 # ---------------------------------------------------------------------------
@@ -75,7 +85,8 @@ class Context:
         self.var_rank = {v: i for i, v in enumerate(coords + extra)}
         self._bases = []
         self._base_index = {}
-        # bid: Laplacian; (b, c): gradient dot; (bid,): |grad B|^2 / B or None
+        # (b, c): gradient dot; (bid,): |grad B|^2 / B or None; (bid, layout):
+        # the first-order Stencil
         self._base_derivatives = {}
         self.norm_base = self.register_base(self.norm_sq_poly())[0]
 
@@ -99,12 +110,19 @@ class Context:
         """The registered base `bid`, as stored: primitive."""
         return self._bases[bid]
 
-    def base_laplacian(self, bid):
-        """The Laplacian of base `bid` in the coordinates, memoized on this Context."""
-        out = self._base_derivatives.get(bid)
-        if out is None:
-            out = self._base_derivatives[bid] = self._bases[bid].laplacian(self.coords)
-        return out
+    def base_first_order(self, bid, poly):
+        """2 grad poly . grad B + poly Delta B in the coordinates, B the base
+        `bid`: one pass of B's first-order `Stencil`, which is built once
+        per layout and memoized on this Context."""
+        base = self._bases[bid]
+        lay = _join(poly.layout, base.layout, poly.total_degree() + base.total_degree())
+        key = (bid, lay)
+        stencil = self._base_derivatives.get(key)
+        if stencil is None:
+            # a base is stored primitive, so its denominator is 1
+            nums = base.rational_block(lay)[1]
+            stencil = self._base_derivatives[key] = Stencil(nums, lay, self.coords, first_order_weight)
+        return stencil.image(poly)
 
     def base_gradient_dot(self, b, c):
         """grad base_b . grad base_c in the coordinates, memoized on this Context."""
@@ -337,7 +355,11 @@ class Expr:
     __rmul__ = __mul__
 
     def scale(self, c):
-        return Expr._from_raw(self.ctx, [(p.scale(c), f) for p, f in self.terms])
+        # scaled by a nonzero constant, a term keeps its factors, a base
+        # divides it as before and it stays nonzero, so the terms stay
+        # canonical; scaled by 0, every term is 0
+        terms = tuple((p.scale(c), f) for p, f in self.terms)
+        return Expr(self.ctx, terms if terms and terms[0][0].blocks else ())
 
     def __truediv__(self, c):
         c = c if isinstance(c, Scalar) else Scalar.from_fraction(c)

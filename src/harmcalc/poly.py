@@ -12,10 +12,13 @@ rendering, hashing and coefficient lookup read the blocks, and `order_key`
 sorts packed keys in the graded order rendering prints.
 
 `monomials` enumerates packed keys by total degree, and a `Stencil`,
-built once from a polynomial's terms, writes the Laplacian or gradient
-image of each monomial against them: `linalg` builds the quadric ansatz
-from the two, and `Polynomial.laplacian`, `gradient_dot` and the
-harmonic ladders apply a stencil too.
+built once from a polynomial's terms, writes the Laplacian, gradient or
+first-order image of each monomial against them: `linalg` builds the
+quadric ansatz from the first two, `Polynomial.laplacian`, `gradient_dot`
+and the harmonic ladders apply a stencil too, and a base's first-order
+stencil takes 2 grad P . grad B + P Delta B in one pass over P's terms
+(`expr.Context.base_first_order`).  Scaling by an int or a Fraction
+scales each block's numerators and denominator, with no product.
 
 `Polynomial.divide_exact` divides by a rational-coefficient polynomial and
 returns the quotient only if the division is exact, else None: each block
@@ -23,6 +26,8 @@ is divided by heap long division on its keys, which compare in a graded
 order, a guard bit above each field testing monomial divisibility
 (Monagan and Pearce, "Sparse polynomial division using a heap", J. Symb.
 Comp. 2011).  An exact quotient is unique, so the order does not matter.
+A block whose greatest or least key has no quotient key (the divisor's
+borrows from it) is refused before any heap is built.
 """
 
 from __future__ import annotations
@@ -214,10 +219,12 @@ def _new(lay, blocks):
     return out
 
 
-# the markers of the two second-order maps a `Stencil` applies: the
-# Laplacian of q x^a, and grad q . grad x^a
+# the markers of the three maps a `Stencil` applies: the Laplacian of
+# q x^a, grad q . grad x^a, and 2 grad q . grad x^a + x^a Delta q, the
+# part of the Laplacian of x^a F(q) that multiplies F'(q)
 laplace_weight = "laplace"
 gradient_weight = "gradient"
+first_order_weight = "first order"
 
 
 class Stencil:
@@ -226,43 +233,65 @@ class Stencil:
 
     The image of x^a is the sum over terms n x^b of the operand and v in
     names of w(a_v, b_v) n x^(a + b - 2 e_v), with w = (a + b)(a + b - 1)
-    for `laplace_weight` (the Laplacian of q x^a) and w = a b for
-    `gradient_weight` (grad q . grad x^a).  `terms` holds (v's field
-    shift, b_v, n, k_b - 2 e_v) for every term and every variable v of
-    names in lay, term by term, less those with b_v = 0 for the gradient,
-    whose weight vanishes there: an image meets its keys in that order,
-    and `linalg.paired_rows` numbers its rows by it.  lay must hold every
-    a + b.
+    for `laplace_weight` (the Laplacian of q x^a), w = a b for
+    `gradient_weight` (grad q . grad x^a) and w = 2 a b + b (b - 1) =
+    (a + b)(a + b - 1) - a (a - 1) for `first_order_weight` (2 grad q .
+    grad x^a + x^a Delta q, one pass where a gradient dot product, a
+    Laplacian, a product and a sum would take four).  `terms` holds (v's
+    field shift, b_v, n, k_b - 2 e_v) for every term and every variable v
+    of names in lay, term by term, less those with b_v = 0 for the
+    gradient and first-order weights, which vanish there: an image meets
+    its keys in that order, and `linalg.paired_rows` numbers its rows by
+    it.  `layout` is lay, which must hold every a + b.
     """
 
-    __slots__ = ("laplace", "mask", "terms")
+    __slots__ = ("weight", "layout", "mask", "terms")
 
     def __init__(self, nums, lay, names, weight):
-        self.laplace = weight is laplace_weight
+        self.weight = weight
+        self.layout = lay
         self.mask = mask = lay.mask
         fields = [(lay.shift[v], 2 * lay.unit[v]) for v in names if v in lay.shift]
         self.terms = [(s, (kb >> s) & mask, n, kb - two) for kb, n in nums.items() for s, two in fields]
-        if not self.laplace:
+        if weight is not laplace_weight:
             self.terms = [t for t in self.terms if t[1]]
 
     def add(self, ka, acc, c=1):
         """acc, a {key: int} dict, with c times the image of x^a (packed in ka) added in."""
         get, mask = acc.get, self.mask
-        if self.laplace:
+        if self.weight is laplace_weight:
             for s, b, n, k in self.terms:
                 # (a_v + b_v)(a_v + b_v - 1), which vanishes unless a_v + b_v >= 2
                 w = ((ka >> s) & mask) + b
                 if w > 1:
                     k += ka
                     acc[k] = get(k, 0) + c * w * (w - 1) * n
-        else:
+        elif self.weight is gradient_weight:
             for s, b, n, k in self.terms:
                 # a_v b_v, where b_v > 0
                 a = (ka >> s) & mask
                 if a:
                     k += ka
                     acc[k] = get(k, 0) + c * a * b * n
+        else:
+            for s, b, n, k in self.terms:
+                # b_v (2 a_v + b_v - 1), where b_v > 0: 0 only at a_v = 0, b_v = 1
+                w = b * (2 * ((ka >> s) & mask) + b - 1)
+                if w:
+                    k += ka
+                    acc[k] = get(k, 0) + c * w * n
         return acc
+
+    def image(self, p):
+        """The sum over terms n x^a of p of n times the image of x^a, keyed
+        in `layout`: the operand's denominator is the caller's to apply."""
+        blocks = {}
+        for sig, (den, nums) in _rekey(p, self.layout).items():
+            acc = {}
+            for ka, n in nums.items():
+                self.add(ka, acc, n)
+            _put(blocks, sig, den, acc)
+        return _new(self.layout, blocks)
 
 
 class Polynomial:
@@ -402,8 +431,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c):
-        # a constant's only key is 0, the same in every layout
-        return _product(self.layout, self.blocks, Polynomial.const(c).blocks)
+        if isinstance(c, Scalar):
+            # a constant's only key is 0, the same in every layout
+            return _product(self.layout, self.blocks, Polynomial.const(c).blocks)
+        # an int or a Fraction scales each block's numerators and denominator
+        blocks = {}
+        for sig, (den, nums) in self.blocks.items():
+            _put(blocks, sig, den * c.denominator, {k: n * c.numerator for k, n in nums.items()})
+        return _new(self.layout, blocks)
 
     def __pow__(self, k):
         shape = self.total_degree(), len(self.variables())
@@ -488,10 +523,27 @@ class Polynomial:
         return self._map(f).get(0, Polynomial())
 
     def homogeneous_parts(self, names):
-        """Split by the degree in `names`: dict deg -> part."""
+        """Split by the degree in `names`: dict deg -> part.
+
+        A term's degree there is its key's degree field less the other
+        variables' exponents; the terms are partitioned, keys unchanged.
+        """
         lay = self.layout
-        shifts = [lay.shift[v] for v in set(names) if v in lay.shift]
-        return self._map(lambda k: (sum((k >> s) & lay.mask for s in shifts), k, 1))
+        others = [s for v, s in lay.shift.items() if v not in names]
+        mask, top = lay.mask, lay.top
+        parts = {}
+        for sig, (den, nums) in self.blocks.items():
+            for k, n in nums.items():
+                d = (k >> top) - sum((k >> s) & mask for s in others)
+                part = parts.get(d) or parts.setdefault(d, {})
+                (part.get(sig) or part.setdefault(sig, (den, {})))[1][k] = n
+        out = {}
+        for d, part in parts.items():
+            blocks = {}
+            for sig, (den, nums) in part.items():
+                _put(blocks, sig, den, nums)
+            out[d] = _new(lay, blocks)
+        return out
 
     def partial(self, var):
         lay = self.layout
@@ -630,20 +682,26 @@ class Polynomial:
         The divisor must have rational coefficients.  An exact quotient is
         unique, so `rank`, a monomial order, is not read: each block of
         self is divided by heap long division on its keys, graded order.
+        Keys add under products and compare as ints, so the greatest and
+        least keys of an exact quotient are a block's less the divisor's:
+        where either subtraction borrows, the division is refused before
+        any heap is built.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return Polynomial()
-        if self.total_degree() < divisor.total_degree():
-            return None
         # every monomial met has degree at most self's, which fits the fields
         lay = _join(self.layout, divisor.layout)
         dden, dnums = divisor.rational_block(lay)
+        dividends = _rekey(self, lay).items()
+        hi, lo, guards = max(dnums), min(dnums), lay.guards
+        if any((max(nums) - hi) & guards or (min(nums) - lo) & guards for _, (_, nums) in dividends):
+            return None
         content = gcd(*dnums.values())
         (lead_k, lead_n), *tail = sorted(((k, n // content) for k, n in dnums.items()), reverse=True)
         blocks = {}
-        for sig, (den, nums) in _rekey(self, lay).items():
+        for sig, (den, nums) in dividends:
             rem = dict(nums)
             heap = [-k for k in rem]
             heapify(heap)
@@ -654,7 +712,7 @@ class Polynomial:
                 if not c:
                     continue
                 qk = k - lead_k
-                if qk & lay.guards:
+                if qk & guards:
                     return None  # a borrow: lead_k does not divide k
                 qn, r = divmod(c, lead_n)
                 if r:

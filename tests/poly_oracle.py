@@ -62,11 +62,16 @@ regular expression.
 `second_order` is the earlier second-order image of one monomial against
 a polynomial's terms, a weight function call per term and variable and a
 dict per monomial, where `poly.Stencil` is built once per operand and
-applied once per monomial.  `laplacian_by_blocks` and
-`gradient_dot_by_terms` apply it block by block and term by term, and
-`paired_rows_by_terms` writes every row of the quadric ansatz with it,
-where `linalg.paired_rows` builds one stencil per use and writes only
-the rows of the unknowns that share the constants' fixed key bits.
+applied once per monomial; it takes the first-order weight too.
+`laplacian_by_blocks` and `gradient_dot_by_terms` apply it block by block
+and term by term, and `paired_rows_by_terms` writes every row of the
+quadric ansatz with it, where `linalg.paired_rows` builds one stencil
+per use and writes only the rows of the unknowns that share the
+constants' fixed key bits.
+
+`first_order` is 2 grad p . grad b + p Delta b as a gradient dot
+product, a Laplacian, a product and a sum, where
+`Context.base_first_order` makes one pass of b's first-order stencil.
 """
 
 import heapq
@@ -76,7 +81,16 @@ from math import factorial, gcd, lcm, prod
 from harmcalc.errors import ParseError, UnknownVariable, UnsupportedInputError, UnsupportedScalarNorm
 from harmcalc.expr import Expr
 from harmcalc.parser import _Parser
-from harmcalc.poly import Polynomial, _join, _rekey, dot_poly, gradient_weight, laplace_weight, poly_sum
+from harmcalc.poly import (
+    Polynomial,
+    _join,
+    _rekey,
+    dot_poly,
+    first_order_weight,
+    gradient_weight,
+    laplace_weight,
+    poly_sum,
+)
 from harmcalc.render import scalar_latex, scalar_text
 from harmcalc.scalar import ZERO, Scalar, _as_fraction, scalar_sqrt
 from harmcalc.transforms import _invert
@@ -279,6 +293,14 @@ def partial(p, var):
 def gradient_dot(p, q, names):
     """grad p . grad q in `names`: the sum over the names of the products of partials."""
     return total([mul(partial(p, v), partial(q, v)) for v in names])
+
+
+def first_order(p, b, names):
+    """2 grad p . grad b + p Delta b in `names`, term by term: a gradient
+    dot product, a Laplacian, a product and a sum, where
+    `Context.base_first_order` makes one pass of a first-order `Stencil`."""
+    laplacian_b = total([partial(partial(b, v), v) for v in names])
+    return add(scale(gradient_dot(p, b, names), 2), mul(p, laplacian_b))
 
 
 def integrate(p, var):
@@ -769,6 +791,7 @@ def tokenize_by_characters(src):
 SECOND_ORDER_WEIGHTS = {
     laplace_weight: lambda a, b: (a + b) * (a + b - 1),
     gradient_weight: lambda a, b: a * b,
+    first_order_weight: lambda a, b: 2 * a * b + b * (b - 1),
 }
 
 
@@ -777,7 +800,8 @@ def second_order(nums, lay, names, ka, weight):
     w(a_v, b_v) n x^(a + b - 2 e_v), x^a packed in ka and keys in lay,
     which holds a + b, w the weight of the marker `weight`.  The weight
     vanishes unless a_v + b_v >= 2; for the gradient it vanishes where
-    a_v = 0, so only the variables of x^a are visited."""
+    a_v = 0, so only the variables of x^a are visited.  The first-order
+    weight 2 a b + b (b - 1) vanishes where b_v = 0 or a_v = 0, b_v = 1."""
     mask = lay.mask
     w_of = SECOND_ORDER_WEIGHTS[weight]
     fields = [(lay.shift[v], 2 * lay.unit[v], (ka >> lay.shift[v]) & mask) for v in names if v in lay.shift]

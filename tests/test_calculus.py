@@ -24,6 +24,7 @@ from harmcalc.calculus import (
 from harmcalc.bvp import Plain, anti_laplacian
 from harmcalc.errors import DimensionMismatch, NonPolynomialInput, NotHarmonic, UnsupportedInputError
 from harmcalc.expr import Context, Expr, eval_expr, restrict_to_sphere, substitute_norm_radius
+from harmcalc.kernels import half_space_base, poisson_base
 from harmcalc.poly import Polynomial, poly_sum
 from harmcalc.render import expr_json, expr_latex, expr_text
 from harmcalc.approx import approx_scalar
@@ -194,17 +195,63 @@ def test_gradient_dot_matches_oracle():
         assert p.gradient_dot(q, ctx.coords) == want and q.gradient_dot(p, ctx.coords) == want
 
 
+def test_first_order_stencil_matches_oracle():
+    """Context.base_first_order(b, P) is 2 grad P . grad B + P Delta B term by term.
+
+    Bases: the norm, the Poisson base 1 - 2 x.y + |x|^2 |y|^2, the
+    half-space base (u + x_n)^2 + |x' - t|^2, |x - c|^2 and a base
+    registered with content 2 (stored primitive).  P: sqrt, pi and log
+    coefficients, the auxiliary y, t and u, constants, and 0.
+    """
+    rng = random.Random(1511)
+    coeffs = (
+        Scalar.sqrt_int(2),
+        Scalar.pi_power(-2),
+        Scalar.log_fraction(3),
+        Scalar.from_fraction(1) + Scalar.sqrt_int(3),
+        Scalar.from_fraction(F(-7, 4)),
+    )
+    for dim in (2, 3, 4):
+        ys = tuple("y%d" % (i + 1) for i in range(dim))
+        ts = tuple("t%d" % (i + 1) for i in range(dim - 1))
+        ctx = Context(dim, extra=ys + ts + ("u",))
+        aux = [Polynomial.var(v) for v in ctx.extra]
+        shifted = poly_sum((Polynomial.var(v) - F(i + 1, 3)) ** 2 for i, v in enumerate(ctx.coords))
+        bases = [
+            ctx.norm_base,
+            ctx.register_base(poisson_base(ctx, ys))[0],
+            ctx.register_base(half_space_base(ctx, ts, "u"))[0],
+            ctx.register_base(shifted)[0],
+        ]
+        bid, content = ctx.register_base(P("2*x1^2 - 4*x1*y1 + 2*u - 6", ctx))
+        assert content == 2 and ctx.base_poly(bid) == P("x1^2 - 2*x1*y1 + u - 3", ctx)
+        bases.append(bid)
+        for b in bases:
+            polys = [Polynomial(), Polynomial.const(rng.choice(coeffs))]
+            for _ in range(6):
+                p = random_polynomial(rng, ctx, max_degree=3, terms=4) * rng.choice(aux + [1])
+                polys.append(p.scale(rng.choice(coeffs)) + random_polynomial(rng, ctx, max_degree=2, terms=2))
+            for p in polys:
+                want = poly_oracle.first_order(p, ctx.base_poly(b), ctx.coords)
+                assert ctx.base_first_order(b, p) == want
+
+
 def test_base_derivatives_stay_with_their_context():
     """Two Contexts with different bases under one id keep their own derivatives.
 
     The quotient |grad B|^2 / B is memoized beside them: 4 for the norm,
-    none for a base that does not divide its |grad B|^2.
+    none for a base that does not divide its |grad B|^2; and so is each
+    base's first-order stencil, 2 grad x1 . grad B + x1 Delta B.
     """
-    for src, lap, grad in (("x1 + 3", "0", "1"), ("x1^2 + x2^2 + 1", "4", "4*x1^2 + 4*x2^2")):
+    for src, lap, grad, first in (
+        ("x1 + 3", "0", "1", "2"),
+        ("x1^2 + x2^2 + 1", "4", "4*x1^2 + 4*x2^2", "8*x1"),
+    ):
         ctx = Context(2)
         bid, _ = ctx.register_base(P(src, ctx))
         assert bid == 1
-        assert ctx.base_laplacian(bid) == P(lap, ctx)
+        assert ctx.base_poly(bid).laplacian(ctx.coords) == P(lap, ctx)
+        assert ctx.base_first_order(bid, P("x1", ctx)) == P(first, ctx)
         assert ctx.base_gradient_dot(bid, bid) == P(grad, ctx)
         assert ctx.base_gradient_dot(bid, ctx.norm_base) == ctx.base_gradient_dot(ctx.norm_base, bid)
         assert ctx.base_gradient_quotient(bid) is None

@@ -602,6 +602,37 @@ def test_division_by_a_constant(ctx3):
 
 
 
+def test_scale_keeps_the_terms_of_canonical_form():
+    """e.scale(c) has exactly the terms of `Expr._from_raw` on the scaled
+    raw terms: a nonzero constant leaves every term canonical, with its
+    factors, its base divisibility and its zero test, and 0 leaves none.
+
+    Odd, negative and log powers of the norm and of a base registered with
+    content 2, terms with both bases, and 0.
+    """
+    rng = random.Random(1511)
+    ctx = Context(3, extra=("y1",))
+    second = P("2*x1^2 + 2*x2*x3 + 4*y1 + 6", ctx)
+    exprs = [
+        Expr.zero(ctx),
+        E("x1*norm(x)^3 + 2*log(norm(x))^2 - 3/5*x2", ctx),
+        E("(x1^2 + x2^2 + x3^2)*x2*norm(x)^-3*log(norm(x)) + x3*norm(x)^-5", ctx),
+        Expr.from_poly(ctx, P("x1 - y1", ctx)) * Expr.base_power(ctx, second, -3, 2),
+    ]
+    for _ in range(12):
+        e = random_norm_expr(rng, ctx) * Expr.norm_power(ctx, 0, rng.randrange(3))
+        if rng.random() < 0.5:
+            e = e * Expr.base_power(ctx, second, rng.randrange(-5, 6), rng.randrange(3))
+        exprs.append(e + random_norm_expr(rng, ctx))
+    one, r3 = Scalar.from_fraction(1), Scalar.sqrt_int(3)
+    constants = (F(3, 4), -2, Scalar.sqrt_int(2), one + r3, Scalar.pi_power(-2), Scalar.log_fraction(2), 0, F(0))
+    for e in exprs:
+        for c in constants:
+            want = Expr._from_raw(ctx, [(p.scale(c), f) for p, f in e.terms])
+            assert e.scale(c).terms == want.terms
+            assert e.scale(c).is_zero() == (e.is_zero() or not c)
+
+
 def test_dot_of_unequal_length_vectors_is_refused():
     with pytest.raises(UnsupportedInputError, match="dot of unequal-length vectors"):
         parse_expression("dot(x,y)", Context(3), {"y": ("y1", "y2")})

@@ -170,6 +170,14 @@ def test_bergman_kernel_harmonicity(n):
     assert laplacian_of(k, 1, ctx).is_zero()
 
 
+# above the dims 3-5 that the benchmark's kernel checks run in
+@pytest.mark.parametrize("n", range(6, 10))
+@pytest.mark.parametrize("kernel", [poisson_kernel, bergman_kernel])
+def test_ball_kernels_are_harmonic_in_higher_dims(kernel, n):
+    ctx = make_context(n, extra_vecs=("y",))
+    assert laplacian_of(kernel(ctx, _ynames(n)), 1, ctx).is_zero()
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_bergman_kernel_series_consistency(n, cutoff=6):
     """Closed form against the zonal expansion, in the invariant ring.

@@ -15,6 +15,7 @@ in graded-lex order, and the oracle's `coefficient` lookup on the blocks
 must read the oracle's terms.
 """
 
+import heapq
 import random
 import sys
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ import pytest
 
 import poly_oracle
 
+from harmcalc import poly
 from harmcalc.errors import NonRationalValue, UnknownVariable, UnsupportedInputError
 from harmcalc.expr import Context, Expr
 from harmcalc.integrate import Quadratic
@@ -31,6 +33,7 @@ from harmcalc.poly import (
     Polynomial,
     Stencil,
     _layout,
+    first_order_weight,
     gradient_weight,
     laplace_weight,
     monomials,
@@ -175,7 +178,7 @@ def test_stencil_matches_the_second_order_oracle(dim):
         nums = {key(names + ("u", "w"), 3): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randrange(1, 9))}
         use = list(rng.sample(names, rng.randrange(1, dim + 1))) + ["z"]
         rng.shuffle(use)
-        for weight in (laplace_weight, gradient_weight):
+        for weight in (laplace_weight, gradient_weight, first_order_weight):
             stencil = Stencil(nums, lay, use, weight)
             for ka in (0, key(names, 3), key(names + ("u",), 4), key(names, 1)):
                 want = poly_oracle.second_order(nums, lay, use, ka, weight)
@@ -491,6 +494,42 @@ def test_divide_exact_contract():
         (x * x).divide_exact(x.scale(Scalar.sqrt_int(2)), CTX.var_rank)
     assert Polynomial().divide_exact(x, CTX.var_rank) == Polynomial()
     assert x.divide_exact(x * x, CTX.var_rank) is None
+
+
+# 8-, 16- and 32-bit fields: x1^top with top below 2^7, 2^15 and 2^31
+@pytest.mark.parametrize("top", (3, 200, 40000))
+def test_divide_exact_refuses_before_the_heap_only_what_is_inexact(top, monkeypatch):
+    """Against `poly_oracle.divide_exact`: an exact Q B is never refused,
+    over several signature blocks, auxiliary variables and fields of 8, 16
+    and 32 bits; Q B + r still is; and an r above the greatest or below
+    the least key of Q B is refused before any heap is built."""
+    heaps = []
+    monkeypatch.setattr(poly, "heapify", lambda h: heaps.append(h) or heapq.heapify(h))
+    rng = random.Random(1101 + top)
+    x1, aux = Polynomial.var("x1"), Polynomial.var("aux")
+    divisors = [CTX.norm_sq_poly(), x1 * aux - Polynomial.var("t", 2), aux + F(1, 3)]
+    divisors += [d for d in (_poly(rng, 3, max_exp=2, rational=True) for _ in range(8)) if not d.is_constant()]
+    tried = blocks = 0
+    for d in divisors:
+        # remainders past either end of Q d whose key minus d's borrows: a
+        # power of a name d does not hold above Q d's greatest key, and 1
+        # below its least where d has no constant term
+        outside = [Polynomial.var("z", top + 20)] + ([Polynomial.const(1)] if d.constant_term().is_zero() else [])
+        for _ in range(4):
+            q = _poly(rng, rng.randrange(1, 6)) * Polynomial.var(rng.choice(NAMES), top)
+            a = q * d
+            blocks += len(a.blocks) > 1
+            assert a.divide_exact(d, CTX.var_rank) == q == poly_oracle.divide_exact(a, d, CTX.var_rank)
+            r = _poly(rng, 1)
+            if poly_oracle.divide_exact(r, d, CTX.var_rank) is None:
+                assert (a + r).divide_exact(d, CTX.var_rank) is None
+                assert poly_oracle.divide_exact(a + r, d, CTX.var_rank) is None
+            for r in outside:
+                heaps.clear()
+                assert (a + r.scale(rng.choice(COEFFS))).divide_exact(d, CTX.var_rank) is None
+                assert heaps == []
+                tried += 1
+    assert tried > 40 and blocks > 20
 
 
 def test_one_power_routine():
