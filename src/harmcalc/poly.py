@@ -12,13 +12,16 @@ rendering, hashing and coefficient lookup read the blocks, and `order_key`
 sorts packed keys in the graded order rendering prints.
 
 `monomials` enumerates packed keys by total degree, and a `Stencil`,
-built once from a polynomial's terms, writes the Laplacian, gradient or
-first-order image of each monomial against them: `linalg` builds the
-quadric ansatz from the first two, `Polynomial.laplacian`, `gradient_dot`
-and the harmonic ladders apply a stencil too, and a base's first-order
-stencil takes 2 grad P . grad B + P Delta B in one pass over P's terms
-(`expr.Context.base_first_order`).  Scaling by an int or a Fraction
-scales each block's numerators and denominator, with no product.
+built once from a polynomial's terms, writes the second-order image of
+each monomial against them in one loop, its weight a row (A, B, C) of
+w(a, b) = A a (a - 1) + B a b + C b (b - 1): the Laplacian, gradient and
+first-order maps are three rows of data.  `linalg` builds the quadric
+ansatz from the first two, `Polynomial.laplacian`, `gradient_dot` (one
+gradient stencil per block) and the harmonic ladders apply a stencil too,
+and a base's first-order stencil takes 2 grad P . grad B + P Delta B in
+one pass over P's terms (`expr.Context.base_first_order`).  `_product`
+only multiplies, and scaling by an int or a Fraction scales each block's
+numerators and denominator, with no product.
 
 `Polynomial.divide_exact` divides by a rational-coefficient polynomial and
 returns the quotient only if the division is exact, else None: each block
@@ -219,12 +222,10 @@ def _new(lay, blocks):
     return out
 
 
-# the markers of the three maps a `Stencil` applies: the Laplacian of
-# q x^a, grad q . grad x^a, and 2 grad q . grad x^a + x^a Delta q, the
-# part of the Laplacian of x^a F(q) that multiplies F'(q)
-laplace_weight = "laplace"
-gradient_weight = "gradient"
-first_order_weight = "first order"
+# the weight rows (A, B, C) of the three maps a `Stencil` applies
+laplace_weight = (1, 2, 1)
+gradient_weight = (0, 1, 0)
+first_order_weight = (0, 2, 1)
 
 
 class Stencil:
@@ -232,54 +233,45 @@ class Stencil:
     built once per operand and applied once per monomial.
 
     The image of x^a is the sum over terms n x^b of the operand and v in
-    names of w(a_v, b_v) n x^(a + b - 2 e_v), with w = (a + b)(a + b - 1)
-    for `laplace_weight` (the Laplacian of q x^a), w = a b for
-    `gradient_weight` (grad q . grad x^a) and w = 2 a b + b (b - 1) =
-    (a + b)(a + b - 1) - a (a - 1) for `first_order_weight` (2 grad q .
-    grad x^a + x^a Delta q, one pass where a gradient dot product, a
-    Laplacian, a product and a sum would take four).  `terms` holds (v's
-    field shift, b_v, n, k_b - 2 e_v) for every term and every variable v
-    of names in lay, term by term, less those with b_v = 0 for the
-    gradient and first-order weights, which vanish there: an image meets
-    its keys in that order, and `linalg.paired_rows` numbers its rows by
-    it.  `layout` is lay, which must hold every a + b.
+    names of w(a_v, b_v) n x^(a + b - 2 e_v), each weight a row (A, B, C)
+    of w(a, b) = A a (a - 1) + B a b + C b (b - 1): `laplace_weight` gives
+    (a + b)(a + b - 1), the Laplacian of q x^a; `gradient_weight` gives
+    a b, grad q . grad x^a; `first_order_weight` gives 2 a b + b (b - 1),
+    2 grad q . grad x^a + x^a Delta q, the part of the Laplacian of
+    x^a F(q) that multiplies F'(q), in one pass where a gradient dot
+    product, a Laplacian, a product and a sum would take four.  `terms`
+    holds the row folded into each term and each distinct variable v of
+    names in lay, (v's field shift, A n, B b_v n, C b_v (b_v - 1) n,
+    k_b - 2 e_v), term by term, less those whose weight is 0 at every a_v
+    (A = 0 and b_v = 0), and `add` reads them in one loop.  An image meets
+    its keys in that order, a key only where its weight is nonzero, and
+    `linalg.paired_rows` numbers its rows by it.  `layout` is lay, which
+    must hold every a + b.
     """
 
-    __slots__ = ("weight", "layout", "mask", "terms")
+    __slots__ = ("layout", "mask", "terms")
 
     def __init__(self, nums, lay, names, weight):
-        self.weight = weight
         self.layout = lay
         self.mask = mask = lay.mask
-        fields = [(lay.shift[v], 2 * lay.unit[v]) for v in names if v in lay.shift]
-        self.terms = [(s, (kb >> s) & mask, n, kb - two) for kb, n in nums.items() for s, two in fields]
-        if weight is not laplace_weight:
-            self.terms = [t for t in self.terms if t[1]]
+        A, B, C = weight
+        fields = [(lay.shift[v], 2 * lay.unit[v]) for v in dict.fromkeys(names) if v in lay.shift]
+        self.terms = [
+            (s, A * n, B * b * n, C * b * (b - 1) * n, kb - two)
+            for kb, n in nums.items()
+            for s, two in fields
+            if (b := (kb >> s) & mask) or A
+        ]
 
     def add(self, ka, acc, c=1):
         """acc, a {key: int} dict, with c times the image of x^a (packed in ka) added in."""
         get, mask = acc.get, self.mask
-        if self.weight is laplace_weight:
-            for s, b, n, k in self.terms:
-                # (a_v + b_v)(a_v + b_v - 1), which vanishes unless a_v + b_v >= 2
-                w = ((ka >> s) & mask) + b
-                if w > 1:
-                    k += ka
-                    acc[k] = get(k, 0) + c * w * (w - 1) * n
-        elif self.weight is gradient_weight:
-            for s, b, n, k in self.terms:
-                # a_v b_v, where b_v > 0
-                a = (ka >> s) & mask
-                if a:
-                    k += ka
-                    acc[k] = get(k, 0) + c * a * b * n
-        else:
-            for s, b, n, k in self.terms:
-                # b_v (2 a_v + b_v - 1), where b_v > 0: 0 only at a_v = 0, b_v = 1
-                w = b * (2 * ((ka >> s) & mask) + b - 1)
-                if w:
-                    k += ka
-                    acc[k] = get(k, 0) + c * w * n
+        for s, A, B, C, k in self.terms:
+            a = (ka >> s) & mask
+            w = (A * (a - 1) + B) * a + C if a else C
+            if w:
+                k += ka
+                acc[k] = get(k, 0) + c * w
         return acc
 
     def image(self, p):
@@ -572,11 +564,14 @@ class Polynomial:
         return _new(self.layout, blocks)
 
     def gradient_dot(self, other, names):
-        """grad self . grad other in the variables `names`; the others are constants."""
-        if not self.blocks or not other.blocks:
-            return Polynomial()
+        """grad self . grad other in the variables `names`; the others are
+        constants: one gradient `Stencil` per block of self, its image of
+        other scaled by that block's Scalar."""
         lay = _join(self.layout, other.layout, self.total_degree() + other.total_degree())
-        return _product(lay, _rekey(self, lay), _rekey(other, lay), names)
+        return poly_sum(
+            _product(lay, Stencil(nums, lay, names, gradient_weight).image(other).blocks, {sig: (den, {0: 1})})
+            for sig, (den, nums) in _rekey(self, lay).items()
+        )
 
     def substitute(self, var, value):
         """Replace a variable by a Fraction, Scalar, or Polynomial."""
@@ -751,14 +746,12 @@ def require_polynomial(p, what):
     return p
 
 
-def _product(lay, a, b, names=None):
+def _product(lay, a, b):
     """The Polynomial with blocks a times blocks b, both keyed in lay.
 
     Every pair of blocks multiplies with ints only; two pairs can land on
     one signature (sqrt 2 * sqrt 2 and 1 * 1), so they meet in a `_Sum`.
-    With `names`, a pair of terms multiplies as grad . grad in those
-    variables instead: one gradient `Stencil` of the larger operand takes
-    every term of the smaller into one sum.
+    It only multiplies; `gradient_dot` applies a gradient `Stencil`.
     """
     total = _Sum(lay)
     for sa, (da, ta) in a.items():
@@ -767,11 +760,7 @@ def _product(lay, a, b, names=None):
             big, small = (ta, tb) if len(ta) >= len(tb) else (tb, ta)
             if g != 1:
                 small = {k: n * g for k, n in small.items()}
-            if names is not None:
-                stencil, acc = Stencil(big, lay, names, gradient_weight), {}
-                for kb, nb in small.items():
-                    stencil.add(kb, acc, nb)
-            elif len(small) == 1:
+            if len(small) == 1:
                 ((kb, nb),) = small.items()
                 acc = {k + kb: n * nb for k, n in big.items()}
             else:

@@ -787,7 +787,7 @@ def tokenize_by_characters(src):
     return tokens
 
 
-# the weight of each second-order map, by the marker the library passes
+# the weight of each second-order map, keyed by the weight row the library passes
 SECOND_ORDER_WEIGHTS = {
     laplace_weight: lambda a, b: (a + b) * (a + b - 1),
     gradient_weight: lambda a, b: a * b,
@@ -798,7 +798,7 @@ SECOND_ORDER_WEIGHTS = {
 def second_order(nums, lay, names, ka, weight):
     """{key: int}: the sum over terms n x^b of nums and v in names of
     w(a_v, b_v) n x^(a + b - 2 e_v), x^a packed in ka and keys in lay,
-    which holds a + b, w the weight of the marker `weight`.  The weight
+    which holds a + b, w the weight of the row `weight`.  The weight
     vanishes unless a_v + b_v >= 2; for the gradient it vanishes where
     a_v = 0, so only the variables of x^a are visited.  The first-order
     weight 2 a b + b (b - 1) vanishes where b_v = 0 or a_v = 0, b_v = 1."""

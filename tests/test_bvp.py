@@ -469,6 +469,17 @@ def test_anti_laplacian_uniqueness_multiple_modes(ctx3):
     assert nullspace(matrix) == []
 
 
+def test_a_quadric_multiple_off_an_ellipsoid_is_the_canonical_one():
+    # q = x1^2 - x2^2: Delta(q x1 x2) = 0, so q x1 and q (x1 + x1 x2) both
+    # have Laplacian 4 x1; the answer is q x1, v of the lowest degree
+    ctx2 = Context(2)
+    q = P("x1^2 - x2^2", ctx2)
+    assert poly_laplacian(q * P("x1*x2", ctx2), ctx2).is_zero()
+    assert poly_laplacian(q * P("x1 + x1*x2", ctx2), ctx2) == P("4*x1", ctx2)
+    sol = anti_laplacian(P("4*x1", ctx2), Quadratic((1, -1), (0, 0), 0), ctx2)
+    assert sol == Expr.from_poly(ctx2, q * P("x1", ctx2))
+
+
 # ---------------------------------------------------------------------------
 # Neumann
 

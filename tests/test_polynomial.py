@@ -174,13 +174,22 @@ def test_stencil_matches_the_second_order_oracle(dim):
     def key(variables, top):
         return lay.pack([(v, rng.randrange(top + 1)) for v in rng.sample(variables, rng.randrange(len(variables) + 1))])
 
-    for _ in range(40):
-        nums = {key(names + ("u", "w"), 3): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randrange(1, 9))}
-        use = list(rng.sample(names, rng.randrange(1, dim + 1))) + ["z"]
-        rng.shuffle(use)
+    def inputs():
+        for _ in range(40):
+            nums = {key(names + ("u", "w"), 3): rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randrange(1, 9))}
+            use = list(rng.sample(names, rng.randrange(1, dim + 1))) + ["z"]
+            rng.shuffle(use)
+            yield nums, use, lambda: (0, key(names, 3), key(names + ("u",), 4), key(names, 1))
+        # exponents b in {0, 1, 2} against a in {0, 1}: every case where a
+        # row's weight vanishes (Laplacian a + b <= 1; gradient a = 0 or
+        # b = 0; first order b = 0, or a = 0 and b = 1)
+        nums = {lay.pack([(v, (i + j) % 3) for j, v in enumerate(names)]): i - 3 for i in range(3)}
+        yield nums, names, lambda: [lay.pack([(v, 1) for j, v in enumerate(names) if m >> j & 1]) for m in range(1 << dim)]
+
+    for nums, use, points in inputs():
         for weight in (laplace_weight, gradient_weight, first_order_weight):
             stencil = Stencil(nums, lay, use, weight)
-            for ka in (0, key(names, 3), key(names + ("u",), 4), key(names, 1)):
+            for ka in points():
                 want = poly_oracle.second_order(nums, lay, use, ka, weight)
                 assert list(stencil.add(ka, {}).items()) == list(want.items())
                 c = rng.choice((-5, 2, 7))
@@ -195,6 +204,13 @@ def test_stencil_matches_the_second_order_oracle(dim):
         nums = {lay.pack([("x1", 2)]): 1, lay.pack([("x2", 2)]): -1}
         want = poly_oracle.second_order(nums, lay, names, 0, laplace_weight)
         assert Stencil(nums, lay, names, laplace_weight).add(0, {}) == want == {0: 0}
+
+
+def test_a_repeated_name_counts_once():
+    x1, x2 = Polynomial.var("x1"), Polynomial.var("x2")
+    p = x1**3 * x2**2
+    assert p.laplacian(["x1", "x1", "x2"]) == p.laplacian(["x1", "x2"]) == 6 * x1 * x2**2 + 2 * x1**3
+    assert p.gradient_dot(x1**2, ["x1", "x1"]) == p.gradient_dot(x1**2, ["x1"]) == 6 * x1**3 * x2**2
 
 
 def test_laplacian_and_gradient_dot_match_the_second_order_oracle():
