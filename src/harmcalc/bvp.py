@@ -9,9 +9,10 @@ biharmonic Dirichlet problem.
 Every solver here that splits its data reads the Fischer pieces
 p = sum ||x||^(2j) h_(m,j) through `harmonic.fischer_sums`: the ball
 Dirichlet solution as their one sum, the others by degree m
-(`harmonic_parts_by_degree`) or piece by piece (`fischer_parts`); the
-polynomial anti-Laplacian is `harmonic.first_coordinate_series` of the
-twice x1-integrated data.
+(`harmonic_parts_by_degree`) or piece by piece (`fischer_parts`).  Every
+anti-Laplacian of polynomial data (the plain mode, the particular
+solution of a Dirichlet problem with a prescribed Laplacian, and that of
+the generalized Neumann problem) is `harmonic.first_coordinate_series`.
 
 One quadric type, `integrate.Quadratic(b, c, d)` for b.x^2 + c.x + d,
 serves as the Dirichlet region (any signs whose surface q = 0 has more
@@ -19,7 +20,8 @@ than one point), the Neumann region (an ellipsoid) and the
 quadric-multiple mode of `anti_laplacian`.  Their ansatz solves only
 name the unknown polynomials (by degrees) and the maps that take them to
 the data; `linalg.solve_ansatz` enumerates, writes and solves the linear
-system and returns the polynomials.
+system and returns the polynomials.  The Neumann cofactor goes up to
+degree m - 2 for data of degree m: no other unknown can meet the data.
 
 The exterior halves are Kelvin transforms (`transforms.kelvin`, which
 takes a harmonic h_m of degree m to h_m ||x||^(2-n-2m)) of interior sums,
@@ -186,9 +188,7 @@ def anti_laplacian(f, mode, ctx):
 
 def _anti_laplacian_plain(f, ctx):
     poly_part, radial = _fold_radial_terms(f, ctx)
-    # the series at s = L p, L integrating twice in x1, is an anti-Laplacian of p
-    first = ctx.coords[0]
-    raw = [(first_coordinate_series(poly_part.integrate(first).integrate(first), ctx), ())]
+    raw = [(first_coordinate_series(poly_part, ctx), ())]
     nb = ctx.norm_base
     # a piece ||x||^(2j) g of the decomposition is g times r^(h + 2j) log^k(r^2)
     pieces = [(g, m, h + 2 * j, k) for poly, h, k in radial for (m, j), g in fischer_parts(poly, ctx).items()]
@@ -251,11 +251,8 @@ def dirichlet(p, region=Sphere(), ctx=None, rhs=None):
     if isinstance(p, tuple) and not isinstance(region, Annulus):
         raise UnsupportedInputError("only the annulus takes an (inner, outer) data pair")
     if rhs is not None:
-        v = anti_laplacian(require_polynomial(rhs, "prescribed Laplacian"), Plain(), ctx).as_polynomial()
-        if isinstance(p, tuple):
-            data = (p[0] - v, p[1] - v)
-        else:
-            data = p - v
+        v = first_coordinate_series(require_polynomial(rhs, "prescribed Laplacian"), ctx)
+        data = (p[0] - v, p[1] - v) if isinstance(p, tuple) else p - v
         return dirichlet(data, region, ctx) + Expr.from_poly(ctx, v)
 
     if isinstance(region, Sphere):
@@ -378,7 +375,7 @@ def _generalized_neumann(f, g, q, standard, ctx):
     standard solution (`standard`) for the data f - grad q . grad v.  That
     data is compatible exactly when the boundary integral of f matches the
     volume integral of g (the divergence theorem for v)."""
-    v = anti_laplacian(g, Plain(), ctx).as_polynomial()
+    v = first_coordinate_series(g, ctx)
     data = f - q.gradient_dot(v, ctx.coords)
     try:
         h = standard(data)
@@ -402,9 +399,11 @@ def _neumann_quadratic_standard(f, q, ctx):
     fails exactly on incompatible data.
     """
     deg = f.total_degree()
-    # h's columns: Laplacian of x^a and grad q . grad x^a; the cofactor's: -q x^a
+    # h's columns: Laplacian of x^a and grad q . grad x^a; the cofactor's:
+    # -q x^a, of degree at most deg - 2, as grad q . grad h - f has degree
+    # at most deg
     h = (range(1, deg + 1), [(0, Polynomial.const(1), laplace_weight), (1, q, gradient_weight)])
-    cofactor = (range(max(deg, 1)), [(1, -q, None)])
+    cofactor = (range(deg - 1), [(1, -q, None)])
     sol = solve_ansatz([h, cofactor], [Polynomial(), f], ctx.coords)
     if sol is None:
         raise SolvabilityViolation("the surface integral of the data must vanish")

@@ -18,17 +18,22 @@ label and sums them with a weight, one `horner` in ||x||^2 per label; the
 pieces themselves, the sums by norm exponent and by degree, the ball
 Dirichlet solution and the Bergman projection are each one call.
 
-The series is taken in closed form: for s = sum_a x1^a q_a(x') it is
-sum_a sum_k (-1)^k a!/(a+2k)! x1^(a+2k) D'^k q_a, D' the Laplacian in
-the other coordinates, and one `_ladder` of integer dicts gives the
-levels D'^k q_a, each the image of x^0 under the Laplacian `Stencil` of
-the level before.  A basis element is the primitive integer form of the
-series of a Cauchy monomial, read off its ladder.  A radial inner
-product orthonormalizes a basis over integer vectors: on harmonics of
-degree m it is c(m, n) times the Fischer pairing sum_a a! p_a q_a,
-Gram-Schmidt runs on primitive integer coefficient dicts with Fraction
-projections, and c enters only the final scale, as one square split per
-element.
+The polynomial anti-Laplacian is the first-coordinate series taken in
+closed form: for s = sum_a x1^a q_a(x') it is sum_a sum_k (-1)^k
+a!/(a+2+2k)! x1^(a+2+2k) D'^k q_a, D' the Laplacian in the other
+coordinates, and one `_ladder` of integer dicts gives the levels
+D'^k q_a, each the image of x^0 under the Laplacian `Stencil` of the
+level before.  Each (signature, a) group is one `_cauchy_series`, summed
+from its top level down over one denominator, so the series costs about
+the size of its answer.  A basis element is the one `_cauchy_series` of
+its Cauchy monomial x1^eps x'^b, started at x1^eps and made primitive:
+the harmonic extension of that Cauchy data.
+
+A radial inner product orthonormalizes a basis over integer vectors: on
+harmonics of degree m it is c(m, n) times the Fischer pairing
+sum_a a! p_a q_a, Gram-Schmidt runs on primitive integer coefficient
+dicts with Fraction projections, and c enters only the final scale, as
+one square split per element.
 """
 
 from __future__ import annotations
@@ -151,24 +156,45 @@ def _ladder(q, lay, names):
     return levels
 
 
+def _cauchy_series(q, e, lay, unit, rest):
+    """(top, nums): the first-coordinate series of x1^e q(x') over
+    top!/e!, as the integer dict nums; q is an integer dict {key: int} in
+    lay, free of x1, unit is x1's key unit in lay and rest names the other
+    coordinates.
+
+    With the `_ladder` levels D^k q, k <= K, and top = e + 2K, level k
+    carries (-1)^k top!/(e+2k)! at x1^(e+2k), formed from the top level
+    down with one integer factor.
+    """
+    levels = _ladder(q, lay, rest)
+    top = e = e + 2 * len(levels) - 2
+    f, nums = (-1) ** (len(levels) - 1), {}
+    for level in reversed(levels):
+        shift = e * unit
+        for key, n in level.items():
+            nums[key + shift] = f * n
+        f *= -e * (e - 1)
+        e -= 2
+    return top, nums
+
+
 def first_coordinate_series(s, ctx):
-    """u = sum_k (-1)^k (L D)^k s, the first-coordinate series of s.
+    """The polynomial anti-Laplacian u = sum_k (-1)^k (L D)^k L s of s.
 
     L integrates twice in the first coordinate (x1^a -> x1^(a+2)/((a+1)(a+2)))
     and D is the Laplacian in the other coordinates.  The series ends
-    because D lowers the degree in those coordinates, and its Laplacian is
-    the second x1-derivative of s.  So s = L p gives an anti-Laplacian of
-    p, and s = x1^eps q(x') with eps in {0, 1} gives the harmonic
-    polynomial x1^eps q + O(x1^2) extending that Cauchy data.
+    because D lowers the degree in those coordinates, and its second
+    x1-derivative is s minus its D-image, so its Laplacian is s.
 
-    In closed form, (L D)^k x1^a q(x') = a!/(a+2k)! x1^(a+2k) D^k q, so
-    with s = sum_a x1^a q_a each block of s is split by its x1 exponent,
-    the levels D^k q_a come from one `_ladder`, and all the terms meet in
-    one `_Sum`.
+    In closed form, with s = sum_a x1^a q_a(x'), u is
+    sum_a sum_k (-1)^k a!/(a+2+2k)! x1^(a+2+2k) D^k q_a.  Each block of s
+    is split by its x1 exponent a, and each (block, a) group is one
+    `_cauchy_series` from x1^(a+2) over one denominator, one add to the
+    `_Sum`.
     """
     first, rest = ctx.coords[0], ctx.coords[1:]
-    # x1^(a+2k) D^k q_a has the total degree of x1^a q_a
-    lay = _join(s.layout, _layout((first,)), s.total_degree())
+    # x1^(a+2+2k) D^k q_a has the total degree of x1^a q_a plus 2
+    lay = _join(s.layout, _layout((first,)), s.total_degree() + 2)
     shift, unit, mask = lay.shift[first], lay.unit[first], lay.mask
     total = _Sum(lay)
     for sig, (den, nums) in _rekey(s, lay).items():
@@ -177,13 +203,8 @@ def first_coordinate_series(s, ctx):
             a = (key >> shift) & mask
             by_power.setdefault(a, {})[key - a * unit] = n
         for a, q in by_power.items():
-            # the term x1^e D^k q_a / ratio with e = a + 2k, ratio = e!/a!
-            e, ratio, sign = a, 1, 1
-            for level in _ladder(q, lay, rest):
-                lift = e * unit
-                total.add(sig, den * ratio, {key + lift: sign * n for key, n in level.items()})
-                ratio *= (e + 1) * (e + 2)
-                e, sign = e + 2, -sign
+            top, group = _cauchy_series(q, a + 2, lay, unit, rest)
+            total.add(sig, den * prod(range(a + 1, top + 1)), group)
     return total.result()
 
 
@@ -269,18 +290,15 @@ def basis_harmonic(m, ctx, ip=None):
 
     Elements are indexed by the monomials of degree m with exponent at most
     one in the first coordinate (harmonic extension of Cauchy data), as
-    packed keys in `poly.monomials` order, giving a reduced-echelon family:
-    each element is its index monomial plus terms divisible by the square
-    of the first coordinate.  With an inner product the Gram-Schmidt
-    procedure is applied in that order and each vector is divided by the
-    square root of its self inner product.
+    packed keys in `poly.monomials` order, giving an echelon family: each
+    element is a nonzero multiple of its index monomial plus terms
+    divisible by the square of the first coordinate.  With an inner product
+    the Gram-Schmidt procedure is applied in that order and each vector is
+    divided by the square root of its self inner product.
 
-    Each element is the primitive integer form of the series of its Cauchy
-    monomial x1^eps x'^b: with the `_ladder` levels D'^k x'^b, k <= K, it
-    puts (-1)^(K-k) (eps+2K)!/(eps+2k)! on x1^(eps+2k) D'^k x'^b and divides
-    by the gcd.  The x1^(eps+2K) terms lead, and D'^K of a monomial has
-    positive coefficients, so the leading coefficient is positive, as
-    `content_primitive` makes it.
+    Each element is the `_cauchy_series` of its Cauchy monomial
+    x1^eps x'^b, started at x1^eps, divided by its content, with
+    the positive leading coefficient `content_primitive` gives it.
 
     The inner product `ip` (an `InnerProduct`) is c * the Fischer pairing
     on these elements, c = ip.degree_factor(m, n), so Gram-Schmidt runs on
@@ -308,17 +326,11 @@ def basis_harmonic(m, ctx, ip=None):
     for eps in (0, 1):
         for kb in monomials(lay, rest, [m - eps]):
             classes.setdefault((kb + eps * unit) & odd, []).append(len(vectors))
-            levels = _ladder({kb: 1}, lay, rest)
-            # (-1)^(K-k) (eps+2K)!/(eps+2k)! on level k, from k = K down
-            W, f, e = {}, 1, eps + 2 * len(levels) - 2
-            for level in reversed(levels):
-                lift = e * unit
-                for key, n in level.items():
-                    W[key + lift] = f * n
-                f *= -e * (e - 1)
-                e -= 2
-            g = gcd(*W.values())
-            vectors.append({key: n // g for key, n in W.items()})
+            _, nums = _cauchy_series({kb: 1}, eps, lay, unit, rest)
+            # nums starts with the top level, whose x1 power leads, and
+            # D'^K x'^b has positive coefficients: one sign, the leading one
+            g = gcd(*nums.values()) * (1 if next(iter(nums.values())) > 0 else -1)
+            vectors.append({k: n // g for k, n in nums.items()})
     basis = [_new(lay, {RATIONAL: (1, W)}) for W in vectors]
     if ip is None or not basis:
         return basis

@@ -32,7 +32,7 @@ from harmcalc.errors import (
     UnsupportedRadialClass,
 )
 from harmcalc.expr import Context, Expr, reduce_poly_on_sphere, restrict_to_sphere
-from harmcalc.harmonic import harmonic_decompose
+from harmcalc.harmonic import first_coordinate_series, harmonic_decompose
 from harmcalc.integrate import integrate_sphere
 from harmcalc.kernels import bergman_projection, poisson_kernel
 from harmcalc.linalg import paired_rows, solve_ansatz
@@ -649,6 +649,26 @@ def test_neumann_on_random_ellipsoids_solves_once(dim, monkeypatch):
         assert u.constant_term().is_zero()
         resid = poly_sum([u.partial(v) * q.partial(v) for v in ctx.coords]) - f
         assert resid.divide_exact(q, ctx.var_rank) is not None
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_neumann_cofactor_of_degree_m_minus_1_is_never_used(dim):
+    # grad q . grad h - f has degree at most m = deg f, so its cofactor
+    # by q has degree at most m - 2: the ansatz with a degree m - 1
+    # cofactor as well gives the same answers and the same refusals
+    for ctx, region, f, g in _compatible_ellipsoid_problems(dim):
+        q = region.poly(ctx)
+        if g is not None:
+            f = f - q.gradient_dot(first_coordinate_series(g, ctx), ctx.coords)
+        for data in (f, f + Polynomial.const(1), Polynomial(), Polynomial.const(2), Polynomial.var("x1")):
+            deg = data.total_degree()
+            h = (range(1, deg + 1), [(0, Polynomial.const(1), laplace_weight), (1, q, gradient_weight)])
+            wide = solve_ansatz([h, (range(max(deg, 1)), [(1, -q, None)])], [Polynomial(), data], ctx.coords)
+            try:
+                got = bvp._neumann_quadratic_standard(data, q, ctx).as_polynomial()
+            except SolvabilityViolation:
+                got = None
+            assert got == (wide and wide[0]), (dim, data)
 
 
 SPHERE_REFUSAL = "^the integral of the data over the sphere must vanish$"

@@ -305,14 +305,16 @@ def test_radial_gram_entries_call_no_integral(ctx3, monkeypatch):
 
 
 def _series_data(rng, ctx):
-    """A polynomial whose terms mix x1 degrees 0..5 with rational, sqrt(2)
-    and pi coefficients, as anti-Laplacian data carries them."""
-    units = (ONE, Scalar.sqrt_int(2), Scalar.pi_power(2))
+    """A polynomial whose terms mix x1 degrees 0..5 with the other
+    coordinates and the auxiliary variables, and rational, sqrt(2), pi and
+    log(3) coefficients, as anti-Laplacian data carries them."""
+    units = (ONE, Scalar.sqrt_int(2), Scalar.pi_power(2), Scalar.log_fraction(3))
+    others = ctx.coords[1:] + ctx.extra
     pairs = []
     for _ in range(rng.randrange(1, 7)):
         mono = {ctx.coords[0]: rng.randrange(6)}
         for _ in range(rng.randrange(5)):
-            v = rng.choice(ctx.coords[1:])
+            v = rng.choice(others)
             mono[v] = mono.get(v, 0) + 1
         c = F(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.randrange(1, 5))
         pairs.append((tuple(sorted((v, e) for v, e in mono.items() if e)), rng.choice(units) * c))
@@ -320,26 +322,28 @@ def _series_data(rng, ctx):
 
 
 def test_closed_form_series_matches_the_iterated_series():
+    # the anti-Laplacian is the series of the data integrated twice in x1
     rng = random.Random(29)
     sigs = set()
-    for n in (2, 3, 4, 5):
-        ctx = Context(n)
-        for _ in range(15):
-            s = _series_data(rng, ctx)
+    for n in (1, 2, 3, 4, 5, 6):
+        ctx = Context(n, extra=("a",))
+        first = ctx.coords[0]
+        fixed = [Polynomial(), Polynomial.const(3), Polynomial.var("a", 2), Polynomial.var(ctx.coords[-1], 4)]
+        for s in [_series_data(rng, ctx) for _ in range(12)] + fixed:
             sigs.update(s.blocks)
-            assert first_coordinate_series(s, ctx) == poly_oracle.first_coordinate_series(s, ctx), (n, s)
-        for s in (Polynomial(), Polynomial.const(3), P("x2^4", ctx)):
-            assert first_coordinate_series(s, ctx) == poly_oracle.first_coordinate_series(s, ctx)
-    assert len(sigs) == 3
+            twice = poly_oracle.integrate(poly_oracle.integrate(s, first), first)
+            assert first_coordinate_series(s, ctx) == poly_oracle.first_coordinate_series(twice, ctx), (n, s)
+    assert len(sigs) == 4
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ladder_levels_give_the_series_of_cauchy_monomials(n):
     # the series of x1^eps x'^b is sum_k (-1)^k eps!/(eps+2k)! x1^(eps+2k) D'^k x'^b
     ctx = Context(n)
     first, rest = ctx.coords[0], ctx.coords[1:]
     for m in range(9):
         lay = _layout(tuple(sorted(ctx.coords)), _stride(m))
+        unit = lay.unit[first]
         for eps in (0, 1):
             for kb in monomials(lay, rest, [m - eps]):
                 levels = harmonic._ladder({kb: 1}, lay, rest)
@@ -349,6 +353,8 @@ def test_ladder_levels_give_the_series_of_cauchy_monomials(n):
                     for k, level in enumerate(levels)
                 )
                 cauchy = Polynomial.var(first, eps) * _new(lay, {RATIONAL: (1, {kb: 1})})
+                top, nums = harmonic._cauchy_series({kb: 1}, eps, lay, unit, rest)
+                assert series == _new(lay, {RATIONAL: (1, nums)}).scale(F(factorial(eps), factorial(top))), (m, eps, kb)
                 assert series == poly_oracle.first_coordinate_series(cauchy, ctx), (m, eps, kb)
 
 
